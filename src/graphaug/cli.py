@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,65 +32,22 @@ from .tudataset import dataset_stats, parse_tudataset
 
 OUT_ROOT_ENV = "GRAPHAUG_OUT"
 
-# section -> {key: (type, default)}; TrainConfig owns the trainer defaults
-_TRAIN_DEFAULTS = TrainConfig()
-SCHEMA = {
-    "data": {
-        "dataset": (str, None),
-        "task": (str, _TRAIN_DEFAULTS.task),
-    },
-    "train": {
-        "epochs": (int, _TRAIN_DEFAULTS.epochs),
-        "batch_size": (int, _TRAIN_DEFAULTS.batch_size),
-        "learning_rate": (float, _TRAIN_DEFAULTS.learning_rate),
-        "seed": (int, _TRAIN_DEFAULTS.seed),
-        "policy": (str, _TRAIN_DEFAULTS.policy_kind),
-        "head_temperature": (float, _TRAIN_DEFAULTS.head_temperature),
-        "policy_temperature": (float, _TRAIN_DEFAULTS.policy_temperature),
-        "keep_ratio": (float, _TRAIN_DEFAULTS.keep_ratio),
-        "hops": (int, _TRAIN_DEFAULTS.hops),
-        "early_stop_patience": (int, _TRAIN_DEFAULTS.early_stop_patience),
-        "patience_unit": (str, _TRAIN_DEFAULTS.patience_unit),
-        "alternation_prob": (float, _TRAIN_DEFAULTS.alternation_prob),
-        "node_batch_subgraphs": (int, _TRAIN_DEFAULTS.node_batch_subgraphs),
-        "clip_norm": (float, _TRAIN_DEFAULTS.clip_norm),
-    },
-    "encoder": {
-        "hidden_dim": (int, _TRAIN_DEFAULTS.hidden_dim),
-        "num_layers": (int, _TRAIN_DEFAULTS.num_layers),
-        "dropout": (float, _TRAIN_DEFAULTS.dropout),
-    },
-    "objective": {
-        "estimator": (str, _TRAIN_DEFAULTS.estimator),
-        "discriminator": (str, _TRAIN_DEFAULTS.discriminator),
-        "nt_xent_temperature": (float, _TRAIN_DEFAULTS.nt_xent_temperature),
-    },
-    "output": {
-        "out_dir": (str, None),
-    },
+# INI section -> keys, in the order --print-config writes them. Every key
+# except data.dataset and output.out_dir (strings, no default) is a
+# TrainConfig field, which owns its type, default and validation.
+SECTIONS = {
+    "data": ("dataset", "task"),
+    "train": ("epochs", "batch_size", "learning_rate", "seed", "policy",
+              "head_temperature", "policy_temperature", "keep_ratio", "hops",
+              "early_stop_patience", "patience_unit", "alternation_prob",
+              "node_batch_subgraphs", "clip_norm"),
+    "encoder": ("hidden_dim", "num_layers", "dropout"),
+    "objective": ("estimator", "discriminator", "nt_xent_temperature"),
+    "output": ("out_dir",),
 }
-
-_FLAG_TO_KEY = {
-    "dataset": ("data", "dataset"), "task": ("data", "task"),
-    "epochs": ("train", "epochs"), "batch_size": ("train", "batch_size"),
-    "learning_rate": ("train", "learning_rate"), "seed": ("train", "seed"),
-    "policy": ("train", "policy"),
-    "head_temperature": ("train", "head_temperature"),
-    "policy_temperature": ("train", "policy_temperature"),
-    "keep_ratio": ("train", "keep_ratio"), "hops": ("train", "hops"),
-    "early_stop_patience": ("train", "early_stop_patience"),
-    "patience_unit": ("train", "patience_unit"),
-    "alternation_prob": ("train", "alternation_prob"),
-    "node_batch_subgraphs": ("train", "node_batch_subgraphs"),
-    "clip_norm": ("train", "clip_norm"),
-    "hidden_dim": ("encoder", "hidden_dim"),
-    "num_layers": ("encoder", "num_layers"),
-    "dropout": ("encoder", "dropout"),
-    "estimator": ("objective", "estimator"),
-    "discriminator": ("objective", "discriminator"),
-    "nt_xent_temperature": ("objective", "nt_xent_temperature"),
-    "out": ("output", "out_dir"),
-}
+_INI_KEY = {"policy_kind": "policy"}     # the one field with another key
+# INI key (also the flag's dest) -> TrainConfig field
+_FIELDS = {_INI_KEY.get(f.name, f.name): f for f in fields(TrainConfig)}
 
 
 def _parse_config_file(path) -> dict:
@@ -99,33 +57,32 @@ def _parse_config_file(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     values = {}
     for section in parser.sections():
-        if section not in SCHEMA:
+        if section not in SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser[section].items():
-            if key not in SCHEMA[section]:
+            if key not in SECTIONS[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
-            values[(section, key)] = raw
+            values[key] = raw
     return values
 
 
 def resolve_config(args) -> dict:
-    """File values, overridden by flags, typed and defaulted per schema."""
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_parse_config_file(args.config))
-    for flag, dest in _FLAG_TO_KEY.items():
-        v = getattr(args, flag, None)
-        if v is not None:
-            values[dest] = v
+    """INI key -> value: file values, overridden by flags, typed and
+    defaulted per TrainConfig field."""
+    values = (_parse_config_file(args.config)
+              if getattr(args, "config", None) else {})
     resolved = {}
-    for section, keys in SCHEMA.items():
-        for key, (typ, default) in keys.items():
-            raw = values.get((section, key), default)
+    for section, keys in SECTIONS.items():
+        for key in keys:
+            default = _FIELDS[key].default if key in _FIELDS else None
+            flag = getattr(args, key, None)
+            raw = values.get(key, default) if flag is None else flag
             if raw is None:
-                resolved[(section, key)] = None
+                resolved[key] = None
                 continue
+            typ = str if default is None else type(default)
             try:
-                resolved[(section, key)] = typ(raw)
+                resolved[key] = typ(raw)
             except (TypeError, ValueError):
                 raise ConfigError(
                     f"{section}.{key}: cannot parse {raw!r} as {typ.__name__}")
@@ -134,47 +91,24 @@ def resolve_config(args) -> dict:
 
 def _train_config(resolved) -> TrainConfig:
     try:
-        return TrainConfig(
-            epochs=resolved[("train", "epochs")],
-            batch_size=resolved[("train", "batch_size")],
-            learning_rate=resolved[("train", "learning_rate")],
-            hidden_dim=resolved[("encoder", "hidden_dim")],
-            num_layers=resolved[("encoder", "num_layers")],
-            policy_kind=resolved[("train", "policy")],
-            head_temperature=resolved[("train", "head_temperature")],
-            policy_temperature=resolved[("train", "policy_temperature")],
-            keep_ratio=resolved[("train", "keep_ratio")],
-            hops=resolved[("train", "hops")],
-            dropout=resolved[("encoder", "dropout")],
-            seed=resolved[("train", "seed")],
-            early_stop_patience=resolved[("train", "early_stop_patience")],
-            patience_unit=resolved[("train", "patience_unit")],
-            alternation_prob=resolved[("train", "alternation_prob")],
-            estimator=resolved[("objective", "estimator")],
-            discriminator=resolved[("objective", "discriminator")],
-            nt_xent_temperature=resolved[("objective", "nt_xent_temperature")],
-            task=resolved[("data", "task")],
-            node_batch_subgraphs=resolved[("train", "node_batch_subgraphs")],
-            clip_norm=resolved[("train", "clip_norm")],
-        )
+        return TrainConfig(**{f.name: resolved[key]
+                              for key, f in _FIELDS.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _format_config(resolved) -> str:
     lines = []
-    for section in SCHEMA:
+    for section, keys in SECTIONS.items():
         lines.append(f"[{section}]")
-        for key in SCHEMA[section]:
-            v = resolved[(section, key)]
-            if v is not None:
-                lines.append(f"{key} = {v}")
+        lines += [f"{key} = {resolved[key]}" for key in keys
+                  if resolved[key] is not None]
         lines.append("")
     return "\n".join(lines)
 
 
 def _out_dir(resolved, default_name: str) -> Path:
-    out = resolved[("output", "out_dir")]
+    out = resolved["out_dir"]
     if out is None:
         root = os.environ.get(OUT_ROOT_ENV, "runs")
         out = Path(root) / default_name
@@ -184,7 +118,7 @@ def _out_dir(resolved, default_name: str) -> Path:
 
 
 def _load_dataset(resolved):
-    path = resolved[("data", "dataset")]
+    path = resolved["dataset"]
     if path is None:
         raise ConfigError("data.dataset: no dataset directory given")
     if not Path(path).is_dir():
@@ -297,12 +231,12 @@ def cmd_inspect(args) -> int:
     enc = encode(batch, state.omega, config.aug_encoder(state.input_dim))
     decision = decide(enc.graph_vector, config.policy_kind,
                       config.policy_temperature,
-                      RngStream(args.seed or 0, "inspect-policy"),
+                      RngStream(resolved["seed"], "inspect-policy"),
                       state.policy, kinds)
     dist = {k.value: float(p) for k, p in zip(decision.kinds,
                                               decision.dist.data)}
     print("policy distribution:", json.dumps(dist))
-    stream = RngStream(args.seed or 0, "inspect")
+    stream = RngStream(resolved["seed"], "inspect")
     for k, g in enumerate(sample):
         n0, n1 = batch.node_range(k)
         h_vk = enc.node_matrix.slice_axis(0, n0, n1)
@@ -341,32 +275,14 @@ def cmd_stats(args) -> int:
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="INI config file")
     p.add_argument("--dataset", help="TUDataset-convention directory")
-    p.add_argument("--task", choices=["graph", "node"])
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--policy", choices=["gru", "deepset", "random"])
-    p.add_argument("--estimator", choices=["jsd", "nce", "nt_xent", "dv"])
-    p.add_argument("--discriminator",
-                   choices=["dot", "cosine", "bilinear", "mlp"])
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--num-layers", dest="num_layers", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--keep-ratio", dest="keep_ratio", type=float)
-    p.add_argument("--hops", type=int)
-    p.add_argument("--head-temperature", dest="head_temperature", type=float)
-    p.add_argument("--policy-temperature", dest="policy_temperature", type=float)
-    p.add_argument("--alternation-prob", dest="alternation_prob", type=float)
-    p.add_argument("--early-stop-patience", dest="early_stop_patience", type=int)
-    p.add_argument("--patience-unit", dest="patience_unit",
-                   choices=["epoch", "step"])
-    p.add_argument("--node-batch-subgraphs", dest="node_batch_subgraphs",
-                   type=int)
-    p.add_argument("--clip-norm", dest="clip_norm", type=float)
-    p.add_argument("--nt-xent-temperature", dest="nt_xent_temperature",
-                   type=float)
+    p.add_argument("--out", dest="out_dir", metavar="OUT",
+                   help="output directory")
+    for section, keys in SECTIONS.items():
+        for key in filter(_FIELDS.__contains__, keys):
+            default = _FIELDS[key].default
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=type(default),
+                           help=f"{section}.{key}, default {default}")
 
 
 def build_parser() -> argparse.ArgumentParser:

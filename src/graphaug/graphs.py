@@ -125,29 +125,6 @@ def batch_graphs(graphs: list) -> GraphBatch:
     return GraphBatch(list(graphs), offsets, node_to_graph, edge_counts)
 
 
-def unbatch_graphs(batch: GraphBatch) -> list:
-    """Rebuild the individual graphs from the packed global arrays."""
-    feats = batch.features_tensor().data
-    weights = batch.edge_weights_tensor().data
-    glob_edges = batch.global_edges()
-    out = []
-    e_start = 0
-    for k, g in enumerate(batch.graphs):
-        n0, n1 = batch.node_range(k)
-        e1 = e_start + int(batch.edge_counts[k])
-        out.append(Graph(
-            num_nodes=n1 - n0,
-            edges=glob_edges[e_start:e1] - n0,
-            features=feats[n0:n1].copy(),
-            edge_weights=weights[e_start:e1].copy(),
-            label=g.label,
-            orig_ids=None if g.orig_ids is None else g.orig_ids.copy(),
-            center=g.center,
-        ))
-        e_start = e1
-    return out
-
-
 def khop_bfs(g: Graph, center: int, hops: int) -> Graph:
     """Induced subgraph on all nodes within ``hops`` BFS steps of ``center``.
 

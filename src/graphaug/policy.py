@@ -19,6 +19,9 @@ from .sampling import gumbel_softmax
 from .tensor import ParameterSet, Tensor, xavier_init, zeros_param
 
 
+POLICY_KINDS = ("gru", "deepset", "random")
+
+
 class AugmentationKind(str, Enum):
     NODE_DROP = "node_drop"
     EDGE_PERTURB = "edge_perturb"

@@ -466,15 +466,3 @@ class ParameterSet:
 
     def num_values(self) -> int:
         return sum(t.size for t in self._params.values())
-
-
-def grad_map(loss: Tensor, params: ParameterSet) -> dict[str, np.ndarray]:
-    """Run backward and return d(loss)/d(param) for every parameter.
-
-    Parameters unreachable from the loss get zero gradients.
-    """
-    loss.backward()
-    out = {}
-    for name, t in params.items():
-        out[name] = t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
-    return out

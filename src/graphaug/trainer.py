@@ -21,8 +21,8 @@ from .graphs import GraphBatch, batch_graphs, make_node_task_batch
 from .heads import apply_augmentation, init_head_params
 from .objective import ObjectiveConfig, batch_loss, init_discriminator_params
 from .optim import AdamState, adam_step, clip_by_global_norm
-from .policy import AugmentationKind, PolicyDecision, active_kinds, decide, \
-    init_policy_params, scale_by_policy
+from .policy import POLICY_KINDS, AugmentationKind, PolicyDecision, \
+    active_kinds, decide, init_policy_params, scale_by_policy
 from .rng import RngStream
 from .tensor import ParameterSet
 from . import container
@@ -37,7 +37,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     hidden_dim: int = 32
     num_layers: int = 2
-    policy_kind: str = "gru"             # gru | deepset | random
+    policy_kind: str = "gru"             # one of POLICY_KINDS
     head_temperature: float = 1.0
     policy_temperature: float = 1.0
     keep_ratio: float = 0.75
@@ -55,18 +55,26 @@ class TrainConfig:
     clip_norm: float | None = 5.0
 
     def __post_init__(self):
+        """The one validator for config values, whatever their source."""
         if self.epochs < 0 or self.batch_size < 1 or self.num_layers < 1:
             raise ValueError("epochs/batch_size/num_layers out of range")
+        if self.task == "graph" and self.batch_size < 2:
+            raise ValueError("batch_size must be at least 2 for the graph "
+                             "task: a singleton batch has no negatives")
+        for name, valid in (("policy_kind", POLICY_KINDS),
+                            ("patience_unit", ("epoch", "step")),
+                            ("task", ("graph", "node"))):
+            value = getattr(self, name)
+            if value not in valid:
+                raise ValueError(f"{name} must be one of {', '.join(valid)}; "
+                                 f"got {value!r}")
         if not (0.0 <= self.alternation_prob <= 1.0):
             raise ValueError("alternation_prob must be in [0, 1]")
-        if self.patience_unit not in ("epoch", "step"):
-            raise ValueError("patience_unit must be 'epoch' or 'step'")
-        if self.task not in ("graph", "node"):
-            raise ValueError("task must be 'graph' or 'node'")
         if not (0.0 < self.keep_ratio <= 1.0):
             raise ValueError("keep_ratio must be in (0, 1]")
         if self.head_temperature <= 0 or self.policy_temperature <= 0:
             raise ValueError("temperatures must be positive")
+        self.objective()
 
     def objective(self) -> ObjectiveConfig:
         return ObjectiveConfig(self.estimator, self.discriminator,
@@ -342,7 +350,11 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
     meta, tensors = container.read_container(path)
     if meta.get("kind") != "train-state":
         raise CheckpointError(f"{path} is not a training checkpoint")
-    config = TrainConfig(**meta["config"])
+    try:
+        config = TrainConfig(**meta["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: invalid training config: {exc}") \
+            from exc
     state = init_state(config, meta["input_dim"])
     for gname in GROUPS:
         group = state.group(gname)

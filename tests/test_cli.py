@@ -1,10 +1,14 @@
+import argparse
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from graphaug import cli, container
 from graphaug.cli import main
 from graphaug.rng import RngStream
+from graphaug.trainer import TrainConfig
 
 
 def write_synthetic_tudataset(root: Path, name="SYN", num_graphs=10):
@@ -119,6 +123,93 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "not_a_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key", [("train", "policy"),
+                                         ("objective", "estimator"),
+                                         ("objective", "discriminator"),
+                                         ("data", "task"),
+                                         ("train", "patience_unit")])
+def test_bad_ini_choice_is_config_error(tmp_path, capsys, section, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{key} = bogus\n")
+    code = run_cli("train", "--config", str(cfg), "--print-config")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "bogus" in err
+
+
+@pytest.mark.parametrize("flag", ["--policy", "--estimator",
+                                  "--discriminator", "--task"])
+def test_bad_flag_choice_is_config_error(capsys, flag):
+    code = run_cli("train", flag, "bogus", "--print-config")
+    assert code == 2
+    assert flag[2:] in capsys.readouterr().err
+
+
+def test_singleton_graph_batches_rejected(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "b1"
+    code = run_cli("train", "--dataset", str(dataset_dir), "--out", str(out),
+                   "--epochs", "1", "--batch-size", "1")
+    assert code == 2
+    assert "batch_size" in capsys.readouterr().err
+    assert not (out / "checkpoint.bin").exists()
+
+
+# one valid non-default value per TrainConfig field
+NON_DEFAULT = {
+    "epochs": 3, "batch_size": 16, "learning_rate": 0.01, "hidden_dim": 16,
+    "num_layers": 3, "policy_kind": "random", "head_temperature": 0.5,
+    "policy_temperature": 2.0, "keep_ratio": 0.5, "hops": 1, "dropout": 0.25,
+    "seed": 11, "early_stop_patience": 7, "patience_unit": "step",
+    "alternation_prob": 0.25, "estimator": "nce", "discriminator": "cosine",
+    "nt_xent_temperature": 0.25, "task": "node", "node_batch_subgraphs": 4,
+    "clip_norm": 1.5,
+}
+
+
+def test_every_field_has_one_ini_key_and_one_flag(tmp_path):
+    names = [f.name for f in fields(TrainConfig)]
+    assert sorted(NON_DEFAULT) == sorted(names)
+    ini_keys = [k for keys in cli.SECTIONS.values() for k in keys]
+    assert len(ini_keys) == len(set(ini_keys))
+    assert sorted(f.name for f in cli._FIELDS.values()) == sorted(names)
+    assert set(cli._FIELDS) | {"dataset", "out_dir"} == set(ini_keys)
+    flags = argparse.ArgumentParser()
+    cli._add_config_flags(flags)
+    dests = [a.dest for a in flags._actions]
+    defaults = TrainConfig()
+    for section, keys in cli.SECTIONS.items():
+        for key in filter(cli._FIELDS.__contains__, keys):
+            name = cli._FIELDS[key].name
+            assert dests.count(key) == 1, key
+            value = NON_DEFAULT[name]
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"[{section}]\n{key} = {value}\n")
+            flag = "--" + key.replace("_", "-")
+            for argv in (["--config", str(cfg)], [flag, str(value)]):
+                args = cli.build_parser().parse_args(["train", *argv])
+                config = cli._train_config(cli.resolve_config(args))
+                for other in names:
+                    expect = value if other == name \
+                        else getattr(defaults, other)
+                    assert getattr(config, other) == expect, (argv, other)
+
+
+@pytest.mark.parametrize("overrides", [
+    [],
+    ["--" + cli._INI_KEY.get(k, k).replace("_", "-") + "=" + str(v)
+     for k, v in NON_DEFAULT.items()],
+])
+def test_print_config_round_trips(tmp_path, capsys, overrides):
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "mutag.cfg"
+    assert run_cli("train", "--config", str(shipped), "--print-config",
+                   *overrides) == 0
+    first = capsys.readouterr().out
+    cfg = tmp_path / "printed.cfg"
+    cfg.write_text(first)
+    assert run_cli("train", "--config", str(cfg), "--print-config") == 0
+    assert capsys.readouterr().out == first
+
+
 def trained_checkpoint(dataset_dir, tmp_path):
     out = tmp_path / "trained"
     if not (out / "checkpoint.bin").exists():
@@ -159,6 +250,24 @@ def test_probe_corrupt_checkpoint(dataset_dir, tmp_path, capsys):
     code = run_cli("probe", "--checkpoint", str(bad), "--dataset",
                    str(dataset_dir), "--out", str(tmp_path / "p3"))
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["probe", "embed", "inspect"])
+@pytest.mark.parametrize("extra,match", [({"not_a_field": 1}, "not_a_field"),
+                                         ({"policy_kind": "bogus"}, "bogus")])
+def test_checkpoint_with_bad_config_fails(dataset_dir, tmp_path, capsys,
+                                          command, extra, match):
+    meta, tensors = container.read_container(
+        trained_checkpoint(dataset_dir, tmp_path))
+    meta["config"].update(extra)
+    bad = tmp_path / "bad-config.bin"
+    container.write_container(bad, meta, tensors)
+    code = run_cli(command, "--checkpoint", str(bad), "--dataset",
+                   str(dataset_dir), "--out", str(tmp_path / "x"),
+                   *(["--head", "identity"] if command == "inspect" else []))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
 
 
 def test_embed_writes_rows(dataset_dir, tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphaug.errors import InvalidShapeError
 from graphaug.graphs import (
-    Graph, batch_graphs, khop_bfs, make_node_task_batch, unbatch_graphs,
+    Graph, batch_graphs, khop_bfs, make_node_task_batch,
 )
 from graphaug.rng import RngStream
 
@@ -121,18 +121,6 @@ def test_batch_empty_list_rejected():
 def test_batch_mixed_dims_rejected():
     with pytest.raises(InvalidShapeError):
         batch_graphs([path_graph(3, d=2), path_graph(3, d=5)])
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(1, 7), min_size=1, max_size=5), st.integers(0, 999))
-def test_batch_unbatch_roundtrip(sizes, seed):
-    stream = RngStream(seed, "roundtrip")
-    graphs = [random_graph(n, 0.4, stream) for n in sizes]
-    back = unbatch_graphs(batch_graphs(graphs))
-    for g, h in zip(graphs, back):
-        assert g.num_nodes == h.num_nodes
-        assert sorted(map(tuple, g.edges.tolist())) == sorted(map(tuple, h.edges.tolist()))
-        assert np.array_equal(np.asarray(g.features), np.asarray(h.features))
 
 
 # -- node-task batches ----------------------------------------------------------

@@ -239,6 +239,41 @@ def test_checkpoint_missing_parameter_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("extra,match", [
+    ({"not_a_field": 1}, "not_a_field"),
+    ({"policy_kind": "bogus"}, "policy_kind"),
+])
+def test_checkpoint_bad_config_is_checkpoint_error(tmp_path, extra, match):
+    from graphaug import container
+    ds = synthetic_dataset()
+    config = small_config(epochs=0)
+    state, _, _ = train(ds, config)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(state, config, path)
+    meta, tensors = container.read_container(path)
+    meta["config"].update(extra)
+    container.write_container(path, meta, tensors)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("overrides,match", [
+    (dict(batch_size=1), "batch_size"),
+    (dict(policy_kind="bogus"), "policy_kind"),
+    (dict(estimator="bogus"), "estimator"),
+    (dict(discriminator="bogus"), "discriminator"),
+    (dict(estimator="nt_xent", nt_xent_temperature=0.0), "temperature"),
+])
+def test_config_rejects_invalid_values(overrides, match):
+    with pytest.raises(ValueError, match=match):
+        small_config(**overrides)
+
+
+def test_singleton_batches_allowed_on_node_task():
+    # node batches are sized by node_batch_subgraphs; batch_size is unused
+    assert small_config(task="node", batch_size=1).batch_size == 1
+
+
 def test_gradients_reach_all_groups_over_steps():
     ds = synthetic_dataset()
     config = small_config(epochs=3, policy_kind="gru", seed=6)
