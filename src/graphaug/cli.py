@@ -176,13 +176,16 @@ def cmd_probe(args) -> int:
             f"d_x={dataset.feature_dim}")
     out = _out_dir(resolved, f"{dataset.name.lower()}-probe")
     table = embed_dataset(dataset, state, config)
-    if config.task == "graph":
-        report = linear_probe_graph(table, folds=args.folds, runs=args.runs,
-                                    seed=args.probe_seed)
-    else:
-        report = linear_probe_node(table, runs=args.runs_node,
-                                   train_frac=args.train_frac,
-                                   seed=args.probe_seed)
+    try:
+        if config.task == "graph":
+            report = linear_probe_graph(table, folds=args.folds,
+                                        runs=args.runs, seed=args.probe_seed)
+        else:
+            report = linear_probe_node(table, runs=args.runs_node,
+                                       train_frac=args.train_frac,
+                                       seed=args.probe_seed)
+    except ValueError as exc:     # labels the protocol cannot use
+        raise GraphAugError(f"cannot probe {dataset.name}: {exc}") from exc
     (out / "probe_report.json").write_text(report.to_json())
     _write_csv(out / "probe_report.csv", [], report.to_csv_rows())
     print(f"{report.protocol}: accuracy {report.mean:.4f} +/- {report.std:.4f}")

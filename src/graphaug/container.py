@@ -8,6 +8,7 @@ always float64; integer arrays (dataset caches) use int64.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -35,13 +36,22 @@ def write_container(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
         payloads.append(arr.tobytes(order="C"))
     header = json.dumps({"meta": meta, "tensors": descriptors},
                         sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        for blob in payloads:
-            f.write(blob)
+    # write beside the target, then rename over it: a crash mid-write leaves
+    # the previous file intact instead of a torn one
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(struct.pack("<Q", len(header)))
+            f.write(header)
+            for blob in payloads:
+                f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -2,9 +2,10 @@
 
 Graph protocol: stratified 10-fold cross-validation, repeated over fold
 seeds. Node protocol: repeated random splits. The classifier is multinomial
-logistic regression trained full-batch with the in-repo engine; the L2
-penalty is picked per training split by inner 3-fold cross-validation over a
-log grid.
+logistic regression trained full-batch with Adam on a closed-form numpy
+gradient (no autodiff tape); the L2 penalty is picked per training split by
+inner 3-fold cross-validation over a log grid, all penalties of one split
+fit as one stacked problem.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoders import encode
+from .errors import TrainingDivergedError
 from .graphs import batch_graphs, khop_bfs
 from .optim import AdamState, adam_step
 from .rng import RngStream
@@ -42,6 +44,7 @@ class ProbeReport:
     mean: float
     std: float
     accuracies: list
+    l2: list                         # chosen penalty, aligned with accuracies
     seed: int
     protocol: str
 
@@ -49,7 +52,7 @@ class ProbeReport:
         return json.dumps({
             "protocol": self.protocol, "seed": self.seed,
             "mean_accuracy": self.mean, "std_accuracy": self.std,
-            "accuracies": self.accuracies,
+            "accuracies": self.accuracies, "l2": self.l2,
         }, indent=2)
 
     def to_csv_rows(self) -> list:
@@ -60,10 +63,10 @@ class ProbeReport:
         return rows
 
 
-def _report(accs: list, seed: int, protocol: str) -> ProbeReport:
+def _report(accs: list, l2s: list, seed: int, protocol: str) -> ProbeReport:
     arr = np.asarray(accs, dtype=float)
     return ProbeReport(float(arr.mean()), float(arr.std()), list(map(float, arr)),
-                       seed, protocol)
+                       list(map(float, l2s)), seed, protocol)
 
 
 # -- embedding --------------------------------------------------------------------
@@ -105,7 +108,7 @@ def embed_dataset(dataset, state, config, chunk: int = 64) -> EmbeddingTable:
                           {"dataset": dataset.name, "task": "node"})
 
 
-# -- logistic regression on the engine ------------------------------------------
+# -- logistic regression ----------------------------------------------------------
 
 
 def _standardize(train_x, *others):
@@ -115,30 +118,66 @@ def _standardize(train_x, *others):
     return tuple((x - mu) / sd for x in (train_x,) + others)
 
 
-def _fit_logreg(x: np.ndarray, y: np.ndarray, num_classes: int,
-                l2: float) -> tuple[np.ndarray, np.ndarray]:
-    n, d = x.shape
+def _logreg_objective(x: np.ndarray, onehot: np.ndarray, w: np.ndarray,
+                      b: np.ndarray, l2s: np.ndarray):
+    """Penalized softmax cross-entropy of K stacked models and its gradient.
+
+    ``x`` is (n, d), ``onehot`` is class-major (C, n), ``w`` is (K, d, C),
+    ``b`` is (K, C) and ``l2s`` is (K,). Returns the per-model losses (K,)
+    and the gradients w.r.t. ``w`` and ``b``:
+    ``x.T @ (softmax - onehot) / n + (l2 / n) w`` and its column sums.
+    Logits are laid out (K, C, n) so the reductions over the few classes run
+    along contiguous rows of n samples, not along a length-C inner axis.
+    """
+    n = len(x)
+    logits = w.transpose(0, 2, 1) @ x.T + b[:, :, None]
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    s = e.sum(axis=1, keepdims=True)
+    ce = np.log(s[:, 0]) + m[:, 0] - (logits * onehot).sum(axis=1)
+    pen = l2s / n
+    loss = ce.mean(axis=1) + (w * w).sum(axis=(1, 2)) * (pen / 2.0)
+    resid = (e / s - onehot) / n
+    grad_w = (resid @ x).transpose(0, 2, 1) + pen[:, None, None] * w
+    return loss, grad_w, resid.sum(axis=2)
+
+
+def _fit_logreg_stack(x: np.ndarray, y: np.ndarray, num_classes: int,
+                      l2s) -> tuple[np.ndarray, np.ndarray]:
+    """Full-batch Adam fits of one model per penalty in ``l2s`` on (x, y).
+
+    Returns weights (K, d, C) and biases (K, C). Adam is elementwise, so
+    slice k is the fit a lone model with penalty ``l2s[k]`` would get.
+    """
+    l2s = np.asarray(l2s, dtype=np.float64)
+    d = x.shape[1]
     params = ParameterSet()
-    w = params.add("w", Tensor(np.zeros((d, num_classes))))
-    b = params.add("b", Tensor(np.zeros(num_classes)))
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), y] = 1.0
-    xt = Tensor(x)
-    oh = Tensor(onehot)
+    w = params.add("w", Tensor(np.zeros((len(l2s), d, num_classes))))
+    b = params.add("b", Tensor(np.zeros((len(l2s), num_classes))))
+    onehot = np.eye(num_classes)[:, y]
     adam = AdamState()
     for _ in range(PROBE_EPOCHS):
-        params.zero_grads()
-        logits = xt @ w + b
-        ce = (logits.logsumexp(axis=1) - (logits * oh).sum(axis=1)).mean()
-        loss = ce + (w * w).sum() * (l2 / (2.0 * n))
-        loss.backward()
-        adam_step(params, {"w": w.grad, "b": b.grad}, adam, PROBE_LR)
-    return w.data.copy(), b.data.copy()
+        loss, grad_w, grad_b = _logreg_objective(x, onehot, w.data, b.data, l2s)
+        if not np.isfinite(loss).all():
+            raise TrainingDivergedError(
+                f"probe loss is not finite at step {adam.step}")
+        adam_step(params, {"w": grad_w, "b": grad_b}, adam, PROBE_LR)
+    return w.data, b.data
 
 
-def _accuracy(w, b, x, y) -> float:
-    pred = np.argmax(x @ w + b, axis=1)
-    return float((pred == y).mean())
+def _accuracies(w, b, x, y) -> np.ndarray:
+    """Test accuracy of each stacked model."""
+    pred = np.argmax(x @ w + b[:, None, :], axis=2)
+    return (pred == y).mean(axis=1)
+
+
+def _fit_and_score(x_train, y_train, x_test, y_test, num_classes,
+                   l2s) -> np.ndarray:
+    """Standardize on the training rows, fit one model per penalty and
+    return each model's test accuracy."""
+    xtr, xte = _standardize(x_train, x_test)
+    w, b = _fit_logreg_stack(xtr, y_train, num_classes, l2s)
+    return _accuracies(w, b, xte, y_test)
 
 
 def _stratified_folds(labels: np.ndarray, folds: int, stream: RngStream):
@@ -155,32 +194,41 @@ def _stratified_folds(labels: np.ndarray, folds: int, stream: RngStream):
 
 
 def _select_l2(x, y, num_classes, stream: RngStream) -> float:
-    """Inner 3-fold CV over the penalty grid; first best wins."""
+    """Inner 3-fold CV over the penalty grid; first best wins.
+
+    All penalties of one inner split are fit as one stack.
+    """
     inner = _stratified_folds(y, 3, stream)
-    best_l2, best_acc = LAMBDA_GRID[0], -1.0
-    for l2 in LAMBDA_GRID:
-        accs = []
-        for f in range(3):
-            tr, te = inner != f, inner == f
-            if te.sum() == 0 or len(np.unique(y[tr])) < num_classes:
-                continue
-            xtr, xte = _standardize(x[tr], x[te])
-            w, b = _fit_logreg(xtr, y[tr], num_classes, l2)
-            accs.append(_accuracy(w, b, xte, y[te]))
-        acc = float(np.mean(accs)) if accs else -1.0
-        if acc > best_acc:
-            best_acc, best_l2 = acc, l2
-    return best_l2
+    accs = []
+    for f in range(3):
+        tr, te = inner != f, inner == f
+        if te.sum() == 0 or len(np.unique(y[tr])) < num_classes:
+            continue
+        accs.append(_fit_and_score(x[tr], y[tr], x[te], y[te], num_classes,
+                                   LAMBDA_GRID))
+    if not accs:
+        return LAMBDA_GRID[0]
+    return LAMBDA_GRID[int(np.argmax(np.mean(accs, axis=0)))]
+
+
+def _class_indices(labels: np.ndarray) -> tuple[np.ndarray, int]:
+    """Map labels onto 0..C-1 in sorted order; unlabeled (-1) is an error."""
+    labels = np.asarray(labels)
+    if (labels < 0).any():
+        raise ValueError("probe labels must be non-negative "
+                         "(unlabeled items carry -1)")
+    classes, y = np.unique(labels, return_inverse=True)
+    return y, len(classes)
 
 
 def linear_probe_graph(table: EmbeddingTable, folds: int = 10, runs: int = 5,
                        seed: int = 0) -> ProbeReport:
     """Stratified k-fold probe, repeated with different fold seeds."""
-    x, y = table.vectors, table.labels
-    num_classes = int(y.max()) + 1
-    if len(np.unique(y)) < 2:
+    x = table.vectors
+    y, num_classes = _class_indices(table.labels)
+    if num_classes < 2:
         raise ValueError("probe needs at least two classes")
-    accs = []
+    accs, l2s = [], []
     for run in range(runs):
         stream = RngStream(seed + run, "probe-folds")
         assignment = _stratified_folds(y, folds, stream)
@@ -189,10 +237,10 @@ def linear_probe_graph(table: EmbeddingTable, folds: int = 10, runs: int = 5,
             if te.sum() == 0:
                 continue
             l2 = _select_l2(x[tr], y[tr], num_classes, stream.split(f"l2-{f}"))
-            xtr, xte = _standardize(x[tr], x[te])
-            w, b = _fit_logreg(xtr, y[tr], num_classes, l2)
-            accs.append(_accuracy(w, b, xte, y[te]))
-    return _report(accs, seed, f"{folds}-fold x {runs} runs")
+            accs.append(_fit_and_score(x[tr], y[tr], x[te], y[te],
+                                       num_classes, [l2])[0])
+            l2s.append(l2)
+    return _report(accs, l2s, seed, f"{folds}-fold x {runs} runs")
 
 
 def linear_probe_node(table: EmbeddingTable, runs: int = 20,
@@ -200,9 +248,9 @@ def linear_probe_node(table: EmbeddingTable, runs: int = 20,
     """Random-split probe over ``runs`` different splits."""
     if not (0.0 < train_frac < 1.0):
         raise ValueError("train_frac must be in (0, 1)")
-    x, y = table.vectors, table.labels
-    num_classes = int(y.max()) + 1
-    accs = []
+    x = table.vectors
+    y, num_classes = _class_indices(table.labels)
+    accs, l2s = [], []
     for run in range(runs):
         stream = RngStream(seed + run, "probe-splits")
         order = stream.permutation(len(y))
@@ -215,7 +263,7 @@ def linear_probe_node(table: EmbeddingTable, runs: int = 20,
         l2 = _select_l2(x[tr_idx], y[tr_idx], num_classes,
                         stream.split("l2")) \
             if len(np.unique(y[tr_idx])) == num_classes else LAMBDA_GRID[0]
-        xtr, xte = _standardize(x[tr_idx], x[te_idx])
-        w, b = _fit_logreg(xtr, y[tr_idx], num_classes, l2)
-        accs.append(_accuracy(w, b, xte, y[te_idx]))
-    return _report(accs, seed, f"{runs} random splits @ {train_frac}")
+        accs.append(_fit_and_score(x[tr_idx], y[tr_idx], x[te_idx], y[te_idx],
+                                   num_classes, [l2])[0])
+        l2s.append(l2)
+    return _report(accs, l2s, seed, f"{runs} random splits @ {train_frac}")

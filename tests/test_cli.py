@@ -227,6 +227,7 @@ def test_probe_graph_protocol(dataset_dir, tmp_path, capsys):
     assert code == 0
     report = json.loads((out / "probe_report.json").read_text())
     assert len(report["accuracies"]) == 10          # folds * runs
+    assert len(report["l2"]) == 10                  # chosen penalty per fold
     assert 0.0 <= report["mean_accuracy"] <= 1.0
     assert (out / "probe_report.csv").exists()
 
@@ -250,6 +251,15 @@ def test_probe_corrupt_checkpoint(dataset_dir, tmp_path, capsys):
     code = run_cli("probe", "--checkpoint", str(bad), "--dataset",
                    str(dataset_dir), "--out", str(tmp_path / "p3"))
     assert code == 1
+
+
+def test_probe_unlabeled_graphs_fails_cleanly(dataset_dir, tmp_path, capsys):
+    ck = trained_checkpoint(dataset_dir, tmp_path)
+    (dataset_dir / "SYN_graph_labels.txt").unlink()
+    code = run_cli("probe", "--checkpoint", str(ck), "--dataset",
+                   str(dataset_dir), "--out", str(tmp_path / "p4"))
+    assert code == 1
+    assert "non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["probe", "embed", "inspect"])
@@ -354,7 +364,7 @@ def test_out_root_env(dataset_dir, tmp_path, monkeypatch):
     assert (tmp_path / "envroot" / "syn-train" / "checkpoint.bin").exists()
 
 
-def write_single_graph_dataset(root: Path, name="ONE", n=24):
+def write_single_graph_dataset(root: Path, name="ONE", n=24, first_label=0):
     """One community graph; node labels double as probe targets."""
     d = root / name
     d.mkdir(parents=True, exist_ok=True)
@@ -372,7 +382,7 @@ def write_single_graph_dataset(root: Path, name="ONE", n=24):
     (d / f"{name}_graph_indicator.txt").write_text("\n".join(["1"] * n) + "\n")
     (d / f"{name}_graph_labels.txt").write_text("1\n")
     (d / f"{name}_node_labels.txt").write_text(
-        "\n".join("0" if i < half else "1" for i in range(n)) + "\n")
+        "\n".join(str(first_label + (i >= half)) for i in range(n)) + "\n")
     return d
 
 
@@ -393,6 +403,25 @@ def test_node_task_cli_roundtrip(tmp_path, capsys):
     report = json.loads((probe_out / "probe_report.json").read_text())
     assert len(report["accuracies"]) == 3
     assert "random splits" in report["protocol"]
+
+
+def test_node_probe_one_based_labels_match_zero_based(tmp_path, capsys):
+    zero = write_single_graph_dataset(tmp_path / "zero")
+    one = write_single_graph_dataset(tmp_path / "one", first_label=1)
+    out = tmp_path / "node-run"
+    assert run_cli("train", "--dataset", str(zero), "--task", "node",
+                   "--out", str(out), "--epochs", "1", "--hidden-dim", "8",
+                   "--num-layers", "1", "--hops", "1",
+                   "--node-batch-subgraphs", "4", "--seed", "3",
+                   "--policy", "random") == 0
+    reports = []
+    for data_dir in (zero, one):
+        probe_out = tmp_path / f"probe-{data_dir.parent.name}"
+        assert run_cli("probe", "--checkpoint", str(out / "checkpoint.bin"),
+                       "--dataset", str(data_dir), "--out", str(probe_out),
+                       "--runs-node", "3", "--train-frac", "0.5") == 0
+        reports.append((probe_out / "probe_report.json").read_text())
+    assert reports[0] == reports[1]
 
 
 def test_shipped_mutag_config_parses(capsys):

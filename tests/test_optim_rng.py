@@ -102,6 +102,39 @@ def test_container_roundtrip_bit_exact(tmp_path):
         assert loaded[k].dtype == (np.int64 if k == "idx" else np.float64)
 
 
+def test_container_write_failure_keeps_previous_file(tmp_path, monkeypatch):
+    import builtins
+    from graphaug import container
+    path = tmp_path / "c.bin"
+    write_container(path, {"v": 1}, {"w": np.ones((4, 4))})
+    before = path.read_bytes()
+
+    class FailingFile:
+        """Real file whose third write raises, after bytes have gone out."""
+
+        def __init__(self, *args):
+            self.f = builtins.open(*args)
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError("disk full")
+            return self.f.write(data)
+
+    monkeypatch.setattr(container, "open", FailingFile, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write_container(path, {"v": 2}, {"w": np.zeros((8, 8))})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin"]
+
+
 def test_container_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
