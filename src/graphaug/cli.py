@@ -174,7 +174,6 @@ def cmd_probe(args) -> int:
         raise GraphAugError(
             f"checkpoint expects d_x={state.input_dim}, dataset has "
             f"d_x={dataset.feature_dim}")
-    out = _out_dir(resolved, f"{dataset.name.lower()}-probe")
     table = embed_dataset(dataset, state, config)
     try:
         if config.task == "graph":
@@ -186,6 +185,7 @@ def cmd_probe(args) -> int:
                                        seed=args.probe_seed)
     except ValueError as exc:     # labels the protocol cannot use
         raise GraphAugError(f"cannot probe {dataset.name}: {exc}") from exc
+    out = _out_dir(resolved, f"{dataset.name.lower()}-probe")
     (out / "probe_report.json").write_text(report.to_json())
     _write_csv(out / "probe_report.csv", [], report.to_csv_rows())
     print(f"{report.protocol}: accuracy {report.mean:.4f} +/- {report.std:.4f}")
@@ -201,10 +201,10 @@ def cmd_embed(args) -> int:
         raise GraphAugError(
             f"checkpoint expects d_x={state.input_dim}, dataset has "
             f"d_x={dataset.feature_dim}")
-    out = _out_dir(resolved, f"{dataset.name.lower()}-embed")
     table = embed_dataset(dataset, state, config)
     rows = [[i, table.labels[i]] + [repr(v) for v in table.vectors[i]]
             for i in range(len(table.vectors))]
+    out = _out_dir(resolved, f"{dataset.name.lower()}-embed")
     _write_csv(out / "embeddings.csv",
                ["id", "label"] + [f"dim{j}" for j in range(table.vectors.shape[1])],
                rows)

@@ -6,7 +6,7 @@ graphs use tensors so structural decisions keep a gradient channel.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,8 @@ class Graph:
     label: int | None = None
     orig_ids: np.ndarray | None = None   # local id -> id in the source graph
     center: int | None = None           # local id of the BFS center, if any
+    _csr: tuple | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -56,11 +58,21 @@ class Graph:
         loops = int((self.edges[:, 0] == self.edges[:, 1]).sum())
         return loops + (self.num_edges - loops) / 2.0
 
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for s, d in self.edges:
-            adj[int(s)].append(int(d))
-        return adj
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Out-neighbour adjacency ``(indptr, indices)``, built on first use.
+
+        Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]``, targets in edge
+        order. Built lazily so graphs that never run a BFS (augmented views,
+        most batches) do not pay for the sort.
+        """
+        if self._csr is None:
+            src = self.edges[:, 0]
+            order = np.argsort(src, kind="stable")
+            indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src, minlength=self.num_nodes),
+                      out=indptr[1:])
+            self._csr = (indptr, self.edges[order, 1])
+        return self._csr
 
 
 @dataclass
@@ -135,21 +147,22 @@ def khop_bfs(g: Graph, center: int, hops: int) -> Graph:
         raise ValueError(f"center {center} out of range for |V|={g.num_nodes}")
     if hops < 0:
         raise ValueError("hop count must be >= 0")
-    adj = g.neighbors()
-    dist = np.full(g.num_nodes, -1, dtype=np.int64)
-    dist[center] = 0
-    frontier = [center]
+    indptr, indices = g.csr()
+    seen = np.zeros(g.num_nodes, dtype=bool)
+    seen[center] = True
+    frontier = np.array([center], dtype=np.int64)
     for _ in range(hops):
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        if not nxt:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        # positions of every out-edge of the frontier in ``indices``
+        pos = (np.repeat(starts - np.cumsum(counts) + counts, counts)
+               + np.arange(counts.sum()))
+        nxt = indices[pos]
+        frontier = np.unique(nxt[~seen[nxt]])
+        if not frontier.size:
             break
-        frontier = nxt
-    kept = np.flatnonzero(dist >= 0)          # ascending original ids
+        seen[frontier] = True
+    kept = np.flatnonzero(seen)               # ascending original ids
     remap = np.full(g.num_nodes, -1, dtype=np.int64)
     remap[kept] = np.arange(len(kept))
     if g.num_edges:

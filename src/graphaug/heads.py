@@ -80,7 +80,7 @@ def node_dropping_head(g: Graph, h_v: Tensor, h_g: Tensor, params: ParameterSet,
         raise ValueError("keep_ratio must be in (0, 1]")
     p = _node_distribution(h_v, h_g, params)
     k = max(1, int(np.ceil(keep_ratio * g.num_nodes)))
-    kept, _ = gumbel_top_k(p, k, stream)
+    kept = gumbel_top_k(p, k, stream)
     remap = np.full(g.num_nodes, -1, dtype=np.int64)
     remap[kept] = np.arange(len(kept))
     if g.num_edges:

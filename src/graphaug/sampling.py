@@ -45,15 +45,14 @@ def gumbel_softmax(logits, temperature: float, stream: RngStream) -> RelaxedSamp
     return RelaxedSample(soft=soft, hard=hard, st=st, temperature=temperature)
 
 
-def gumbel_top_k(probs, k: int, stream: RngStream) -> tuple[np.ndarray, Tensor]:
+def gumbel_top_k(probs, k: int, stream: RngStream) -> np.ndarray:
     """Sample k distinct items ~ the normalized probabilities, without
     replacement, by taking the top-k Gumbel-perturbed log-probabilities.
 
-    Returns the selected indices in ascending order plus per-item soft scores
-    (a tempered softmax of the perturbation, kept on the tape).
+    Returns the selected indices in ascending order. The draw is a hard
+    decision and builds no tape.
     """
-    probs = _lift(probs)
-    p = probs.data
+    p = _lift(probs).data
     n = p.shape[-1] if p.ndim else p.size
     if p.ndim != 1:
         raise ValueError("gumbel_top_k expects a 1-D probability vector")
@@ -65,9 +64,7 @@ def gumbel_top_k(probs, k: int, stream: RngStream) -> tuple[np.ndarray, Tensor]:
     with np.errstate(divide="ignore"):
         keys = np.where(p > 0, np.log(np.maximum(p, 1e-300)) + noise, -np.inf)
     order = np.argsort(-keys, kind="stable")
-    selected = np.sort(order[:k]).astype(np.int64)
-    soft = ((probs.clip_min(1e-300).log() + Tensor(noise))).softmax(axis=-1)
-    return selected, soft
+    return np.sort(order[:k]).astype(np.int64)
 
 
 def relaxed_bernoulli(logits, temperature: float, stream: RngStream) -> RelaxedSample:

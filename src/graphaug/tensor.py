@@ -2,8 +2,10 @@
 
 The tape is rebuilt on every forward pass (closures captured per op), which is
 what the sampled-augmentation training loop needs: the computation graph is
-different on every step. Gradients accumulate additively into ``grad``;
-zeroing between steps is the caller's job.
+different on every step. A closure gets its output node as an argument rather
+than capturing it, so a tape holds no reference cycle and is freed by
+reference counting as soon as the loss is dropped. Gradients accumulate
+additively into ``grad``; zeroing between steps is the caller's job.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple = ()
-        self._backprop: Callable[[], None] | None = None
+        self._backprop: Callable[[Tensor], None] | None = None
 
     # -- construction helpers ----------------------------------------------
 
@@ -97,7 +99,7 @@ class Tensor:
         a, b = self, Tensor._lift(other)
         out = Tensor._result(a.data + b.data, (a, b), None)
         if out.requires_grad:
-            def backprop(o=out):
+            def backprop(o):
                 a._accum(_unbroadcast(o.grad, a.data.shape))
                 b._accum(_unbroadcast(o.grad, b.data.shape))
             out._backprop = backprop
@@ -109,7 +111,7 @@ class Tensor:
         a = self
         out = Tensor._result(-a.data, (a,), None)
         if out.requires_grad:
-            out._backprop = lambda o=out: a._accum(-o.grad)
+            out._backprop = lambda o: a._accum(-o.grad)
         return out
 
     def __sub__(self, other) -> "Tensor":
@@ -122,7 +124,7 @@ class Tensor:
         a, b = self, Tensor._lift(other)
         out = Tensor._result(a.data * b.data, (a, b), None)
         if out.requires_grad:
-            def backprop(o=out):
+            def backprop(o):
                 a._accum(_unbroadcast(o.grad * b.data, a.data.shape))
                 b._accum(_unbroadcast(o.grad * a.data, b.data.shape))
             out._backprop = backprop
@@ -134,7 +136,7 @@ class Tensor:
         a, b = self, Tensor._lift(other)
         out = Tensor._result(a.data / b.data, (a, b), None)
         if out.requires_grad:
-            def backprop(o=out):
+            def backprop(o):
                 a._accum(_unbroadcast(o.grad / b.data, a.data.shape))
                 b._accum(_unbroadcast(-o.grad * a.data / (b.data * b.data),
                                       b.data.shape))
@@ -150,7 +152,7 @@ class Tensor:
         a, c = self, float(exponent)
         out = Tensor._result(a.data ** c, (a,), None)
         if out.requires_grad:
-            out._backprop = lambda o=out: a._accum(o.grad * c * a.data ** (c - 1.0))
+            out._backprop = lambda o: a._accum(o.grad * c * a.data ** (c - 1.0))
         return out
 
     def __matmul__(self, other) -> "Tensor":
@@ -159,7 +161,7 @@ class Tensor:
             raise InvalidShapeError("matmul expects 2-D operands")
         out = Tensor._result(a.data @ b.data, (a, b), None)
         if out.requires_grad:
-            def backprop(o=out):
+            def backprop(o):
                 a._accum(o.grad @ b.data.T)
                 b._accum(a.data.T @ o.grad)
             out._backprop = backprop
@@ -171,7 +173,7 @@ class Tensor:
         a = self
         out = Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,), None)
         if out.requires_grad:
-            def backprop(o=out):
+            def backprop(o):
                 g = o.grad
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
@@ -189,7 +191,7 @@ class Tensor:
         a = self
         out = Tensor._result(np.maximum(a.data, 0.0), (a,), None)
         if out.requires_grad:
-            out._backprop = lambda o=out: a._accum(o.grad * (a.data > 0.0))
+            out._backprop = lambda o: a._accum(o.grad * (a.data > 0.0))
         return out
 
     def sigmoid(self) -> "Tensor":
@@ -197,7 +199,7 @@ class Tensor:
         s = 1.0 / (1.0 + np.exp(-a.data))
         out = Tensor._result(s, (a,), None)
         if out.requires_grad:
-            out._backprop = lambda o=out: a._accum(o.grad * s * (1.0 - s))
+            out._backprop = lambda o: a._accum(o.grad * s * (1.0 - s))
         return out
 
     def tanh(self) -> "Tensor":
@@ -205,7 +207,7 @@ class Tensor:
         t = np.tanh(a.data)
         out = Tensor._result(t, (a,), None)
         if out.requires_grad:
-            out._backprop = lambda o=out: a._accum(o.grad * (1.0 - t * t))
+            out._backprop = lambda o: a._accum(o.grad * (1.0 - t * t))
         return out
 
     def softplus(self) -> "Tensor":
@@ -213,7 +215,7 @@ class Tensor:
         out = Tensor._result(np.logaddexp(0.0, a.data), (a,), None)
         if out.requires_grad:
             sig = 1.0 / (1.0 + np.exp(-a.data))
-            out._backprop = lambda o=out: a._accum(o.grad * sig)
+            out._backprop = lambda o: a._accum(o.grad * sig)
         return out
 
     def exp(self) -> "Tensor":
@@ -221,14 +223,14 @@ class Tensor:
         e = np.exp(a.data)
         out = Tensor._result(e, (a,), None)
         if out.requires_grad:
-            out._backprop = lambda o=out: a._accum(o.grad * e)
+            out._backprop = lambda o: a._accum(o.grad * e)
         return out
 
     def log(self) -> "Tensor":
         a = self
         out = Tensor._result(np.log(a.data), (a,), None)
         if out.requires_grad:
-            out._backprop = lambda o=out: a._accum(o.grad / a.data)
+            out._backprop = lambda o: a._accum(o.grad / a.data)
         return out
 
     def sqrt(self) -> "Tensor":
@@ -236,7 +238,7 @@ class Tensor:
         r = np.sqrt(a.data)
         out = Tensor._result(r, (a,), None)
         if out.requires_grad:
-            out._backprop = lambda o=out: a._accum(o.grad * 0.5 / r)
+            out._backprop = lambda o: a._accum(o.grad * 0.5 / r)
         return out
 
     def clip_min(self, lo: float) -> "Tensor":
@@ -244,7 +246,7 @@ class Tensor:
         a = self
         out = Tensor._result(np.maximum(a.data, lo), (a,), None)
         if out.requires_grad:
-            out._backprop = lambda o=out: a._accum(o.grad * (a.data > lo))
+            out._backprop = lambda o: a._accum(o.grad * (a.data > lo))
         return out
 
     # -- shape ops -----------------------------------------------------------------
@@ -255,7 +257,7 @@ class Tensor:
         a = self
         out = Tensor._result(a.data.reshape(shape), (a,), None)
         if out.requires_grad:
-            out._backprop = lambda o=out: a._accum(o.grad.reshape(a.data.shape))
+            out._backprop = lambda o: a._accum(o.grad.reshape(a.data.shape))
         return out
 
     def transpose(self) -> "Tensor":
@@ -264,7 +266,7 @@ class Tensor:
         a = self
         out = Tensor._result(a.data.T.copy(), (a,), None)
         if out.requires_grad:
-            out._backprop = lambda o=out: a._accum(o.grad.T)
+            out._backprop = lambda o: a._accum(o.grad.T)
         return out
 
     def gather_rows(self, idx) -> "Tensor":
@@ -273,7 +275,7 @@ class Tensor:
         idx = np.asarray(idx, dtype=np.int64)
         out = Tensor._result(a.data[idx], (a,), None)
         if out.requires_grad:
-            def backprop(o=out):
+            def backprop(o):
                 g = np.zeros_like(a.data)
                 np.add.at(g, idx, o.grad)
                 a._accum(g)
@@ -287,7 +289,7 @@ class Tensor:
         sl = tuple(sl)
         out = Tensor._result(a.data[sl].copy(), (a,), None)
         if out.requires_grad:
-            def backprop(o=out):
+            def backprop(o):
                 g = np.zeros_like(a.data)
                 g[sl] = o.grad
                 a._accum(g)
@@ -340,7 +342,7 @@ class Tensor:
         self._accum(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backprop is not None and node.grad is not None:
-                node._backprop()
+                node._backprop(node)
 
 
 # -- free functions ---------------------------------------------------------------
@@ -357,7 +359,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         sizes = [t.data.shape[axis] for t in tensors]
         bounds = np.cumsum(sizes)[:-1]
 
-        def backprop(o=out):
+        def backprop(o):
             for t, piece in zip(tensors, np.split(o.grad, bounds, axis=axis)):
                 t._accum(piece)
         out._backprop = backprop
@@ -377,7 +379,7 @@ def segment_sum(t: Tensor, segment_ids, num_segments: int) -> Tensor:
     np.add.at(data, seg, t.data)
     out = Tensor._result(data, (t,), None)
     if out.requires_grad:
-        out._backprop = lambda o=out: t._accum(o.grad[seg])
+        out._backprop = lambda o: t._accum(o.grad[seg])
     return out
 
 

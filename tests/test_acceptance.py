@@ -250,7 +250,7 @@ def test_criterion_2_sampling_oracles():
     stream = RngStream(43, "acc-topk")
     got = {}
     for _ in range(draws):
-        idx, _ = gumbel_top_k(probs, 2, stream)
+        idx = gumbel_top_k(probs, 2, stream)
         key = tuple(idx.tolist())
         got[key] = got.get(key, 0) + 1
     tv_topk = 0.5 * sum(abs(got.get(k, 0) / draws - v) for k, v in exact.items())

@@ -7,6 +7,7 @@ import pytest
 
 from graphaug import cli, container
 from graphaug.cli import main
+from graphaug.errors import TrainingDivergedError
 from graphaug.rng import RngStream
 from graphaug.trainer import TrainConfig
 
@@ -260,6 +261,7 @@ def test_probe_unlabeled_graphs_fails_cleanly(dataset_dir, tmp_path, capsys):
                    str(dataset_dir), "--out", str(tmp_path / "p4"))
     assert code == 1
     assert "non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "p4").exists()
 
 
 @pytest.mark.parametrize("command", ["probe", "embed", "inspect"])
@@ -289,6 +291,20 @@ def test_embed_writes_rows(dataset_dir, tmp_path):
     lines = (out / "embeddings.csv").read_text().splitlines()
     assert len(lines) == 11          # header + one row per graph
     assert lines[0].startswith("id,label,dim0")
+
+
+def test_failed_embed_leaves_no_output_dir(dataset_dir, tmp_path,
+                                           monkeypatch):
+    ck = trained_checkpoint(dataset_dir, tmp_path)
+
+    def failing_embed(*args, **kwargs):
+        raise TrainingDivergedError("encoder output is not finite")
+    monkeypatch.setattr(cli, "embed_dataset", failing_embed)
+    out = tmp_path / "emb-failed"
+    code = run_cli("embed", "--checkpoint", str(ck), "--dataset",
+                   str(dataset_dir), "--out", str(out))
+    assert code == 1
+    assert not out.exists()
 
 
 def test_inspect_identity_dumps_inputs(dataset_dir, tmp_path, capsys):

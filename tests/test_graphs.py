@@ -7,6 +7,7 @@ from graphaug.graphs import (
     Graph, batch_graphs, khop_bfs, make_node_task_batch,
 )
 from graphaug.rng import RngStream
+from graphaug.tensor import Tensor
 
 
 def path_graph(n, d=2):
@@ -93,6 +94,117 @@ def test_khop_is_exact_induced_subgraph(n, hops, seed):
     got_edges = {(int(sub.orig_ids[a]), int(sub.orig_ids[b]))
                  for a, b in sub.edges.tolist()}
     assert got_edges == expect_edges
+
+
+def _khop_bfs_reference(g: Graph, center: int, hops: int) -> Graph:
+    """The BFS over per-call Python adjacency lists that ``khop_bfs`` used
+    before the CSR frontier expansion; the oracle for bit-identical output."""
+    adj = [[] for _ in range(g.num_nodes)]
+    for s, d in g.edges:
+        adj[int(s)].append(int(d))
+    dist = np.full(g.num_nodes, -1, dtype=np.int64)
+    dist[center] = 0
+    frontier = [center]
+    for _ in range(hops):
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        if not nxt:
+            break
+        frontier = nxt
+    kept = np.flatnonzero(dist >= 0)
+    remap = np.full(g.num_nodes, -1, dtype=np.int64)
+    remap[kept] = np.arange(len(kept))
+    if g.num_edges:
+        mask = (remap[g.edges[:, 0]] >= 0) & (remap[g.edges[:, 1]] >= 0)
+        new_edges = remap[g.edges[mask]]
+    else:
+        mask = np.zeros(0, dtype=bool)
+        new_edges = np.zeros((0, 2), dtype=np.int64)
+    if isinstance(g.features, Tensor):
+        feats = g.features.gather_rows(kept)
+    else:
+        feats = g.features[kept].copy()
+    if isinstance(g.edge_weights, Tensor):
+        weights = g.edge_weights.gather_rows(np.flatnonzero(mask))
+    else:
+        weights = g.edge_weights[mask].copy()
+    return Graph(len(kept), new_edges, feats, weights, label=g.label,
+                 orig_ids=kept, center=int(remap[center]))
+
+
+def messy_digraph(n, num_edges, stream, tensors=False):
+    """Directed edges in shuffled order with self-loops and repeats; the
+    last two nodes are isolated."""
+    live = n - 2
+    edges = stream.integers(0, live, size=(num_edges, 2))
+    loops = np.repeat(np.arange(0, live, 3), 2).reshape(-1, 2)
+    edges = np.concatenate([edges, loops, edges[:3]], axis=0)
+    edges = edges[stream.permutation(len(edges))]
+    feats = stream.uniform((n, 3))
+    weights = stream.uniform(len(edges))
+    if tensors:
+        feats = Tensor(feats, requires_grad=True)
+        weights = Tensor(weights, requires_grad=True)
+    return Graph(n, edges, feats, weights, label=1)
+
+
+def _raw(x):
+    return x.data if isinstance(x, Tensor) else x
+
+
+def assert_same_graph(got: Graph, want: Graph):
+    assert got.num_nodes == want.num_nodes
+    assert got.label == want.label and got.center == want.center
+    for a, b in [(got.edges, want.edges), (got.orig_ids, want.orig_ids),
+                 (_raw(got.features), _raw(want.features)),
+                 (_raw(got.edge_weights), _raw(want.edge_weights))]:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert type(got.features) is type(want.features)
+    assert type(got.edge_weights) is type(want.edge_weights)
+
+
+@pytest.mark.parametrize("tensors", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_khop_matches_reference_bfs(seed, tensors):
+    stream = RngStream(seed, "khop-oracle")
+    g = messy_digraph(int(stream.integers(6, 30)), int(stream.integers(0, 60)),
+                      stream, tensors)
+    for hops in range(4):
+        for center in range(g.num_nodes):
+            assert_same_graph(khop_bfs(g, center, hops),
+                              _khop_bfs_reference(g, center, hops))
+
+
+def test_khop_matches_reference_without_edges():
+    g = Graph(4, np.zeros((0, 2)), np.eye(4), np.zeros(0))
+    for hops in range(3):
+        for center in range(4):
+            assert_same_graph(khop_bfs(g, center, hops),
+                              _khop_bfs_reference(g, center, hops))
+
+
+def test_csr_rows_are_out_neighbours_in_edge_order():
+    g = messy_digraph(12, 40, RngStream(3, "csr"))
+    indptr, indices = g.csr()
+    assert indptr[0] == 0 and indptr[-1] == g.num_edges
+    for u in range(g.num_nodes):
+        want = g.edges[g.edges[:, 0] == u, 1]
+        assert np.array_equal(indices[indptr[u]:indptr[u + 1]], want)
+
+
+def test_csr_built_lazily_and_cached():
+    g = messy_digraph(10, 20, RngStream(4, "csr-lazy"))
+    assert g._csr is None                      # construction does not build it
+    khop_bfs(g, 0, 2)
+    cached = g._csr
+    assert cached is not None
+    khop_bfs(g, 1, 2)
+    assert g._csr is cached
+    assert all(a is b for a, b in zip(g.csr(), cached))
 
 
 # -- batching ----------------------------------------------------------------

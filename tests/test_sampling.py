@@ -111,14 +111,14 @@ def test_temperature_contract():
 # -- gumbel top-k ---------------------------------------------------------------
 
 def test_topk_full_selection():
-    idx, _ = gumbel_top_k(np.array([0.2, 0.5, 0.3]), 3, RngStream(0, "tk"))
+    idx = gumbel_top_k(np.array([0.2, 0.5, 0.3]), 3, RngStream(0, "tk"))
     assert idx.tolist() == [0, 1, 2]
 
 
 def test_topk_zero_probs_excluded():
     stream = RngStream(1, "tk0")
     for _ in range(200):
-        idx, _ = gumbel_top_k(np.array([1.0, 0.0, 0.0]), 1, stream)
+        idx = gumbel_top_k(np.array([1.0, 0.0, 0.0]), 1, stream)
         assert idx.tolist() == [0]
 
 
@@ -129,7 +129,7 @@ def test_topk_matches_plackett_luce_enumeration():
     counts = {}
     draws = 100_000
     for _ in range(draws):
-        idx, _ = gumbel_top_k(p, 2, stream)
+        idx = gumbel_top_k(p, 2, stream)
         key = tuple(idx.tolist())
         counts[key] = counts.get(key, 0) + 1
     tv = 0.5 * sum(abs(counts.get(k, 0) / draws - v)
@@ -144,11 +144,14 @@ def test_topk_k_out_of_range():
         gumbel_top_k(np.array([0.5, 0.5]), 0, RngStream(0, "bad"))
 
 
-def test_topk_soft_scores_on_tape():
+def test_topk_returns_indices_only():
     p = Tensor(np.array([0.5, 0.3, 0.2]), requires_grad=True)
-    _, soft = gumbel_top_k(p, 2, RngStream(5, "tape"))
-    soft.sum().backward()
-    assert p.grad is not None
+    idx = gumbel_top_k(p, 2, RngStream(5, "tape"))
+    assert isinstance(idx, np.ndarray) and idx.dtype == np.int64
+    assert idx.tolist() == sorted(idx.tolist()) and len(set(idx.tolist())) == 2
+    # same Gumbel draw for a plain array as for a tape tensor
+    again = gumbel_top_k(p.data, 2, RngStream(5, "tape"))
+    assert np.array_equal(idx, again)
 
 
 # -- relaxed bernoulli -------------------------------------------------------------

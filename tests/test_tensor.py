@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -64,7 +66,7 @@ def _rand(shape, lo=-2.0, hi=2.0, label="x"):
     return lo + (hi - lo) * STREAM.split(label + str(shape)).uniform(shape)
 
 
-@pytest.mark.parametrize("name,f,positive", [
+OPS = [
     ("add", lambda t: (t + Tensor(_rand(t.shape, label="add"))).sum(), False),
     ("sub", lambda t: (Tensor(_rand(t.shape, label="sub")) - t).sum(), False),
     ("mul", lambda t: (t * Tensor(_rand(t.shape, label="mul"))).sum(), False),
@@ -88,11 +90,50 @@ def _rand(shape, lo=-2.0, hi=2.0, label="x"):
     ("slice", lambda t: (t.slice_axis(1, 1, 3) ** 2.0).sum(), False),
     ("norm", lambda t: t.norm(), False),
     ("clip_min", lambda t: t.clip_min(0.25).sum(), False),
-])
+]
+
+
+@pytest.mark.parametrize("name,f,positive", OPS)
 def test_op_gradients_match_finite_differences(name, f, positive):
     lo, hi = (0.5, 2.0) if positive else (-2.0, 2.0)
     x = _rand((3, 4), lo, hi, label=name)
     check_grad(f, x)
+
+
+def _tape_nodes(root):
+    """Every node of the tape below ``root`` that has a backward closure."""
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t._backprop is not None:
+            nodes.append(t)
+        stack.extend(t._parents)
+    return nodes
+
+
+@pytest.mark.parametrize("name,f,positive", OPS)
+def test_tape_freed_by_refcount_after_backward(name, f, positive):
+    """Dropping the loss frees the whole tape without the cyclic collector.
+
+    ``Tensor`` has ``__slots__`` and no weakref slot, so the test watches each
+    node's backward closure, which only that node holds: the closure dies
+    exactly when its node does.
+    """
+    lo, hi = (0.5, 2.0) if positive else (-2.0, 2.0)
+    x = Tensor(_rand((3, 4), lo, hi, label=name), requires_grad=True)
+    gc.disable()
+    try:
+        loss = f(x)
+        loss.backward()
+        refs = [weakref.ref(t._backprop) for t in _tape_nodes(loss)]
+        assert len(refs) >= 2                  # the loss and an intermediate
+        del loss
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 def test_concat_gradient():

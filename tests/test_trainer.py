@@ -1,7 +1,10 @@
+import gc
+
 import numpy as np
 import pytest
 
 from graphaug.errors import CheckpointError
+from graphaug.evaluation import embed_dataset
 from graphaug.graphs import Graph, batch_graphs
 from graphaug.policy import AugmentationKind
 from graphaug.rng import RngStream
@@ -9,7 +12,7 @@ from graphaug.trainer import (
     TrainConfig, init_state, load_checkpoint, save_checkpoint, train,
     train_step,
 )
-from graphaug.tudataset import Dataset
+from graphaug.tudataset import Dataset, parse_tudataset
 
 
 def synthetic_dataset(num_graphs=16, seed=0, d_x=4):
@@ -287,3 +290,21 @@ def test_gradients_reach_all_groups_over_steps():
     for kind in sampled:
         touched = [k for k in state.adam["heads"].m if k.startswith(kind)]
         assert touched, f"{kind} head sampled but never updated"
+
+
+def test_step_and_embed_leave_no_reference_cycles(mutag_dir):
+    """The tape is freed by reference counting: a training step and an embed
+    leave nothing for the cyclic garbage collector."""
+    ds = parse_tudataset(mutag_dir)
+    config = TrainConfig(batch_size=32, hidden_dim=16, num_layers=2, seed=5)
+    state = init_state(config, ds.feature_dim)
+    batch = batch_graphs(ds.graphs[:32])
+    gc.collect()
+    gc.disable()
+    try:
+        train_step(batch, state, config)
+        assert gc.collect() == 0
+        embed_dataset(ds, state, config)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
