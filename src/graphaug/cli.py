@@ -229,8 +229,7 @@ def cmd_inspect(args) -> int:
         return 2
     out = _out_dir(resolved, f"{dataset.name.lower()}-inspect")
     n = min(args.num_graphs, len(dataset.graphs))
-    sample = dataset.graphs[:n]
-    batch = batch_graphs(sample)
+    batch = batch_graphs(dataset.graphs[:n])
     enc = encode(batch, state.omega, config.aug_encoder(state.input_dim))
     decision = decide(enc.graph_vector, config.policy_kind,
                       config.policy_temperature,
@@ -240,16 +239,12 @@ def cmd_inspect(args) -> int:
                                               decision.dist.data)}
     print("policy distribution:", json.dumps(dist))
     stream = RngStream(resolved["seed"], "inspect")
-    for k, g in enumerate(sample):
-        n0, n1 = batch.node_range(k)
-        h_vk = enc.node_matrix.slice_axis(0, n0, n1)
-        h_gk = enc.graph_vector.slice_axis(0, k, k + 1).reshape(
-            enc.graph_vector.shape[1])
-        head_out = apply_augmentation(kind, g, h_vk, h_gk, state.heads,
-                                      config.keep_ratio, config.hops,
-                                      config.head_temperature,
-                                      stream.split(f"g{k}"))
-        aug = head_out.graph
+    views = apply_augmentation(kind, batch, enc.node_matrix, enc.graph_vector,
+                               state.heads, config.keep_ratio, config.hops,
+                               config.head_temperature,
+                               [stream.split(f"g{k}") for k in range(n)]).graph
+    for k in range(n):
+        aug = views.graph(k)
         w = (aug.edge_weights.data if isinstance(aug.edge_weights, Tensor)
              else np.asarray(aug.edge_weights))
         lines = [f"# graph {k}: {aug.num_nodes} nodes, {aug.num_edges} edges",

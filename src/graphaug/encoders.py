@@ -132,8 +132,7 @@ def encode(batch: GraphBatch, params: ParameterSet, cfg: EncoderConfig,
            prefix: str = "", stream: RngStream | None = None,
            training: bool = False) -> Encodings:
     """Run the stacked layers, read out per graph, and project both levels."""
-    edges = batch.global_edges()
-    src, dst = edges[:, 0], edges[:, 1]
+    src, dst = batch.edges[:, 0], batch.edges[:, 1]
     h = batch.features_tensor()
     edge_w = batch.edge_weights_tensor()
     for layer in range(cfg.num_layers):
@@ -151,7 +150,7 @@ def encode(batch: GraphBatch, params: ParameterSet, cfg: EncoderConfig,
             h = _dropout(h, cfg.dropout, stream.split(f"dropout{layer}"))
     pooled = segment_sum(h, batch.node_to_graph, batch.num_graphs)
     if cfg.readout == "mean":
-        counts = batch.node_counts().astype(float).reshape(-1, 1)
+        counts = batch.node_counts.astype(float).reshape(-1, 1)
         pooled = pooled * Tensor(1.0 / counts)
     node_out = _project3(h, params, f"{prefix}proj_node")
     graph_out = _project3(pooled, params, f"{prefix}proj_graph")

@@ -97,10 +97,8 @@ def embed_dataset(dataset, state, config, chunk: int = 64) -> EmbeddingTable:
         subs = [khop_bfs(g, c, config.hops) for c in centers]
         batch = batch_graphs(subs)
         enc = encode(batch, state.theta, enc_cfg)
-        for k, sub in enumerate(subs):
-            n0, _ = batch.node_range(k)
-            center_orig = int(sub.orig_ids[sub.center])
-            vectors[center_orig] = enc.node_matrix.data[n0 + sub.center]
+        rows = batch.node_offsets + batch.centers
+        vectors[batch.orig_ids[rows]] = enc.node_matrix.data[rows]
     if dataset.node_labels is None:
         raise ValueError("node-task probe needs node labels")
     labels = np.asarray(dataset.node_labels[0], dtype=np.int64)

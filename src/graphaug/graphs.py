@@ -19,6 +19,28 @@ def _values(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
+def take_rows(x, idx: np.ndarray):
+    """Rows ``idx`` of an array (a copy) or of a tensor (a gather on the tape)."""
+    return x.gather_rows(idx) if isinstance(x, Tensor) else np.asarray(x)[idx]
+
+
+def _row_range(x, start: int, stop: int):
+    return x.slice_axis(0, start, stop) if isinstance(x, Tensor) \
+        else np.asarray(x)[start:stop]
+
+
+def csr(edges: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Out-neighbour adjacency ``(indptr, indices)`` of a directed edge list.
+
+    Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]``, targets in edge order.
+    """
+    src = edges[:, 0]
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
+    return indptr, edges[order, 1]
+
+
 @dataclass
 class Graph:
     """One attributed graph; immutable after construction."""
@@ -59,66 +81,77 @@ class Graph:
         return loops + (self.num_edges - loops) / 2.0
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Out-neighbour adjacency ``(indptr, indices)``, built on first use.
-
-        Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]``, targets in edge
-        order. Built lazily so graphs that never run a BFS (augmented views,
-        most batches) do not pay for the sort.
-        """
+        """The graph's ``csr`` adjacency, built on first use and cached, so
+        graphs that never run a BFS do not pay for the sort."""
         if self._csr is None:
-            src = self.edges[:, 0]
-            order = np.argsort(src, kind="stable")
-            indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-            np.cumsum(np.bincount(src, minlength=self.num_nodes),
-                      out=indptr[1:])
-            self._csr = (indptr, self.edges[order, 1])
+            self._csr = csr(self.edges, self.num_nodes)
         return self._csr
 
 
 @dataclass
 class GraphBatch:
-    """Disjoint union of graphs plus the node->graph bookkeeping."""
-    graphs: list
-    node_offsets: np.ndarray        # (N,) global index of each graph's first node
-    node_to_graph: np.ndarray       # (total_nodes,)
-    edge_counts: np.ndarray         # (N,)
+    """Disjoint union of graphs, held as the arrays of one big graph.
+
+    Node ids are global. Graph ``k`` owns ``node_counts[k]`` consecutive
+    nodes from ``node_offsets[k]`` and the next ``edge_counts[k]`` edges, so
+    edges are grouped by graph in graph order. ``orig_ids`` (each node's id
+    in its graph's source) and ``centers`` (each graph's local BFS center)
+    are ``None`` when no graph has them; otherwise a graph without them gets
+    its own ids and center -1.
+    """
+    edges: np.ndarray               # (E, 2) int64, global ids
+    features: object                # (N, d_x) ndarray or Tensor
+    edge_weights: object            # (E,) ndarray or Tensor
+    node_counts: np.ndarray         # (B,)
+    edge_counts: np.ndarray         # (B,)
+    labels: list                    # (B,) int or None
+    orig_ids: np.ndarray | None = None
+    centers: np.ndarray | None = None
+    node_offsets: np.ndarray = field(init=False, repr=False)   # (B,)
+    node_to_graph: np.ndarray = field(init=False, repr=False)  # (N,)
+
+    def __post_init__(self):
+        counts = self.node_counts
+        self.node_offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]) \
+            .astype(np.int64)
+        self.node_to_graph = np.repeat(np.arange(len(counts), dtype=np.int64),
+                                       counts)
 
     @property
     def num_graphs(self) -> int:
-        return len(self.graphs)
+        return len(self.node_counts)
 
     @property
-    def total_nodes(self) -> int:
+    def num_nodes(self) -> int:
         return len(self.node_to_graph)
 
-    def node_range(self, k: int) -> tuple[int, int]:
-        start = int(self.node_offsets[k])
-        stop = start + self.graphs[k].num_nodes
-        return start, stop
-
-    def global_edges(self) -> np.ndarray:
-        parts = []
-        for g, off in zip(self.graphs, self.node_offsets):
-            parts.append(g.edges + int(off))
-        return (np.concatenate(parts, axis=0) if parts
-                else np.zeros((0, 2), dtype=np.int64))
+    @property
+    def num_edges(self) -> int:
+        return len(self.edges)
 
     def features_tensor(self) -> Tensor:
-        feats = [g.features for g in self.graphs]
-        if all(isinstance(f, np.ndarray) for f in feats):
-            return Tensor(np.concatenate(feats, axis=0))
-        return concat([f if isinstance(f, Tensor) else Tensor(f) for f in feats],
-                      axis=0)
+        f = self.features
+        return f if isinstance(f, Tensor) else Tensor(f)
 
     def edge_weights_tensor(self) -> Tensor:
-        ws = [g.edge_weights for g in self.graphs]
-        if all(isinstance(w, np.ndarray) for w in ws):
-            return Tensor(np.concatenate(ws, axis=0))
-        return concat([w if isinstance(w, Tensor) else Tensor(w) for w in ws],
-                      axis=0)
+        w = self.edge_weights
+        return w if isinstance(w, Tensor) else Tensor(w)
 
-    def node_counts(self) -> np.ndarray:
-        return np.array([g.num_nodes for g in self.graphs], dtype=np.int64)
+    def graph(self, k: int) -> Graph:
+        """Graph ``k`` rebuilt on its own, with local node ids."""
+        n0 = int(self.node_offsets[k])
+        n1 = n0 + int(self.node_counts[k])
+        e0 = int(self.edge_counts[:k].sum())
+        e1 = e0 + int(self.edge_counts[k])
+        center = None if self.centers is None or self.centers[k] < 0 \
+            else int(self.centers[k])
+        return Graph(n1 - n0, self.edges[e0:e1] - n0,
+                     _row_range(self.features, n0, n1),
+                     _row_range(self.edge_weights, e0, e1),
+                     label=self.labels[k],
+                     orig_ids=(None if self.orig_ids is None
+                               else self.orig_ids[n0:n1]),
+                     center=center)
 
 
 def batch_graphs(graphs: list) -> GraphBatch:
@@ -130,11 +163,65 @@ def batch_graphs(graphs: list) -> GraphBatch:
         if g.feature_dim != d:
             raise InvalidShapeError(
                 f"mixed feature dims in batch: {g.feature_dim} != {d}")
-    sizes = [g.num_nodes for g in graphs]
-    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
-    node_to_graph = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
-    edge_counts = np.array([g.num_edges for g in graphs], dtype=np.int64)
-    return GraphBatch(list(graphs), offsets, node_to_graph, edge_counts)
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)])
+
+    def union(parts):
+        if all(isinstance(x, np.ndarray) for x in parts):
+            return np.concatenate(parts)
+        return concat(parts)
+
+    orig_ids = centers = None
+    if any(g.orig_ids is not None for g in graphs):
+        orig_ids = np.concatenate([
+            np.arange(g.num_nodes) if g.orig_ids is None else g.orig_ids
+            for g in graphs])
+    if any(g.center is not None for g in graphs):
+        centers = np.array([-1 if g.center is None else g.center
+                            for g in graphs], dtype=np.int64)
+    return GraphBatch(edges, union([g.features for g in graphs]),
+                      union([g.edge_weights for g in graphs]), sizes,
+                      np.array([g.num_edges for g in graphs], dtype=np.int64),
+                      [g.label for g in graphs], orig_ids, centers)
+
+
+def induce(edges: np.ndarray, num_nodes: int,
+           kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node remap and edge mask of the subgraph induced by ascending ids.
+
+    ``remap[old]`` is the new id of a kept node (kept nodes keep their
+    order) and -1 for a dropped one; the mask marks the edges whose two ends
+    are kept.
+    """
+    remap = np.full(num_nodes, -1, dtype=np.int64)
+    remap[kept] = np.arange(len(kept))
+    mask = (remap[edges[:, 0]] >= 0) & (remap[edges[:, 1]] >= 0)
+    return remap, mask
+
+
+def khop_nodes(indptr: np.ndarray, indices: np.ndarray, centers,
+               hops: int) -> np.ndarray:
+    """Boolean mask of the nodes within ``hops`` BFS steps of any center.
+
+    On a disjoint union with one center per graph, that is every graph's own
+    neighbourhood at once, since no path leaves a graph.
+    """
+    seen = np.zeros(len(indptr) - 1, dtype=bool)
+    frontier = np.unique(np.asarray(centers, dtype=np.int64))
+    seen[frontier] = True
+    for _ in range(hops):
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        # positions of every out-edge of the frontier in ``indices``
+        pos = (np.repeat(starts - np.cumsum(counts) + counts, counts)
+               + np.arange(counts.sum()))
+        nxt = indices[pos]
+        frontier = np.unique(nxt[~seen[nxt]])
+        if not frontier.size:
+            break
+        seen[frontier] = True
+    return seen
 
 
 def khop_bfs(g: Graph, center: int, hops: int) -> Graph:
@@ -147,40 +234,11 @@ def khop_bfs(g: Graph, center: int, hops: int) -> Graph:
         raise ValueError(f"center {center} out of range for |V|={g.num_nodes}")
     if hops < 0:
         raise ValueError("hop count must be >= 0")
-    indptr, indices = g.csr()
-    seen = np.zeros(g.num_nodes, dtype=bool)
-    seen[center] = True
-    frontier = np.array([center], dtype=np.int64)
-    for _ in range(hops):
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        # positions of every out-edge of the frontier in ``indices``
-        pos = (np.repeat(starts - np.cumsum(counts) + counts, counts)
-               + np.arange(counts.sum()))
-        nxt = indices[pos]
-        frontier = np.unique(nxt[~seen[nxt]])
-        if not frontier.size:
-            break
-        seen[frontier] = True
-    kept = np.flatnonzero(seen)               # ascending original ids
-    remap = np.full(g.num_nodes, -1, dtype=np.int64)
-    remap[kept] = np.arange(len(kept))
-    if g.num_edges:
-        mask = (remap[g.edges[:, 0]] >= 0) & (remap[g.edges[:, 1]] >= 0)
-        new_edges = remap[g.edges[mask]]
-    else:
-        mask = np.zeros(0, dtype=bool)
-        new_edges = np.zeros((0, 2), dtype=np.int64)
-    if isinstance(g.features, Tensor):
-        feats = g.features.gather_rows(kept)
-    else:
-        feats = g.features[kept].copy()
-    if isinstance(g.edge_weights, Tensor):
-        weights = g.edge_weights.gather_rows(np.flatnonzero(mask))
-    else:
-        weights = g.edge_weights[mask].copy()
-    return Graph(len(kept), new_edges, feats, weights, label=g.label,
-                 orig_ids=kept, center=int(remap[center]))
+    kept = np.flatnonzero(khop_nodes(*g.csr(), [center], hops))
+    remap, mask = induce(g.edges, g.num_nodes, kept)
+    return Graph(len(kept), remap[g.edges[mask]], take_rows(g.features, kept),
+                 take_rows(g.edge_weights, np.flatnonzero(mask)),
+                 label=g.label, orig_ids=kept, center=int(remap[center]))
 
 
 def make_node_task_batch(g: Graph, num_subgraphs: int, hops: int,

@@ -4,24 +4,37 @@ Each head predicts a distribution over its augmentation's parameters from the
 node/graph encodings, samples a concrete augmented graph, and writes the
 predicted probabilities into the output's edge weights (or feature mask) so
 the discrete choice keeps a gradient path back to the head.
+
+A head takes a whole ``GraphBatch`` with its node encodings ``h_v`` (N, d)
+and graph encodings ``h_g`` (B, d), and returns the augmented view as a
+``GraphBatch``. The tape work (MLP, softmax, gathers) runs once over the
+union, so a view costs the same number of tape nodes whatever the batch
+size. Only the hard draws run per graph, in numpy, each from that graph's
+own stream ``streams[k]``: a graph's draw does not depend on its batch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .encoders import mlp2, param_seed
-from .graphs import Graph, khop_bfs
+from .graphs import GraphBatch, csr, induce, khop_nodes, take_rows
 from .policy import AugmentationKind
 from .rng import RngStream
-from .sampling import gumbel_softmax, gumbel_top_k, relaxed_bernoulli
-from .tensor import ParameterSet, Tensor, concat, xavier_init, zeros_param
+from .sampling import gumbel_top_k, relaxed_bernoulli
+from .tensor import ParameterSet, Tensor, concat, segment_softmax, \
+    xavier_init, zeros_param
+
+# The batched heads no longer call these two; perfbench/spans.py wraps them
+# under this module's name, so they stay importable here.
+from .graphs import khop_bfs  # noqa: F401
+from .sampling import gumbel_softmax  # noqa: F401
 
 
 @dataclass
 class HeadOutput:
-    graph: Graph
+    graph: GraphBatch
     soft_params: dict = field(default_factory=dict)    # tensors kept on the tape
 
 
@@ -55,178 +68,201 @@ def init_head_params(kind: AugmentationKind, hidden_dim: int, feature_dim: int,
     return params
 
 
-def _node_distribution(h_v: Tensor, h_g: Tensor, params: ParameterSet) -> Tensor:
-    """softmax over nodes of MLP([H_v || h_G]); shared by two heads."""
-    n = h_v.shape[0]
-    ones = Tensor(np.ones((n, 1)))
-    tiled = ones @ h_g.reshape(1, h_g.size)
-    z = concat([h_v, tiled], axis=1)
+def _node_distribution(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
+                       params: ParameterSet) -> Tensor:
+    """Per-graph softmax over nodes of MLP([H_v || h_G]); shared by two
+    heads."""
+    z = concat([h_v, h_g.gather_rows(batch.node_to_graph)], axis=1)
     logits = mlp2(z, params["mlp/w0"], params["mlp/b0"],
                   params["mlp/w1"], params["mlp/b1"])
-    return logits.reshape(n).softmax()
+    return segment_softmax(logits.reshape(batch.num_nodes), batch.node_offsets)
 
 
-def _induced_edge_weights(edges_old: np.ndarray, p: Tensor) -> Tensor:
-    """w_ij = p(v_i) + p(v_j) for edges given in original node ids."""
-    return p.gather_rows(edges_old[:, 0]) + p.gather_rows(edges_old[:, 1])
+def _induced_view(batch: GraphBatch, kept: np.ndarray, p: Tensor) -> GraphBatch:
+    """The sub-batch on the ascending global node ids ``kept`` (at least one
+    per graph) with every edge between kept nodes, weighted
+    w_ij = p(v_i) + p(v_j). ``orig_ids`` are the kept nodes' ids in their
+    input graph."""
+    remap, mask = induce(batch.edges, batch.num_nodes, kept)
+    old = batch.edges[mask]
+    owner = batch.node_to_graph[kept]
+    weights = p.gather_rows(old[:, 0]) + p.gather_rows(old[:, 1])
+    return GraphBatch(remap[old], take_rows(batch.features, kept), weights,
+                      np.bincount(owner, minlength=batch.num_graphs),
+                      np.bincount(batch.node_to_graph[old[:, 0]],
+                                  minlength=batch.num_graphs),
+                      batch.labels, orig_ids=kept - batch.node_offsets[owner])
 
 
-def node_dropping_head(g: Graph, h_v: Tensor, h_g: Tensor, params: ParameterSet,
-                       keep_ratio: float, temperature: float,
-                       stream: RngStream) -> HeadOutput:
-    """Keep the top ceil(keep_ratio * |V|) nodes of a learned node
-    distribution (Gumbel-Top-K) and induce the edges."""
+def node_dropping_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
+                       params: ParameterSet, keep_ratio: float,
+                       temperature: float, streams: list) -> HeadOutput:
+    """Keep the top ceil(keep_ratio * |V|) nodes of each graph's learned
+    node distribution (Gumbel-Top-K) and induce the edges."""
     if not (0.0 < keep_ratio <= 1.0):
         raise ValueError("keep_ratio must be in (0, 1]")
-    p = _node_distribution(h_v, h_g, params)
-    k = max(1, int(np.ceil(keep_ratio * g.num_nodes)))
-    kept = gumbel_top_k(p, k, stream)
-    remap = np.full(g.num_nodes, -1, dtype=np.int64)
-    remap[kept] = np.arange(len(kept))
-    if g.num_edges:
-        mask = (remap[g.edges[:, 0]] >= 0) & (remap[g.edges[:, 1]] >= 0)
-        kept_edges_old = g.edges[mask]
-    else:
-        kept_edges_old = np.zeros((0, 2), dtype=np.int64)
-    weights = (_induced_edge_weights(kept_edges_old, p)
-               if len(kept_edges_old) else Tensor(np.zeros(0)))
-    feats = (g.features.gather_rows(kept) if isinstance(g.features, Tensor)
-             else np.asarray(g.features)[kept].copy())
-    out = Graph(len(kept), remap[kept_edges_old], feats, weights,
-                label=g.label, orig_ids=kept)
-    return HeadOutput(out, {"node_probs": p})
+    p = _node_distribution(batch, h_v, h_g, params)
+    kept = []
+    for k, (n0, n) in enumerate(zip(batch.node_offsets.tolist(),
+                                    batch.node_counts.tolist())):
+        count = max(1, int(np.ceil(keep_ratio * n)))
+        kept.append(n0 + gumbel_top_k(p.data[n0:n0 + n], count, streams[k]))
+    view = _induced_view(batch, np.concatenate(kept), p)
+    return HeadOutput(view, {"node_probs": p})
 
 
-def edge_perturbation_head(g: Graph, h_v: Tensor, h_g: Tensor,
+def _sample_negatives(pairs: np.ndarray, num_nodes: int,
+                      stream: RngStream) -> np.ndarray:
+    """Up to ``len(pairs)`` distinct node pairs (u < v) that are neither
+    self-loops nor in ``pairs``, by rejection from uniform draws (at most
+    10 attempts per pair)."""
+    seen = set((pairs[:, 0] * num_nodes + pairs[:, 1]).tolist())
+    negatives = []
+    attempts = 0
+    while len(negatives) < len(pairs) and attempts < 10 * len(pairs):
+        attempts += 1
+        u = int(stream.integers(0, num_nodes))
+        v = int(stream.integers(0, num_nodes))
+        if u == v:
+            continue
+        lo, hi = min(u, v), max(u, v)
+        key = lo * num_nodes + hi
+        if key in seen:
+            continue
+        seen.add(key)
+        negatives.append((lo, hi))
+    return np.array(negatives, dtype=np.int64).reshape(-1, 2)
+
+
+def edge_perturbation_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
                            params: ParameterSet, temperature: float,
-                           stream: RngStream) -> HeadOutput:
+                           streams: list) -> HeadOutput:
     """Score existing and sampled non-edges, keep each by a relaxed Bernoulli,
     and use the predicted probability as the kept edge's weight.
 
     Works on unordered pairs so both orientations of an undirected edge share
-    one decision and one weight; all nodes stay, features untouched.
+    one decision and one weight; all nodes stay, features untouched. A graph
+    without edges comes out unchanged and draws nothing.
     """
-    pairs = []
-    seen = set()
-    for a, b in g.edges:
-        key = (min(int(a), int(b)), max(int(a), int(b)))
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
-    n_pos = len(pairs)
-    if n_pos == 0:
-        raise ValueError("edge perturbation needs at least one edge")
-    positives = set(pairs)
-    negatives = []
-    attempts = 0
-    neg_stream = stream.split("negatives")
-    while len(negatives) < n_pos and attempts < 10 * n_pos:
-        attempts += 1
-        u = int(neg_stream.integers(0, g.num_nodes))
-        v = int(neg_stream.integers(0, g.num_nodes))
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if key in positives or key in seen:
-            continue
-        seen.add(key)
-        negatives.append(key)
-    all_pairs = pairs + negatives
-    arr = np.array(all_pairs, dtype=np.int64)
-    indicator = np.concatenate([np.ones(n_pos), np.zeros(len(negatives))])
-    h_e = h_v.gather_rows(arr[:, 0]) + h_v.gather_rows(arr[:, 1])
+    n_all, n_graphs = batch.num_nodes, batch.num_graphs
+    lo = batch.edges.min(axis=1)
+    hi = batch.edges.max(axis=1)
+    _, first = np.unique(lo * n_all + hi, return_index=True)
+    first.sort()                 # each graph's pairs in first-seen edge order
+    positives = np.stack([lo[first], hi[first]], axis=1)
+    n_pos = np.bincount(batch.node_to_graph[positives[:, 0]],
+                        minlength=n_graphs)
+    pos_start = np.cumsum(n_pos) - n_pos
+    negatives = [np.zeros((0, 2), dtype=np.int64)]
+    for k in np.flatnonzero(n_pos).tolist():
+        n0 = batch.node_offsets[k]
+        local = positives[pos_start[k]:pos_start[k] + n_pos[k]] - n0
+        negatives.append(n0 + _sample_negatives(
+            local, int(batch.node_counts[k]), streams[k].split("negatives")))
+    negatives = np.concatenate(negatives)
+    # per graph: its positives, then its negatives
+    pairs = np.concatenate([positives, negatives])
+    owner = batch.node_to_graph[pairs[:, 0]]
+    order = np.argsort(owner, kind="stable")
+    pairs, owner = pairs[order], owner[order]
+    if not len(pairs):
+        return identity_augmentation(batch)
+    indicator = (order < len(positives)).astype(float)
+    n_pairs = np.bincount(owner, minlength=n_graphs)
+    noise = np.concatenate([streams[k].split("keep").logistic(int(n_pairs[k]))
+                            for k in np.flatnonzero(n_pairs).tolist()])
+
+    h_e = h_v.gather_rows(pairs[:, 0]) + h_v.gather_rows(pairs[:, 1])
     z = concat([h_e, Tensor(indicator.reshape(-1, 1))], axis=1)
     logits = mlp2(z, params["mlp/w0"], params["mlp/b0"],
-                  params["mlp/w1"], params["mlp/b1"]).reshape(len(all_pairs))
+                  params["mlp/w1"], params["mlp/b1"]).reshape(len(pairs))
     probs = logits.sigmoid()
-    keep = relaxed_bernoulli(logits, temperature, stream.split("keep"))
-    kept_idx = np.flatnonzero(keep.hard > 0.5)
-    directed = []
-    weight_src = []
-    for idx in kept_idx:
-        u, v = all_pairs[idx]
-        directed.append((u, v))
-        weight_src.append(idx)
-        if u != v:
-            directed.append((v, u))
-            weight_src.append(idx)
-    edges = np.array(directed, dtype=np.int64).reshape(-1, 2)
-    weights = (probs.gather_rows(np.array(weight_src, dtype=np.int64))
-               if weight_src else Tensor(np.zeros(0)))
-    feats = (g.features if isinstance(g.features, Tensor)
-             else np.asarray(g.features).copy())
-    out = Graph(g.num_nodes, edges, feats, weights, label=g.label,
-                orig_ids=g.orig_ids)
-    return HeadOutput(out, {"edge_probs": probs, "keep_soft": keep.soft})
+    keep = relaxed_bernoulli(logits, temperature, noise)
+    kept = np.flatnonzero(keep.hard > 0.5)
+    # each kept pair as (u, v) then (v, u), the reverse skipped for loops
+    directed = np.stack([pairs[kept], pairs[kept, ::-1]], axis=1).reshape(-1, 2)
+    both = np.ones(len(directed), dtype=bool)
+    both[1::2] = pairs[kept, 0] != pairs[kept, 1]
+    edges = directed[both]
+    weights = probs.gather_rows(np.repeat(kept, 2)[both])
+    view = replace(batch, edges=edges, edge_weights=weights,
+                   edge_counts=np.bincount(batch.node_to_graph[edges[:, 0]],
+                                           minlength=n_graphs))
+    return HeadOutput(view, {"edge_probs": probs, "keep_soft": keep.soft})
 
 
-def subgraph_head(g: Graph, h_v: Tensor, h_g: Tensor, params: ParameterSet,
-                  hops: int, temperature: float, stream: RngStream) -> HeadOutput:
-    """Sample a center from a learned node distribution and induce its
-    k-hop BFS neighborhood; kept edges weighted p(v_i) + p(v_j)."""
+def subgraph_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
+                  params: ParameterSet, hops: int, temperature: float,
+                  streams: list) -> HeadOutput:
+    """Sample a center per graph from its learned node distribution and
+    induce its k-hop BFS neighborhood; kept edges weighted p(v_i) + p(v_j).
+
+    The center is the argmax of Gumbel-perturbed log-probabilities, the hard
+    draw of a Gumbel-Softmax, so ``temperature`` does not enter the view.
+    """
     if hops < 1:
         raise ValueError("hops must be >= 1")
-    p = _node_distribution(h_v, h_g, params)
-    center = gumbel_softmax(p.clip_min(1e-30).log(), temperature,
-                            stream.split("center")).hard
-    sub = khop_bfs(g, center, hops)
-    # khop relabels; its orig_ids recover the input-graph ids for the weights
-    edges_old = sub.orig_ids[sub.edges] if len(sub.edges) else sub.edges
-    weights = (_induced_edge_weights(edges_old, p)
-               if len(sub.edges) else Tensor(np.zeros(0)))
-    out = Graph(sub.num_nodes, sub.edges, sub.features, weights, label=g.label,
-                orig_ids=sub.orig_ids, center=sub.center)
-    return HeadOutput(out, {"node_probs": p})
+    p = _node_distribution(batch, h_v, h_g, params)
+    log_p = np.log(np.maximum(p.data, 1e-30))
+    centers = np.array([
+        n0 + int(np.argmax(log_p[n0:n0 + n]
+                           + streams[k].split("center").gumbel(n)))
+        for k, (n0, n) in enumerate(zip(batch.node_offsets.tolist(),
+                                        batch.node_counts.tolist()))],
+        dtype=np.int64)
+    kept = np.flatnonzero(khop_nodes(*csr(batch.edges, batch.num_nodes),
+                                     centers, hops))
+    view = _induced_view(batch, kept, p)
+    view.centers = np.searchsorted(kept, centers) - view.node_offsets
+    return HeadOutput(view, {"node_probs": p})
 
 
-def feature_masking_head(g: Graph, h_v: Tensor, params: ParameterSet,
-                         temperature: float, stream: RngStream,
+def feature_masking_head(batch: GraphBatch, h_v: Tensor, params: ParameterSet,
+                         temperature: float, streams: list,
                          mask_mode: str = "hard") -> HeadOutput:
     """Project features with a linear layer and apply a sampled binary mask
-    per node and dimension; topology and weights unchanged.
+    per node and dimension; topology unchanged, unit edge weights.
 
     ``mask_mode="soft"`` multiplies by the relaxed mask instead of the
     straight-through one, the fully differentiable path used by gradient
     oracles.
     """
-    x = g.features if isinstance(g.features, Tensor) else Tensor(np.asarray(g.features))
-    projected = x @ params["lin/w"] + params["lin/b"]
+    projected = batch.features_tensor() @ params["lin/w"] + params["lin/b"]
     mask_logits = mlp2(h_v, params["mlp/w0"], params["mlp/b0"],
                        params["mlp/w1"], params["mlp/b1"])
-    sample = relaxed_bernoulli(mask_logits, temperature, stream.split("mask"))
+    d = mask_logits.shape[1]
+    noise = np.concatenate([s.split("mask").logistic((n, d)) for s, n
+                            in zip(streams, batch.node_counts.tolist())])
+    sample = relaxed_bernoulli(mask_logits, temperature, noise)
     mask = sample.soft if mask_mode == "soft" else sample.st
-    masked = projected * mask
-    out = Graph(g.num_nodes, g.edges.copy(), masked, np.ones(g.num_edges),
-                label=g.label, orig_ids=g.orig_ids, center=g.center)
-    return HeadOutput(out, {"mask_probs": mask_logits.sigmoid(),
-                            "mask_soft": sample.soft})
+    view = replace(batch, features=projected * mask,
+                   edge_weights=np.ones(batch.num_edges))
+    return HeadOutput(view, {"mask_probs": mask_logits.sigmoid(),
+                             "mask_soft": sample.soft})
 
 
-def identity_augmentation(g: Graph) -> HeadOutput:
-    """The original graph with unit edge weights; no learnable parameters."""
-    feats = (g.features if isinstance(g.features, Tensor)
-             else np.asarray(g.features).copy())
-    out = Graph(g.num_nodes, g.edges.copy(), feats, np.ones(g.num_edges),
-                label=g.label, orig_ids=g.orig_ids, center=g.center)
-    return HeadOutput(out, {})
+def identity_augmentation(batch: GraphBatch) -> HeadOutput:
+    """The original batch with unit edge weights; no learnable parameters."""
+    return HeadOutput(replace(batch, edge_weights=np.ones(batch.num_edges)), {})
 
 
-def apply_augmentation(kind: AugmentationKind, g: Graph, h_v: Tensor,
+def apply_augmentation(kind: AugmentationKind, batch: GraphBatch, h_v: Tensor,
                        h_g: Tensor, head_params: dict, keep_ratio: float,
                        hops: int, temperature: float,
-                       stream: RngStream) -> HeadOutput:
+                       streams: list) -> HeadOutput:
+    """One view of the whole batch; ``streams[k]`` drives graph ``k``."""
     if kind == AugmentationKind.NODE_DROP:
-        return node_dropping_head(g, h_v, h_g, head_params[kind], keep_ratio,
-                                  temperature, stream)
+        return node_dropping_head(batch, h_v, h_g, head_params[kind],
+                                  keep_ratio, temperature, streams)
     if kind == AugmentationKind.EDGE_PERTURB:
-        return edge_perturbation_head(g, h_v, h_g, head_params[kind],
-                                      temperature, stream)
+        return edge_perturbation_head(batch, h_v, h_g, head_params[kind],
+                                      temperature, streams)
     if kind == AugmentationKind.SUBGRAPH:
-        return subgraph_head(g, h_v, h_g, head_params[kind], hops,
-                             temperature, stream)
+        return subgraph_head(batch, h_v, h_g, head_params[kind], hops,
+                             temperature, streams)
     if kind == AugmentationKind.FEATURE_MASK:
-        return feature_masking_head(g, h_v, head_params[kind], temperature,
-                                    stream)
+        return feature_masking_head(batch, h_v, head_params[kind],
+                                    temperature, streams)
     if kind == AugmentationKind.IDENTITY:
-        return identity_augmentation(g)
+        return identity_augmentation(batch)
     raise ValueError(f"unknown augmentation {kind!r}")

@@ -51,8 +51,7 @@ class ScoreMatrix:
         if n < 2:
             raise ValueError("no negatives in a batch of one graph")
         flat = self.scores.reshape(n * n)
-        idx = np.array([k * n + kp for k in range(n) for kp in range(n)
-                        if kp != k])
+        idx = np.flatnonzero(~np.eye(n, dtype=bool))
         return flat.gather_rows(idx).reshape(n, n - 1)
 
 

@@ -67,16 +67,20 @@ def gumbel_top_k(probs, k: int, stream: RngStream) -> np.ndarray:
     return np.sort(order[:k]).astype(np.int64)
 
 
-def relaxed_bernoulli(logits, temperature: float, stream: RngStream) -> RelaxedSample:
+def relaxed_bernoulli(logits, temperature: float,
+                      noise: np.ndarray) -> RelaxedSample:
     """Elementwise Bernoulli with logistic-noise relaxation.
 
-    hard[i] = 1 iff logit[i] + logistic noise > 0, an exact Bernoulli draw
-    with p = sigmoid(logit).
+    hard[i] = 1 iff logit[i] + noise[i] > 0, an exact Bernoulli draw with
+    p = sigmoid(logit) when ``noise`` is standard logistic (e.g.
+    ``stream.logistic(shape)``). The caller draws it, so a batch can
+    concatenate one draw per graph.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     logits = _lift(logits)
-    noise = stream.logistic(logits.shape)
+    if noise.shape != logits.shape:
+        raise ValueError(f"noise shape {noise.shape} != logits {logits.shape}")
     soft = ((logits + Tensor(noise)) * (1.0 / temperature)).sigmoid()
     hard = (soft.data > 0.5).astype(float)
     st = Tensor(hard) + soft - soft.detach()

@@ -5,7 +5,9 @@ what the sampled-augmentation training loop needs: the computation graph is
 different on every step. A closure gets its output node as an argument rather
 than capturing it, so a tape holds no reference cycle and is freed by
 reference counting as soon as the loss is dropped. Gradients accumulate
-additively into ``grad``; zeroing between steps is the caller's job.
+additively into a leaf's ``grad``; zeroing between steps is the caller's job.
+An interior node's ``grad`` is dropped once it has been passed to its
+parents, so a backward sweep holds only the gradients still in flight.
 """
 from __future__ import annotations
 
@@ -64,7 +66,7 @@ class Tensor:
     def _accum(self, g: np.ndarray) -> None:
         if self.requires_grad:
             if self.grad is None:
-                self.grad = np.zeros_like(self.data)
+                self.grad = np.zeros(self.data.shape)
             self.grad += g
 
     # -- basic introspection -------------------------------------------------
@@ -276,7 +278,7 @@ class Tensor:
         out = Tensor._result(a.data[idx], (a,), None)
         if out.requires_grad:
             def backprop(o):
-                g = np.zeros_like(a.data)
+                g = np.zeros(a.data.shape)
                 np.add.at(g, idx, o.grad)
                 a._accum(g)
             out._backprop = backprop
@@ -290,7 +292,7 @@ class Tensor:
         out = Tensor._result(a.data[sl].copy(), (a,), None)
         if out.requires_grad:
             def backprop(o):
-                g = np.zeros_like(a.data)
+                g = np.zeros(a.data.shape)
                 g[sl] = o.grad
                 a._accum(g)
             out._backprop = backprop
@@ -343,6 +345,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backprop is not None and node.grad is not None:
                 node._backprop(node)
+                node.grad = None
 
 
 # -- free functions ---------------------------------------------------------------
@@ -380,6 +383,32 @@ def segment_sum(t: Tensor, segment_ids, num_segments: int) -> Tensor:
     out = Tensor._result(data, (t,), None)
     if out.requires_grad:
         out._backprop = lambda o: t._accum(o.grad[seg])
+    return out
+
+
+def segment_softmax(x: Tensor, offsets) -> Tensor:
+    """Softmax of a 1-D tensor within contiguous segments.
+
+    Segment ``k`` runs from ``offsets[k]`` to the next offset (the last to the
+    end); offsets start at 0 and every segment is non-empty, which is how a
+    batch lays out its graphs' nodes. One tape node with the fused backward
+    ``p * (g - segsum(g * p))``.
+    """
+    x = Tensor._lift(x)
+    starts = np.asarray(offsets, dtype=np.int64)
+    counts = np.diff(np.append(starts, x.data.size))
+    if x.ndim != 1 or not starts.size or starts[0] != 0 or (counts < 1).any():
+        raise InvalidShapeError("segment_softmax needs a 1-D tensor and "
+                                "ascending offsets from 0 to non-empty segments")
+    shifted = x.data - np.repeat(np.maximum.reduceat(x.data, starts), counts)
+    e = np.exp(shifted)
+    p = e / np.repeat(np.add.reduceat(e, starts), counts)
+    out = Tensor._result(p, (x,), None)
+    if out.requires_grad:
+        def backprop(o):
+            gp = o.grad * p
+            x._accum(gp - p * np.repeat(np.add.reduceat(gp, starts), counts))
+        out._backprop = backprop
     return out
 
 

@@ -1,7 +1,8 @@
 """End-to-end training loop.
 
 Per step: encode the batch with the augmentation encoder, let the policy pick
-the two view augmentations, apply the sampled heads per graph, encode both
+the two view augmentations, apply each sampled head to the whole batch (one
+random stream per graph and view), encode both
 views with the shared base encoder, scale the graph vectors by the policy
 probabilities, and minimize the two-view contrastive loss. Policy and head
 parameters update every step; a coin flip decides whether the base or the
@@ -180,27 +181,14 @@ def train_step(batch: GraphBatch, state: TrainState,
                       config.policy_temperature, step_stream.split("policy"),
                       state.policy, kinds)
 
-    views_i, views_j = [], []
-    outs = []
-    for k, g in enumerate(batch.graphs):
-        n0, n1 = batch.node_range(k)
-        h_vk = enc_w.node_matrix.slice_axis(0, n0, n1)
-        h_gk = enc_w.graph_vector.slice_axis(0, k, k + 1).reshape(
-            enc_w.graph_vector.shape[1])
-        for view, kind, acc in (("i", decision.i, views_i),
-                                ("j", decision.j, views_j)):
-            applied = kind
-            if kind == AugmentationKind.EDGE_PERTURB and g.num_edges == 0:
-                applied = AugmentationKind.IDENTITY   # nothing to perturb
-            out = apply_augmentation(applied, g, h_vk, h_gk, state.heads,
-                                     config.keep_ratio, config.hops,
-                                     config.head_temperature,
-                                     step_stream.split(f"g{k}/{view}"))
-            acc.append(out.graph)
-            outs.append(out)
-
-    batch_i = batch_graphs(views_i)
-    batch_j = batch_graphs(views_j)
+    outs = {view: apply_augmentation(
+                kind, batch, enc_w.node_matrix, enc_w.graph_vector,
+                state.heads, config.keep_ratio, config.hops,
+                config.head_temperature,
+                [step_stream.split(f"g{k}/{view}")
+                 for k in range(batch.num_graphs)])
+            for view, kind in (("i", decision.i), ("j", decision.j))}
+    batch_i, batch_j = outs["i"].graph, outs["j"].graph
     enc_i = encode(batch_i, state.theta, config.base_encoder(state.input_dim),
                    stream=step_stream.split("dropout/i"), training=True)
     enc_j = encode(batch_j, state.theta, config.base_encoder(state.input_dim),
@@ -213,11 +201,12 @@ def train_step(batch: GraphBatch, state: TrainState,
                       config.objective(), state.theta)
 
     if not np.isfinite(loss.data).all():
+        head_stats = {view: _head_stats(out) for view, out in outs.items()}
         raise TrainingDivergedError(
             f"non-finite loss at step {state.step}: "
             f"i={decision.i.value} j={decision.j.value} "
             f"p_i={decision.p_i.item():.3e} p_j={decision.p_j.item():.3e} "
-            f"head_stats={[_head_stats(o) for o in outs]}")
+            f"head_stats={head_stats}")
     loss.backward()
 
     coin = state.coin_stream.bernoulli(config.alternation_prob)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from graphaug.graphs import Graph, batch_graphs
+from graphaug.heads import HeadOutput
+from graphaug.rng import RngStream
 from graphaug.tensor import Tensor, finite_diff_grad
 
 
@@ -22,6 +25,26 @@ def check_grad(f, x: np.ndarray, tol: float = 1e-3, eps: float = 1e-5) -> float:
     err = rel_err(analytic, numeric)
     assert err <= tol, f"gradient mismatch: rel err {err:.3e}"
     return err
+
+
+def one_graph(head, *args, **kwargs):
+    """Call a batched head (or ``apply_augmentation``) on a single graph.
+
+    The graph goes in as ``batch_graphs([g])``, a 1-D graph encoding as a
+    (1, d) row and the stream as ``[stream]``; the view comes back as that
+    one ``Graph``, with the head's soft parameters.
+    """
+    def wrap(a):
+        if isinstance(a, Graph):
+            return batch_graphs([a])
+        if isinstance(a, RngStream):
+            return [a]
+        if isinstance(a, Tensor) and a.ndim == 1:
+            return a.reshape(1, -1)
+        return a
+
+    out = head(*map(wrap, args), **{k: wrap(v) for k, v in kwargs.items()})
+    return HeadOutput(out.graph.graph(0), out.soft_params)
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ from graphaug.tensor import ParameterSet, Tensor
 from graphaug.trainer import TrainConfig, init_state, train, train_step
 from graphaug.tudataset import dataset_stats, parse_tudataset
 
-from conftest import rel_err
+from conftest import one_graph, rel_err
 from test_objective import naive_loss
 from test_cli import write_synthetic_tudataset
 
@@ -117,11 +117,12 @@ def test_criterion_1_gradient_oracle():
         def fn():
             stream = RngStream(17, f"b-{kind.value}")
             if kind == AugmentationKind.FEATURE_MASK:
-                out = feature_masking_head(g, h_v, head_params[kind], 1.0,
-                                           stream, mask_mode="soft")
+                out = one_graph(feature_masking_head, g, h_v,
+                                head_params[kind], 1.0, stream,
+                                mask_mode="soft")
                 return (out.graph.features * out.graph.features).sum()
-            out = apply_augmentation(kind, g, h_v, h_g, head_params, 0.7, 2,
-                                     1.0, stream)
+            out = one_graph(apply_augmentation, kind, g, h_v, h_g,
+                            head_params, 0.7, 2, 1.0, stream)
             w = out.graph.edge_weights
             return (w * w).sum()
         return fn
@@ -184,15 +185,16 @@ def test_criterion_1_gradient_oracle():
         decision = decide(enc_w.graph_vector, "gru", 1.0,
                           step_stream.split("policy"), state.policy, kinds)
         views_i, views_j = [], []
-        for k, gk in enumerate(batch.graphs):
-            n0, n1 = batch.node_range(k)
+        for k, gk in enumerate(graphs):
+            n0 = int(batch.node_offsets[k])
+            n1 = n0 + gk.num_nodes
             h_vk = enc_w.node_matrix.slice_axis(0, n0, n1)
             h_gk = enc_w.graph_vector.slice_axis(0, k, k + 1).reshape(d_h)
             for view, kind, acc in (("i", decision.i, views_i),
                                     ("j", decision.j, views_j)):
-                out = apply_augmentation(kind, gk, h_vk, h_gk, state.heads,
-                                         0.7, 2, 1.0,
-                                         step_stream.split(f"g{k}/{view}"))
+                out = one_graph(apply_augmentation, kind, gk, h_vk, h_gk,
+                                state.heads, 0.7, 2, 1.0,
+                                step_stream.split(f"g{k}/{view}"))
                 acc.append(out.graph)
         bi, bj = batch_graphs(views_i), batch_graphs(views_j)
         enc_i = encode(bi, state.theta, config.base_encoder(d_x))
@@ -290,8 +292,8 @@ def test_criterion_4_augmentation_invariants():
             g = rand_graph(5000 + trial, n, p=0.4, d_x=d_x)
             h_v = Tensor(stream.split(f"hv{trial}").uniform((n, d_h)) - 0.5)
             h_g = Tensor(stream.split(f"hg{trial}").uniform(d_h) - 0.5)
-            out = apply_augmentation(kind, g, h_v, h_g, params, 0.7, 2, 1.0,
-                                     stream.split(str(trial)))
+            out = one_graph(apply_augmentation, kind, g, h_v, h_g, params,
+                            0.7, 2, 1.0, stream.split(str(trial)))
             aug = out.graph
             w = (aug.edge_weights.data if isinstance(aug.edge_weights, Tensor)
                  else np.asarray(aug.edge_weights))

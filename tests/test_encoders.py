@@ -134,7 +134,7 @@ def test_readout_equals_recomputed_column_sums():
     # recompute the pre-projection node matrix independently
     from graphaug.encoders import gin_layer as gl
     h = Tensor(np.asarray(g.features))
-    edges = batch.global_edges()
+    edges = batch.edges
     for layer in range(2):
         base = f"layer{layer}"
         h = gl(h, edges[:, 0], edges[:, 1], Tensor(np.ones(len(edges))), 0.0,
@@ -167,7 +167,7 @@ def test_unit_weights_match_unweighted():
     cfg = EncoderConfig(input_dim=3, hidden_dim=4, num_layers=1)
     params = init_encoder_params(cfg, seed=3)
     batch = batch_graphs([g])
-    edges = batch.global_edges()
+    edges = batch.edges
     h = Tensor(np.asarray(g.features))
     manual = h.data.copy()
     agg = np.zeros_like(manual)
@@ -188,7 +188,7 @@ def test_gradient_through_edge_weights():
     cfg = EncoderConfig(input_dim=3, hidden_dim=4, num_layers=2)
     params = init_encoder_params(cfg, seed=17)
     batch = batch_graphs([g])
-    edges = batch.global_edges()
+    edges = batch.edges
     w0 = np.full(len(edges), 0.8)
 
     def loss_fn(wt):
@@ -208,7 +208,7 @@ def test_gcn_gradient_through_edge_weights():
     cfg = EncoderConfig(input_dim=3, hidden_dim=4, num_layers=2, layer_kind="gcn",
                         readout="mean")
     params = init_encoder_params(cfg, seed=19)
-    edges = batch_graphs([g]).global_edges()
+    edges = batch_graphs([g]).edges
     w0 = np.full(len(edges), 1.2)
 
     def loss_fn(wt):

@@ -211,17 +211,17 @@ def test_csr_built_lazily_and_cached():
 
 def test_batch_offsets():
     b = batch_graphs([path_graph(3), path_graph(4)])
-    assert b.total_nodes == 7
+    assert b.num_nodes == 7
     assert b.node_offsets.tolist() == [0, 3]
     assert b.node_to_graph.tolist() == [0, 0, 0, 1, 1, 1, 1]
-    ge = b.global_edges()
+    ge = b.edges
     assert ge.min() >= 0 and ge.max() == 6
 
 
 def test_batch_single_graph_identity():
     g = path_graph(4)
     b = batch_graphs([g])
-    assert np.array_equal(b.global_edges(), g.edges)
+    assert np.array_equal(b.edges, g.edges)
     assert np.array_equal(b.features_tensor().data, g.features)
 
 
@@ -241,8 +241,8 @@ def test_node_batch_whole_graph_when_hops_cover():
     g = path_graph(5)
     b = make_node_task_batch(g, 1, hops=10, stream=RngStream(0, "nb"))
     assert b.num_graphs == 1
-    assert b.graphs[0].num_nodes == 5
-    assert sorted(map(tuple, b.graphs[0].edges.tolist())) == \
+    assert b.graph(0).num_nodes == 5
+    assert sorted(map(tuple, b.graph(0).edges.tolist())) == \
         sorted(map(tuple, g.edges.tolist()))
 
 
@@ -250,8 +250,8 @@ def test_node_batch_covers_and_centers():
     g = random_graph(100, 0.05, RngStream(5, "big"))
     b = make_node_task_batch(g, 4, hops=2, stream=RngStream(1, "nb2"))
     assert b.num_graphs == 4
-    assert len(b.node_to_graph) == b.total_nodes
-    for sub in b.graphs:
+    assert len(b.node_to_graph) == b.num_nodes
+    for sub in map(b.graph, range(b.num_graphs)):
         assert sub.center is not None
         assert 0 <= sub.center < sub.num_nodes
 
@@ -260,6 +260,6 @@ def test_node_batch_deterministic():
     g = random_graph(30, 0.2, RngStream(2, "det"))
     b1 = make_node_task_batch(g, 5, 1, RngStream(9, "s"))
     b2 = make_node_task_batch(g, 5, 1, RngStream(9, "s"))
-    centers1 = [sub.orig_ids[sub.center] for sub in b1.graphs]
-    centers2 = [sub.orig_ids[sub.center] for sub in b2.graphs]
+    centers1 = [sub.orig_ids[sub.center] for sub in map(b1.graph, range(5))]
+    centers2 = [sub.orig_ids[sub.center] for sub in map(b2.graph, range(5))]
     assert centers1 == centers2

@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
 
-from graphaug.encoders import EncoderConfig, encode, init_encoder_params
-from graphaug.graphs import Graph, batch_graphs
+from graphaug.encoders import EncoderConfig, Encodings, encode, \
+    init_encoder_params, mlp2
+from graphaug.graphs import Graph, batch_graphs, khop_bfs
 from graphaug.heads import (
-    apply_augmentation, edge_perturbation_head, feature_masking_head,
-    identity_augmentation, init_head_params, node_dropping_head,
-    subgraph_head,
+    HeadOutput, apply_augmentation, edge_perturbation_head,
+    feature_masking_head, identity_augmentation, init_head_params,
+    node_dropping_head, subgraph_head,
 )
-from graphaug.policy import AugmentationKind
+from graphaug.objective import batch_loss
+from graphaug.optim import adam_step, clip_by_global_norm
+from graphaug.policy import AugmentationKind, active_kinds, decide, \
+    scale_by_policy
 from graphaug.rng import RngStream
-from graphaug.tensor import Tensor, finite_diff_grad
+from graphaug.sampling import gumbel_softmax, gumbel_top_k, relaxed_bernoulli
+from graphaug.tensor import Tensor, concat, finite_diff_grad
+from graphaug.trainer import GROUPS, TrainConfig, _collect_grads, \
+    init_state, train_step
 
-from conftest import rel_err
+from conftest import one_graph, rel_err
 
 D_H = 6
 
@@ -60,9 +67,9 @@ def check_graph_invariants(out: Graph):
 def test_node_drop_keep_all():
     g = make_graph(1)
     h_v, h_g = encodings_for(g)
-    out = node_dropping_head(g, h_v, h_g,
-                             head_params(AugmentationKind.NODE_DROP), 1.0, 1.0,
-                             RngStream(0, "nd"))
+    out = one_graph(node_dropping_head, g, h_v, h_g,
+                    head_params(AugmentationKind.NODE_DROP), 1.0, 1.0,
+                    RngStream(0, "nd"))
     assert out.graph.num_nodes == g.num_nodes
     assert undirected_set(out.graph.edges) == undirected_set(g.edges)
     p = out.soft_params["node_probs"].data
@@ -77,7 +84,8 @@ def test_node_drop_uniform_probs_weight_formula():
     h_v = Tensor(np.zeros((5, D_H)))
     h_g = Tensor(np.zeros(D_H))
     params = head_params(AugmentationKind.NODE_DROP)
-    out = node_dropping_head(g, h_v, h_g, params, 1.0, 1.0, RngStream(1, "nd"))
+    out = one_graph(node_dropping_head, g, h_v, h_g, params, 1.0, 1.0,
+                    RngStream(1, "nd"))
     # zero encodings -> uniform node distribution -> every weight 2/n
     assert np.allclose(out.graph.edge_weights.data, 2.0 / 5.0)
 
@@ -87,9 +95,9 @@ def test_node_drop_count_on_path():
                      [(j, i) for i in range(4) for j in (i + 1,)])
     g = Graph(5, edges, np.eye(5), np.ones(len(edges)))
     h_v, h_g = encodings_for(g, 3)
-    out = node_dropping_head(g, h_v, h_g,
-                             head_params(AugmentationKind.NODE_DROP, d_x=5),
-                             0.6, 1.0, RngStream(2, "nd"))
+    out = one_graph(node_dropping_head, g, h_v, h_g,
+                    head_params(AugmentationKind.NODE_DROP, d_x=5),
+                    0.6, 1.0, RngStream(2, "nd"))
     assert out.graph.num_nodes == 3          # ceil(0.6 * 5)
     kept = set(out.graph.orig_ids.tolist())
     for a, b in out.graph.edges:
@@ -101,8 +109,9 @@ def test_node_drop_count_on_path():
 def test_node_drop_minimum_one_node():
     g = make_graph(4, n=3)
     h_v, h_g = encodings_for(g, 4)
-    out = node_dropping_head(g, h_v, h_g, head_params(AugmentationKind.NODE_DROP),
-                             0.01, 1.0, RngStream(3, "nd"))
+    out = one_graph(node_dropping_head, g, h_v, h_g,
+                    head_params(AugmentationKind.NODE_DROP), 0.01, 1.0,
+                    RngStream(3, "nd"))
     assert out.graph.num_nodes == 1
 
 
@@ -120,7 +129,8 @@ def test_edge_perturb_extreme_probs():
     params["mlp/w1"].data = np.zeros_like(params["mlp/w1"].data)
     params["mlp/w1"].data[0, 0] = 200.0
     params["mlp/b1"].data = np.array([-100.0])
-    out = edge_perturbation_head(g, h_v, h_g, params, 1.0, RngStream(4, "ep"))
+    out = one_graph(edge_perturbation_head, g, h_v, h_g, params, 1.0,
+                    RngStream(4, "ep"))
     assert undirected_set(out.graph.edges) == undirected_set(g.edges)
     assert np.allclose(out.graph.edge_weights.data, 1.0, atol=1e-20)
     assert out.graph.num_nodes == g.num_nodes
@@ -131,18 +141,18 @@ def test_edge_perturb_complete_graph_no_negatives():
     edges = np.array([(i, j) for i in range(n) for j in range(n) if i != j])
     g = Graph(n, edges, np.eye(n), np.ones(len(edges)))
     h_v, h_g = encodings_for(g, 6)
-    out = edge_perturbation_head(g, h_v, h_g,
-                                 head_params(AugmentationKind.EDGE_PERTURB, d_x=n),
-                                 1.0, RngStream(5, "ep"))
+    out = one_graph(edge_perturbation_head, g, h_v, h_g,
+                    head_params(AugmentationKind.EDGE_PERTURB, d_x=n),
+                    1.0, RngStream(5, "ep"))
     assert undirected_set(out.graph.edges) <= undirected_set(g.edges)
 
 
 def test_edge_perturb_keeps_nodes_and_features():
     g = make_graph(7)
     h_v, h_g = encodings_for(g, 7)
-    out = edge_perturbation_head(g, h_v, h_g,
-                                 head_params(AugmentationKind.EDGE_PERTURB),
-                                 1.0, RngStream(6, "ep"))
+    out = one_graph(edge_perturbation_head, g, h_v, h_g,
+                    head_params(AugmentationKind.EDGE_PERTURB),
+                    1.0, RngStream(6, "ep"))
     assert out.graph.num_nodes == g.num_nodes
     assert np.array_equal(np.asarray(out.graph.features), np.asarray(g.features))
 
@@ -155,8 +165,8 @@ def test_edge_perturb_gradient_to_head():
 
     def loss_fn(w_flat):
         params["mlp/w0"].data = w_flat.data.reshape(w0_shape)
-        out = edge_perturbation_head(g, h_v, h_g, params, 1.0,
-                                     RngStream(77, "fixed"))
+        out = one_graph(edge_perturbation_head, g, h_v, h_g, params, 1.0,
+                        RngStream(77, "fixed"))
         if out.graph.num_edges == 0:
             return Tensor(0.0)
         return (out.graph.edge_weights ** 2.0).sum()
@@ -177,8 +187,9 @@ def test_edge_perturb_gradient_to_head():
 def test_subgraph_whole_graph_when_hops_cover():
     g = make_graph(9, n=5, p=0.9)
     h_v, h_g = encodings_for(g, 9)
-    out = subgraph_head(g, h_v, h_g, head_params(AugmentationKind.SUBGRAPH),
-                        10, 1.0, RngStream(7, "sg"))
+    out = one_graph(subgraph_head, g, h_v, h_g,
+                    head_params(AugmentationKind.SUBGRAPH), 10, 1.0,
+                    RngStream(7, "sg"))
     assert out.graph.num_nodes == g.num_nodes
     p = out.soft_params["node_probs"].data
     expect = p[g.edges[:, 0]] + p[g.edges[:, 1]]
@@ -193,7 +204,8 @@ def test_subgraph_star_hub():
     h_v.data[0] += 10.0         # nudge the distribution toward the hub
     h_g = Tensor(np.zeros(D_H))
     params = head_params(AugmentationKind.SUBGRAPH, d_x=n)
-    out = subgraph_head(g, h_v, h_g, params, 1, 1.0, RngStream(8, "sg"))
+    out = one_graph(subgraph_head, g, h_v, h_g, params, 1, 1.0,
+                    RngStream(8, "sg"))
     if out.graph.orig_ids[out.graph.center] == 0:
         assert out.graph.num_nodes == n       # hub center, one hop = whole star
 
@@ -221,8 +233,9 @@ def test_subgraph_connected_and_contains_center():
     for seed in range(25):
         g = make_graph(100 + seed, n=8, p=0.3)
         h_v, h_g = encodings_for(g, seed)
-        out = subgraph_head(g, h_v, h_g, head_params(AugmentationKind.SUBGRAPH),
-                            2, 1.0, RngStream(seed, "sg"))
+        out = one_graph(subgraph_head, g, h_v, h_g,
+                        head_params(AugmentationKind.SUBGRAPH), 2, 1.0,
+                        RngStream(seed, "sg"))
         sub = out.graph
         assert sub.center is not None
         reach = bfs_reachable(sub.edges.tolist(), sub.num_nodes, sub.center)
@@ -236,7 +249,8 @@ def test_feature_mask_all_ones():
     h_v, _ = encodings_for(g, 10)
     params = head_params(AugmentationKind.FEATURE_MASK)
     params["mlp/b1"].data = np.full_like(params["mlp/b1"].data, 200.0)
-    out = feature_masking_head(g, h_v, params, 1.0, RngStream(9, "fm"))
+    out = one_graph(feature_masking_head, g, h_v, params, 1.0,
+                    RngStream(9, "fm"))
     lin = np.asarray(g.features) @ params["lin/w"].data + params["lin/b"].data
     assert np.allclose(out.graph.features.data, lin)
     assert np.array_equal(out.graph.edges, g.edges)
@@ -248,15 +262,17 @@ def test_feature_mask_all_zeros():
     h_v, _ = encodings_for(g, 11)
     params = head_params(AugmentationKind.FEATURE_MASK)
     params["mlp/b1"].data = np.full_like(params["mlp/b1"].data, -200.0)
-    out = feature_masking_head(g, h_v, params, 1.0, RngStream(10, "fm"))
+    out = one_graph(feature_masking_head, g, h_v, params, 1.0,
+                    RngStream(10, "fm"))
     assert np.allclose(out.graph.features.data, 0.0)
 
 
 def test_feature_mask_preserves_structure():
     g = make_graph(12)
     h_v, _ = encodings_for(g, 12)
-    out = feature_masking_head(g, h_v, head_params(AugmentationKind.FEATURE_MASK),
-                               1.0, RngStream(11, "fm"))
+    out = one_graph(feature_masking_head, g, h_v,
+                    head_params(AugmentationKind.FEATURE_MASK), 1.0,
+                    RngStream(11, "fm"))
     assert np.array_equal(out.graph.edges, g.edges)
     assert out.graph.num_nodes == g.num_nodes
 
@@ -269,8 +285,8 @@ def test_feature_mask_soft_mode_gradient():
 
     def loss_fn(w_flat):
         params["mlp/w1"].data = w_flat.data.reshape(shape)
-        out = feature_masking_head(g, h_v, params, 1.0, RngStream(55, "fixed"),
-                                   mask_mode="soft")
+        out = one_graph(feature_masking_head, g, h_v, params, 1.0,
+                        RngStream(55, "fixed"), mask_mode="soft")
         return (out.graph.features ** 2.0).sum()
 
     flat0 = params["mlp/w1"].data.reshape(-1).copy()
@@ -286,10 +302,10 @@ def test_feature_mask_soft_mode_gradient():
 
 def test_identity_unit_weights():
     g = make_graph(14)
-    out = identity_augmentation(g)
+    out = one_graph(identity_augmentation, g)
     assert np.array_equal(out.graph.edges, g.edges)
     assert np.all(np.asarray(out.graph.edge_weights) == 1.0)
-    twice = identity_augmentation(out.graph)
+    twice = one_graph(identity_augmentation, out.graph)
     assert np.array_equal(np.asarray(twice.graph.features),
                           np.asarray(out.graph.features))
     assert out.soft_params == {}
@@ -304,8 +320,8 @@ def test_randomized_head_invariants(kind):
     for trial in range(100):
         g = make_graph(3000 + trial, n=3 + trial % 10, p=0.4)
         h_v, h_g = encodings_for(g, trial)
-        out = apply_augmentation(kind, g, h_v, h_g, params, 0.7, 2, 1.0,
-                                 stream.split(str(trial)))
+        out = one_graph(apply_augmentation, kind, g, h_v, h_g, params, 0.7,
+                        2, 1.0, stream.split(str(trial)))
         check_graph_invariants(out.graph)
         w = (out.graph.edge_weights.data
              if isinstance(out.graph.edge_weights, Tensor)
@@ -345,9 +361,9 @@ def test_each_head_gets_contrastive_loss_gradient():
         for k, g in enumerate(graphs):
             h_v, h_g = encodings_for(g, 15 + k)
             for view, acc in (("i", views_i), ("j", views_j)):
-                out = apply_augmentation(
-                    kind, g, h_v, h_g, head_p, 0.8, 2, 1.0,
-                    RngStream(3, f"flow-{kind.value}-{k}{view}"))
+                out = one_graph(apply_augmentation, 
+           kind, g, h_v, h_g, head_p, 0.8, 2, 1.0,
+           RngStream(3, f"flow-{kind.value}-{k}{view}"))
                 acc.append(out.graph)
         bi, bj = batch_graphs(views_i), batch_graphs(views_j)
         enc_i = encode(bi, enc_params, cfg)
@@ -360,3 +376,371 @@ def test_each_head_gets_contrastive_loss_gradient():
         got = any(t.grad is not None and np.abs(t.grad).max() > 0
                   for t in head_p[kind].tensors())
         assert got, f"no contrastive-loss gradient reached {kind.value} head"
+
+# -- batched heads vs the per-graph reference ---------------------------------------
+#
+# The heads below are the per-graph implementations the batched heads replaced,
+# kept as the reference: one graph, its slice of the encodings and its stream.
+# A batched view must reproduce every hard decision exactly and every soft
+# value, and every head-parameter gradient, to within rounding (the batched
+# softmax reduces per segment in another order).
+
+TOL = 1e-12
+
+
+def _ref_node_distribution(h_v, h_g, params):
+    n = h_v.shape[0]
+    tiled = Tensor(np.ones((n, 1))) @ h_g.reshape(1, h_g.size)
+    z = concat([h_v, tiled], axis=1)
+    logits = mlp2(z, params["mlp/w0"], params["mlp/b0"],
+                  params["mlp/w1"], params["mlp/b1"])
+    return logits.reshape(n).softmax()
+
+
+def _ref_induced_edge_weights(edges_old, p):
+    return p.gather_rows(edges_old[:, 0]) + p.gather_rows(edges_old[:, 1])
+
+
+def _ref_node_drop(g, h_v, h_g, params, keep_ratio, stream):
+    p = _ref_node_distribution(h_v, h_g, params)
+    k = max(1, int(np.ceil(keep_ratio * g.num_nodes)))
+    kept = gumbel_top_k(p, k, stream)
+    remap = np.full(g.num_nodes, -1, dtype=np.int64)
+    remap[kept] = np.arange(len(kept))
+    if g.num_edges:
+        mask = (remap[g.edges[:, 0]] >= 0) & (remap[g.edges[:, 1]] >= 0)
+        kept_edges_old = g.edges[mask]
+    else:
+        kept_edges_old = np.zeros((0, 2), dtype=np.int64)
+    weights = (_ref_induced_edge_weights(kept_edges_old, p)
+               if len(kept_edges_old) else Tensor(np.zeros(0)))
+    feats = np.asarray(g.features)[kept].copy()
+    out = Graph(len(kept), remap[kept_edges_old], feats, weights,
+                label=g.label, orig_ids=kept)
+    return HeadOutput(out, {"node_probs": p})
+
+
+def _ref_edge_perturb(g, h_v, params, temperature, stream):
+    pairs = []
+    seen = set()
+    for a, b in g.edges:
+        key = (min(int(a), int(b)), max(int(a), int(b)))
+        if key not in seen:
+            seen.add(key)
+            pairs.append(key)
+    n_pos = len(pairs)
+    positives = set(pairs)
+    negatives = []
+    attempts = 0
+    neg_stream = stream.split("negatives")
+    while len(negatives) < n_pos and attempts < 10 * n_pos:
+        attempts += 1
+        u = int(neg_stream.integers(0, g.num_nodes))
+        v = int(neg_stream.integers(0, g.num_nodes))
+        if u == v:
+            continue
+        key = (min(u, v), max(u, v))
+        if key in positives or key in seen:
+            continue
+        seen.add(key)
+        negatives.append(key)
+    all_pairs = pairs + negatives
+    arr = np.array(all_pairs, dtype=np.int64)
+    indicator = np.concatenate([np.ones(n_pos), np.zeros(len(negatives))])
+    h_e = h_v.gather_rows(arr[:, 0]) + h_v.gather_rows(arr[:, 1])
+    z = concat([h_e, Tensor(indicator.reshape(-1, 1))], axis=1)
+    logits = mlp2(z, params["mlp/w0"], params["mlp/b0"],
+                  params["mlp/w1"], params["mlp/b1"]).reshape(len(all_pairs))
+    probs = logits.sigmoid()
+    keep = relaxed_bernoulli(logits, temperature,
+                             stream.split("keep").logistic(logits.shape))
+    directed, weight_src = [], []
+    for idx in np.flatnonzero(keep.hard > 0.5):
+        u, v = all_pairs[idx]
+        directed.append((u, v))
+        weight_src.append(idx)
+        if u != v:
+            directed.append((v, u))
+            weight_src.append(idx)
+    edges = np.array(directed, dtype=np.int64).reshape(-1, 2)
+    weights = (probs.gather_rows(np.array(weight_src, dtype=np.int64))
+               if weight_src else Tensor(np.zeros(0)))
+    out = Graph(g.num_nodes, edges, np.asarray(g.features).copy(), weights,
+                label=g.label, orig_ids=g.orig_ids, center=g.center)
+    return HeadOutput(out, {"edge_probs": probs, "keep_soft": keep.soft})
+
+
+def _ref_subgraph(g, h_v, h_g, params, hops, temperature, stream):
+    p = _ref_node_distribution(h_v, h_g, params)
+    center = gumbel_softmax(p.clip_min(1e-30).log(), temperature,
+                            stream.split("center")).hard
+    sub = khop_bfs(g, center, hops)
+    edges_old = sub.orig_ids[sub.edges] if len(sub.edges) else sub.edges
+    weights = (_ref_induced_edge_weights(edges_old, p)
+               if len(sub.edges) else Tensor(np.zeros(0)))
+    out = Graph(sub.num_nodes, sub.edges, sub.features, weights, label=g.label,
+                orig_ids=sub.orig_ids, center=sub.center)
+    return HeadOutput(out, {"node_probs": p})
+
+
+def _ref_feature_mask(g, h_v, params, temperature, stream):
+    x = Tensor(np.asarray(g.features))
+    projected = x @ params["lin/w"] + params["lin/b"]
+    mask_logits = mlp2(h_v, params["mlp/w0"], params["mlp/b0"],
+                       params["mlp/w1"], params["mlp/b1"])
+    sample = relaxed_bernoulli(
+        mask_logits, temperature,
+        stream.split("mask").logistic(mask_logits.shape))
+    out = Graph(g.num_nodes, g.edges.copy(), projected * sample.st,
+                np.ones(g.num_edges), label=g.label, orig_ids=g.orig_ids,
+                center=g.center)
+    return HeadOutput(out, {"mask_probs": mask_logits.sigmoid(),
+                            "mask_soft": sample.soft})
+
+
+def _ref_apply(kind, g, h_v, h_g, params, keep_ratio, hops, temperature,
+               stream):
+    """One graph through the reference heads; an edgeless graph takes the
+    identity under edge perturbation."""
+    if kind == AugmentationKind.NODE_DROP:
+        return _ref_node_drop(g, h_v, h_g, params[kind], keep_ratio, stream)
+    if kind == AugmentationKind.EDGE_PERTURB and g.num_edges:
+        return _ref_edge_perturb(g, h_v, params[kind], temperature, stream)
+    if kind == AugmentationKind.SUBGRAPH:
+        return _ref_subgraph(g, h_v, h_g, params[kind], hops, temperature,
+                             stream)
+    if kind == AugmentationKind.FEATURE_MASK:
+        return _ref_feature_mask(g, h_v, params[kind], temperature, stream)
+    out = Graph(g.num_nodes, g.edges.copy(), np.asarray(g.features).copy(),
+                np.ones(g.num_edges), label=g.label, orig_ids=g.orig_ids,
+                center=g.center)
+    return HeadOutput(out, {})
+
+
+def messy_batch_graphs(seed, count=12, d_x=3):
+    """Graphs of 1-7 nodes with self-loops, repeated edges and some without
+    any edge."""
+    stream = RngStream(seed, "messy-batch")
+    graphs = []
+    for k in range(count):
+        n = int(stream.integers(1, 8))
+        m = 0 if k % 4 == 1 else int(stream.integers(1, 3 * n + 2))
+        edges = stream.integers(0, n, size=(m, 2))
+        if m:
+            edges = np.concatenate([edges, edges[:1], edges[:, ::-1]])
+        graphs.append(Graph(n, edges, stream.uniform((n, d_x)),
+                            np.ones(len(edges)), label=k % 2))
+    return graphs
+
+
+def mutag_batch_graphs(mutag_dir, count, start=0):
+    from graphaug.tudataset import parse_tudataset
+    return parse_tudataset(mutag_dir).graphs[start:start + count]
+
+
+def _values_of(x):
+    return x.data if isinstance(x, Tensor) else np.asarray(x)
+
+
+def _view_scalar(graphs):
+    """A scalar of the views that depends on every soft output."""
+    total = Tensor(0.0)
+    for g in graphs:
+        if isinstance(g.edge_weights, Tensor) and g.num_edges:
+            total = total + (g.edge_weights * g.edge_weights).sum()
+        if isinstance(g.features, Tensor):
+            total = total + (g.features * g.features).sum()
+    return total
+
+
+def _grads(params):
+    return {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
+            for name, t in params.items()}
+
+
+def _close(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.all(np.abs(a - b) <= TOL * np.maximum(1.0, np.abs(b))), \
+        np.max(np.abs(a - b))
+
+
+def _check_against_reference(graphs, kind, seed, d_h=5):
+    d_x = graphs[0].feature_dim
+    params = {k: init_head_params(k, d_h, d_x, seed) for k in AugmentationKind}
+    for ps in params.values():          # off the zero-bias ReLU kinks
+        for name, t in ps.items():
+            t.data = t.data + 0.1 * (RngStream(seed, name).uniform(t.shape)
+                                     - 0.5)
+    batch = batch_graphs(graphs)
+    enc = RngStream(seed, "oracle-enc")
+    h_v = Tensor(enc.uniform((batch.num_nodes, d_h)) - 0.5)
+    h_g = Tensor(enc.uniform((batch.num_graphs, d_h)) - 0.5)
+    root = RngStream(seed, f"oracle-{kind.value}")
+
+    def stream(k):              # a fresh one per side: node drop draws from it
+        return root.split(f"g{k}")
+
+    for ps in params.values():
+        ps.zero_grads()
+    out = apply_augmentation(kind, batch, h_v, h_g, params, 0.6, 2, 0.7,
+                             [stream(k) for k in range(len(graphs))])
+    views = [out.graph.graph(k) for k in range(len(graphs))]
+    _view_scalar(views).backward()
+    got_grads = {k: _grads(ps) for k, ps in params.items()}
+
+    for ps in params.values():
+        ps.zero_grads()
+    refs = []
+    for k, (g, n0) in enumerate(zip(graphs, batch.node_offsets)):
+        h_vk = Tensor(h_v.data[n0:n0 + g.num_nodes])
+        h_gk = Tensor(h_g.data[k])
+        refs.append(_ref_apply(kind, g, h_vk, h_gk, params, 0.6, 2, 0.7,
+                               stream(k)))
+    _view_scalar([r.graph for r in refs]).backward()
+    want_grads = {k: _grads(ps) for k, ps in params.items()}
+
+    for view, ref in zip(views, refs):
+        want = ref.graph
+        assert view.num_nodes == want.num_nodes
+        assert np.array_equal(view.edges, want.edges)
+        assert view.label == want.label
+        assert view.center == want.center
+        if want.orig_ids is None:
+            assert view.orig_ids is None
+        else:
+            assert np.array_equal(view.orig_ids, want.orig_ids)
+        _close(_values_of(view.edge_weights), _values_of(want.edge_weights))
+        _close(_values_of(view.features), _values_of(want.features))
+    for key, soft in out.soft_params.items():
+        parts = [r.soft_params[key].data for r in refs if key in r.soft_params]
+        _close(soft.data, np.concatenate(parts))
+        if key in ("keep_soft", "mask_soft"):      # the hard draws
+            assert np.array_equal(soft.data > 0.5,
+                                  np.concatenate(parts) > 0.5)
+    if not out.soft_params:
+        assert all(not r.soft_params for r in refs)
+    for k in params:
+        for name in got_grads[k]:
+            _close(got_grads[k][name], want_grads[k][name])
+    return out
+
+
+@pytest.mark.parametrize("kind", list(AugmentationKind))
+def test_batched_heads_match_reference_on_messy_batches(kind):
+    for seed in range(6):
+        _check_against_reference(messy_batch_graphs(seed), kind, seed)
+
+
+@pytest.mark.parametrize("kind", list(AugmentationKind))
+def test_batched_heads_match_reference_on_mutag(kind, mutag_dir):
+    for start in (0, 32, 150):
+        out = _check_against_reference(
+            mutag_batch_graphs(mutag_dir, 32, start), kind, start)
+        if kind != AugmentationKind.IDENTITY:
+            assert out.soft_params
+
+
+def _tape_size(view):
+    """Tape nodes (with a backward closure) reachable from a view's edge
+    weights and features."""
+    roots = [x for x in (view.edge_weights, view.features)
+             if isinstance(x, Tensor)]
+    seen, stack, count = set(), roots, 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        count += t._backprop is not None
+        stack.extend(t._parents)
+    return count
+
+
+@pytest.mark.parametrize("kind", list(AugmentationKind))
+def test_tape_size_per_view_independent_of_batch_size(kind, mutag_dir):
+    d_h = 8
+    params = {k: init_head_params(k, d_h, 7, 3) for k in AugmentationKind}
+    sizes = []
+    for count in (4, 8, 32):
+        batch = batch_graphs(mutag_batch_graphs(mutag_dir, count))
+        enc = RngStream(count, "tape-enc")
+        h_v = Tensor(enc.uniform((batch.num_nodes, d_h)), requires_grad=True)
+        h_g = Tensor(enc.uniform((count, d_h)), requires_grad=True)
+        streams = [RngStream(count, f"tape-{k}") for k in range(count)]
+        out = apply_augmentation(kind, batch, h_v, h_g, params, 0.75, 2, 1.0,
+                                 streams)
+        sizes.append(_tape_size(out.graph))
+    assert sizes[0] == sizes[1] == sizes[2], sizes
+    assert (sizes[0] == 0) == (kind == AugmentationKind.IDENTITY)
+
+
+def _ref_train_step(graphs, state, config):
+    """``train_step`` as it ran with the per-graph reference heads."""
+    for gname in GROUPS:
+        state.group(gname).zero_grads()
+    kinds = active_kinds(config.task)
+    step_stream = state.sample_root.split(f"step{state.step}")
+    batch = batch_graphs(graphs)
+    enc_w = encode(batch, state.omega, config.aug_encoder(state.input_dim),
+                   stream=step_stream.split("dropout/omega"), training=True)
+    decision = decide(enc_w.graph_vector, config.policy_kind,
+                      config.policy_temperature, step_stream.split("policy"),
+                      state.policy, kinds)
+    views = {"i": [], "j": []}
+    for k, g in enumerate(graphs):
+        n0 = int(batch.node_offsets[k])
+        h_vk = enc_w.node_matrix.slice_axis(0, n0, n0 + g.num_nodes)
+        h_gk = enc_w.graph_vector.slice_axis(0, k, k + 1).reshape(
+            enc_w.graph_vector.shape[1])
+        for view, kind in (("i", decision.i), ("j", decision.j)):
+            views[view].append(_ref_apply(
+                kind, g, h_vk, h_gk, state.heads, config.keep_ratio,
+                config.hops, config.head_temperature,
+                step_stream.split(f"g{k}/{view}")).graph)
+    batch_i, batch_j = batch_graphs(views["i"]), batch_graphs(views["j"])
+    enc_i = encode(batch_i, state.theta, config.base_encoder(state.input_dim),
+                   stream=step_stream.split("dropout/i"), training=True)
+    enc_j = encode(batch_j, state.theta, config.base_encoder(state.input_dim),
+                   stream=step_stream.split("dropout/j"), training=True)
+    loss = batch_loss(
+        Encodings(enc_i.node_matrix,
+                  scale_by_policy(enc_i.graph_vector, decision.p_i)),
+        Encodings(enc_j.node_matrix,
+                  scale_by_policy(enc_j.graph_vector, decision.p_j)),
+        batch_i.node_to_graph, batch_j.node_to_graph, config.objective(),
+        state.theta)
+    loss.backward()
+    coin = state.coin_stream.bernoulli(config.alternation_prob)
+    update_groups = ["policy", "heads", "theta" if coin else "omega"]
+    grads = {gname: _collect_grads(state.group(gname))
+             for gname in update_groups}
+    joint = {f"{gname}::{n}": arr for gname, gs in grads.items()
+             for n, arr in gs.items()}
+    clip_by_global_norm(joint, config.clip_norm)
+    for key, arr in joint.items():
+        gname, pname = key.split("::", 1)
+        grads[gname][pname] = arr
+    for gname in update_groups:
+        adam_step(state.group(gname), grads[gname], state.adam[gname],
+                  config.learning_rate)
+    state.step += 1
+    return loss.item(), decision, coin
+
+
+def test_train_steps_match_per_graph_reference(mutag_dir):
+    graphs = mutag_batch_graphs(mutag_dir, 32, 40)
+    batch = batch_graphs(graphs)
+    seen = set()
+    for seed in (1, 2):
+        config = TrainConfig(seed=seed, hidden_dim=16)
+        state = init_state(config, batch.features.shape[1])
+        ref_state = init_state(config, batch.features.shape[1])
+        for _ in range(3):
+            res = train_step(batch, state, config)
+            loss, decision, coin = _ref_train_step(graphs, ref_state, config)
+            assert (res.decision.i, res.decision.j, res.coin) == \
+                (decision.i, decision.j, coin)
+            assert abs(res.loss - loss) <= TOL * max(1.0, abs(loss))
+            seen.update((decision.i, decision.j))
+    assert len(seen) >= 3, seen

@@ -6,7 +6,8 @@ import pytest
 from graphaug.encoders import Encodings
 from graphaug.objective import (
     ObjectiveConfig, batch_loss, discriminate, estimate_mi,
-    init_discriminator_params, jsd_mi, pairwise_scores, score_matrix,
+    ScoreMatrix, init_discriminator_params, jsd_mi, pairwise_scores,
+    score_matrix,
 )
 from graphaug.rng import RngStream
 from graphaug.tensor import Tensor
@@ -291,3 +292,11 @@ def test_jsd_loss_gradient_on_fixed_four_node_graph():
     fd = finite_diff_grad(loss_fn, Tensor(flat0)).data.reshape(shape)
     params[name].data = flat0.reshape(shape)
     assert rel_err(analytic, fd) <= 1e-3
+
+
+def test_negatives_match_pairwise_comprehension():
+    for n in range(2, 40):
+        flat_ids = Tensor(np.arange(n * n, dtype=float).reshape(n, n))
+        want = [k * n + kp for k in range(n) for kp in range(n) if kp != k]
+        got = ScoreMatrix(flat_ids).negatives().data
+        assert np.array_equal(got, np.array(want, dtype=float).reshape(n, n - 1))

@@ -157,17 +157,20 @@ def test_topk_returns_indices_only():
 # -- relaxed bernoulli -------------------------------------------------------------
 
 def test_bernoulli_balanced_at_zero_logit():
-    r = relaxed_bernoulli(np.zeros(100_000), 1.0, RngStream(6, "b0"))
+    r = relaxed_bernoulli(np.zeros(100_000), 1.0,
+                          RngStream(6, "b0").logistic(100_000))
     assert abs(r.hard.mean() - 0.5) <= 0.01
 
 
 def test_bernoulli_saturated_logit():
-    r = relaxed_bernoulli(np.full(10_000, 20.0), 1.0, RngStream(7, "b20"))
+    r = relaxed_bernoulli(np.full(10_000, 20.0), 1.0,
+                          RngStream(7, "b20").logistic(10_000))
     assert r.hard.mean() >= 0.999
 
 
 def test_bernoulli_soft_in_open_interval():
-    r = relaxed_bernoulli(np.zeros(10_000), 0.5, RngStream(8, "bint"))
+    r = relaxed_bernoulli(np.zeros(10_000), 0.5,
+                          RngStream(8, "bint").logistic(10_000))
     assert np.all(r.soft.data > 0.0) and np.all(r.soft.data < 1.0)
 
 
@@ -175,7 +178,7 @@ def test_bernoulli_soft_gradient_fd():
     x0 = np.array([0.4, -1.0, 0.2])
 
     def f(t):
-        r = relaxed_bernoulli(t, 0.8, RngStream(15, "bfd"))
+        r = relaxed_bernoulli(t, 0.8, RngStream(15, "bfd").logistic(3))
         return (r.soft * Tensor([1.0, 2.0, -1.5])).sum()
 
     xt = Tensor(x0, requires_grad=True)
@@ -185,5 +188,6 @@ def test_bernoulli_soft_gradient_fd():
 
 
 def test_bernoulli_st_forward_binary():
-    r = relaxed_bernoulli(np.array([0.3, -0.3, 2.0]), 1.0, RngStream(9, "bst"))
+    r = relaxed_bernoulli(np.array([0.3, -0.3, 2.0]), 1.0,
+                          RngStream(9, "bst").logistic(3))
     assert set(np.unique(r.st.data)) <= {0.0, 1.0}

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from graphaug.errors import InvalidShapeError, TrainingDivergedError
 from graphaug.rng import RngStream
 from graphaug.tensor import (
-    ParameterSet, Tensor, concat, finite_diff_grad, segment_sum,
-    xavier_init,
+    ParameterSet, Tensor, concat, finite_diff_grad, segment_softmax,
+    segment_sum, xavier_init,
 )
 
-from conftest import check_grad
+from conftest import check_grad, rel_err
 
 
 def test_product_rule():
@@ -90,6 +90,9 @@ OPS = [
     ("slice", lambda t: (t.slice_axis(1, 1, 3) ** 2.0).sum(), False),
     ("norm", lambda t: t.norm(), False),
     ("clip_min", lambda t: t.clip_min(0.25).sum(), False),
+    ("segment_softmax", lambda t: (segment_softmax(t.reshape(12), [0, 1, 5, 6])
+                                   * Tensor(_rand((12,), label="ssm"))).sum(),
+     False),
 ]
 
 
@@ -134,6 +137,68 @@ def test_tape_freed_by_refcount_after_backward(name, f, positive):
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+def test_backward_frees_interior_grads_and_keeps_leaf_grads():
+    x = Tensor(_rand((5, 4), label="free_x"))
+    b = Tensor(_rand((3,), label="free_b"), requires_grad=True)
+
+    def f(w, bias=b):
+        return ((x @ w + bias).tanh() ** 2.0).sum()
+
+    w0 = _rand((4, 3), label="free_w")
+    w = Tensor(w0, requires_grad=True)
+    loss = f(w)
+    loss.backward()
+    interior = _tape_nodes(loss)
+    assert len(interior) >= 5
+    assert all(t.grad is None for t in interior)
+    assert rel_err(w.grad, finite_diff_grad(f, Tensor(w0)).data) <= 1e-6
+    fd_b = finite_diff_grad(lambda t: f(Tensor(w0), t), Tensor(b.data)).data
+    assert rel_err(b.grad, fd_b) <= 1e-6
+
+
+RAGGED = [0, 1, 4, 5, 11, 12]           # segments of 1, 3, 1, 6, 1 and 2
+
+
+def test_segment_softmax_matches_softmax_per_segment():
+    x = _rand((14,), -3.0, 3.0, label="ssm_ragged")
+    p = segment_softmax(Tensor(x), RAGGED).data
+    bounds = RAGGED + [len(x)]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        assert np.max(np.abs(p[a:b] - Tensor(x[a:b]).softmax().data)) <= 1e-14
+    assert p[0] == p[4] == p[11] == 1.0
+
+
+def test_segment_softmax_gradient_on_ragged_segments():
+    x = _rand((14,), -3.0, 3.0, label="ssm_grad")
+    w = _rand((14,), label="ssm_weights")
+
+    def f(t):
+        return (segment_softmax(t, RAGGED) * Tensor(w)).sum()
+
+    check_grad(f, x)
+    # and the composite per-segment softmax's gradient, to rounding
+    xt = Tensor(x, requires_grad=True)
+    f(xt).backward()
+    bounds = RAGGED + [len(x)]
+    xr = Tensor(x, requires_grad=True)
+    parts = [xr.slice_axis(0, a, b).softmax()
+             for a, b in zip(bounds[:-1], bounds[1:])]
+    (concat(parts) * Tensor(w)).sum().backward()
+    assert np.max(np.abs(xt.grad - xr.grad)) <= 1e-14
+
+
+@pytest.mark.parametrize("x,offsets", [
+    (np.zeros((2, 3)), [0]),          # not 1-D
+    (np.zeros(4), [1, 2]),            # does not start at 0
+    (np.zeros(4), [0, 2, 2]),         # empty segment
+    (np.zeros(4), [0, 4]),            # empty last segment
+    (np.zeros(4), []),                # no segment
+])
+def test_segment_softmax_rejects_bad_segments(x, offsets):
+    with pytest.raises(InvalidShapeError):
+        segment_softmax(Tensor(x), offsets)
 
 
 def test_concat_gradient():

@@ -8,6 +8,7 @@ from graphaug.evaluation import embed_dataset
 from graphaug.graphs import Graph, batch_graphs
 from graphaug.policy import AugmentationKind
 from graphaug.rng import RngStream
+from graphaug.tensor import Tensor
 from graphaug.trainer import (
     TrainConfig, init_state, load_checkpoint, save_checkpoint, train,
     train_step,
@@ -308,3 +309,27 @@ def test_step_and_embed_leave_no_reference_cycles(mutag_dir):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_graph_step_tensor_count_bounded(mutag_dir, monkeypatch):
+    """The heads build a fixed tape per view: a GRU-policy step on 32 MUTAG
+    graphs creates at most 1,300 tensors (the per-graph heads made ~3,080)."""
+    ds = parse_tudataset(mutag_dir)
+    config = TrainConfig(batch_size=32, seed=5)
+    state = init_state(config, ds.feature_dim)
+    batch = batch_graphs(ds.graphs[:32])
+    created = [0]
+    init = Tensor.__init__
+
+    def counting_init(tensor, *args, **kwargs):
+        created[0] += 1
+        init(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    kinds = set()
+    for _ in range(4):
+        created[0] = 0
+        res = train_step(batch, state, config)
+        kinds.update((res.decision.i, res.decision.j))
+        assert created[0] <= 1300, (res.decision, created[0])
+    assert len(kinds - {AugmentationKind.IDENTITY}) >= 2, kinds
