@@ -25,7 +25,6 @@ from .heads import apply_augmentation
 from .policy import AugmentationKind, active_kinds, decide
 from .rng import RngStream
 from .graphs import batch_graphs
-from .tensor import Tensor
 from .trainer import TrainConfig, load_checkpoint, save_checkpoint, \
     train
 from .tudataset import dataset_stats, parse_tudataset
@@ -126,6 +125,19 @@ def _load_dataset(resolved):
     return parse_tudataset(path)
 
 
+def _load_model(args, resolved):
+    """The checkpoint's state and config, and the dataset to run them on;
+    the dataset must have the feature dimension the checkpoint was
+    trained with."""
+    state, config = load_checkpoint(args.checkpoint)
+    dataset = _load_dataset(resolved)
+    if dataset.feature_dim != state.input_dim:
+        raise GraphAugError(
+            f"checkpoint expects d_x={state.input_dim}, dataset has "
+            f"d_x={dataset.feature_dim}")
+    return state, config, dataset
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -168,12 +180,7 @@ def cmd_train(args) -> int:
 
 def cmd_probe(args) -> int:
     resolved = resolve_config(args)
-    state, config = load_checkpoint(args.checkpoint)
-    dataset = _load_dataset(resolved)
-    if dataset.feature_dim != state.input_dim:
-        raise GraphAugError(
-            f"checkpoint expects d_x={state.input_dim}, dataset has "
-            f"d_x={dataset.feature_dim}")
+    state, config, dataset = _load_model(args, resolved)
     table = embed_dataset(dataset, state, config)
     try:
         if config.task == "graph":
@@ -195,12 +202,7 @@ def cmd_probe(args) -> int:
 
 def cmd_embed(args) -> int:
     resolved = resolve_config(args)
-    state, config = load_checkpoint(args.checkpoint)
-    dataset = _load_dataset(resolved)
-    if dataset.feature_dim != state.input_dim:
-        raise GraphAugError(
-            f"checkpoint expects d_x={state.input_dim}, dataset has "
-            f"d_x={dataset.feature_dim}")
+    state, config, dataset = _load_model(args, resolved)
     table = embed_dataset(dataset, state, config)
     rows = [[i, table.labels[i]] + [repr(v) for v in table.vectors[i]]
             for i in range(len(table.vectors))]
@@ -219,15 +221,17 @@ def cmd_inspect(args) -> int:
         print(f"unknown head {args.head!r}; valid heads: {', '.join(valid)}",
               file=sys.stderr)
         return 2
-    state, config = load_checkpoint(args.checkpoint)
-    dataset = _load_dataset(resolved)
+    if args.num_graphs < 1:
+        print(f"--num-graphs must be at least 1, got {args.num_graphs}",
+              file=sys.stderr)
+        return 2
+    state, config, dataset = _load_model(args, resolved)
     kinds = active_kinds(config.task)
     kind = AugmentationKind(args.head)
     if kind not in kinds and kind != AugmentationKind.IDENTITY:
         print(f"head {args.head!r} is not active for task {config.task!r}",
               file=sys.stderr)
         return 2
-    out = _out_dir(resolved, f"{dataset.name.lower()}-inspect")
     n = min(args.num_graphs, len(dataset.graphs))
     batch = batch_graphs(dataset.graphs[:n])
     enc = encode(batch, state.omega, config.aug_encoder(state.input_dim))
@@ -243,10 +247,10 @@ def cmd_inspect(args) -> int:
                                state.heads, config.keep_ratio, config.hops,
                                config.head_temperature,
                                [stream.split(f"g{k}") for k in range(n)]).graph
+    out = _out_dir(resolved, f"{dataset.name.lower()}-inspect")
     for k in range(n):
         aug = views.graph(k)
-        w = (aug.edge_weights.data if isinstance(aug.edge_weights, Tensor)
-             else np.asarray(aug.edge_weights))
+        w = aug.edge_weights.data
         lines = [f"# graph {k}: {aug.num_nodes} nodes, {aug.num_edges} edges",
                  "# src dst weight"]
         lines += [f"{int(a)} {int(b)} {w[e]:.6f}"

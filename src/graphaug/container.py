@@ -2,8 +2,9 @@
 
 Layout: magic ``GAPC``, uint32 version, uint64 header length, JSON header
 (``meta`` dict plus ordered tensor descriptors with name/shape/dtype), then
-the raw little-endian payloads concatenated in header order. Parameters are
-always float64; integer arrays (dataset caches) use int64.
+the raw little-endian payloads concatenated in header order. Training
+checkpoints are written in it; float arrays are stored as float64 and
+integer arrays as int64.
 """
 from __future__ import annotations
 

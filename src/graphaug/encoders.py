@@ -133,8 +133,8 @@ def encode(batch: GraphBatch, params: ParameterSet, cfg: EncoderConfig,
            training: bool = False) -> Encodings:
     """Run the stacked layers, read out per graph, and project both levels."""
     src, dst = batch.edges[:, 0], batch.edges[:, 1]
-    h = batch.features_tensor()
-    edge_w = batch.edge_weights_tensor()
+    h = batch.features
+    edge_w = batch.edge_weights
     for layer in range(cfg.num_layers):
         base = f"{prefix}layer{layer}"
         if cfg.layer_kind == "gin":

@@ -222,6 +222,9 @@ def _class_indices(labels: np.ndarray) -> tuple[np.ndarray, int]:
 def linear_probe_graph(table: EmbeddingTable, folds: int = 10, runs: int = 5,
                        seed: int = 0) -> ProbeReport:
     """Stratified k-fold probe, repeated with different fold seeds."""
+    if folds < 2 or runs < 1:
+        raise ValueError(f"need folds >= 2 and runs >= 1, got folds={folds} "
+                         f"and runs={runs}")
     x = table.vectors
     y, num_classes = _class_indices(table.labels)
     if num_classes < 2:
@@ -246,6 +249,8 @@ def linear_probe_node(table: EmbeddingTable, runs: int = 20,
     """Random-split probe over ``runs`` different splits."""
     if not (0.0 < train_frac < 1.0):
         raise ValueError("train_frac must be in (0, 1)")
+    if runs < 1:
+        raise ValueError(f"need runs >= 1, got {runs}")
     x = table.vectors
     y, num_classes = _class_indices(table.labels)
     accs, l2s = [], []

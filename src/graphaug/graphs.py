@@ -1,8 +1,9 @@
 """Attributed sparse graphs, disjoint-union batching, and k-hop subgraphs.
 
 Edges are stored directed; undirected inputs carry both orientations. Node
-features and per-edge weights may be plain arrays or tape tensors; augmented
-graphs use tensors so structural decisions keep a gradient channel.
+features and per-edge weights are always tape tensors (an array is wrapped at
+construction without a copy), so an augmented graph's weights and features
+keep the gradient channel to the head that produced them.
 """
 from __future__ import annotations
 
@@ -13,20 +14,6 @@ import numpy as np
 from .errors import InvalidShapeError
 from .rng import RngStream
 from .tensor import Tensor, concat
-
-
-def _values(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
-
-
-def take_rows(x, idx: np.ndarray):
-    """Rows ``idx`` of an array (a copy) or of a tensor (a gather on the tape)."""
-    return x.gather_rows(idx) if isinstance(x, Tensor) else np.asarray(x)[idx]
-
-
-def _row_range(x, start: int, stop: int):
-    return x.slice_axis(0, start, stop) if isinstance(x, Tensor) \
-        else np.asarray(x)[start:stop]
 
 
 def csr(edges: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -46,8 +33,8 @@ class Graph:
     """One attributed graph; immutable after construction."""
     num_nodes: int
     edges: np.ndarray                 # (E, 2) int64, directed
-    features: object                  # (V, d_x) ndarray or Tensor
-    edge_weights: object              # (E,) ndarray or Tensor
+    features: Tensor                  # (V, d_x)
+    edge_weights: Tensor              # (E,)
     label: int | None = None
     orig_ids: np.ndarray | None = None   # local id -> id in the source graph
     center: int | None = None           # local id of the BFS center, if any
@@ -56,14 +43,16 @@ class Graph:
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        self.features = Tensor._lift(self.features)
+        self.edge_weights = Tensor._lift(self.edge_weights)
         if self.num_nodes < 1:
             raise InvalidShapeError("graph needs at least one node")
         if self.edges.size and (self.edges.min() < 0
                                 or self.edges.max() >= self.num_nodes):
             raise InvalidShapeError("edge endpoint out of node range")
-        if _values(self.features).shape[0] != self.num_nodes:
+        if self.features.shape[0] != self.num_nodes:
             raise InvalidShapeError("feature row count != num_nodes")
-        if _values(self.edge_weights).shape != (len(self.edges),):
+        if self.edge_weights.shape != (len(self.edges),):
             raise InvalidShapeError("edge_weights length != edge count")
 
     @property
@@ -72,7 +61,7 @@ class Graph:
 
     @property
     def feature_dim(self) -> int:
-        return _values(self.features).shape[1]
+        return self.features.shape[1]
 
     def num_undirected_edges(self) -> float:
         if self.num_edges == 0:
@@ -100,8 +89,8 @@ class GraphBatch:
     its own ids and center -1.
     """
     edges: np.ndarray               # (E, 2) int64, global ids
-    features: object                # (N, d_x) ndarray or Tensor
-    edge_weights: object            # (E,) ndarray or Tensor
+    features: Tensor                # (N, d_x)
+    edge_weights: Tensor            # (E,)
     node_counts: np.ndarray         # (B,)
     edge_counts: np.ndarray         # (B,)
     labels: list                    # (B,) int or None
@@ -111,6 +100,8 @@ class GraphBatch:
     node_to_graph: np.ndarray = field(init=False, repr=False)  # (N,)
 
     def __post_init__(self):
+        self.features = Tensor._lift(self.features)
+        self.edge_weights = Tensor._lift(self.edge_weights)
         counts = self.node_counts
         self.node_offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]) \
             .astype(np.int64)
@@ -129,14 +120,6 @@ class GraphBatch:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def features_tensor(self) -> Tensor:
-        f = self.features
-        return f if isinstance(f, Tensor) else Tensor(f)
-
-    def edge_weights_tensor(self) -> Tensor:
-        w = self.edge_weights
-        return w if isinstance(w, Tensor) else Tensor(w)
-
     def graph(self, k: int) -> Graph:
         """Graph ``k`` rebuilt on its own, with local node ids."""
         n0 = int(self.node_offsets[k])
@@ -146,8 +129,8 @@ class GraphBatch:
         center = None if self.centers is None or self.centers[k] < 0 \
             else int(self.centers[k])
         return Graph(n1 - n0, self.edges[e0:e1] - n0,
-                     _row_range(self.features, n0, n1),
-                     _row_range(self.edge_weights, e0, e1),
+                     self.features.slice_axis(0, n0, n1),
+                     self.edge_weights.slice_axis(0, e0, e1),
                      label=self.labels[k],
                      orig_ids=(None if self.orig_ids is None
                                else self.orig_ids[n0:n1]),
@@ -167,11 +150,6 @@ def batch_graphs(graphs: list) -> GraphBatch:
     offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)])
 
-    def union(parts):
-        if all(isinstance(x, np.ndarray) for x in parts):
-            return np.concatenate(parts)
-        return concat(parts)
-
     orig_ids = centers = None
     if any(g.orig_ids is not None for g in graphs):
         orig_ids = np.concatenate([
@@ -180,8 +158,8 @@ def batch_graphs(graphs: list) -> GraphBatch:
     if any(g.center is not None for g in graphs):
         centers = np.array([-1 if g.center is None else g.center
                             for g in graphs], dtype=np.int64)
-    return GraphBatch(edges, union([g.features for g in graphs]),
-                      union([g.edge_weights for g in graphs]), sizes,
+    return GraphBatch(edges, concat([g.features for g in graphs]),
+                      concat([g.edge_weights for g in graphs]), sizes,
                       np.array([g.num_edges for g in graphs], dtype=np.int64),
                       [g.label for g in graphs], orig_ids, centers)
 
@@ -236,8 +214,8 @@ def khop_bfs(g: Graph, center: int, hops: int) -> Graph:
         raise ValueError("hop count must be >= 0")
     kept = np.flatnonzero(khop_nodes(*g.csr(), [center], hops))
     remap, mask = induce(g.edges, g.num_nodes, kept)
-    return Graph(len(kept), remap[g.edges[mask]], take_rows(g.features, kept),
-                 take_rows(g.edge_weights, np.flatnonzero(mask)),
+    return Graph(len(kept), remap[g.edges[mask]], g.features.gather_rows(kept),
+                 g.edge_weights.gather_rows(np.flatnonzero(mask)),
                  label=g.label, orig_ids=kept, center=int(remap[center]))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .encoders import mlp2, param_seed
-from .graphs import GraphBatch, csr, induce, khop_nodes, take_rows
+from .graphs import GraphBatch, csr, induce, khop_nodes
 from .policy import AugmentationKind
 from .rng import RngStream
 from .sampling import gumbel_top_k, relaxed_bernoulli
@@ -87,7 +87,7 @@ def _induced_view(batch: GraphBatch, kept: np.ndarray, p: Tensor) -> GraphBatch:
     old = batch.edges[mask]
     owner = batch.node_to_graph[kept]
     weights = p.gather_rows(old[:, 0]) + p.gather_rows(old[:, 1])
-    return GraphBatch(remap[old], take_rows(batch.features, kept), weights,
+    return GraphBatch(remap[old], batch.features.gather_rows(kept), weights,
                       np.bincount(owner, minlength=batch.num_graphs),
                       np.bincount(batch.node_to_graph[old[:, 0]],
                                   minlength=batch.num_graphs),
@@ -227,7 +227,7 @@ def feature_masking_head(batch: GraphBatch, h_v: Tensor, params: ParameterSet,
     straight-through one, the fully differentiable path used by gradient
     oracles.
     """
-    projected = batch.features_tensor() @ params["lin/w"] + params["lin/b"]
+    projected = batch.features @ params["lin/w"] + params["lin/b"]
     mask_logits = mlp2(h_v, params["mlp/w0"], params["mlp/b0"],
                        params["mlp/w1"], params["mlp/b1"])
     d = mask_logits.shape[1]

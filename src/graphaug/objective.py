@@ -97,14 +97,6 @@ def pairwise_scores(node_matrix: Tensor, graph_vectors: Tensor, kind: str,
     raise ValueError(f"unknown discriminator {kind!r}")
 
 
-def discriminate(h_v: Tensor, h_g: Tensor, kind: str,
-                 params: ParameterSet | None = None) -> Tensor:
-    """Score one node vector against one graph vector."""
-    d = h_v.size
-    table = pairwise_scores(h_v.reshape(1, d), h_g.reshape(1, d), kind, params)
-    return table.reshape(())
-
-
 def score_matrix(node_matrix: Tensor, node_to_graph: np.ndarray,
                  graph_vectors: Tensor, kind: str,
                  params: ParameterSet | None = None) -> ScoreMatrix:

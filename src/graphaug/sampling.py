@@ -17,11 +17,6 @@ class RelaxedSample:
     soft: Tensor                     # relaxed sample, on the tape
     hard: object                     # int index or binary ndarray
     st: Tensor                       # straight-through combination
-    temperature: float
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=float))
 
 
 def gumbel_softmax(logits, temperature: float, stream: RngStream) -> RelaxedSample:
@@ -32,7 +27,7 @@ def gumbel_softmax(logits, temperature: float, stream: RngStream) -> RelaxedSamp
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    logits = _lift(logits)
+    logits = Tensor._lift(logits)
     if not np.isfinite(logits.data).all():
         raise ValueError("logits must be finite")
     noise = stream.gumbel(logits.shape)
@@ -42,7 +37,7 @@ def gumbel_softmax(logits, temperature: float, stream: RngStream) -> RelaxedSamp
     onehot = np.zeros(logits.shape)
     onehot[hard] = 1.0
     st = Tensor(onehot) + soft - soft.detach()
-    return RelaxedSample(soft=soft, hard=hard, st=st, temperature=temperature)
+    return RelaxedSample(soft=soft, hard=hard, st=st)
 
 
 def gumbel_top_k(probs, k: int, stream: RngStream) -> np.ndarray:
@@ -52,7 +47,7 @@ def gumbel_top_k(probs, k: int, stream: RngStream) -> np.ndarray:
     Returns the selected indices in ascending order. The draw is a hard
     decision and builds no tape.
     """
-    p = _lift(probs).data
+    p = Tensor._lift(probs).data
     n = p.shape[-1] if p.ndim else p.size
     if p.ndim != 1:
         raise ValueError("gumbel_top_k expects a 1-D probability vector")
@@ -78,10 +73,10 @@ def relaxed_bernoulli(logits, temperature: float,
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    logits = _lift(logits)
+    logits = Tensor._lift(logits)
     if noise.shape != logits.shape:
         raise ValueError(f"noise shape {noise.shape} != logits {logits.shape}")
     soft = ((logits + Tensor(noise)) * (1.0 / temperature)).sigmoid()
     hard = (soft.data > 0.5).astype(float)
     st = Tensor(hard) + soft - soft.detach()
-    return RelaxedSample(soft=soft, hard=hard, st=st, temperature=temperature)
+    return RelaxedSample(soft=soft, hard=hard, st=st)

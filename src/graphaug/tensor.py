@@ -89,9 +89,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -314,10 +311,6 @@ class Tensor:
             out = out.reshape(tuple(squeezed))
         return out
 
-    def norm(self) -> "Tensor":
-        """Euclidean norm of the whole tensor."""
-        return (self * self).sum().sqrt()
-
     # -- backward pass ----------------------------------------------------------------
 
     def backward(self) -> None:
@@ -491,9 +484,3 @@ class ParameterSet:
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def data_snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self._params.items()}
-
-    def num_values(self) -> int:
-        return sum(t.size for t in self._params.values())

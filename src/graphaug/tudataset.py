@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import container
 from .errors import DatasetError
 from .graphs import Graph
 
@@ -204,54 +203,3 @@ def dataset_stats(ds: Dataset) -> dict:
         "mean_nodes": float(np.mean(n_nodes)),
         "mean_edges_undirected": float(np.mean(n_edges)),
     }
-
-
-def save_dataset_cache(ds: Dataset, path) -> None:
-    """Single-file binary cache (container format)."""
-    feats = np.concatenate([np.asarray(g.features) for g in ds.graphs], axis=0)
-    edges = np.concatenate([g.edges for g in ds.graphs], axis=0) \
-        if any(g.num_edges for g in ds.graphs) else np.zeros((0, 2), dtype=np.int64)
-    tensors = {
-        "features": feats,
-        "edges": edges,
-        "node_counts": np.array([g.num_nodes for g in ds.graphs], dtype=np.int64),
-        "edge_counts": np.array([g.num_edges for g in ds.graphs], dtype=np.int64),
-        "labels": np.array([(-1 if g.label is None else g.label)
-                            for g in ds.graphs], dtype=np.int64),
-    }
-    if ds.node_labels is not None:
-        tensors["node_labels"] = np.concatenate(ds.node_labels)
-    meta = {"name": ds.name, "num_classes": ds.num_classes,
-            "feature_dim": ds.feature_dim,
-            "has_node_labels": ds.node_labels is not None}
-    container.write_container(path, meta, tensors)
-
-
-def load_dataset_cache(path) -> Dataset:
-    meta, tensors = container.read_container(path)
-    node_counts = tensors["node_counts"]
-    edge_counts = tensors["edge_counts"]
-    labels = tensors["labels"]
-    graphs = []
-    n0 = e0 = 0
-    for k in range(len(node_counts)):
-        n1 = n0 + int(node_counts[k])
-        e1 = e0 + int(edge_counts[k])
-        graphs.append(Graph(
-            num_nodes=int(node_counts[k]),
-            edges=tensors["edges"][e0:e1].copy(),
-            features=tensors["features"][n0:n1].copy(),
-            edge_weights=np.ones(e1 - e0),
-            label=None if labels[k] < 0 else int(labels[k]),
-        ))
-        n0, e0 = n1, e1
-    node_labels = None
-    if meta.get("has_node_labels"):
-        node_labels = []
-        n0 = 0
-        for k in range(len(node_counts)):
-            n1 = n0 + int(node_counts[k])
-            node_labels.append(tensors["node_labels"][n0:n1].copy())
-            n0 = n1
-    return Dataset(meta["name"], graphs, meta["num_classes"],
-                   meta["feature_dim"], node_labels)

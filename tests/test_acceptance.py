@@ -100,7 +100,7 @@ def test_criterion_1_gradient_oracle():
     w_e = mlp.add("w_e", Tensor(np.full(len(edges), 0.9)))
 
     def gin_loss():
-        out = gin_layer(Tensor(np.asarray(g.features)), edges[:, 0],
+        out = gin_layer(Tensor(g.features.data), edges[:, 0],
                         edges[:, 1], w_e, 0.0, mlp["w1"], mlp["b1"],
                         mlp["w2"], mlp["b2"])
         return (out * out).sum()
@@ -295,8 +295,7 @@ def test_criterion_4_augmentation_invariants():
             out = one_graph(apply_augmentation, kind, g, h_v, h_g, params,
                             0.7, 2, 1.0, stream.split(str(trial)))
             aug = out.graph
-            w = (aug.edge_weights.data if isinstance(aug.edge_weights, Tensor)
-                 else np.asarray(aug.edge_weights))
+            w = aug.edge_weights.data
             assert aug.num_nodes >= 1
             if aug.num_edges:
                 assert aug.edges.min() >= 0 and aug.edges.max() < aug.num_nodes
@@ -319,10 +318,10 @@ def test_criterion_4_augmentation_invariants():
                 assert aug.num_nodes == g.num_nodes
             elif kind == AugmentationKind.FEATURE_MASK:
                 assert np.array_equal(aug.edges, g.edges)
-                assert np.all(np.asarray(aug.edge_weights) == 1.0)
+                assert np.all(aug.edge_weights.data == 1.0)
             else:
                 assert np.array_equal(aug.edges, g.edges)
-                assert np.all(np.asarray(aug.edge_weights) == 1.0)
+                assert np.all(aug.edge_weights.data == 1.0)
             checks += 1
     report(4, f"{checks} randomized head applications, zero violations")
 
@@ -408,8 +407,8 @@ def test_criterion_8_alternation_contract():
     state = init_state(config, 3)
     counts = {True: 0, False: 0}
     for _ in range(1000):
-        theta_before = state.theta.data_snapshot()
-        omega_before = state.omega.data_snapshot()
+        theta_before = {k: v.data.copy() for k, v in state.theta.items()}
+        omega_before = {k: v.data.copy() for k, v in state.omega.items()}
         res = train_step(batch, state, config)
         counts[res.coin] += 1
         frozen = omega_before if res.coin else theta_before

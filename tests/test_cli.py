@@ -233,17 +233,37 @@ def test_probe_graph_protocol(dataset_dir, tmp_path, capsys):
     assert (out / "probe_report.csv").exists()
 
 
-def test_probe_dim_mismatch_fails(dataset_dir, tmp_path, capsys):
-    ck = trained_checkpoint(dataset_dir, tmp_path)
+def wider_dataset(tmp_path):
+    """A dataset like SYN whose feature dimension is two larger."""
     other = write_synthetic_tudataset(tmp_path / "other", name="OTH")
     # OTH has the same node-label alphabet; force a different d_x via attributes
     n_nodes = len((other / "OTH_graph_indicator.txt").read_text().split())
     (other / "OTH_node_attributes.txt").write_text(
         "\n".join("0.5, 1.5" for _ in range(n_nodes)) + "\n")
+    return other
+
+
+def test_probe_dim_mismatch_fails(dataset_dir, tmp_path, capsys):
+    ck = trained_checkpoint(dataset_dir, tmp_path)
+    other = wider_dataset(tmp_path)
     code = run_cli("probe", "--checkpoint", str(ck), "--dataset", str(other),
                    "--out", str(tmp_path / "p2"))
     assert code == 1
     assert "d_x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [("--folds", "0"), ("--folds", "1"),
+                                   ("--runs", "0")])
+def test_probe_rejects_unusable_counts(dataset_dir, tmp_path, capsys, flags):
+    ck = trained_checkpoint(dataset_dir, tmp_path)
+    out = tmp_path / "p-counts"
+    code = run_cli("probe", "--checkpoint", str(ck), "--dataset",
+                   str(dataset_dir), "--out", str(out), *flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot probe")
+    assert flags[0].lstrip("-") in err
+    assert not out.exists()
 
 
 def test_probe_corrupt_checkpoint(dataset_dir, tmp_path, capsys):
@@ -351,6 +371,32 @@ def test_inspect_subgraph_connected(dataset_dir, tmp_path):
         assert seen == set(range(n))
 
 
+def test_inspect_dim_mismatch_fails_cleanly(dataset_dir, tmp_path, capsys):
+    ck = trained_checkpoint(dataset_dir, tmp_path)
+    out = tmp_path / "ins-dim"
+    code = run_cli("inspect", "--checkpoint", str(ck), "--dataset",
+                   str(wider_dataset(tmp_path)), "--out", str(out),
+                   "--head", "feature_mask")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint expects d_x=")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_inspect_rejects_num_graphs_below_one(dataset_dir, tmp_path, capsys,
+                                              count):
+    ck = trained_checkpoint(dataset_dir, tmp_path)
+    out = tmp_path / "ins-count"
+    code = run_cli("inspect", "--checkpoint", str(ck), "--dataset",
+                   str(dataset_dir), "--out", str(out), "--head", "identity",
+                   "--num-graphs", count)
+    assert code == 2
+    assert "--num-graphs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inspect_unknown_head(dataset_dir, tmp_path, capsys):
     ck = trained_checkpoint(dataset_dir, tmp_path)
     code = run_cli("inspect", "--checkpoint", str(ck), "--dataset",
@@ -419,6 +465,23 @@ def test_node_task_cli_roundtrip(tmp_path, capsys):
     report = json.loads((probe_out / "probe_report.json").read_text())
     assert len(report["accuracies"]) == 3
     assert "random splits" in report["protocol"]
+
+
+def test_node_probe_rejects_zero_runs(tmp_path, capsys):
+    data_dir = write_single_graph_dataset(tmp_path)
+    out = tmp_path / "node-run"
+    assert run_cli("train", "--dataset", str(data_dir), "--task", "node",
+                   "--out", str(out), "--epochs", "0", "--hidden-dim", "8",
+                   "--num-layers", "1", "--hops", "1", "--seed", "3",
+                   "--policy", "random") == 0
+    probe_out = tmp_path / "node-probe"
+    code = run_cli("probe", "--checkpoint", str(out / "checkpoint.bin"),
+                   "--dataset", str(data_dir), "--out", str(probe_out),
+                   "--runs-node", "0")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot probe") and "runs" in err
+    assert not probe_out.exists()
 
 
 def test_node_probe_one_based_labels_match_zero_based(tmp_path, capsys):

@@ -28,3 +28,74 @@ def test_guard_sees_a_third_party_import(tmp_path):
     module = tmp_path / "mod.py"
     module.write_text("import os\nfrom scipy import sparse\nfrom . import x\n")
     assert imported_roots(module) - ALLOWED == {"scipy"}
+
+
+# Functions defined in src/ that no code in src/ calls, each with the reason
+# it stays. Anything else that only tests reach belongs in tests/. The CLI
+# commands need no entry: build_parser wires them up and main() runs them.
+UNCALLED_BY_DESIGN = {
+    "finite_diff_grad": "the independent gradient oracle the tests check "
+                        "backward() against; exported by the package",
+    "names": "the benchmark harness compares checkpoints' parameter sets "
+             "by it (perfbench/workloads.py)",
+}
+
+
+def defined_functions(paths) -> dict:
+    """Top-level functions and methods (dunders skipped) -> defining file."""
+    defined = {}
+    for path in paths:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not (fn.name.startswith("__")
+                                 and fn.name.endswith("__")):
+                    defined.setdefault(fn.name, path.name)
+    return defined
+
+
+def referenced_names(paths) -> set:
+    """Every identifier that code loads, as a bare name or an attribute.
+
+    Def names, imports, strings and comments are not references, so a
+    function only re-exported or only mentioned in a docstring counts as
+    uncalled.
+    """
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def uncalled_functions(paths) -> dict:
+    used = referenced_names(paths)
+    return {name: where for name, where in defined_functions(paths).items()
+            if name not in used}
+
+
+def test_src_defines_no_function_only_tests_call():
+    uncalled = uncalled_functions(sorted(SRC.glob("*.py")))
+    assert set(UNCALLED_BY_DESIGN) <= set(uncalled), \
+        "exception no longer needed: " \
+        f"{sorted(set(UNCALLED_BY_DESIGN) - set(uncalled))}"
+    extra = {n: f for n, f in uncalled.items() if n not in UNCALLED_BY_DESIGN}
+    assert not extra, f"defined in src/ but never called there: {extra}"
+
+
+def test_guard_flags_a_function_only_a_docstring_names(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from .other import helper\n\n"
+        "def used():\n    return 1\n\n"
+        "def unused():\n    \"\"\"Not used() by anything.\"\"\"\n\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.v = used()\n\n"
+        "    def size(self):\n        return self.v\n\n"
+        "    def orphan(self):\n        return Box().size()\n")
+    assert uncalled_functions([module]) == {"unused": "mod.py",
+                                            "orphan": "mod.py"}

@@ -133,7 +133,7 @@ def test_readout_equals_recomputed_column_sums():
     batch = batch_graphs([g])
     # recompute the pre-projection node matrix independently
     from graphaug.encoders import gin_layer as gl
-    h = Tensor(np.asarray(g.features))
+    h = Tensor(g.features.data)
     edges = batch.edges
     for layer in range(2):
         base = f"layer{layer}"
@@ -152,7 +152,7 @@ def test_node_permutation_equivariance():
     perm = RngStream(4, "perm").permutation(5)
     inv = np.argsort(perm)
     g_perm = Graph(5, np.stack([inv[g.edges[:, 0]], inv[g.edges[:, 1]]], axis=1),
-                   np.asarray(g.features)[perm], np.asarray(g.edge_weights))
+                   g.features.data[perm], g.edge_weights.data)
     cfg = EncoderConfig(input_dim=3, hidden_dim=8, num_layers=2)
     params = init_encoder_params(cfg, seed=21)
     enc = encode(batch_graphs([g]), params, cfg)
@@ -168,7 +168,7 @@ def test_unit_weights_match_unweighted():
     params = init_encoder_params(cfg, seed=3)
     batch = batch_graphs([g])
     edges = batch.edges
-    h = Tensor(np.asarray(g.features))
+    h = Tensor(g.features.data)
     manual = h.data.copy()
     agg = np.zeros_like(manual)
     for a, b in edges:
@@ -192,7 +192,7 @@ def test_gradient_through_edge_weights():
     w0 = np.full(len(edges), 0.8)
 
     def loss_fn(wt):
-        g2 = Graph(g.num_nodes, g.edges, np.asarray(g.features), wt)
+        g2 = Graph(g.num_nodes, g.edges, g.features.data, wt)
         enc = encode(batch_graphs([g2]), params, cfg)
         return (enc.graph_vector * enc.graph_vector).sum()
 
@@ -212,7 +212,7 @@ def test_gcn_gradient_through_edge_weights():
     w0 = np.full(len(edges), 1.2)
 
     def loss_fn(wt):
-        g2 = Graph(g.num_nodes, g.edges, np.asarray(g.features), wt)
+        g2 = Graph(g.num_nodes, g.edges, g.features.data, wt)
         enc = encode(batch_graphs([g2]), params, cfg)
         return enc.graph_vector.sum()
 

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphaug.errors import InvalidShapeError
 from graphaug.graphs import (
-    Graph, batch_graphs, khop_bfs, make_node_task_batch,
+    Graph, GraphBatch, batch_graphs, khop_bfs, make_node_task_batch,
 )
 from graphaug.rng import RngStream
 from graphaug.tensor import Tensor
@@ -54,7 +56,7 @@ def test_khop_on_path():
     assert sorted(sub.orig_ids.tolist()) == [1, 2, 3]
     undirected = {tuple(sorted(e)) for e in sub.edges.tolist()}
     assert undirected == {(0, 1), (1, 2)}
-    assert np.array_equal(sub.features, g.features[[1, 2, 3]])
+    assert np.array_equal(sub.features.data, g.features.data[[1, 2, 3]])
 
 
 def test_khop_zero_hops():
@@ -124,14 +126,8 @@ def _khop_bfs_reference(g: Graph, center: int, hops: int) -> Graph:
     else:
         mask = np.zeros(0, dtype=bool)
         new_edges = np.zeros((0, 2), dtype=np.int64)
-    if isinstance(g.features, Tensor):
-        feats = g.features.gather_rows(kept)
-    else:
-        feats = g.features[kept].copy()
-    if isinstance(g.edge_weights, Tensor):
-        weights = g.edge_weights.gather_rows(np.flatnonzero(mask))
-    else:
-        weights = g.edge_weights[mask].copy()
+    feats = g.features.gather_rows(kept)
+    weights = g.edge_weights.gather_rows(np.flatnonzero(mask))
     return Graph(len(kept), new_edges, feats, weights, label=g.label,
                  orig_ids=kept, center=int(remap[center]))
 
@@ -152,19 +148,15 @@ def messy_digraph(n, num_edges, stream, tensors=False):
     return Graph(n, edges, feats, weights, label=1)
 
 
-def _raw(x):
-    return x.data if isinstance(x, Tensor) else x
-
-
 def assert_same_graph(got: Graph, want: Graph):
     assert got.num_nodes == want.num_nodes
     assert got.label == want.label and got.center == want.center
     for a, b in [(got.edges, want.edges), (got.orig_ids, want.orig_ids),
-                 (_raw(got.features), _raw(want.features)),
-                 (_raw(got.edge_weights), _raw(want.edge_weights))]:
+                 (got.features.data, want.features.data),
+                 (got.edge_weights.data, want.edge_weights.data)]:
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert type(got.features) is type(want.features)
-    assert type(got.edge_weights) is type(want.edge_weights)
+    assert got.features.requires_grad == want.features.requires_grad
+    assert got.edge_weights.requires_grad == want.edge_weights.requires_grad
 
 
 @pytest.mark.parametrize("tensors", [False, True])
@@ -222,7 +214,7 @@ def test_batch_single_graph_identity():
     g = path_graph(4)
     b = batch_graphs([g])
     assert np.array_equal(b.edges, g.edges)
-    assert np.array_equal(b.features_tensor().data, g.features)
+    assert np.array_equal(b.features.data, g.features.data)
 
 
 def test_batch_empty_list_rejected():
@@ -233,6 +225,44 @@ def test_batch_empty_list_rejected():
 def test_batch_mixed_dims_rejected():
     with pytest.raises(InvalidShapeError):
         batch_graphs([path_graph(3, d=2), path_graph(3, d=5)])
+
+
+# -- graph data is always a Tensor -------------------------------------------------
+
+def test_arrays_are_wrapped_without_a_copy():
+    edges = np.array([(0, 1), (1, 0), (1, 2), (2, 1)])
+    feats, weights = np.arange(6.0).reshape(3, 2), np.linspace(0.1, 0.4, 4)
+    g = Graph(3, edges, feats, weights)
+    b = GraphBatch(edges, feats, weights, np.array([3]), np.array([4]), [None])
+    for x in (g, b):
+        assert type(x.features) is Tensor and type(x.edge_weights) is Tensor
+        assert x.features.data is feats and x.edge_weights.data is weights
+        assert not x.features.requires_grad
+        assert not x.edge_weights.requires_grad
+
+
+def test_tensors_pass_through_as_the_same_object():
+    edges = np.array([(0, 1), (1, 0)])
+    feats = Tensor(np.ones((2, 3)), requires_grad=True)
+    weights = Tensor(np.full(2, 0.5), requires_grad=True)
+    g = Graph(2, edges, feats, weights)
+    b = GraphBatch(edges, feats, weights, np.array([2]), np.array([2]), [None])
+    for x in (g, b):
+        assert x.features is feats and x.edge_weights is weights
+
+
+def test_replace_with_array_weights_yields_a_tensor():
+    b = batch_graphs([path_graph(3), path_graph(2)])
+    unit = replace(b, edge_weights=np.ones(b.num_edges))
+    assert type(unit.edge_weights) is Tensor
+    assert np.array_equal(unit.edge_weights.data, np.ones(b.num_edges))
+    assert unit.features is b.features
+
+
+def test_batch_of_array_graphs_stays_off_the_tape():
+    b = batch_graphs([path_graph(3), path_graph(4, d=2), path_graph(1)])
+    assert not b.features.requires_grad and not b.edge_weights.requires_grad
+    assert b.features._parents == () and b.edge_weights._parents == ()
 
 
 # -- node-task batches ----------------------------------------------------------

@@ -56,8 +56,7 @@ def check_graph_invariants(out: Graph):
     assert out.num_nodes >= 1
     if out.num_edges:
         assert out.edges.min() >= 0 and out.edges.max() < out.num_nodes
-    w = out.edge_weights.data if isinstance(out.edge_weights, Tensor) \
-        else np.asarray(out.edge_weights)
+    w = out.edge_weights.data
     assert w.shape == (out.num_edges,)
     assert np.isfinite(w).all()
 
@@ -154,7 +153,7 @@ def test_edge_perturb_keeps_nodes_and_features():
                     head_params(AugmentationKind.EDGE_PERTURB),
                     1.0, RngStream(6, "ep"))
     assert out.graph.num_nodes == g.num_nodes
-    assert np.array_equal(np.asarray(out.graph.features), np.asarray(g.features))
+    assert np.array_equal(out.graph.features.data, g.features.data)
 
 
 def test_edge_perturb_gradient_to_head():
@@ -172,7 +171,7 @@ def test_edge_perturb_gradient_to_head():
         return (out.graph.edge_weights ** 2.0).sum()
 
     flat0 = params["mlp/w0"].data.reshape(-1).copy()
-    params["mlp/w0"].zero_grad()
+    params["mlp/w0"].grad = None
     loss = loss_fn(Tensor(flat0))
     loss.backward()
     analytic = params["mlp/w0"].grad.copy()
@@ -251,10 +250,10 @@ def test_feature_mask_all_ones():
     params["mlp/b1"].data = np.full_like(params["mlp/b1"].data, 200.0)
     out = one_graph(feature_masking_head, g, h_v, params, 1.0,
                     RngStream(9, "fm"))
-    lin = np.asarray(g.features) @ params["lin/w"].data + params["lin/b"].data
+    lin = g.features.data @ params["lin/w"].data + params["lin/b"].data
     assert np.allclose(out.graph.features.data, lin)
     assert np.array_equal(out.graph.edges, g.edges)
-    assert np.all(np.asarray(out.graph.edge_weights) == 1.0)
+    assert np.all(out.graph.edge_weights.data == 1.0)
 
 
 def test_feature_mask_all_zeros():
@@ -304,10 +303,10 @@ def test_identity_unit_weights():
     g = make_graph(14)
     out = one_graph(identity_augmentation, g)
     assert np.array_equal(out.graph.edges, g.edges)
-    assert np.all(np.asarray(out.graph.edge_weights) == 1.0)
+    assert np.all(out.graph.edge_weights.data == 1.0)
     twice = one_graph(identity_augmentation, out.graph)
-    assert np.array_equal(np.asarray(twice.graph.features),
-                          np.asarray(out.graph.features))
+    assert np.array_equal(twice.graph.features.data,
+                          out.graph.features.data)
     assert out.soft_params == {}
 
 
@@ -323,9 +322,7 @@ def test_randomized_head_invariants(kind):
         out = one_graph(apply_augmentation, kind, g, h_v, h_g, params, 0.7,
                         2, 1.0, stream.split(str(trial)))
         check_graph_invariants(out.graph)
-        w = (out.graph.edge_weights.data
-             if isinstance(out.graph.edge_weights, Tensor)
-             else np.asarray(out.graph.edge_weights))
+        w = out.graph.edge_weights.data
         if kind in (AugmentationKind.NODE_DROP, AugmentationKind.SUBGRAPH):
             if len(w):
                 assert np.all(w > 0.0) and np.all(w <= 2.0)
@@ -414,7 +411,7 @@ def _ref_node_drop(g, h_v, h_g, params, keep_ratio, stream):
         kept_edges_old = np.zeros((0, 2), dtype=np.int64)
     weights = (_ref_induced_edge_weights(kept_edges_old, p)
                if len(kept_edges_old) else Tensor(np.zeros(0)))
-    feats = np.asarray(g.features)[kept].copy()
+    feats = g.features.data[kept].copy()
     out = Graph(len(kept), remap[kept_edges_old], feats, weights,
                 label=g.label, orig_ids=kept)
     return HeadOutput(out, {"node_probs": p})
@@ -465,7 +462,7 @@ def _ref_edge_perturb(g, h_v, params, temperature, stream):
     edges = np.array(directed, dtype=np.int64).reshape(-1, 2)
     weights = (probs.gather_rows(np.array(weight_src, dtype=np.int64))
                if weight_src else Tensor(np.zeros(0)))
-    out = Graph(g.num_nodes, edges, np.asarray(g.features).copy(), weights,
+    out = Graph(g.num_nodes, edges, g.features.data.copy(), weights,
                 label=g.label, orig_ids=g.orig_ids, center=g.center)
     return HeadOutput(out, {"edge_probs": probs, "keep_soft": keep.soft})
 
@@ -484,7 +481,7 @@ def _ref_subgraph(g, h_v, h_g, params, hops, temperature, stream):
 
 
 def _ref_feature_mask(g, h_v, params, temperature, stream):
-    x = Tensor(np.asarray(g.features))
+    x = Tensor(g.features.data)
     projected = x @ params["lin/w"] + params["lin/b"]
     mask_logits = mlp2(h_v, params["mlp/w0"], params["mlp/b0"],
                        params["mlp/w1"], params["mlp/b1"])
@@ -511,7 +508,7 @@ def _ref_apply(kind, g, h_v, h_g, params, keep_ratio, hops, temperature,
                              stream)
     if kind == AugmentationKind.FEATURE_MASK:
         return _ref_feature_mask(g, h_v, params[kind], temperature, stream)
-    out = Graph(g.num_nodes, g.edges.copy(), np.asarray(g.features).copy(),
+    out = Graph(g.num_nodes, g.edges.copy(), g.features.data.copy(),
                 np.ones(g.num_edges), label=g.label, orig_ids=g.orig_ids,
                 center=g.center)
     return HeadOutput(out, {})
@@ -538,18 +535,13 @@ def mutag_batch_graphs(mutag_dir, count, start=0):
     return parse_tudataset(mutag_dir).graphs[start:start + count]
 
 
-def _values_of(x):
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
-
-
 def _view_scalar(graphs):
     """A scalar of the views that depends on every soft output."""
     total = Tensor(0.0)
     for g in graphs:
-        if isinstance(g.edge_weights, Tensor) and g.num_edges:
+        if g.num_edges:
             total = total + (g.edge_weights * g.edge_weights).sum()
-        if isinstance(g.features, Tensor):
-            total = total + (g.features * g.features).sum()
+        total = total + (g.features * g.features).sum()
     return total
 
 
@@ -610,8 +602,8 @@ def _check_against_reference(graphs, kind, seed, d_h=5):
             assert view.orig_ids is None
         else:
             assert np.array_equal(view.orig_ids, want.orig_ids)
-        _close(_values_of(view.edge_weights), _values_of(want.edge_weights))
-        _close(_values_of(view.features), _values_of(want.features))
+        _close(view.edge_weights.data, want.edge_weights.data)
+        _close(view.features.data, want.features.data)
     for key, soft in out.soft_params.items():
         parts = [r.soft_params[key].data for r in refs if key in r.soft_params]
         _close(soft.data, np.concatenate(parts))
@@ -644,9 +636,7 @@ def test_batched_heads_match_reference_on_mutag(kind, mutag_dir):
 def _tape_size(view):
     """Tape nodes (with a backward closure) reachable from a view's edge
     weights and features."""
-    roots = [x for x in (view.edge_weights, view.features)
-             if isinstance(x, Tensor)]
-    seen, stack, count = set(), roots, 0
+    seen, stack, count = set(), [view.edge_weights, view.features], 0
     while stack:
         t = stack.pop()
         if id(t) in seen:

@@ -5,7 +5,7 @@ import pytest
 
 from graphaug.encoders import Encodings
 from graphaug.objective import (
-    ObjectiveConfig, batch_loss, discriminate, estimate_mi,
+    ObjectiveConfig, batch_loss, estimate_mi,
     ScoreMatrix, init_discriminator_params, jsd_mi, pairwise_scores,
     score_matrix,
 )
@@ -17,6 +17,13 @@ from conftest import rel_err
 
 def softplus(x):
     return np.logaddexp(0.0, x)
+
+
+def discriminate(h_v, h_g, kind, params=None):
+    """Score one node vector against one graph vector."""
+    d = h_v.size
+    return pairwise_scores(h_v.reshape(1, d), h_g.reshape(1, d), kind,
+                           params).reshape(())
 
 
 # -- discriminators -----------------------------------------------------------

@@ -88,7 +88,6 @@ OPS = [
     ("transpose", lambda t: (t.transpose() @ Tensor(_rand((3, 2), label="tr"))).sum(), False),
     ("gather", lambda t: (t.gather_rows([0, 2, 2, 1]) ** 2.0).sum(), False),
     ("slice", lambda t: (t.slice_axis(1, 1, 3) ** 2.0).sum(), False),
-    ("norm", lambda t: t.norm(), False),
     ("clip_min", lambda t: t.clip_min(0.25).sum(), False),
     ("segment_softmax", lambda t: (segment_softmax(t.reshape(12), [0, 1, 5, 6])
                                    * Tensor(_rand((12,), label="ssm"))).sum(),

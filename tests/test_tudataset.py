@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from graphaug.errors import DatasetError
-from graphaug.tudataset import (
-    dataset_stats, load_dataset_cache, parse_tudataset, save_dataset_cache,
-)
+from graphaug.tudataset import dataset_stats, parse_tudataset
 
 
 def write_dataset(tmp_path, name="TOY", edges=((1, 2), (2, 1)), indicator=(1, 1),
@@ -33,7 +31,7 @@ def test_minimal_two_node_graph(tmp_path):
     g = ds.graphs[0]
     assert g.num_nodes == 2
     assert g.num_edges == 2            # both orientations after symmetrization
-    assert np.all(g.edge_weights == 1.0)
+    assert np.all(g.edge_weights.data == 1.0)
 
 
 def test_symmetrization_adds_missing_orientation(tmp_path):
@@ -74,7 +72,7 @@ def test_node_labels_one_hot(tmp_path):
     assert ds.feature_dim == 2          # values {0, 2}
     assert ds.num_classes == 2
     assert ds.graphs[0].label == 0 and ds.graphs[1].label == 1
-    assert np.array_equal(np.asarray(ds.graphs[0].features),
+    assert np.array_equal(ds.graphs[0].features.data,
                           [[1.0, 0.0], [0.0, 1.0]])
     assert ds.node_labels is not None
     assert ds.node_labels[1].tolist() == [2, 0]
@@ -85,7 +83,7 @@ def test_attributes_concatenated_before_onehot(tmp_path):
                       node_attributes=((0.5, 1.5), (2.5, 3.5)))
     ds = parse_tudataset(d)
     assert ds.feature_dim == 4
-    assert np.allclose(np.asarray(ds.graphs[0].features),
+    assert np.allclose(ds.graphs[0].features.data,
                        [[0.5, 1.5, 0.0, 1.0], [2.5, 3.5, 1.0, 0.0]])
 
 
@@ -93,7 +91,7 @@ def test_featureless_degree_synthesis(tmp_path):
     d = write_dataset(tmp_path, edges=((1, 2), (2, 1), (2, 3), (3, 2)),
                       indicator=(1, 1, 1))
     ds = parse_tudataset(d)
-    X = np.asarray(ds.graphs[0].features)
+    X = ds.graphs[0].features.data
     assert X.shape == (3, 66)          # degrees 0..64 one-hot + constant
     assert np.all(X[:, -1] == 1.0)
     assert X[0, 1] == 1.0 and X[1, 2] == 1.0 and X[2, 1] == 1.0
@@ -119,25 +117,6 @@ def test_dangling_index_errors(tmp_path):
     d = write_dataset(tmp_path, edges=((1, 7),), indicator=(1, 1))
     with pytest.raises(DatasetError, match="dangling"):
         parse_tudataset(d)
-
-
-def test_cache_roundtrip(tmp_path):
-    d = write_dataset(tmp_path, edges=((1, 2), (2, 1), (3, 4), (4, 3)),
-                      indicator=(1, 1, 2, 2), graph_labels=(0, 1),
-                      node_labels=(3, 1, 1, 3))
-    ds = parse_tudataset(d)
-    cache = tmp_path / "ds.bin"
-    save_dataset_cache(ds, cache)
-    back = load_dataset_cache(cache)
-    assert back.name == ds.name
-    assert back.num_classes == ds.num_classes
-    assert len(back.graphs) == len(ds.graphs)
-    for a, b in zip(ds.graphs, back.graphs):
-        assert np.array_equal(np.asarray(a.features), np.asarray(b.features))
-        assert np.array_equal(a.edges, b.edges)
-        assert a.label == b.label
-    assert all(np.array_equal(a, b)
-               for a, b in zip(ds.node_labels, back.node_labels))
 
 
 # -- golden values -------------------------------------------------------------
