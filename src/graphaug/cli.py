@@ -181,6 +181,14 @@ def cmd_train(args) -> int:
 def cmd_probe(args) -> int:
     resolved = resolve_config(args)
     state, config, dataset = _load_model(args, resolved)
+    counts = ({"folds": (args.folds, 2), "runs": (args.runs, 1)}
+              if config.task == "graph" else
+              {"runs-node": (args.runs_node, 1)})
+    low = [f"--{flag} >= {least}, got {value}"
+           for flag, (value, least) in counts.items() if value < least]
+    if low:                       # before paying for the embed
+        raise GraphAugError(f"cannot probe {dataset.name}: need "
+                            + " and ".join(low))
     table = embed_dataset(dataset, state, config)
     try:
         if config.task == "graph":

@@ -27,7 +27,7 @@ from .tensor import ParameterSet, Tensor, concat, segment_softmax, \
     xavier_init, zeros_param
 
 # The batched heads no longer call these two; perfbench/spans.py wraps them
-# under this module's name, so they stay importable here.
+# here, so they stay (tests/test_dependencies.py checks its every site).
 from .graphs import khop_bfs  # noqa: F401
 from .sampling import gumbel_softmax  # noqa: F401
 

@@ -53,10 +53,9 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray],
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
-def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place if their joint norm exceeds ``max_norm``.
-
-    Returns the pre-clip global norm.
+def clip_by_global_norm(grads: dict, max_norm: float) -> float:
+    """Scale the gradient arrays in place if their joint norm exceeds
+    ``max_norm``. Returns the pre-clip global norm.
     """
     total = 0.0
     for g in grads.values():
@@ -64,6 +63,6 @@ def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     norm = total ** 0.5
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
-        for name in grads:
-            grads[name] = grads[name] * scale
+        for g in grads.values():
+            g *= scale
     return norm

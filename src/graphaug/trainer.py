@@ -212,13 +212,9 @@ def train_step(batch: GraphBatch, state: TrainState,
     coin = state.coin_stream.bernoulli(config.alternation_prob)
     update_groups = ["policy", "heads", "theta" if coin else "omega"]
     grads = {g: _collect_grads(state.group(g)) for g in update_groups}
-    if config.clip_norm is not None:
-        joint = {f"{g}::{n}": arr for g, gs in grads.items()
-                 for n, arr in gs.items()}
-        clip_by_global_norm(joint, config.clip_norm)
-        for key, arr in joint.items():
-            gname, pname = key.split("::", 1)
-            grads[gname][pname] = arr
+    if config.clip_norm is not None:      # scales the group dicts' arrays
+        clip_by_global_norm({(g, n): arr for g, gs in grads.items()
+                             for n, arr in gs.items()}, config.clip_norm)
     for gname in update_groups:
         adam_step(state.group(gname), grads[gname], state.adam[gname],
                   config.learning_rate)

@@ -9,11 +9,21 @@ Expected files (``DS`` is the dataset prefix, inferred from the directory):
 
 Node labels are one-hot encoded into X (after any attribute columns).
 Datasets with no declared features get a synthesized degree one-hot
-(capped at 64) plus a constant channel.
+(capped at 64) plus a constant channel. Repeated directed edges collapse
+(with a warning), and every edge gains its reverse orientation.
+
+A file that breaks a rule raises ``DatasetError`` naming it. Field counts:
+two per line in DS_A.txt, one in the indicator and label files, the same on
+every attribute line; ids and labels are integers. Row counts: one label
+line per graph, one node-label and attribute line per node (blank lines do
+not count). Graph ids are 1-based and contiguous, 1..G with every id used.
+Edge endpoints are node ids 1..N in one graph.
 """
 from __future__ import annotations
 
+import io
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,9 +62,49 @@ def _find_prefix(directory: Path) -> str:
     return hits[0].name[: -len("_graph_indicator.txt")]
 
 
-def _read_int_lines(path: Path) -> np.ndarray:
-    return np.array([int(float(line)) for line in path.read_text().split()],
-                    dtype=np.int64)
+def _read_table(path: Path, columns: int | None, dtype) -> np.ndarray:
+    """The non-blank lines of a comma-separated file as a ``(lines,
+    columns)`` array; ``columns=None`` asks only for equal lines."""
+    text = re.sub(r"(?m)^[ \t]+$", "", path.read_text())   # blank lines
+    if not text.strip():
+        return np.zeros((0, columns or 0), dtype=dtype)
+    try:
+        table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",",
+                           ndmin=2, comments=None)
+    except ValueError as exc:    # a bad token, or lines of unequal length
+        raise DatasetError(f"{path.name}: {str(exc).split(';')[0]}") from None
+    if columns not in (None, table.shape[1]):
+        raise DatasetError(f"{path.name}: {table.shape[1]} fields on a line, "
+                           f"expected {columns}")
+    return table
+
+
+def _read_column(path: Path, rows: int, what: str) -> np.ndarray:
+    """One integer per line, one line per ``what``."""
+    column = _read_table(path, 1, np.int64)[:, 0]
+    if len(column) != rows:
+        raise DatasetError(f"{path.name} has {len(column)} lines for {rows} "
+                           f"{what}")
+    return column
+
+
+def _features(num_nodes: int, edges: np.ndarray, node_labels, attrs):
+    """Attribute columns, then the node-label one-hot; with neither, the
+    capped degree one-hot of the distinct undirected edges plus a constant
+    channel."""
+    if node_labels is None and attrs is None:
+        pairs = np.unique(edges.min(axis=1) * num_nodes + edges.max(axis=1))
+        lo, hi = pairs // num_nodes, pairs % num_nodes
+        deg = np.bincount(np.concatenate((lo, hi[lo != hi])),
+                          minlength=num_nodes)
+        features = np.eye(DEGREE_CAP + 2)[np.minimum(deg, DEGREE_CAP)]
+        features[:, -1] = 1.0
+        return features
+    blocks = [] if attrs is None else [attrs]
+    if node_labels is not None:
+        values, column = np.unique(node_labels, return_inverse=True)
+        blocks.append(np.eye(len(values))[column])
+    return np.concatenate(blocks, axis=1)
 
 
 def parse_tudataset(directory) -> Dataset:
@@ -66,129 +116,75 @@ def parse_tudataset(directory) -> Dataset:
     adj_path = directory / f"{prefix}_A.txt"
     if not adj_path.exists():
         raise DatasetError(f"missing mandatory file {adj_path.name}")
-    indicator = _read_int_lines(directory / f"{prefix}_graph_indicator.txt") - 1
-    num_nodes_total = len(indicator)
-    num_graphs = int(indicator.max()) + 1
+    indicator_path = directory / f"{prefix}_graph_indicator.txt"
+    indicator = _read_table(indicator_path, 1, np.int64)[:, 0] - 1
+    ids = np.unique(indicator)
+    if not len(ids) or ids[0] != 0 or ids[-1] != len(ids) - 1:
+        raise DatasetError(
+            f"{indicator_path.name}: graph ids must run 1..G with every id "
+            f"used; found {len(ids)} distinct ids"
+            + (f" from {ids[0] + 1} to {ids[-1] + 1}" if len(ids) else ""))
+    num_nodes_total, num_graphs = len(indicator), len(ids)
 
-    rows = []
-    for lineno, line in enumerate(adj_path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        a, b = line.split(",")
-        rows.append((int(a) - 1, int(b) - 1))
-    edges_global = np.array(rows, dtype=np.int64).reshape(-1, 2)
-    if edges_global.size and (edges_global.min() < 0
-                              or edges_global.max() >= num_nodes_total):
-        bad = edges_global.max() if edges_global.max() >= num_nodes_total else edges_global.min()
-        raise DatasetError(f"dangling node index {bad + 1} in {adj_path.name}")
+    edges_global = _read_table(adj_path, 2, np.int64) - 1
+    dangling = (edges_global < 0) | (edges_global >= num_nodes_total)
+    if dangling.any():
+        raise DatasetError(f"dangling node index "
+                           f"{edges_global[dangling][0] + 1} in {adj_path.name}")
 
     labels_path = directory / f"{prefix}_graph_labels.txt"
+    graph_labels, num_classes = [None] * num_graphs, 0
     if labels_path.exists():
-        raw_labels = _read_int_lines(labels_path)
-        classes = np.unique(raw_labels)
-        class_map = {int(c): i for i, c in enumerate(classes)}
-        graph_labels = np.array([class_map[int(c)] for c in raw_labels])
-        num_classes = len(classes)
-    else:
-        graph_labels = None
-        num_classes = 0
+        classes, graph_labels = np.unique(
+            _read_column(labels_path, num_graphs, "graphs"),
+            return_inverse=True)
+        num_classes, graph_labels = len(classes), graph_labels.tolist()
 
     node_labels_path = directory / f"{prefix}_node_labels.txt"
-    node_labels = (_read_int_lines(node_labels_path)
+    node_labels = (_read_column(node_labels_path, num_nodes_total, "nodes")
                    if node_labels_path.exists() else None)
     attr_path = directory / f"{prefix}_node_attributes.txt"
+    attrs = None
     if attr_path.exists():
-        attrs = np.array(
-            [[float(x) for x in line.split(",")]
-             for line in attr_path.read_text().splitlines() if line.strip()])
-    else:
-        attrs = None
+        attrs = _read_table(attr_path, None, float)
+        if len(attrs) != num_nodes_total:
+            raise DatasetError(f"{attr_path.name} row count != node count")
+    features = _features(num_nodes_total, edges_global, node_labels, attrs)
 
-    # group nodes by graph (the convention keeps them contiguous, but a
-    # general mapping costs nothing)
-    node_lists = [np.flatnonzero(indicator == k) for k in range(num_graphs)]
-    node_of = {}
-    for k, nodes in enumerate(node_lists):
-        local = {int(n): i for i, n in enumerate(nodes)}
-        node_of[k] = local
+    src_graph, dst_graph = indicator[edges_global.T]
+    if (src_graph != dst_graph).any():
+        e = np.argmax(src_graph != dst_graph)
+        raise DatasetError(
+            f"edge ({edges_global[e, 0] + 1},{edges_global[e, 1] + 1}) "
+            f"crosses graphs {src_graph[e] + 1} and {dst_graph[e] + 1}")
 
-    # feature matrix
-    if node_labels is not None or attrs is not None:
-        blocks = []
-        if attrs is not None:
-            if len(attrs) != num_nodes_total:
-                raise DatasetError(f"{attr_path.name} row count != node count")
-            blocks.append(attrs)
-        if node_labels is not None:
-            values = np.unique(node_labels)
-            onehot = np.zeros((num_nodes_total, len(values)))
-            col = {int(v): i for i, v in enumerate(values)}
-            for n, v in enumerate(node_labels):
-                onehot[n, col[int(v)]] = 1.0
-            blocks.append(onehot)
-        features_global = np.concatenate(blocks, axis=1)
-    else:
-        # degree one-hot (capped) plus a constant channel
-        deg = np.zeros(num_nodes_total, dtype=np.int64)
-        seen_for_degree = set()
-        for a, b in edges_global:
-            key = (min(a, b), max(a, b))
-            if key in seen_for_degree:
-                continue
-            seen_for_degree.add(key)
-            deg[a] += 1
-            if a != b:
-                deg[b] += 1
-        deg = np.minimum(deg, DEGREE_CAP)
-        features_global = np.zeros((num_nodes_total, DEGREE_CAP + 2))
-        features_global[np.arange(num_nodes_total), deg] = 1.0
-        features_global[:, -1] = 1.0
-
-    # split edges per graph, symmetrize, and collapse duplicates
-    per_graph_edges: list[dict] = [dict() for _ in range(num_graphs)]
-    duplicates = 0
-    for a, b in edges_global:
-        ga, gb = int(indicator[a]), int(indicator[b])
-        if ga != gb:
-            raise DatasetError(
-                f"edge ({a + 1},{b + 1}) crosses graphs {ga + 1} and {gb + 1}")
-        la, lb = node_of[ga][int(a)], node_of[ga][int(b)]
-        if (la, lb) in per_graph_edges[ga]:
-            duplicates += 1
-            continue
-        per_graph_edges[ga][(la, lb)] = 1.0
+    # Number the nodes graph by graph, ascending within a graph: graph k
+    # holds positions starts[k].. of the sorted order, and a node's local id
+    # is its position minus its graph's start.
+    order = np.argsort(indicator, kind="stable")
+    position = np.argsort(order)
+    graph_of = indicator[order]
+    starts = np.searchsorted(graph_of, np.arange(num_graphs))
+    # Directed edges as packed position keys: np.unique collapses repeats,
+    # and over both orientations gives the edges sorted by (src, dst), so
+    # graph by graph.
+    src, dst = position[edges_global.T]
+    keys = src * num_nodes_total + dst
+    duplicates = len(keys) - len(np.unique(keys))
     if duplicates:
         log.warning("collapsed %d duplicate parallel edges", duplicates)
-
-    graphs = []
-    for k in range(num_graphs):
-        edge_map = per_graph_edges[k]
-        for (a, b) in list(edge_map):
-            if a != b and (b, a) not in edge_map:
-                edge_map[(b, a)] = edge_map[(a, b)]
-        edges = np.array(sorted(edge_map), dtype=np.int64).reshape(-1, 2)
-        weights = np.ones(len(edges))
-        nodes = node_lists[k]
-        graphs.append(Graph(
-            num_nodes=len(nodes),
-            edges=edges,
-            features=features_global[nodes].copy(),
-            edge_weights=weights,
-            label=None if graph_labels is None else int(graph_labels[k]),
-        ))
-
-    per_graph_node_labels = None
-    if node_labels is not None:
-        per_graph_node_labels = [node_labels[nodes].copy() for nodes in node_lists]
-
-    return Dataset(
-        name=prefix,
-        graphs=graphs,
-        num_classes=num_classes,
-        feature_dim=graphs[0].feature_dim if graphs else 0,
-        node_labels=per_graph_node_labels,
-    )
+    keys = np.unique(np.concatenate((keys, dst * num_nodes_total + src)))
+    src, dst = keys // num_nodes_total, keys % num_nodes_total
+    edge_graph = graph_of[src]
+    edges = np.split(np.stack((src, dst), axis=1) - starts[edge_graph, None],
+                     np.searchsorted(edge_graph, np.arange(1, num_graphs)))
+    feats = np.split(features[order], starts[1:])
+    graphs = [Graph(len(x), e, x, np.ones(len(e)), label)
+              for e, x, label in zip(edges, feats, graph_labels)]
+    return Dataset(name=prefix, graphs=graphs, num_classes=num_classes,
+                   feature_dim=features.shape[1],
+                   node_labels=None if node_labels is None
+                   else np.split(node_labels[order], starts[1:]))
 
 
 def dataset_stats(ds: Dataset) -> dict:

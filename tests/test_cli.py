@@ -252,10 +252,16 @@ def test_probe_dim_mismatch_fails(dataset_dir, tmp_path, capsys):
     assert "d_x" in capsys.readouterr().err
 
 
+def embed_must_not_run(*args, **kwargs):
+    raise AssertionError("probe embedded the dataset before checking counts")
+
+
 @pytest.mark.parametrize("flags", [("--folds", "0"), ("--folds", "1"),
                                    ("--runs", "0")])
-def test_probe_rejects_unusable_counts(dataset_dir, tmp_path, capsys, flags):
+def test_probe_rejects_unusable_counts(dataset_dir, tmp_path, capsys, flags,
+                                      monkeypatch):
     ck = trained_checkpoint(dataset_dir, tmp_path)
+    monkeypatch.setattr(cli, "embed_dataset", embed_must_not_run)
     out = tmp_path / "p-counts"
     code = run_cli("probe", "--checkpoint", str(ck), "--dataset",
                    str(dataset_dir), "--out", str(out), *flags)
@@ -467,13 +473,14 @@ def test_node_task_cli_roundtrip(tmp_path, capsys):
     assert "random splits" in report["protocol"]
 
 
-def test_node_probe_rejects_zero_runs(tmp_path, capsys):
+def test_node_probe_rejects_zero_runs(tmp_path, capsys, monkeypatch):
     data_dir = write_single_graph_dataset(tmp_path)
     out = tmp_path / "node-run"
     assert run_cli("train", "--dataset", str(data_dir), "--task", "node",
                    "--out", str(out), "--epochs", "0", "--hidden-dim", "8",
                    "--num-layers", "1", "--hops", "1", "--seed", "3",
                    "--policy", "random") == 0
+    monkeypatch.setattr(cli, "embed_dataset", embed_must_not_run)
     probe_out = tmp_path / "node-probe"
     code = run_cli("probe", "--checkpoint", str(out / "checkpoint.bin"),
                    "--dataset", str(data_dir), "--out", str(probe_out),

@@ -1,10 +1,12 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "graphaug"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "graphaug"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "graphaug"}
 
 
@@ -99,3 +101,24 @@ def test_guard_flags_a_function_only_a_docstring_names(tmp_path):
         "    def orphan(self):\n        return Box().size()\n")
     assert uncalled_functions([module]) == {"unused": "mod.py",
                                             "orphan": "mod.py"}
+
+
+def trace_sites() -> list:
+    """``SITES`` of perfbench/spans.py, read from its source: the
+    ``(module, attribute, span)`` triples that ``--trace 1`` patches."""
+    path = ROOT / "perfbench" / "spans.py"
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign) and \
+                any(getattr(t, "id", None) == "SITES" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    raise AssertionError(f"no SITES assignment in {path}")
+
+
+def test_benchmark_trace_sites_resolve():
+    """A name deleted or moved in src/ would make the traced benchmark run
+    fail on entry, when the tracer looks each site up."""
+    sites = trace_sites()
+    assert sites
+    missing = [(module, attr) for module, attr, _ in sites
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing, f"perfbench/spans.py wraps names src/ lacks: {missing}"
