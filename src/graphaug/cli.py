@@ -37,7 +37,7 @@ OUT_ROOT_ENV = "GRAPHAUG_OUT"
 SECTIONS = {
     "data": ("dataset", "task"),
     "train": ("epochs", "batch_size", "learning_rate", "seed", "policy",
-              "head_temperature", "policy_temperature", "keep_ratio", "hops",
+              "head_temperature", "keep_ratio", "hops",
               "early_stop_patience", "patience_unit", "alternation_prob",
               "node_batch_subgraphs", "clip_norm"),
     "encoder": ("hidden_dim", "num_layers", "dropout"),
@@ -116,13 +116,13 @@ def _out_dir(resolved, default_name: str) -> Path:
     return out
 
 
-def _load_dataset(resolved):
+def _load_dataset(resolved, task: str):
     path = resolved["dataset"]
     if path is None:
         raise ConfigError("data.dataset: no dataset directory given")
     if not Path(path).is_dir():
         raise ConfigError(f"data.dataset: directory not found: {path}")
-    return parse_tudataset(path)
+    return parse_tudataset(path, task)
 
 
 def _load_model(args, resolved):
@@ -130,7 +130,7 @@ def _load_model(args, resolved):
     the dataset must have the feature dimension the checkpoint was
     trained with."""
     state, config = load_checkpoint(args.checkpoint)
-    dataset = _load_dataset(resolved)
+    dataset = _load_dataset(resolved, config.task)
     if dataset.feature_dim != state.input_dim:
         raise GraphAugError(
             f"checkpoint expects d_x={state.input_dim}, dataset has "
@@ -154,7 +154,7 @@ def cmd_train(args) -> int:
     if args.print_config:
         print(_format_config(resolved))
         return 0
-    dataset = _load_dataset(resolved)
+    dataset = _load_dataset(resolved, config.task)
     out = _out_dir(resolved, f"{dataset.name.lower()}-train")
     (out / "config_resolved.cfg").write_text(_format_config(resolved))
     print(f"training on {dataset.name}: {len(dataset.graphs)} graphs, "
@@ -244,7 +244,6 @@ def cmd_inspect(args) -> int:
     batch = batch_graphs(dataset.graphs[:n])
     enc = encode(batch, state.omega, config.aug_encoder(state.input_dim))
     decision = decide(enc.graph_vector, config.policy_kind,
-                      config.policy_temperature,
                       RngStream(resolved["seed"], "inspect-policy"),
                       state.policy, kinds)
     dist = {k.value: float(p) for k, p in zip(decision.kinds,
@@ -271,7 +270,7 @@ def cmd_inspect(args) -> int:
 
 def cmd_stats(args) -> int:
     resolved = resolve_config(args)
-    dataset = _load_dataset(resolved)
+    dataset = _load_dataset(resolved, _train_config(resolved).task)
     stats = dataset_stats(dataset)
     print(json.dumps(stats, indent=2))
     if args.out_json:

@@ -72,18 +72,30 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(raw[16:16 + header_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path} has a corrupt header: {exc}") from exc
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("tensors"), list)):
+        raise CheckpointError(f"{path} has a malformed header: expected an "
+                              "object with a 'meta' object and a 'tensors' "
+                              "list")
     tensors = {}
     offset = 16 + header_len
     for desc in header["tensors"]:
-        shape = tuple(desc["shape"])
-        dtype = np.dtype(_DTYPES[desc["dtype"]])
+        try:
+            name, shape = desc["name"], tuple(desc["shape"])
+            dtype = np.dtype(_DTYPES[desc["dtype"]])
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path} has a malformed tensor descriptor "
+                                  f"{desc!r}: {exc!r}") from None
+        if not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise CheckpointError(f"{path} has a malformed shape "
+                                  f"{list(shape)} for {name!r}")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * dtype.itemsize
         if offset + nbytes > len(raw):
-            raise CheckpointError(f"{path} is truncated (payload {desc['name']!r})")
+            raise CheckpointError(f"{path} is truncated (payload {name!r})")
         arr = np.frombuffer(raw, dtype=dtype, count=count,
                             offset=offset).reshape(shape).copy()
-        tensors[desc["name"]] = arr
+        tensors[name] = arr
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path} has {len(raw) - offset} trailing bytes")

@@ -51,12 +51,11 @@ def param_seed(base_seed: int, name: str) -> int:
     return int.from_bytes(h, "little") % (2 ** 62)
 
 
-def init_encoder_params(cfg: EncoderConfig, seed: int,
-                        prefix: str = "") -> ParameterSet:
+def init_encoder_params(cfg: EncoderConfig, seed: int) -> ParameterSet:
     params = ParameterSet()
     d_in = cfg.input_dim
     for layer in range(cfg.num_layers):
-        base = f"{prefix}layer{layer}"
+        base = f"layer{layer}"
         if cfg.layer_kind == "gin":
             params.add(f"{base}/w1", xavier_init((d_in, cfg.hidden_dim),
                                                  param_seed(seed, f"{base}/w1")))
@@ -71,10 +70,10 @@ def init_encoder_params(cfg: EncoderConfig, seed: int,
         d_in = cfg.hidden_dim
     for head in ("proj_node", "proj_graph"):
         for i in range(3):
-            name = f"{prefix}{head}/w{i}"
+            name = f"{head}/w{i}"
             params.add(name, xavier_init((cfg.hidden_dim, cfg.hidden_dim),
                                          param_seed(seed, name)))
-            params.add(f"{prefix}{head}/b{i}", zeros_param((cfg.hidden_dim,)))
+            params.add(f"{head}/b{i}", zeros_param((cfg.hidden_dim,)))
     return params
 
 
@@ -84,16 +83,12 @@ def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 
 def gin_layer(h: Tensor, src: np.ndarray, dst: np.ndarray, edge_w: Tensor,
-              eps: float, w1, b1, w2, b2) -> Tensor:
-    """h'_v = MLP((1 + eps) h_v + sum over in-edges of w_uv h_u)."""
-    num_nodes = h.shape[0]
+              w1, b1, w2, b2) -> Tensor:
+    """h'_v = MLP(h_v + sum over in-edges of w_uv h_u), GIN with eps = 0."""
     if len(src):
         msgs = h.gather_rows(src) * edge_w.reshape(-1, 1)
-        agg = segment_sum(msgs, dst, num_nodes)
-        z = h * (1.0 + eps) + agg
-    else:
-        z = h * (1.0 + eps)
-    return mlp2(z, w1, b1, w2, b2)
+        h = h + segment_sum(msgs, dst, h.shape[0])
+    return mlp2(h, w1, b1, w2, b2)
 
 
 def gcn_layer(h: Tensor, src: np.ndarray, dst: np.ndarray, edge_w: Tensor,
@@ -129,16 +124,16 @@ def _project3(x: Tensor, params: ParameterSet, prefix: str) -> Tensor:
 
 
 def encode(batch: GraphBatch, params: ParameterSet, cfg: EncoderConfig,
-           prefix: str = "", stream: RngStream | None = None,
+           stream: RngStream | None = None,
            training: bool = False) -> Encodings:
     """Run the stacked layers, read out per graph, and project both levels."""
     src, dst = batch.edges[:, 0], batch.edges[:, 1]
     h = batch.features
     edge_w = batch.edge_weights
     for layer in range(cfg.num_layers):
-        base = f"{prefix}layer{layer}"
+        base = f"layer{layer}"
         if cfg.layer_kind == "gin":
-            h = gin_layer(h, src, dst, edge_w, 0.0,
+            h = gin_layer(h, src, dst, edge_w,
                           params[f"{base}/w1"], params[f"{base}/b1"],
                           params[f"{base}/w2"], params[f"{base}/b2"])
         else:
@@ -152,6 +147,6 @@ def encode(batch: GraphBatch, params: ParameterSet, cfg: EncoderConfig,
     if cfg.readout == "mean":
         counts = batch.node_counts.astype(float).reshape(-1, 1)
         pooled = pooled * Tensor(1.0 / counts)
-    node_out = _project3(h, params, f"{prefix}proj_node")
-    graph_out = _project3(pooled, params, f"{prefix}proj_graph")
+    node_out = _project3(h, params, "proj_node")
+    graph_out = _project3(pooled, params, "proj_graph")
     return Encodings(node_matrix=node_out, graph_vector=graph_out)

@@ -24,6 +24,7 @@ from .tensor import ParameterSet, Tensor
 LAMBDA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 PROBE_EPOCHS = 300
 PROBE_LR = 1e-2
+EMBED_CHUNK = 64                 # graphs or node neighborhoods per encode
 
 
 @dataclass
@@ -72,7 +73,7 @@ def _report(accs: list, l2s: list, seed: int, protocol: str) -> ProbeReport:
 # -- embedding --------------------------------------------------------------------
 
 
-def embed_dataset(dataset, state, config, chunk: int = 64) -> EmbeddingTable:
+def embed_dataset(dataset, state, config) -> EmbeddingTable:
     """Frozen base-encoder embeddings (dropout off).
 
     Graph task: one graph vector per graph. Node task: one node vector per
@@ -82,8 +83,8 @@ def embed_dataset(dataset, state, config, chunk: int = 64) -> EmbeddingTable:
     enc_cfg = config.base_encoder(dataset.feature_dim)
     if config.task == "graph":
         vecs = []
-        for start in range(0, len(dataset.graphs), chunk):
-            part = dataset.graphs[start:start + chunk]
+        for start in range(0, len(dataset.graphs), EMBED_CHUNK):
+            part = dataset.graphs[start:start + EMBED_CHUNK]
             enc = encode(batch_graphs(part), state.theta, enc_cfg)
             vecs.append(enc.graph_vector.data)
         vectors = np.concatenate(vecs, axis=0)
@@ -92,8 +93,8 @@ def embed_dataset(dataset, state, config, chunk: int = 64) -> EmbeddingTable:
                               {"dataset": dataset.name, "task": "graph"})
     g = dataset.graphs[0]
     vectors = np.zeros((g.num_nodes, config.hidden_dim))
-    for start in range(0, g.num_nodes, chunk):
-        centers = range(start, min(start + chunk, g.num_nodes))
+    for start in range(0, g.num_nodes, EMBED_CHUNK):
+        centers = range(start, min(start + EMBED_CHUNK, g.num_nodes))
         subs = [khop_bfs(g, c, config.hops) for c in centers]
         batch = batch_graphs(subs)
         enc = encode(batch, state.theta, enc_cfg)

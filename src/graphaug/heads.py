@@ -22,14 +22,13 @@ from .encoders import mlp2, param_seed
 from .graphs import GraphBatch, csr, induce, khop_nodes
 from .policy import AugmentationKind
 from .rng import RngStream
-from .sampling import gumbel_top_k, relaxed_bernoulli
+from .sampling import gumbel_softmax, gumbel_top_k, relaxed_bernoulli
 from .tensor import ParameterSet, Tensor, concat, segment_softmax, \
     xavier_init, zeros_param
 
-# The batched heads no longer call these two; perfbench/spans.py wraps them
-# here, so they stay (tests/test_dependencies.py checks its every site).
+# The batched heads no longer call this; perfbench/spans.py wraps it here,
+# so it stays (tests/test_dependencies.py checks its every site).
 from .graphs import khop_bfs  # noqa: F401
-from .sampling import gumbel_softmax  # noqa: F401
 
 
 @dataclass
@@ -96,7 +95,7 @@ def _induced_view(batch: GraphBatch, kept: np.ndarray, p: Tensor) -> GraphBatch:
 
 def node_dropping_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
                        params: ParameterSet, keep_ratio: float,
-                       temperature: float, streams: list) -> HeadOutput:
+                       streams: list) -> HeadOutput:
     """Keep the top ceil(keep_ratio * |V|) nodes of each graph's learned
     node distribution (Gumbel-Top-K) and induce the edges."""
     if not (0.0 < keep_ratio <= 1.0):
@@ -134,7 +133,7 @@ def _sample_negatives(pairs: np.ndarray, num_nodes: int,
     return np.array(negatives, dtype=np.int64).reshape(-1, 2)
 
 
-def edge_perturbation_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
+def edge_perturbation_head(batch: GraphBatch, h_v: Tensor,
                            params: ParameterSet, temperature: float,
                            streams: list) -> HeadOutput:
     """Score existing and sampled non-edges, keep each by a relaxed Bernoulli,
@@ -192,21 +191,17 @@ def edge_perturbation_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
 
 
 def subgraph_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
-                  params: ParameterSet, hops: int, temperature: float,
+                  params: ParameterSet, hops: int,
                   streams: list) -> HeadOutput:
-    """Sample a center per graph from its learned node distribution and
-    induce its k-hop BFS neighborhood; kept edges weighted p(v_i) + p(v_j).
-
-    The center is the argmax of Gumbel-perturbed log-probabilities, the hard
-    draw of a Gumbel-Softmax, so ``temperature`` does not enter the view.
-    """
+    """Sample a center per graph from its learned node distribution (the
+    hard draw of a Gumbel-Softmax) and induce its k-hop BFS neighborhood;
+    kept edges weighted p(v_i) + p(v_j)."""
     if hops < 1:
         raise ValueError("hops must be >= 1")
     p = _node_distribution(batch, h_v, h_g, params)
     log_p = np.log(np.maximum(p.data, 1e-30))
     centers = np.array([
-        n0 + int(np.argmax(log_p[n0:n0 + n]
-                           + streams[k].split("center").gumbel(n)))
+        n0 + gumbel_softmax(log_p[n0:n0 + n], streams[k].split("center"))
         for k, (n0, n) in enumerate(zip(batch.node_offsets.tolist(),
                                         batch.node_counts.tolist()))],
         dtype=np.int64)
@@ -253,13 +248,13 @@ def apply_augmentation(kind: AugmentationKind, batch: GraphBatch, h_v: Tensor,
     """One view of the whole batch; ``streams[k]`` drives graph ``k``."""
     if kind == AugmentationKind.NODE_DROP:
         return node_dropping_head(batch, h_v, h_g, head_params[kind],
-                                  keep_ratio, temperature, streams)
+                                  keep_ratio, streams)
     if kind == AugmentationKind.EDGE_PERTURB:
-        return edge_perturbation_head(batch, h_v, h_g, head_params[kind],
+        return edge_perturbation_head(batch, h_v, head_params[kind],
                                       temperature, streams)
     if kind == AugmentationKind.SUBGRAPH:
         return subgraph_head(batch, h_v, h_g, head_params[kind], hops,
-                             temperature, streams)
+                             streams)
     if kind == AugmentationKind.FEATURE_MASK:
         return feature_masking_head(batch, h_v, head_params[kind],
                                     temperature, streams)

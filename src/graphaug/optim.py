@@ -8,13 +8,12 @@ import numpy as np
 from .errors import InvalidShapeError
 from .tensor import ParameterSet
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
     """Moment buffers for one parameter group; step counts calls."""
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -28,9 +27,8 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray],
     the step counter advances once per call.
     """
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     for name, g in grads.items():
         if name not in params:
             raise KeyError(f"gradient for unknown parameter {name!r}")
@@ -44,13 +42,13 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray],
         if m is None:
             m = np.zeros_like(p.data)
             v = np.zeros_like(p.data)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * (g * g)
         state.m[name] = m
         state.v[name] = v
         m_hat = m / bc1
         v_hat = v / bc2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def clip_by_global_norm(grads: dict, max_norm: float) -> float:

@@ -141,16 +141,16 @@ def policy_distribution(batch_reps: Tensor, policy_kind: str,
     raise ValueError(f"unknown policy kind {policy_kind!r}")
 
 
-def decide(batch_reps: Tensor, policy_kind: str, temperature: float,
-           stream: RngStream, params: ParameterSet,
+def decide(batch_reps: Tensor, policy_kind: str, stream: RngStream,
+           params: ParameterSet,
            kinds: tuple = GRAPH_TASK_KINDS) -> PolicyDecision:
     """Build the distribution and sample the two view augmentations
-    independently (repeats allowed)."""
+    independently (repeats allowed). The draws build no tape: gradients
+    reach the policy through ``p_i`` and ``p_j`` only."""
     dist = policy_distribution(batch_reps, policy_kind, params, len(kinds))
-    log_dist = dist.clip_min(1e-30).log()
-    s_i = gumbel_softmax(log_dist, temperature, stream.split("i"))
-    s_j = gumbel_softmax(log_dist, temperature, stream.split("j"))
-    idx_i, idx_j = s_i.hard, s_j.hard
+    log_dist = np.log(np.maximum(dist.data, 1e-30))
+    idx_i = gumbel_softmax(log_dist, stream.split("i"))
+    idx_j = gumbel_softmax(log_dist, stream.split("j"))
     p_i = dist.gather_rows([idx_i]).reshape(())
     p_j = dist.gather_rows([idx_j]).reshape(())
     return PolicyDecision(dist=dist, kinds=tuple(kinds),

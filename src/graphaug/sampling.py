@@ -1,6 +1,7 @@
-"""Differentiable discrete sampling: Gumbel-Softmax, Gumbel-Top-K, and a
-relaxed Bernoulli. Hard decisions use the straight-through estimator: the
-forward value is the hard sample, the gradient is the relaxed one.
+"""Discrete sampling. The categorical (Gumbel-max) and Gumbel-Top-K draws
+are hard decisions on plain arrays and build no tape. The relaxed Bernoulli
+keeps its soft sample on the tape and uses the straight-through estimator:
+the forward value is the hard sample, the gradient is the relaxed one.
 """
 from __future__ import annotations
 
@@ -15,42 +16,28 @@ from .tensor import Tensor
 @dataclass
 class RelaxedSample:
     soft: Tensor                     # relaxed sample, on the tape
-    hard: object                     # int index or binary ndarray
+    hard: np.ndarray                 # binary
     st: Tensor                       # straight-through combination
 
 
-def gumbel_softmax(logits, temperature: float, stream: RngStream) -> RelaxedSample:
-    """Sample a categorical via perturbed logits.
-
-    The hard index is the argmax of (logits + Gumbel noise), which is an exact
-    draw from softmax(logits); the soft vector tempers the same perturbation.
-    """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    logits = Tensor._lift(logits)
-    if not np.isfinite(logits.data).all():
+def gumbel_softmax(logits: np.ndarray, stream: RngStream) -> int:
+    """The hard draw of a Gumbel-Softmax: the argmax of (logits + Gumbel
+    noise), which is an exact draw from softmax(logits)."""
+    if not np.isfinite(logits).all():
         raise ValueError("logits must be finite")
-    noise = stream.gumbel(logits.shape)
-    perturbed = logits + Tensor(noise)
-    soft = (perturbed * (1.0 / temperature)).softmax(axis=-1)
-    hard = int(np.argmax(perturbed.data))
-    onehot = np.zeros(logits.shape)
-    onehot[hard] = 1.0
-    st = Tensor(onehot) + soft - soft.detach()
-    return RelaxedSample(soft=soft, hard=hard, st=st)
+    return int(np.argmax(logits + stream.gumbel(logits.shape)))
 
 
-def gumbel_top_k(probs, k: int, stream: RngStream) -> np.ndarray:
-    """Sample k distinct items ~ the normalized probabilities, without
+def gumbel_top_k(p: np.ndarray, k: int, stream: RngStream) -> np.ndarray:
+    """Sample k distinct items ~ the normalized probabilities ``p``, without
     replacement, by taking the top-k Gumbel-perturbed log-probabilities.
 
     Returns the selected indices in ascending order. The draw is a hard
     decision and builds no tape.
     """
-    p = Tensor._lift(probs).data
-    n = p.shape[-1] if p.ndim else p.size
     if p.ndim != 1:
         raise ValueError("gumbel_top_k expects a 1-D probability vector")
+    n = len(p)
     if not (1 <= k <= n):
         raise ValueError(f"k={k} out of range for {n} items")
     if (p < 0).any() or p.sum() <= 0:

@@ -40,7 +40,6 @@ class TrainConfig:
     num_layers: int = 2
     policy_kind: str = "gru"             # one of POLICY_KINDS
     head_temperature: float = 1.0
-    policy_temperature: float = 1.0
     keep_ratio: float = 0.75
     hops: int = 2
     dropout: float = 0.0
@@ -69,12 +68,24 @@ class TrainConfig:
             if value not in valid:
                 raise ValueError(f"{name} must be one of {', '.join(valid)}; "
                                  f"got {value!r}")
+        for name in ("hidden_dim", "node_batch_subgraphs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1; "
+                                 f"got {getattr(self, name)}")
+        # a node-task neighborhood may be its center alone; the graph task's
+        # subgraph head needs at least one hop
+        least_hops = 1 if self.task == "graph" else 0
+        if self.hops < least_hops:
+            raise ValueError(f"hops must be >= {least_hops} on the "
+                             f"{self.task} task; got {self.hops}")
+        if not (0.0 <= self.dropout < 1.0):
+            raise ValueError(f"dropout must be in [0, 1); got {self.dropout}")
         if not (0.0 <= self.alternation_prob <= 1.0):
             raise ValueError("alternation_prob must be in [0, 1]")
         if not (0.0 < self.keep_ratio <= 1.0):
             raise ValueError("keep_ratio must be in (0, 1]")
-        if self.head_temperature <= 0 or self.policy_temperature <= 0:
-            raise ValueError("temperatures must be positive")
+        if self.head_temperature <= 0:
+            raise ValueError("head_temperature must be positive")
         self.objective()
 
     def objective(self) -> ObjectiveConfig:
@@ -178,8 +189,7 @@ def train_step(batch: GraphBatch, state: TrainState,
     enc_w = encode(batch, state.omega, config.aug_encoder(state.input_dim),
                    stream=step_stream.split("dropout/omega"), training=True)
     decision = decide(enc_w.graph_vector, config.policy_kind,
-                      config.policy_temperature, step_stream.split("policy"),
-                      state.policy, kinds)
+                      step_stream.split("policy"), state.policy, kinds)
 
     outs = {view: apply_augmentation(
                 kind, batch, enc_w.node_matrix, enc_w.graph_vector,
@@ -309,10 +319,11 @@ def save_checkpoint(state: TrainState, config: TrainConfig, path) -> None:
         for name, t in group.items():
             tensors[f"params/{gname}/{name}"] = t.data
         adam = state.adam[gname]
-        for name, arr in adam.m.items():
-            tensors[f"adam/{gname}/m/{name}"] = arr
-        for name, arr in adam.v.items():
-            tensors[f"adam/{gname}/v/{name}"] = arr
+        for moment, buffers in (("m", adam.m), ("v", adam.v)):
+            # in parameter order, the order load_checkpoint rebuilds them in
+            for name in group.names():
+                if name in buffers:
+                    tensors[f"adam/{gname}/{moment}/{name}"] = buffers[name]
     meta = {
         "kind": "train-state",
         "config": asdict(config),
@@ -331,41 +342,59 @@ def save_checkpoint(state: TrainState, config: TrainConfig, path) -> None:
     container.write_container(path, meta, tensors)
 
 
+def _stored_tensor(tensors: dict, key: str, like) -> np.ndarray:
+    """Take ``key`` out of ``tensors``, checking it has the shape of
+    ``like``."""
+    arr = tensors.pop(key)
+    if arr.shape != like.shape:
+        raise CheckpointError(f"shape mismatch for {key}: "
+                              f"{arr.shape} != {like.shape}")
+    return arr
+
+
 def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
     meta, tensors = container.read_container(path)
     if meta.get("kind") != "train-state":
         raise CheckpointError(f"{path} is not a training checkpoint")
     try:
-        config = TrainConfig(**meta["config"])
+        stored = dict(meta["config"])
+        # it tempered only a discarded relaxation and changed no result
+        stored.pop("policy_temperature", None)
+        config = TrainConfig(**stored)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid training config: {exc}") \
             from exc
-    state = init_state(config, meta["input_dim"])
+    try:
+        input_dim, epoch, step = meta["input_dim"], meta["epoch"], meta["step"]
+        best_loss, stale = meta["best_loss"], meta["stale"]
+        adam_steps = {g: meta["adam_steps"][g] for g in GROUPS}
+        streams = [RngStream.from_state(meta["streams"][name])
+                   for name in ("sample_root", "shuffle", "coin")]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad checkpoint meta "
+                              f"({type(exc).__name__}: {exc})") from exc
+    state = init_state(config, input_dim)
+    tensors = dict(tensors)
     for gname in GROUPS:
-        group = state.group(gname)
-        for name, t in group.items():
+        adam = state.adam[gname]
+        adam.step = adam_steps[gname]
+        for name, t in state.group(gname).items():
             key = f"params/{gname}/{name}"
             if key not in tensors:
                 raise CheckpointError(f"checkpoint missing parameter {key}")
-            if tensors[key].shape != t.data.shape:
-                raise CheckpointError(
-                    f"shape mismatch for {key}: "
-                    f"{tensors[key].shape} != {t.data.shape}")
-            t.data = tensors[key]
-        adam = state.adam[gname]
-        adam.step = meta["adam_steps"][gname]
-        for key, arr in tensors.items():
-            prefix_m = f"adam/{gname}/m/"
-            prefix_v = f"adam/{gname}/v/"
-            if key.startswith(prefix_m):
-                adam.m[key[len(prefix_m):]] = arr
-            elif key.startswith(prefix_v):
-                adam.v[key[len(prefix_v):]] = arr
-    state.epoch = meta["epoch"]
-    state.step = meta["step"]
-    state.best_loss = meta["best_loss"]
-    state.stale = meta["stale"]
-    state.sample_root = RngStream.from_state(meta["streams"]["sample_root"])
-    state.shuffle_stream = RngStream.from_state(meta["streams"]["shuffle"])
-    state.coin_stream = RngStream.from_state(meta["streams"]["coin"])
+            t.data = _stored_tensor(tensors, key, t.data)
+            m_key, v_key = (f"adam/{gname}/{moment}/{name}"
+                            for moment in ("m", "v"))
+            if (m_key in tensors) != (v_key in tensors):
+                raise CheckpointError(f"checkpoint has one Adam moment of "
+                                      f"{gname}/{name} without the other")
+            if m_key in tensors:
+                adam.m[name] = _stored_tensor(tensors, m_key, t.data)
+                adam.v[name] = _stored_tensor(tensors, v_key, t.data)
+    if tensors:
+        raise CheckpointError(f"checkpoint tensors match no parameter: "
+                              f"{', '.join(sorted(tensors))}")
+    state.epoch, state.step = epoch, step
+    state.best_loss, state.stale = best_loss, stale
+    state.sample_root, state.shuffle_stream, state.coin_stream = streams
     return state, config

@@ -7,10 +7,12 @@ Expected files (``DS`` is the dataset prefix, inferred from the directory):
   DS_node_labels.txt     integer node label per node (optional)
   DS_node_attributes.txt comma-separated float vector per node (optional)
 
-Node labels are one-hot encoded into X (after any attribute columns).
-Datasets with no declared features get a synthesized degree one-hot
-(capped at 64) plus a constant channel. Repeated directed edges collapse
-(with a warning), and every edge gains its reverse orientation.
+For the graph task, node labels are one-hot encoded into X (after any
+attribute columns). For the node task they are the probe target, so X leaves
+them out. Without attributes or label columns in X, nodes get a synthesized
+degree one-hot (capped at 64) plus a constant channel. Repeated directed
+edges collapse (with a warning), and every edge gains its reverse
+orientation.
 
 A file that breaks a rule raises ``DatasetError`` naming it. Field counts:
 two per line in DS_A.txt, one in the indicator and label files, the same on
@@ -107,7 +109,11 @@ def _features(num_nodes: int, edges: np.ndarray, node_labels, attrs):
     return np.concatenate(blocks, axis=1)
 
 
-def parse_tudataset(directory) -> Dataset:
+def parse_tudataset(directory, task: str = "graph") -> Dataset:
+    """The dataset for ``task``: "graph" or "node", which decides whether
+    node labels are features."""
+    if task not in ("graph", "node"):
+        raise ValueError(f"unknown task {task!r}")
     directory = Path(directory)
     if not directory.is_dir():
         raise DatasetError(f"dataset directory not found: {directory}")
@@ -149,7 +155,8 @@ def parse_tudataset(directory) -> Dataset:
         attrs = _read_table(attr_path, None, float)
         if len(attrs) != num_nodes_total:
             raise DatasetError(f"{attr_path.name} row count != node count")
-    features = _features(num_nodes_total, edges_global, node_labels, attrs)
+    features = _features(num_nodes_total, edges_global,
+                         node_labels if task == "graph" else None, attrs)
 
     src_graph, dst_graph = indicator[edges_global.T]
     if (src_graph != dst_graph).any():

@@ -47,6 +47,20 @@ def one_graph(head, *args, **kwargs):
     return HeadOutput(out.graph.graph(0), out.soft_params)
 
 
+@pytest.fixture
+def made_tensors(monkeypatch):
+    """Every ``Tensor`` constructed while the test runs, in order."""
+    made = []
+    init = Tensor.__init__
+
+    def counting_init(tensor, *args, **kwargs):
+        made.append(tensor)
+        init(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    return made
+
+
 @pytest.fixture(scope="session")
 def mutag_dir():
     from pathlib import Path

@@ -101,7 +101,7 @@ def test_criterion_1_gradient_oracle():
 
     def gin_loss():
         out = gin_layer(Tensor(g.features.data), edges[:, 0],
-                        edges[:, 1], w_e, 0.0, mlp["w1"], mlp["b1"],
+                        edges[:, 1], w_e, mlp["w1"], mlp["b1"],
                         mlp["w2"], mlp["b2"])
         return (out * out).sum()
 
@@ -182,7 +182,7 @@ def test_criterion_1_gradient_oracle():
     def full_loss():
         step_stream = RngStream(101, "e-step")
         enc_w = encode(batch, state.omega, config.aug_encoder(d_x))
-        decision = decide(enc_w.graph_vector, "gru", 1.0,
+        decision = decide(enc_w.graph_vector, "gru",
                           step_stream.split("policy"), state.policy, kinds)
         views_i, views_j = [], []
         for k, gk in enumerate(graphs):
@@ -211,7 +211,7 @@ def test_criterion_1_gradient_oracle():
     # feature mask is gradient-only by construction); verify, then check
     probe_stream = RngStream(101, "e-step")
     enc_w = encode(batch, state.omega, config.aug_encoder(d_x))
-    dec = decide(enc_w.graph_vector, "gru", 1.0, probe_stream.split("policy"),
+    dec = decide(enc_w.graph_vector, "gru", probe_stream.split("policy"),
                  state.policy, kinds)
     assert AugmentationKind.FEATURE_MASK not in (dec.i, dec.j), \
         "pick a seed whose sampled pair avoids the hard feature mask"
@@ -236,7 +236,7 @@ def test_criterion_2_sampling_oracles():
     stream = RngStream(42, "acc-cat")
     counts = np.zeros(len(logits))
     for _ in range(draws):
-        counts[gumbel_softmax(logits, 1.0, stream).hard] += 1
+        counts[gumbel_softmax(logits, stream)] += 1
     expect = np.exp(logits - logits.max())
     expect /= expect.sum()
     tv_cat = 0.5 * np.abs(counts / draws - expect).sum()

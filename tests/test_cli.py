@@ -159,7 +159,7 @@ def test_singleton_graph_batches_rejected(dataset_dir, tmp_path, capsys):
 NON_DEFAULT = {
     "epochs": 3, "batch_size": 16, "learning_rate": 0.01, "hidden_dim": 16,
     "num_layers": 3, "policy_kind": "random", "head_temperature": 0.5,
-    "policy_temperature": 2.0, "keep_ratio": 0.5, "hops": 1, "dropout": 0.25,
+    "keep_ratio": 0.5, "hops": 1, "dropout": 0.25,
     "seed": 11, "early_stop_patience": 7, "patience_unit": "step",
     "alternation_prob": 0.25, "estimator": "nce", "discriminator": "cosine",
     "nt_xent_temperature": 0.25, "task": "node", "node_batch_subgraphs": 4,
@@ -516,3 +516,64 @@ def test_shipped_mutag_config_parses(capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "epochs = 20" in text and "policy = gru" in text
+
+
+@pytest.mark.parametrize("flags,field", [
+    (["--hops", "0"], "hops"),
+    (["--task", "node", "--node-batch-subgraphs", "0"], "node_batch_subgraphs"),
+    (["--task", "node", "--hops", "-1"], "hops"),
+    (["--hidden-dim", "0"], "hidden_dim"),
+    (["--dropout", "1.5"], "dropout"),
+])
+def test_out_of_range_value_exits_2_before_any_output(dataset_dir, tmp_path,
+                                                      capsys, flags, field):
+    out = tmp_path / "never"
+    code = run_cli("train", "--dataset", str(dataset_dir), "--out", str(out),
+                   "--epochs", "1", *flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert not out.exists()
+
+
+def test_node_task_accepts_zero_hops():
+    assert TrainConfig(task="node", hops=0).hops == 0
+
+
+def test_removed_policy_temperature_key_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("[train]\npolicy_temperature = 1.0\n")
+    assert run_cli("train", "--config", str(cfg), "--print-config") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "policy_temperature" in err
+
+
+def write_random_label_graph(root: Path, name="RND", n=200, classes=3):
+    """One sparse random graph whose node labels are drawn independently of
+    its structure: nothing but the labels themselves predicts them."""
+    d = root / name
+    d.mkdir(parents=True, exist_ok=True)
+    stream = RngStream(11, "cli-random-labels")
+    pairs = {(min(u, v), max(u, v))
+             for u, v in stream.integers(0, n, size=(n // 2, 2)).tolist()
+             if u != v}
+    a_lines = [f"{u + 1}, {v + 1}\n{v + 1}, {u + 1}" for u, v in sorted(pairs)]
+    (d / f"{name}_A.txt").write_text("\n".join(a_lines) + "\n")
+    (d / f"{name}_graph_indicator.txt").write_text("1\n" * n)
+    (d / f"{name}_node_labels.txt").write_text(
+        "".join(f"{c}\n" for c in stream.integers(0, classes, size=n)))
+    return d
+
+
+def test_node_labels_do_not_leak_into_node_task_features(tmp_path, capsys):
+    data_dir = write_random_label_graph(tmp_path)
+    out = tmp_path / "leak-run"
+    assert run_cli("train", "--dataset", str(data_dir), "--task", "node",
+                   "--out", str(out), "--epochs", "0", "--seed", "3") == 0
+    probe_out = tmp_path / "leak-probe"
+    assert run_cli("probe", "--checkpoint", str(out / "checkpoint.bin"),
+                   "--dataset", str(data_dir), "--out", str(probe_out),
+                   "--runs-node", "5", "--train-frac", "0.5") == 0
+    report = json.loads((probe_out / "probe_report.json").read_text())
+    # an untrained encoder can only read the labels if they are features
+    assert report["mean_accuracy"] < 0.7, report["mean_accuracy"]

@@ -38,8 +38,6 @@ def test_guard_sees_a_third_party_import(tmp_path):
 UNCALLED_BY_DESIGN = {
     "finite_diff_grad": "the independent gradient oracle the tests check "
                         "backward() against; exported by the package",
-    "names": "the benchmark harness compares checkpoints' parameter sets "
-             "by it (perfbench/workloads.py)",
 }
 
 
@@ -101,6 +99,54 @@ def test_guard_flags_a_function_only_a_docstring_names(tmp_path):
         "    def orphan(self):\n        return Box().size()\n")
     assert uncalled_functions([module]) == {"unused": "mod.py",
                                             "orphan": "mod.py"}
+
+
+# Parameters of functions in src/ that the function never reads, as
+# "file:function.parameter", each with the reason it stays. A parameter no
+# body reads is a setting that changes no result.
+UNREAD_BY_DESIGN = {}
+
+
+def unread_parameters(paths) -> set:
+    """Every parameter (of a def, method or lambda, at any depth) that its
+    function's body, nested functions included, never loads."""
+    unread = set()
+    for path in paths:
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            loaded = {node.id for stmt in body for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name)}
+            name = getattr(fn, "name", "<lambda>")
+            unread |= {f"{path.name}:{name}.{p}" for p in params
+                       if p not in loaded}
+    return unread
+
+
+def test_src_functions_read_every_parameter():
+    unread = unread_parameters(sorted(SRC.glob("*.py")))
+    assert set(UNREAD_BY_DESIGN) <= unread, \
+        f"exception no longer needed: {sorted(set(UNREAD_BY_DESIGN) - unread)}"
+    extra = sorted(unread - set(UNREAD_BY_DESIGN))
+    assert not extra, f"parameters their function never reads: {extra}"
+
+
+def test_guard_flags_an_unread_parameter(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def f(a, b, *args, c=1, **kw):\n"
+        "    def inner():\n        return a\n"
+        "    return inner() + c + len(args)\n\n"
+        "class Box:\n"
+        "    def size(self, unit):\n        return self.n\n\n"
+        "g = lambda x, y: x\n")
+    assert unread_parameters([module]) == {
+        "mod.py:f.b", "mod.py:f.kw", "mod.py:size.unit", "mod.py:<lambda>.y"}
 
 
 def trace_sites() -> list:

@@ -29,21 +29,21 @@ def test_gin_isolated_node_identity_mlp():
     h = Tensor(np.array([[1.0, 2.0]]))
     w1, b1, w2, b2 = identity_mlp(2)
     out = gin_layer(h, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
-                    Tensor(np.zeros(0)), 0.0, w1, b1, w2, b2)
+                    Tensor(np.zeros(0)), w1, b1, w2, b2)
     assert np.allclose(out.data, [[1.0, 2.0]])
 
 
 def test_gin_zero_weight_edge_is_absent():
     h, src, dst, _ = two_nodes_one_edge([1.0, 2.0], [3.0, 4.0])
     w1, b1, w2, b2 = identity_mlp(2)
-    out = gin_layer(h, src, dst, Tensor(np.zeros(2)), 0.0, w1, b1, w2, b2)
+    out = gin_layer(h, src, dst, Tensor(np.zeros(2)), w1, b1, w2, b2)
     assert np.allclose(out.data, h.data)
 
 
 def test_gin_sums_neighbor():
     h, src, dst, w = two_nodes_one_edge([1.0, 2.0], [3.0, 4.0])
     w1, b1, w2, b2 = identity_mlp(2)
-    out = gin_layer(h, src, dst, w, 0.0, w1, b1, w2, b2)
+    out = gin_layer(h, src, dst, w, w1, b1, w2, b2)
     assert np.allclose(out.data[0], [4.0, 6.0])
     assert np.allclose(out.data[1], [4.0, 6.0])
 
@@ -137,7 +137,7 @@ def test_readout_equals_recomputed_column_sums():
     edges = batch.edges
     for layer in range(2):
         base = f"layer{layer}"
-        h = gl(h, edges[:, 0], edges[:, 1], Tensor(np.ones(len(edges))), 0.0,
+        h = gl(h, edges[:, 0], edges[:, 1], Tensor(np.ones(len(edges))),
                params[f"{base}/w1"], params[f"{base}/b1"],
                params[f"{base}/w2"], params[f"{base}/b2"])
     pooled = h.data.sum(axis=0, keepdims=True)
@@ -177,7 +177,7 @@ def test_unit_weights_match_unweighted():
     expect = (np.maximum(z @ params["layer0/w1"].data + params["layer0/b1"].data, 0)
               @ params["layer0/w2"].data + params["layer0/b2"].data)
     from graphaug.encoders import gin_layer as gl
-    out = gl(h, edges[:, 0], edges[:, 1], Tensor(np.ones(len(edges))), 0.0,
+    out = gl(h, edges[:, 0], edges[:, 1], Tensor(np.ones(len(edges))),
              params["layer0/w1"], params["layer0/b1"],
              params["layer0/w2"], params["layer0/b2"])
     assert np.allclose(out.data, expect)

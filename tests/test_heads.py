@@ -67,7 +67,7 @@ def test_node_drop_keep_all():
     g = make_graph(1)
     h_v, h_g = encodings_for(g)
     out = one_graph(node_dropping_head, g, h_v, h_g,
-                    head_params(AugmentationKind.NODE_DROP), 1.0, 1.0,
+                    head_params(AugmentationKind.NODE_DROP), 1.0,
                     RngStream(0, "nd"))
     assert out.graph.num_nodes == g.num_nodes
     assert undirected_set(out.graph.edges) == undirected_set(g.edges)
@@ -83,7 +83,7 @@ def test_node_drop_uniform_probs_weight_formula():
     h_v = Tensor(np.zeros((5, D_H)))
     h_g = Tensor(np.zeros(D_H))
     params = head_params(AugmentationKind.NODE_DROP)
-    out = one_graph(node_dropping_head, g, h_v, h_g, params, 1.0, 1.0,
+    out = one_graph(node_dropping_head, g, h_v, h_g, params, 1.0,
                     RngStream(1, "nd"))
     # zero encodings -> uniform node distribution -> every weight 2/n
     assert np.allclose(out.graph.edge_weights.data, 2.0 / 5.0)
@@ -96,7 +96,7 @@ def test_node_drop_count_on_path():
     h_v, h_g = encodings_for(g, 3)
     out = one_graph(node_dropping_head, g, h_v, h_g,
                     head_params(AugmentationKind.NODE_DROP, d_x=5),
-                    0.6, 1.0, RngStream(2, "nd"))
+                    0.6, RngStream(2, "nd"))
     assert out.graph.num_nodes == 3          # ceil(0.6 * 5)
     kept = set(out.graph.orig_ids.tolist())
     for a, b in out.graph.edges:
@@ -109,7 +109,7 @@ def test_node_drop_minimum_one_node():
     g = make_graph(4, n=3)
     h_v, h_g = encodings_for(g, 4)
     out = one_graph(node_dropping_head, g, h_v, h_g,
-                    head_params(AugmentationKind.NODE_DROP), 0.01, 1.0,
+                    head_params(AugmentationKind.NODE_DROP), 0.01,
                     RngStream(3, "nd"))
     assert out.graph.num_nodes == 1
 
@@ -118,7 +118,7 @@ def test_node_drop_minimum_one_node():
 
 def test_edge_perturb_extreme_probs():
     g = make_graph(5, n=5, p=0.4)
-    h_v, h_g = encodings_for(g, 5)
+    h_v, _ = encodings_for(g, 5)
     params = head_params(AugmentationKind.EDGE_PERTURB)
     # force the MLP to produce huge logits for positives, huge negative for
     # negatives via the indicator column (last input dim)
@@ -128,7 +128,7 @@ def test_edge_perturb_extreme_probs():
     params["mlp/w1"].data = np.zeros_like(params["mlp/w1"].data)
     params["mlp/w1"].data[0, 0] = 200.0
     params["mlp/b1"].data = np.array([-100.0])
-    out = one_graph(edge_perturbation_head, g, h_v, h_g, params, 1.0,
+    out = one_graph(edge_perturbation_head, g, h_v, params, 1.0,
                     RngStream(4, "ep"))
     assert undirected_set(out.graph.edges) == undirected_set(g.edges)
     assert np.allclose(out.graph.edge_weights.data, 1.0, atol=1e-20)
@@ -139,8 +139,8 @@ def test_edge_perturb_complete_graph_no_negatives():
     n = 4
     edges = np.array([(i, j) for i in range(n) for j in range(n) if i != j])
     g = Graph(n, edges, np.eye(n), np.ones(len(edges)))
-    h_v, h_g = encodings_for(g, 6)
-    out = one_graph(edge_perturbation_head, g, h_v, h_g,
+    h_v, _ = encodings_for(g, 6)
+    out = one_graph(edge_perturbation_head, g, h_v,
                     head_params(AugmentationKind.EDGE_PERTURB, d_x=n),
                     1.0, RngStream(5, "ep"))
     assert undirected_set(out.graph.edges) <= undirected_set(g.edges)
@@ -148,8 +148,8 @@ def test_edge_perturb_complete_graph_no_negatives():
 
 def test_edge_perturb_keeps_nodes_and_features():
     g = make_graph(7)
-    h_v, h_g = encodings_for(g, 7)
-    out = one_graph(edge_perturbation_head, g, h_v, h_g,
+    h_v, _ = encodings_for(g, 7)
+    out = one_graph(edge_perturbation_head, g, h_v,
                     head_params(AugmentationKind.EDGE_PERTURB),
                     1.0, RngStream(6, "ep"))
     assert out.graph.num_nodes == g.num_nodes
@@ -158,13 +158,13 @@ def test_edge_perturb_keeps_nodes_and_features():
 
 def test_edge_perturb_gradient_to_head():
     g = make_graph(8, n=4, p=0.9)
-    h_v, h_g = encodings_for(g, 8)
+    h_v, _ = encodings_for(g, 8)
     params = head_params(AugmentationKind.EDGE_PERTURB)
     w0_shape = params["mlp/w0"].shape
 
     def loss_fn(w_flat):
         params["mlp/w0"].data = w_flat.data.reshape(w0_shape)
-        out = one_graph(edge_perturbation_head, g, h_v, h_g, params, 1.0,
+        out = one_graph(edge_perturbation_head, g, h_v, params, 1.0,
                         RngStream(77, "fixed"))
         if out.graph.num_edges == 0:
             return Tensor(0.0)
@@ -187,7 +187,7 @@ def test_subgraph_whole_graph_when_hops_cover():
     g = make_graph(9, n=5, p=0.9)
     h_v, h_g = encodings_for(g, 9)
     out = one_graph(subgraph_head, g, h_v, h_g,
-                    head_params(AugmentationKind.SUBGRAPH), 10, 1.0,
+                    head_params(AugmentationKind.SUBGRAPH), 10,
                     RngStream(7, "sg"))
     assert out.graph.num_nodes == g.num_nodes
     p = out.soft_params["node_probs"].data
@@ -203,7 +203,7 @@ def test_subgraph_star_hub():
     h_v.data[0] += 10.0         # nudge the distribution toward the hub
     h_g = Tensor(np.zeros(D_H))
     params = head_params(AugmentationKind.SUBGRAPH, d_x=n)
-    out = one_graph(subgraph_head, g, h_v, h_g, params, 1, 1.0,
+    out = one_graph(subgraph_head, g, h_v, h_g, params, 1,
                     RngStream(8, "sg"))
     if out.graph.orig_ids[out.graph.center] == 0:
         assert out.graph.num_nodes == n       # hub center, one hop = whole star
@@ -233,7 +233,7 @@ def test_subgraph_connected_and_contains_center():
         g = make_graph(100 + seed, n=8, p=0.3)
         h_v, h_g = encodings_for(g, seed)
         out = one_graph(subgraph_head, g, h_v, h_g,
-                        head_params(AugmentationKind.SUBGRAPH), 2, 1.0,
+                        head_params(AugmentationKind.SUBGRAPH), 2,
                         RngStream(seed, "sg"))
         sub = out.graph
         assert sub.center is not None
@@ -401,7 +401,7 @@ def _ref_induced_edge_weights(edges_old, p):
 def _ref_node_drop(g, h_v, h_g, params, keep_ratio, stream):
     p = _ref_node_distribution(h_v, h_g, params)
     k = max(1, int(np.ceil(keep_ratio * g.num_nodes)))
-    kept = gumbel_top_k(p, k, stream)
+    kept = gumbel_top_k(p.data, k, stream)
     remap = np.full(g.num_nodes, -1, dtype=np.int64)
     remap[kept] = np.arange(len(kept))
     if g.num_edges:
@@ -467,10 +467,10 @@ def _ref_edge_perturb(g, h_v, params, temperature, stream):
     return HeadOutput(out, {"edge_probs": probs, "keep_soft": keep.soft})
 
 
-def _ref_subgraph(g, h_v, h_g, params, hops, temperature, stream):
+def _ref_subgraph(g, h_v, h_g, params, hops, stream):
     p = _ref_node_distribution(h_v, h_g, params)
-    center = gumbel_softmax(p.clip_min(1e-30).log(), temperature,
-                            stream.split("center")).hard
+    center = gumbel_softmax(np.log(np.maximum(p.data, 1e-30)),
+                            stream.split("center"))
     sub = khop_bfs(g, center, hops)
     edges_old = sub.orig_ids[sub.edges] if len(sub.edges) else sub.edges
     weights = (_ref_induced_edge_weights(edges_old, p)
@@ -504,8 +504,7 @@ def _ref_apply(kind, g, h_v, h_g, params, keep_ratio, hops, temperature,
     if kind == AugmentationKind.EDGE_PERTURB and g.num_edges:
         return _ref_edge_perturb(g, h_v, params[kind], temperature, stream)
     if kind == AugmentationKind.SUBGRAPH:
-        return _ref_subgraph(g, h_v, h_g, params[kind], hops, temperature,
-                             stream)
+        return _ref_subgraph(g, h_v, h_g, params[kind], hops, stream)
     if kind == AugmentationKind.FEATURE_MASK:
         return _ref_feature_mask(g, h_v, params[kind], temperature, stream)
     out = Graph(g.num_nodes, g.edges.copy(), g.features.data.copy(),
@@ -675,8 +674,7 @@ def _ref_train_step(graphs, state, config):
     enc_w = encode(batch, state.omega, config.aug_encoder(state.input_dim),
                    stream=step_stream.split("dropout/omega"), training=True)
     decision = decide(enc_w.graph_vector, config.policy_kind,
-                      config.policy_temperature, step_stream.split("policy"),
-                      state.policy, kinds)
+                      step_stream.split("policy"), state.policy, kinds)
     views = {"i": [], "j": []}
     for k, g in enumerate(graphs):
         n0 = int(batch.node_offsets[k])

@@ -159,3 +159,22 @@ def test_container_rejects_wrong_version(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError):
         read_container(path)
+
+
+@pytest.mark.parametrize("header", [
+    {"meta": {}},                                           # no tensor list
+    {"meta": {}, "tensors": [{"name": "w", "shape": [2],
+                              "dtype": "f4"}]},             # unknown dtype
+    [{"meta": {}}],                                         # not an object
+    {"meta": {}, "tensors": [{"name": "w", "shape": [-2],
+                              "dtype": "f8"}]},             # negative size
+])
+def test_container_rejects_malformed_header(tmp_path, header):
+    import json
+    import struct
+    raw = json.dumps(header).encode()
+    path = tmp_path / "c.bin"
+    path.write_bytes(b"GAPC" + struct.pack("<I", 1)
+                     + struct.pack("<Q", len(raw)) + raw + b"\x00" * 16)
+    with pytest.raises(CheckpointError, match="malformed"):
+        read_container(path)

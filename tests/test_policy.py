@@ -92,23 +92,33 @@ def decide_with_dist(dist_values, stream):
     from graphaug.sampling import gumbel_softmax
     from graphaug.policy import PolicyDecision
     dist = Tensor(np.asarray(dist_values))
-    log_dist = dist.clip_min(1e-30).log()
-    s_i = gumbel_softmax(log_dist, 1.0, stream.split("i"))
-    s_j = gumbel_softmax(log_dist, 1.0, stream.split("j"))
+    log_dist = np.log(np.maximum(dist.data, 1e-30))
+    i = gumbel_softmax(log_dist, stream.split("i"))
+    j = gumbel_softmax(log_dist, stream.split("j"))
     kinds = GRAPH_TASK_KINDS
-    return PolicyDecision(dist, kinds, kinds[s_i.hard], kinds[s_j.hard],
-                          dist.gather_rows([s_i.hard]).reshape(()),
-                          dist.gather_rows([s_j.hard]).reshape(()))
+    return PolicyDecision(dist, kinds, kinds[i], kinds[j],
+                          dist.gather_rows([i]).reshape(()),
+                          dist.gather_rows([j]).reshape(()))
 
 
 def test_decide_returns_consistent_probs():
     params = init_policy_params("gru", 8, 5, seed=6)
-    dec = decide(reps(), "gru", 1.0, RngStream(0, "d"), params)
+    dec = decide(reps(), "gru", RngStream(0, "d"), params)
     i_idx = dec.kinds.index(dec.i)
     j_idx = dec.kinds.index(dec.j)
     assert dec.p_i.item() == dec.dist.data[i_idx]
     assert dec.p_j.item() == dec.dist.data[j_idx]
     assert abs(dec.dist.data.sum() - 1.0) < 1e-9
+
+
+def test_random_policy_decide_builds_at_most_five_tensors(made_tensors):
+    """The distribution, then a gather and a reshape for each of p_i and
+    p_j: the draws themselves build nothing."""
+    x, params = reps(), init_policy_params("random", 8, 5, 0)
+    made_tensors.clear()
+    dec = decide(x, "random", RngStream(4, "count"), params)
+    assert len(made_tensors) <= 5, len(made_tensors)
+    assert dec.p_i.item() == dec.p_j.item() == 0.2
 
 
 def test_scale_by_policy_identity_and_half():

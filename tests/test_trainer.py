@@ -268,6 +268,12 @@ def test_checkpoint_bad_config_is_checkpoint_error(tmp_path, extra, match):
     (dict(estimator="bogus"), "estimator"),
     (dict(discriminator="bogus"), "discriminator"),
     (dict(estimator="nt_xent", nt_xent_temperature=0.0), "temperature"),
+    (dict(hops=0), "hops"),
+    (dict(task="node", hops=-1), "hops"),
+    (dict(task="node", node_batch_subgraphs=0), "node_batch_subgraphs"),
+    (dict(hidden_dim=0), "hidden_dim"),
+    (dict(dropout=1.5), "dropout"),
+    (dict(dropout=-0.1), "dropout"),
 ])
 def test_config_rejects_invalid_values(overrides, match):
     with pytest.raises(ValueError, match=match):
@@ -334,3 +340,80 @@ def test_graph_step_tensor_count_bounded(mutag_dir, monkeypatch):
         kinds.update((res.decision.i, res.decision.j))
         assert created[0] <= 1300, (res.decision, created[0])
     assert len(kinds - {AugmentationKind.IDENTITY}) >= 2, kinds
+
+
+def _saved_checkpoint(tmp_path, epochs=1):
+    from graphaug import container
+    ds = synthetic_dataset()
+    config = small_config(epochs=epochs)
+    state, _, _ = train(ds, config)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(state, config, path)
+    return path, container.read_container(path)
+
+
+def test_checkpoint_with_policy_temperature_still_loads(tmp_path):
+    """Checkpoints written before the setting was removed store it."""
+    from graphaug import container
+    path, (meta, tensors) = _saved_checkpoint(tmp_path)
+    want, config = load_checkpoint(path)
+    meta["config"]["policy_temperature"] = 0.05
+    container.write_container(path, meta, tensors)
+    loaded, config2 = load_checkpoint(path)
+    assert config2 == config
+    for gname in ("omega", "policy", "heads", "theta"):
+        for name, t in loaded.group(gname).items():
+            assert np.array_equal(t.data, want.group(gname)[name].data)
+
+
+@pytest.mark.parametrize("keys", [
+    ("adam_steps",), ("adam_steps", "heads"), ("streams",),
+    ("streams", "coin"), ("input_dim",), ("epoch",), ("stale",),
+], ids="/".join)
+def test_checkpoint_missing_meta_key_rejected(tmp_path, keys):
+    from graphaug import container
+    path, (meta, tensors) = _saved_checkpoint(tmp_path)
+    parent = meta
+    for key in keys[:-1]:
+        parent = parent[key]
+    del parent[keys[-1]]
+    container.write_container(path, meta, tensors)
+    with pytest.raises(CheckpointError, match=keys[-1]):
+        load_checkpoint(path)
+
+
+def _edit_moments(tensors, edit):
+    """Apply ``edit(name, array) -> {name: array}`` to every Adam moment."""
+    out = {}
+    for name, arr in tensors.items():
+        out.update(edit(name, arr) if name.startswith("adam/")
+                   else {name: arr})
+    return out
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda k, a: {k: np.zeros(1)}, "shape mismatch"),
+    (lambda k, a: {k + "x": a}, "match no parameter"),
+    (lambda k, a: {} if "/v/" in k else {k: a}, "one Adam moment"),
+], ids=["bad-shape", "unknown-name", "m-without-v"])
+def test_checkpoint_bad_adam_moment_rejected(tmp_path, edit, match):
+    from graphaug import container
+    path, (meta, tensors) = _saved_checkpoint(tmp_path)
+    assert any(k.startswith("adam/") for k in tensors)
+    container.write_container(path, meta, _edit_moments(tensors, edit))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+def test_resumed_run_writes_the_uninterrupted_checkpoint(tmp_path):
+    ds = synthetic_dataset()
+    straight, _, _ = train(ds, small_config(epochs=4, seed=21))
+    part, _, _ = train(ds, small_config(epochs=2, seed=21))
+    save_checkpoint(part, small_config(epochs=2, seed=21), tmp_path / "mid.bin")
+    resumed, _ = load_checkpoint(tmp_path / "mid.bin")
+    resumed, _, _ = train(ds, small_config(epochs=4, seed=21), state=resumed)
+    for name, state in (("straight", straight), ("resumed", resumed)):
+        save_checkpoint(state, small_config(epochs=4, seed=21),
+                        tmp_path / f"{name}.bin")
+    assert (tmp_path / "straight.bin").read_bytes() == \
+        (tmp_path / "resumed.bin").read_bytes()

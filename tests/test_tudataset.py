@@ -103,6 +103,29 @@ def test_featureless_degree_synthesis(tmp_path):
     assert X[0, 1] == 1.0 and X[1, 2] == 1.0 and X[2, 1] == 1.0
 
 
+def test_node_task_leaves_node_labels_out_of_features(tmp_path):
+    edges = ((1, 2), (2, 1), (2, 3), (3, 2))
+    labels = write_dataset(tmp_path, name="LAB", edges=edges,
+                           indicator=(1, 1, 1), node_labels=(0, 1, 2))
+    both = write_dataset(tmp_path, name="ATT", edges=edges,
+                         indicator=(1, 1, 1), node_labels=(0, 1, 2),
+                         node_attributes=((0.5,), (1.5,), (2.5,)))
+    degree = parse_tudataset(write_dataset(tmp_path, name="DEG", edges=edges,
+                                           indicator=(1, 1, 1)))
+    node = parse_tudataset(labels, "node")
+    # labels only: the degree features of the same graph without labels
+    assert node.feature_dim == DEGREE_CAP + 2
+    assert np.array_equal(node.graphs[0].features.data,
+                          degree.graphs[0].features.data)
+    assert node.node_labels[0].tolist() == [0, 1, 2]
+    assert parse_tudataset(labels).feature_dim == 3       # graph task: one-hot
+    # attributes and labels: the attributes alone
+    assert np.array_equal(parse_tudataset(both, "node").graphs[0].features.data,
+                          [[0.5], [1.5], [2.5]])
+    with pytest.raises(ValueError, match="task"):
+        parse_tudataset(labels, "nodes")
+
+
 def test_missing_indicator_errors(tmp_path):
     d = tmp_path / "EMPTY"
     d.mkdir()
