@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoders import encode
-from .errors import TrainingDivergedError
+from .errors import DatasetError, TrainingDivergedError
 from .graphs import batch_graphs, khop_bfs
 from .optim import AdamState, adam_step
 from .rng import RngStream
@@ -91,17 +91,17 @@ def embed_dataset(dataset, state, config) -> EmbeddingTable:
         labels = dataset.labels()
         return EmbeddingTable(vectors, labels,
                               {"dataset": dataset.name, "task": "graph"})
+    if dataset.node_labels is None:
+        raise DatasetError(f"{dataset.name} has no node labels, which the "
+                           "node task needs as probe targets")
     g = dataset.graphs[0]
     vectors = np.zeros((g.num_nodes, config.hidden_dim))
     for start in range(0, g.num_nodes, EMBED_CHUNK):
-        centers = range(start, min(start + EMBED_CHUNK, g.num_nodes))
-        subs = [khop_bfs(g, c, config.hops) for c in centers]
-        batch = batch_graphs(subs)
+        centers = np.arange(start, min(start + EMBED_CHUNK, g.num_nodes))
+        batch = khop_bfs(g, centers, config.hops)
         enc = encode(batch, state.theta, enc_cfg)
-        rows = batch.node_offsets + batch.centers
-        vectors[batch.orig_ids[rows]] = enc.node_matrix.data[rows]
-    if dataset.node_labels is None:
-        raise ValueError("node-task probe needs node labels")
+        vectors[centers] = enc.node_matrix.data[batch.node_offsets
+                                                + batch.centers]
     labels = np.asarray(dataset.node_labels[0], dtype=np.int64)
     return EmbeddingTable(vectors, labels,
                           {"dataset": dataset.name, "task": "node"})
@@ -254,11 +254,14 @@ def linear_probe_node(table: EmbeddingTable, runs: int = 20,
         raise ValueError(f"need runs >= 1, got {runs}")
     x = table.vectors
     y, num_classes = _class_indices(table.labels)
+    n_train = max(num_classes, int(round(train_frac * len(y))))
+    if n_train >= len(y):
+        raise ValueError(f"a train split of {n_train} of {len(y)} nodes "
+                         "leaves no test node")
     accs, l2s = [], []
     for run in range(runs):
         stream = RngStream(seed + run, "probe-splits")
         order = stream.permutation(len(y))
-        n_train = max(num_classes, int(round(train_frac * len(y))))
         tr_idx, te_idx = order[:n_train], order[n_train:]
         if len(np.unique(y[tr_idx])) < num_classes:
             # re-draw once with a derived stream; then accept the split

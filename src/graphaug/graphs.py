@@ -16,16 +16,18 @@ from .rng import RngStream
 from .tensor import Tensor, concat
 
 
-def csr(edges: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Out-neighbour adjacency ``(indptr, indices)`` of a directed edge list.
+def csr(edges: np.ndarray,
+        num_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Out-neighbour adjacency ``(indptr, indices, edge_ids)`` of an edge list.
 
-    Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]``, targets in edge order.
+    Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]``, targets in edge order,
+    and ``edge_ids`` over the same range holds those edges' rows in ``edges``.
     """
     src = edges[:, 0]
     order = np.argsort(src, kind="stable")
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
-    return indptr, edges[order, 1]
+    return indptr, edges[order, 1], order
 
 
 @dataclass
@@ -36,8 +38,6 @@ class Graph:
     features: Tensor                  # (V, d_x)
     edge_weights: Tensor              # (E,)
     label: int | None = None
-    orig_ids: np.ndarray | None = None   # local id -> id in the source graph
-    center: int | None = None           # local id of the BFS center, if any
     _csr: tuple | None = field(default=None, init=False, repr=False,
                                compare=False)
 
@@ -69,7 +69,7 @@ class Graph:
         loops = int((self.edges[:, 0] == self.edges[:, 1]).sum())
         return loops + (self.num_edges - loops) / 2.0
 
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The graph's ``csr`` adjacency, built on first use and cached, so
         graphs that never run a BFS do not pay for the sort."""
         if self._csr is None:
@@ -83,10 +83,9 @@ class GraphBatch:
 
     Node ids are global. Graph ``k`` owns ``node_counts[k]`` consecutive
     nodes from ``node_offsets[k]`` and the next ``edge_counts[k]`` edges, so
-    edges are grouped by graph in graph order. ``orig_ids`` (each node's id
-    in its graph's source) and ``centers`` (each graph's local BFS center)
-    are ``None`` when no graph has them; otherwise a graph without them gets
-    its own ids and center -1.
+    edges are grouped by graph in graph order. A batch cut from a source
+    graph keeps each node's id there in ``orig_ids`` and each k-hop
+    subgraph's local center in ``centers``; otherwise both are ``None``.
     """
     edges: np.ndarray               # (E, 2) int64, global ids
     features: Tensor                # (N, d_x)
@@ -126,15 +125,10 @@ class GraphBatch:
         n1 = n0 + int(self.node_counts[k])
         e0 = int(self.edge_counts[:k].sum())
         e1 = e0 + int(self.edge_counts[k])
-        center = None if self.centers is None or self.centers[k] < 0 \
-            else int(self.centers[k])
         return Graph(n1 - n0, self.edges[e0:e1] - n0,
                      self.features.slice_axis(0, n0, n1),
                      self.edge_weights.slice_axis(0, e0, e1),
-                     label=self.labels[k],
-                     orig_ids=(None if self.orig_ids is None
-                               else self.orig_ids[n0:n1]),
-                     center=center)
+                     label=self.labels[k])
 
 
 def batch_graphs(graphs: list) -> GraphBatch:
@@ -149,85 +143,86 @@ def batch_graphs(graphs: list) -> GraphBatch:
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)])
-
-    orig_ids = centers = None
-    if any(g.orig_ids is not None for g in graphs):
-        orig_ids = np.concatenate([
-            np.arange(g.num_nodes) if g.orig_ids is None else g.orig_ids
-            for g in graphs])
-    if any(g.center is not None for g in graphs):
-        centers = np.array([-1 if g.center is None else g.center
-                            for g in graphs], dtype=np.int64)
     return GraphBatch(edges, concat([g.features for g in graphs]),
                       concat([g.edge_weights for g in graphs]), sizes,
                       np.array([g.num_edges for g in graphs], dtype=np.int64),
-                      [g.label for g in graphs], orig_ids, centers)
+                      [g.label for g in graphs])
 
 
-def induce(edges: np.ndarray, num_nodes: int,
-           kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Node remap and edge mask of the subgraph induced by ascending ids.
-
-    ``remap[old]`` is the new id of a kept node (kept nodes keep their
-    order) and -1 for a dropped one; the mask marks the edges whose two ends
-    are kept.
-    """
-    remap = np.full(num_nodes, -1, dtype=np.int64)
-    remap[kept] = np.arange(len(kept))
-    mask = (remap[edges[:, 0]] >= 0) & (remap[edges[:, 1]] >= 0)
-    return remap, mask
+def _row_positions(indptr: np.ndarray,
+                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in the CSR arrays of every entry of ``rows``, row after row,
+    and each row's length."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    return (np.repeat(starts - np.cumsum(counts) + counts, counts)
+            + np.arange(counts.sum())), counts
 
 
-def khop_nodes(indptr: np.ndarray, indices: np.ndarray, centers,
+def khop_nodes(indptr: np.ndarray, indices: np.ndarray, centers: np.ndarray,
                hops: int) -> np.ndarray:
-    """Boolean mask of the nodes within ``hops`` BFS steps of any center.
+    """Sorted packed keys ``k * N + v`` of the nodes ``v`` within ``hops``
+    BFS steps of ``centers[k]``, for ``N = len(indptr) - 1``.
 
-    On a disjoint union with one center per graph, that is every graph's own
-    neighbourhood at once, since no path leaves a graph.
+    The frontier holds (center, node) pairs as keys, so one expansion serves
+    every center and memory follows the neighbourhoods, not centers x N.
     """
-    seen = np.zeros(len(indptr) - 1, dtype=bool)
-    frontier = np.unique(np.asarray(centers, dtype=np.int64))
-    seen[frontier] = True
+    n = len(indptr) - 1
+    keys = frontier = np.arange(len(centers)) * n + centers
     for _ in range(hops):
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        # positions of every out-edge of the frontier in ``indices``
-        pos = (np.repeat(starts - np.cumsum(counts) + counts, counts)
-               + np.arange(counts.sum()))
-        nxt = indices[pos]
-        frontier = np.unique(nxt[~seen[nxt]])
+        nodes = frontier % n
+        pos, counts = _row_positions(indptr, nodes)
+        reached = np.repeat(frontier - nodes, counts) + indices[pos]
+        frontier = np.setdiff1d(reached, keys)
         if not frontier.size:
             break
-        seen[frontier] = True
-    return seen
+        keys = np.union1d(keys, frontier)
+    return keys
 
 
-def khop_bfs(g: Graph, center: int, hops: int) -> Graph:
-    """Induced subgraph on all nodes within ``hops`` BFS steps of ``center``.
+def khop_bfs(g: Graph, centers, hops: int) -> GraphBatch:
+    """The induced subgraphs on the nodes within ``hops`` BFS steps of each
+    center, as one batch with a graph per center (repeats included).
 
-    Kept nodes are relabeled contiguously in ascending original order;
-    ``orig_ids`` is the old-id map (ids in the immediate input graph).
+    Subgraph ``k`` keeps its nodes in ascending order and its edges in
+    ``g.edges`` order; ``orig_ids`` are the nodes' ids in ``g``, ``centers``
+    the centers' local ids, and every label is ``g.label``.
     """
-    if not (0 <= center < g.num_nodes):
-        raise ValueError(f"center {center} out of range for |V|={g.num_nodes}")
+    centers = np.asarray(centers, dtype=np.int64).reshape(-1)
+    if not centers.size or centers.min() < 0 or centers.max() >= g.num_nodes:
+        raise ValueError(f"need one or more centers in [0, {g.num_nodes})")
     if hops < 0:
         raise ValueError("hop count must be >= 0")
-    kept = np.flatnonzero(khop_nodes(*g.csr(), [center], hops))
-    remap, mask = induce(g.edges, g.num_nodes, kept)
-    return Graph(len(kept), remap[g.edges[mask]], g.features.gather_rows(kept),
-                 g.edge_weights.gather_rows(np.flatnonzero(mask)),
-                 label=g.label, orig_ids=kept, center=int(remap[center]))
+    n, count = g.num_nodes, len(centers)
+    indptr, indices, edge_ids = g.csr()
+    keys = khop_nodes(indptr, indices, centers, hops)
+    owner, nodes = np.divmod(keys, n)
+    # every out-edge of a reached node, kept when its target is reached from
+    # the same center; batch node ids are positions in ``keys``
+    pos, counts = _row_positions(indptr, nodes)
+    rows = np.repeat(np.arange(len(keys)), counts)
+    target = np.repeat(keys - nodes, counts) + indices[pos]
+    dst = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
+    kept = np.flatnonzero(keys[dst] == target)
+    kept = kept[np.lexsort((edge_ids[pos[kept]], owner[rows[kept]]))]
+    src, eids = rows[kept], edge_ids[pos[kept]]
+    batch = GraphBatch(np.stack([src, dst[kept]], axis=1),
+                       g.features.gather_rows(nodes),
+                       g.edge_weights.gather_rows(eids),
+                       np.bincount(owner, minlength=count),
+                       np.bincount(owner[src], minlength=count),
+                       [g.label] * count, orig_ids=nodes)
+    batch.centers = (np.searchsorted(keys, np.arange(count) * n + centers)
+                     - batch.node_offsets)
+    return batch
 
 
 def make_node_task_batch(g: Graph, num_subgraphs: int, hops: int,
                          stream: RngStream) -> GraphBatch:
     """Emulate a graph batch by BFS subgraphs around random centers.
 
-    Each subgraph records its center so node embeddings can be written back
-    to the original node ids.
+    The batch records each subgraph's center and node ids in ``g``, so node
+    embeddings can be written back to the original node ids.
     """
-    if num_subgraphs < 1:
-        raise ValueError("need at least one subgraph")
     centers = stream.integers(0, g.num_nodes, size=num_subgraphs)
-    subs = [khop_bfs(g, int(c), hops) for c in centers]
-    return batch_graphs(subs)
+    return khop_bfs(g, centers, hops)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .encoders import mlp2, param_seed
-from .graphs import GraphBatch, csr, induce, khop_nodes
+from .graphs import GraphBatch, csr, khop_nodes
 from .policy import AugmentationKind
 from .rng import RngStream
 from .sampling import gumbel_softmax, gumbel_top_k, relaxed_bernoulli
@@ -82,8 +82,9 @@ def _induced_view(batch: GraphBatch, kept: np.ndarray, p: Tensor) -> GraphBatch:
     per graph) with every edge between kept nodes, weighted
     w_ij = p(v_i) + p(v_j). ``orig_ids`` are the kept nodes' ids in their
     input graph."""
-    remap, mask = induce(batch.edges, batch.num_nodes, kept)
-    old = batch.edges[mask]
+    remap = np.full(batch.num_nodes, -1, dtype=np.int64)
+    remap[kept] = np.arange(len(kept))       # -1 marks a dropped node
+    old = batch.edges[(remap[batch.edges] >= 0).all(axis=1)]
     owner = batch.node_to_graph[kept]
     weights = p.gather_rows(old[:, 0]) + p.gather_rows(old[:, 1])
     return GraphBatch(remap[old], batch.features.gather_rows(kept), weights,
@@ -205,8 +206,9 @@ def subgraph_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
         for k, (n0, n) in enumerate(zip(batch.node_offsets.tolist(),
                                         batch.node_counts.tolist()))],
         dtype=np.int64)
-    kept = np.flatnonzero(khop_nodes(*csr(batch.edges, batch.num_nodes),
-                                     centers, hops))
+    indptr, indices, _ = csr(batch.edges, batch.num_nodes)
+    # one center per graph of the union, so the keys' nodes already ascend
+    kept = khop_nodes(indptr, indices, centers, hops) % batch.num_nodes
     view = _induced_view(batch, kept, p)
     view.centers = np.searchsorted(kept, centers) - view.node_offsets
     return HeadOutput(view, {"node_probs": p})

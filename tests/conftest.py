@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from graphaug.graphs import Graph, batch_graphs
-from graphaug.heads import HeadOutput
 from graphaug.rng import RngStream
 from graphaug.tensor import Tensor, finite_diff_grad
 
@@ -31,8 +30,9 @@ def one_graph(head, *args, **kwargs):
     """Call a batched head (or ``apply_augmentation``) on a single graph.
 
     The graph goes in as ``batch_graphs([g])``, a 1-D graph encoding as a
-    (1, d) row and the stream as ``[stream]``; the view comes back as that
-    one ``Graph``, with the head's soft parameters.
+    (1, d) row and the stream as ``[stream]``; the view comes back as the
+    head made it, a one-graph ``GraphBatch`` that carries its provenance
+    (``orig_ids``, ``centers``), with the head's soft parameters.
     """
     def wrap(a):
         if isinstance(a, Graph):
@@ -43,8 +43,7 @@ def one_graph(head, *args, **kwargs):
             return a.reshape(1, -1)
         return a
 
-    out = head(*map(wrap, args), **{k: wrap(v) for k, v in kwargs.items()})
-    return HeadOutput(out.graph.graph(0), out.soft_params)
+    return head(*map(wrap, args), **{k: wrap(v) for k, v in kwargs.items()})
 
 
 @pytest.fixture

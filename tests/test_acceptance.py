@@ -195,7 +195,7 @@ def test_criterion_1_gradient_oracle():
                 out = one_graph(apply_augmentation, kind, gk, h_vk, h_gk,
                                 state.heads, 0.7, 2, 1.0,
                                 step_stream.split(f"g{k}/{view}"))
-                acc.append(out.graph)
+                acc.append(out.graph.graph(0))
         bi, bj = batch_graphs(views_i), batch_graphs(views_j)
         enc_i = encode(bi, state.theta, config.base_encoder(d_x))
         enc_j = encode(bj, state.theta, config.base_encoder(d_x))

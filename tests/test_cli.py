@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from graphaug import cli, container
+from graphaug import cli, container, evaluation
 from graphaug.cli import main
 from graphaug.errors import TrainingDivergedError
 from graphaug.rng import RngStream
@@ -253,7 +253,7 @@ def test_probe_dim_mismatch_fails(dataset_dir, tmp_path, capsys):
 
 
 def embed_must_not_run(*args, **kwargs):
-    raise AssertionError("probe embedded the dataset before checking counts")
+    raise AssertionError("embedded the dataset before checking its inputs")
 
 
 @pytest.mark.parametrize("flags", [("--folds", "0"), ("--folds", "1"),
@@ -488,6 +488,45 @@ def test_node_probe_rejects_zero_runs(tmp_path, capsys, monkeypatch):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot probe") and "runs" in err
+    assert not probe_out.exists()
+
+
+def train_node_task(data_dir, out):
+    assert run_cli("train", "--dataset", str(data_dir), "--task", "node",
+                   "--out", str(out), "--epochs", "0", "--hidden-dim", "8",
+                   "--num-layers", "1", "--hops", "1", "--seed", "3",
+                   "--policy", "random") == 0
+    return out / "checkpoint.bin"
+
+
+def test_node_task_without_node_labels_fails_before_embedding(
+        tmp_path, capsys, monkeypatch):
+    data_dir = write_single_graph_dataset(tmp_path)
+    (data_dir / "ONE_node_labels.txt").unlink()
+    checkpoint = train_node_task(data_dir, tmp_path / "node-run")
+    monkeypatch.setattr(evaluation, "encode", embed_must_not_run)
+    for command in ("embed", "probe"):
+        capsys.readouterr()
+        out = tmp_path / f"node-{command}"
+        code = run_cli(command, "--checkpoint", str(checkpoint),
+                       "--dataset", str(data_dir), "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ONE has no node labels"), err
+        assert not out.exists()
+
+
+def test_node_probe_without_test_nodes_fails_cleanly(tmp_path, capsys):
+    data_dir = write_single_graph_dataset(tmp_path)
+    checkpoint = train_node_task(data_dir, tmp_path / "node-run")
+    probe_out = tmp_path / "node-probe"
+    code = run_cli("probe", "--checkpoint", str(checkpoint),
+                   "--dataset", str(data_dir), "--out", str(probe_out),
+                   "--runs-node", "2", "--train-frac", "0.99")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot probe ONE") and \
+        "24 of 24 nodes leaves no test node" in err, err
     assert not probe_out.exists()
 
 

@@ -160,11 +160,64 @@ def trace_sites() -> list:
     raise AssertionError(f"no SITES assignment in {path}")
 
 
+# Trace sites that no code calls through, each with the reason it stays. A
+# dead site records 0 calls and leaves its time in the caller's self time.
+DEAD_SITES_BY_DESIGN = {
+    ("graphaug.heads", "khop_bfs"):
+        "the batched subgraph head calls khop_nodes; pointing the site there "
+        "is benchmark upkeep (ROADMAP item 9)",
+    ("graphaug.graphs", "batch_graphs"):
+        "graphs.py builds node-task batches with khop_bfs; the trainer and "
+        "evaluation sites time every batch_graphs call, and dropping this "
+        "site is benchmark upkeep (ROADMAP item 9)",
+}
+
+
+def site_callers(modules, others=()) -> set:
+    """``(module, attribute)`` pairs that code looks up when it runs: a bare
+    name loaded in a file of ``modules`` (``graphaug.<stem>``), or
+    ``<module>.attribute`` loaded in any file. Those are the lookups a
+    patched site intercepts; an import alone is none."""
+    found = set()
+    for path in list(modules) + list(others):
+        module = f"graphaug.{path.stem}" if path in modules else None
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if module and isinstance(node, ast.Name):
+                found.add((module, node.id))
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name):
+                found.add((f"graphaug.{node.value.id}", node.attr))
+    return found
+
+
 def test_benchmark_trace_sites_resolve():
     """A name deleted or moved in src/ would make the traced benchmark run
-    fail on entry, when the tracer looks each site up."""
+    fail on entry, when the tracer looks each site up. A site that nothing
+    calls through would record 0 calls and misattribute the time."""
     sites = trace_sites()
     assert sites
     missing = [(module, attr) for module, attr, _ in sites
                if not hasattr(importlib.import_module(module), attr)]
     assert not missing, f"perfbench/spans.py wraps names src/ lacks: {missing}"
+    called = site_callers(sorted(SRC.glob("*.py")),
+                          sorted((ROOT / "perfbench").glob("*.py")))
+    dead = {(module, attr) for module, attr, _ in sites
+            if (module, attr) not in called}
+    stale = sorted(set(DEAD_SITES_BY_DESIGN) - dead)
+    assert not stale, f"exception no longer needed: {stale}"
+    extra = sorted(dead - set(DEAD_SITES_BY_DESIGN))
+    assert not extra, f"perfbench/spans.py wraps sites nothing calls: {extra}"
+
+
+def test_guard_sees_only_lookups_a_site_intercepts(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from .graphs import batch_graphs, khop_bfs\n"
+        "from . import container\n\n"
+        "def f(g):\n"
+        "    container.write_container(g)\n"
+        "    return khop_bfs(g, [0], 1)\n")
+    found = site_callers([module])
+    assert ("graphaug.mod", "khop_bfs") in found
+    assert ("graphaug.container", "write_container") in found
+    assert ("graphaug.mod", "batch_graphs") not in found

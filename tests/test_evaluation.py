@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphaug import evaluation
-from graphaug.errors import TrainingDivergedError
+from graphaug.errors import DatasetError, TrainingDivergedError
 from graphaug.evaluation import (
     LAMBDA_GRID, PROBE_EPOCHS, PROBE_LR, EmbeddingTable, embed_dataset,
     linear_probe_graph, linear_probe_node,
@@ -130,6 +130,25 @@ def test_embed_node_task_writeback():
     assert np.array_equal(table.labels, node_labels)
     # every row written (path graph: all centers reachable)
     assert not np.allclose(table.vectors, 0.0)
+
+
+def test_embed_node_task_without_labels_fails_before_embedding(monkeypatch):
+    g = Graph(3, np.array([(0, 1), (1, 0)]), np.ones((3, 2)), np.ones(2))
+    config = TrainConfig(hidden_dim=4, num_layers=1, task="node", seed=0,
+                         epochs=0)
+
+    def must_not_encode(*args, **kwargs):
+        raise AssertionError("embedded before checking the node labels")
+
+    monkeypatch.setattr(evaluation, "encode", must_not_encode)
+    with pytest.raises(DatasetError, match="no node labels"):
+        embed_dataset(Dataset("NT", [g], 2, 2), init_state(config, 2), config)
+
+
+def test_node_probe_without_test_nodes_rejected():
+    table = separable_table(n=24, seed=3)
+    with pytest.raises(ValueError, match="24 of 24 nodes leaves no test"):
+        linear_probe_node(table, runs=2, train_frac=0.99, seed=0)
 
 
 def test_node_probe_twenty_runs_protocol():

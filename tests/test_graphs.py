@@ -51,9 +51,11 @@ def bfs_distances(g: Graph, src: int) -> np.ndarray:
 
 def test_khop_on_path():
     g = path_graph(5)
-    sub = khop_bfs(g, 2, 1)
+    b = khop_bfs(g, [2], 1)
+    sub = b.graph(0)
     assert sub.num_nodes == 3
-    assert sorted(sub.orig_ids.tolist()) == [1, 2, 3]
+    assert b.orig_ids.tolist() == [1, 2, 3]
+    assert b.centers.tolist() == [1]
     undirected = {tuple(sorted(e)) for e in sub.edges.tolist()}
     assert undirected == {(0, 1), (1, 2)}
     assert np.array_equal(sub.features.data, g.features.data[[1, 2, 3]])
@@ -61,22 +63,34 @@ def test_khop_on_path():
 
 def test_khop_zero_hops():
     g = path_graph(4)
-    sub = khop_bfs(g, 1, 0)
-    assert sub.num_nodes == 1 and sub.num_edges == 0
-    assert sub.orig_ids.tolist() == [1]
+    b = khop_bfs(g, [1], 0)
+    assert b.num_nodes == 1 and b.num_edges == 0
+    assert b.orig_ids.tolist() == [1]
+    assert b.centers.tolist() == [0]
 
 
 def test_khop_triangle_whole():
     edges = np.array([(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)])
     g = Graph(3, edges, np.eye(3), np.ones(6))
-    for c in range(3):
-        sub = khop_bfs(g, c, 1)
-        assert sub.num_nodes == 3 and sub.num_edges == 6
+    b = khop_bfs(g, [0, 1, 2], 1)
+    assert b.node_counts.tolist() == [3, 3, 3]
+    assert b.edge_counts.tolist() == [6, 6, 6]
+    assert b.centers.tolist() == [0, 1, 2]
 
 
 def test_khop_center_out_of_range():
-    with pytest.raises(ValueError):
-        khop_bfs(path_graph(3), 5, 1)
+    for centers in ([5], [0, -1]):
+        with pytest.raises(ValueError, match=r"centers in \[0, 3\)"):
+            khop_bfs(path_graph(3), centers, 1)
+
+
+def test_khop_rejects_no_centers_and_negative_hops():
+    with pytest.raises(ValueError, match="one or more centers"):
+        khop_bfs(path_graph(3), [], 1)
+    with pytest.raises(ValueError, match="one or more centers"):
+        make_node_task_batch(path_graph(3), 0, 1, RngStream(0, "none"))
+    with pytest.raises(ValueError, match="hop count"):
+        khop_bfs(path_graph(3), [0], -1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -85,22 +99,24 @@ def test_khop_is_exact_induced_subgraph(n, hops, seed):
     stream = RngStream(seed, "khop-prop")
     g = random_graph(n, 0.35, stream)
     center = int(stream.integers(0, n))
-    sub = khop_bfs(g, center, hops)
+    batch = khop_bfs(g, [center], hops)
     dist = bfs_distances(g, center)
     expect_nodes = sorted(int(v) for v in np.flatnonzero((dist >= 0) & (dist <= hops)))
-    assert sub.orig_ids.tolist() == expect_nodes
+    assert batch.orig_ids.tolist() == expect_nodes
+    assert batch.orig_ids[batch.centers[0]] == center
     # induced: edge in output iff both endpoints kept and edge in input
     kept = set(expect_nodes)
     expect_edges = {(a, b) for a, b in map(tuple, g.edges.tolist())
                     if a in kept and b in kept}
-    got_edges = {(int(sub.orig_ids[a]), int(sub.orig_ids[b]))
-                 for a, b in sub.edges.tolist()}
+    got_edges = {(int(batch.orig_ids[a]), int(batch.orig_ids[b]))
+                 for a, b in batch.edges.tolist()}
     assert got_edges == expect_edges
 
 
-def _khop_bfs_reference(g: Graph, center: int, hops: int) -> Graph:
-    """The BFS over per-call Python adjacency lists that ``khop_bfs`` used
-    before the CSR frontier expansion; the oracle for bit-identical output."""
+def khop_bfs_reference(g: Graph, center: int, hops: int):
+    """One center's k-hop subgraph by a BFS over Python adjacency lists: the
+    induced ``Graph`` on the kept nodes in ascending order, the kept ids in
+    ``g`` and the center's local id. The oracle for bit-identical output."""
     adj = [[] for _ in range(g.num_nodes)]
     for s, d in g.edges:
         adj[int(s)].append(int(d))
@@ -128,8 +144,8 @@ def _khop_bfs_reference(g: Graph, center: int, hops: int) -> Graph:
         new_edges = np.zeros((0, 2), dtype=np.int64)
     feats = g.features.gather_rows(kept)
     weights = g.edge_weights.gather_rows(np.flatnonzero(mask))
-    return Graph(len(kept), new_edges, feats, weights, label=g.label,
-                 orig_ids=kept, center=int(remap[center]))
+    return (Graph(len(kept), new_edges, feats, weights, label=g.label), kept,
+            int(remap[center]))
 
 
 def messy_digraph(n, num_edges, stream, tensors=False):
@@ -148,10 +164,19 @@ def messy_digraph(n, num_edges, stream, tensors=False):
     return Graph(n, edges, feats, weights, label=1)
 
 
-def assert_same_graph(got: Graph, want: Graph):
-    assert got.num_nodes == want.num_nodes
-    assert got.label == want.label and got.center == want.center
-    for a, b in [(got.edges, want.edges), (got.orig_ids, want.orig_ids),
+def assert_matches_reference(g: Graph, centers, hops: int):
+    """``khop_bfs`` equals the per-center reference subgraphs packed by
+    ``batch_graphs``, array for array, dtype and ``requires_grad``
+    included."""
+    got = khop_bfs(g, centers, hops)
+    refs = [khop_bfs_reference(g, int(c), hops) for c in centers]
+    want = batch_graphs([sub for sub, _, _ in refs])
+    want_ids = np.concatenate([kept for _, kept, _ in refs])
+    want_centers = np.array([c for _, _, c in refs], dtype=np.int64)
+    assert got.labels == want.labels
+    for a, b in [(got.edges, want.edges), (got.node_counts, want.node_counts),
+                 (got.edge_counts, want.edge_counts),
+                 (got.orig_ids, want_ids), (got.centers, want_centers),
                  (got.features.data, want.features.data),
                  (got.edge_weights.data, want.edge_weights.data)]:
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -165,36 +190,39 @@ def test_khop_matches_reference_bfs(seed, tensors):
     stream = RngStream(seed, "khop-oracle")
     g = messy_digraph(int(stream.integers(6, 30)), int(stream.integers(0, 60)),
                       stream, tensors)
+    # every node once, then repeats, in shuffled order
+    centers = np.concatenate([np.arange(g.num_nodes),
+                              stream.integers(0, g.num_nodes, size=7)])
+    centers = centers[stream.permutation(len(centers))]
     for hops in range(4):
-        for center in range(g.num_nodes):
-            assert_same_graph(khop_bfs(g, center, hops),
-                              _khop_bfs_reference(g, center, hops))
+        assert_matches_reference(g, centers, hops)
+        assert_matches_reference(g, centers[:1], hops)
 
 
 def test_khop_matches_reference_without_edges():
     g = Graph(4, np.zeros((0, 2)), np.eye(4), np.zeros(0))
     for hops in range(3):
-        for center in range(4):
-            assert_same_graph(khop_bfs(g, center, hops),
-                              _khop_bfs_reference(g, center, hops))
+        assert_matches_reference(g, [0, 1, 2, 3, 2], hops)
 
 
 def test_csr_rows_are_out_neighbours_in_edge_order():
     g = messy_digraph(12, 40, RngStream(3, "csr"))
-    indptr, indices = g.csr()
+    indptr, indices, edge_ids = g.csr()
     assert indptr[0] == 0 and indptr[-1] == g.num_edges
     for u in range(g.num_nodes):
-        want = g.edges[g.edges[:, 0] == u, 1]
-        assert np.array_equal(indices[indptr[u]:indptr[u + 1]], want)
+        row = slice(indptr[u], indptr[u + 1])
+        want = np.flatnonzero(g.edges[:, 0] == u)
+        assert np.array_equal(edge_ids[row], want)
+        assert np.array_equal(indices[row], g.edges[edge_ids[row], 1])
 
 
 def test_csr_built_lazily_and_cached():
     g = messy_digraph(10, 20, RngStream(4, "csr-lazy"))
     assert g._csr is None                      # construction does not build it
-    khop_bfs(g, 0, 2)
+    khop_bfs(g, [0], 2)
     cached = g._csr
     assert cached is not None
-    khop_bfs(g, 1, 2)
+    khop_bfs(g, [1, 3], 2)
     assert g._csr is cached
     assert all(a is b for a, b in zip(g.csr(), cached))
 
@@ -281,15 +309,14 @@ def test_node_batch_covers_and_centers():
     b = make_node_task_batch(g, 4, hops=2, stream=RngStream(1, "nb2"))
     assert b.num_graphs == 4
     assert len(b.node_to_graph) == b.num_nodes
-    for sub in map(b.graph, range(b.num_graphs)):
-        assert sub.center is not None
-        assert 0 <= sub.center < sub.num_nodes
+    assert b.centers is not None
+    assert np.all((0 <= b.centers) & (b.centers < b.node_counts))
 
 
 def test_node_batch_deterministic():
     g = random_graph(30, 0.2, RngStream(2, "det"))
     b1 = make_node_task_batch(g, 5, 1, RngStream(9, "s"))
     b2 = make_node_task_batch(g, 5, 1, RngStream(9, "s"))
-    centers1 = [sub.orig_ids[sub.center] for sub in map(b1.graph, range(5))]
-    centers2 = [sub.orig_ids[sub.center] for sub in map(b2.graph, range(5))]
-    assert centers1 == centers2
+    centers1 = b1.orig_ids[b1.node_offsets + b1.centers]
+    centers2 = b2.orig_ids[b2.node_offsets + b2.centers]
+    assert np.array_equal(centers1, centers2)

@@ -1,9 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from graphaug.encoders import EncoderConfig, Encodings, encode, \
     init_encoder_params, mlp2
-from graphaug.graphs import Graph, batch_graphs, khop_bfs
+from graphaug.graphs import Graph, GraphBatch, batch_graphs
 from graphaug.heads import (
     HeadOutput, apply_augmentation, edge_perturbation_head,
     feature_masking_head, identity_augmentation, init_head_params,
@@ -20,6 +22,7 @@ from graphaug.trainer import GROUPS, TrainConfig, _collect_grads, \
     init_state, train_step
 
 from conftest import one_graph, rel_err
+from test_graphs import khop_bfs_reference
 
 D_H = 6
 
@@ -52,7 +55,7 @@ def undirected_set(edges):
     return {tuple(sorted(e)) for e in edges.tolist()}
 
 
-def check_graph_invariants(out: Graph):
+def check_graph_invariants(out: GraphBatch):
     assert out.num_nodes >= 1
     if out.num_edges:
         assert out.edges.min() >= 0 and out.edges.max() < out.num_nodes
@@ -205,7 +208,7 @@ def test_subgraph_star_hub():
     params = head_params(AugmentationKind.SUBGRAPH, d_x=n)
     out = one_graph(subgraph_head, g, h_v, h_g, params, 1,
                     RngStream(8, "sg"))
-    if out.graph.orig_ids[out.graph.center] == 0:
+    if out.graph.orig_ids[out.graph.centers[0]] == 0:
         assert out.graph.num_nodes == n       # hub center, one hop = whole star
 
 
@@ -236,8 +239,9 @@ def test_subgraph_connected_and_contains_center():
                         head_params(AugmentationKind.SUBGRAPH), 2,
                         RngStream(seed, "sg"))
         sub = out.graph
-        assert sub.center is not None
-        reach = bfs_reachable(sub.edges.tolist(), sub.num_nodes, sub.center)
+        assert sub.centers is not None
+        reach = bfs_reachable(sub.edges.tolist(), sub.num_nodes,
+                              sub.centers[0])
         assert reach == set(range(sub.num_nodes))
 
 
@@ -361,7 +365,7 @@ def test_each_head_gets_contrastive_loss_gradient():
                 out = one_graph(apply_augmentation, 
            kind, g, h_v, h_g, head_p, 0.8, 2, 1.0,
            RngStream(3, f"flow-{kind.value}-{k}{view}"))
-                acc.append(out.graph)
+                acc.append(out.graph.graph(0))
         bi, bj = batch_graphs(views_i), batch_graphs(views_j)
         enc_i = encode(bi, enc_params, cfg)
         enc_j = encode(bj, enc_params, cfg)
@@ -383,6 +387,15 @@ def test_each_head_gets_contrastive_loss_gradient():
 # softmax reduces per segment in another order).
 
 TOL = 1e-12
+
+
+@dataclass
+class RefOutput(HeadOutput):
+    """A reference head's view as a ``Graph``, with the provenance the
+    batched view carries in its batch: the kept nodes' ids in the input
+    graph and the local BFS center."""
+    orig_ids: np.ndarray | None = None
+    center: int | None = None
 
 
 def _ref_node_distribution(h_v, h_g, params):
@@ -413,8 +426,8 @@ def _ref_node_drop(g, h_v, h_g, params, keep_ratio, stream):
                if len(kept_edges_old) else Tensor(np.zeros(0)))
     feats = g.features.data[kept].copy()
     out = Graph(len(kept), remap[kept_edges_old], feats, weights,
-                label=g.label, orig_ids=kept)
-    return HeadOutput(out, {"node_probs": p})
+                label=g.label)
+    return RefOutput(out, {"node_probs": p}, orig_ids=kept)
 
 
 def _ref_edge_perturb(g, h_v, params, temperature, stream):
@@ -463,21 +476,21 @@ def _ref_edge_perturb(g, h_v, params, temperature, stream):
     weights = (probs.gather_rows(np.array(weight_src, dtype=np.int64))
                if weight_src else Tensor(np.zeros(0)))
     out = Graph(g.num_nodes, edges, g.features.data.copy(), weights,
-                label=g.label, orig_ids=g.orig_ids, center=g.center)
-    return HeadOutput(out, {"edge_probs": probs, "keep_soft": keep.soft})
+                label=g.label)
+    return RefOutput(out, {"edge_probs": probs, "keep_soft": keep.soft})
 
 
 def _ref_subgraph(g, h_v, h_g, params, hops, stream):
     p = _ref_node_distribution(h_v, h_g, params)
     center = gumbel_softmax(np.log(np.maximum(p.data, 1e-30)),
                             stream.split("center"))
-    sub = khop_bfs(g, center, hops)
-    edges_old = sub.orig_ids[sub.edges] if len(sub.edges) else sub.edges
+    sub, kept, local_center = khop_bfs_reference(g, center, hops)
+    edges_old = kept[sub.edges] if len(sub.edges) else sub.edges
     weights = (_ref_induced_edge_weights(edges_old, p)
                if len(sub.edges) else Tensor(np.zeros(0)))
-    out = Graph(sub.num_nodes, sub.edges, sub.features, weights, label=g.label,
-                orig_ids=sub.orig_ids, center=sub.center)
-    return HeadOutput(out, {"node_probs": p})
+    out = Graph(sub.num_nodes, sub.edges, sub.features, weights, label=g.label)
+    return RefOutput(out, {"node_probs": p}, orig_ids=kept,
+                     center=local_center)
 
 
 def _ref_feature_mask(g, h_v, params, temperature, stream):
@@ -489,10 +502,9 @@ def _ref_feature_mask(g, h_v, params, temperature, stream):
         mask_logits, temperature,
         stream.split("mask").logistic(mask_logits.shape))
     out = Graph(g.num_nodes, g.edges.copy(), projected * sample.st,
-                np.ones(g.num_edges), label=g.label, orig_ids=g.orig_ids,
-                center=g.center)
-    return HeadOutput(out, {"mask_probs": mask_logits.sigmoid(),
-                            "mask_soft": sample.soft})
+                np.ones(g.num_edges), label=g.label)
+    return RefOutput(out, {"mask_probs": mask_logits.sigmoid(),
+                           "mask_soft": sample.soft})
 
 
 def _ref_apply(kind, g, h_v, h_g, params, keep_ratio, hops, temperature,
@@ -508,9 +520,8 @@ def _ref_apply(kind, g, h_v, h_g, params, keep_ratio, hops, temperature,
     if kind == AugmentationKind.FEATURE_MASK:
         return _ref_feature_mask(g, h_v, params[kind], temperature, stream)
     out = Graph(g.num_nodes, g.edges.copy(), g.features.data.copy(),
-                np.ones(g.num_edges), label=g.label, orig_ids=g.orig_ids,
-                center=g.center)
-    return HeadOutput(out, {})
+                np.ones(g.num_edges), label=g.label)
+    return RefOutput(out, {})
 
 
 def messy_batch_graphs(seed, count=12, d_x=3):
@@ -591,16 +602,21 @@ def _check_against_reference(graphs, kind, seed, d_h=5):
     _view_scalar([r.graph for r in refs]).backward()
     want_grads = {k: _grads(ps) for k, ps in params.items()}
 
-    for view, ref in zip(views, refs):
+    for k, (view, ref) in enumerate(zip(views, refs)):
         want = ref.graph
         assert view.num_nodes == want.num_nodes
         assert np.array_equal(view.edges, want.edges)
         assert view.label == want.label
-        assert view.center == want.center
-        if want.orig_ids is None:
-            assert view.orig_ids is None
+        if ref.center is None:
+            assert out.graph.centers is None
         else:
-            assert np.array_equal(view.orig_ids, want.orig_ids)
+            assert out.graph.centers[k] == ref.center
+        if ref.orig_ids is None:
+            assert out.graph.orig_ids is None
+        else:
+            n0 = out.graph.node_offsets[k]
+            assert np.array_equal(out.graph.orig_ids[n0:n0 + view.num_nodes],
+                                  ref.orig_ids)
         _close(view.edge_weights.data, want.edge_weights.data)
         _close(view.features.data, want.features.data)
     for key, soft in out.soft_params.items():
