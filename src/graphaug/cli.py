@@ -20,7 +20,8 @@ import numpy as np
 
 from .encoders import encode
 from .errors import ConfigError, GraphAugError
-from .evaluation import embed_dataset, linear_probe_graph, linear_probe_node
+from .evaluation import embed_dataset, linear_probe_graph, \
+    linear_probe_node, node_probe_split
 from .heads import apply_augmentation
 from .policy import AugmentationKind, active_kinds, decide
 from .rng import RngStream
@@ -189,8 +190,11 @@ def cmd_probe(args) -> int:
     if low:                       # before paying for the embed
         raise GraphAugError(f"cannot probe {dataset.name}: need "
                             + " and ".join(low))
-    table = embed_dataset(dataset, state, config)
     try:
+        if config.task == "node" and dataset.node_labels is not None:
+            # the split before the embed, which rejects a missing label file
+            node_probe_split(dataset.node_labels[0], args.train_frac)
+        table = embed_dataset(dataset, state, config)
         if config.task == "graph":
             report = linear_probe_graph(table, folds=args.folds,
                                         runs=args.runs, seed=args.probe_seed)
@@ -198,7 +202,7 @@ def cmd_probe(args) -> int:
             report = linear_probe_node(table, runs=args.runs_node,
                                        train_frac=args.train_frac,
                                        seed=args.probe_seed)
-    except ValueError as exc:     # labels the protocol cannot use
+    except ValueError as exc:     # inputs the probe cannot use
         raise GraphAugError(f"cannot probe {dataset.name}: {exc}") from exc
     out = _out_dir(resolved, f"{dataset.name.lower()}-probe")
     (out / "probe_report.json").write_text(report.to_json())

@@ -10,7 +10,7 @@ fit as one stacked problem.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ EMBED_CHUNK = 64                 # graphs or node neighborhoods per encode
 class EmbeddingTable:
     vectors: np.ndarray              # (n, d_h)
     labels: np.ndarray               # (n,)
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not np.isfinite(self.vectors).all():
@@ -89,8 +88,7 @@ def embed_dataset(dataset, state, config) -> EmbeddingTable:
             vecs.append(enc.graph_vector.data)
         vectors = np.concatenate(vecs, axis=0)
         labels = dataset.labels()
-        return EmbeddingTable(vectors, labels,
-                              {"dataset": dataset.name, "task": "graph"})
+        return EmbeddingTable(vectors, labels)
     if dataset.node_labels is None:
         raise DatasetError(f"{dataset.name} has no node labels, which the "
                            "node task needs as probe targets")
@@ -103,8 +101,7 @@ def embed_dataset(dataset, state, config) -> EmbeddingTable:
         vectors[centers] = enc.node_matrix.data[batch.node_offsets
                                                 + batch.centers]
     labels = np.asarray(dataset.node_labels[0], dtype=np.int64)
-    return EmbeddingTable(vectors, labels,
-                          {"dataset": dataset.name, "task": "node"})
+    return EmbeddingTable(vectors, labels)
 
 
 # -- logistic regression ----------------------------------------------------------
@@ -245,19 +242,25 @@ def linear_probe_graph(table: EmbeddingTable, folds: int = 10, runs: int = 5,
     return _report(accs, l2s, seed, f"{folds}-fold x {runs} runs")
 
 
-def linear_probe_node(table: EmbeddingTable, runs: int = 20,
-                      train_frac: float = 0.1, seed: int = 0) -> ProbeReport:
-    """Random-split probe over ``runs`` different splits."""
+def node_probe_split(labels: np.ndarray, train_frac: float) -> tuple:
+    """Class indices, class count and train size of a node-probe split."""
     if not (0.0 < train_frac < 1.0):
         raise ValueError("train_frac must be in (0, 1)")
-    if runs < 1:
-        raise ValueError(f"need runs >= 1, got {runs}")
-    x = table.vectors
-    y, num_classes = _class_indices(table.labels)
+    y, num_classes = _class_indices(labels)
     n_train = max(num_classes, int(round(train_frac * len(y))))
     if n_train >= len(y):
         raise ValueError(f"a train split of {n_train} of {len(y)} nodes "
                          "leaves no test node")
+    return y, num_classes, n_train
+
+
+def linear_probe_node(table: EmbeddingTable, runs: int = 20,
+                      train_frac: float = 0.1, seed: int = 0) -> ProbeReport:
+    """Random-split probe over ``runs`` different splits."""
+    if runs < 1:
+        raise ValueError(f"need runs >= 1, got {runs}")
+    x = table.vectors
+    y, num_classes, n_train = node_probe_split(table.labels, train_frac)
     accs, l2s = [], []
     for run in range(runs):
         stream = RngStream(seed + run, "probe-splits")

@@ -172,11 +172,12 @@ def khop_nodes(indptr: np.ndarray, indices: np.ndarray, centers: np.ndarray,
     for _ in range(hops):
         nodes = frontier % n
         pos, counts = _row_positions(indptr, nodes)
-        reached = np.repeat(frontier - nodes, counts) + indices[pos]
-        frontier = np.setdiff1d(reached, keys)
+        reached = np.unique(np.repeat(frontier - nodes, counts) + indices[pos])
+        at = np.minimum(np.searchsorted(keys, reached), len(keys) - 1)
+        frontier = reached[keys[at] != reached]
         if not frontier.size:
             break
-        keys = np.union1d(keys, frontier)
+        keys = np.sort(np.concatenate([keys, frontier]))
     return keys
 
 

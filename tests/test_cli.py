@@ -516,17 +516,21 @@ def test_node_task_without_node_labels_fails_before_embedding(
         assert not out.exists()
 
 
-def test_node_probe_without_test_nodes_fails_cleanly(tmp_path, capsys):
+@pytest.mark.parametrize("frac, reason", [
+    ("0.99", "24 of 24 nodes leaves no test node"),
+    ("1.5", "train_frac must be in (0, 1)")])
+def test_node_probe_without_test_nodes_fails_cleanly(tmp_path, capsys,
+                                                    monkeypatch, frac, reason):
     data_dir = write_single_graph_dataset(tmp_path)
     checkpoint = train_node_task(data_dir, tmp_path / "node-run")
+    monkeypatch.setattr(cli, "embed_dataset", embed_must_not_run)
     probe_out = tmp_path / "node-probe"
     code = run_cli("probe", "--checkpoint", str(checkpoint),
                    "--dataset", str(data_dir), "--out", str(probe_out),
-                   "--runs-node", "2", "--train-frac", "0.99")
+                   "--runs-node", "2", "--train-frac", frac)
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot probe ONE") and \
-        "24 of 24 nodes leaves no test node" in err, err
+    assert err.startswith("error: cannot probe ONE") and reason in err, err
     assert not probe_out.exists()
 
 
