@@ -82,17 +82,17 @@ class GraphBatch:
     """Disjoint union of graphs, held as the arrays of one big graph.
 
     Node ids are global. Graph ``k`` owns ``node_counts[k]`` consecutive
-    nodes from ``node_offsets[k]`` and the next ``edge_counts[k]`` edges, so
-    edges are grouped by graph in graph order. A batch cut from a source
-    graph keeps each node's id there in ``orig_ids`` and each k-hop
-    subgraph's local center in ``centers``; otherwise both are ``None``.
+    nodes from ``node_offsets[k]``, and edges are grouped by graph in graph
+    order. A batch cut from a source graph keeps each node's id there in
+    ``orig_ids`` and each k-hop subgraph's local center in ``centers``;
+    otherwise both are ``None``. Only tests read ``orig_ids``: they check a
+    node-drop or subgraph view against the subgraph induced on its kept
+    nodes, and a node drop's kept ids exist nowhere else.
     """
     edges: np.ndarray               # (E, 2) int64, global ids
     features: Tensor                # (N, d_x)
     edge_weights: Tensor            # (E,)
     node_counts: np.ndarray         # (B,)
-    edge_counts: np.ndarray         # (B,)
-    labels: list                    # (B,) int or None
     orig_ids: np.ndarray | None = None
     centers: np.ndarray | None = None
     node_offsets: np.ndarray = field(init=False, repr=False)   # (B,)
@@ -123,12 +123,11 @@ class GraphBatch:
         """Graph ``k`` rebuilt on its own, with local node ids."""
         n0 = int(self.node_offsets[k])
         n1 = n0 + int(self.node_counts[k])
-        e0 = int(self.edge_counts[:k].sum())
-        e1 = e0 + int(self.edge_counts[k])
+        e0, e1 = np.searchsorted(self.node_to_graph[self.edges[:, 0]],
+                                 [k, k + 1]).tolist()
         return Graph(n1 - n0, self.edges[e0:e1] - n0,
                      self.features.slice_axis(0, n0, n1),
-                     self.edge_weights.slice_axis(0, e0, e1),
-                     label=self.labels[k])
+                     self.edge_weights.slice_axis(0, e0, e1))
 
 
 def batch_graphs(graphs: list) -> GraphBatch:
@@ -144,9 +143,7 @@ def batch_graphs(graphs: list) -> GraphBatch:
     offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)])
     return GraphBatch(edges, concat([g.features for g in graphs]),
-                      concat([g.edge_weights for g in graphs]), sizes,
-                      np.array([g.num_edges for g in graphs], dtype=np.int64),
-                      [g.label for g in graphs])
+                      concat([g.edge_weights for g in graphs]), sizes)
 
 
 def _row_positions(indptr: np.ndarray,
@@ -186,8 +183,8 @@ def khop_bfs(g: Graph, centers, hops: int) -> GraphBatch:
     center, as one batch with a graph per center (repeats included).
 
     Subgraph ``k`` keeps its nodes in ascending order and its edges in
-    ``g.edges`` order; ``orig_ids`` are the nodes' ids in ``g``, ``centers``
-    the centers' local ids, and every label is ``g.label``.
+    ``g.edges`` order; ``orig_ids`` are the nodes' ids in ``g`` and
+    ``centers`` the centers' local ids.
     """
     centers = np.asarray(centers, dtype=np.int64).reshape(-1)
     if not centers.size or centers.min() < 0 or centers.max() >= g.num_nodes:
@@ -210,9 +207,7 @@ def khop_bfs(g: Graph, centers, hops: int) -> GraphBatch:
     batch = GraphBatch(np.stack([src, dst[kept]], axis=1),
                        g.features.gather_rows(nodes),
                        g.edge_weights.gather_rows(eids),
-                       np.bincount(owner, minlength=count),
-                       np.bincount(owner[src], minlength=count),
-                       [g.label] * count, orig_ids=nodes)
+                       np.bincount(owner, minlength=count), orig_ids=nodes)
     batch.centers = (np.searchsorted(keys, np.arange(count) * n + centers)
                      - batch.node_offsets)
     return batch

@@ -89,9 +89,7 @@ def _induced_view(batch: GraphBatch, kept: np.ndarray, p: Tensor) -> GraphBatch:
     weights = p.gather_rows(old[:, 0]) + p.gather_rows(old[:, 1])
     return GraphBatch(remap[old], batch.features.gather_rows(kept), weights,
                       np.bincount(owner, minlength=batch.num_graphs),
-                      np.bincount(batch.node_to_graph[old[:, 0]],
-                                  minlength=batch.num_graphs),
-                      batch.labels, orig_ids=kept - batch.node_offsets[owner])
+                      orig_ids=kept - batch.node_offsets[owner])
 
 
 def node_dropping_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
@@ -185,9 +183,7 @@ def edge_perturbation_head(batch: GraphBatch, h_v: Tensor,
     both[1::2] = pairs[kept, 0] != pairs[kept, 1]
     edges = directed[both]
     weights = probs.gather_rows(np.repeat(kept, 2)[both])
-    view = replace(batch, edges=edges, edge_weights=weights,
-                   edge_counts=np.bincount(batch.node_to_graph[edges[:, 0]],
-                                           minlength=n_graphs))
+    view = replace(batch, edges=edges, edge_weights=weights)
     return HeadOutput(view, {"edge_probs": probs, "keep_soft": keep.soft})
 
 

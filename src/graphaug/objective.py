@@ -48,8 +48,6 @@ class ScoreMatrix:
     def negatives(self) -> Tensor:
         """Row-aligned negatives, shape (N, N-1); row k holds S[k, k'!=k]."""
         n = self.scores.shape[0]
-        if n < 2:
-            raise ValueError("no negatives in a batch of one graph")
         flat = self.scores.reshape(n * n)
         idx = np.flatnonzero(~np.eye(n, dtype=bool))
         return flat.gather_rows(idx).reshape(n, n - 1)
@@ -151,20 +149,12 @@ def batch_loss(enc_i: Encodings, enc_j: Encodings, node_to_graph_i: np.ndarray,
                node_to_graph_j: np.ndarray, config: ObjectiveConfig,
                disc_params: ParameterSet | None = None) -> Tensor:
     """Two-view local-global loss: -(I(h_G^i, H_v^j) + I(h_G^j, H_v^i)) / 2."""
-    n = enc_i.graph_vector.shape[0]
     s_i = score_matrix(enc_j.node_matrix, node_to_graph_j, enc_i.graph_vector,
                        config.discriminator, disc_params)
     s_j = score_matrix(enc_i.node_matrix, node_to_graph_i, enc_j.graph_vector,
                        config.discriminator, disc_params)
-    if n == 1:
-        if config.estimator != "jsd":
-            raise ValueError(
-                f"batch of one graph has no negatives ({config.estimator})")
-        i_i = jsd_mi(s_i.positives(), None)
-        i_j = jsd_mi(s_j.positives(), None)
-    else:
-        i_i = estimate_mi(s_i.positives(), s_i.negatives(), config.estimator,
-                          config)
-        i_j = estimate_mi(s_j.positives(), s_j.negatives(), config.estimator,
-                          config)
+    i_i = estimate_mi(s_i.positives(), s_i.negatives(), config.estimator,
+                      config)
+    i_j = estimate_mi(s_j.positives(), s_j.negatives(), config.estimator,
+                      config)
     return -(i_i + i_j) * 0.5

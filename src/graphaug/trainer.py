@@ -17,7 +17,7 @@ import numpy as np
 
 from .encoders import EncoderConfig, Encodings, encode, param_seed, \
     init_encoder_params
-from .errors import CheckpointError, TrainingDivergedError
+from .errors import CheckpointError, DatasetError, TrainingDivergedError
 from .graphs import GraphBatch, batch_graphs, make_node_task_batch
 from .heads import apply_augmentation, init_head_params
 from .objective import ObjectiveConfig, batch_loss, init_discriminator_params
@@ -52,15 +52,12 @@ class TrainConfig:
     nt_xent_temperature: float = 0.5
     task: str = "graph"                  # graph | node
     node_batch_subgraphs: int = 8
-    clip_norm: float | None = 5.0
+    clip_norm: float = 5.0
 
     def __post_init__(self):
         """The one validator for config values, whatever their source."""
         if self.epochs < 0 or self.batch_size < 1 or self.num_layers < 1:
             raise ValueError("epochs/batch_size/num_layers out of range")
-        if self.task == "graph" and self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2 for the graph "
-                             "task: a singleton batch has no negatives")
         for name, valid in (("policy_kind", POLICY_KINDS),
                             ("patience_unit", ("epoch", "step")),
                             ("task", ("graph", "node"))):
@@ -68,7 +65,13 @@ class TrainConfig:
             if value not in valid:
                 raise ValueError(f"{name} must be one of {', '.join(valid)}; "
                                  f"got {value!r}")
-        for name in ("hidden_dim", "node_batch_subgraphs"):
+        # the graphs of one batch are each other's negatives
+        name = "batch_size" if self.task == "graph" else "node_batch_subgraphs"
+        if getattr(self, name) < 2:
+            raise ValueError(f"{name} must be >= 2 on the {self.task} task, "
+                             f"since a batch of one graph has no negatives; "
+                             f"got {getattr(self, name)}")
+        for name in ("hidden_dim", "early_stop_patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1; "
                                  f"got {getattr(self, name)}")
@@ -86,6 +89,12 @@ class TrainConfig:
             raise ValueError("keep_ratio must be in (0, 1]")
         if self.head_temperature <= 0:
             raise ValueError("head_temperature must be positive")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0; "
+                             f"got {self.learning_rate}")
+        if not 0.0 < self.clip_norm < math.inf:
+            raise ValueError(f"clip_norm must be finite and > 0; "
+                             f"got {self.clip_norm}")
         self.objective()
 
     def objective(self) -> ObjectiveConfig:
@@ -222,9 +231,9 @@ def train_step(batch: GraphBatch, state: TrainState,
     coin = state.coin_stream.bernoulli(config.alternation_prob)
     update_groups = ["policy", "heads", "theta" if coin else "omega"]
     grads = {g: _collect_grads(state.group(g)) for g in update_groups}
-    if config.clip_norm is not None:      # scales the group dicts' arrays
-        clip_by_global_norm({(g, n): arr for g, gs in grads.items()
-                             for n, arr in gs.items()}, config.clip_norm)
+    # scales the group dicts' arrays in place
+    clip_by_global_norm({(g, n): arr for g, gs in grads.items()
+                         for n, arr in gs.items()}, config.clip_norm)
     for gname in update_groups:
         adam_step(state.group(gname), grads[gname], state.adam[gname],
                   config.learning_rate)
@@ -236,8 +245,8 @@ def _graph_batches(dataset, config: TrainConfig, state: TrainState):
     order = state.shuffle_stream.permutation(len(dataset.graphs))
     for start in range(0, len(order), config.batch_size):
         idx = order[start:start + config.batch_size]
-        if len(idx) == 1 and len(order) > 1:
-            continue            # a singleton batch has no negatives
+        if len(idx) < 2:
+            continue            # a trailing singleton has no negatives
         yield batch_graphs([dataset.graphs[int(i)] for i in idx])
 
 
@@ -251,14 +260,27 @@ def _node_batches(dataset, config: TrainConfig, state: TrainState):
                                    stream)
 
 
+def _patience_spent(state: TrainState, loss: float, patience: int) -> bool:
+    """Score ``loss`` against the best so far; True once ``patience`` losses
+    in a row have not improved on it."""
+    if loss < state.best_loss:
+        state.best_loss = loss
+        state.stale = 0
+    else:
+        state.stale += 1
+    return state.stale >= patience
+
+
 def train(dataset, config: TrainConfig, state: TrainState | None = None):
     """Run the loop; returns (state, metrics rows, frequency rows).
 
     Metrics rows: epoch, step, loss, aug_i, aug_j, p_i, p_j, coin.
     Frequency rows: per-epoch normalized selection counts over all kinds.
     """
-    if not dataset.graphs:
-        raise ValueError("dataset is empty")
+    if config.task == "graph" and len(dataset.graphs) < 2:
+        raise DatasetError(f"{dataset.name} has {len(dataset.graphs)} "
+                           f"graph(s); the graph task needs at least 2, since "
+                           f"a batch of one graph has no negatives")
     if state is None:
         state = init_state(config, dataset.feature_dim)
     metrics = []
@@ -282,29 +304,18 @@ def train(dataset, config: TrainConfig, state: TrainState | None = None):
                 "p_i": res.decision.p_i.item(), "p_j": res.decision.p_j.item(),
                 "coin": int(res.coin),
             })
-            if config.patience_unit == "step":
-                if res.loss < state.best_loss:
-                    state.best_loss = res.loss
-                    state.stale = 0
-                else:
-                    state.stale += 1
-                if state.stale >= config.early_stop_patience:
-                    stop = True
-                    break
+            if config.patience_unit == "step" and _patience_spent(
+                    state, res.loss, config.early_stop_patience):
+                stop = True
+                break
         state.epoch = epoch + 1
-        total = max(1, sum(counts.values()))
+        total = sum(counts.values())
         row = {"epoch": epoch}
         row.update({k: counts[k] / total for k in all_kinds})
         frequencies.append(row)
-        if losses and config.patience_unit == "epoch":
-            mean_loss = float(np.mean(losses))
-            if mean_loss < state.best_loss:
-                state.best_loss = mean_loss
-                state.stale = 0
-            else:
-                state.stale += 1
-            if state.stale >= config.early_stop_patience:
-                stop = True
+        if config.patience_unit == "epoch":
+            stop = _patience_spent(state, float(np.mean(losses)),
+                                   config.early_stop_patience)
         if stop:
             break
     return state, metrics, frequencies

@@ -164,8 +164,7 @@ def test_criterion_1_gradient_oracle():
 
     # (e) the full training loss on a 3-graph batch, all parameter groups
     config = TrainConfig(hidden_dim=d_h, num_layers=1, batch_size=3,
-                         policy_kind="gru", seed=5, dropout=0.0,
-                         clip_norm=None)
+                         policy_kind="gru", seed=5, dropout=0.0)
     graphs = [rand_graph(20 + k, 5 + k, d_x=d_x) for k in range(3)]
     batch = batch_graphs(graphs)
     state = init_state(config, d_x)

@@ -155,6 +155,30 @@ def test_singleton_graph_batches_rejected(dataset_dir, tmp_path, capsys):
     assert not (out / "checkpoint.bin").exists()
 
 
+def test_singleton_node_batches_rejected(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "n1"
+    code = run_cli("train", "--dataset", str(dataset_dir), "--out", str(out),
+                   "--task", "node", "--estimator", "nce",
+                   "--node-batch-subgraphs", "1")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "node_batch_subgraphs" in err[0]
+    assert not out.exists()
+
+
+def test_one_graph_dataset_fails_cleanly(tmp_path, capsys):
+    data = write_synthetic_tudataset(tmp_path, "ONE", num_graphs=1)
+    out = tmp_path / "g1"
+    code = run_cli("train", "--dataset", str(data), "--out", str(out),
+                   "--epochs", "1", "--estimator", "nce")
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "at least 2" in err[0]
+    assert not (out / "checkpoint.bin").exists()
+
+
 # one valid non-default value per TrainConfig field
 NON_DEFAULT = {
     "epochs": 3, "batch_size": 16, "learning_rate": 0.01, "hidden_dim": 16,
@@ -567,6 +591,9 @@ def test_shipped_mutag_config_parses(capsys):
     (["--task", "node", "--hops", "-1"], "hops"),
     (["--hidden-dim", "0"], "hidden_dim"),
     (["--dropout", "1.5"], "dropout"),
+    (["--clip-norm", "-1"], "clip_norm"),
+    (["--learning-rate", "nan"], "learning_rate"),
+    (["--early-stop-patience", "0"], "early_stop_patience"),
 ])
 def test_out_of_range_value_exits_2_before_any_output(dataset_dir, tmp_path,
                                                       capsys, flags, field):

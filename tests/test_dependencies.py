@@ -149,6 +149,77 @@ def test_guard_flags_an_unread_parameter(tmp_path):
         "mod.py:f.b", "mod.py:f.kw", "mod.py:size.unit", "mod.py:<lambda>.y"}
 
 
+# Dataclass fields in src/ that no code in src/ reads, as "Class.field", each
+# with the reason it stays. A field no code reads is state nothing uses. The
+# check goes by name, so it is a lower bound: a field passes when any
+# attribute of its name is read anywhere in src/. It would not have flagged
+# GraphBatch.labels, because EmbeddingTable.labels is read.
+UNREAD_FIELDS_BY_DESIGN = {
+    "GraphBatch.orig_ids": "tests check a node-drop or subgraph view against "
+                           "the subgraph induced on its kept nodes, and a "
+                           "node drop's kept ids exist nowhere else",
+}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(paths) -> dict:
+    """"Class.field" -> defining file, for every dataclass field whose name
+    src/ never loads as an attribute and never holds as a string constant
+    (the validators read fields through ``getattr(self, name)``)."""
+    fields, read = {}, set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields.update({f"{node.name}.{stmt.target.id}": path.name
+                               for stmt in node.body
+                               if isinstance(stmt, ast.AnnAssign)
+                               and isinstance(stmt.target, ast.Name)})
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return {name: where for name, where in fields.items()
+            if name.split(".", 1)[1] not in read}
+
+
+def test_src_dataclasses_have_no_unread_field():
+    unread = unread_fields(sorted(SRC.glob("*.py")))
+    stale = sorted(set(UNREAD_FIELDS_BY_DESIGN) - set(unread))
+    assert not stale, f"exception no longer needed: {stale}"
+    extra = {n: f for n, f in unread.items()
+             if n not in UNREAD_FIELDS_BY_DESIGN}
+    assert not extra, f"dataclass fields src/ never reads: {extra}"
+
+
+def test_guard_flags_a_field_only_written(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n\n"
+        "@dataclass\nclass Box:\n"
+        "    size: int\n    written: int = 0\n    named: int = 0\n"
+        "    derived: int = field(init=False)\n\n"
+        "    def __post_init__(self):\n        self.derived = self.size\n\n"
+        "@dataclasses.dataclass(frozen=True)\nclass Pair:\n"
+        "    left: int\n    right: int\n\n"
+        "class Plain:\n    ignored: int\n\n"
+        "def f(box, pair):\n"
+        "    box.written = Box(size=1, written=2)\n"
+        "    return pair.left + getattr(box, 'named')\n")
+    assert unread_fields([module]) == {"Box.written": "mod.py",
+                                       "Box.derived": "mod.py",
+                                       "Pair.right": "mod.py"}
+
+
 def trace_sites() -> list:
     """``SITES`` of perfbench/spans.py, read from its source: the
     ``(module, attribute, span)`` triples that ``--trace 1`` patches."""

@@ -74,7 +74,7 @@ def test_khop_triangle_whole():
     g = Graph(3, edges, np.eye(3), np.ones(6))
     b = khop_bfs(g, [0, 1, 2], 1)
     assert b.node_counts.tolist() == [3, 3, 3]
-    assert b.edge_counts.tolist() == [6, 6, 6]
+    assert [b.graph(k).num_edges for k in range(3)] == [6, 6, 6]
     assert b.centers.tolist() == [0, 1, 2]
 
 
@@ -173,9 +173,7 @@ def assert_matches_reference(g: Graph, centers, hops: int):
     want = batch_graphs([sub for sub, _, _ in refs])
     want_ids = np.concatenate([kept for _, kept, _ in refs])
     want_centers = np.array([c for _, _, c in refs], dtype=np.int64)
-    assert got.labels == want.labels
     for a, b in [(got.edges, want.edges), (got.node_counts, want.node_counts),
-                 (got.edge_counts, want.edge_counts),
                  (got.orig_ids, want_ids), (got.centers, want_centers),
                  (got.features.data, want.features.data),
                  (got.edge_weights.data, want.edge_weights.data)]:
@@ -245,6 +243,26 @@ def test_batch_single_graph_identity():
     assert np.array_equal(b.features.data, g.features.data)
 
 
+def test_graph_k_rebuilds_every_input_graph():
+    stream = RngStream(6, "rebuild")
+
+    def edgeless(n):
+        return Graph(n, np.zeros((0, 2)), stream.uniform((n, 3)), np.zeros(0))
+
+    # edgeless first, middle and last: graph(k) finds its edges by owner
+    mixed = [edgeless(2), messy_digraph(7, 12, stream), edgeless(1),
+             messy_digraph(9, 20, stream), edgeless(3)]
+    for graphs in (mixed, [edgeless(1), edgeless(4)]):
+        b = batch_graphs(graphs)
+        for k, g in enumerate(graphs):
+            sub = b.graph(k)
+            assert sub.num_nodes == g.num_nodes
+            for got, want in [(sub.edges, g.edges),
+                              (sub.features.data, g.features.data),
+                              (sub.edge_weights.data, g.edge_weights.data)]:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_batch_empty_list_rejected():
     with pytest.raises(InvalidShapeError):
         batch_graphs([])
@@ -261,7 +279,7 @@ def test_arrays_are_wrapped_without_a_copy():
     edges = np.array([(0, 1), (1, 0), (1, 2), (2, 1)])
     feats, weights = np.arange(6.0).reshape(3, 2), np.linspace(0.1, 0.4, 4)
     g = Graph(3, edges, feats, weights)
-    b = GraphBatch(edges, feats, weights, np.array([3]), np.array([4]), [None])
+    b = GraphBatch(edges, feats, weights, np.array([3]))
     for x in (g, b):
         assert type(x.features) is Tensor and type(x.edge_weights) is Tensor
         assert x.features.data is feats and x.edge_weights.data is weights
@@ -274,7 +292,7 @@ def test_tensors_pass_through_as_the_same_object():
     feats = Tensor(np.ones((2, 3)), requires_grad=True)
     weights = Tensor(np.full(2, 0.5), requires_grad=True)
     g = Graph(2, edges, feats, weights)
-    b = GraphBatch(edges, feats, weights, np.array([2]), np.array([2]), [None])
+    b = GraphBatch(edges, feats, weights, np.array([2]))
     for x in (g, b):
         assert x.features is feats and x.edge_weights is weights
 

@@ -606,7 +606,6 @@ def _check_against_reference(graphs, kind, seed, d_h=5):
         want = ref.graph
         assert view.num_nodes == want.num_nodes
         assert np.array_equal(view.edges, want.edges)
-        assert view.label == want.label
         if ref.center is None:
             assert out.graph.centers is None
         else:

@@ -3,7 +3,7 @@ import gc
 import numpy as np
 import pytest
 
-from graphaug.errors import CheckpointError
+from graphaug.errors import CheckpointError, DatasetError
 from graphaug.evaluation import embed_dataset
 from graphaug.graphs import Graph, batch_graphs
 from graphaug.policy import AugmentationKind
@@ -161,6 +161,35 @@ def test_early_stopping_by_epoch():
     assert state.epoch < 50
 
 
+def test_early_stopping_by_step():
+    ds = synthetic_dataset()
+    config = small_config(epochs=20, early_stop_patience=3,
+                          patience_unit="step")
+    state, metrics, _ = train(ds, config)
+    best, stale, stop = float("inf"), 0, None
+    for k, row in enumerate(metrics):
+        if row["loss"] < best:
+            best, stale = row["loss"], 0
+        else:
+            stale += 1
+        if stale >= 3:
+            stop = k
+            break
+    assert stop is not None, "no stopping point in 20 epochs of losses"
+    assert len(metrics) == stop + 1 < 20 * 4
+    assert (state.best_loss, state.stale) == (best, stale)
+
+
+def test_training_needs_two_graphs():
+    one = synthetic_dataset(num_graphs=1)
+    with pytest.raises(DatasetError, match="at least 2"):
+        train(one, small_config())
+    # a trailing singleton is skipped: 5 graphs in batches of 4 is one step
+    _, metrics, _ = train(synthetic_dataset(num_graphs=5),
+                          small_config(epochs=1))
+    assert len(metrics) == 1
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     ds = synthetic_dataset()
     config = small_config(epochs=1)
@@ -271,6 +300,16 @@ def test_checkpoint_bad_config_is_checkpoint_error(tmp_path, extra, match):
     (dict(hops=0), "hops"),
     (dict(task="node", hops=-1), "hops"),
     (dict(task="node", node_batch_subgraphs=0), "node_batch_subgraphs"),
+    (dict(task="node", node_batch_subgraphs=1), "node_batch_subgraphs"),
+    (dict(learning_rate=-1.0), "learning_rate"),
+    (dict(learning_rate=float("nan")), "learning_rate"),
+    (dict(learning_rate=float("inf")), "learning_rate"),
+    (dict(clip_norm=-1.0), "clip_norm"),
+    (dict(clip_norm=0.0), "clip_norm"),
+    (dict(clip_norm=float("nan")), "clip_norm"),
+    (dict(clip_norm=float("inf")), "clip_norm"),
+    (dict(early_stop_patience=0), "early_stop_patience"),
+    (dict(early_stop_patience=-3), "early_stop_patience"),
     (dict(hidden_dim=0), "hidden_dim"),
     (dict(dropout=1.5), "dropout"),
     (dict(dropout=-0.1), "dropout"),
