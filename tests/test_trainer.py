@@ -300,6 +300,9 @@ def test_checkpoint_bad_config_is_checkpoint_error(tmp_path, extra, match):
     (dict(hops=0), "hops"),
     (dict(task="node", hops=-1), "hops"),
     (dict(task="node", node_batch_subgraphs=0), "node_batch_subgraphs"),
+    (dict(hidden_dim=0), "hidden_dim"),
+    (dict(dropout=1.5), "dropout"),
+    (dict(dropout=-0.1), "dropout"),
     (dict(task="node", node_batch_subgraphs=1), "node_batch_subgraphs"),
     (dict(learning_rate=-1.0), "learning_rate"),
     (dict(learning_rate=float("nan")), "learning_rate"),
@@ -310,9 +313,6 @@ def test_checkpoint_bad_config_is_checkpoint_error(tmp_path, extra, match):
     (dict(clip_norm=float("inf")), "clip_norm"),
     (dict(early_stop_patience=0), "early_stop_patience"),
     (dict(early_stop_patience=-3), "early_stop_patience"),
-    (dict(hidden_dim=0), "hidden_dim"),
-    (dict(dropout=1.5), "dropout"),
-    (dict(dropout=-0.1), "dropout"),
 ])
 def test_config_rejects_invalid_values(overrides, match):
     with pytest.raises(ValueError, match=match):
