@@ -156,11 +156,12 @@ def cmd_train(args) -> int:
         print(_format_config(resolved))
         return 0
     dataset = _load_dataset(resolved, config.task)
-    out = _out_dir(resolved, f"{dataset.name.lower()}-train")
-    (out / "config_resolved.cfg").write_text(_format_config(resolved))
     print(f"training on {dataset.name}: {len(dataset.graphs)} graphs, "
           f"d_x={dataset.feature_dim}, task={config.task}")
     state, metrics, freqs = train(dataset, config)
+    # a run that fails leaves no directory behind
+    out = _out_dir(resolved, f"{dataset.name.lower()}-train")
+    (out / "config_resolved.cfg").write_text(_format_config(resolved))
     save_checkpoint(state, config, out / "checkpoint.bin")
     _write_csv(out / "metrics.csv",
                ["epoch", "step", "loss", "aug_i", "aug_j", "p_i", "p_j", "coin"],

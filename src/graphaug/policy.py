@@ -16,7 +16,8 @@ import numpy as np
 from .encoders import param_seed
 from .rng import RngStream
 from .sampling import gumbel_softmax
-from .tensor import ParameterSet, Tensor, xavier_init, zeros_param
+from .tensor import ParameterSet, Tensor, gru_sequence, xavier_init, \
+    zeros_param
 
 
 POLICY_KINDS = ("gru", "deepset", "random")
@@ -97,25 +98,14 @@ def init_policy_params(policy_kind: str, hidden_dim: int, num_kinds: int,
 
 
 def gru_policy(batch_reps: Tensor, params: ParameterSet) -> Tensor:
-    """Sort rows ascending by L2 norm (ties by index), run a single-layer GRU,
-    and map the last hidden state to a distribution."""
-    n, d = batch_reps.shape
+    """Sort rows ascending by L2 norm (ties by index), run a single-layer GRU
+    (``tensor.gru_sequence``), and map the last hidden state to a
+    distribution."""
+    n = batch_reps.shape[0]
     norms = np.sqrt((batch_reps.data ** 2).sum(axis=1))
     order = np.lexsort((np.arange(n), norms))
-    x = batch_reps.gather_rows(order)
-    wx, wh, b = params["gru/wx"], params["gru/wh"], params["gru/b"]
-    h = Tensor(np.zeros((1, d)))
-    for t in range(n):
-        x_t = x.gather_rows([t])
-        gx = x_t @ wx
-        gh = h @ wh
-        z = (gx.slice_axis(1, 0, d) + gh.slice_axis(1, 0, d)
-             + b.slice_axis(0, 0, d)).sigmoid()
-        r = (gx.slice_axis(1, d, 2 * d) + gh.slice_axis(1, d, 2 * d)
-             + b.slice_axis(0, d, 2 * d)).sigmoid()
-        nn = (gx.slice_axis(1, 2 * d, 3 * d) + r * gh.slice_axis(1, 2 * d, 3 * d)
-              + b.slice_axis(0, 2 * d, 3 * d)).tanh()
-        h = (1.0 - z) * nn + z * h
+    h = gru_sequence(batch_reps.gather_rows(order), params["gru/wx"],
+                     params["gru/wh"], params["gru/b"])
     logits = h @ params["out/w"] + params["out/b"]
     return logits.reshape(logits.shape[1]).softmax()
 

@@ -201,14 +201,6 @@ class Tensor:
             out._backprop = lambda o: a._accum(o.grad * s * (1.0 - s))
         return out
 
-    def tanh(self) -> "Tensor":
-        a = self
-        t = np.tanh(a.data)
-        out = Tensor._result(t, (a,), None)
-        if out.requires_grad:
-            out._backprop = lambda o: a._accum(o.grad * (1.0 - t * t))
-        return out
-
     def softplus(self) -> "Tensor":
         a = self
         out = Tensor._result(np.logaddexp(0.0, a.data), (a,), None)
@@ -269,16 +261,14 @@ class Tensor:
         return out
 
     def gather_rows(self, idx) -> "Tensor":
-        """Select rows (axis 0) by integer index; repeats allowed."""
+        """Select rows (axis 0) by non-negative integer index; repeats
+        allowed."""
         a = self
         idx = np.asarray(idx, dtype=np.int64)
         out = Tensor._result(a.data[idx], (a,), None)
         if out.requires_grad:
-            def backprop(o):
-                g = np.zeros(a.data.shape)
-                np.add.at(g, idx, o.grad)
-                a._accum(g)
-            out._backprop = backprop
+            out._backprop = lambda o: a._accum(
+                _scatter_rows(idx, o.grad, a.data.shape[0]))
         return out
 
     def slice_axis(self, axis: int, start: int, stop: int) -> "Tensor":
@@ -362,17 +352,32 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
+def _scatter_rows(idx: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
+    """``out[idx[k]] += values[k]`` into ``rows`` zero rows, as ``np.add.at``.
+
+    One ``np.bincount`` over the flat keys ``idx * inner + arange(inner)``,
+    where ``inner`` is the size of one row. Each output element receives its
+    rows in ascending order, as ``np.add.at`` adds them, so the two agree bit
+    for bit; ``idx`` must be non-negative and below ``rows``.
+    """
+    inner = math.prod(values.shape[1:])
+    keys = (idx[:, None] * inner + np.arange(inner)).reshape(-1)
+    flat = np.bincount(keys, weights=values.reshape(-1),
+                       minlength=rows * inner)
+    # bincount of no keys is int64
+    return flat.astype(np.float64, copy=False).reshape(
+        (rows,) + values.shape[1:])
+
+
 def segment_sum(t: Tensor, segment_ids, num_segments: int) -> Tensor:
     """Sum rows of ``t`` into ``num_segments`` buckets given per-row ids.
 
-    Rows are accumulated in ascending row order (np.add.at), so results are
-    reproducible bit-for-bit.
+    Rows are accumulated in ascending row order (one ``np.bincount``, see
+    ``_scatter_rows``), so results are reproducible bit-for-bit.
     """
     t = Tensor._lift(t)
     seg = np.asarray(segment_ids, dtype=np.int64)
-    out_shape = (num_segments,) + t.data.shape[1:]
-    data = np.zeros(out_shape)
-    np.add.at(data, seg, t.data)
+    data = _scatter_rows(seg, t.data, num_segments)
     out = Tensor._result(data, (t,), None)
     if out.requires_grad:
         out._backprop = lambda o: t._accum(o.grad[seg])
@@ -401,6 +406,69 @@ def segment_softmax(x: Tensor, offsets) -> Tensor:
         def backprop(o):
             gp = o.grad * p
             x._accum(gp - p * np.repeat(np.add.reduceat(gp, starts), counts))
+        out._backprop = backprop
+    return out
+
+
+def gru_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """Last hidden state, shape (1, d), of a single-layer GRU run over the rows
+    of ``x`` from a zero state, as one tape node.
+
+    The gates of Cho et al. (2014), in column blocks ``[z | r | n]`` of
+    ``wx`` (d_in, 3d), ``wh`` (d, 3d) and ``b`` (3d,)::
+
+        z = sigmoid(x_t wx_z + h wh_z + b_z)     r likewise
+        n = tanh(x_t wx_n + r * (h wh_n) + b_n)
+        h = (1 - z) * n + z * h
+
+    The backward is backprop through time over the gates kept from the
+    forward. Each row is its own matmul in both directions, and the
+    expressions follow the order of the same GRU written with one tape op
+    per step: one GEMM over all rows rounds differently, and this way the
+    result and the gradients keep every bit of the unrolled form.
+    """
+    x, wx, wh, b = (Tensor._lift(t) for t in (x, wx, wh, b))
+    d = wh.data.shape[0]
+    if (x.ndim != 2 or wx.data.shape != (x.data.shape[1], 3 * d)
+            or wh.data.shape != (d, 3 * d) or b.data.shape != (3 * d,)):
+        raise InvalidShapeError(
+            f"gru_sequence got x {x.shape}, wx {wx.shape}, wh {wh.shape} "
+            f"and b {b.shape}; wants (n, d_in), (d_in, 3d), (d, 3d), (3d,)")
+    xd, wxd, whd = x.data, wx.data, wh.data
+    b_z, b_r, b_n = b.data[:d], b.data[d:2 * d], b.data[2 * d:]
+    h = np.zeros((1, d))
+    saved = []                              # per step: z, r, n, gh_n, h_{t-1}
+    for t in range(xd.shape[0]):
+        gx = xd[[t]] @ wxd
+        gh = h @ whd
+        z = 1.0 / (1.0 + np.exp(-((gx[:, :d] + gh[:, :d]) + b_z)))
+        r = 1.0 / (1.0 + np.exp(-((gx[:, d:2 * d] + gh[:, d:2 * d]) + b_r)))
+        gh_n = gh[:, 2 * d:]
+        n = np.tanh((gx[:, 2 * d:] + r * gh_n) + b_n)
+        saved.append((z, r, n, gh_n, h))
+        h = (1.0 - z) * n + z * h
+    out = Tensor._result(h, (x, wx, wh, b), None)
+    if out.requires_grad:
+        def backprop(o):
+            dx, dwx = np.zeros(xd.shape), np.zeros(wxd.shape)
+            dwh, db = np.zeros(whd.shape), np.zeros(b.data.shape)
+            dh = o.grad
+            for t in range(len(saved) - 1, -1, -1):
+                z, r, n, gh_n, h_prev = saved[t]
+                daz = (dh * h_prev - dh * n) * z * (1.0 - z)
+                dan = dh * (1.0 - z) * (1.0 - n * n)
+                dar = dan * gh_n * r * (1.0 - r)
+                dgx = np.concatenate([daz, dar, dan], axis=1)
+                dgh = np.concatenate([daz, dar, dan * r], axis=1)
+                dx[t] = (dgx @ wxd.T)[0]
+                dwx += xd[[t]].T @ dgx
+                dwh += h_prev.T @ dgh
+                db += dgx[0]
+                dh = dh * z + dgh @ whd.T
+            x._accum(dx)
+            wx._accum(dwx)
+            wh._accum(dwh)
+            b._accum(db)
         out._backprop = backprop
     return out
 

@@ -39,6 +39,64 @@ def test_gru_single_row():
     assert np.array_equal(d1.data, d2.data)
 
 
+def _tanh(a: Tensor) -> Tensor:
+    """The tape's former ``Tensor.tanh``, kept for the reference GRU."""
+    t = np.tanh(a.data)
+    out = Tensor._result(t, (a,), None)
+    if out.requires_grad:
+        out._backprop = lambda o: a._accum(o.grad * (1.0 - t * t))
+    return out
+
+
+def unrolled_gru_policy(batch_reps, params):
+    """The GRU policy as it was written before ``tensor.gru_sequence``: about
+    29 tape ops per row. The fused op must keep every bit of it."""
+    n, d = batch_reps.shape
+    norms = np.sqrt((batch_reps.data ** 2).sum(axis=1))
+    order = np.lexsort((np.arange(n), norms))
+    x = batch_reps.gather_rows(order)
+    wx, wh, b = params["gru/wx"], params["gru/wh"], params["gru/b"]
+    h = Tensor(np.zeros((1, d)))
+    for t in range(n):
+        x_t = x.gather_rows([t])
+        gx = x_t @ wx
+        gh = h @ wh
+        z = (gx.slice_axis(1, 0, d) + gh.slice_axis(1, 0, d)
+             + b.slice_axis(0, 0, d)).sigmoid()
+        r = (gx.slice_axis(1, d, 2 * d) + gh.slice_axis(1, d, 2 * d)
+             + b.slice_axis(0, d, 2 * d)).sigmoid()
+        nn = _tanh(gx.slice_axis(1, 2 * d, 3 * d)
+                   + r * gh.slice_axis(1, 2 * d, 3 * d)
+                   + b.slice_axis(0, 2 * d, 3 * d))
+        h = (1.0 - z) * nn + z * h
+    logits = h @ params["out/w"] + params["out/b"]
+    return logits.reshape(logits.shape[1]).softmax()
+
+
+def _dist_and_grads(policy, n, d=8, kinds=5):
+    stream = RngStream(n, "gru-ref")
+    scale = 10.0 ** (2.0 * stream.uniform((n, 1)) - 1.0)     # 0.1 to 10
+    x = Tensor((stream.uniform((n, d)) - 0.5) * scale, requires_grad=True)
+    params = init_policy_params("gru", d, kinds, seed=n)
+    for name in ("gru/b", "out/b"):
+        params[name].data = stream.split(name).uniform(params[name].shape) - 0.5
+    dist = policy(x, params)
+    (dist * Tensor(stream.split("w").uniform(kinds))).sum().backward()
+    grads = {"x": x.grad}
+    grads.update((name, t.grad) for name, t in params.items())
+    return dist.data, grads
+
+
+@pytest.mark.parametrize("n", range(1, 34))
+def test_gru_policy_keeps_every_bit_of_the_unrolled_gru(n):
+    dist, grads = _dist_and_grads(gru_policy, n)
+    want_dist, want_grads = _dist_and_grads(unrolled_gru_policy, n)
+    assert dist.tobytes() == want_dist.tobytes()
+    assert grads.keys() == want_grads.keys()
+    for name, g in grads.items():
+        assert g.tobytes() == want_grads[name].tobytes(), name
+
+
 def test_deepset_distribution_sums_to_one():
     params = init_policy_params("deepset", 8, 5, seed=3)
     dist = deepset_policy(reps(), params)

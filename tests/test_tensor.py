@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from graphaug.errors import InvalidShapeError, TrainingDivergedError
 from graphaug.rng import RngStream
+from graphaug import tensor
 from graphaug.tensor import (
-    ParameterSet, Tensor, concat, finite_diff_grad, segment_softmax,
-    segment_sum, xavier_init,
+    ParameterSet, Tensor, concat, finite_diff_grad, gru_sequence,
+    segment_softmax, segment_sum, xavier_init,
 )
 
 from conftest import check_grad, rel_err
@@ -75,7 +76,6 @@ OPS = [
     ("matmul", lambda t: (t @ Tensor(_rand((4, 2), label="mm"))).sum(), False),
     ("relu", lambda t: t.relu().sum(), False),
     ("sigmoid", lambda t: t.sigmoid().sum(), False),
-    ("tanh", lambda t: t.tanh().sum(), False),
     ("softplus", lambda t: t.softplus().sum(), False),
     ("exp", lambda t: t.exp().sum(), False),
     ("log", lambda t: t.log().sum(), True),
@@ -92,6 +92,11 @@ OPS = [
     ("segment_softmax", lambda t: (segment_softmax(t.reshape(12), [0, 1, 5, 6])
                                    * Tensor(_rand((12,), label="ssm"))).sum(),
      False),
+    ("gru_sequence", lambda t: (gru_sequence(
+        t, Tensor(_rand((4, 6), label="gru_wx")),
+        Tensor(_rand((2, 6), label="gru_wh")),
+        Tensor(_rand((6,), label="gru_b"))) * Tensor(_rand((1, 2), label="gru_w"))
+    ).sum(), False),
 ]
 
 
@@ -143,7 +148,7 @@ def test_backward_frees_interior_grads_and_keeps_leaf_grads():
     b = Tensor(_rand((3,), label="free_b"), requires_grad=True)
 
     def f(w, bias=b):
-        return ((x @ w + bias).tanh() ** 2.0).sum()
+        return ((x @ w + bias).sigmoid() ** 2.0).sum()
 
     w0 = _rand((4, 3), label="free_w")
     w = Tensor(w0, requires_grad=True)
@@ -218,6 +223,133 @@ def test_segment_sum_gradient_and_values():
         expected[s] += x[i]
     assert np.allclose(out.data, expected)
     check_grad(lambda t: (segment_sum(t, seg, 3) ** 2.0).sum(), x)
+
+
+GRU_ARGS = ("x", "wx", "wh", "b")
+
+
+def _gru_inputs(n, d_in=3, d=4):
+    shapes = {"x": (n, d_in), "wx": (d_in, 3 * d), "wh": (d, 3 * d),
+              "b": (3 * d,)}
+    return {k: _rand(shape, -1.0, 1.0, label=f"gru_{k}_")
+            for k, shape in shapes.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33])
+@pytest.mark.parametrize("arg", GRU_ARGS)
+def test_gru_sequence_gradient_matches_finite_differences(arg, n):
+    inputs = _gru_inputs(n)
+    w = Tensor(_rand((1, 4), label="gru_out"))
+
+    def f(t):
+        args = [t if k == arg else Tensor(inputs[k]) for k in GRU_ARGS]
+        return (gru_sequence(*args) * w).sum()
+    check_grad(f, inputs[arg])
+
+
+def test_gru_sequence_of_no_rows_is_the_zero_state():
+    inputs = _gru_inputs(0)
+    h = gru_sequence(*(Tensor(inputs[k], requires_grad=True) for k in GRU_ARGS))
+    assert np.array_equal(h.data, np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("shapes", [
+    dict(x=(2, 3, 1)), dict(wx=(4, 12)), dict(wh=(4, 8)), dict(b=(1, 12)),
+])
+def test_gru_sequence_rejects_bad_shapes(shapes):
+    inputs = {k: np.zeros(shapes.get(k, v.shape))
+              for k, v in _gru_inputs(2).items()}
+    with pytest.raises(InvalidShapeError, match="gru_sequence"):
+        gru_sequence(*(Tensor(inputs[k]) for k in GRU_ARGS))
+
+
+def _add_at(idx, values, rows):
+    out = np.zeros((rows,) + values.shape[1:])
+    np.add.at(out, idx, values)
+    return out
+
+
+def _scatter_cases():
+    stream = RngStream(31, "scatter")
+    for k in range(40):
+        s = stream.split(f"case{k}")
+        # odd cases: magnitudes from 1e-300 to 1e300; even cases: many rows
+        # of one magnitude per bucket, where the summation order shows
+        wide = k % 2
+        rows = int(s.integers(1, 12 if wide else 4))
+        m = int(s.integers(0, 30 if wide else 200))
+        inner = [(), (1,), (3,), (2, 3)][k // 2 % 4]
+        idx = s.integers(0, rows, size=m).astype(np.int64)
+        values = s.uniform((m,) + inner) - 0.5
+        if wide:
+            values *= 10.0 ** s.integers(-300, 301, size=(m,) + inner)
+        # exact zeros of both signs
+        values[s.uniform((m,) + inner) < 0.1] = -0.0
+        values[s.uniform((m,) + inner) < 0.05] = 0.0
+        yield idx, values, rows
+    for inner in [(), (3,)]:                 # no index: bincount gives int64
+        yield np.zeros(0, dtype=np.int64), np.zeros((0,) + inner), 4
+
+
+def test_scatter_rows_matches_add_at_bit_for_bit():
+    cases = list(_scatter_cases())
+    assert any(len(np.unique(idx)) < len(idx) for idx, _, _ in cases)
+    assert any(v.ndim == 1 and v.size for _, v, _ in cases)
+    assert any(np.signbit(v[v == 0.0]).any() for _, v, _ in cases)
+    assert any(not idx.size for idx, _, _ in cases)
+    for idx, values, rows in cases:
+        got = tensor._scatter_rows(idx, values, rows)
+        want = _add_at(idx, values, rows)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (idx, values)
+
+
+def _load_node_synth():
+    """The node-synth workload's seeded Cora-shaped graph."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("perfbench_synth", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generate(5)
+
+
+def test_scatters_of_real_training_steps_match_add_at(mutag_dir, monkeypatch):
+    """Every scatter of a MUTAG GRU step and a node-synth GCN step (the
+    ``segment_sum`` forwards and the ``gather_rows`` backwards) gives the
+    bits ``np.add.at`` gives on the same arrays."""
+    from graphaug.graphs import Graph, batch_graphs, make_node_task_batch
+    from graphaug.trainer import TrainConfig, init_state, train_step
+    from graphaug.tudataset import parse_tudataset
+
+    calls = [0]
+    scatter = tensor._scatter_rows
+
+    def checked(idx, values, rows):
+        got = scatter(idx, values, rows)
+        assert got.tobytes() == _add_at(idx, values, rows).tobytes()
+        calls[0] += 1
+        return got
+
+    monkeypatch.setattr(tensor, "_scatter_rows", checked)
+    ds = parse_tudataset(mutag_dir)
+    config = TrainConfig(seed=5)
+    train_step(batch_graphs(ds.graphs[:32]),
+               init_state(config, ds.feature_dim), config)
+    mutag_calls = calls[0]
+    assert mutag_calls >= 20
+
+    a = _load_node_synth()
+    g = Graph(len(a.labels), a.edges, a.features, np.ones(len(a.edges)))
+    config = TrainConfig(task="node", policy_kind="random", seed=5)
+    state = init_state(config, a.features.shape[1])
+    for k in range(2):
+        batch = make_node_task_batch(g, config.node_batch_subgraphs,
+                                     config.hops,
+                                     state.sample_root.split(f"nodebatch{k}"))
+        train_step(batch, state, config)
+    assert calls[0] - mutag_calls >= 20
 
 
 def test_broadcasting_gradients():
