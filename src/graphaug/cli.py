@@ -31,6 +31,9 @@ from .trainer import TrainConfig, load_checkpoint, save_checkpoint, \
 from .tudataset import dataset_stats, parse_tudataset
 
 OUT_ROOT_ENV = "GRAPHAUG_OUT"
+# numpy reads these before the CLI runs, so a run records them instead
+BLAS_THREAD_ENVS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 # INI section -> keys, in the order --print-config writes them. Every key
 # except data.dataset and output.out_dir (strings, no default) is a
@@ -161,7 +164,11 @@ def cmd_train(args) -> int:
     state, metrics, freqs = train(dataset, config)
     # a run that fails leaves no directory behind
     out = _out_dir(resolved, f"{dataset.name.lower()}-train")
-    (out / "config_resolved.cfg").write_text(_format_config(resolved))
+    threads = " ".join(f"{env}={os.environ.get(env, 'unset')}"
+                       for env in BLAS_THREAD_ENVS)
+    (out / "config_resolved.cfg").write_text(      # on one comment line
+        "# outputs are byte-identical only at the same BLAS thread count: "
+        + " ".join(threads.split()) + "\n" + _format_config(resolved))
     save_checkpoint(state, config, out / "checkpoint.bin")
     _write_csv(out / "metrics.csv",
                ["epoch", "step", "loss", "aug_i", "aug_j", "p_i", "p_j", "coin"],
@@ -247,16 +254,19 @@ def cmd_inspect(args) -> int:
         return 2
     n = min(args.num_graphs, len(dataset.graphs))
     batch = batch_graphs(dataset.graphs[:n])
-    enc = encode(batch, state.omega, config.aug_encoder(state.input_dim))
+    # detached parameters: nothing walks the tape of a dump
+    heads = {name: p.detached() for name, p in state.heads.items()}
+    enc = encode(batch, state.omega.detached(),
+                 config.aug_encoder(state.input_dim))
     decision = decide(enc.graph_vector, config.policy_kind,
                       RngStream(resolved["seed"], "inspect-policy"),
-                      state.policy, kinds)
+                      state.policy.detached(), kinds)
     dist = {k.value: float(p) for k, p in zip(decision.kinds,
                                               decision.dist.data)}
     print("policy distribution:", json.dumps(dist))
     stream = RngStream(resolved["seed"], "inspect")
     views = apply_augmentation(kind, batch, enc.node_matrix, enc.graph_vector,
-                               state.heads, config.keep_ratio, config.hops,
+                               heads, config.keep_ratio, config.hops,
                                config.head_temperature,
                                [stream.split(f"g{k}") for k in range(n)]).graph
     out = _out_dir(resolved, f"{dataset.name.lower()}-inspect")

@@ -4,8 +4,8 @@ Graph protocol: stratified 10-fold cross-validation, repeated over fold
 seeds. Node protocol: repeated random splits. The classifier is multinomial
 logistic regression trained full-batch with Adam on a closed-form numpy
 gradient (no autodiff tape); the L2 penalty is picked per training split by
-inner 3-fold cross-validation over a log grid, all penalties of one split
-fit as one stacked problem.
+inner 3-fold cross-validation over a log grid. Fits with the same number of
+training rows are solved as stacks: first the inner fits, then the refits.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ LAMBDA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 PROBE_EPOCHS = 300
 PROBE_LR = 1e-2
 EMBED_CHUNK = 64                 # graphs or node neighborhoods per encode
+STACK_LIMIT = 1 << 15            # logits per stacked fit (256 KiB of float64)
 
 
 @dataclass
@@ -80,11 +81,12 @@ def embed_dataset(dataset, state, config) -> EmbeddingTable:
     node in turn (the center's row is written back).
     """
     enc_cfg = config.base_encoder(dataset.feature_dim)
+    theta = state.theta.detached()             # nothing walks an embed's tape
     if config.task == "graph":
         vecs = []
         for start in range(0, len(dataset.graphs), EMBED_CHUNK):
             part = dataset.graphs[start:start + EMBED_CHUNK]
-            enc = encode(batch_graphs(part), state.theta, enc_cfg)
+            enc = encode(batch_graphs(part), theta, enc_cfg)
             vecs.append(enc.graph_vector.data)
         vectors = np.concatenate(vecs, axis=0)
         labels = dataset.labels()
@@ -97,7 +99,7 @@ def embed_dataset(dataset, state, config) -> EmbeddingTable:
     for start in range(0, g.num_nodes, EMBED_CHUNK):
         centers = np.arange(start, min(start + EMBED_CHUNK, g.num_nodes))
         batch = khop_bfs(g, centers, config.hops)
-        enc = encode(batch, state.theta, enc_cfg)
+        enc = encode(batch, theta, enc_cfg)
         vectors[centers] = enc.node_matrix.data[batch.node_offsets
                                                 + batch.centers]
     labels = np.asarray(dataset.node_labels[0], dtype=np.int64)
@@ -114,43 +116,42 @@ def _standardize(train_x, *others):
     return tuple((x - mu) / sd for x in (train_x,) + others)
 
 
-def _logreg_objective(x: np.ndarray, onehot: np.ndarray, w: np.ndarray,
-                      b: np.ndarray, l2s: np.ndarray):
-    """Penalized softmax cross-entropy of K stacked models and its gradient.
+def _logreg_objective(x, onehot, w, b, l2s) -> tuple:
+    """Penalized softmax cross-entropy of S splits x K models and its gradient.
 
-    ``x`` is (n, d), ``onehot`` is class-major (C, n), ``w`` is (K, d, C),
-    ``b`` is (K, C) and ``l2s`` is (K,). Returns the per-model losses (K,)
-    and the gradients w.r.t. ``w`` and ``b``:
+    ``x`` is (S, n, d), ``onehot`` is class-major (S, C, n), ``w`` is
+    (S, K, d, C), ``b`` is (S, K, C) and ``l2s`` is (S, K). Returns the
+    per-model losses (S, K) and the gradients w.r.t. ``w`` and ``b``:
     ``x.T @ (softmax - onehot) / n + (l2 / n) w`` and its column sums.
-    Logits are laid out (K, C, n) so the reductions over the few classes run
-    along contiguous rows of n samples, not along a length-C inner axis.
+    Logits are laid out (S, K, C, n): each (s, k) item is a lone model's
+    2-D product (C, d) @ (d, n), which keeps its bits (a product over
+    stacked rows would not), and class reductions run on contiguous rows.
     """
-    n = len(x)
-    logits = w.transpose(0, 2, 1) @ x.T + b[:, :, None]
-    m = logits.max(axis=1, keepdims=True)
+    n = x.shape[1]
+    logits = (w.transpose(0, 1, 3, 2) @ x.transpose(0, 2, 1)[:, None]
+              + b[..., None])
+    m = logits.max(axis=2, keepdims=True)
     e = np.exp(logits - m)
-    s = e.sum(axis=1, keepdims=True)
-    ce = np.log(s[:, 0]) + m[:, 0] - (logits * onehot).sum(axis=1)
+    s = e.sum(axis=2, keepdims=True)
+    onehot = onehot[:, None]
+    ce = np.log(s[:, :, 0]) + m[:, :, 0] - (logits * onehot).sum(axis=2)
     pen = l2s / n
-    loss = ce.mean(axis=1) + (w * w).sum(axis=(1, 2)) * (pen / 2.0)
+    loss = ce.mean(axis=2) + (w * w).sum(axis=(2, 3)) * (pen / 2.0)
     resid = (e / s - onehot) / n
-    grad_w = (resid @ x).transpose(0, 2, 1) + pen[:, None, None] * w
-    return loss, grad_w, resid.sum(axis=2)
+    grad_w = (resid @ x[:, None]).transpose(0, 1, 3, 2) + pen[..., None, None] * w
+    return loss, grad_w, resid.sum(axis=3)
 
 
 def _fit_logreg_stack(x: np.ndarray, y: np.ndarray, num_classes: int,
                       l2s) -> tuple[np.ndarray, np.ndarray]:
-    """Full-batch Adam fits of one model per penalty in ``l2s`` on (x, y).
-
-    Returns weights (K, d, C) and biases (K, C). Adam is elementwise, so
-    slice k is the fit a lone model with penalty ``l2s[k]`` would get.
-    """
+    """Full-batch Adam fits of one model per split and penalty: x (S, n, d),
+    y (S, n) and l2s (S, K) give weights (S, K, d, C) and biases (S, K, C).
+    Adam is elementwise, so slice (s, k) is the fit of a lone model."""
     l2s = np.asarray(l2s, dtype=np.float64)
-    d = x.shape[1]
     params = ParameterSet()
-    w = params.add("w", Tensor(np.zeros((len(l2s), d, num_classes))))
-    b = params.add("b", Tensor(np.zeros((len(l2s), num_classes))))
-    onehot = np.eye(num_classes)[:, y]
+    w = params.add("w", Tensor(np.zeros(l2s.shape + (x.shape[2], num_classes))))
+    b = params.add("b", Tensor(np.zeros(l2s.shape + (num_classes,))))
+    onehot = np.ascontiguousarray(np.eye(num_classes)[:, y].swapaxes(0, 1))
     adam = AdamState()
     for _ in range(PROBE_EPOCHS):
         loss, grad_w, grad_b = _logreg_objective(x, onehot, w.data, b.data, l2s)
@@ -161,19 +162,30 @@ def _fit_logreg_stack(x: np.ndarray, y: np.ndarray, num_classes: int,
     return w.data, b.data
 
 
-def _accuracies(w, b, x, y) -> np.ndarray:
-    """Test accuracy of each stacked model."""
-    pred = np.argmax(x @ w + b[:, None, :], axis=2)
-    return (pred == y).mean(axis=1)
-
-
-def _fit_and_score(x_train, y_train, x_test, y_test, num_classes,
-                   l2s) -> np.ndarray:
-    """Standardize on the training rows, fit one model per penalty and
-    return each model's test accuracy."""
-    xtr, xte = _standardize(x_train, x_test)
-    w, b = _fit_logreg_stack(xtr, y_train, num_classes, l2s)
-    return _accuracies(w, b, xte, y_test)
+def _fit_groups(x, y, num_classes, problems) -> list:
+    """Test accuracies (K,) of each ``(train_rows, test_rows, l2s)`` fit.
+    Fits with the same number of training rows are stacked, at most
+    STACK_LIMIT logits a stack (larger ones ran slower: cache misses, and
+    pages refaulted every step); each split is standardized on its own."""
+    groups = {}
+    for i, (train, _, l2s) in enumerate(problems):
+        groups.setdefault((len(train), len(l2s)), []).append(i)
+    accs = [None] * len(problems)
+    for (n, k), group in groups.items():
+        size = max(1, STACK_LIMIT // (k * num_classes * n))
+        for stack in (group[j:j + size] for j in range(0, len(group), size)):
+            xs, tests = np.empty((len(stack), n, x.shape[1])), []
+            for s, i in enumerate(stack):
+                train, test, _ = problems[i]
+                xs[s], x_test = _standardize(x[train], x[test])
+                tests.append((x_test, y[test]))
+            w, b = _fit_logreg_stack(
+                xs, y[np.stack([problems[i][0] for i in stack])], num_classes,
+                [problems[i][2] for i in stack])
+            for s, (x_test, y_test) in enumerate(tests):
+                pred = np.argmax(x_test @ w[s] + b[s][:, None, :], axis=2)
+                accs[stack[s]] = (pred == y_test).mean(axis=1)
+    return accs
 
 
 def _stratified_folds(labels: np.ndarray, folds: int, stream: RngStream):
@@ -181,30 +193,32 @@ def _stratified_folds(labels: np.ndarray, folds: int, stream: RngStream):
     assignment = np.zeros(len(labels), dtype=np.int64)
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
-        if len(idx) < 2:
-            raise ValueError(
-                f"class {cls} has fewer than 2 items; cannot stratify")
         idx = idx[stream.permutation(len(idx))]
         assignment[idx] = np.arange(len(idx)) % folds
     return assignment
 
 
-def _select_l2(x, y, num_classes, stream: RngStream) -> float:
-    """Inner 3-fold CV over the penalty grid; first best wins.
-
-    All penalties of one inner split are fit as one stack.
-    """
-    inner = _stratified_folds(y, 3, stream)
-    accs = []
-    for f in range(3):
-        tr, te = inner != f, inner == f
-        if te.sum() == 0 or len(np.unique(y[tr])) < num_classes:
-            continue
-        accs.append(_fit_and_score(x[tr], y[tr], x[te], y[te], num_classes,
-                                   LAMBDA_GRID))
-    if not accs:
-        return LAMBDA_GRID[0]
-    return LAMBDA_GRID[int(np.argmax(np.mean(accs, axis=0)))]
+def _probe_splits(x, y, num_classes, splits) -> tuple[list, list]:
+    """Test accuracy and chosen penalty of each ``(train_rows, test_rows,
+    stream)`` split, by inner 3-fold CV on the training rows folded with
+    ``stream`` (first best wins; inner splits with no test row or a missing
+    class are skipped, and with none left the grid's first penalty wins)."""
+    inner = []                            # (split, train rows, test rows)
+    for k, (train, _, stream) in enumerate(splits):
+        fold = _stratified_folds(y[train], 3, stream)
+        for f in range(3):
+            tr, te = train[fold != f], train[fold == f]
+            if len(te) and len(np.unique(y[tr])) == num_classes:
+                inner.append((k, tr, te))
+    scores = [[] for _ in splits]
+    for (k, _, _), acc in zip(inner, _fit_groups(
+            x, y, num_classes, [(tr, te, LAMBDA_GRID) for _, tr, te in inner])):
+        scores[k].append(acc)
+    l2s = [LAMBDA_GRID[int(np.argmax(np.mean(acc, axis=0)))] if acc
+           else LAMBDA_GRID[0] for acc in scores]
+    accs = _fit_groups(x, y, num_classes, [
+        (train, test, (l2,)) for (train, test, _), l2 in zip(splits, l2s)])
+    return [acc[0] for acc in accs], l2s
 
 
 def _class_indices(labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -223,22 +237,23 @@ def linear_probe_graph(table: EmbeddingTable, folds: int = 10, runs: int = 5,
     if folds < 2 or runs < 1:
         raise ValueError(f"need folds >= 2 and runs >= 1, got folds={folds} "
                          f"and runs={runs}")
-    x = table.vectors
     y, num_classes = _class_indices(table.labels)
     if num_classes < 2:
         raise ValueError("probe needs at least two classes")
-    accs, l2s = [], []
+    rare = np.flatnonzero(np.bincount(y) < 2)   # inner folds may have one
+    if len(rare):
+        raise ValueError(f"class {rare[0]} has fewer than 2 items; cannot "
+                         "stratify")
+    splits = []
     for run in range(runs):
         stream = RngStream(seed + run, "probe-folds")
         assignment = _stratified_folds(y, folds, stream)
         for f in range(folds):
-            tr, te = assignment != f, assignment == f
-            if te.sum() == 0:
-                continue
-            l2 = _select_l2(x[tr], y[tr], num_classes, stream.split(f"l2-{f}"))
-            accs.append(_fit_and_score(x[tr], y[tr], x[te], y[te],
-                                       num_classes, [l2])[0])
-            l2s.append(l2)
+            test = np.flatnonzero(assignment == f)
+            if len(test):
+                splits.append((np.flatnonzero(assignment != f), test,
+                               stream.split(f"l2-{f}")))
+    accs, l2s = _probe_splits(table.vectors, y, num_classes, splits)
     return _report(accs, l2s, seed, f"{folds}-fold x {runs} runs")
 
 
@@ -259,21 +274,14 @@ def linear_probe_node(table: EmbeddingTable, runs: int = 20,
     """Random-split probe over ``runs`` different splits."""
     if runs < 1:
         raise ValueError(f"need runs >= 1, got {runs}")
-    x = table.vectors
     y, num_classes, n_train = node_probe_split(table.labels, train_frac)
-    accs, l2s = [], []
+    splits = []
     for run in range(runs):
         stream = RngStream(seed + run, "probe-splits")
         order = stream.permutation(len(y))
-        tr_idx, te_idx = order[:n_train], order[n_train:]
-        if len(np.unique(y[tr_idx])) < num_classes:
+        if len(np.unique(y[order[:n_train]])) < num_classes:
             # re-draw once with a derived stream; then accept the split
             order = stream.split("retry").permutation(len(y))
-            tr_idx, te_idx = order[:n_train], order[n_train:]
-        l2 = _select_l2(x[tr_idx], y[tr_idx], num_classes,
-                        stream.split("l2")) \
-            if len(np.unique(y[tr_idx])) == num_classes else LAMBDA_GRID[0]
-        accs.append(_fit_and_score(x[tr_idx], y[tr_idx], x[te_idx], y[te_idx],
-                                   num_classes, [l2])[0])
-        l2s.append(l2)
+        splits.append((order[:n_train], order[n_train:], stream.split("l2")))
+    accs, l2s = _probe_splits(table.vectors, y, num_classes, splits)
     return _report(accs, l2s, seed, f"{runs} random splits @ {train_frac}")

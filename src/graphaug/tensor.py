@@ -549,6 +549,12 @@ class ParameterSet:
     def tensors(self) -> list[Tensor]:
         return list(self._params.values())
 
+    def detached(self) -> "ParameterSet":
+        """The same arrays under the same names, recording no tape."""
+        out = ParameterSet()
+        out._params = {k: t.detach() for k, t in self._params.items()}
+        return out
+
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.grad = None

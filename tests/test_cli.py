@@ -235,6 +235,27 @@ def test_print_config_round_trips(tmp_path, capsys, overrides):
     assert capsys.readouterr().out == first
 
 
+def test_resolved_config_records_blas_threads(dataset_dir, tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2\n[data]")   # stays one comment
+    out = tmp_path / "run"
+    args = ["--dataset", str(dataset_dir), "--out", str(out), *TRAIN_ARGS]
+    assert run_cli("train", *args) == 0
+    first, rest = (out / "config_resolved.cfg").read_text().split("\n", 1)
+    assert first == ("# outputs are byte-identical only at the same BLAS "
+                     "thread count: OPENBLAS_NUM_THREADS=1 "
+                     "OMP_NUM_THREADS=unset MKL_NUM_THREADS=2 [data]")
+    capsys.readouterr()
+    assert run_cli("train", *args, "--print-config") == 0
+    printed = capsys.readouterr().out
+    assert printed == rest + "\n"              # --print-config is unchanged
+    assert run_cli("train", "--config", str(out / "config_resolved.cfg"),
+                   "--print-config") == 0
+    assert capsys.readouterr().out == printed
+
+
 def trained_checkpoint(dataset_dir, tmp_path):
     out = tmp_path / "trained"
     if not (out / "checkpoint.bin").exists():

@@ -14,7 +14,7 @@ from graphaug.optim import AdamState, adam_step
 from graphaug.rng import RngStream
 from graphaug.tensor import ParameterSet, Tensor, finite_diff_grad
 from graphaug.trainer import TrainConfig, init_state
-from graphaug.tudataset import Dataset
+from graphaug.tudataset import Dataset, parse_tudataset
 
 
 def separable_table(n=60, d=4, seed=0, spread=0.05):
@@ -59,6 +59,31 @@ def test_single_class_rejected():
     table = EmbeddingTable(np.ones((10, 2)), np.zeros(10, dtype=int))
     with pytest.raises(ValueError):
         linear_probe_graph(table, folds=5, runs=1)
+
+
+def rare_class_table(n, rare):
+    """Two alternating classes, then the first ``rare`` items relabeled 2."""
+    stream = RngStream(21, "rare")
+    labels = np.arange(n) % 2
+    labels[:rare] = 2
+    vectors = stream.uniform((n, 3))
+    vectors[:, 0] += labels
+    return EmbeddingTable(vectors, labels)
+
+
+def test_rare_classes_leave_inner_folds_without_them():
+    # each outer fold's training part holds one item of class 2: the inner
+    # 3-fold split puts it in one test part and still chooses a penalty
+    report = linear_probe_graph(rare_class_table(40, 2), folds=2, runs=1,
+                                seed=0)
+    assert len(report.accuracies) == 2
+    assert all(l2 in LAMBDA_GRID for l2 in report.l2)
+    # 10 nodes train; some of the 5 splits train on one node of class 2
+    report = linear_probe_node(rare_class_table(103, 3), runs=5,
+                               train_frac=0.1, seed=0)
+    assert len(report.accuracies) == 5
+    with pytest.raises(ValueError, match="class 2 has fewer than 2 items"):
+        linear_probe_graph(rare_class_table(40, 1), folds=2, runs=1, seed=0)
 
 
 def test_node_probe_deterministic_and_separable():
@@ -113,15 +138,20 @@ def test_embed_zero_features_zero_encoder():
     assert np.allclose(table.vectors, 0.0)
 
 
-def test_embed_node_task_writeback():
+def path_node_dataset(n=12):
     stream = RngStream(4, "nt")
-    n = 12
     edges = []
     for i in range(n - 1):
         edges += [(i, i + 1), (i + 1, i)]
     g = Graph(n, np.array(edges), stream.uniform((n, 4)), np.ones(len(edges)))
     node_labels = (np.arange(n) % 2).astype(np.int64)
-    ds = Dataset("NT", [g], 2, 4, node_labels=[node_labels])
+    return Dataset("NT", [g], 2, 4, node_labels=[node_labels])
+
+
+def test_embed_node_task_writeback():
+    n = 12
+    ds = path_node_dataset(n)
+    node_labels = ds.node_labels[0]
     config = TrainConfig(hidden_dim=6, num_layers=2, task="node", hops=2,
                          seed=2, epochs=0)
     state = init_state(config, 4)
@@ -130,6 +160,24 @@ def test_embed_node_task_writeback():
     assert np.array_equal(table.labels, node_labels)
     # every row written (path graph: all centers reachable)
     assert not np.allclose(table.vectors, 0.0)
+
+
+@pytest.mark.parametrize("task", ["graph", "node"])
+def test_embed_records_no_tape(task, made_tensors, monkeypatch):
+    ds = graph_dataset() if task == "graph" else path_node_dataset()
+    config = TrainConfig(hidden_dim=6, num_layers=2, task=task, hops=2,
+                         seed=2, epochs=0)
+    state = init_state(config, ds.feature_dim)
+    made_tensors.clear()
+    table = embed_dataset(ds, state, config)
+    assert made_tensors and not any(t.requires_grad for t in made_tensors)
+    # the same embed on state.theta itself records a tape, and gives the
+    # same bits
+    monkeypatch.setattr(ParameterSet, "detached", lambda params: params)
+    made_tensors.clear()
+    taped = embed_dataset(ds, state, config)
+    assert any(t.requires_grad for t in made_tensors)
+    assert np.array_equal(table.vectors, taped.vectors)
 
 
 def test_embed_node_task_without_labels_fails_before_embedding(monkeypatch):
@@ -189,14 +237,21 @@ def logreg_problem(num_classes, n=30, d=4, seed=0):
     return x, y
 
 
+def stacked_problems(num_classes, seeds, **kwargs):
+    """Same-size problems stacked as one group: x (S, n, d), y (S, n)."""
+    problems = [logreg_problem(num_classes, seed=s, **kwargs) for s in seeds]
+    return (np.stack([x for x, _ in problems]),
+            np.stack([y for _, y in problems]))
+
+
 @pytest.mark.parametrize("num_classes", [2, 3])
 def test_logreg_gradient_matches_finite_differences(num_classes):
-    x, y = logreg_problem(num_classes, n=12, d=3)
-    onehot = np.eye(num_classes)[:, y]
+    x, y = stacked_problems(num_classes, (0, 5), n=12, d=3)
+    onehot = np.eye(num_classes)[y].transpose(0, 2, 1)
     stream = RngStream(1, "fd")
-    w0 = stream.uniform((2, 3, num_classes)) - 0.5
-    b0 = stream.uniform((2, num_classes)) - 0.5
-    l2s = np.array([0.3, 5.0])
+    w0 = stream.uniform((2, 2, 3, num_classes)) - 0.5
+    b0 = stream.uniform((2, 2, num_classes)) - 0.5
+    l2s = np.array([[0.3, 5.0], [1.0, 0.01]])
     _, grad_w, grad_b = evaluation._logreg_objective(x, onehot, w0, b0, l2s)
     fd_w = finite_diff_grad(lambda t: evaluation._logreg_objective(
         x, onehot, t.data, b0, l2s)[0].sum(), Tensor(w0)).data
@@ -210,27 +265,206 @@ def test_logreg_gradient_matches_finite_differences(num_classes):
 def test_stacked_fit_matches_tape_reference(l2):
     x, y = logreg_problem(3)
     w_ref, b_ref = _fit_logreg_tape(x, y, 3, l2)
-    w, b = evaluation._fit_logreg_stack(x, y, 3, [l2])
-    assert w.shape == (1, 4, 3) and b.shape == (1, 3)
-    assert np.max(np.abs(w[0] - w_ref)) <= 1e-9
-    assert np.max(np.abs(b[0] - b_ref)) <= 1e-9
+    w, b = evaluation._fit_logreg_stack(x[None], y[None], 3, [[l2]])
+    assert w.shape == (1, 1, 4, 3) and b.shape == (1, 1, 3)
+    assert np.max(np.abs(w[0, 0] - w_ref)) <= 1e-9
+    assert np.max(np.abs(b[0, 0] - b_ref)) <= 1e-9
 
 
 def test_stack_slices_match_single_fits():
-    x, y = logreg_problem(3, seed=4)
-    w, b = evaluation._fit_logreg_stack(x, y, 3, LAMBDA_GRID)
-    assert w.shape == (len(LAMBDA_GRID), 4, 3)
-    for k, l2 in enumerate(LAMBDA_GRID):
-        w1, b1 = evaluation._fit_logreg_stack(x, y, 3, [l2])
-        assert np.max(np.abs(w[k] - w1[0])) <= 1e-12
-        assert np.max(np.abs(b[k] - b1[0])) <= 1e-12
+    x, y = stacked_problems(3, (4, 6))
+    l2s = np.array([LAMBDA_GRID, LAMBDA_GRID[::-1]])
+    w, b = evaluation._fit_logreg_stack(x, y, 3, l2s)
+    assert w.shape == (2, len(LAMBDA_GRID), 4, 3)
+    for s in range(2):
+        for k in range(len(LAMBDA_GRID)):
+            w1, b1 = evaluation._fit_logreg_stack(x[s:s + 1], y[s:s + 1], 3,
+                                                  l2s[s:s + 1, k:k + 1])
+            assert np.max(np.abs(w[s, k] - w1[0, 0])) <= 1e-12
+            assert np.max(np.abs(b[s, k] - b1[0, 0])) <= 1e-12
 
 
 def test_nonfinite_probe_loss_raises():
-    x, y = logreg_problem(2)
-    x[3, 1] = np.nan
+    # one bad split fails its whole stack
+    x, y = stacked_problems(2, (0, 0))
+    x[1, 3, 1] = np.nan
     with pytest.raises(TrainingDivergedError):
-        evaluation._fit_logreg_stack(x, y, 2, LAMBDA_GRID)
+        evaluation._fit_logreg_stack(x, y, 2, [LAMBDA_GRID] * 2)
+
+
+# -- the per-split reference: one fit per split, the probe before grouping ----------
+
+def _objective_per_split(x, onehot, w, b, l2s):
+    """One split: x (n, d), onehot (C, n), w (K, d, C), b (K, C), l2s (K,)."""
+    n = len(x)
+    logits = w.transpose(0, 2, 1) @ x.T + b[:, :, None]
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    s = e.sum(axis=1, keepdims=True)
+    ce = np.log(s[:, 0]) + m[:, 0] - (logits * onehot).sum(axis=1)
+    pen = l2s / n
+    loss = ce.mean(axis=1) + (w * w).sum(axis=(1, 2)) * (pen / 2.0)
+    resid = (e / s - onehot) / n
+    grad_w = (resid @ x).transpose(0, 2, 1) + pen[:, None, None] * w
+    return loss, grad_w, resid.sum(axis=2)
+
+
+def fit_per_split(x, y, num_classes, l2s):
+    """Weights (K, d, C) and biases (K, C) of one split's fits."""
+    l2s = np.asarray(l2s, dtype=np.float64)
+    params = ParameterSet()
+    w = params.add("w", Tensor(np.zeros((len(l2s), x.shape[1], num_classes))))
+    b = params.add("b", Tensor(np.zeros((len(l2s), num_classes))))
+    onehot = np.eye(num_classes)[:, y]
+    adam = AdamState()
+    for _ in range(PROBE_EPOCHS):
+        loss, grad_w, grad_b = _objective_per_split(x, onehot, w.data, b.data,
+                                                    l2s)
+        assert np.isfinite(loss).all()
+        adam_step(params, {"w": grad_w, "b": grad_b}, adam, PROBE_LR)
+    return w.data, b.data
+
+
+def fit_and_score_per_split(x_train, y_train, x_test, y_test, num_classes, l2s,
+                            rows):
+    rows.append(len(x_train))
+    xtr, xte = evaluation._standardize(x_train, x_test)
+    w, b = fit_per_split(xtr, y_train, num_classes, l2s)
+    pred = np.argmax(xte @ w + b[:, None, :], axis=2)
+    return (pred == y_test).mean(axis=1)
+
+
+def select_l2_per_split(x, y, num_classes, stream, rows):
+    inner = evaluation._stratified_folds(y, 3, stream)
+    accs = []
+    for f in range(3):
+        tr, te = inner != f, inner == f
+        if te.sum() == 0 or len(np.unique(y[tr])) < num_classes:
+            continue
+        accs.append(fit_and_score_per_split(x[tr], y[tr], x[te], y[te],
+                                            num_classes, LAMBDA_GRID, rows))
+    if not accs:
+        return LAMBDA_GRID[0]
+    return LAMBDA_GRID[int(np.argmax(np.mean(accs, axis=0)))]
+
+
+def probe_graph_per_split(table, folds, runs, seed, rows):
+    """(accuracies, l2s); ``rows`` collects each fit's training-row count."""
+    x = table.vectors
+    y, num_classes = evaluation._class_indices(table.labels)
+    accs, l2s = [], []
+    for run in range(runs):
+        stream = RngStream(seed + run, "probe-folds")
+        assignment = evaluation._stratified_folds(y, folds, stream)
+        for f in range(folds):
+            tr, te = assignment != f, assignment == f
+            if te.sum() == 0:
+                continue
+            l2 = select_l2_per_split(x[tr], y[tr], num_classes,
+                                     stream.split(f"l2-{f}"), rows)
+            accs.append(float(fit_and_score_per_split(
+                x[tr], y[tr], x[te], y[te], num_classes, [l2], rows)[0]))
+            l2s.append(l2)
+    return accs, l2s
+
+
+def probe_node_per_split(table, runs, train_frac, seed, rows):
+    x = table.vectors
+    y, num_classes, n_train = evaluation.node_probe_split(table.labels,
+                                                          train_frac)
+    accs, l2s = [], []
+    for run in range(runs):
+        stream = RngStream(seed + run, "probe-splits")
+        order = stream.permutation(len(y))
+        tr, te = order[:n_train], order[n_train:]
+        if len(np.unique(y[tr])) < num_classes:
+            order = stream.split("retry").permutation(len(y))
+            tr, te = order[:n_train], order[n_train:]
+        l2 = select_l2_per_split(x[tr], y[tr], num_classes,
+                                 stream.split("l2"), rows) \
+            if len(np.unique(y[tr])) == num_classes else LAMBDA_GRID[0]
+        accs.append(float(fit_and_score_per_split(
+            x[tr], y[tr], x[te], y[te], num_classes, [l2], rows)[0]))
+        l2s.append(l2)
+    return accs, l2s
+
+
+@pytest.fixture(scope="module")
+def mutag_table(mutag_dir):
+    ds = parse_tudataset(mutag_dir)
+    config = TrainConfig(hidden_dim=32, num_layers=2, seed=5, epochs=0)
+    return embed_dataset(ds, init_state(config, ds.feature_dim), config)
+
+
+@pytest.mark.parametrize("penalties", ["grid", "one-each"])
+@pytest.mark.parametrize("num_classes", [2, 3])
+def test_group_fit_is_bit_identical_to_per_split_fits(num_classes, penalties):
+    x_all, y_all = logreg_problem(num_classes, n=150, d=32, seed=8)
+    stream = RngStream(2, "group")
+    # 112 rows, as in MUTAG's inner splits: l2 / 112 and l2 * (1 / 112)
+    # differ for some penalties, so even a reordered division would show
+    rows = [np.sort(stream.permutation(150)[:112]) for _ in range(3)]
+    x = np.stack([evaluation._standardize(x_all[r])[0] for r in rows])
+    y = np.stack([y_all[r] for r in rows])
+    l2s = (np.array([LAMBDA_GRID] * 3) if penalties == "grid"
+           else np.array([[1e-3], [1.0], [1e2]]))
+    w, b = evaluation._fit_logreg_stack(x, y, num_classes, l2s)
+    for s in range(3):
+        w1, b1 = fit_per_split(x[s], y[s], num_classes, l2s[s])
+        assert np.array_equal(w[s], w1) and np.array_equal(b[s], b1)
+
+
+def test_grouped_probe_matches_per_split_reference_on_mutag(mutag_table):
+    report = linear_probe_graph(mutag_table, folds=10, runs=2, seed=3)
+    accs, l2s = probe_graph_per_split(mutag_table, 10, 2, 3, [])
+    assert report.accuracies == accs and report.l2 == l2s
+
+
+def test_grouped_node_probe_matches_per_split_reference():
+    # the rare-class table leaves most training splits without class 2
+    for table, runs, train_frac, seed in (
+            (golden_table(), 3, 0.5, 2), (golden_table(), 6, 0.3, 4),
+            (rare_class_table(103, 3), 5, 0.1, 0)):
+        report = linear_probe_node(table, runs=runs, train_frac=train_frac,
+                                   seed=seed)
+        accs, l2s = probe_node_per_split(table, runs, train_frac, seed, [])
+        assert report.accuracies == accs and report.l2 == l2s
+
+
+def test_stack_limit_splits_stacks_and_keeps_results(monkeypatch):
+    want = linear_probe_graph(golden_table(), folds=5, runs=2, seed=3)
+    stacks = []                                # (splits, rows, penalties)
+    fit = evaluation._fit_logreg_stack
+
+    def spy(x, y, num_classes, l2s):
+        stacks.append((len(x), x.shape[1], np.shape(l2s)[1]))
+        return fit(x, y, num_classes, l2s)
+
+    limit = 7 * 3 * 24 * 2                     # about two inner splits
+    monkeypatch.setattr(evaluation, "_fit_logreg_stack", spy)
+    monkeypatch.setattr(evaluation, "STACK_LIMIT", limit)
+    got = linear_probe_graph(golden_table(), folds=5, runs=2, seed=3)
+    assert got.to_json() == want.to_json()
+    assert sum(s for s, _, _ in stacks) == 40  # 10 x (3 + 1) fits
+    assert all(s * n * k * 3 <= limit for s, n, k in stacks)
+    assert len(stacks) > len({(n, k) for _, n, k in stacks})
+
+
+def test_mutag_probe_makes_one_stack_per_training_row_count(mutag_table,
+                                                            monkeypatch):
+    steps = []
+
+    def counted(*args):
+        steps.append(1)
+        adam_step(*args)
+
+    monkeypatch.setattr(evaluation, "adam_step", counted)
+    report = linear_probe_graph(mutag_table, folds=10, runs=1, seed=5)
+    rows = []
+    accs, l2s = probe_graph_per_split(mutag_table, 10, 1, 5, rows)
+    assert report.accuracies == accs and report.l2 == l2s
+    assert len(rows) == 40                    # per-split fits: 10 x (3 + 1)
+    assert len(steps) == PROBE_EPOCHS * len(set(rows)) == 2100
 
 
 def golden_table(n=45, d=4, seed=11):
