@@ -9,6 +9,7 @@ integer arrays as int64.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -89,7 +90,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         if not all(isinstance(n, int) and n >= 0 for n in shape):
             raise CheckpointError(f"{path} has a malformed shape "
                                   f"{list(shape)} for {name!r}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)      # a Python int: cannot overflow to 0
         nbytes = count * dtype.itemsize
         if offset + nbytes > len(raw):
             raise CheckpointError(f"{path} is truncated (payload {name!r})")

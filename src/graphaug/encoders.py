@@ -51,35 +51,45 @@ def param_seed(base_seed: int, name: str) -> int:
     return int.from_bytes(h, "little") % (2 ** 62)
 
 
+def init_mlp(params: ParameterSet, name: str, dims: list[int], seed: int,
+             label: str | None = None) -> None:
+    """Add a dense stack through ``dims``: per layer the Glorot weight
+    ``{name}/w{i}``, seeded by ``{label or name}/w{i}``, then its zero bias
+    ``{name}/b{i}``. ``mlp(x, *params.under(name))`` runs it."""
+    for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
+        params.add(f"{name}/w{i}", xavier_init(
+            (d_in, d_out), param_seed(seed, f"{label or name}/w{i}")))
+        params.add(f"{name}/b{i}", zeros_param((d_out,)))
+
+
+def mlp(x: Tensor, *weights: Tensor) -> Tensor:
+    """Dense layers ``x @ w + b`` over the ``(w, b)`` pairs in turn, with a
+    ReLU between layers; the one dense-layer forward of every module."""
+    for i in range(0, len(weights), 2):
+        if i:
+            x = x.relu()
+        # one op per statement frees each input as soon as it is used, so a
+        # forward without a tape holds two activations at a time, not three
+        x = x @ weights[i]
+        x = x + weights[i + 1]
+    return x
+
+
 def init_encoder_params(cfg: EncoderConfig, seed: int) -> ParameterSet:
     params = ParameterSet()
-    d_in = cfg.input_dim
+    d_in, d = cfg.input_dim, cfg.hidden_dim
     for layer in range(cfg.num_layers):
         base = f"layer{layer}"
-        if cfg.layer_kind == "gin":
-            params.add(f"{base}/w1", xavier_init((d_in, cfg.hidden_dim),
-                                                 param_seed(seed, f"{base}/w1")))
-            params.add(f"{base}/b1", zeros_param((cfg.hidden_dim,)))
-            params.add(f"{base}/w2", xavier_init((cfg.hidden_dim, cfg.hidden_dim),
-                                                 param_seed(seed, f"{base}/w2")))
-            params.add(f"{base}/b2", zeros_param((cfg.hidden_dim,)))
-        else:
-            params.add(f"{base}/w", xavier_init((d_in, cfg.hidden_dim),
-                                                param_seed(seed, f"{base}/w")))
-            params.add(f"{base}/b", zeros_param((cfg.hidden_dim,)))
-        d_in = cfg.hidden_dim
+        # GIN's MLP is two dense layers (w1, b1, w2, b2); GCN's is one (w, b)
+        suffixes = ("1", "2") if cfg.layer_kind == "gin" else ("",)
+        for suffix, fan_in in zip(suffixes, (d_in, d)):
+            w = f"{base}/w{suffix}"
+            params.add(w, xavier_init((fan_in, d), param_seed(seed, w)))
+            params.add(f"{base}/b{suffix}", zeros_param((d,)))
+        d_in = d
     for head in ("proj_node", "proj_graph"):
-        for i in range(3):
-            name = f"{head}/w{i}"
-            params.add(name, xavier_init((cfg.hidden_dim, cfg.hidden_dim),
-                                         param_seed(seed, name)))
-            params.add(f"{head}/b{i}", zeros_param((cfg.hidden_dim,)))
+        init_mlp(params, head, [d] * 4, seed)
     return params
-
-
-def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Two linear layers with a ReLU between."""
-    return (x @ w1 + b1).relu() @ w2 + b2
 
 
 def gin_layer(h: Tensor, src: np.ndarray, dst: np.ndarray, edge_w: Tensor,
@@ -88,7 +98,7 @@ def gin_layer(h: Tensor, src: np.ndarray, dst: np.ndarray, edge_w: Tensor,
     if len(src):
         msgs = h.gather_rows(src) * edge_w.reshape(-1, 1)
         h = h + segment_sum(msgs, dst, h.shape[0])
-    return mlp2(h, w1, b1, w2, b2)
+    return mlp(h, w1, b1, w2, b2)
 
 
 def gcn_layer(h: Tensor, src: np.ndarray, dst: np.ndarray, edge_w: Tensor,
@@ -98,7 +108,7 @@ def gcn_layer(h: Tensor, src: np.ndarray, dst: np.ndarray, edge_w: Tensor,
     h' = ReLU(D^-1/2 (A_w + I) D^-1/2 h W), with edge weights inside A_w.
     """
     num_nodes = h.shape[0]
-    hw = h @ w + b
+    hw = mlp(h, w, b)
     if len(src):
         deg = segment_sum(edge_w, dst, num_nodes) + 1.0       # (V,)
         dinv = deg ** -0.5
@@ -115,14 +125,6 @@ def _dropout(h: Tensor, p: float, stream: RngStream) -> Tensor:
     return h * Tensor(mask)
 
 
-def _project3(x: Tensor, params: ParameterSet, prefix: str) -> Tensor:
-    for i in range(3):
-        x = x @ params[f"{prefix}/w{i}"] + params[f"{prefix}/b{i}"]
-        if i < 2:
-            x = x.relu()
-    return x
-
-
 def encode(batch: GraphBatch, params: ParameterSet, cfg: EncoderConfig,
            stream: RngStream | None = None,
            training: bool = False) -> Encodings:
@@ -130,15 +132,9 @@ def encode(batch: GraphBatch, params: ParameterSet, cfg: EncoderConfig,
     src, dst = batch.edges[:, 0], batch.edges[:, 1]
     h = batch.features
     edge_w = batch.edge_weights
+    layer_fn = gin_layer if cfg.layer_kind == "gin" else gcn_layer
     for layer in range(cfg.num_layers):
-        base = f"layer{layer}"
-        if cfg.layer_kind == "gin":
-            h = gin_layer(h, src, dst, edge_w,
-                          params[f"{base}/w1"], params[f"{base}/b1"],
-                          params[f"{base}/w2"], params[f"{base}/b2"])
-        else:
-            h = gcn_layer(h, src, dst, edge_w,
-                          params[f"{base}/w"], params[f"{base}/b"])
+        h = layer_fn(h, src, dst, edge_w, *params.under(f"layer{layer}"))
         if training and cfg.dropout > 0.0 and layer < cfg.num_layers - 1:
             if stream is None:
                 raise ValueError("dropout during training needs an rng stream")
@@ -147,6 +143,6 @@ def encode(batch: GraphBatch, params: ParameterSet, cfg: EncoderConfig,
     if cfg.readout == "mean":
         counts = batch.node_counts.astype(float).reshape(-1, 1)
         pooled = pooled * Tensor(1.0 / counts)
-    node_out = _project3(h, params, "proj_node")
-    graph_out = _project3(pooled, params, "proj_graph")
+    node_out = mlp(h, *params.under("proj_node"))
+    graph_out = mlp(pooled, *params.under("proj_graph"))
     return Encodings(node_matrix=node_out, graph_vector=graph_out)

@@ -240,7 +240,8 @@ def linear_probe_graph(table: EmbeddingTable, folds: int = 10, runs: int = 5,
     y, num_classes = _class_indices(table.labels)
     if num_classes < 2:
         raise ValueError("probe needs at least two classes")
-    rare = np.flatnonzero(np.bincount(y) < 2)   # inner folds may have one
+    classes, counts = np.unique(table.labels, return_counts=True)
+    rare = classes[counts < 2]                   # inner folds may have one
     if len(rare):
         raise ValueError(f"class {rare[0]} has fewer than 2 items; cannot "
                          "stratify")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .encoders import mlp2, param_seed
+from .encoders import init_mlp, mlp, param_seed
 from .graphs import GraphBatch, csr, khop_nodes
 from .policy import AugmentationKind
 from .rng import RngStream
@@ -41,29 +41,17 @@ def init_head_params(kind: AugmentationKind, hidden_dim: int, feature_dim: int,
                      seed: int) -> ParameterSet:
     params = ParameterSet()
     if kind in (AugmentationKind.NODE_DROP, AugmentationKind.SUBGRAPH):
-        params.add("mlp/w0", xavier_init((2 * hidden_dim, hidden_dim),
-                                         param_seed(seed, f"{kind.value}/w0")))
-        params.add("mlp/b0", zeros_param((hidden_dim,)))
-        params.add("mlp/w1", xavier_init((hidden_dim, 1),
-                                         param_seed(seed, f"{kind.value}/w1")))
-        params.add("mlp/b1", zeros_param((1,)))
+        init_mlp(params, "mlp", [2 * hidden_dim, hidden_dim, 1], seed,
+                 label=kind.value)
     elif kind == AugmentationKind.EDGE_PERTURB:
-        params.add("mlp/w0", xavier_init((hidden_dim + 1, hidden_dim),
-                                         param_seed(seed, "edge/w0")))
-        params.add("mlp/b0", zeros_param((hidden_dim,)))
-        params.add("mlp/w1", xavier_init((hidden_dim, 1),
-                                         param_seed(seed, "edge/w1")))
-        params.add("mlp/b1", zeros_param((1,)))
+        init_mlp(params, "mlp", [hidden_dim + 1, hidden_dim, 1], seed,
+                 label="edge")
     elif kind == AugmentationKind.FEATURE_MASK:
         params.add("lin/w", xavier_init((feature_dim, feature_dim),
                                         param_seed(seed, "fm/lin")))
         params.add("lin/b", zeros_param((feature_dim,)))
-        params.add("mlp/w0", xavier_init((hidden_dim, hidden_dim),
-                                         param_seed(seed, "fm/w0")))
-        params.add("mlp/b0", zeros_param((hidden_dim,)))
-        params.add("mlp/w1", xavier_init((hidden_dim, feature_dim),
-                                         param_seed(seed, "fm/w1")))
-        params.add("mlp/b1", zeros_param((feature_dim,)))
+        init_mlp(params, "mlp", [hidden_dim, hidden_dim, feature_dim], seed,
+                 label="fm")
     return params
 
 
@@ -72,8 +60,7 @@ def _node_distribution(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
     """Per-graph softmax over nodes of MLP([H_v || h_G]); shared by two
     heads."""
     z = concat([h_v, h_g.gather_rows(batch.node_to_graph)], axis=1)
-    logits = mlp2(z, params["mlp/w0"], params["mlp/b0"],
-                  params["mlp/w1"], params["mlp/b1"])
+    logits = mlp(z, *params.under("mlp"))
     return segment_softmax(logits.reshape(batch.num_nodes), batch.node_offsets)
 
 
@@ -172,8 +159,7 @@ def edge_perturbation_head(batch: GraphBatch, h_v: Tensor,
 
     h_e = h_v.gather_rows(pairs[:, 0]) + h_v.gather_rows(pairs[:, 1])
     z = concat([h_e, Tensor(indicator.reshape(-1, 1))], axis=1)
-    logits = mlp2(z, params["mlp/w0"], params["mlp/b0"],
-                  params["mlp/w1"], params["mlp/b1"]).reshape(len(pairs))
+    logits = mlp(z, *params.under("mlp")).reshape(len(pairs))
     probs = logits.sigmoid()
     keep = relaxed_bernoulli(logits, temperature, noise)
     kept = np.flatnonzero(keep.hard > 0.5)
@@ -220,9 +206,8 @@ def feature_masking_head(batch: GraphBatch, h_v: Tensor, params: ParameterSet,
     straight-through one, the fully differentiable path used by gradient
     oracles.
     """
-    projected = batch.features @ params["lin/w"] + params["lin/b"]
-    mask_logits = mlp2(h_v, params["mlp/w0"], params["mlp/b0"],
-                       params["mlp/w1"], params["mlp/b1"])
+    projected = mlp(batch.features, *params.under("lin"))
+    mask_logits = mlp(h_v, *params.under("mlp"))
     d = mask_logits.shape[1]
     noise = np.concatenate([s.split("mask").logistic((n, d)) for s, n
                             in zip(streams, batch.node_counts.tolist())])

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import Encodings, mlp2, param_seed
-from .tensor import ParameterSet, Tensor, concat, segment_sum, xavier_init, \
-    zeros_param
+from .encoders import Encodings, init_mlp, mlp, param_seed
+from .tensor import ParameterSet, Tensor, concat, segment_sum, xavier_init
 
 ESTIMATORS = ("jsd", "nce", "nt_xent", "dv")
 DISCRIMINATORS = ("dot", "cosine", "bilinear", "mlp")
@@ -60,12 +59,7 @@ def init_discriminator_params(kind: str, hidden_dim: int,
         params.add("disc/w", xavier_init((hidden_dim, hidden_dim),
                                          param_seed(seed, "disc/w")))
     elif kind == "mlp":
-        params.add("disc/w0", xavier_init((2 * hidden_dim, hidden_dim),
-                                          param_seed(seed, "disc/w0")))
-        params.add("disc/b0", zeros_param((hidden_dim,)))
-        params.add("disc/w1", xavier_init((hidden_dim, 1),
-                                          param_seed(seed, "disc/w1")))
-        params.add("disc/b1", zeros_param((1,)))
+        init_mlp(params, "disc", [2 * hidden_dim, hidden_dim, 1], seed)
     return params
 
 
@@ -89,9 +83,7 @@ def pairwise_scores(node_matrix: Tensor, graph_vectors: Tensor, kind: str,
         rep = node_matrix.gather_rows(np.repeat(np.arange(m), n))
         til = graph_vectors.gather_rows(np.tile(np.arange(n), m))
         z = concat([rep, til], axis=1)
-        out = mlp2(z, params["disc/w0"], params["disc/b0"],
-                   params["disc/w1"], params["disc/b1"])
-        return out.reshape(m, n)
+        return mlp(z, *params.under("disc")).reshape(m, n)
     raise ValueError(f"unknown discriminator {kind!r}")
 
 
@@ -119,13 +111,14 @@ def jsd_mi(pos: Tensor, neg: Tensor | None) -> Tensor:
     return value
 
 
-def estimate_mi(pos: Tensor, neg: Tensor | None, estimator: str,
+def estimate_mi(pos: Tensor, neg: Tensor | None,
                 config: ObjectiveConfig) -> Tensor:
-    """Dispatch over the four estimators.
+    """Dispatch over the four estimators on ``config.estimator``.
 
     ``pos`` is (P,); for nce/nt_xent ``neg`` must be (P, M) row-aligned with
     the positives; jsd/dv accept any shape.
     """
+    estimator = config.estimator
     if estimator == "jsd":
         return jsd_mi(pos, neg)
     if neg is None or neg.size == 0:
@@ -153,8 +146,6 @@ def batch_loss(enc_i: Encodings, enc_j: Encodings, node_to_graph_i: np.ndarray,
                        config.discriminator, disc_params)
     s_j = score_matrix(enc_i.node_matrix, node_to_graph_i, enc_j.graph_vector,
                        config.discriminator, disc_params)
-    i_i = estimate_mi(s_i.positives(), s_i.negatives(), config.estimator,
-                      config)
-    i_j = estimate_mi(s_j.positives(), s_j.negatives(), config.estimator,
-                      config)
+    i_i = estimate_mi(s_i.positives(), s_i.negatives(), config)
+    i_j = estimate_mi(s_j.positives(), s_j.negatives(), config)
     return -(i_i + i_j) * 0.5

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .encoders import param_seed
+from .encoders import init_mlp, mlp, param_seed
 from .rng import RngStream
 from .sampling import gumbel_softmax
 from .tensor import ParameterSet, Tensor, gru_sequence, xavier_init, \
@@ -80,18 +80,8 @@ def init_policy_params(policy_kind: str, hidden_dim: int, num_kinds: int,
                                         param_seed(seed, "out/w")))
         params.add("out/b", zeros_param((num_kinds,)))
     elif policy_kind == "deepset":
-        params.add("pre/w0", xavier_init((hidden_dim, hidden_dim),
-                                         param_seed(seed, "pre/w0")))
-        params.add("pre/b0", zeros_param((hidden_dim,)))
-        params.add("pre/w1", xavier_init((hidden_dim, hidden_dim),
-                                         param_seed(seed, "pre/w1")))
-        params.add("pre/b1", zeros_param((hidden_dim,)))
-        params.add("post/w0", xavier_init((hidden_dim, hidden_dim),
-                                          param_seed(seed, "post/w0")))
-        params.add("post/b0", zeros_param((hidden_dim,)))
-        params.add("post/w1", xavier_init((hidden_dim, num_kinds),
-                                          param_seed(seed, "post/w1")))
-        params.add("post/b1", zeros_param((num_kinds,)))
+        init_mlp(params, "pre", [hidden_dim] * 3, seed)
+        init_mlp(params, "post", [hidden_dim, hidden_dim, num_kinds], seed)
     elif policy_kind != "random":
         raise ValueError(f"unknown policy kind {policy_kind!r}")
     return params
@@ -104,19 +94,15 @@ def gru_policy(batch_reps: Tensor, params: ParameterSet) -> Tensor:
     n = batch_reps.shape[0]
     norms = np.sqrt((batch_reps.data ** 2).sum(axis=1))
     order = np.lexsort((np.arange(n), norms))
-    h = gru_sequence(batch_reps.gather_rows(order), params["gru/wx"],
-                     params["gru/wh"], params["gru/b"])
-    logits = h @ params["out/w"] + params["out/b"]
+    h = gru_sequence(batch_reps.gather_rows(order), *params.under("gru"))
+    logits = mlp(h, *params.under("out"))
     return logits.reshape(logits.shape[1]).softmax()
 
 
 def deepset_policy(batch_reps: Tensor, params: ParameterSet) -> Tensor:
     """Per-row MLP, sum pooling, post MLP, softmax."""
-    phi = (batch_reps @ params["pre/w0"] + params["pre/b0"]).relu() \
-        @ params["pre/w1"] + params["pre/b1"]
-    pooled = phi.sum(axis=0, keepdims=True)
-    out = (pooled @ params["post/w0"] + params["post/b0"]).relu() \
-        @ params["post/w1"] + params["post/b1"]
+    phi = mlp(batch_reps, *params.under("pre"))
+    out = mlp(phi.sum(axis=0, keepdims=True), *params.under("post"))
     return out.reshape(out.shape[1]).softmax()
 
 

@@ -549,6 +549,11 @@ class ParameterSet:
     def tensors(self) -> list[Tensor]:
         return list(self._params.values())
 
+    def under(self, prefix: str) -> list[Tensor]:
+        """The tensors named ``prefix/...``, in the order they were added."""
+        head = prefix + "/"
+        return [t for name, t in self._params.items() if name.startswith(head)]
+
     def detached(self) -> "ParameterSet":
         """The same arrays under the same names, recording no tape."""
         out = ParameterSet()

@@ -149,16 +149,16 @@ def test_criterion_1_gradient_oracle():
         _grad_check_params(disc_loss, inputs)
 
     # (d) each MI estimator
-    cfg = ObjectiveConfig(nt_xent_temperature=0.5)
     pos0 = RngStream(12, "d").uniform(3) - 0.5
     neg0 = RngStream(13, "d").uniform((3, 2)) - 0.5
     for est in ("jsd", "nce", "nt_xent", "dv"):
         ps = ParameterSet()
         pos = ps.add("pos", Tensor(pos0.copy()))
         neg = ps.add("neg", Tensor(neg0.copy()))
+        cfg = ObjectiveConfig(estimator=est, nt_xent_temperature=0.5)
 
         def mi_loss():
-            return estimate_mi(pos, neg, est, cfg)
+            return estimate_mi(pos, neg, cfg)
 
         _grad_check_params(mi_loss, ps)
 

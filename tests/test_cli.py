@@ -325,6 +325,21 @@ def test_probe_corrupt_checkpoint(dataset_dir, tmp_path, capsys):
     assert code == 1
 
 
+def test_probe_checkpoint_with_an_overflowing_shape(dataset_dir, tmp_path,
+                                                    capsys):
+    bad = tmp_path / "huge.bin"
+    header = json.dumps({"meta": {}, "tensors": [
+        {"name": "w", "shape": [2 ** 32, 2 ** 32], "dtype": "f8"}]}).encode()
+    bad.write_bytes(b"GAPC" + (1).to_bytes(4, "little")
+                    + len(header).to_bytes(8, "little") + header)
+    code = run_cli("probe", "--checkpoint", str(bad), "--dataset",
+                   str(dataset_dir), "--out", str(tmp_path / "p5"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "truncated (payload 'w')" in err
+    assert "Traceback" not in err
+
+
 def test_probe_unlabeled_graphs_fails_cleanly(dataset_dir, tmp_path, capsys):
     ck = trained_checkpoint(dataset_dir, tmp_path)
     (dataset_dir / "SYN_graph_labels.txt").unlink()

@@ -292,3 +292,74 @@ def test_guard_sees_only_lookups_a_site_intercepts(tmp_path):
     assert ("graphaug.mod", "khop_bfs") in found
     assert ("graphaug.container", "write_container") in found
     assert ("graphaug.mod", "batch_graphs") not in found
+
+
+# Where src/ multiplies matrices, as "file:function" or a whole "file", each
+# with the reason. Every dense layer runs through encoders.mlp, so a fused
+# linear op changes that one function.
+MATMUL_BY_DESIGN = {
+    "encoders.py:mlp": "the one dense-layer forward, x @ w + b",
+    "objective.py:pairwise_scores": "the discriminators' score tables, "
+                                    "among them the bilinear x @ W @ g.T",
+    "tensor.py": "numpy products inside the tape's own ops: the matmul "
+                 "backward and the fused GRU",
+    "evaluation.py": "the linear probe, numpy arrays with no tape",
+}
+MATMUL_CALLS = {"matmul", "dot", "einsum", "tensordot"}
+
+
+def matmul_sites(paths) -> set:
+    """"file:function" for every matrix product: ``@``, ``@=``, or a call
+    named in ``MATMUL_CALLS``. The function is the innermost enclosing def,
+    ``<module>`` outside any."""
+    sites = set()
+
+    def visit(node, fn, name):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                isinstance(node.op, ast.MatMult) or \
+                isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None)) \
+                in MATMUL_CALLS:
+            sites.add(f"{name}:{fn}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn, name)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(), str(path)), "<module>", path.name)
+    return sites
+
+
+def unplanned(sites, allowed) -> list:
+    return sorted(s for s in sites
+                  if s not in allowed and s.split(":")[0] not in allowed)
+
+
+def test_matrix_products_stay_in_mlp_and_the_scores():
+    sites = matmul_sites(sorted(SRC.glob("*.py")))
+    stale = sorted(k for k in MATMUL_BY_DESIGN
+                   if not any(s == k or s.startswith(k + ":") for s in sites))
+    assert not stale, f"exception no longer needed: {stale}"
+    extra = unplanned(sites, MATMUL_BY_DESIGN)
+    assert not extra, f"matrix products outside encoders.mlp: {extra}"
+
+
+def test_guard_sees_every_matrix_product(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import numpy as np\n\n"
+        "def layer(x, w):\n    return x @ w + 1\n\n"
+        "class Box:\n"
+        "    def f(self, a):\n        a @= a\n        return a.dot(a)\n\n"
+        "def g(a):\n"
+        "    def inner():\n        return np.matmul(a, a)\n"
+        "    return inner() * a\n\n"
+        "def h(a):\n    return a * a\n\n"
+        "EYE = np.einsum('ii->i', np.eye(2))\n")
+    sites = matmul_sites([module])
+    assert sites == {"mod.py:layer", "mod.py:f", "mod.py:inner",
+                     "mod.py:<module>"}
+    assert unplanned(sites, {"mod.py:layer", "mod.py:f"}) == \
+        ["mod.py:<module>", "mod.py:inner"]
+    assert unplanned(sites, {"mod.py"}) == []

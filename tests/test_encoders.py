@@ -2,10 +2,12 @@ import numpy as np
 
 from graphaug.encoders import (
     EncoderConfig, encode, gcn_layer, gin_layer, init_encoder_params,
+    init_mlp, mlp, param_seed,
 )
 from graphaug.graphs import Graph, batch_graphs
 from graphaug.rng import RngStream
-from graphaug.tensor import Tensor, finite_diff_grad
+from graphaug.tensor import ParameterSet, Tensor, finite_diff_grad, \
+    xavier_init
 
 from conftest import rel_err
 
@@ -21,6 +23,34 @@ def two_nodes_one_edge(h0, h1, w=1.0):
     src = np.array([0, 1])
     dst = np.array([1, 0])
     return h, src, dst, Tensor(np.full(2, w))
+
+
+# -- dense stacks --------------------------------------------------------------
+
+def test_init_mlp_names_shapes_and_seeds_each_layer():
+    params = ParameterSet()
+    init_mlp(params, "mlp", [5, 4, 1], seed=3, label="edge")
+    assert params.names() == ["mlp/w0", "mlp/b0", "mlp/w1", "mlp/b1"]
+    assert [t.shape for t in params.tensors()] == [(5, 4), (4,), (4, 1), (1,)]
+    for i, shape in enumerate([(5, 4), (4, 1)]):
+        want = xavier_init(shape, param_seed(3, f"edge/w{i}"))
+        assert np.array_equal(params[f"mlp/w{i}"].data, want.data)
+        assert not params[f"mlp/b{i}"].data.any()
+    unlabeled = ParameterSet()
+    init_mlp(unlabeled, "pre", [2, 2], seed=3)
+    assert np.array_equal(unlabeled["pre/w0"].data,
+                          xavier_init((2, 2), param_seed(3, "pre/w0")).data)
+
+
+def test_mlp_is_affine_layers_with_relu_between():
+    stream = RngStream(4, "mlp")
+    x = Tensor(stream.uniform((3, 2)) - 0.5)
+    w0, b0 = Tensor(stream.uniform((2, 4)) - 0.5), Tensor(stream.uniform(4))
+    w1, b1 = Tensor(stream.uniform((4, 2)) - 0.5), Tensor(stream.uniform(2))
+    assert np.array_equal(mlp(x, w0, b0).data, x.data @ w0.data + b0.data)
+    hidden = np.maximum(x.data @ w0.data + b0.data, 0.0)
+    assert np.array_equal(mlp(x, w0, b0, w1, b1).data,
+                          hidden @ w1.data + b1.data)
 
 
 # -- gin layer ---------------------------------------------------------------
@@ -141,8 +171,8 @@ def test_readout_equals_recomputed_column_sums():
                params[f"{base}/w1"], params[f"{base}/b1"],
                params[f"{base}/w2"], params[f"{base}/b2"])
     pooled = h.data.sum(axis=0, keepdims=True)
-    from graphaug.encoders import _project3
-    expect = _project3(Tensor(pooled), params, "proj_graph").data
+    expect = mlp(Tensor(pooled), *[params[f"proj_graph/{k}{i}"]
+                                    for i in range(3) for k in "wb"]).data
     enc = encode(batch, params, cfg)
     assert np.allclose(enc.graph_vector.data, expect)
 

@@ -84,6 +84,11 @@ def test_rare_classes_leave_inner_folds_without_them():
     assert len(report.accuracies) == 5
     with pytest.raises(ValueError, match="class 2 has fewer than 2 items"):
         linear_probe_graph(rare_class_table(40, 1), folds=2, runs=1, seed=0)
+    # the message names the dataset's label, not its index among the classes
+    table = rare_class_table(40, 1)
+    table.labels = np.where(table.labels == 2, 7, 3)
+    with pytest.raises(ValueError, match="class 7 has fewer than 2 items"):
+        linear_probe_graph(table, folds=2, runs=1, seed=0)
 
 
 def test_node_probe_deterministic_and_separable():

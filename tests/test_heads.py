@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphaug.encoders import EncoderConfig, Encodings, encode, \
-    init_encoder_params, mlp2
+    init_encoder_params, mlp
 from graphaug.graphs import Graph, GraphBatch, batch_graphs
 from graphaug.heads import (
     HeadOutput, apply_augmentation, edge_perturbation_head,
@@ -402,8 +402,8 @@ def _ref_node_distribution(h_v, h_g, params):
     n = h_v.shape[0]
     tiled = Tensor(np.ones((n, 1))) @ h_g.reshape(1, h_g.size)
     z = concat([h_v, tiled], axis=1)
-    logits = mlp2(z, params["mlp/w0"], params["mlp/b0"],
-                  params["mlp/w1"], params["mlp/b1"])
+    logits = mlp(z, params["mlp/w0"], params["mlp/b0"],
+                 params["mlp/w1"], params["mlp/b1"])
     return logits.reshape(n).softmax()
 
 
@@ -459,8 +459,8 @@ def _ref_edge_perturb(g, h_v, params, temperature, stream):
     indicator = np.concatenate([np.ones(n_pos), np.zeros(len(negatives))])
     h_e = h_v.gather_rows(arr[:, 0]) + h_v.gather_rows(arr[:, 1])
     z = concat([h_e, Tensor(indicator.reshape(-1, 1))], axis=1)
-    logits = mlp2(z, params["mlp/w0"], params["mlp/b0"],
-                  params["mlp/w1"], params["mlp/b1"]).reshape(len(all_pairs))
+    logits = mlp(z, params["mlp/w0"], params["mlp/b0"],
+                 params["mlp/w1"], params["mlp/b1"]).reshape(len(all_pairs))
     probs = logits.sigmoid()
     keep = relaxed_bernoulli(logits, temperature,
                              stream.split("keep").logistic(logits.shape))
@@ -496,8 +496,8 @@ def _ref_subgraph(g, h_v, h_g, params, hops, stream):
 def _ref_feature_mask(g, h_v, params, temperature, stream):
     x = Tensor(g.features.data)
     projected = x @ params["lin/w"] + params["lin/b"]
-    mask_logits = mlp2(h_v, params["mlp/w0"], params["mlp/b0"],
-                       params["mlp/w1"], params["mlp/b1"])
+    mask_logits = mlp(h_v, params["mlp/w0"], params["mlp/b0"],
+                      params["mlp/w1"], params["mlp/b1"])
     sample = relaxed_bernoulli(
         mask_logits, temperature,
         stream.split("mask").logistic(mask_logits.shape))

@@ -82,25 +82,24 @@ def test_jsd_monotone_in_negatives():
 
 # -- estimators ------------------------------------------------------------------
 
-CFG = ObjectiveConfig()
-
-
 def test_nce_two_way_uniform():
-    v = estimate_mi(Tensor([0.0]), Tensor([[0.0]]), "nce", CFG)
+    v = estimate_mi(Tensor([0.0]), Tensor([[0.0]]),
+                    ObjectiveConfig(estimator="nce"))
     assert abs(v.item() - (-math.log(2.0))) < 1e-12
 
 
 def test_dv_constant_is_zero():
-    v = estimate_mi(Tensor([1.7, 1.7]), Tensor([[1.7], [1.7]]), "dv", CFG)
+    v = estimate_mi(Tensor([1.7, 1.7]), Tensor([[1.7], [1.7]]),
+                    ObjectiveConfig(estimator="dv"))
     assert abs(v.item()) < 1e-12
 
 
 def test_nt_xent_at_unit_temperature_equals_nce():
-    cfg = ObjectiveConfig(estimator="nt_xent", nt_xent_temperature=1.0)
     pos = Tensor(RngStream(2, "e").uniform(4))
     neg = Tensor(RngStream(3, "e").uniform((4, 3)))
-    a = estimate_mi(pos, neg, "nt_xent", cfg)
-    b = estimate_mi(pos, neg, "nce", cfg)
+    a = estimate_mi(pos, neg, ObjectiveConfig(estimator="nt_xent",
+                                              nt_xent_temperature=1.0))
+    b = estimate_mi(pos, neg, ObjectiveConfig(estimator="nce"))
     assert abs(a.item() - b.item()) < 1e-12
 
 
@@ -108,13 +107,13 @@ def test_estimators_guard_overflow():
     pos = Tensor([500.0])
     neg = Tensor([[480.0, 490.0]])
     for est in ("nce", "dv"):
-        v = estimate_mi(pos, neg, est, CFG)
+        v = estimate_mi(pos, neg, ObjectiveConfig(estimator=est))
         assert np.isfinite(v.item())
 
 
 def test_dv_requires_negatives():
     with pytest.raises(ValueError):
-        estimate_mi(Tensor([0.0]), None, "dv", CFG)
+        estimate_mi(Tensor([0.0]), None, ObjectiveConfig(estimator="dv"))
 
 
 # -- score matrix -------------------------------------------------------------------

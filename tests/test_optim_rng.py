@@ -151,6 +151,25 @@ def test_container_rejects_truncation(tmp_path):
         read_container(path)
 
 
+def header_only_container(path, header) -> None:
+    import json
+    import struct
+    raw = json.dumps(header).encode()
+    path.write_bytes(b"GAPC" + struct.pack("<I", 1)
+                     + struct.pack("<Q", len(raw)) + raw + b"\x00" * 16)
+
+
+@pytest.mark.parametrize("shape", [[2 ** 32, 2 ** 32], [2 ** 62, 4]])
+def test_container_rejects_a_shape_whose_size_overflows_int64(tmp_path,
+                                                              shape):
+    # either product wraps to 0 in int64, which once passed the size check
+    path = tmp_path / "c.bin"
+    header_only_container(path, {"meta": {}, "tensors": [
+        {"name": "w", "shape": shape, "dtype": "f8"}]})
+    with pytest.raises(CheckpointError, match="truncated \\(payload 'w'\\)"):
+        read_container(path)
+
+
 def test_container_rejects_wrong_version(tmp_path):
     path = tmp_path / "c.bin"
     write_container(path, {}, {"w": np.ones(2)})
@@ -170,11 +189,7 @@ def test_container_rejects_wrong_version(tmp_path):
                               "dtype": "f8"}]},             # negative size
 ])
 def test_container_rejects_malformed_header(tmp_path, header):
-    import json
-    import struct
-    raw = json.dumps(header).encode()
     path = tmp_path / "c.bin"
-    path.write_bytes(b"GAPC" + struct.pack("<I", 1)
-                     + struct.pack("<Q", len(raw)) + raw + b"\x00" * 16)
+    header_only_container(path, header)
     with pytest.raises(CheckpointError, match="malformed"):
         read_container(path)

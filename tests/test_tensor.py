@@ -423,3 +423,13 @@ def test_parameter_set_contracts():
     ps["w"].grad = np.ones((2, 2))
     ps.zero_grads()
     assert ps["w"].grad is None
+
+
+def test_parameter_set_under_is_the_prefix_in_insertion_order():
+    ps = ParameterSet()
+    for name in ("layer1/w", "layer10/w", "mlp/w0", "layer1/b", "mlp/b0",
+                 "layer1"):
+        ps.add(name, Tensor(np.zeros(1)))
+    assert ps.under("layer1") == [ps["layer1/w"], ps["layer1/b"]]
+    assert ps.under("mlp") == [ps["mlp/w0"], ps["mlp/b0"]]
+    assert ps.under("lay") == []
