@@ -20,7 +20,7 @@ import numpy as np
 
 from .encoders import encode
 from .errors import ConfigError, GraphAugError
-from .evaluation import embed_dataset, linear_probe_graph, \
+from .evaluation import STACK_COLUMNS, embed_dataset, linear_probe_graph, \
     linear_probe_node, node_probe_split
 from .heads import apply_augmentation
 from .policy import AugmentationKind, active_kinds, decide
@@ -215,6 +215,7 @@ def cmd_probe(args) -> int:
     out = _out_dir(resolved, f"{dataset.name.lower()}-probe")
     (out / "probe_report.json").write_text(report.to_json())
     _write_csv(out / "probe_report.csv", [], report.to_csv_rows())
+    _write_csv(out / "probe_stacks.csv", STACK_COLUMNS, report.stacks)
     print(f"{report.protocol}: accuracy {report.mean:.4f} +/- {report.std:.4f}")
     print(f"reports written to {out}")
     return 0

@@ -10,6 +10,7 @@ training rows are solved as stacks: first the inner fits, then the refits.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ PROBE_EPOCHS = 300
 PROBE_LR = 1e-2
 EMBED_CHUNK = 64                 # graphs or node neighborhoods per encode
 STACK_LIMIT = 1 << 15            # logits per stacked fit (256 KiB of float64)
+STACK_COLUMNS = ("phase", "splits", "rows", "penalties", "seconds")
 
 
 @dataclass
@@ -48,6 +50,7 @@ class ProbeReport:
     l2: list                         # chosen penalty, aligned with accuracies
     seed: int
     protocol: str
+    stacks: list                     # one STACK_COLUMNS row per stacked fit
 
     def to_json(self) -> str:
         return json.dumps({
@@ -64,10 +67,11 @@ class ProbeReport:
         return rows
 
 
-def _report(accs: list, l2s: list, seed: int, protocol: str) -> ProbeReport:
+def _report(accs: list, l2s: list, stacks: list, seed: int,
+            protocol: str) -> ProbeReport:
     arr = np.asarray(accs, dtype=float)
     return ProbeReport(float(arr.mean()), float(arr.std()), list(map(float, arr)),
-                       list(map(float, l2s)), seed, protocol)
+                       list(map(float, l2s)), seed, protocol, stacks)
 
 
 # -- embedding --------------------------------------------------------------------
@@ -116,7 +120,23 @@ def _standardize(train_x, *others):
     return tuple((x - mu) / sd for x in (train_x,) + others)
 
 
-def _logreg_objective(x, onehot, w, b, l2s) -> tuple:
+def _logreg_work(x: np.ndarray, k: int, num_classes: int) -> dict:
+    """Arrays a stack's objective reuses at every step: ``xt``, x
+    transposed to a C-contiguous (S, 1, d, n) (the product on a strided
+    view ran about three times slower; on the copy it keeps its bits), and
+    buffers for the (S, K, C, n) logits, exp and residual, the (S, K, C, d)
+    product ``resid @ x`` and the two gradients."""
+    s, n, d = x.shape
+    return {"xt": np.ascontiguousarray(x.transpose(0, 2, 1)[:, None]),
+            "logits": np.empty((s, k, num_classes, n)),
+            "e": np.empty((s, k, num_classes, n)),
+            "resid": np.empty((s, k, num_classes, n)),
+            "xr": np.empty((s, k, num_classes, d)),
+            "grad_w": np.empty((s, k, d, num_classes)),
+            "grad_b": np.empty((s, k, num_classes))}
+
+
+def _logreg_objective(x, onehot, w, b, l2s, work=None) -> tuple:
     """Penalized softmax cross-entropy of S splits x K models and its gradient.
 
     ``x`` is (S, n, d), ``onehot`` is class-major (S, C, n), ``w`` is
@@ -126,20 +146,30 @@ def _logreg_objective(x, onehot, w, b, l2s) -> tuple:
     Logits are laid out (S, K, C, n): each (s, k) item is a lone model's
     2-D product (C, d) @ (d, n), which keeps its bits (a product over
     stacked rows would not), and class reductions run on contiguous rows.
+    ``work`` is ``_logreg_work(x, K, C)``, built anew when not given; the
+    returned gradients live in it, so the next call overwrites them.
     """
+    if work is None:
+        work = _logreg_work(x, w.shape[1], w.shape[3])
     n = x.shape[1]
-    logits = (w.transpose(0, 1, 3, 2) @ x.transpose(0, 2, 1)[:, None]
-              + b[..., None])
+    logits, e, resid = work["logits"], work["e"], work["resid"]
+    np.matmul(w.transpose(0, 1, 3, 2), work["xt"], out=logits)
+    logits += b[..., None]
     m = logits.max(axis=2, keepdims=True)
-    e = np.exp(logits - m)
+    np.subtract(logits, m, out=e)
+    np.exp(e, out=e)
     s = e.sum(axis=2, keepdims=True)
     onehot = onehot[:, None]
-    ce = np.log(s[:, :, 0]) + m[:, :, 0] - (logits * onehot).sum(axis=2)
+    np.multiply(logits, onehot, out=resid)
+    ce = np.log(s[:, :, 0]) + m[:, :, 0] - resid.sum(axis=2)
     pen = l2s / n
     loss = ce.mean(axis=2) + (w * w).sum(axis=(2, 3)) * (pen / 2.0)
-    resid = (e / s - onehot) / n
-    grad_w = (resid @ x[:, None]).transpose(0, 1, 3, 2) + pen[..., None, None] * w
-    return loss, grad_w, resid.sum(axis=3)
+    np.divide(e, s, out=resid)
+    resid -= onehot
+    resid /= n
+    grad_w = np.multiply(pen[..., None, None], w, out=work["grad_w"])
+    grad_w += np.matmul(resid, x[:, None], out=work["xr"]).transpose(0, 1, 3, 2)
+    return loss, grad_w, resid.sum(axis=3, out=work["grad_b"])
 
 
 def _fit_logreg_stack(x: np.ndarray, y: np.ndarray, num_classes: int,
@@ -152,9 +182,11 @@ def _fit_logreg_stack(x: np.ndarray, y: np.ndarray, num_classes: int,
     w = params.add("w", Tensor(np.zeros(l2s.shape + (x.shape[2], num_classes))))
     b = params.add("b", Tensor(np.zeros(l2s.shape + (num_classes,))))
     onehot = np.ascontiguousarray(np.eye(num_classes)[:, y].swapaxes(0, 1))
+    work = _logreg_work(x, l2s.shape[1], num_classes)
     adam = AdamState()
     for _ in range(PROBE_EPOCHS):
-        loss, grad_w, grad_b = _logreg_objective(x, onehot, w.data, b.data, l2s)
+        loss, grad_w, grad_b = _logreg_objective(x, onehot, w.data, b.data,
+                                                 l2s, work)
         if not np.isfinite(loss).all():
             raise TrainingDivergedError(
                 f"probe loss is not finite at step {adam.step}")
@@ -162,11 +194,12 @@ def _fit_logreg_stack(x: np.ndarray, y: np.ndarray, num_classes: int,
     return w.data, b.data
 
 
-def _fit_groups(x, y, num_classes, problems) -> list:
+def _fit_groups(x, y, num_classes, problems, phase, stacks) -> list:
     """Test accuracies (K,) of each ``(train_rows, test_rows, l2s)`` fit.
     Fits with the same number of training rows are stacked, at most
-    STACK_LIMIT logits a stack (larger ones ran slower: cache misses, and
-    pages refaulted every step); each split is standardized on its own."""
+    STACK_LIMIT logits a stack (larger ones ran slower from cache misses);
+    each split is standardized on its own. Appends a STACK_COLUMNS row per
+    stack to ``stacks``."""
     groups = {}
     for i, (train, _, l2s) in enumerate(problems):
         groups.setdefault((len(train), len(l2s)), []).append(i)
@@ -179,9 +212,12 @@ def _fit_groups(x, y, num_classes, problems) -> list:
                 train, test, _ = problems[i]
                 xs[s], x_test = _standardize(x[train], x[test])
                 tests.append((x_test, y[test]))
+            start = time.perf_counter()
             w, b = _fit_logreg_stack(
                 xs, y[np.stack([problems[i][0] for i in stack])], num_classes,
                 [problems[i][2] for i in stack])
+            stacks.append((phase, len(stack), n, k,
+                           time.perf_counter() - start))
             for s, (x_test, y_test) in enumerate(tests):
                 pred = np.argmax(x_test @ w[s] + b[s][:, None, :], axis=2)
                 accs[stack[s]] = (pred == y_test).mean(axis=1)
@@ -198,11 +234,12 @@ def _stratified_folds(labels: np.ndarray, folds: int, stream: RngStream):
     return assignment
 
 
-def _probe_splits(x, y, num_classes, splits) -> tuple[list, list]:
+def _probe_splits(x, y, num_classes, splits) -> tuple[list, list, list]:
     """Test accuracy and chosen penalty of each ``(train_rows, test_rows,
     stream)`` split, by inner 3-fold CV on the training rows folded with
     ``stream`` (first best wins; inner splits with no test row or a missing
-    class are skipped, and with none left the grid's first penalty wins)."""
+    class are skipped, and with none left the grid's first penalty wins),
+    and the STACK_COLUMNS rows of the stacked fits."""
     inner = []                            # (split, train rows, test rows)
     for k, (train, _, stream) in enumerate(splits):
         fold = _stratified_folds(y[train], 3, stream)
@@ -210,15 +247,17 @@ def _probe_splits(x, y, num_classes, splits) -> tuple[list, list]:
             tr, te = train[fold != f], train[fold == f]
             if len(te) and len(np.unique(y[tr])) == num_classes:
                 inner.append((k, tr, te))
-    scores = [[] for _ in splits]
+    scores, stacks = [[] for _ in splits], []
     for (k, _, _), acc in zip(inner, _fit_groups(
-            x, y, num_classes, [(tr, te, LAMBDA_GRID) for _, tr, te in inner])):
+            x, y, num_classes, [(tr, te, LAMBDA_GRID) for _, tr, te in inner],
+            "inner", stacks)):
         scores[k].append(acc)
     l2s = [LAMBDA_GRID[int(np.argmax(np.mean(acc, axis=0)))] if acc
            else LAMBDA_GRID[0] for acc in scores]
     accs = _fit_groups(x, y, num_classes, [
-        (train, test, (l2,)) for (train, test, _), l2 in zip(splits, l2s)])
-    return [acc[0] for acc in accs], l2s
+        (train, test, (l2,)) for (train, test, _), l2 in zip(splits, l2s)],
+        "refit", stacks)
+    return [acc[0] for acc in accs], l2s, stacks
 
 
 def _class_indices(labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -254,8 +293,8 @@ def linear_probe_graph(table: EmbeddingTable, folds: int = 10, runs: int = 5,
             if len(test):
                 splits.append((np.flatnonzero(assignment != f), test,
                                stream.split(f"l2-{f}")))
-    accs, l2s = _probe_splits(table.vectors, y, num_classes, splits)
-    return _report(accs, l2s, seed, f"{folds}-fold x {runs} runs")
+    return _report(*_probe_splits(table.vectors, y, num_classes, splits),
+                   seed, f"{folds}-fold x {runs} runs")
 
 
 def node_probe_split(labels: np.ndarray, train_frac: float) -> tuple:
@@ -284,5 +323,5 @@ def linear_probe_node(table: EmbeddingTable, runs: int = 20,
             # re-draw once with a derived stream; then accept the split
             order = stream.split("retry").permutation(len(y))
         splits.append((order[:n_train], order[n_train:], stream.split("l2")))
-    accs, l2s = _probe_splits(table.vectors, y, num_classes, splits)
-    return _report(accs, l2s, seed, f"{runs} random splits @ {train_frac}")
+    return _report(*_probe_splits(table.vectors, y, num_classes, splits),
+                   seed, f"{runs} random splits @ {train_frac}")

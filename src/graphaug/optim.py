@@ -24,7 +24,9 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray],
     """One Adam update over the parameters named in ``grads``.
 
     Parameters absent from ``grads`` keep their value and moments untouched;
-    the step counter advances once per call.
+    the step counter advances once per call. The moments are updated in
+    place; each parameter gets a new array, as tensor data is never
+    written in place.
     """
     state.step += 1
     bc1 = 1.0 - BETA1 ** state.step
@@ -37,15 +39,14 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray],
             raise InvalidShapeError(
                 f"gradient shape {g.shape} != parameter shape {p.data.shape} "
                 f"for {name!r}")
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = BETA1 * m + (1.0 - BETA1) * g
-        v = BETA2 * v + (1.0 - BETA2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)

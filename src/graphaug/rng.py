@@ -16,7 +16,9 @@ _CLIP_HI = 1.0 - 1e-10
 
 
 class RngStream:
-    """A Philox-backed stream identified by a 128-bit key."""
+    """A Philox-backed stream identified by a 128-bit key. The generator is
+    built on the first draw or state access, so a stream that only splits
+    never pays for one."""
 
     def __init__(self, seed: int | None = None, name: str = "root",
                  _key: bytes | None = None):
@@ -26,8 +28,13 @@ class RngStream:
             _key = hashlib.blake2b(f"{name}:{seed}".encode(), digest_size=16).digest()
         self.name = name
         self._key = _key
-        self._bitgen = np.random.Philox(key=int.from_bytes(_key, "little"))
-        self._gen = np.random.Generator(self._bitgen)
+        self._gen = None
+
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.Generator(
+                np.random.Philox(key=int.from_bytes(self._key, "little")))
+        return self._gen
 
     def split(self, label: str) -> "RngStream":
         """Derive an independent child stream; same label, same child."""
@@ -37,30 +44,30 @@ class RngStream:
     # -- draws ------------------------------------------------------------
 
     def uniform(self, shape=None) -> np.ndarray:
-        return self._gen.random(shape)
+        return self._generator().random(shape)
 
     def gumbel(self, shape=None) -> np.ndarray:
         """Standard Gumbel noise, u clamped away from {0,1} for finiteness."""
-        u = np.clip(self._gen.random(shape), _CLIP_LO, _CLIP_HI)
+        u = np.clip(self._generator().random(shape), _CLIP_LO, _CLIP_HI)
         return -np.log(-np.log(u))
 
     def logistic(self, shape=None) -> np.ndarray:
-        u = np.clip(self._gen.random(shape), _CLIP_LO, _CLIP_HI)
+        u = np.clip(self._generator().random(shape), _CLIP_LO, _CLIP_HI)
         return np.log(u) - np.log1p(-u)
 
     def integers(self, low: int, high: int | None = None, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size=size)
+        return self._generator().integers(low, high, size=size)
 
     def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+        return self._generator().permutation(n)
 
     def bernoulli(self, p: float) -> bool:
-        return bool(self._gen.random() < p)
+        return bool(self._generator().random() < p)
 
     # -- serialization ----------------------------------------------------
 
     def get_state(self) -> dict:
-        s = self._bitgen.state
+        s = self._generator().bit_generator.state
         return {
             "name": self.name,
             "key": self._key.hex(),
@@ -74,13 +81,14 @@ class RngStream:
     @classmethod
     def from_state(cls, d: dict) -> "RngStream":
         stream = cls(name=d["name"], _key=bytes.fromhex(d["key"]))
-        s = stream._bitgen.state
+        bitgen = stream._generator().bit_generator
+        s = bitgen.state
         s["state"]["counter"] = np.array(d["counter"], dtype=np.uint64)
         s["buffer"] = np.array(d["buffer"], dtype=np.uint64)
         s["buffer_pos"] = d["buffer_pos"]
         s["has_uint32"] = d["has_uint32"]
         s["uinteger"] = d["uinteger"]
-        stream._bitgen.state = s
+        bitgen.state = s
         return stream
 
     def __repr__(self) -> str:

@@ -355,11 +355,13 @@ def save_checkpoint(state: TrainState, config: TrainConfig, path) -> None:
 
 def _stored_tensor(tensors: dict, key: str, like) -> np.ndarray:
     """Take ``key`` out of ``tensors``, checking it has the shape of
-    ``like``."""
+    ``like`` and only finite values."""
     arr = tensors.pop(key)
     if arr.shape != like.shape:
         raise CheckpointError(f"shape mismatch for {key}: "
                               f"{arr.shape} != {like.shape}")
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"checkpoint has non-finite values in {key}")
     return arr
 
 

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -276,6 +277,21 @@ def test_probe_graph_protocol(dataset_dir, tmp_path, capsys):
     assert len(report["l2"]) == 10                  # chosen penalty per fold
     assert 0.0 <= report["mean_accuracy"] <= 1.0
     assert (out / "probe_report.csv").exists()
+    with open(out / "probe_stacks.csv", newline="") as f:
+        stacks = list(csv.DictReader(f))
+    assert list(stacks[0]) == list(evaluation.STACK_COLUMNS)
+    assert {row["phase"] for row in stacks} == {"inner", "refit"}
+    assert all(float(row["seconds"]) > 0.0 for row in stacks)
+    # every split refits once after at most 3 inner fits
+    refits = sum(int(r["splits"]) for r in stacks if r["phase"] == "refit")
+    inner = sum(int(r["splits"]) for r in stacks if r["phase"] == "inner")
+    assert refits == 10 and 0 < inner <= 30
+    again = tmp_path / "probe-again"
+    assert run_cli("probe", "--checkpoint", str(ck), "--dataset",
+                   str(dataset_dir), "--out", str(again), "--folds", "5",
+                   "--runs", "2") == 0
+    for name in ("probe_report.json", "probe_report.csv"):
+        assert (again / name).read_bytes() == (out / name).read_bytes()
 
 
 def wider_dataset(tmp_path):
@@ -390,6 +406,26 @@ def test_failed_embed_leaves_no_output_dir(dataset_dir, tmp_path,
     code = run_cli("embed", "--checkpoint", str(ck), "--dataset",
                    str(dataset_dir), "--out", str(out))
     assert code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["embed", "inspect", "probe"])
+@pytest.mark.parametrize("key", ["params/theta/layer0/w1",
+                                 "params/omega/layer0/w1"])
+def test_non_finite_checkpoint_fails_cleanly(dataset_dir, tmp_path, capsys,
+                                             command, key):
+    meta, tensors = container.read_container(
+        trained_checkpoint(dataset_dir, tmp_path))
+    tensors[key][0, 0] = float("nan")
+    bad = tmp_path / "nan.bin"
+    container.write_container(bad, meta, tensors)
+    out = tmp_path / "nan-out"
+    code = run_cli(command, "--checkpoint", str(bad), "--dataset",
+                   str(dataset_dir), "--out", str(out),
+                   *(["--head", "identity"] if command == "inspect" else []))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: checkpoint has non-finite values in {key}\n"
     assert not out.exists()
 
 

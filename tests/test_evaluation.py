@@ -436,6 +436,57 @@ def test_grouped_node_probe_matches_per_split_reference():
         assert report.accuracies == accs and report.l2 == l2s
 
 
+@pytest.mark.parametrize("num_classes", [2, 3, 7])
+@pytest.mark.parametrize("k", [1, 7])
+def test_buffered_objective_is_bit_identical_per_split(num_classes, k):
+    # 3 x 7 x 7 x 112 logits are 129 KiB, past the 128 KiB mark
+    n = 112 if num_classes == 7 and k == 7 else 30
+    x_all, y_all = logreg_problem(num_classes, n=n + 20, d=9, seed=num_classes)
+    stream = RngStream(k, "objective")
+    rows = [np.sort(stream.permutation(n + 20)[:n]) for _ in range(3)]
+    x = np.stack([evaluation._standardize(x_all[r])[0] for r in rows])
+    onehot = np.eye(num_classes)[:, np.stack([y_all[r] for r in rows])]
+    onehot = np.ascontiguousarray(onehot.swapaxes(0, 1))
+    l2s = np.stack([np.roll(LAMBDA_GRID, 2 * s)[:k] for s in range(3)])
+    work = evaluation._logreg_work(x, k, num_classes)
+    if num_classes == 7 and k == 7:
+        assert work["logits"].nbytes > 128 * 1024
+    for step in range(3):              # the same buffers, refilled each call
+        w = stream.uniform((3, k, 9, num_classes)) - 0.5
+        b = stream.uniform((3, k, num_classes)) - 0.5
+        loss, grad_w, grad_b = evaluation._logreg_objective(x, onehot, w, b,
+                                                            l2s, work)
+        for s in range(3):
+            want = _objective_per_split(x[s], onehot[s], w[s], b[s], l2s[s])
+            assert np.array_equal(loss[s], want[0])
+            assert np.array_equal(grad_w[s], want[1])
+            assert np.array_equal(grad_b[s], want[2])
+
+
+def test_stack_fits_share_no_buffers():
+    xa, ya = stacked_problems(3, (1, 2))
+    xb, yb = stacked_problems(3, (3, 4, 5), n=24)
+    first = evaluation._fit_logreg_stack(xa, ya, 3, [LAMBDA_GRID] * 2)
+    evaluation._fit_logreg_stack(xb, yb, 3, [LAMBDA_GRID] * 3)
+    again = evaluation._fit_logreg_stack(xa, ya, 3, [LAMBDA_GRID] * 2)
+    assert all(np.array_equal(f, a) for f, a in zip(first, again))
+
+
+@pytest.mark.parametrize("probe,kwargs,fits", [
+    (linear_probe_graph, {"folds": 5, "runs": 2, "seed": 3}, 40),
+    (linear_probe_node, {"runs": 3, "train_frac": 0.5, "seed": 2}, 12),
+])
+def test_report_records_each_stacked_fit(probe, kwargs, fits):
+    report = probe(golden_table(), **kwargs)
+    assert sum(row[1] for row in report.stacks) == fits
+    for phase, splits, rows, penalties, seconds in report.stacks:
+        assert phase in ("inner", "refit") and seconds > 0.0
+        assert penalties == (len(LAMBDA_GRID) if phase == "inner" else 1)
+    assert sum(row[1] for row in report.stacks if row[0] == "refit") \
+        == len(report.accuracies)
+    assert probe(golden_table(), **kwargs).to_json() == report.to_json()
+
+
 def test_stack_limit_splits_stacks_and_keeps_results(monkeypatch):
     want = linear_probe_graph(golden_table(), folds=5, runs=2, seed=3)
     stacks = []                                # (splits, rows, penalties)

@@ -77,6 +77,36 @@ def test_stream_state_roundtrip_mid_sequence():
     assert np.array_equal(resumed.uniform(10), expect)
 
 
+def test_a_stream_that_only_splits_builds_no_generator():
+    root = RngStream(5, "step")
+    children = [root.split(f"g{k}") for k in range(4)]
+    grandchild = children[0].split("center")
+    assert all(s._gen is None for s in [root, grandchild, *children])
+    children[1].uniform(3)
+    assert children[1]._gen is not None and root._gen is None
+
+
+def test_lazy_streams_draw_as_an_eager_philox():
+    root = RngStream(13, "lazy")
+    for k in range(50):
+        stream = root.split(f"label-{k}")
+        eager = np.random.Generator(
+            np.random.Philox(key=int.from_bytes(stream._key, "little")))
+        if k % 2:                        # the state of an undrawn stream too
+            assert stream.get_state()["counter"] == [
+                int(c) for c in eager.bit_generator.state["state"]["counter"]]
+        assert np.array_equal(stream.uniform(7), eager.random(7))
+        assert np.array_equal(stream.permutation(9), eager.permutation(9))
+        state = stream.get_state()
+        want = eager.bit_generator.state
+        assert state["counter"] == [int(c) for c in want["state"]["counter"]]
+        assert state["buffer"] == [int(c) for c in want["buffer"]]
+        assert (state["buffer_pos"], state["has_uint32"], state["uinteger"]) \
+            == (want["buffer_pos"], want["has_uint32"], want["uinteger"])
+        assert np.array_equal(RngStream.from_state(state).uniform(5),
+                              eager.random(5))
+
+
 def test_gumbel_and_logistic_are_finite():
     s = RngStream(3)
     g = s.gumbel(10000)

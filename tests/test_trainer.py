@@ -445,6 +445,22 @@ def test_checkpoint_bad_adam_moment_rejected(tmp_path, edit, match):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("bad,first", [
+    ({"params/theta/layer0/w1": np.nan}, "params/theta/layer0/w1"),
+    ({"params/theta/layer0/w1": np.nan, "adam/omega/v/layer0/b1": np.inf},
+     "adam/omega/v/layer0/b1"),
+    ({"adam/heads/m/edge_perturb/mlp/w0": -np.inf}, "adam/heads/m/edge_perturb/mlp/w0"),
+], ids=["parameter", "first-of-two", "moment"])
+def test_checkpoint_with_non_finite_values_rejected(tmp_path, bad, first):
+    from graphaug import container
+    path, (meta, tensors) = _saved_checkpoint(tmp_path)
+    for key, value in bad.items():
+        tensors[key].flat[-1] = value
+    container.write_container(path, meta, tensors)
+    with pytest.raises(CheckpointError, match=f"non-finite values in {first}$"):
+        load_checkpoint(path)
+
+
 def test_resumed_run_writes_the_uninterrupted_checkpoint(tmp_path):
     ds = synthetic_dataset()
     straight, _, _ = train(ds, small_config(epochs=4, seed=21))
