@@ -126,18 +126,19 @@ def _dropout(h: Tensor, p: float, stream: RngStream) -> Tensor:
 
 
 def encode(batch: GraphBatch, params: ParameterSet, cfg: EncoderConfig,
-           stream: RngStream | None = None,
-           training: bool = False) -> Encodings:
-    """Run the stacked layers, read out per graph, and project both levels."""
+           stream: RngStream | None = None) -> Encodings:
+    """Run the stacked layers, read out per graph, and project both levels.
+
+    Dropout runs between layers exactly when ``stream`` is given, as in
+    training; without one the encoder is deterministic."""
     src, dst = batch.edges[:, 0], batch.edges[:, 1]
     h = batch.features
     edge_w = batch.edge_weights
     layer_fn = gin_layer if cfg.layer_kind == "gin" else gcn_layer
     for layer in range(cfg.num_layers):
         h = layer_fn(h, src, dst, edge_w, *params.under(f"layer{layer}"))
-        if training and cfg.dropout > 0.0 and layer < cfg.num_layers - 1:
-            if stream is None:
-                raise ValueError("dropout during training needs an rng stream")
+        if (stream is not None and cfg.dropout > 0.0
+                and layer < cfg.num_layers - 1):
             h = _dropout(h, cfg.dropout, stream.split(f"dropout{layer}"))
     pooled = segment_sum(h, batch.node_to_graph, batch.num_graphs)
     if cfg.readout == "mean":

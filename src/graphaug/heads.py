@@ -99,24 +99,16 @@ def node_dropping_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
 def _sample_negatives(pairs: np.ndarray, num_nodes: int,
                       stream: RngStream) -> np.ndarray:
     """Up to ``len(pairs)`` distinct node pairs (u < v) that are neither
-    self-loops nor in ``pairs``, by rejection from uniform draws (at most
-    10 attempts per pair)."""
-    seen = set((pairs[:, 0] * num_nodes + pairs[:, 1]).tolist())
-    negatives = []
-    attempts = 0
-    while len(negatives) < len(pairs) and attempts < 10 * len(pairs):
-        attempts += 1
-        u = int(stream.integers(0, num_nodes))
-        v = int(stream.integers(0, num_nodes))
-        if u == v:
-            continue
-        lo, hi = min(u, v), max(u, v)
-        key = lo * num_nodes + hi
-        if key in seen:
-            continue
-        seen.add(key)
-        negatives.append((lo, hi))
-    return np.array(negatives, dtype=np.int64).reshape(-1, 2)
+    self-loops nor in ``pairs``: the first such pairs, in draw order, of
+    ``10 * len(pairs)`` uniform draws taken at once."""
+    m = len(pairs)
+    draws = stream.integers(0, num_nodes, size=(10 * m, 2))
+    lo, hi = draws.min(axis=1), draws.max(axis=1)
+    keys = lo * num_nodes + hi
+    free = (lo != hi) & ~np.isin(keys, pairs[:, 0] * num_nodes + pairs[:, 1])
+    _, first = np.unique(keys, return_index=True)
+    first = np.sort(first[free[first]])[:m]
+    return np.stack([lo[first], hi[first]], axis=1)
 
 
 def edge_perturbation_head(batch: GraphBatch, h_v: Tensor,

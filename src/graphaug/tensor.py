@@ -2,12 +2,15 @@
 
 The tape is rebuilt on every forward pass (closures captured per op), which is
 what the sampled-augmentation training loop needs: the computation graph is
-different on every step. A closure gets its output node as an argument rather
-than capturing it, so a tape holds no reference cycle and is freed by
-reference counting as soon as the loss is dropped. Gradients accumulate
-additively into a leaf's ``grad``; zeroing between steps is the caller's job.
-An interior node's ``grad`` is dropped once it has been passed to its
-parents, so a backward sweep holds only the gradients still in flight.
+different on every step. Every op computes its result, builds its backward
+closure and hands both to ``Tensor._result``, the one place that decides to
+record: only a result with a parent that needs a gradient keeps them. A
+closure gets its output node as an argument rather than capturing it, so a
+tape holds no reference cycle and is freed by reference counting as soon as
+the loss is dropped. Gradients accumulate additively into a leaf's ``grad``;
+zeroing between steps is the caller's job. An interior node's ``grad`` is
+dropped once it has been passed to its parents, so a backward sweep holds
+only the gradients still in flight.
 """
 from __future__ import annotations
 
@@ -55,7 +58,10 @@ class Tensor:
         return x if isinstance(x, Tensor) else Tensor(x)
 
     @staticmethod
-    def _result(data, parents: Sequence["Tensor"], backprop=None) -> "Tensor":
+    def _result(data, parents: Sequence["Tensor"],
+                backprop: Callable[["Tensor"], None]) -> "Tensor":
+        """The one place an op is recorded: ``out`` keeps its parents and
+        ``backprop`` only when a parent needs a gradient."""
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -66,8 +72,10 @@ class Tensor:
     def _accum(self, g: np.ndarray) -> None:
         if self.requires_grad:
             if self.grad is None:
-                self.grad = np.zeros(self.data.shape)
-            self.grad += g
+                # one C-ordered allocation, whatever the layout of ``g``
+                self.grad = np.add(g, 0.0, out=np.empty(self.data.shape))
+            else:
+                self.grad += g
 
     # -- basic introspection -------------------------------------------------
 
@@ -96,22 +104,17 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         a, b = self, Tensor._lift(other)
-        out = Tensor._result(a.data + b.data, (a, b), None)
-        if out.requires_grad:
-            def backprop(o):
-                a._accum(_unbroadcast(o.grad, a.data.shape))
-                b._accum(_unbroadcast(o.grad, b.data.shape))
-            out._backprop = backprop
-        return out
+
+        def backprop(o):
+            a._accum(_unbroadcast(o.grad, a.data.shape))
+            b._accum(_unbroadcast(o.grad, b.data.shape))
+        return Tensor._result(a.data + b.data, (a, b), backprop)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
         a = self
-        out = Tensor._result(-a.data, (a,), None)
-        if out.requires_grad:
-            out._backprop = lambda o: a._accum(-o.grad)
-        return out
+        return Tensor._result(-a.data, (a,), lambda o: a._accum(-o.grad))
 
     def __sub__(self, other) -> "Tensor":
         return self + (-Tensor._lift(other))
@@ -121,26 +124,22 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         a, b = self, Tensor._lift(other)
-        out = Tensor._result(a.data * b.data, (a, b), None)
-        if out.requires_grad:
-            def backprop(o):
-                a._accum(_unbroadcast(o.grad * b.data, a.data.shape))
-                b._accum(_unbroadcast(o.grad * a.data, b.data.shape))
-            out._backprop = backprop
-        return out
+
+        def backprop(o):
+            a._accum(_unbroadcast(o.grad * b.data, a.data.shape))
+            b._accum(_unbroadcast(o.grad * a.data, b.data.shape))
+        return Tensor._result(a.data * b.data, (a, b), backprop)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         a, b = self, Tensor._lift(other)
-        out = Tensor._result(a.data / b.data, (a, b), None)
-        if out.requires_grad:
-            def backprop(o):
-                a._accum(_unbroadcast(o.grad / b.data, a.data.shape))
-                b._accum(_unbroadcast(-o.grad * a.data / (b.data * b.data),
-                                      b.data.shape))
-            out._backprop = backprop
-        return out
+
+        def backprop(o):
+            a._accum(_unbroadcast(o.grad / b.data, a.data.shape))
+            b._accum(_unbroadcast(-o.grad * a.data / (b.data * b.data),
+                                  b.data.shape))
+        return Tensor._result(a.data / b.data, (a, b), backprop)
 
     def __rtruediv__(self, other) -> "Tensor":
         return Tensor._lift(other) / self
@@ -149,36 +148,32 @@ class Tensor:
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
         a, c = self, float(exponent)
-        out = Tensor._result(a.data ** c, (a,), None)
-        if out.requires_grad:
-            out._backprop = lambda o: a._accum(o.grad * c * a.data ** (c - 1.0))
-        return out
+        return Tensor._result(
+            a.data ** c, (a,),
+            lambda o: a._accum(o.grad * c * a.data ** (c - 1.0)))
 
     def __matmul__(self, other) -> "Tensor":
         a, b = self, Tensor._lift(other)
         if a.ndim != 2 or b.ndim != 2:
             raise InvalidShapeError("matmul expects 2-D operands")
-        out = Tensor._result(a.data @ b.data, (a, b), None)
-        if out.requires_grad:
-            def backprop(o):
-                a._accum(o.grad @ b.data.T)
-                b._accum(a.data.T @ o.grad)
-            out._backprop = backprop
-        return out
+
+        def backprop(o):
+            a._accum(o.grad @ b.data.T)
+            b._accum(a.data.T @ o.grad)
+        return Tensor._result(a.data @ b.data, (a, b), backprop)
 
     # -- reductions -------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
-        out = Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,), None)
-        if out.requires_grad:
-            def backprop(o):
-                g = o.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                a._accum(np.broadcast_to(g, a.data.shape).copy())
-            out._backprop = backprop
-        return out
+
+        def backprop(o):
+            g = o.grad
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            a._accum(np.broadcast_to(g, a.data.shape).copy())
+        return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,),
+                              backprop)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -188,57 +183,45 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         a = self
-        out = Tensor._result(np.maximum(a.data, 0.0), (a,), None)
-        if out.requires_grad:
-            out._backprop = lambda o: a._accum(o.grad * (a.data > 0.0))
-        return out
+        return Tensor._result(np.maximum(a.data, 0.0), (a,),
+                              lambda o: a._accum(o.grad * (a.data > 0.0)))
 
     def sigmoid(self) -> "Tensor":
         a = self
-        s = 1.0 / (1.0 + np.exp(-a.data))
-        out = Tensor._result(s, (a,), None)
-        if out.requires_grad:
-            out._backprop = lambda o: a._accum(o.grad * s * (1.0 - s))
-        return out
+        with np.errstate(over="ignore"):     # exp(-x) = inf gives s = 0
+            s = 1.0 / (1.0 + np.exp(-a.data))
+        return Tensor._result(s, (a,),
+                              lambda o: a._accum(o.grad * s * (1.0 - s)))
 
     def softplus(self) -> "Tensor":
         a = self
-        out = Tensor._result(np.logaddexp(0.0, a.data), (a,), None)
-        if out.requires_grad:
-            sig = 1.0 / (1.0 + np.exp(-a.data))
-            out._backprop = lambda o: a._accum(o.grad * sig)
-        return out
+
+        def backprop(o):
+            with np.errstate(over="ignore"):
+                sig = 1.0 / (1.0 + np.exp(-a.data))
+            a._accum(o.grad * sig)
+        return Tensor._result(np.logaddexp(0.0, a.data), (a,), backprop)
 
     def exp(self) -> "Tensor":
         a = self
         e = np.exp(a.data)
-        out = Tensor._result(e, (a,), None)
-        if out.requires_grad:
-            out._backprop = lambda o: a._accum(o.grad * e)
-        return out
+        return Tensor._result(e, (a,), lambda o: a._accum(o.grad * e))
 
     def log(self) -> "Tensor":
         a = self
-        out = Tensor._result(np.log(a.data), (a,), None)
-        if out.requires_grad:
-            out._backprop = lambda o: a._accum(o.grad / a.data)
-        return out
+        return Tensor._result(np.log(a.data), (a,),
+                              lambda o: a._accum(o.grad / a.data))
 
     def sqrt(self) -> "Tensor":
         a = self
         r = np.sqrt(a.data)
-        out = Tensor._result(r, (a,), None)
-        if out.requires_grad:
-            out._backprop = lambda o: a._accum(o.grad * 0.5 / r)
-        return out
+        return Tensor._result(r, (a,), lambda o: a._accum(o.grad * 0.5 / r))
 
     def clip_min(self, lo: float) -> "Tensor":
         """max(x, lo); gradient passes only where x > lo."""
         a = self
-        out = Tensor._result(np.maximum(a.data, lo), (a,), None)
-        if out.requires_grad:
-            out._backprop = lambda o: a._accum(o.grad * (a.data > lo))
-        return out
+        return Tensor._result(np.maximum(a.data, lo), (a,),
+                              lambda o: a._accum(o.grad * (a.data > lo)))
 
     # -- shape ops -----------------------------------------------------------------
 
@@ -246,44 +229,36 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         a = self
-        out = Tensor._result(a.data.reshape(shape), (a,), None)
-        if out.requires_grad:
-            out._backprop = lambda o: a._accum(o.grad.reshape(a.data.shape))
-        return out
+        return Tensor._result(a.data.reshape(shape), (a,),
+                              lambda o: a._accum(o.grad.reshape(a.data.shape)))
 
     def transpose(self) -> "Tensor":
         if self.ndim != 2:
             raise InvalidShapeError("transpose expects a 2-D tensor")
         a = self
-        out = Tensor._result(a.data.T.copy(), (a,), None)
-        if out.requires_grad:
-            out._backprop = lambda o: a._accum(o.grad.T)
-        return out
+        return Tensor._result(a.data.T.copy(), (a,),
+                              lambda o: a._accum(o.grad.T))
 
     def gather_rows(self, idx) -> "Tensor":
         """Select rows (axis 0) by non-negative integer index; repeats
         allowed."""
         a = self
         idx = np.asarray(idx, dtype=np.int64)
-        out = Tensor._result(a.data[idx], (a,), None)
-        if out.requires_grad:
-            out._backprop = lambda o: a._accum(
-                _scatter_rows(idx, o.grad, a.data.shape[0]))
-        return out
+        return Tensor._result(
+            a.data[idx], (a,),
+            lambda o: a._accum(_scatter_rows(idx, o.grad, a.data.shape[0])))
 
     def slice_axis(self, axis: int, start: int, stop: int) -> "Tensor":
         a = self
         sl = [slice(None)] * a.ndim
         sl[axis] = slice(start, stop)
         sl = tuple(sl)
-        out = Tensor._result(a.data[sl].copy(), (a,), None)
-        if out.requires_grad:
-            def backprop(o):
-                g = np.zeros(a.data.shape)
-                g[sl] = o.grad
-                a._accum(g)
-            out._backprop = backprop
-        return out
+
+        def backprop(o):
+            g = np.zeros(a.data.shape)
+            g[sl] = o.grad
+            a._accum(g)
+        return Tensor._result(a.data[sl].copy(), (a,), backprop)
 
     # -- composites ----------------------------------------------------------------
 
@@ -340,16 +315,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise InvalidShapeError("concat of an empty list")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = Tensor._result(data, tensors, None)
-    if out.requires_grad:
+
+    def backprop(o):
         sizes = [t.data.shape[axis] for t in tensors]
         bounds = np.cumsum(sizes)[:-1]
-
-        def backprop(o):
-            for t, piece in zip(tensors, np.split(o.grad, bounds, axis=axis)):
-                t._accum(piece)
-        out._backprop = backprop
-    return out
+        for t, piece in zip(tensors, np.split(o.grad, bounds, axis=axis)):
+            t._accum(piece)
+    return Tensor._result(data, tensors, backprop)
 
 
 def _scatter_rows(idx: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
@@ -377,11 +349,8 @@ def segment_sum(t: Tensor, segment_ids, num_segments: int) -> Tensor:
     """
     t = Tensor._lift(t)
     seg = np.asarray(segment_ids, dtype=np.int64)
-    data = _scatter_rows(seg, t.data, num_segments)
-    out = Tensor._result(data, (t,), None)
-    if out.requires_grad:
-        out._backprop = lambda o: t._accum(o.grad[seg])
-    return out
+    return Tensor._result(_scatter_rows(seg, t.data, num_segments), (t,),
+                          lambda o: t._accum(o.grad[seg]))
 
 
 def segment_softmax(x: Tensor, offsets) -> Tensor:
@@ -401,13 +370,11 @@ def segment_softmax(x: Tensor, offsets) -> Tensor:
     shifted = x.data - np.repeat(np.maximum.reduceat(x.data, starts), counts)
     e = np.exp(shifted)
     p = e / np.repeat(np.add.reduceat(e, starts), counts)
-    out = Tensor._result(p, (x,), None)
-    if out.requires_grad:
-        def backprop(o):
-            gp = o.grad * p
-            x._accum(gp - p * np.repeat(np.add.reduceat(gp, starts), counts))
-        out._backprop = backprop
-    return out
+
+    def backprop(o):
+        gp = o.grad * p
+        x._accum(gp - p * np.repeat(np.add.reduceat(gp, starts), counts))
+    return Tensor._result(p, (x,), backprop)
 
 
 def gru_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
@@ -438,39 +405,38 @@ def gru_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     b_z, b_r, b_n = b.data[:d], b.data[d:2 * d], b.data[2 * d:]
     h = np.zeros((1, d))
     saved = []                              # per step: z, r, n, gh_n, h_{t-1}
-    for t in range(xd.shape[0]):
-        gx = xd[[t]] @ wxd
-        gh = h @ whd
-        z = 1.0 / (1.0 + np.exp(-((gx[:, :d] + gh[:, :d]) + b_z)))
-        r = 1.0 / (1.0 + np.exp(-((gx[:, d:2 * d] + gh[:, d:2 * d]) + b_r)))
-        gh_n = gh[:, 2 * d:]
-        n = np.tanh((gx[:, 2 * d:] + r * gh_n) + b_n)
-        saved.append((z, r, n, gh_n, h))
-        h = (1.0 - z) * n + z * h
-    out = Tensor._result(h, (x, wx, wh, b), None)
-    if out.requires_grad:
-        def backprop(o):
-            dx, dwx = np.zeros(xd.shape), np.zeros(wxd.shape)
-            dwh, db = np.zeros(whd.shape), np.zeros(b.data.shape)
-            dh = o.grad
-            for t in range(len(saved) - 1, -1, -1):
-                z, r, n, gh_n, h_prev = saved[t]
-                daz = (dh * h_prev - dh * n) * z * (1.0 - z)
-                dan = dh * (1.0 - z) * (1.0 - n * n)
-                dar = dan * gh_n * r * (1.0 - r)
-                dgx = np.concatenate([daz, dar, dan], axis=1)
-                dgh = np.concatenate([daz, dar, dan * r], axis=1)
-                dx[t] = (dgx @ wxd.T)[0]
-                dwx += xd[[t]].T @ dgx
-                dwh += h_prev.T @ dgh
-                db += dgx[0]
-                dh = dh * z + dgh @ whd.T
-            x._accum(dx)
-            wx._accum(dwx)
-            wh._accum(dwh)
-            b._accum(db)
-        out._backprop = backprop
-    return out
+    with np.errstate(over="ignore"):        # a saturated gate is exactly 0
+        for t in range(xd.shape[0]):
+            gx = xd[[t]] @ wxd
+            gh = h @ whd
+            z = 1.0 / (1.0 + np.exp(-((gx[:, :d] + gh[:, :d]) + b_z)))
+            r = 1.0 / (1.0 + np.exp(-((gx[:, d:2 * d] + gh[:, d:2 * d]) + b_r)))
+            gh_n = gh[:, 2 * d:]
+            n = np.tanh((gx[:, 2 * d:] + r * gh_n) + b_n)
+            saved.append((z, r, n, gh_n, h))
+            h = (1.0 - z) * n + z * h
+
+    def backprop(o):
+        dx, dwx = np.zeros(xd.shape), np.zeros(wxd.shape)
+        dwh, db = np.zeros(whd.shape), np.zeros(b.data.shape)
+        dh = o.grad
+        for t in range(len(saved) - 1, -1, -1):
+            z, r, n, gh_n, h_prev = saved[t]
+            daz = (dh * h_prev - dh * n) * z * (1.0 - z)
+            dan = dh * (1.0 - z) * (1.0 - n * n)
+            dar = dan * gh_n * r * (1.0 - r)
+            dgx = np.concatenate([daz, dar, dan], axis=1)
+            dgh = np.concatenate([daz, dar, dan * r], axis=1)
+            dx[t] = (dgx @ wxd.T)[0]
+            dwx += xd[[t]].T @ dgx
+            dwh += h_prev.T @ dgh
+            db += dgx[0]
+            dh = dh * z + dgh @ whd.T
+        x._accum(dx)
+        wx._accum(dwx)
+        wh._accum(dwh)
+        b._accum(db)
+    return Tensor._result(h, (x, wx, wh, b), backprop)
 
 
 def xavier_init(shape: Sequence[int], seed: int) -> Tensor:

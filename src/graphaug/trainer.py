@@ -196,7 +196,7 @@ def train_step(batch: GraphBatch, state: TrainState,
     step_stream = state.sample_root.split(f"step{state.step}")
 
     enc_w = encode(batch, state.omega, config.aug_encoder(state.input_dim),
-                   stream=step_stream.split("dropout/omega"), training=True)
+                   stream=step_stream.split("dropout/omega"))
     decision = decide(enc_w.graph_vector, config.policy_kind,
                       step_stream.split("policy"), state.policy, kinds)
 
@@ -209,9 +209,9 @@ def train_step(batch: GraphBatch, state: TrainState,
             for view, kind in (("i", decision.i), ("j", decision.j))}
     batch_i, batch_j = outs["i"].graph, outs["j"].graph
     enc_i = encode(batch_i, state.theta, config.base_encoder(state.input_dim),
-                   stream=step_stream.split("dropout/i"), training=True)
+                   stream=step_stream.split("dropout/i"))
     enc_j = encode(batch_j, state.theta, config.base_encoder(state.input_dim),
-                   stream=step_stream.split("dropout/j"), training=True)
+                   stream=step_stream.split("dropout/j"))
     scaled_i = scale_by_policy(enc_i.graph_vector, decision.p_i)
     scaled_j = scale_by_policy(enc_j.graph_vector, decision.p_j)
     loss = batch_loss(Encodings(enc_i.node_matrix, scaled_i),

@@ -260,6 +260,6 @@ def test_dropout_training_only():
     e1 = encode(batch, params, cfg)                         # inference path
     e2 = encode(batch, params, cfg)
     assert np.array_equal(e1.graph_vector.data, e2.graph_vector.data)
-    t1 = encode(batch, params, cfg, stream=RngStream(0, "d"), training=True)
-    t2 = encode(batch, params, cfg, stream=RngStream(1, "d"), training=True)
+    t1 = encode(batch, params, cfg, stream=RngStream(0, "d"))   # dropout
+    t2 = encode(batch, params, cfg, stream=RngStream(1, "d"))
     assert not np.allclose(t1.graph_vector.data, t2.graph_vector.data)

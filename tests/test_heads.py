@@ -7,7 +7,7 @@ from graphaug.encoders import EncoderConfig, Encodings, encode, \
     init_encoder_params, mlp
 from graphaug.graphs import Graph, GraphBatch, batch_graphs
 from graphaug.heads import (
-    HeadOutput, apply_augmentation, edge_perturbation_head,
+    HeadOutput, _sample_negatives, apply_augmentation, edge_perturbation_head,
     feature_masking_head, identity_augmentation, init_head_params,
     node_dropping_head, subgraph_head,
 )
@@ -430,6 +430,59 @@ def _ref_node_drop(g, h_v, h_g, params, keep_ratio, stream):
     return RefOutput(out, {"node_probs": p}, orig_ids=kept)
 
 
+def _ref_sample_negatives(pairs, num_nodes, stream):
+    """Up to ``len(pairs)`` new distinct (u < v) non-loop pairs, by rejection
+    from two scalar draws per attempt, at most 10 attempts per pair."""
+    seen = set(pairs)
+    negatives = []
+    attempts = 0
+    while len(negatives) < len(pairs) and attempts < 10 * len(pairs):
+        attempts += 1
+        u = int(stream.integers(0, num_nodes))
+        v = int(stream.integers(0, num_nodes))
+        if u == v:
+            continue
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            continue
+        seen.add(key)
+        negatives.append(key)
+    return negatives
+
+
+def _negative_sampling_cases(count):
+    """Seeded (pairs, num_nodes, seed) cases: 2 to 29 nodes, from one pair
+    up to complete graphs (no free pair; n = 2 always is one), each pair
+    list in a shuffled first-seen order as the head builds it."""
+    stream = RngStream(23, "negative-cases")
+    for k in range(count):
+        s = stream.split(f"case{k}")
+        n = 2 + k % 28
+        lo, hi = np.triu_indices(n, 1)
+        density = (0.05, 0.3, 0.7, 1.0)[k // 28 % 4]
+        chosen = np.flatnonzero(s.uniform(len(lo)) < density)
+        if not chosen.size:
+            chosen = np.array([int(s.integers(0, len(lo)))])
+        chosen = chosen[s.permutation(len(chosen))]
+        yield [(int(lo[c]), int(hi[c])) for c in chosen], n, k
+
+
+def test_batched_negatives_match_the_rejection_loop():
+    cases = list(_negative_sampling_cases(1000))
+    free = 0
+    for pairs, n, seed in cases:
+        want = _ref_sample_negatives(
+            pairs, n, RngStream(seed, "negatives"))
+        got = _sample_negatives(np.array(pairs, dtype=np.int64), n,
+                                RngStream(seed, "negatives"))
+        assert got.dtype == np.int64 and got.shape == (len(want), 2)
+        assert got.tolist() == [list(p) for p in want], (pairs, n)
+        free += 2 * len(pairs) < n * (n - 1)
+    assert any(n == 2 for _, n, _ in cases)
+    assert any(2 * len(p) == n * (n - 1) and n > 2 for p, n, _ in cases)
+    assert free > len(cases) // 2
+
+
 def _ref_edge_perturb(g, h_v, params, temperature, stream):
     pairs = []
     seen = set()
@@ -439,21 +492,8 @@ def _ref_edge_perturb(g, h_v, params, temperature, stream):
             seen.add(key)
             pairs.append(key)
     n_pos = len(pairs)
-    positives = set(pairs)
-    negatives = []
-    attempts = 0
-    neg_stream = stream.split("negatives")
-    while len(negatives) < n_pos and attempts < 10 * n_pos:
-        attempts += 1
-        u = int(neg_stream.integers(0, g.num_nodes))
-        v = int(neg_stream.integers(0, g.num_nodes))
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if key in positives or key in seen:
-            continue
-        seen.add(key)
-        negatives.append(key)
+    negatives = _ref_sample_negatives(pairs, g.num_nodes,
+                                      stream.split("negatives"))
     all_pairs = pairs + negatives
     arr = np.array(all_pairs, dtype=np.int64)
     indicator = np.concatenate([np.ones(n_pos), np.zeros(len(negatives))])
@@ -687,7 +727,7 @@ def _ref_train_step(graphs, state, config):
     step_stream = state.sample_root.split(f"step{state.step}")
     batch = batch_graphs(graphs)
     enc_w = encode(batch, state.omega, config.aug_encoder(state.input_dim),
-                   stream=step_stream.split("dropout/omega"), training=True)
+                   stream=step_stream.split("dropout/omega"))
     decision = decide(enc_w.graph_vector, config.policy_kind,
                       step_stream.split("policy"), state.policy, kinds)
     views = {"i": [], "j": []}
@@ -703,9 +743,9 @@ def _ref_train_step(graphs, state, config):
                 step_stream.split(f"g{k}/{view}")).graph)
     batch_i, batch_j = batch_graphs(views["i"]), batch_graphs(views["j"])
     enc_i = encode(batch_i, state.theta, config.base_encoder(state.input_dim),
-                   stream=step_stream.split("dropout/i"), training=True)
+                   stream=step_stream.split("dropout/i"))
     enc_j = encode(batch_j, state.theta, config.base_encoder(state.input_dim),
-                   stream=step_stream.split("dropout/j"), training=True)
+                   stream=step_stream.split("dropout/j"))
     loss = batch_loss(
         Encodings(enc_i.node_matrix,
                   scale_by_policy(enc_i.graph_vector, decision.p_i)),

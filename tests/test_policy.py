@@ -42,10 +42,7 @@ def test_gru_single_row():
 def _tanh(a: Tensor) -> Tensor:
     """The tape's former ``Tensor.tanh``, kept for the reference GRU."""
     t = np.tanh(a.data)
-    out = Tensor._result(t, (a,), None)
-    if out.requires_grad:
-        out._backprop = lambda o: a._accum(o.grad * (1.0 - t * t))
-    return out
+    return Tensor._result(t, (a,), lambda o: a._accum(o.grad * (1.0 - t * t)))
 
 
 def unrolled_gru_policy(batch_reps, params):

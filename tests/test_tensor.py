@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -97,6 +98,11 @@ OPS = [
         Tensor(_rand((2, 6), label="gru_wh")),
         Tensor(_rand((6,), label="gru_b"))) * Tensor(_rand((1, 2), label="gru_w"))
     ).sum(), False),
+    ("concat", lambda t: (concat([Tensor(_rand((3, 2), label="cat")), t],
+                                 axis=1) * Tensor(_rand((3, 6), label="cat_w"))
+                          ).sum(), False),
+    ("segment_sum", lambda t: (segment_sum(t, [2, 0, 2], 4) ** 2.0).sum(),
+     False),
 ]
 
 
@@ -141,6 +147,63 @@ def test_tape_freed_by_refcount_after_backward(name, f, positive):
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+def _reachable(root):
+    """Every node reachable from ``root`` through ``_parents``."""
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    return nodes
+
+
+@pytest.mark.parametrize("name,f,positive", OPS)
+def test_only_a_result_that_needs_a_gradient_is_recorded(name, f, positive):
+    lo, hi = (0.5, 2.0) if positive else (-2.0, 2.0)
+    x = _rand((3, 4), lo, hi, label=name)
+    for t in _reachable(f(Tensor(x))):
+        assert t._parents == () and t._backprop is None
+        assert not t.requires_grad
+    loss = f(Tensor(x, requires_grad=True))
+    assert loss.requires_grad and loss._parents and loss._backprop is not None
+    for t in _reachable(loss):
+        assert bool(t._parents) == (t._backprop is not None)
+
+
+def test_first_gradient_is_c_contiguous():
+    """A leaf's first gradient is a fresh C-ordered array, even when the
+    piece handed to it is a transposed or strided view."""
+    x = Tensor(_rand((3, 4), label="layout_x"), requires_grad=True)
+    (x.transpose() @ Tensor(_rand((3, 2), label="layout_w"))).sum().backward()
+    a = Tensor(_rand((2, 3), label="layout_a"), requires_grad=True)
+    b = Tensor(_rand((1, 3), label="layout_b"), requires_grad=True)
+    (concat([a, b], axis=0).transpose()
+     @ Tensor(_rand((3, 2), label="layout_v"))).sum().backward()
+    for t in (x, a, b):
+        assert t.grad.flags.c_contiguous
+
+
+def test_gate_exponentials_do_not_warn():
+    """Saturated sigmoids, softplus slopes and GRU gates are exactly 0 or 1,
+    without an overflow warning."""
+    big = np.array([[-1e3, 1e3, -800.0, 800.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = Tensor(big, requires_grad=True)
+        s = x.sigmoid()
+        (s.sum() + x.softplus().sum()).backward()
+        assert np.array_equal(s.data, [[0.0, 1.0, 0.0, 1.0]])
+        assert np.array_equal(x.grad, [[0.0, 1.0, 0.0, 1.0]])
+        inputs = _gru_inputs(3, d_in=4)
+        h = gru_sequence(Tensor(np.repeat(big, 3, axis=0)),
+                         *(Tensor(inputs[k] * 1e3, requires_grad=True)
+                           for k in GRU_ARGS[1:]))
+        h.sum().backward()
+    assert np.isfinite(h.data).all()
 
 
 def test_backward_frees_interior_grads_and_keeps_leaf_grads():
