@@ -111,12 +111,16 @@ def _format_config(resolved) -> str:
 
 
 def _out_dir(resolved, default_name: str) -> Path:
+    """The output directory, checked before any work (an existing path on
+    the way that is not a directory is a config error), created after it."""
     out = resolved["out_dir"]
     if out is None:
         root = os.environ.get(OUT_ROOT_ENV, "runs")
         out = Path(root) / default_name
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output.out_dir: {existing} is not a directory")
     return out
 
 
@@ -159,11 +163,12 @@ def cmd_train(args) -> int:
         print(_format_config(resolved))
         return 0
     dataset = _load_dataset(resolved, config.task)
+    out = _out_dir(resolved, f"{dataset.name.lower()}-train")
     print(f"training on {dataset.name}: {len(dataset.graphs)} graphs, "
           f"d_x={dataset.feature_dim}, task={config.task}")
     state, metrics, freqs = train(dataset, config)
     # a run that fails leaves no directory behind
-    out = _out_dir(resolved, f"{dataset.name.lower()}-train")
+    out.mkdir(parents=True, exist_ok=True)
     threads = " ".join(f"{env}={os.environ.get(env, 'unset')}"
                        for env in BLAS_THREAD_ENVS)
     (out / "config_resolved.cfg").write_text(      # on one comment line
@@ -190,6 +195,7 @@ def cmd_train(args) -> int:
 def cmd_probe(args) -> int:
     resolved = resolve_config(args)
     state, config, dataset = _load_model(args, resolved)
+    out = _out_dir(resolved, f"{dataset.name.lower()}-probe")
     counts = ({"folds": (args.folds, 2), "runs": (args.runs, 1)}
               if config.task == "graph" else
               {"runs-node": (args.runs_node, 1)})
@@ -212,7 +218,7 @@ def cmd_probe(args) -> int:
                                        seed=args.probe_seed)
     except ValueError as exc:     # inputs the probe cannot use
         raise GraphAugError(f"cannot probe {dataset.name}: {exc}") from exc
-    out = _out_dir(resolved, f"{dataset.name.lower()}-probe")
+    out.mkdir(parents=True, exist_ok=True)
     (out / "probe_report.json").write_text(report.to_json())
     _write_csv(out / "probe_report.csv", [], report.to_csv_rows())
     _write_csv(out / "probe_stacks.csv", STACK_COLUMNS, report.stacks)
@@ -224,10 +230,11 @@ def cmd_probe(args) -> int:
 def cmd_embed(args) -> int:
     resolved = resolve_config(args)
     state, config, dataset = _load_model(args, resolved)
+    out = _out_dir(resolved, f"{dataset.name.lower()}-embed")
     table = embed_dataset(dataset, state, config)
     rows = [[i, table.labels[i]] + [repr(v) for v in table.vectors[i]]
             for i in range(len(table.vectors))]
-    out = _out_dir(resolved, f"{dataset.name.lower()}-embed")
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "embeddings.csv",
                ["id", "label"] + [f"dim{j}" for j in range(table.vectors.shape[1])],
                rows)
@@ -247,6 +254,7 @@ def cmd_inspect(args) -> int:
               file=sys.stderr)
         return 2
     state, config, dataset = _load_model(args, resolved)
+    out = _out_dir(resolved, f"{dataset.name.lower()}-inspect")
     kinds = active_kinds(config.task)
     kind = AugmentationKind(args.head)
     if kind not in kinds and kind != AugmentationKind.IDENTITY:
@@ -270,7 +278,7 @@ def cmd_inspect(args) -> int:
                                heads, config.keep_ratio, config.hops,
                                config.head_temperature,
                                [stream.split(f"g{k}") for k in range(n)]).graph
-    out = _out_dir(resolved, f"{dataset.name.lower()}-inspect")
+    out.mkdir(parents=True, exist_ok=True)
     for k in range(n):
         aug = views.graph(k)
         w = aug.edge_weights.data
@@ -362,7 +370,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except GraphAugError as exc:
+    except (GraphAugError, OSError) as exc:      # OSError: a failed write
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

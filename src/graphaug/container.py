@@ -58,8 +58,8 @@ def write_container(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"no such file: {path}")
+    if not path.is_file():
+        raise CheckpointError(f"not a file: {path}")
     raw = path.read_bytes()
     if len(raw) < 16 or raw[:4] != MAGIC:
         raise CheckpointError(f"{path} is not a container file (bad magic)")

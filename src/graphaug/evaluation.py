@@ -185,12 +185,12 @@ def _fit_logreg_stack(x: np.ndarray, y: np.ndarray, num_classes: int,
     work = _logreg_work(x, l2s.shape[1], num_classes)
     adam = AdamState()
     for _ in range(PROBE_EPOCHS):
-        loss, grad_w, grad_b = _logreg_objective(x, onehot, w.data, b.data,
+        loss, w.grad, b.grad = _logreg_objective(x, onehot, w.data, b.data,
                                                  l2s, work)
         if not np.isfinite(loss).all():
             raise TrainingDivergedError(
                 f"probe loss is not finite at step {adam.step}")
-        adam_step(params, {"w": grad_w, "b": grad_b}, adam, PROBE_LR)
+        adam_step(params, adam, PROBE_LR)
     return w.data, b.data
 
 

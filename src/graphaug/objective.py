@@ -1,9 +1,9 @@
 """Node-graph discriminators and MI estimators for the contrastive loss.
 
-The score matrix pairs each graph vector from one view with the node matrix
-of every graph in the other view, averaging node scores within a graph first.
-Diagonal entries are the positives; the rest are negatives drawn from the
-product of marginals.
+Each graph vector from one view is scored against the nodes of every graph
+in the other view, averaging node scores within a graph first. A graph's
+own nodes give its positive; the other graphs' nodes give negatives drawn
+from the product of marginals, so a batch needs at least two graphs.
 """
 from __future__ import annotations
 
@@ -31,25 +31,6 @@ class ObjectiveConfig:
             raise ValueError(f"unknown discriminator {self.discriminator!r}")
         if self.estimator == "nt_xent" and self.nt_xent_temperature <= 0:
             raise ValueError("nt_xent temperature must be positive")
-
-
-@dataclass
-class ScoreMatrix:
-    """(N, N) block: entry (k, k') scores graph k's vector against the
-    node-averaged representation of graph k'."""
-    scores: Tensor
-
-    def positives(self) -> Tensor:
-        n = self.scores.shape[0]
-        flat = self.scores.reshape(n * n)
-        return flat.gather_rows(np.arange(n) * (n + 1))
-
-    def negatives(self) -> Tensor:
-        """Row-aligned negatives, shape (N, N-1); row k holds S[k, k'!=k]."""
-        n = self.scores.shape[0]
-        flat = self.scores.reshape(n * n)
-        idx = np.flatnonzero(~np.eye(n, dtype=bool))
-        return flat.gather_rows(idx).reshape(n, n - 1)
 
 
 def init_discriminator_params(kind: str, hidden_dim: int,
@@ -87,32 +68,36 @@ def pairwise_scores(node_matrix: Tensor, graph_vectors: Tensor, kind: str,
     raise ValueError(f"unknown discriminator {kind!r}")
 
 
-def score_matrix(node_matrix: Tensor, node_to_graph: np.ndarray,
-                 graph_vectors: Tensor, kind: str,
-                 params: ParameterSet | None = None) -> ScoreMatrix:
-    """Aggregate node-level scores into the (N, N) block via the per-graph
-    node mean."""
+def local_global_scores(node_matrix: Tensor, node_to_graph: np.ndarray,
+                        graph_vectors: Tensor, kind: str,
+                        params: ParameterSet | None = None
+                        ) -> tuple[Tensor, Tensor]:
+    """Positives (N,) and row-aligned negatives (N, N-1) of each graph
+    vector k against the node-mean score of each graph k'.
+
+    Both are gathered from the flattened (k', k) block of node means:
+    positive k sits at k (N + 1), and row k of the negatives at k' N + k
+    for k' != k in ascending order.
+    """
     n = graph_vectors.shape[0]
+    if n < 2:
+        raise ValueError(f"a batch of {n} graph(s) has no negatives; the "
+                         "objective needs at least 2")
     per_node = pairwise_scores(node_matrix, graph_vectors, kind, params)
     sums = segment_sum(per_node, node_to_graph, n)              # (k', k)
     counts = np.bincount(node_to_graph, minlength=n).astype(float)
-    means = sums * Tensor(1.0 / counts.reshape(-1, 1))
-    return ScoreMatrix(means.transpose())
+    flat = (sums * Tensor(1.0 / counts.reshape(-1, 1))).reshape(n * n)
+    neg_idx = np.arange(n * n).reshape(n, n).T[~np.eye(n, dtype=bool)]
+    return (flat.gather_rows(np.arange(n) * (n + 1)),
+            flat.gather_rows(neg_idx).reshape(n, n - 1))
 
 
-def jsd_mi(pos: Tensor, neg: Tensor | None) -> Tensor:
-    """Jensen-Shannon MI surrogate: E_pos[-sp(-D)] - E_neg[sp(D)].
-
-    An empty negative set (batch of one) drops the second term.
-    """
-    value = (-((-pos).softplus())).mean()
-    if neg is not None and neg.size > 0:
-        value = value - neg.softplus().mean()
-    return value
+def jsd_mi(pos: Tensor, neg: Tensor) -> Tensor:
+    """Jensen-Shannon MI surrogate: E_pos[-sp(-D)] - E_neg[sp(D)]."""
+    return (-((-pos).softplus())).mean() - neg.softplus().mean()
 
 
-def estimate_mi(pos: Tensor, neg: Tensor | None,
-                config: ObjectiveConfig) -> Tensor:
+def estimate_mi(pos: Tensor, neg: Tensor, config: ObjectiveConfig) -> Tensor:
     """Dispatch over the four estimators on ``config.estimator``.
 
     ``pos`` is (P,); for nce/nt_xent ``neg`` must be (P, M) row-aligned with
@@ -121,8 +106,6 @@ def estimate_mi(pos: Tensor, neg: Tensor | None,
     estimator = config.estimator
     if estimator == "jsd":
         return jsd_mi(pos, neg)
-    if neg is None or neg.size == 0:
-        raise ValueError(f"estimator {estimator!r} needs negative samples")
     if estimator in ("nce", "nt_xent"):
         if neg.ndim != 2 or neg.shape[0] != pos.shape[0]:
             raise ValueError("nce negatives must be row-aligned (P, M)")
@@ -142,10 +125,10 @@ def batch_loss(enc_i: Encodings, enc_j: Encodings, node_to_graph_i: np.ndarray,
                node_to_graph_j: np.ndarray, config: ObjectiveConfig,
                disc_params: ParameterSet | None = None) -> Tensor:
     """Two-view local-global loss: -(I(h_G^i, H_v^j) + I(h_G^j, H_v^i)) / 2."""
-    s_i = score_matrix(enc_j.node_matrix, node_to_graph_j, enc_i.graph_vector,
-                       config.discriminator, disc_params)
-    s_j = score_matrix(enc_i.node_matrix, node_to_graph_i, enc_j.graph_vector,
-                       config.discriminator, disc_params)
-    i_i = estimate_mi(s_i.positives(), s_i.negatives(), config)
-    i_j = estimate_mi(s_j.positives(), s_j.negatives(), config)
+    i_i = estimate_mi(*local_global_scores(
+        enc_j.node_matrix, node_to_graph_j, enc_i.graph_vector,
+        config.discriminator, disc_params), config)
+    i_j = estimate_mi(*local_global_scores(
+        enc_i.node_matrix, node_to_graph_i, enc_j.graph_vector,
+        config.discriminator, disc_params), config)
     return -(i_i + i_j) * 0.5

@@ -1,4 +1,4 @@
-"""Adam with bias correction and masked (per-gradient-map) updates."""
+"""Adam with bias correction, updating the parameters that hold a gradient."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -19,11 +19,10 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_step(params: ParameterSet, grads: dict[str, np.ndarray],
-              state: AdamState, lr: float) -> None:
-    """One Adam update over the parameters named in ``grads``.
+def adam_step(params: ParameterSet, state: AdamState, lr: float) -> None:
+    """One Adam update of each parameter whose ``grad`` is set.
 
-    Parameters absent from ``grads`` keep their value and moments untouched;
+    Parameters without a gradient keep their value and moments untouched;
     the step counter advances once per call. The moments are updated in
     place; each parameter gets a new array, as tensor data is never
     written in place.
@@ -31,10 +30,10 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray],
     state.step += 1
     bc1 = 1.0 - BETA1 ** state.step
     bc2 = 1.0 - BETA2 ** state.step
-    for name, g in grads.items():
-        if name not in params:
-            raise KeyError(f"gradient for unknown parameter {name!r}")
-        p = params[name]
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            continue
         if g.shape != p.data.shape:
             raise InvalidShapeError(
                 f"gradient shape {g.shape} != parameter shape {p.data.shape} "
@@ -52,16 +51,16 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray],
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
-def clip_by_global_norm(grads: dict, max_norm: float) -> float:
+def clip_by_global_norm(grads: list, max_norm: float) -> float:
     """Scale the gradient arrays in place if their joint norm exceeds
     ``max_norm``. Returns the pre-clip global norm.
     """
     total = 0.0
-    for g in grads.values():
+    for g in grads:
         total += float((g * g).sum())
     norm = total ** 0.5
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
-        for g in grads.values():
+        for g in grads:
             g *= scale
     return norm

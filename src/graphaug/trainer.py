@@ -176,11 +176,6 @@ def init_state(config: TrainConfig, input_dim: int) -> TrainState:
     )
 
 
-def _collect_grads(params: ParameterSet) -> dict:
-    return {name: t.grad.copy() for name, t in params.items()
-            if t.grad is not None}
-
-
 def _head_stats(out) -> dict:
     stats = {}
     for key, tensor in out.soft_params.items():
@@ -230,13 +225,12 @@ def train_step(batch: GraphBatch, state: TrainState,
 
     coin = state.coin_stream.bernoulli(config.alternation_prob)
     update_groups = ["policy", "heads", "theta" if coin else "omega"]
-    grads = {g: _collect_grads(state.group(g)) for g in update_groups}
-    # scales the group dicts' arrays in place
-    clip_by_global_norm({(g, n): arr for g, gs in grads.items()
-                         for n, arr in gs.items()}, config.clip_norm)
+    # scales the leaves' own gradients in place
+    clip_by_global_norm([t.grad for g in update_groups
+                         for t in state.group(g).tensors()
+                         if t.grad is not None], config.clip_norm)
     for gname in update_groups:
-        adam_step(state.group(gname), grads[gname], state.adam[gname],
-                  config.learning_rate)
+        adam_step(state.group(gname), state.adam[gname], config.learning_rate)
     state.step += 1
     return StepResult(loss.item(), decision, coin)
 
@@ -378,19 +372,30 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
         raise CheckpointError(f"{path}: invalid training config: {exc}") \
             from exc
     try:
-        input_dim, epoch, step = meta["input_dim"], meta["epoch"], meta["step"]
-        best_loss, stale = meta["best_loss"], meta["stale"]
-        adam_steps = {g: meta["adam_steps"][g] for g in GROUPS}
+        counts = {key: meta[key]
+                  for key in ("input_dim", "epoch", "step", "stale")}
+        counts.update({f"adam_steps.{g}": meta["adam_steps"][g]
+                       for g in GROUPS})
+        best_loss = meta["best_loss"]
         streams = [RngStream.from_state(meta["streams"][name])
                    for name in ("sample_root", "shuffle", "coin")]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint meta "
                               f"({type(exc).__name__}: {exc})") from exc
-    state = init_state(config, input_dim)
+    for key, value in counts.items():
+        least = int(key == "input_dim")
+        if type(value) is not int or value < least:
+            raise CheckpointError(f"{path}: checkpoint meta {key} must be an "
+                                  f"int >= {least}; got {value!r}")
+    # inf, its initial value, is allowed; NaN and -inf are not
+    if type(best_loss) not in (int, float) or not best_loss > -math.inf:
+        raise CheckpointError(f"{path}: checkpoint meta best_loss must be a "
+                              f"real number; got {best_loss!r}")
+    state = init_state(config, counts["input_dim"])
     tensors = dict(tensors)
     for gname in GROUPS:
         adam = state.adam[gname]
-        adam.step = adam_steps[gname]
+        adam.step = counts[f"adam_steps.{gname}"]
         for name, t in state.group(gname).items():
             key = f"params/{gname}/{name}"
             if key not in tensors:
@@ -407,7 +412,8 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
     if tensors:
         raise CheckpointError(f"checkpoint tensors match no parameter: "
                               f"{', '.join(sorted(tensors))}")
-    state.epoch, state.step = epoch, step
-    state.best_loss, state.stale = best_loss, stale
+    state.epoch, state.step, state.stale = \
+        counts["epoch"], counts["step"], counts["stale"]
+    state.best_loss = best_loss
     state.sample_root, state.shuffle_stream, state.coin_stream = streams
     return state, config

@@ -429,6 +429,91 @@ def test_non_finite_checkpoint_fails_cleanly(dataset_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+def one_error_line(capsys, prefix="error:"):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
+
+
+def train_must_not_run(*args, **kwargs):
+    raise AssertionError("trained before checking the output path")
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under-file"])
+def test_train_out_on_a_file_exits_2_before_training(dataset_dir, tmp_path,
+                                                     capsys, monkeypatch,
+                                                     nested):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep me")
+    monkeypatch.setattr(cli, "train", train_must_not_run)
+    out = blocker / "run" if nested else blocker
+    code = run_cli("train", "--dataset", str(dataset_dir), "--out", str(out),
+                   *TRAIN_ARGS)
+    assert code == 2
+    assert "is not a directory" in one_error_line(capsys, "config error:")
+    assert blocker.read_text() == "keep me"
+
+
+@pytest.mark.parametrize("command", ["probe", "embed", "inspect"])
+def test_out_on_a_file_exits_2_before_embedding(dataset_dir, tmp_path, capsys,
+                                                monkeypatch, command):
+    ck = trained_checkpoint(dataset_dir, tmp_path)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep me")
+    monkeypatch.setattr(cli, "embed_dataset", embed_must_not_run)
+    monkeypatch.setattr(cli, "encode", embed_must_not_run)
+    code = run_cli(command, "--checkpoint", str(ck), "--dataset",
+                   str(dataset_dir), "--out", str(blocker),
+                   *(["--head", "identity"] if command == "inspect" else []))
+    assert code == 2
+    assert "is not a directory" in one_error_line(capsys, "config error:")
+    assert blocker.read_text() == "keep me"
+
+
+@pytest.mark.parametrize("command", ["probe", "embed", "inspect"])
+def test_checkpoint_that_is_a_directory_fails_cleanly(dataset_dir, tmp_path,
+                                                      capsys, command):
+    code = run_cli(command, "--checkpoint", str(tmp_path), "--dataset",
+                   str(dataset_dir), "--out", str(tmp_path / "x"),
+                   *(["--head", "identity"] if command == "inspect" else []))
+    assert code == 1
+    assert f"not a file: {tmp_path}" in one_error_line(capsys)
+    assert not (tmp_path / "x").exists()
+
+
+def test_failed_write_is_one_error_line(dataset_dir, tmp_path, capsys,
+                                        monkeypatch):
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cli, "save_checkpoint", full_disk)
+    code = run_cli("train", "--dataset", str(dataset_dir), "--out",
+                   str(tmp_path / "run"), *TRAIN_ARGS)
+    assert code == 1
+    assert "No space left on device" in one_error_line(capsys)
+
+
+def test_stats_json_in_a_missing_directory_fails_cleanly(dataset_dir,
+                                                         tmp_path, capsys):
+    code = run_cli("stats", "--dataset", str(dataset_dir), "--out-json",
+                   str(tmp_path / "missing" / "stats.json"))
+    assert code == 1
+    assert "stats.json" in one_error_line(capsys)
+
+
+def test_checkpoint_meta_of_the_wrong_type_fails_cleanly(dataset_dir,
+                                                         tmp_path, capsys):
+    meta, tensors = container.read_container(
+        trained_checkpoint(dataset_dir, tmp_path))
+    meta["input_dim"] = str(meta["input_dim"])
+    bad = tmp_path / "bad-meta.bin"
+    container.write_container(bad, meta, tensors)
+    code = run_cli("embed", "--checkpoint", str(bad), "--dataset",
+                   str(dataset_dir), "--out", str(tmp_path / "x"))
+    assert code == 1
+    assert "input_dim" in one_error_line(capsys)
+    assert not (tmp_path / "x").exists()
+
+
 def test_inspect_identity_dumps_inputs(dataset_dir, tmp_path, capsys):
     ck = trained_checkpoint(dataset_dir, tmp_path)
     out = tmp_path / "ins"

@@ -230,7 +230,7 @@ def _fit_logreg_tape(x, y, num_classes, l2):
         ce = (logits.logsumexp(axis=1) - (logits * oh).sum(axis=1)).mean()
         loss = ce + (w * w).sum() * (l2 / (2.0 * n))
         loss.backward()
-        adam_step(params, {"w": w.grad, "b": b.grad}, adam, PROBE_LR)
+        adam_step(params, adam, PROBE_LR)
     return w.data.copy(), b.data.copy()
 
 
@@ -326,7 +326,8 @@ def fit_per_split(x, y, num_classes, l2s):
         loss, grad_w, grad_b = _objective_per_split(x, onehot, w.data, b.data,
                                                     l2s)
         assert np.isfinite(loss).all()
-        adam_step(params, {"w": grad_w, "b": grad_b}, adam, PROBE_LR)
+        w.grad, b.grad = grad_w, grad_b
+        adam_step(params, adam, PROBE_LR)
     return w.data, b.data
 
 

@@ -18,8 +18,7 @@ from graphaug.policy import AugmentationKind, active_kinds, decide, \
 from graphaug.rng import RngStream
 from graphaug.sampling import gumbel_softmax, gumbel_top_k, relaxed_bernoulli
 from graphaug.tensor import Tensor, concat, finite_diff_grad
-from graphaug.trainer import GROUPS, TrainConfig, _collect_grads, \
-    init_state, train_step
+from graphaug.trainer import GROUPS, TrainConfig, init_state, train_step
 
 from conftest import one_graph, rel_err
 from test_graphs import khop_bfs_reference
@@ -756,16 +755,11 @@ def _ref_train_step(graphs, state, config):
     loss.backward()
     coin = state.coin_stream.bernoulli(config.alternation_prob)
     update_groups = ["policy", "heads", "theta" if coin else "omega"]
-    grads = {gname: _collect_grads(state.group(gname))
-             for gname in update_groups}
-    joint = {f"{gname}::{n}": arr for gname, gs in grads.items()
-             for n, arr in gs.items()}
-    clip_by_global_norm(joint, config.clip_norm)
-    for key, arr in joint.items():
-        gname, pname = key.split("::", 1)
-        grads[gname][pname] = arr
+    clip_by_global_norm([t.grad for gname in update_groups
+                         for t in state.group(gname).tensors()
+                         if t.grad is not None], config.clip_norm)
     for gname in update_groups:
-        adam_step(state.group(gname), grads[gname], state.adam[gname],
+        adam_step(state.group(gname), state.adam[gname],
                   config.learning_rate)
     state.step += 1
     return loss.item(), decision, coin

@@ -5,9 +5,8 @@ import pytest
 
 from graphaug.encoders import Encodings
 from graphaug.objective import (
-    ObjectiveConfig, batch_loss, estimate_mi,
-    ScoreMatrix, init_discriminator_params, jsd_mi, pairwise_scores,
-    score_matrix,
+    ObjectiveConfig, batch_loss, estimate_mi, init_discriminator_params,
+    jsd_mi, local_global_scores, pairwise_scores,
 )
 from graphaug.rng import RngStream
 from graphaug.tensor import Tensor
@@ -111,24 +110,30 @@ def test_estimators_guard_overflow():
         assert np.isfinite(v.item())
 
 
-def test_dv_requires_negatives():
-    with pytest.raises(ValueError):
-        estimate_mi(Tensor([0.0]), None, ObjectiveConfig(estimator="dv"))
+# -- local-global scores ------------------------------------------------------------
 
-
-# -- score matrix -------------------------------------------------------------------
-
-def test_score_matrix_node_mean():
+def test_local_global_scores_node_mean():
     nodes = Tensor(np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 2.0]]))
     n2g = np.array([0, 0, 1])
     gvecs = Tensor(np.array([[1.0, 1.0], [2.0, 0.0]]))
-    sm = score_matrix(nodes, n2g, gvecs, "dot")
+    pos, neg = local_global_scores(nodes, n2g, gvecs, "dot")
     # S[k,k'] = mean over graph-k' nodes of dot(node, gvec_k):
     #   S[0,0]=mean(1,3)=2  S[0,1]=2  S[1,0]=mean(2,6)=4  S[1,1]=0
-    expect = np.array([[2.0, 2.0], [4.0, 0.0]])
-    assert np.allclose(sm.scores.data, expect)
-    assert np.allclose(sm.positives().data, [2.0, 0.0])
-    assert np.allclose(sm.negatives().data, [[2.0], [4.0]])
+    assert np.allclose(pos.data, [2.0, 0.0])
+    assert np.allclose(neg.data, [[2.0], [4.0]])
+
+
+def test_negatives_match_pairwise_comprehension():
+    for n in range(2, 40):
+        # one node per graph, node k' the unit vector e_k': the dot score
+        # of graph vector k against graph k' is gvecs[k, k'] = k n + k'
+        ids = np.arange(n * n, dtype=float).reshape(n, n)
+        pos, neg = local_global_scores(Tensor(np.eye(n)), np.arange(n),
+                                       Tensor(ids), "dot")
+        want = [k * n + kp for k in range(n) for kp in range(n) if kp != k]
+        assert np.array_equal(neg.data,
+                              np.array(want, dtype=float).reshape(n, n - 1))
+        assert np.array_equal(pos.data, np.diag(ids))
 
 
 # -- batch loss -----------------------------------------------------------------------
@@ -162,8 +167,6 @@ def naive_loss(enc_i, enc_j, n2g_i, n2g_j, estimator="jsd", disc="dot",
         if estimator == "jsd":
             neg = np.array([S[k, kp] for k in range(n) for kp in range(n)
                             if k != kp])
-            if n == 1:
-                return float(np.mean(-softplus(-pos)))
             return float(np.mean(-softplus(-pos)) - np.mean(softplus(neg)))
         if estimator == "nce":
             vals = []
@@ -188,19 +191,11 @@ def naive_loss(enc_i, enc_j, n2g_i, n2g_j, estimator="jsd", disc="dot",
     return -(i_i + i_j) / 2.0
 
 
-def test_batch_of_one_jsd():
+def test_batch_of_one_is_rejected():
     enc_i, n2g = fake_encodings(0, 1, 3)
     enc_j, _ = fake_encodings(1, 1, 3)
-    loss = batch_loss(enc_i, enc_j, n2g, n2g, ObjectiveConfig())
-    expect = naive_loss(enc_i, enc_j, n2g, n2g)
-    assert abs(loss.item() - expect) < 1e-12
-
-
-def test_batch_of_one_rejects_nce_dv():
-    enc_i, n2g = fake_encodings(0, 1, 3)
-    enc_j, _ = fake_encodings(1, 1, 3)
-    for est in ("nce", "dv", "nt_xent"):
-        with pytest.raises(ValueError):
+    for est in ("jsd", "nce", "nt_xent", "dv"):
+        with pytest.raises(ValueError, match="no negatives"):
             batch_loss(enc_i, enc_j, n2g, n2g, ObjectiveConfig(estimator=est))
 
 
@@ -269,13 +264,17 @@ def test_gradients_flow_through_loss():
 
 
 def test_jsd_loss_gradient_on_fixed_four_node_graph():
-    # the finite-difference oracle applied to the loss itself
+    # the finite-difference oracle applied to the loss itself, on the path
+    # beside a triangle (a graph's negatives are the other graph's nodes)
     from graphaug.encoders import EncoderConfig, encode, init_encoder_params
     from graphaug.graphs import Graph, batch_graphs
     from graphaug.tensor import finite_diff_grad
 
     edges = np.array([(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)])
     g = Graph(4, edges, RngStream(8, "j4").uniform((4, 3)), np.ones(6))
+    tri = np.array([(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)])
+    h = Graph(3, tri, RngStream(8, "j4-tri").uniform((3, 3)), np.ones(6))
+    batch = batch_graphs([g, h])
     cfg = EncoderConfig(input_dim=3, hidden_dim=4, num_layers=1)
     params = init_encoder_params(cfg, seed=77)
     # evaluate at a generic point (zero-init biases sit on ReLU kinks)
@@ -287,9 +286,9 @@ def test_jsd_loss_gradient_on_fixed_four_node_graph():
 
     def loss_fn(flat):
         params[name].data = flat.data.reshape(shape)
-        enc = encode(batch_graphs([g]), params, cfg)
-        return batch_loss(enc, enc, np.zeros(4, dtype=int),
-                          np.zeros(4, dtype=int), ObjectiveConfig())
+        enc = encode(batch, params, cfg)
+        return batch_loss(enc, enc, batch.node_to_graph, batch.node_to_graph,
+                          ObjectiveConfig())
 
     flat0 = params[name].data.reshape(-1).copy()
     params.zero_grads()
@@ -298,11 +297,3 @@ def test_jsd_loss_gradient_on_fixed_four_node_graph():
     fd = finite_diff_grad(loss_fn, Tensor(flat0)).data.reshape(shape)
     params[name].data = flat0.reshape(shape)
     assert rel_err(analytic, fd) <= 1e-3
-
-
-def test_negatives_match_pairwise_comprehension():
-    for n in range(2, 40):
-        flat_ids = Tensor(np.arange(n * n, dtype=float).reshape(n, n))
-        want = [k * n + kp for k in range(n) for kp in range(n) if kp != k]
-        got = ScoreMatrix(flat_ids).negatives().data
-        assert np.array_equal(got, np.array(want, dtype=float).reshape(n, n - 1))

@@ -15,10 +15,17 @@ def _params(**kwargs):
     return ps
 
 
+def _step(ps, state, lr, **grads):
+    """One ``adam_step`` with ``grads`` set on the named parameters."""
+    for name, g in grads.items():
+        ps[name].grad = np.asarray(g, dtype=float)
+    adam_step(ps, state, lr)
+
+
 def test_adam_first_step_equals_lr():
     ps = _params(w=[1.0])
     state = AdamState()
-    adam_step(ps, {"w": np.array([1.0])}, state, lr=0.1)
+    _step(ps, state, 0.1, w=[1.0])
     assert abs(ps["w"].data[0] - 0.9) < 1e-6   # bias-corrected first step = -lr*sign(g)
     assert state.step == 1
 
@@ -26,7 +33,7 @@ def test_adam_first_step_equals_lr():
 def test_adam_zero_grad_leaves_params():
     ps = _params(w=[2.0, -1.0])
     state = AdamState()
-    adam_step(ps, {"w": np.zeros(2)}, state, lr=0.1)
+    _step(ps, state, 0.1, w=np.zeros(2))
     assert np.array_equal(ps["w"].data, [2.0, -1.0])
     assert state.step == 1
 
@@ -34,7 +41,7 @@ def test_adam_zero_grad_leaves_params():
 def test_adam_masked_update():
     ps = _params(a=[1.0], b=[1.0])
     state = AdamState()
-    adam_step(ps, {"a": np.array([0.5])}, state, lr=0.1)
+    _step(ps, state, 0.1, a=[0.5])
     assert ps["b"].data[0] == 1.0
     assert "b" not in state.m and "b" not in state.v
     assert ps["a"].data[0] != 1.0
@@ -43,18 +50,18 @@ def test_adam_masked_update():
 def test_adam_shape_mismatch():
     ps = _params(w=[1.0, 2.0])
     with pytest.raises(InvalidShapeError):
-        adam_step(ps, {"w": np.zeros(3)}, AdamState(), lr=0.1)
+        _step(ps, AdamState(), 0.1, w=np.zeros(3))
 
 
 def test_clip_by_global_norm():
-    grads = {"a": np.array([3.0, 0.0]), "b": np.array([0.0, 4.0])}
+    grads = [np.array([3.0, 0.0]), np.array([0.0, 4.0])]
     norm = clip_by_global_norm(grads, 1.0)
     assert abs(norm - 5.0) < 1e-12
-    total = sum(float((g * g).sum()) for g in grads.values()) ** 0.5
+    total = sum(float((g * g).sum()) for g in grads) ** 0.5
     assert abs(total - 1.0) < 1e-12
-    small = {"a": np.array([0.1])}
+    small = [np.array([0.1])]
     clip_by_global_norm(small, 1.0)
-    assert small["a"][0] == 0.1
+    assert small[0][0] == 0.1
 
 
 # -- rng streams -------------------------------------------------------------
