@@ -246,21 +246,18 @@ def cmd_inspect(args) -> int:
     resolved = resolve_config(args)
     valid = [k.value for k in AugmentationKind]
     if args.head not in valid:
-        print(f"unknown head {args.head!r}; valid heads: {', '.join(valid)}",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown head {args.head!r}; valid heads: "
+                          f"{', '.join(valid)}")
     if args.num_graphs < 1:
-        print(f"--num-graphs must be at least 1, got {args.num_graphs}",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"--num-graphs must be at least 1, got "
+                          f"{args.num_graphs}")
     state, config, dataset = _load_model(args, resolved)
     out = _out_dir(resolved, f"{dataset.name.lower()}-inspect")
     kinds = active_kinds(config.task)
     kind = AugmentationKind(args.head)
     if kind not in kinds and kind != AugmentationKind.IDENTITY:
-        print(f"head {args.head!r} is not active for task {config.task!r}",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"head {args.head!r} is not active for task "
+                          f"{config.task!r}")
     n = min(args.num_graphs, len(dataset.graphs))
     batch = batch_graphs(dataset.graphs[:n])
     # detached parameters: nothing walks the tape of a dump

@@ -95,10 +95,8 @@ def init_encoder_params(cfg: EncoderConfig, seed: int) -> ParameterSet:
 def gin_layer(h: Tensor, src: np.ndarray, dst: np.ndarray, edge_w: Tensor,
               w1, b1, w2, b2) -> Tensor:
     """h'_v = MLP(h_v + sum over in-edges of w_uv h_u), GIN with eps = 0."""
-    if len(src):
-        msgs = h.gather_rows(src) * edge_w.reshape(-1, 1)
-        h = h + segment_sum(msgs, dst, h.shape[0])
-    return mlp(h, w1, b1, w2, b2)
+    msgs = h.gather_rows(src) * edge_w.reshape(-1, 1)
+    return mlp(h + segment_sum(msgs, dst, h.shape[0]), w1, b1, w2, b2)
 
 
 def gcn_layer(h: Tensor, src: np.ndarray, dst: np.ndarray, edge_w: Tensor,
@@ -109,15 +107,13 @@ def gcn_layer(h: Tensor, src: np.ndarray, dst: np.ndarray, edge_w: Tensor,
     """
     num_nodes = h.shape[0]
     hw = mlp(h, w, b)
-    if len(src):
-        deg = segment_sum(edge_w, dst, num_nodes) + 1.0       # (V,)
-        dinv = deg ** -0.5
-        norm = dinv.gather_rows(src) * dinv.gather_rows(dst) * edge_w
-        msgs = hw.gather_rows(src) * norm.reshape(-1, 1)
-        agg = segment_sum(msgs, dst, num_nodes)
-        self_term = hw * (dinv * dinv).reshape(-1, 1)
-        return (agg + self_term).relu()
-    return hw.relu()
+    deg = segment_sum(edge_w, dst, num_nodes) + 1.0           # (V,)
+    dinv = deg ** -0.5
+    norm = dinv.gather_rows(src) * dinv.gather_rows(dst) * edge_w
+    msgs = hw.gather_rows(src) * norm.reshape(-1, 1)
+    agg = segment_sum(msgs, dst, num_nodes)
+    self_term = hw * (dinv * dinv).reshape(-1, 1)
+    return (agg + self_term).relu()
 
 
 def _dropout(h: Tensor, p: float, stream: RngStream) -> Tensor:

@@ -1,5 +1,7 @@
-"""Attributed sparse graphs, disjoint-union batching, and k-hop subgraphs.
+"""Attributed sparse graphs as disjoint-union batches, and k-hop subgraphs.
 
+A graph is a batch of one: ``GraphBatch`` is the only graph type, and
+``Graph(...)`` checks one graph's arrays and returns it as a one-graph batch.
 Edges are stored directed; undirected inputs carry both orientations. Node
 features and per-edge weights are always tape tensors (an array is wrapped at
 construction without a copy), so an augmented graph's weights and features
@@ -8,73 +10,13 @@ keep the gradient channel to the head that produced them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidShapeError
 from .rng import RngStream
 from .tensor import Tensor, concat
-
-
-def csr(edges: np.ndarray,
-        num_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Out-neighbour adjacency ``(indptr, indices, edge_ids)`` of an edge list.
-
-    Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]``, targets in edge order,
-    and ``edge_ids`` over the same range holds those edges' rows in ``edges``.
-    """
-    src = edges[:, 0]
-    order = np.argsort(src, kind="stable")
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
-    return indptr, edges[order, 1], order
-
-
-@dataclass
-class Graph:
-    """One attributed graph; immutable after construction."""
-    num_nodes: int
-    edges: np.ndarray                 # (E, 2) int64, directed
-    features: Tensor                  # (V, d_x)
-    edge_weights: Tensor              # (E,)
-    label: int | None = None
-    _csr: tuple | None = field(default=None, init=False, repr=False,
-                               compare=False)
-
-    def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        self.features = Tensor._lift(self.features)
-        self.edge_weights = Tensor._lift(self.edge_weights)
-        if self.num_nodes < 1:
-            raise InvalidShapeError("graph needs at least one node")
-        if self.edges.size and (self.edges.min() < 0
-                                or self.edges.max() >= self.num_nodes):
-            raise InvalidShapeError("edge endpoint out of node range")
-        if self.features.shape[0] != self.num_nodes:
-            raise InvalidShapeError("feature row count != num_nodes")
-        if self.edge_weights.shape != (len(self.edges),):
-            raise InvalidShapeError("edge_weights length != edge count")
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
-
-    def num_undirected_edges(self) -> float:
-        if self.num_edges == 0:
-            return 0.0
-        loops = int((self.edges[:, 0] == self.edges[:, 1]).sum())
-        return loops + (self.num_edges - loops) / 2.0
-
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The graph's ``csr`` adjacency, built on first use and cached, so
-        graphs that never run a BFS do not pay for the sort."""
-        if self._csr is None:
-            self._csr = csr(self.edges, self.num_nodes)
-        return self._csr
 
 
 @dataclass
@@ -85,9 +27,8 @@ class GraphBatch:
     nodes from ``node_offsets[k]``, and edges are grouped by graph in graph
     order. A batch cut from a source graph keeps each node's id there in
     ``orig_ids`` and each k-hop subgraph's local center in ``centers``;
-    otherwise both are ``None``. Only tests read ``orig_ids``: they check a
-    node-drop or subgraph view against the subgraph induced on its kept
-    nodes, and a node drop's kept ids exist nowhere else.
+    otherwise both are ``None``. The subgraph head reads the ``orig_ids`` of
+    its ``khop_bfs`` cut to weight the kept edges.
     """
     edges: np.ndarray               # (E, 2) int64, global ids
     features: Tensor                # (N, d_x)
@@ -95,17 +36,23 @@ class GraphBatch:
     node_counts: np.ndarray         # (B,)
     orig_ids: np.ndarray | None = None
     centers: np.ndarray | None = None
-    node_offsets: np.ndarray = field(init=False, repr=False)   # (B,)
-    node_to_graph: np.ndarray = field(init=False, repr=False)  # (N,)
+    _csr: tuple | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         self.features = Tensor._lift(self.features)
         self.edge_weights = Tensor._lift(self.edge_weights)
-        counts = self.node_counts
-        self.node_offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]) \
+
+    # built on first use: the one-graph batches of a dataset never need them
+    @cached_property
+    def node_offsets(self) -> np.ndarray:                     # (B,)
+        return np.concatenate([[0], np.cumsum(self.node_counts)[:-1]]) \
             .astype(np.int64)
-        self.node_to_graph = np.repeat(np.arange(len(counts), dtype=np.int64),
-                                       counts)
+
+    @cached_property
+    def node_to_graph(self) -> np.ndarray:                    # (N,)
+        return np.repeat(np.arange(self.num_graphs, dtype=np.int64),
+                         self.node_counts)
 
     @property
     def num_graphs(self) -> int:
@@ -113,37 +60,70 @@ class GraphBatch:
 
     @property
     def num_nodes(self) -> int:
-        return len(self.node_to_graph)
+        return self.features.shape[0]
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def graph(self, k: int) -> Graph:
-        """Graph ``k`` rebuilt on its own, with local node ids."""
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Out-neighbour adjacency ``(indptr, indices, edge_ids)``, built on
+        first use and cached, so batches that never run a BFS do not pay for
+        the sort. Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]``, targets
+        in edge order, and ``edge_ids`` over the same range holds those
+        edges' rows in ``edges``."""
+        if self._csr is None:
+            src = self.edges[:, 0]
+            order = np.argsort(src, kind="stable")
+            indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src, minlength=self.num_nodes),
+                      out=indptr[1:])
+            self._csr = indptr, self.edges[order, 1], order
+        return self._csr
+
+    def graph(self, k: int) -> GraphBatch:
+        """Graph ``k`` as a batch of one, with local node ids."""
         n0 = int(self.node_offsets[k])
         n1 = n0 + int(self.node_counts[k])
         e0, e1 = np.searchsorted(self.node_to_graph[self.edges[:, 0]],
                                  [k, k + 1]).tolist()
-        return Graph(n1 - n0, self.edges[e0:e1] - n0,
-                     self.features.slice_axis(0, n0, n1),
-                     self.edge_weights.slice_axis(0, e0, e1))
+        return GraphBatch(self.edges[e0:e1] - n0,
+                          self.features.slice_axis(0, n0, n1),
+                          self.edge_weights.slice_axis(0, e0, e1),
+                          self.node_counts[k:k + 1])
+
+
+def Graph(num_nodes: int, edges, features, edge_weights) -> GraphBatch:
+    """One attributed graph, checked, as a batch of one."""
+    g = GraphBatch(np.asarray(edges, dtype=np.int64).reshape(-1, 2), features,
+                   edge_weights, np.array([num_nodes], dtype=np.int64))
+    if num_nodes < 1:
+        raise InvalidShapeError("graph needs at least one node")
+    if g.edges.size and (g.edges.min() < 0 or g.edges.max() >= num_nodes):
+        raise InvalidShapeError("edge endpoint out of node range")
+    if g.features.shape[0] != num_nodes:
+        raise InvalidShapeError("feature row count != num_nodes")
+    if g.edge_weights.shape != (len(g.edges),):
+        raise InvalidShapeError("edge_weights length != edge count")
+    return g
 
 
 def batch_graphs(graphs: list) -> GraphBatch:
-    """Pack graphs into a disjoint union; feature dims must agree."""
+    """Pack batches into one disjoint union, graph after graph; feature dims
+    must agree. The inputs' ``orig_ids`` and ``centers`` do not carry over."""
     if not graphs:
         raise InvalidShapeError("cannot batch an empty graph list")
-    d = graphs[0].feature_dim
+    d = graphs[0].features.shape[1]
     for g in graphs:
-        if g.feature_dim != d:
+        if g.features.shape[1] != d:
             raise InvalidShapeError(
-                f"mixed feature dims in batch: {g.feature_dim} != {d}")
+                f"mixed feature dims in batch: {g.features.shape[1]} != {d}")
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)])
     return GraphBatch(edges, concat([g.features for g in graphs]),
-                      concat([g.edge_weights for g in graphs]), sizes)
+                      concat([g.edge_weights for g in graphs]),
+                      np.concatenate([g.node_counts for g in graphs]))
 
 
 def _row_positions(indptr: np.ndarray,
@@ -178,12 +158,13 @@ def khop_nodes(indptr: np.ndarray, indices: np.ndarray, centers: np.ndarray,
     return keys
 
 
-def khop_bfs(g: Graph, centers, hops: int) -> GraphBatch:
+def khop_bfs(g: GraphBatch, centers, hops: int) -> GraphBatch:
     """The induced subgraphs on the nodes within ``hops`` BFS steps of each
-    center, as one batch with a graph per center (repeats included).
+    center, as one batch with a subgraph per center (repeats included).
 
+    ``g`` may hold many graphs; a BFS never leaves its center's graph.
     Subgraph ``k`` keeps its nodes in ascending order and its edges in
-    ``g.edges`` order; ``orig_ids`` are the nodes' ids in ``g`` and
+    ``g.edges`` order; ``orig_ids`` are the nodes' (global) ids in ``g`` and
     ``centers`` the centers' local ids.
     """
     centers = np.asarray(centers, dtype=np.int64).reshape(-1)
@@ -213,7 +194,7 @@ def khop_bfs(g: Graph, centers, hops: int) -> GraphBatch:
     return batch
 
 
-def make_node_task_batch(g: Graph, num_subgraphs: int, hops: int,
+def make_node_task_batch(g: GraphBatch, num_subgraphs: int, hops: int,
                          stream: RngStream) -> GraphBatch:
     """Emulate a graph batch by BFS subgraphs around random centers.
 

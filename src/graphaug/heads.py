@@ -19,16 +19,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .encoders import init_mlp, mlp, param_seed
-from .graphs import GraphBatch, csr, khop_nodes
+from .graphs import GraphBatch, khop_bfs
 from .policy import AugmentationKind
 from .rng import RngStream
 from .sampling import gumbel_softmax, gumbel_top_k, relaxed_bernoulli
 from .tensor import ParameterSet, Tensor, concat, segment_softmax, \
     xavier_init, zeros_param
-
-# The batched heads no longer call this; perfbench/spans.py wraps it here,
-# so it stays (tests/test_dependencies.py checks its every site).
-from .graphs import khop_bfs  # noqa: F401
 
 
 @dataclass
@@ -121,33 +117,28 @@ def edge_perturbation_head(batch: GraphBatch, h_v: Tensor,
     one decision and one weight; all nodes stay, features untouched. A graph
     without edges comes out unchanged and draws nothing.
     """
-    n_all, n_graphs = batch.num_nodes, batch.num_graphs
     lo = batch.edges.min(axis=1)
     hi = batch.edges.max(axis=1)
-    _, first = np.unique(lo * n_all + hi, return_index=True)
+    _, first = np.unique(lo * batch.num_nodes + hi, return_index=True)
     first.sort()                 # each graph's pairs in first-seen edge order
     positives = np.stack([lo[first], hi[first]], axis=1)
     n_pos = np.bincount(batch.node_to_graph[positives[:, 0]],
-                        minlength=n_graphs)
-    pos_start = np.cumsum(n_pos) - n_pos
-    negatives = [np.zeros((0, 2), dtype=np.int64)]
+                        minlength=batch.num_graphs)
+    ends = np.cumsum(n_pos)
+    # per graph: its positives, then its negatives, then their keep noise
+    pairs, indicator, noise = [], [], []
     for k in np.flatnonzero(n_pos).tolist():
         n0 = batch.node_offsets[k]
-        local = positives[pos_start[k]:pos_start[k] + n_pos[k]] - n0
-        negatives.append(n0 + _sample_negatives(
-            local, int(batch.node_counts[k]), streams[k].split("negatives")))
-    negatives = np.concatenate(negatives)
-    # per graph: its positives, then its negatives
-    pairs = np.concatenate([positives, negatives])
-    owner = batch.node_to_graph[pairs[:, 0]]
-    order = np.argsort(owner, kind="stable")
-    pairs, owner = pairs[order], owner[order]
-    if not len(pairs):
+        pos = positives[ends[k] - n_pos[k]:ends[k]]
+        neg = n0 + _sample_negatives(pos - n0, int(batch.node_counts[k]),
+                                     streams[k].split("negatives"))
+        pairs += [pos, neg]
+        indicator += [np.ones(len(pos)), np.zeros(len(neg))]
+        noise.append(streams[k].split("keep").logistic(len(pos) + len(neg)))
+    if not pairs:
         return identity_augmentation(batch)
-    indicator = (order < len(positives)).astype(float)
-    n_pairs = np.bincount(owner, minlength=n_graphs)
-    noise = np.concatenate([streams[k].split("keep").logistic(int(n_pairs[k]))
-                            for k in np.flatnonzero(n_pairs).tolist()])
+    pairs, indicator = np.concatenate(pairs), np.concatenate(indicator)
+    noise = np.concatenate(noise)
 
     h_e = h_v.gather_rows(pairs[:, 0]) + h_v.gather_rows(pairs[:, 1])
     z = concat([h_e, Tensor(indicator.reshape(-1, 1))], axis=1)
@@ -169,8 +160,8 @@ def subgraph_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
                   params: ParameterSet, hops: int,
                   streams: list) -> HeadOutput:
     """Sample a center per graph from its learned node distribution (the
-    hard draw of a Gumbel-Softmax) and induce its k-hop BFS neighborhood;
-    kept edges weighted p(v_i) + p(v_j)."""
+    hard draw of a Gumbel-Softmax) and cut its k-hop BFS neighborhood with
+    ``khop_bfs``; kept edges weighted p(v_i) + p(v_j)."""
     if hops < 1:
         raise ValueError("hops must be >= 1")
     p = _node_distribution(batch, h_v, h_g, params)
@@ -180,11 +171,10 @@ def subgraph_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
         for k, (n0, n) in enumerate(zip(batch.node_offsets.tolist(),
                                         batch.node_counts.tolist()))],
         dtype=np.int64)
-    indptr, indices, _ = csr(batch.edges, batch.num_nodes)
-    # one center per graph of the union, so the keys' nodes already ascend
-    kept = khop_nodes(indptr, indices, centers, hops) % batch.num_nodes
-    view = _induced_view(batch, kept, p)
-    view.centers = np.searchsorted(kept, centers) - view.node_offsets
+    view = khop_bfs(batch, centers, hops)
+    ends = view.orig_ids[view.edges]
+    view.edge_weights = p.gather_rows(ends[:, 0]) + p.gather_rows(ends[:, 1])
+    view.orig_ids = view.orig_ids - batch.node_offsets[view.node_to_graph]
     return HeadOutput(view, {"node_probs": p})
 
 

@@ -42,18 +42,20 @@ DEGREE_CAP = 64
 @dataclass
 class Dataset:
     name: str
-    graphs: list
+    graphs: list                       # one-graph GraphBatches
     num_classes: int
     feature_dim: int
     node_labels: list | None = None    # per-graph int arrays, when files had them
+    graph_labels: np.ndarray | None = None     # (G,) class ids, likewise
 
     def __len__(self) -> int:
         return len(self.graphs)
 
     def labels(self) -> np.ndarray:
-        """Graph labels; unlabeled graphs map to -1."""
-        return np.array([-1 if g.label is None else g.label
-                         for g in self.graphs], dtype=np.int64)
+        """Graph labels; an unlabeled dataset maps every graph to -1."""
+        if self.graph_labels is None:
+            return np.full(len(self.graphs), -1, dtype=np.int64)
+        return np.asarray(self.graph_labels, dtype=np.int64)
 
 
 def _find_prefix(directory: Path) -> str:
@@ -139,12 +141,12 @@ def parse_tudataset(directory, task: str = "graph") -> Dataset:
                            f"{edges_global[dangling][0] + 1} in {adj_path.name}")
 
     labels_path = directory / f"{prefix}_graph_labels.txt"
-    graph_labels, num_classes = [None] * num_graphs, 0
+    graph_labels, num_classes = None, 0
     if labels_path.exists():
         classes, graph_labels = np.unique(
             _read_column(labels_path, num_graphs, "graphs"),
             return_inverse=True)
-        num_classes, graph_labels = len(classes), graph_labels.tolist()
+        num_classes = len(classes)
 
     node_labels_path = directory / f"{prefix}_node_labels.txt"
     node_labels = (_read_column(node_labels_path, num_nodes_total, "nodes")
@@ -186,18 +188,21 @@ def parse_tudataset(directory, task: str = "graph") -> Dataset:
     edges = np.split(np.stack((src, dst), axis=1) - starts[edge_graph, None],
                      np.searchsorted(edge_graph, np.arange(1, num_graphs)))
     feats = np.split(features[order], starts[1:])
-    graphs = [Graph(len(x), e, x, np.ones(len(e)), label)
-              for e, x, label in zip(edges, feats, graph_labels)]
+    graphs = [Graph(len(x), e, x, np.ones(len(e)))
+              for e, x in zip(edges, feats)]
     return Dataset(name=prefix, graphs=graphs, num_classes=num_classes,
                    feature_dim=features.shape[1],
                    node_labels=None if node_labels is None
-                   else np.split(node_labels[order], starts[1:]))
+                   else np.split(node_labels[order], starts[1:]),
+                   graph_labels=graph_labels)
 
 
 def dataset_stats(ds: Dataset) -> dict:
     """Summary statistics in the shape of the usual benchmark tables."""
     n_nodes = [g.num_nodes for g in ds.graphs]
-    n_edges = [g.num_undirected_edges() for g in ds.graphs]
+    # a self-loop is one directed edge, any other undirected edge two
+    n_edges = [(g.num_edges + int((g.edges[:, 0] == g.edges[:, 1]).sum())) / 2
+               for g in ds.graphs]
     return {
         "name": ds.name,
         "graphs": len(ds.graphs),

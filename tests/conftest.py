@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from graphaug.graphs import Graph, batch_graphs
 from graphaug.rng import RngStream
 from graphaug.tensor import Tensor, finite_diff_grad
 
@@ -29,14 +28,12 @@ def check_grad(f, x: np.ndarray, tol: float = 1e-3, eps: float = 1e-5) -> float:
 def one_graph(head, *args, **kwargs):
     """Call a batched head (or ``apply_augmentation``) on a single graph.
 
-    The graph goes in as ``batch_graphs([g])``, a 1-D graph encoding as a
-    (1, d) row and the stream as ``[stream]``; the view comes back as the
+    A graph is already a batch of one; a 1-D graph encoding goes in as a
+    (1, d) row and the stream as ``[stream]``. The view comes back as the
     head made it, a one-graph ``GraphBatch`` that carries its provenance
     (``orig_ids``, ``centers``), with the head's soft parameters.
     """
     def wrap(a):
-        if isinstance(a, Graph):
-            return batch_graphs([a])
         if isinstance(a, RngStream):
             return [a]
         if isinstance(a, Tensor) and a.ndim == 1:

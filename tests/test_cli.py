@@ -580,7 +580,7 @@ def test_inspect_rejects_num_graphs_below_one(dataset_dir, tmp_path, capsys,
                    str(dataset_dir), "--out", str(out), "--head", "identity",
                    "--num-graphs", count)
     assert code == 2
-    assert "--num-graphs" in capsys.readouterr().err
+    assert "--num-graphs" in one_error_line(capsys, "config error:")
     assert not out.exists()
 
 
@@ -590,7 +590,7 @@ def test_inspect_unknown_head(dataset_dir, tmp_path, capsys):
                    str(dataset_dir), "--out", str(tmp_path / "x"),
                    "--head", "nonsense")
     assert code == 2
-    err = capsys.readouterr().err
+    err = one_error_line(capsys, "config error:")
     assert "identity" in err and "node_drop" in err
 
 
@@ -678,6 +678,19 @@ def train_node_task(data_dir, out):
                    "--num-layers", "1", "--hops", "1", "--seed", "3",
                    "--policy", "random") == 0
     return out / "checkpoint.bin"
+
+
+def test_inspect_head_inactive_for_the_task(tmp_path, capsys):
+    data_dir = write_single_graph_dataset(tmp_path)
+    checkpoint = train_node_task(data_dir, tmp_path / "node-run")
+    capsys.readouterr()
+    out = tmp_path / "ins-node"
+    code = run_cli("inspect", "--checkpoint", str(checkpoint), "--dataset",
+                   str(data_dir), "--out", str(out), "--head", "subgraph")
+    assert code == 2
+    err = one_error_line(capsys, "config error:")
+    assert "'subgraph' is not active for task 'node'" in err
+    assert not out.exists()
 
 
 def test_node_task_without_node_labels_fails_before_embedding(

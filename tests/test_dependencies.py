@@ -154,11 +154,7 @@ def test_guard_flags_an_unread_parameter(tmp_path):
 # check goes by name, so it is a lower bound: a field passes when any
 # attribute of its name is read anywhere in src/. It would not have flagged
 # GraphBatch.labels, because EmbeddingTable.labels is read.
-UNREAD_FIELDS_BY_DESIGN = {
-    "GraphBatch.orig_ids": "tests check a node-drop or subgraph view against "
-                           "the subgraph induced on its kept nodes, and a "
-                           "node drop's kept ids exist nowhere else",
-}
+UNREAD_FIELDS_BY_DESIGN = {}
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -234,9 +230,6 @@ def trace_sites() -> list:
 # Trace sites that no code calls through, each with the reason it stays. A
 # dead site records 0 calls and leaves its time in the caller's self time.
 DEAD_SITES_BY_DESIGN = {
-    ("graphaug.heads", "khop_bfs"):
-        "the batched subgraph head calls khop_nodes; pointing the site there "
-        "is benchmark upkeep (ROADMAP item 9)",
     ("graphaug.graphs", "batch_graphs"):
         "graphs.py builds node-task batches with khop_bfs; the trainer and "
         "evaluation sites time every batch_graphs call, and dropping this "

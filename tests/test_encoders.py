@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from graphaug.encoders import (
     EncoderConfig, encode, gcn_layer, gin_layer, init_encoder_params,
@@ -76,6 +77,29 @@ def test_gin_sums_neighbor():
     out = gin_layer(h, src, dst, w, w1, b1, w2, b2)
     assert np.allclose(out.data[0], [4.0, 6.0])
     assert np.allclose(out.data[1], [4.0, 6.0])
+
+
+# -- both layers ---------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["gin", "gcn"])
+def test_edgeless_layer_is_its_per_node_map(kind):
+    """No edges: GIN gives mlp(h) and GCN relu(h W + b), exactly, and the
+    gradient still reaches the (0,) edge weights."""
+    stream = RngStream(11, f"edgeless-{kind}")
+    h = Tensor(stream.uniform((4, 3)) - 0.5, requires_grad=True)
+    weights = Tensor(np.zeros(0), requires_grad=True)
+    none = np.zeros(0, dtype=np.int64)
+    params = ParameterSet()
+    init_mlp(params, "l", [3, 5, 2] if kind == "gin" else [3, 2], seed=2)
+    layer = gin_layer if kind == "gin" else gcn_layer
+    out = layer(h, none, none, weights, *params.under("l"))
+    want = mlp(h, *params.under("l")).data
+    if kind == "gcn":
+        want = np.maximum(want, 0.0)
+    assert np.array_equal(out.data, want)
+    (out * out).sum().backward()
+    assert weights.grad.shape == (0,)
+    assert h.grad.shape == h.shape
 
 
 # -- gcn layer ----------------------------------------------------------------

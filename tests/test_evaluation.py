@@ -116,8 +116,8 @@ def graph_dataset(seed=0, num=6, d_x=3):
         for i in range(n - 1):
             edges += [(i, i + 1), (i + 1, i)]
         graphs.append(Graph(n, np.array(edges), stream.uniform((n, d_x)),
-                            np.ones(len(edges)), label=k % 2))
-    return Dataset("EDS", graphs, 2, d_x)
+                            np.ones(len(edges))))
+    return Dataset("EDS", graphs, 2, d_x, graph_labels=np.arange(num) % 2)
 
 
 def test_embed_rows_and_determinism():
@@ -133,10 +133,10 @@ def test_embed_rows_and_determinism():
 
 def test_embed_zero_features_zero_encoder():
     graphs = [Graph(2, np.array([(0, 1), (1, 0)]), np.zeros((2, 3)),
-                    np.ones(2), label=0),
+                    np.ones(2)),
               Graph(3, np.array([(0, 1), (1, 0)]), np.zeros((3, 3)),
-                    np.ones(2), label=1)]
-    ds = Dataset("ZERO", graphs, 2, 3)
+                    np.ones(2))]
+    ds = Dataset("ZERO", graphs, 2, 3, graph_labels=[0, 1])
     config = TrainConfig(hidden_dim=4, num_layers=1, seed=1, epochs=0)
     state = init_state(config, 3)
     table = embed_dataset(ds, state, config)

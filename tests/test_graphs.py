@@ -33,7 +33,7 @@ def random_graph(n, p, stream, d=3):
     return Graph(n, edges, feats, np.ones(len(edges)))
 
 
-def bfs_distances(g: Graph, src: int) -> np.ndarray:
+def bfs_distances(g: GraphBatch, src: int) -> np.ndarray:
     """Independent BFS oracle using repeated edge scans."""
     dist = np.full(g.num_nodes, -1)
     dist[src] = 0
@@ -113,7 +113,7 @@ def test_khop_is_exact_induced_subgraph(n, hops, seed):
     assert got_edges == expect_edges
 
 
-def khop_bfs_reference(g: Graph, center: int, hops: int):
+def khop_bfs_reference(g: GraphBatch, center: int, hops: int):
     """One center's k-hop subgraph by a BFS over Python adjacency lists: the
     induced ``Graph`` on the kept nodes in ascending order, the kept ids in
     ``g`` and the center's local id. The oracle for bit-identical output."""
@@ -144,7 +144,7 @@ def khop_bfs_reference(g: Graph, center: int, hops: int):
         new_edges = np.zeros((0, 2), dtype=np.int64)
     feats = g.features.gather_rows(kept)
     weights = g.edge_weights.gather_rows(np.flatnonzero(mask))
-    return (Graph(len(kept), new_edges, feats, weights, label=g.label), kept,
+    return (Graph(len(kept), new_edges, feats, weights), kept,
             int(remap[center]))
 
 
@@ -161,10 +161,10 @@ def messy_digraph(n, num_edges, stream, tensors=False):
     if tensors:
         feats = Tensor(feats, requires_grad=True)
         weights = Tensor(weights, requires_grad=True)
-    return Graph(n, edges, feats, weights, label=1)
+    return Graph(n, edges, feats, weights)
 
 
-def assert_matches_reference(g: Graph, centers, hops: int):
+def assert_matches_reference(g: GraphBatch, centers, hops: int):
     """``khop_bfs`` equals the per-center reference subgraphs packed by
     ``batch_graphs``, array for array, dtype and ``requires_grad``
     included."""
@@ -217,12 +217,48 @@ def test_csr_rows_are_out_neighbours_in_edge_order():
 def test_csr_built_lazily_and_cached():
     g = messy_digraph(10, 20, RngStream(4, "csr-lazy"))
     assert g._csr is None                      # construction does not build it
+    assert not {"node_offsets", "node_to_graph"} & set(vars(g))
     khop_bfs(g, [0], 2)
     cached = g._csr
     assert cached is not None
     khop_bfs(g, [1, 3], 2)
     assert g._csr is cached
     assert all(a is b for a, b in zip(g.csr(), cached))
+
+
+def test_replaced_edges_get_their_own_adjacency():
+    g = path_graph(4)
+    whole = g.csr()
+    view = replace(g, edges=g.edges[:2], edge_weights=np.ones(2))
+    assert view._csr is None                   # the cache does not carry over
+    assert view.csr()[0].tolist() == [0, 1, 2, 2, 2]
+    assert g.csr() is whole
+    assert khop_bfs(view, [0], 3).orig_ids.tolist() == [0, 1]
+    assert khop_bfs(g, [0], 3).orig_ids.tolist() == [0, 1, 2, 3]
+
+
+def test_khop_on_a_batch_matches_each_graph():
+    """One center per graph of a batch cuts what each graph cuts alone, with
+    ``orig_ids`` offset by the graph's first node."""
+    stream = RngStream(12, "khop-batch")
+    graphs = [messy_digraph(7, 12, stream),
+              Graph(2, np.zeros((0, 2)), stream.uniform((2, 3)), np.zeros(0)),
+              messy_digraph(3, 0, stream), messy_digraph(9, 20, stream),
+              path_graph(5, d=3)]
+    batch = batch_graphs(graphs)
+    local = [int(stream.integers(0, g.num_nodes)) for g in graphs]
+    for hops in range(4):
+        got = khop_bfs(batch, batch.node_offsets + local, hops)
+        alone = [khop_bfs(g, [c], hops) for g, c in zip(graphs, local)]
+        want = batch_graphs(alone)
+        for a, b in [(got.edges, want.edges),
+                     (got.node_counts, want.node_counts),
+                     (got.centers, np.concatenate([w.centers for w in alone])),
+                     (got.orig_ids - batch.node_offsets[got.node_to_graph],
+                      np.concatenate([w.orig_ids for w in alone])),
+                     (got.features.data, want.features.data),
+                     (got.edge_weights.data, want.edge_weights.data)]:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # -- batching ----------------------------------------------------------------

@@ -424,8 +424,7 @@ def _ref_node_drop(g, h_v, h_g, params, keep_ratio, stream):
     weights = (_ref_induced_edge_weights(kept_edges_old, p)
                if len(kept_edges_old) else Tensor(np.zeros(0)))
     feats = g.features.data[kept].copy()
-    out = Graph(len(kept), remap[kept_edges_old], feats, weights,
-                label=g.label)
+    out = Graph(len(kept), remap[kept_edges_old], feats, weights)
     return RefOutput(out, {"node_probs": p}, orig_ids=kept)
 
 
@@ -514,8 +513,7 @@ def _ref_edge_perturb(g, h_v, params, temperature, stream):
     edges = np.array(directed, dtype=np.int64).reshape(-1, 2)
     weights = (probs.gather_rows(np.array(weight_src, dtype=np.int64))
                if weight_src else Tensor(np.zeros(0)))
-    out = Graph(g.num_nodes, edges, g.features.data.copy(), weights,
-                label=g.label)
+    out = Graph(g.num_nodes, edges, g.features.data.copy(), weights)
     return RefOutput(out, {"edge_probs": probs, "keep_soft": keep.soft})
 
 
@@ -527,7 +525,7 @@ def _ref_subgraph(g, h_v, h_g, params, hops, stream):
     edges_old = kept[sub.edges] if len(sub.edges) else sub.edges
     weights = (_ref_induced_edge_weights(edges_old, p)
                if len(sub.edges) else Tensor(np.zeros(0)))
-    out = Graph(sub.num_nodes, sub.edges, sub.features, weights, label=g.label)
+    out = Graph(sub.num_nodes, sub.edges, sub.features, weights)
     return RefOutput(out, {"node_probs": p}, orig_ids=kept,
                      center=local_center)
 
@@ -541,7 +539,7 @@ def _ref_feature_mask(g, h_v, params, temperature, stream):
         mask_logits, temperature,
         stream.split("mask").logistic(mask_logits.shape))
     out = Graph(g.num_nodes, g.edges.copy(), projected * sample.st,
-                np.ones(g.num_edges), label=g.label)
+                np.ones(g.num_edges))
     return RefOutput(out, {"mask_probs": mask_logits.sigmoid(),
                            "mask_soft": sample.soft})
 
@@ -559,7 +557,7 @@ def _ref_apply(kind, g, h_v, h_g, params, keep_ratio, hops, temperature,
     if kind == AugmentationKind.FEATURE_MASK:
         return _ref_feature_mask(g, h_v, params[kind], temperature, stream)
     out = Graph(g.num_nodes, g.edges.copy(), g.features.data.copy(),
-                np.ones(g.num_edges), label=g.label)
+                np.ones(g.num_edges))
     return RefOutput(out, {})
 
 
@@ -575,7 +573,7 @@ def messy_batch_graphs(seed, count=12, d_x=3):
         if m:
             edges = np.concatenate([edges, edges[:1], edges[:, ::-1]])
         graphs.append(Graph(n, edges, stream.uniform((n, d_x)),
-                            np.ones(len(edges)), label=k % 2))
+                            np.ones(len(edges))))
     return graphs
 
 
@@ -607,7 +605,7 @@ def _close(a, b):
 
 
 def _check_against_reference(graphs, kind, seed, d_h=5):
-    d_x = graphs[0].feature_dim
+    d_x = graphs[0].features.shape[1]
     params = {k: init_head_params(k, d_h, d_x, seed) for k in AugmentationKind}
     for ps in params.values():          # off the zero-bias ReLU kinks
         for name, t in ps.items():

@@ -36,9 +36,9 @@ def synthetic_dataset(num_graphs=16, seed=0, d_x=4):
         if not edges:
             edges = [(0, 1), (1, 0)]
         feats = stream.uniform((n, d_x)) + (0.5 if label else -0.5)
-        graphs.append(Graph(n, np.array(edges), feats, np.ones(len(edges)),
-                            label=label))
-    return Dataset("SYNTH", graphs, 2, d_x)
+        graphs.append(Graph(n, np.array(edges), feats, np.ones(len(edges))))
+    return Dataset("SYNTH", graphs, 2, d_x,
+                   graph_labels=np.arange(num_graphs) % 2)
 
 
 def small_config(**overrides):

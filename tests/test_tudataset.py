@@ -67,7 +67,8 @@ def test_self_loops_kept(tmp_path):
     ds = parse_tudataset(d)
     g = ds.graphs[0]
     assert (0, 0) in set(map(tuple, g.edges.tolist()))
-    assert g.num_undirected_edges() == 2.0   # the loop plus one proper edge
+    # the loop plus one proper edge
+    assert dataset_stats(ds)["mean_edges_undirected"] == 2.0
 
 
 def test_node_labels_one_hot(tmp_path):
@@ -77,7 +78,7 @@ def test_node_labels_one_hot(tmp_path):
     ds = parse_tudataset(d)
     assert ds.feature_dim == 2          # values {0, 2}
     assert ds.num_classes == 2
-    assert ds.graphs[0].label == 0 and ds.graphs[1].label == 1
+    assert ds.graph_labels.tolist() == [0, 1]
     assert np.array_equal(ds.graphs[0].features.data,
                           [[1.0, 0.0], [0.0, 1.0]])
     assert ds.node_labels is not None
@@ -158,14 +159,14 @@ def test_mutag_golden(mutag_dir):
     assert stats["feature_dim"] == 7
     assert abs(stats["mean_nodes"] - 17.93) <= 0.01
     assert abs(stats["mean_edges_undirected"] - 19.79) <= 0.01
-    assert all(g.label in (0, 1) for g in ds.graphs)
+    assert set(ds.labels().tolist()) == {0, 1}
 
 
 def test_unlabeled_dataset_labels_sentinel(tmp_path):
     d = write_dataset(tmp_path, graph_labels=None)
     ds = parse_tudataset(d)
     assert ds.num_classes == 0
-    assert ds.graphs[0].label is None
+    assert ds.graph_labels is None
     assert ds.labels().tolist() == [-1]
 
 
@@ -321,16 +322,16 @@ def _parse_reference(directory):
         graphs.append(Graph(
             num_nodes=len(nodes), edges=edges,
             features=features_global[nodes].copy(),
-            edge_weights=np.ones(len(edges)),
-            label=None if graph_labels is None else int(graph_labels[k])))
+            edge_weights=np.ones(len(edges))))
 
     per_graph_node_labels = None
     if node_labels is not None:
         per_graph_node_labels = [node_labels[nodes].copy()
                                  for nodes in node_lists]
     return Dataset(name=prefix, graphs=graphs, num_classes=num_classes,
-                   feature_dim=graphs[0].feature_dim,
-                   node_labels=per_graph_node_labels), duplicates
+                   feature_dim=graphs[0].features.shape[1],
+                   node_labels=per_graph_node_labels,
+                   graph_labels=graph_labels), duplicates
 
 
 def write_random_dataset(root, seed):
@@ -390,11 +391,12 @@ def assert_same_dataset(ds, ref):
         (ref.name, ref.num_classes, ref.feature_dim, len(ref))
     for g, r in zip(ds.graphs, ref.graphs):
         assert g.num_nodes == r.num_nodes
-        assert type(g.label) is type(r.label) and g.label == r.label
         for a, b in ((g.edges, r.edges), (g.features.data, r.features.data),
                      (g.edge_weights.data, r.edge_weights.data)):
             assert (a.dtype, a.shape) == (b.dtype, b.shape)
             assert a.tobytes() == b.tobytes()
+    assert (ds.graph_labels is None) == (ref.graph_labels is None)
+    assert np.array_equal(ds.labels(), ref.labels())
     assert (ds.node_labels is None) == (ref.node_labels is None)
     for a, b in zip(ds.node_labels or [], ref.node_labels or []):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
