@@ -261,7 +261,6 @@ def cmd_inspect(args) -> int:
     n = min(args.num_graphs, len(dataset.graphs))
     batch = batch_graphs(dataset.graphs[:n])
     # detached parameters: nothing walks the tape of a dump
-    heads = {name: p.detached() for name, p in state.heads.items()}
     enc = encode(batch, state.omega.detached(),
                  config.aug_encoder(state.input_dim))
     decision = decide(enc.graph_vector, config.policy_kind,
@@ -272,8 +271,8 @@ def cmd_inspect(args) -> int:
     print("policy distribution:", json.dumps(dist))
     stream = RngStream(resolved["seed"], "inspect")
     views = apply_augmentation(kind, batch, enc.node_matrix, enc.graph_vector,
-                               heads, config.keep_ratio, config.hops,
-                               config.head_temperature,
+                               state.heads.detached(), config.keep_ratio,
+                               config.hops, config.head_temperature,
                                [stream.split(f"g{k}") for k in range(n)]).graph
     out.mkdir(parents=True, exist_ok=True)
     for k in range(n):

@@ -136,7 +136,7 @@ def _logreg_work(x: np.ndarray, k: int, num_classes: int) -> dict:
             "grad_b": np.empty((s, k, num_classes))}
 
 
-def _logreg_objective(x, onehot, w, b, l2s, work=None) -> tuple:
+def _logreg_objective(x, onehot, w, b, l2s, work) -> tuple:
     """Penalized softmax cross-entropy of S splits x K models and its gradient.
 
     ``x`` is (S, n, d), ``onehot`` is class-major (S, C, n), ``w`` is
@@ -146,11 +146,9 @@ def _logreg_objective(x, onehot, w, b, l2s, work=None) -> tuple:
     Logits are laid out (S, K, C, n): each (s, k) item is a lone model's
     2-D product (C, d) @ (d, n), which keeps its bits (a product over
     stacked rows would not), and class reductions run on contiguous rows.
-    ``work`` is ``_logreg_work(x, K, C)``, built anew when not given; the
-    returned gradients live in it, so the next call overwrites them.
+    ``work`` is ``_logreg_work(x, K, C)``; the returned gradients live in
+    it, so the next call overwrites them.
     """
-    if work is None:
-        work = _logreg_work(x, w.shape[1], w.shape[3])
     n = x.shape[1]
     logits, e, resid = work["logits"], work["e"], work["resid"]
     np.matmul(w.transpose(0, 1, 3, 2), work["xt"], out=logits)

@@ -101,6 +101,9 @@ def Graph(num_nodes: int, edges, features, edge_weights) -> GraphBatch:
         raise InvalidShapeError("graph needs at least one node")
     if g.edges.size and (g.edges.min() < 0 or g.edges.max() >= num_nodes):
         raise InvalidShapeError("edge endpoint out of node range")
+    if g.features.ndim != 2:
+        raise InvalidShapeError(f"features must be a (num_nodes, d_x) "
+                                f"matrix; got shape {g.features.shape}")
     if g.features.shape[0] != num_nodes:
         raise InvalidShapeError("feature row count != num_nodes")
     if g.edge_weights.shape != (len(g.edges),):

@@ -33,30 +33,31 @@ class HeadOutput:
     soft_params: dict = field(default_factory=dict)    # tensors kept on the tape
 
 
-def init_head_params(kind: AugmentationKind, hidden_dim: int, feature_dim: int,
-                     seed: int) -> ParameterSet:
-    params = ParameterSet()
+def init_head_params(params: ParameterSet, kind: AugmentationKind,
+                     hidden_dim: int, feature_dim: int, seed: int) -> None:
+    """Add the parameters of head ``kind`` to ``params`` as ``{kind}/...``;
+    the identity has none."""
+    name = f"{kind.value}/mlp"
     if kind in (AugmentationKind.NODE_DROP, AugmentationKind.SUBGRAPH):
-        init_mlp(params, "mlp", [2 * hidden_dim, hidden_dim, 1], seed,
+        init_mlp(params, name, [2 * hidden_dim, hidden_dim, 1], seed,
                  label=kind.value)
     elif kind == AugmentationKind.EDGE_PERTURB:
-        init_mlp(params, "mlp", [hidden_dim + 1, hidden_dim, 1], seed,
+        init_mlp(params, name, [hidden_dim + 1, hidden_dim, 1], seed,
                  label="edge")
     elif kind == AugmentationKind.FEATURE_MASK:
-        params.add("lin/w", xavier_init((feature_dim, feature_dim),
-                                        param_seed(seed, "fm/lin")))
-        params.add("lin/b", zeros_param((feature_dim,)))
-        init_mlp(params, "mlp", [hidden_dim, hidden_dim, feature_dim], seed,
+        params.add("feature_mask/lin/w", xavier_init(
+            (feature_dim, feature_dim), param_seed(seed, "fm/lin")))
+        params.add("feature_mask/lin/b", zeros_param((feature_dim,)))
+        init_mlp(params, name, [hidden_dim, hidden_dim, feature_dim], seed,
                  label="fm")
-    return params
 
 
 def _node_distribution(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
-                       params: ParameterSet) -> Tensor:
-    """Per-graph softmax over nodes of MLP([H_v || h_G]); shared by two
-    heads."""
+                       weights: list) -> Tensor:
+    """Per-graph softmax over nodes of MLP([H_v || h_G]) with the dense
+    ``weights`` of one of the two heads that share it."""
     z = concat([h_v, h_g.gather_rows(batch.node_to_graph)], axis=1)
-    logits = mlp(z, *params.under("mlp"))
+    logits = mlp(z, *weights)
     return segment_softmax(logits.reshape(batch.num_nodes), batch.node_offsets)
 
 
@@ -82,7 +83,7 @@ def node_dropping_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
     node distribution (Gumbel-Top-K) and induce the edges."""
     if not (0.0 < keep_ratio <= 1.0):
         raise ValueError("keep_ratio must be in (0, 1]")
-    p = _node_distribution(batch, h_v, h_g, params)
+    p = _node_distribution(batch, h_v, h_g, params.under("node_drop/mlp"))
     kept = []
     for k, (n0, n) in enumerate(zip(batch.node_offsets.tolist(),
                                     batch.node_counts.tolist())):
@@ -142,7 +143,7 @@ def edge_perturbation_head(batch: GraphBatch, h_v: Tensor,
 
     h_e = h_v.gather_rows(pairs[:, 0]) + h_v.gather_rows(pairs[:, 1])
     z = concat([h_e, Tensor(indicator.reshape(-1, 1))], axis=1)
-    logits = mlp(z, *params.under("mlp")).reshape(len(pairs))
+    logits = mlp(z, *params.under("edge_perturb/mlp")).reshape(len(pairs))
     probs = logits.sigmoid()
     keep = relaxed_bernoulli(logits, temperature, noise)
     kept = np.flatnonzero(keep.hard > 0.5)
@@ -164,7 +165,7 @@ def subgraph_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
     ``khop_bfs``; kept edges weighted p(v_i) + p(v_j)."""
     if hops < 1:
         raise ValueError("hops must be >= 1")
-    p = _node_distribution(batch, h_v, h_g, params)
+    p = _node_distribution(batch, h_v, h_g, params.under("subgraph/mlp"))
     log_p = np.log(np.maximum(p.data, 1e-30))
     centers = np.array([
         n0 + gumbel_softmax(log_p[n0:n0 + n], streams[k].split("center"))
@@ -188,8 +189,8 @@ def feature_masking_head(batch: GraphBatch, h_v: Tensor, params: ParameterSet,
     straight-through one, the fully differentiable path used by gradient
     oracles.
     """
-    projected = mlp(batch.features, *params.under("lin"))
-    mask_logits = mlp(h_v, *params.under("mlp"))
+    projected = mlp(batch.features, *params.under("feature_mask/lin"))
+    mask_logits = mlp(h_v, *params.under("feature_mask/mlp"))
     d = mask_logits.shape[1]
     noise = np.concatenate([s.split("mask").logistic((n, d)) for s, n
                             in zip(streams, batch.node_counts.tolist())])
@@ -207,22 +208,21 @@ def identity_augmentation(batch: GraphBatch) -> HeadOutput:
 
 
 def apply_augmentation(kind: AugmentationKind, batch: GraphBatch, h_v: Tensor,
-                       h_g: Tensor, head_params: dict, keep_ratio: float,
+                       h_g: Tensor, params: ParameterSet, keep_ratio: float,
                        hops: int, temperature: float,
                        streams: list) -> HeadOutput:
-    """One view of the whole batch; ``streams[k]`` drives graph ``k``."""
+    """One view of the whole batch; ``streams[k]`` drives graph ``k``.
+    ``params`` holds the heads' parameters, each head's as ``{kind}/...``."""
     if kind == AugmentationKind.NODE_DROP:
-        return node_dropping_head(batch, h_v, h_g, head_params[kind],
-                                  keep_ratio, streams)
+        return node_dropping_head(batch, h_v, h_g, params, keep_ratio,
+                                  streams)
     if kind == AugmentationKind.EDGE_PERTURB:
-        return edge_perturbation_head(batch, h_v, head_params[kind],
-                                      temperature, streams)
+        return edge_perturbation_head(batch, h_v, params, temperature,
+                                      streams)
     if kind == AugmentationKind.SUBGRAPH:
-        return subgraph_head(batch, h_v, h_g, head_params[kind], hops,
-                             streams)
+        return subgraph_head(batch, h_v, h_g, params, hops, streams)
     if kind == AugmentationKind.FEATURE_MASK:
-        return feature_masking_head(batch, h_v, head_params[kind],
-                                    temperature, streams)
+        return feature_masking_head(batch, h_v, params, temperature, streams)
     if kind == AugmentationKind.IDENTITY:
         return identity_augmentation(batch)
     raise ValueError(f"unknown augmentation {kind!r}")

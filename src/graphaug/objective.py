@@ -7,30 +7,18 @@ from the product of marginals, so a batch needs at least two graphs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .encoders import Encodings, init_mlp, mlp, param_seed
 from .tensor import ParameterSet, Tensor, concat, segment_sum, xavier_init
 
+if TYPE_CHECKING:                   # the trainer imports this module
+    from .trainer import TrainConfig
+
 ESTIMATORS = ("jsd", "nce", "nt_xent", "dv")
 DISCRIMINATORS = ("dot", "cosine", "bilinear", "mlp")
-
-
-@dataclass
-class ObjectiveConfig:
-    estimator: str = "jsd"
-    discriminator: str = "dot"
-    nt_xent_temperature: float = 0.5
-
-    def __post_init__(self):
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.discriminator not in DISCRIMINATORS:
-            raise ValueError(f"unknown discriminator {self.discriminator!r}")
-        if self.estimator == "nt_xent" and self.nt_xent_temperature <= 0:
-            raise ValueError("nt_xent temperature must be positive")
 
 
 def init_discriminator_params(kind: str, hidden_dim: int,
@@ -97,8 +85,8 @@ def jsd_mi(pos: Tensor, neg: Tensor) -> Tensor:
     return (-((-pos).softplus())).mean() - neg.softplus().mean()
 
 
-def estimate_mi(pos: Tensor, neg: Tensor, config: ObjectiveConfig) -> Tensor:
-    """Dispatch over the four estimators on ``config.estimator``.
+def estimate_mi(pos: Tensor, neg: Tensor, config: TrainConfig) -> Tensor:
+    """Dispatch over the four estimators on the run's ``config.estimator``.
 
     ``pos`` is (P,); for nce/nt_xent ``neg`` must be (P, M) row-aligned with
     the positives; jsd/dv accept any shape.
@@ -122,9 +110,10 @@ def estimate_mi(pos: Tensor, neg: Tensor, config: ObjectiveConfig) -> Tensor:
 
 
 def batch_loss(enc_i: Encodings, enc_j: Encodings, node_to_graph_i: np.ndarray,
-               node_to_graph_j: np.ndarray, config: ObjectiveConfig,
+               node_to_graph_j: np.ndarray, config: TrainConfig,
                disc_params: ParameterSet | None = None) -> Tensor:
-    """Two-view local-global loss: -(I(h_G^i, H_v^j) + I(h_G^j, H_v^i)) / 2."""
+    """Two-view local-global loss: -(I(h_G^i, H_v^j) + I(h_G^j, H_v^i)) / 2,
+    under the run's estimator and discriminator."""
     i_i = estimate_mi(*local_global_scores(
         enc_j.node_matrix, node_to_graph_j, enc_i.graph_vector,
         config.discriminator, disc_params), config)

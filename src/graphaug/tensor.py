@@ -267,14 +267,12 @@ class Tensor:
         e = shifted.exp()
         return e / e.sum(axis=axis, keepdims=True)
 
-    def logsumexp(self, axis: int = -1, keepdims: bool = False) -> "Tensor":
+    def logsumexp(self, axis: int = -1) -> "Tensor":
         m = self.data.max(axis=axis, keepdims=True)
         out = (self - Tensor(m)).exp().sum(axis=axis, keepdims=True).log() + Tensor(m)
-        if not keepdims:
-            squeezed = list(out.shape)
-            squeezed.pop(axis if axis >= 0 else len(squeezed) + axis)
-            out = out.reshape(tuple(squeezed))
-        return out
+        squeezed = list(out.shape)
+        squeezed.pop(axis if axis >= 0 else len(squeezed) + axis)
+        return out.reshape(tuple(squeezed))
 
     # -- backward pass ----------------------------------------------------------------
 

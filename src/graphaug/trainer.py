@@ -20,7 +20,8 @@ from .encoders import EncoderConfig, Encodings, encode, param_seed, \
 from .errors import CheckpointError, DatasetError, TrainingDivergedError
 from .graphs import GraphBatch, batch_graphs, make_node_task_batch
 from .heads import apply_augmentation, init_head_params
-from .objective import ObjectiveConfig, batch_loss, init_discriminator_params
+from .objective import DISCRIMINATORS, ESTIMATORS, batch_loss, \
+    init_discriminator_params
 from .optim import AdamState, adam_step, clip_by_global_norm
 from .policy import POLICY_KINDS, AugmentationKind, PolicyDecision, \
     active_kinds, decide, init_policy_params, scale_by_policy
@@ -60,7 +61,9 @@ class TrainConfig:
             raise ValueError("epochs/batch_size/num_layers out of range")
         for name, valid in (("policy_kind", POLICY_KINDS),
                             ("patience_unit", ("epoch", "step")),
-                            ("task", ("graph", "node"))):
+                            ("task", ("graph", "node")),
+                            ("estimator", ESTIMATORS),
+                            ("discriminator", DISCRIMINATORS)):
             value = getattr(self, name)
             if value not in valid:
                 raise ValueError(f"{name} must be one of {', '.join(valid)}; "
@@ -95,11 +98,8 @@ class TrainConfig:
         if not 0.0 < self.clip_norm < math.inf:
             raise ValueError(f"clip_norm must be finite and > 0; "
                              f"got {self.clip_norm}")
-        self.objective()
-
-    def objective(self) -> ObjectiveConfig:
-        return ObjectiveConfig(self.estimator, self.discriminator,
-                               self.nt_xent_temperature)
+        if self.estimator == "nt_xent" and self.nt_xent_temperature <= 0:
+            raise ValueError("nt_xent temperature must be positive")
 
     def aug_encoder(self, input_dim: int) -> EncoderConfig:
         return EncoderConfig(input_dim, self.hidden_dim, self.num_layers,
@@ -118,8 +118,7 @@ class TrainState:
     input_dim: int
     omega: ParameterSet
     policy: ParameterSet
-    heads: dict
-    heads_merged: ParameterSet
+    heads: ParameterSet                  # each head's as {kind}/...
     theta: ParameterSet
     adam: dict
     sample_root: RngStream
@@ -131,8 +130,7 @@ class TrainState:
     stale: int = 0
 
     def group(self, name: str) -> ParameterSet:
-        return {"omega": self.omega, "policy": self.policy,
-                "heads": self.heads_merged, "theta": self.theta}[name]
+        return getattr(self, name)
 
 
 @dataclass
@@ -154,21 +152,14 @@ def init_state(config: TrainConfig, input_dim: int) -> TrainState:
         theta.add(name, t)
     policy = init_policy_params(config.policy_kind, config.hidden_dim,
                                 len(kinds), param_seed(config.seed, "policy"))
-    heads = {}
-    merged = ParameterSet()
+    heads = ParameterSet()
     for kind in kinds:
-        if kind == AugmentationKind.IDENTITY:
-            continue
-        ps = init_head_params(kind, config.hidden_dim, input_dim,
-                              param_seed(config.seed, f"head-{kind.value}"))
-        heads[kind] = ps
-        for name, t in ps.items():
-            merged.add(f"{kind.value}/{name}", t)
+        init_head_params(heads, kind, config.hidden_dim, input_dim,
+                         param_seed(config.seed, f"head-{kind.value}"))
     root = RngStream(config.seed, "train")
     return TrainState(
         input_dim=input_dim,
-        omega=omega, policy=policy, heads=heads, heads_merged=merged,
-        theta=theta,
+        omega=omega, policy=policy, heads=heads, theta=theta,
         adam={g: AdamState() for g in GROUPS},
         sample_root=root.split("sample"),
         shuffle_stream=root.split("shuffle"),
@@ -212,7 +203,7 @@ def train_step(batch: GraphBatch, state: TrainState,
     loss = batch_loss(Encodings(enc_i.node_matrix, scaled_i),
                       Encodings(enc_j.node_matrix, scaled_j),
                       batch_i.node_to_graph, batch_j.node_to_graph,
-                      config.objective(), state.theta)
+                      config, state.theta)
 
     if not np.isfinite(loss.data).all():
         head_stats = {view: _head_stats(out) for view, out in outs.items()}
@@ -277,6 +268,9 @@ def train(dataset, config: TrainConfig, state: TrainState | None = None):
                            f"a batch of one graph has no negatives")
     if state is None:
         state = init_state(config, dataset.feature_dim)
+    if state.input_dim != dataset.feature_dim:
+        raise DatasetError(f"the state expects d_x={state.input_dim}, "
+                           f"{dataset.name} has d_x={dataset.feature_dim}")
     metrics = []
     frequencies = []
     all_kinds = [k.value for k in AugmentationKind]

@@ -16,10 +16,11 @@ orientation.
 
 A file that breaks a rule raises ``DatasetError`` naming it. Field counts:
 two per line in DS_A.txt, one in the indicator and label files, the same on
-every attribute line; ids and labels are integers. Row counts: one label
-line per graph, one node-label and attribute line per node (blank lines do
-not count). Graph ids are 1-based and contiguous, 1..G with every id used.
-Edge endpoints are node ids 1..N in one graph.
+every attribute line; ids and labels are integers, and attributes are
+finite (no NaN or inf). Row counts: one label line per graph, one
+node-label and attribute line per node (blank lines do not count). Graph
+ids are 1-based and contiguous, 1..G with every id used. Edge endpoints are
+node ids 1..N in one graph.
 """
 from __future__ import annotations
 
@@ -47,6 +48,13 @@ class Dataset:
     feature_dim: int
     node_labels: list | None = None    # per-graph int arrays, when files had them
     graph_labels: np.ndarray | None = None     # (G,) class ids, likewise
+
+    def __post_init__(self):
+        for k, g in enumerate(self.graphs):
+            if g.features.shape[1] != self.feature_dim:
+                raise DatasetError(
+                    f"{self.name}: graph {k} has {g.features.shape[1]} "
+                    f"feature columns, not feature_dim {self.feature_dim}")
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -157,6 +165,12 @@ def parse_tudataset(directory, task: str = "graph") -> Dataset:
         attrs = _read_table(attr_path, None, float)
         if len(attrs) != num_nodes_total:
             raise DatasetError(f"{attr_path.name} row count != node count")
+        finite = np.isfinite(attrs)
+        if not finite.all():
+            node = int(np.argmin(finite.all(axis=1)))
+            raise DatasetError(f"{attr_path.name}: node {node + 1} has the "
+                               f"non-finite value "
+                               f"{attrs[node][~finite[node]][0]}")
     features = _features(num_nodes_total, edges_global,
                          node_labels if task == "graph" else None, attrs)
 

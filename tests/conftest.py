@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from graphaug.heads import init_head_params
+from graphaug.policy import AugmentationKind
 from graphaug.rng import RngStream
-from graphaug.tensor import Tensor, finite_diff_grad
+from graphaug.tensor import ParameterSet, Tensor, finite_diff_grad
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> float:
@@ -41,6 +43,20 @@ def one_graph(head, *args, **kwargs):
         return a
 
     return head(*map(wrap, args), **{k: wrap(v) for k, v in kwargs.items()})
+
+
+def head_set(d_h, d_x, seed, kinds=tuple(AugmentationKind)) -> ParameterSet:
+    """The parameters of every head in ``kinds`` in one set, as a training
+    state holds them: each head's as ``{kind}/...``."""
+    params = ParameterSet()
+    for kind in kinds:
+        init_head_params(params, kind, d_h, d_x, seed)
+    return params
+
+
+def head_names(params, kind) -> list:
+    """The names in ``params`` of head ``kind``'s parameters."""
+    return [n for n in params.names() if n.startswith(f"{kind.value}/")]
 
 
 @pytest.fixture

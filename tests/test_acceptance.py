@@ -14,9 +14,8 @@ from graphaug.encoders import Encodings, encode, gin_layer
 from graphaug.evaluation import embed_dataset, linear_probe_graph, \
     linear_probe_node
 from graphaug.graphs import Graph, batch_graphs
-from graphaug.heads import apply_augmentation, feature_masking_head, \
-    init_head_params
-from graphaug.objective import ObjectiveConfig, batch_loss, estimate_mi, \
+from graphaug.heads import apply_augmentation, feature_masking_head
+from graphaug.objective import batch_loss, estimate_mi, \
     init_discriminator_params, pairwise_scores
 from graphaug.policy import AugmentationKind, active_kinds, decide, \
     deepset_policy, gru_policy, init_policy_params, policy_distribution, \
@@ -27,7 +26,7 @@ from graphaug.tensor import ParameterSet, Tensor
 from graphaug.trainer import TrainConfig, init_state, train, train_step
 from graphaug.tudataset import dataset_stats, parse_tudataset
 
-from conftest import one_graph, rel_err
+from conftest import head_names, head_set, one_graph, rel_err
 from test_objective import naive_loss
 from test_cli import write_synthetic_tudataset
 from planted_partition import planted_partition
@@ -111,8 +110,7 @@ def test_criterion_1_gradient_oracle():
     _grad_check_params(gin_loss, mlp)
 
     # (b) each head's soft path
-    head_params = {k: init_head_params(k, d_h, d_x, 5)
-                   for k in AugmentationKind}
+    head_params = head_set(d_h, d_x, 5)
     h_v = Tensor(RngStream(6, "b").uniform((g.num_nodes, d_h)) - 0.5)
     h_g = Tensor(RngStream(7, "b").uniform(d_h) - 0.5)
 
@@ -121,7 +119,7 @@ def test_criterion_1_gradient_oracle():
             stream = RngStream(17, f"b-{kind.value}")
             if kind == AugmentationKind.FEATURE_MASK:
                 out = one_graph(feature_masking_head, g, h_v,
-                                head_params[kind], 1.0, stream,
+                                head_params, 1.0, stream,
                                 mask_mode="soft")
                 return (out.graph.features * out.graph.features).sum()
             out = one_graph(apply_augmentation, kind, g, h_v, h_g,
@@ -132,7 +130,8 @@ def test_criterion_1_gradient_oracle():
 
     for kind in (AugmentationKind.NODE_DROP, AugmentationKind.EDGE_PERTURB,
                  AugmentationKind.SUBGRAPH, AugmentationKind.FEATURE_MASK):
-        _grad_check_params(head_loss(kind), head_params[kind])
+        _grad_check_params(head_loss(kind), head_params,
+                           head_names(head_params, kind))
 
     # (c) each discriminator
     nodes0 = RngStream(8, "c").uniform((4, d_h)) - 0.5
@@ -158,7 +157,7 @@ def test_criterion_1_gradient_oracle():
         ps = ParameterSet()
         pos = ps.add("pos", Tensor(pos0.copy()))
         neg = ps.add("neg", Tensor(neg0.copy()))
-        cfg = ObjectiveConfig(estimator=est, nt_xent_temperature=0.5)
+        cfg = TrainConfig(estimator=est, nt_xent_temperature=0.5)
 
         def mi_loss():
             return estimate_mi(pos, neg, cfg)
@@ -206,7 +205,7 @@ def test_criterion_1_gradient_oracle():
                       scale_by_policy(enc_i.graph_vector, decision.p_i)),
             Encodings(enc_j.node_matrix,
                       scale_by_policy(enc_j.graph_vector, decision.p_j)),
-            bi.node_to_graph, bj.node_to_graph, config.objective(),
+            bi.node_to_graph, bj.node_to_graph, config,
             state.theta)
 
     # the chosen seeds must sample two forward-sensitive heads (the hard
@@ -285,7 +284,7 @@ def test_criterion_3_parser_golden(mutag_dir):
 
 def test_criterion_4_augmentation_invariants():
     d_h, d_x = 6, 3
-    params = {k: init_head_params(k, d_h, d_x, 7) for k in AugmentationKind}
+    params = head_set(d_h, d_x, 7)
     checks = 0
     for kind in AugmentationKind:
         stream = RngStream(4000, f"acc-{kind.value}")
@@ -555,7 +554,7 @@ def test_criterion_10_loss_equivalence_oracle():
 
         enc_i, n2g_i = enc(sizes_i, "i")
         enc_j, n2g_j = enc(sizes_j, "j")
-        got = batch_loss(enc_i, enc_j, n2g_i, n2g_j, ObjectiveConfig()).item()
+        got = batch_loss(enc_i, enc_j, n2g_i, n2g_j, TrainConfig()).item()
         expect = naive_loss(enc_i, enc_j, n2g_i, n2g_j, "jsd")
         worst = max(worst, abs(got - expect))
     assert worst <= 1e-9, f"loss equivalence off by {worst:.2e}"

@@ -492,6 +492,25 @@ def test_failed_write_is_one_error_line(dataset_dir, tmp_path, capsys,
     assert "No space left on device" in one_error_line(capsys)
 
 
+def test_non_finite_attribute_is_one_error_line(dataset_dir, tmp_path,
+                                                capsys):
+    attrs = dataset_dir / "SYN_node_attributes.txt"
+    nodes = len((dataset_dir / "SYN_graph_indicator.txt").read_text().split())
+    attrs.write_text("0.5\n" * nodes)
+    ck = trained_checkpoint(dataset_dir, tmp_path)
+    attrs.write_text("0.5\n0.5\nnan\n" + "0.5\n" * (nodes - 3))
+    capsys.readouterr()
+    for command, args in (("train", TRAIN_ARGS),
+                          ("embed", ["--checkpoint", str(ck)])):
+        out = tmp_path / command
+        code = run_cli(command, "--dataset", str(dataset_dir), "--out",
+                       str(out), *args)
+        assert code == 1
+        assert "SYN_node_attributes.txt: node 3 has the non-finite value " \
+            "nan" in one_error_line(capsys)
+        assert not out.exists()
+
+
 def test_stats_json_in_a_missing_directory_fails_cleanly(dataset_dir,
                                                          tmp_path, capsys):
     code = run_cli("stats", "--dataset", str(dataset_dir), "--out-json",

@@ -165,6 +165,12 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
     return False
 
 
+def _declared_fields(cls: ast.ClassDef) -> list:
+    return [stmt.target.id for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)]
+
+
 def unread_fields(paths) -> dict:
     """"Class.field" -> defining file, for every dataclass field whose name
     src/ never loads as an attribute and never holds as a string constant
@@ -174,10 +180,8 @@ def unread_fields(paths) -> dict:
         tree = ast.parse(path.read_text(), str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                fields.update({f"{node.name}.{stmt.target.id}": path.name
-                               for stmt in node.body
-                               if isinstance(stmt, ast.AnnAssign)
-                               and isinstance(stmt.target, ast.Name)})
+                fields.update({f"{node.name}.{name}": path.name
+                               for name in _declared_fields(node)})
             elif isinstance(node, ast.Attribute) and \
                     isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
@@ -214,6 +218,51 @@ def test_guard_flags_a_field_only_written(tmp_path):
     assert unread_fields([module]) == {"Box.written": "mod.py",
                                        "Box.derived": "mod.py",
                                        "Pair.right": "mod.py"}
+
+
+# Dataclasses in src/ other than TrainConfig that declare two or more of its
+# field names, each with the reason. TrainConfig is the one schema of a
+# run's settings; a class that repeats its fields is a second one to keep in
+# step with it.
+SECOND_SCHEMAS_BY_DESIGN = {
+    "EncoderConfig": "one encoder's settings: TrainConfig.aug_encoder and "
+                     "base_encoder build one per role, and the node task's "
+                     "GCN is fixed at 2 layers",
+}
+
+
+def second_schemas(paths, schema="TrainConfig") -> dict:
+    """Dataclass -> the field names, sorted, that it shares with ``schema``,
+    for every other dataclass that shares two or more."""
+    fields = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields[node.name] = set(_declared_fields(node))
+    own = fields[schema]
+    return {name: sorted(own & f) for name, f in fields.items()
+            if name != schema and len(own & f) >= 2}
+
+
+def test_train_config_is_the_one_settings_schema():
+    shared = second_schemas(sorted(SRC.glob("*.py")))
+    stale = sorted(set(SECOND_SCHEMAS_BY_DESIGN) - set(shared))
+    assert not stale, f"exception no longer needed: {stale}"
+    extra = {n: f for n, f in shared.items()
+             if n not in SECOND_SCHEMAS_BY_DESIGN}
+    assert not extra, f"dataclasses that repeat TrainConfig fields: {extra}"
+
+
+def test_guard_flags_a_second_schema(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass\nclass TrainConfig:\n"
+        "    seed: int = 0\n    lr: float = 0.1\n    epochs: int = 1\n\n"
+        "@dataclass\nclass Copy:\n    lr: float\n    seed: int\n\n"
+        "@dataclass\nclass Report:\n    seed: int\n    acc: float\n\n"
+        "class Plain:\n    lr: float\n    seed: int\n")
+    assert second_schemas([module]) == {"Copy": ["lr", "seed"]}
 
 
 def trace_sites() -> list:

@@ -257,11 +257,15 @@ def test_logreg_gradient_matches_finite_differences(num_classes):
     w0 = stream.uniform((2, 2, 3, num_classes)) - 0.5
     b0 = stream.uniform((2, 2, num_classes)) - 0.5
     l2s = np.array([[0.3, 5.0], [1.0, 0.01]])
-    _, grad_w, grad_b = evaluation._logreg_objective(x, onehot, w0, b0, l2s)
+    work = evaluation._logreg_work(x, 2, num_classes)
+    _, grad_w, grad_b = evaluation._logreg_objective(x, onehot, w0, b0, l2s,
+                                                     work)
+    # the probes get their own buffers, which the gradients above live in
+    fd_work = evaluation._logreg_work(x, 2, num_classes)
     fd_w = finite_diff_grad(lambda t: evaluation._logreg_objective(
-        x, onehot, t.data, b0, l2s)[0].sum(), Tensor(w0)).data
+        x, onehot, t.data, b0, l2s, fd_work)[0].sum(), Tensor(w0)).data
     fd_b = finite_diff_grad(lambda t: evaluation._logreg_objective(
-        x, onehot, w0, t.data, l2s)[0].sum(), Tensor(b0)).data
+        x, onehot, w0, t.data, l2s, fd_work)[0].sum(), Tensor(b0)).data
     assert np.allclose(grad_w, fd_w, rtol=1e-6, atol=1e-8)
     assert np.allclose(grad_b, fd_b, rtol=1e-6, atol=1e-8)
 

@@ -309,6 +309,12 @@ def test_batch_mixed_dims_rejected():
         batch_graphs([path_graph(3, d=2), path_graph(3, d=5)])
 
 
+def test_graph_needs_a_feature_matrix():
+    edges = np.array([(0, 1), (1, 0)])
+    with pytest.raises(InvalidShapeError, match=r"got shape \(2,\)"):
+        Graph(2, edges, np.ones(2), np.ones(2))
+
+
 # -- graph data is always a Tensor -------------------------------------------------
 
 def test_arrays_are_wrapped_without_a_copy():

@@ -8,8 +8,8 @@ from graphaug.encoders import EncoderConfig, Encodings, encode, \
 from graphaug.graphs import Graph, GraphBatch, batch_graphs
 from graphaug.heads import (
     HeadOutput, _sample_negatives, apply_augmentation, edge_perturbation_head,
-    feature_masking_head, identity_augmentation, init_head_params,
-    node_dropping_head, subgraph_head,
+    feature_masking_head, identity_augmentation, node_dropping_head,
+    subgraph_head,
 )
 from graphaug.objective import batch_loss
 from graphaug.optim import adam_step, clip_by_global_norm
@@ -20,7 +20,7 @@ from graphaug.sampling import gumbel_softmax, gumbel_top_k, relaxed_bernoulli
 from graphaug.tensor import Tensor, concat, finite_diff_grad
 from graphaug.trainer import GROUPS, TrainConfig, init_state, train_step
 
-from conftest import one_graph, rel_err
+from conftest import head_names, head_set, one_graph, rel_err
 from test_graphs import khop_bfs_reference
 
 D_H = 6
@@ -47,7 +47,7 @@ def encodings_for(g, seed=0):
 
 
 def head_params(kind, d_x=3, seed=0):
-    return init_head_params(kind, D_H, d_x, seed)
+    return head_set(D_H, d_x, seed, [kind])
 
 
 def undirected_set(edges):
@@ -124,12 +124,13 @@ def test_edge_perturb_extreme_probs():
     params = head_params(AugmentationKind.EDGE_PERTURB)
     # force the MLP to produce huge logits for positives, huge negative for
     # negatives via the indicator column (last input dim)
-    params["mlp/w0"].data = np.zeros_like(params["mlp/w0"].data)
-    params["mlp/w0"].data[-1, 0] = 1.0
-    params["mlp/b0"].data = np.zeros_like(params["mlp/b0"].data)
-    params["mlp/w1"].data = np.zeros_like(params["mlp/w1"].data)
-    params["mlp/w1"].data[0, 0] = 200.0
-    params["mlp/b1"].data = np.array([-100.0])
+    w0, b0, w1, b1 = params.under("edge_perturb/mlp")
+    w0.data = np.zeros_like(w0.data)
+    w0.data[-1, 0] = 1.0
+    b0.data = np.zeros_like(b0.data)
+    w1.data = np.zeros_like(w1.data)
+    w1.data[0, 0] = 200.0
+    b1.data = np.array([-100.0])
     out = one_graph(edge_perturbation_head, g, h_v, params, 1.0,
                     RngStream(4, "ep"))
     assert undirected_set(out.graph.edges) == undirected_set(g.edges)
@@ -162,23 +163,24 @@ def test_edge_perturb_gradient_to_head():
     g = make_graph(8, n=4, p=0.9)
     h_v, _ = encodings_for(g, 8)
     params = head_params(AugmentationKind.EDGE_PERTURB)
-    w0_shape = params["mlp/w0"].shape
+    w0 = params["edge_perturb/mlp/w0"]
+    w0_shape = w0.shape
 
     def loss_fn(w_flat):
-        params["mlp/w0"].data = w_flat.data.reshape(w0_shape)
+        w0.data = w_flat.data.reshape(w0_shape)
         out = one_graph(edge_perturbation_head, g, h_v, params, 1.0,
                         RngStream(77, "fixed"))
         if out.graph.num_edges == 0:
             return Tensor(0.0)
         return (out.graph.edge_weights ** 2.0).sum()
 
-    flat0 = params["mlp/w0"].data.reshape(-1).copy()
-    params["mlp/w0"].grad = None
+    flat0 = w0.data.reshape(-1).copy()
+    w0.grad = None
     loss = loss_fn(Tensor(flat0))
     loss.backward()
-    analytic = params["mlp/w0"].grad.copy()
+    analytic = w0.grad.copy()
     fd = finite_diff_grad(loss_fn, Tensor(flat0)).data.reshape(w0_shape)
-    params["mlp/w0"].data = flat0.reshape(w0_shape)
+    w0.data = flat0.reshape(w0_shape)
     assert np.abs(analytic).max() > 0
     assert rel_err(analytic, fd) <= 1e-3
 
@@ -250,10 +252,12 @@ def test_feature_mask_all_ones():
     g = make_graph(10)
     h_v, _ = encodings_for(g, 10)
     params = head_params(AugmentationKind.FEATURE_MASK)
-    params["mlp/b1"].data = np.full_like(params["mlp/b1"].data, 200.0)
+    b1 = params["feature_mask/mlp/b1"]
+    b1.data = np.full_like(b1.data, 200.0)
     out = one_graph(feature_masking_head, g, h_v, params, 1.0,
                     RngStream(9, "fm"))
-    lin = g.features.data @ params["lin/w"].data + params["lin/b"].data
+    w, b = params.under("feature_mask/lin")
+    lin = g.features.data @ w.data + b.data
     assert np.allclose(out.graph.features.data, lin)
     assert np.array_equal(out.graph.edges, g.edges)
     assert np.all(out.graph.edge_weights.data == 1.0)
@@ -263,7 +267,8 @@ def test_feature_mask_all_zeros():
     g = make_graph(11)
     h_v, _ = encodings_for(g, 11)
     params = head_params(AugmentationKind.FEATURE_MASK)
-    params["mlp/b1"].data = np.full_like(params["mlp/b1"].data, -200.0)
+    b1 = params["feature_mask/mlp/b1"]
+    b1.data = np.full_like(b1.data, -200.0)
     out = one_graph(feature_masking_head, g, h_v, params, 1.0,
                     RngStream(10, "fm"))
     assert np.allclose(out.graph.features.data, 0.0)
@@ -283,19 +288,20 @@ def test_feature_mask_soft_mode_gradient():
     g = make_graph(13, n=4)
     h_v, _ = encodings_for(g, 13)
     params = head_params(AugmentationKind.FEATURE_MASK)
-    shape = params["mlp/w1"].shape
+    w1 = params["feature_mask/mlp/w1"]
+    shape = w1.shape
 
     def loss_fn(w_flat):
-        params["mlp/w1"].data = w_flat.data.reshape(shape)
+        w1.data = w_flat.data.reshape(shape)
         out = one_graph(feature_masking_head, g, h_v, params, 1.0,
                         RngStream(55, "fixed"), mask_mode="soft")
         return (out.graph.features ** 2.0).sum()
 
-    flat0 = params["mlp/w1"].data.reshape(-1).copy()
+    flat0 = w1.data.reshape(-1).copy()
     loss_fn(Tensor(flat0)).backward()
-    analytic = params["mlp/w1"].grad.copy()
+    analytic = w1.grad.copy()
     fd = finite_diff_grad(loss_fn, Tensor(flat0)).data.reshape(shape)
-    params["mlp/w1"].data = flat0.reshape(shape)
+    w1.data = flat0.reshape(shape)
     assert np.abs(analytic).max() > 0
     assert rel_err(analytic, fd) <= 1e-3
 
@@ -318,7 +324,7 @@ def test_identity_unit_weights():
 @pytest.mark.parametrize("kind", list(AugmentationKind))
 def test_randomized_head_invariants(kind):
     stream = RngStream(999, f"inv-{kind.value}")
-    params = {k: init_head_params(k, D_H, 3, 17) for k in AugmentationKind}
+    params = head_set(D_H, 3, 17)
     for trial in range(100):
         g = make_graph(3000 + trial, n=3 + trial % 10, p=0.4)
         h_v, h_g = encodings_for(g, trial)
@@ -346,17 +352,16 @@ def test_randomized_head_invariants(kind):
 
 def test_each_head_gets_contrastive_loss_gradient():
     # end-to-end: head outputs -> base encoder -> two-view loss -> head params
-    from graphaug.objective import ObjectiveConfig, batch_loss
+    from graphaug.objective import batch_loss
     from graphaug.encoders import Encodings
 
     graphs = [make_graph(42, n=6, p=0.5), make_graph(43, n=6, p=0.5)]
     cfg = EncoderConfig(input_dim=3, hidden_dim=D_H, num_layers=1)
     enc_params = init_encoder_params(cfg, seed=31)
-    head_p = {k: init_head_params(k, D_H, 3, 23) for k in AugmentationKind}
+    head_p = head_set(D_H, 3, 23)
     for kind in (AugmentationKind.NODE_DROP, AugmentationKind.EDGE_PERTURB,
                  AugmentationKind.SUBGRAPH, AugmentationKind.FEATURE_MASK):
-        for ps in head_p.values():
-            ps.zero_grads()
+        head_p.zero_grads()
         views_i, views_j = [], []
         for k, g in enumerate(graphs):
             h_v, h_g = encodings_for(g, 15 + k)
@@ -371,10 +376,10 @@ def test_each_head_gets_contrastive_loss_gradient():
         loss = batch_loss(Encodings(enc_i.node_matrix, enc_i.graph_vector),
                           Encodings(enc_j.node_matrix, enc_j.graph_vector),
                           bi.node_to_graph, bj.node_to_graph,
-                          ObjectiveConfig())
+                          TrainConfig())
         loss.backward()
-        got = any(t.grad is not None and np.abs(t.grad).max() > 0
-                  for t in head_p[kind].tensors())
+        grads = [head_p[n].grad for n in head_names(head_p, kind)]
+        got = any(gr is not None and np.abs(gr).max() > 0 for gr in grads)
         assert got, f"no contrastive-loss gradient reached {kind.value} head"
 
 # -- batched heads vs the per-graph reference ---------------------------------------
@@ -546,16 +551,18 @@ def _ref_feature_mask(g, h_v, params, temperature, stream):
 
 def _ref_apply(kind, g, h_v, h_g, params, keep_ratio, hops, temperature,
                stream):
-    """One graph through the reference heads; an edgeless graph takes the
-    identity under edge perturbation."""
+    """One graph through the reference heads, which read head ``kind``'s
+    parameters by their names below ``{kind}/``; an edgeless graph takes
+    the identity under edge perturbation."""
+    params = {n.split("/", 1)[1]: params[n] for n in head_names(params, kind)}
     if kind == AugmentationKind.NODE_DROP:
-        return _ref_node_drop(g, h_v, h_g, params[kind], keep_ratio, stream)
+        return _ref_node_drop(g, h_v, h_g, params, keep_ratio, stream)
     if kind == AugmentationKind.EDGE_PERTURB and g.num_edges:
-        return _ref_edge_perturb(g, h_v, params[kind], temperature, stream)
+        return _ref_edge_perturb(g, h_v, params, temperature, stream)
     if kind == AugmentationKind.SUBGRAPH:
-        return _ref_subgraph(g, h_v, h_g, params[kind], hops, stream)
+        return _ref_subgraph(g, h_v, h_g, params, hops, stream)
     if kind == AugmentationKind.FEATURE_MASK:
-        return _ref_feature_mask(g, h_v, params[kind], temperature, stream)
+        return _ref_feature_mask(g, h_v, params, temperature, stream)
     out = Graph(g.num_nodes, g.edges.copy(), g.features.data.copy(),
                 np.ones(g.num_edges))
     return RefOutput(out, {})
@@ -606,11 +613,10 @@ def _close(a, b):
 
 def _check_against_reference(graphs, kind, seed, d_h=5):
     d_x = graphs[0].features.shape[1]
-    params = {k: init_head_params(k, d_h, d_x, seed) for k in AugmentationKind}
-    for ps in params.values():          # off the zero-bias ReLU kinks
-        for name, t in ps.items():
-            t.data = t.data + 0.1 * (RngStream(seed, name).uniform(t.shape)
-                                     - 0.5)
+    params = head_set(d_h, d_x, seed)
+    for name, t in params.items():      # off the zero-bias ReLU kinks
+        t.data = t.data + 0.1 * (RngStream(seed, name.split("/", 1)[1])
+                                 .uniform(t.shape) - 0.5)
     batch = batch_graphs(graphs)
     enc = RngStream(seed, "oracle-enc")
     h_v = Tensor(enc.uniform((batch.num_nodes, d_h)) - 0.5)
@@ -620,16 +626,14 @@ def _check_against_reference(graphs, kind, seed, d_h=5):
     def stream(k):              # a fresh one per side: node drop draws from it
         return root.split(f"g{k}")
 
-    for ps in params.values():
-        ps.zero_grads()
+    params.zero_grads()
     out = apply_augmentation(kind, batch, h_v, h_g, params, 0.6, 2, 0.7,
                              [stream(k) for k in range(len(graphs))])
     views = [out.graph.graph(k) for k in range(len(graphs))]
     _view_scalar(views).backward()
-    got_grads = {k: _grads(ps) for k, ps in params.items()}
+    got_grads = _grads(params)
 
-    for ps in params.values():
-        ps.zero_grads()
+    params.zero_grads()
     refs = []
     for k, (g, n0) in enumerate(zip(graphs, batch.node_offsets)):
         h_vk = Tensor(h_v.data[n0:n0 + g.num_nodes])
@@ -637,7 +641,7 @@ def _check_against_reference(graphs, kind, seed, d_h=5):
         refs.append(_ref_apply(kind, g, h_vk, h_gk, params, 0.6, 2, 0.7,
                                stream(k)))
     _view_scalar([r.graph for r in refs]).backward()
-    want_grads = {k: _grads(ps) for k, ps in params.items()}
+    want_grads = _grads(params)
 
     for k, (view, ref) in enumerate(zip(views, refs)):
         want = ref.graph
@@ -663,9 +667,8 @@ def _check_against_reference(graphs, kind, seed, d_h=5):
                                   np.concatenate(parts) > 0.5)
     if not out.soft_params:
         assert all(not r.soft_params for r in refs)
-    for k in params:
-        for name in got_grads[k]:
-            _close(got_grads[k][name], want_grads[k][name])
+    for name in got_grads:
+        _close(got_grads[name], want_grads[name])
     return out
 
 
@@ -701,7 +704,7 @@ def _tape_size(view):
 @pytest.mark.parametrize("kind", list(AugmentationKind))
 def test_tape_size_per_view_independent_of_batch_size(kind, mutag_dir):
     d_h = 8
-    params = {k: init_head_params(k, d_h, 7, 3) for k in AugmentationKind}
+    params = head_set(d_h, 7, 3)
     sizes = []
     for count in (4, 8, 32):
         batch = batch_graphs(mutag_batch_graphs(mutag_dir, count))
@@ -748,7 +751,7 @@ def _ref_train_step(graphs, state, config):
                   scale_by_policy(enc_i.graph_vector, decision.p_i)),
         Encodings(enc_j.node_matrix,
                   scale_by_policy(enc_j.graph_vector, decision.p_j)),
-        batch_i.node_to_graph, batch_j.node_to_graph, config.objective(),
+        batch_i.node_to_graph, batch_j.node_to_graph, config,
         state.theta)
     loss.backward()
     coin = state.coin_stream.bernoulli(config.alternation_prob)

@@ -5,11 +5,12 @@ import pytest
 
 from graphaug.encoders import Encodings
 from graphaug.objective import (
-    ObjectiveConfig, batch_loss, estimate_mi, init_discriminator_params,
-    jsd_mi, local_global_scores, pairwise_scores,
+    batch_loss, estimate_mi, init_discriminator_params, jsd_mi,
+    local_global_scores, pairwise_scores,
 )
 from graphaug.rng import RngStream
 from graphaug.tensor import Tensor
+from graphaug.trainer import TrainConfig
 
 from conftest import rel_err
 
@@ -83,22 +84,22 @@ def test_jsd_monotone_in_negatives():
 
 def test_nce_two_way_uniform():
     v = estimate_mi(Tensor([0.0]), Tensor([[0.0]]),
-                    ObjectiveConfig(estimator="nce"))
+                    TrainConfig(estimator="nce"))
     assert abs(v.item() - (-math.log(2.0))) < 1e-12
 
 
 def test_dv_constant_is_zero():
     v = estimate_mi(Tensor([1.7, 1.7]), Tensor([[1.7], [1.7]]),
-                    ObjectiveConfig(estimator="dv"))
+                    TrainConfig(estimator="dv"))
     assert abs(v.item()) < 1e-12
 
 
 def test_nt_xent_at_unit_temperature_equals_nce():
     pos = Tensor(RngStream(2, "e").uniform(4))
     neg = Tensor(RngStream(3, "e").uniform((4, 3)))
-    a = estimate_mi(pos, neg, ObjectiveConfig(estimator="nt_xent",
-                                              nt_xent_temperature=1.0))
-    b = estimate_mi(pos, neg, ObjectiveConfig(estimator="nce"))
+    a = estimate_mi(pos, neg, TrainConfig(estimator="nt_xent",
+                                          nt_xent_temperature=1.0))
+    b = estimate_mi(pos, neg, TrainConfig(estimator="nce"))
     assert abs(a.item() - b.item()) < 1e-12
 
 
@@ -106,7 +107,7 @@ def test_estimators_guard_overflow():
     pos = Tensor([500.0])
     neg = Tensor([[480.0, 490.0]])
     for est in ("nce", "dv"):
-        v = estimate_mi(pos, neg, ObjectiveConfig(estimator=est))
+        v = estimate_mi(pos, neg, TrainConfig(estimator=est))
         assert np.isfinite(v.item())
 
 
@@ -196,7 +197,7 @@ def test_batch_of_one_is_rejected():
     enc_j, _ = fake_encodings(1, 1, 3)
     for est in ("jsd", "nce", "nt_xent", "dv"):
         with pytest.raises(ValueError, match="no negatives"):
-            batch_loss(enc_i, enc_j, n2g, n2g, ObjectiveConfig(estimator=est))
+            batch_loss(enc_i, enc_j, n2g, n2g, TrainConfig(estimator=est))
 
 
 def test_identical_encodings_loss_is_2log2_at_zero_scores():
@@ -204,7 +205,7 @@ def test_identical_encodings_loss_is_2log2_at_zero_scores():
     gvec = Tensor(np.zeros((2, 3)))
     n2g = np.array([0, 0, 1, 1])
     enc = Encodings(nodes, gvec)
-    loss = batch_loss(enc, enc, n2g, n2g, ObjectiveConfig())
+    loss = batch_loss(enc, enc, n2g, n2g, TrainConfig())
     assert abs(loss.item() - 2.0 * math.log(2.0)) < 1e-12
 
 
@@ -213,7 +214,7 @@ def test_batch_loss_matches_naive_triple_loop(estimator):
     for seed in range(5):
         enc_i, n2g_i = fake_encodings(seed * 2, 3, 2 + seed % 3)
         enc_j, n2g_j = fake_encodings(seed * 2 + 1, 3, 2 + seed % 3)
-        cfg = ObjectiveConfig(estimator=estimator)
+        cfg = TrainConfig(estimator=estimator)
         loss = batch_loss(enc_i, enc_j, n2g_i, n2g_j, cfg)
         expect = naive_loss(enc_i, enc_j, n2g_i, n2g_j, estimator,
                             temp=cfg.nt_xent_temperature)
@@ -223,7 +224,7 @@ def test_batch_loss_matches_naive_triple_loop(estimator):
 def test_batch_loss_permutation_invariant():
     enc_i, n2g_i = fake_encodings(10, 4, 3)
     enc_j, n2g_j = fake_encodings(11, 4, 3)
-    base = batch_loss(enc_i, enc_j, n2g_i, n2g_j, ObjectiveConfig()).item()
+    base = batch_loss(enc_i, enc_j, n2g_i, n2g_j, TrainConfig()).item()
     perm = np.array([2, 0, 3, 1])
 
     def permute(enc, n2g):
@@ -234,7 +235,7 @@ def test_batch_loss_permutation_invariant():
 
     pi, n2gi = permute(enc_i, n2g_i)
     pj, n2gj = permute(enc_j, n2g_j)
-    shuffled = batch_loss(pi, pj, n2gi, n2gj, ObjectiveConfig()).item()
+    shuffled = batch_loss(pi, pj, n2gi, n2gj, TrainConfig()).item()
     assert abs(base - shuffled) < 1e-9
 
 
@@ -245,7 +246,7 @@ def test_loss_finite_for_large_scores():
         n2g = np.array([0, 0, 1, 1])
         enc = Encodings(nodes, gvec)
         for est in ("jsd", "nce", "dv"):
-            loss = batch_loss(enc, enc, n2g, n2g, ObjectiveConfig(estimator=est))
+            loss = batch_loss(enc, enc, n2g, n2g, TrainConfig(estimator=est))
             assert np.isfinite(loss.item())
 
 
@@ -257,7 +258,7 @@ def test_gradients_flow_through_loss():
     gvec_j = Tensor(stream.uniform((2, 4)) - 0.5, requires_grad=True)
     n2g = np.repeat([0, 1], 3)
     loss = batch_loss(Encodings(nodes_i, gvec_i), Encodings(nodes_j, gvec_j),
-                      n2g, n2g, ObjectiveConfig())
+                      n2g, n2g, TrainConfig())
     loss.backward()
     for t in (nodes_i, gvec_i, nodes_j, gvec_j):
         assert t.grad is not None and np.abs(t.grad).max() > 0
@@ -288,7 +289,7 @@ def test_jsd_loss_gradient_on_fixed_four_node_graph():
         params[name].data = flat.data.reshape(shape)
         enc = encode(batch, params, cfg)
         return batch_loss(enc, enc, batch.node_to_graph, batch.node_to_graph,
-                          ObjectiveConfig())
+                          TrainConfig())
 
     flat0 = params[name].data.reshape(-1).copy()
     params.zero_grads()

@@ -16,6 +16,8 @@ from graphaug.trainer import (
 )
 from graphaug.tudataset import Dataset, parse_tudataset
 
+from conftest import head_names
+
 
 def synthetic_dataset(num_graphs=16, seed=0, d_x=4):
     """Two planted classes: dense blobs vs sparse chains."""
@@ -85,15 +87,13 @@ def test_policy_and_sampled_heads_update_every_step():
     train_step(batch, state, config)
     assert changed(before_policy, snapshot(state.policy))
     # heads that were not sampled in a step stay bitwise identical
-    before_heads = {k: snapshot(ps) for k, ps in state.heads.items()}
+    before_heads = snapshot(state.heads)
     res = train_step(batch, state, config)
     sampled = {res.decision.i, res.decision.j} - {AugmentationKind.IDENTITY}
-    for kind, ps in state.heads.items():
-        after = snapshot(ps)
-        if kind in sampled:
-            assert changed(before_heads[kind], after), kind
-        else:
-            assert not changed(before_heads[kind], after), kind
+    after = snapshot(state.heads)
+    for kind in AugmentationKind:     # the identity has no parameters
+        own = {n: before_heads[n] for n in head_names(state.heads, kind)}
+        assert changed(own, after) == (kind in sampled), kind
 
 
 def test_fixed_seed_reproduces_loss_exactly():
@@ -151,7 +151,7 @@ def test_node_task_runs_and_excludes_subgraph():
     assert metrics, "node task produced no steps"
     assert all(m["aug_i"] != "subgraph" and m["aug_j"] != "subgraph"
                for m in metrics)
-    assert AugmentationKind.SUBGRAPH not in state.heads
+    assert not head_names(state.heads, AugmentationKind.SUBGRAPH)
 
 
 def test_early_stopping_by_epoch():
@@ -179,6 +179,20 @@ def test_early_stopping_by_step():
     assert stop is not None, "no stopping point in 20 epochs of losses"
     assert len(metrics) == stop + 1 < 20 * 4
     assert (state.best_loss, state.stale) == (best, stale)
+
+
+def test_dataset_checks_feature_columns():
+    graphs = synthetic_dataset(d_x=4).graphs
+    with pytest.raises(DatasetError, match="X: graph 0 has 4 feature columns, "
+                                           "not feature_dim 5"):
+        Dataset("X", graphs, 2, 5)
+
+
+def test_training_checks_the_state_input_dim():
+    ds = synthetic_dataset(d_x=4)
+    state = init_state(small_config(), 6)
+    with pytest.raises(DatasetError, match="expects d_x=6, .* has d_x=4"):
+        train(ds, small_config(), state)
 
 
 def test_training_needs_two_graphs():

@@ -192,6 +192,10 @@ MALFORMED = [pytest.param(*case, id=case_id) for case_id, *case in [
     ("graph-without-nodes", "graph_indicator", "1\n1\n3\n3\n",
      r"TOY_graph_indicator\.txt: graph ids must run 1\.\.G with every id "
      r"used; found 2 distinct ids from 1 to 3$"),
+    ("attribute-nan", "node_attributes", "0.5\n0.1\nnan\n1\n",
+     r"TOY_node_attributes\.txt: node 3 has the non-finite value nan$"),
+    ("attribute-inf", "node_attributes", "0.5, 1\n-inf, inf\n0, 0\n1, 1\n",
+     r"TOY_node_attributes\.txt: node 2 has the non-finite value -inf$"),
 ]]
 
 
