@@ -14,7 +14,10 @@ import numpy as np
 from .errors import InvalidShapeError
 from .graphs import GraphBatch
 from .rng import RngStream
-from .tensor import ParameterSet, Tensor, segment_sum, xavier_init, zeros_param
+from .tensor import (
+    ParameterSet, Tensor, linear, propagate, segment_sum, xavier_init,
+    zeros_param,
+)
 
 
 @dataclass
@@ -65,13 +68,11 @@ def init_mlp(params: ParameterSet, name: str, dims: list[int], seed: int,
 def mlp(x: Tensor, *weights: Tensor) -> Tensor:
     """Dense layers ``x @ w + b`` over the ``(w, b)`` pairs in turn, with a
     ReLU between layers; the one dense-layer forward of every module."""
+    last = len(weights) - 2
     for i in range(0, len(weights), 2):
-        if i:
-            x = x.relu()
-        # one op per statement frees each input as soon as it is used, so a
-        # forward without a tape holds two activations at a time, not three
-        x = x @ weights[i]
-        x = x + weights[i + 1]
+        # each layer frees its input once it has run, so a forward without a
+        # tape holds two activations at a time
+        x = linear(x, weights[i], weights[i + 1], relu=i < last)
     return x
 
 
@@ -95,8 +96,7 @@ def init_encoder_params(cfg: EncoderConfig, seed: int) -> ParameterSet:
 def gin_layer(h: Tensor, src: np.ndarray, dst: np.ndarray, edge_w: Tensor,
               w1, b1, w2, b2) -> Tensor:
     """h'_v = MLP(h_v + sum over in-edges of w_uv h_u), GIN with eps = 0."""
-    msgs = h.gather_rows(src) * edge_w.reshape(-1, 1)
-    return mlp(h + segment_sum(msgs, dst, h.shape[0]), w1, b1, w2, b2)
+    return mlp(h + propagate(h, src, dst, edge_w), w1, b1, w2, b2)
 
 
 def gcn_layer(h: Tensor, src: np.ndarray, dst: np.ndarray, edge_w: Tensor,
@@ -110,8 +110,7 @@ def gcn_layer(h: Tensor, src: np.ndarray, dst: np.ndarray, edge_w: Tensor,
     deg = segment_sum(edge_w, dst, num_nodes) + 1.0           # (V,)
     dinv = deg ** -0.5
     norm = dinv.gather_rows(src) * dinv.gather_rows(dst) * edge_w
-    msgs = hw.gather_rows(src) * norm.reshape(-1, 1)
-    agg = segment_sum(msgs, dst, num_nodes)
+    agg = propagate(hw, src, dst, norm)
     self_term = hw * (dinv * dinv).reshape(-1, 1)
     return (agg + self_term).relu()
 

@@ -171,7 +171,8 @@ class Tensor:
             g = o.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(g, a.data.shape).copy())
+            # ``_accum`` copies a first gradient and ``+=`` reads a view
+            a._accum(np.broadcast_to(g, a.data.shape))
         return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,),
                               backprop)
 
@@ -349,6 +350,67 @@ def segment_sum(t: Tensor, segment_ids, num_segments: int) -> Tensor:
     seg = np.asarray(segment_ids, dtype=np.int64)
     return Tensor._result(_scatter_rows(seg, t.data, num_segments), (t,),
                           lambda o: t._accum(o.grad[seg]))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """The dense layer ``x @ w + b``, then ``relu`` if asked, as one tape node.
+
+    The bias add and the ReLU run in place on the fresh product, so the
+    node holds only its output, whose sign is the ReLU mask. The backward
+    is what the matmul, add and relu nodes compute, for the inputs that
+    need a gradient.
+    """
+    x, w, b = (Tensor._lift(t) for t in (x, w, b))
+    if (x.ndim != 2 or w.ndim != 2 or w.data.shape[0] != x.data.shape[1]
+            or b.data.shape != (w.data.shape[1],)):
+        raise InvalidShapeError(
+            f"linear got x {x.shape}, w {w.shape} and b {b.shape}; "
+            f"wants (n, d_in), (d_in, d_out), (d_out,)")
+    out = x.data @ w.data
+    out += b.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def backprop(o):
+        g = o.grad * (o.data > 0.0) if relu else o.grad
+        if x.requires_grad:
+            x._accum(g @ w.data.T)
+        if w.requires_grad:
+            w._accum(x.data.T @ g)
+        if b.requires_grad:
+            b._accum(g.sum(axis=0))
+    return Tensor._result(out, (x, w, b), backprop)
+
+
+def propagate(h: Tensor, src, dst, w: Tensor) -> Tensor:
+    """Message pass ``out[v] = sum over edges k into v of w[k] h[src[k]]``.
+
+    One tape node for ``segment_sum(h.gather_rows(src) * w.reshape(-1, 1),
+    dst, len(h))``, with its bits. It keeps no per-edge message: the
+    backward gathers the rows of ``h`` again, and only when ``w`` needs a
+    gradient.
+    """
+    h, w = Tensor._lift(h), Tensor._lift(w)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if (h.ndim != 2 or src.ndim != 1 or dst.shape != src.shape
+            or w.data.shape != src.shape
+            or src.size and (min(src.min(), dst.min()) < 0
+                             or max(src.max(), dst.max()) >= len(h.data))):
+        raise InvalidShapeError(
+            f"propagate got h {h.shape}, src {src.shape}, dst {dst.shape} and "
+            f"w {w.shape}; wants h (n, d) and src, dst, w (E,) with indices "
+            f"in [0, n)")
+    rows, weight = len(h.data), w.data.reshape(-1, 1)
+    out = _scatter_rows(dst, h.data[src] * weight, rows)
+
+    def backprop(o):
+        g = o.grad[dst]
+        if h.requires_grad:
+            h._accum(_scatter_rows(src, g * weight, rows))
+        if w.requires_grad:
+            w._accum((g * h.data[src]).sum(axis=1))
+    return Tensor._result(out, (h, w), backprop)
 
 
 def segment_softmax(x: Tensor, offsets) -> Tensor:

@@ -11,8 +11,8 @@ from graphaug.errors import InvalidShapeError, TrainingDivergedError
 from graphaug.rng import RngStream
 from graphaug import tensor
 from graphaug.tensor import (
-    ParameterSet, Tensor, concat, finite_diff_grad, gru_sequence,
-    segment_softmax, segment_sum, xavier_init,
+    ParameterSet, Tensor, concat, finite_diff_grad, gru_sequence, linear,
+    propagate, segment_softmax, segment_sum, xavier_init,
 )
 
 from conftest import check_grad, rel_err
@@ -68,6 +68,9 @@ def _rand(shape, lo=-2.0, hi=2.0, label="x"):
     return lo + (hi - lo) * STREAM.split(label + str(shape)).uniform(shape)
 
 
+PROP_SRC = [0, 2, 2, 1, 0, 1, 1, 2, 0, 0, 2, 1]     # repeats and self-loops
+PROP_DST = [1, 1, 0, 2, 2, 1, 0, 2, 0, 1, 1, 1]
+
 OPS = [
     ("add", lambda t: (t + Tensor(_rand(t.shape, label="add"))).sum(), False),
     ("sub", lambda t: (Tensor(_rand(t.shape, label="sub")) - t).sum(), False),
@@ -103,6 +106,20 @@ OPS = [
                           ).sum(), False),
     ("segment_sum", lambda t: (segment_sum(t, [2, 0, 2], 4) ** 2.0).sum(),
      False),
+    ("linear", lambda t: (linear(t, Tensor(_rand((4, 2), label="lin_w")),
+                                 Tensor(_rand((2,), label="lin_b")))
+                          ** 2.0).sum(), False),
+    ("linear_relu", lambda t: (linear(Tensor(_rand((5, 3), label="linr_x")), t,
+                                      Tensor(_rand((4,), label="linr_b")),
+                                      relu=True)
+                               * Tensor(_rand((5, 4), label="linr_o"))).sum(),
+     False),
+    ("propagate", lambda t: (propagate(t, PROP_SRC[:5], PROP_DST[:5],
+                                       Tensor(_rand((5,), label="prop_w")))
+                             ** 2.0).sum(), False),
+    # the edge weights need a gradient too: 12 edges weighted by t's entries
+    ("propagate_w", lambda t: (propagate(t, PROP_SRC, PROP_DST, t.reshape(12))
+                               ** 2.0).sum(), False),
 ]
 
 
@@ -326,6 +343,32 @@ def test_gru_sequence_rejects_bad_shapes(shapes):
         gru_sequence(*(Tensor(inputs[k]) for k in GRU_ARGS))
 
 
+def _linear_inputs(x=(3, 4), w=(4, 2), b=(2,)):
+    return Tensor(np.zeros(x)), Tensor(np.zeros(w)), Tensor(np.zeros(b))
+
+
+def _propagate_inputs(h=(3, 2), src=(0, 2, 1), dst=(1, 1, 0), w=(3,)):
+    return Tensor(np.zeros(h)), src, dst, Tensor(np.zeros(w))
+
+
+@pytest.mark.parametrize("op,args", [
+    (linear, _linear_inputs(x=(4,))),                  # x not 2-D
+    (linear, _linear_inputs(w=(3, 2))),                # inner dims differ
+    (linear, _linear_inputs(w=(4,), b=())),            # w not 2-D
+    (linear, _linear_inputs(b=(3,))),                  # bias length
+    (linear, _linear_inputs(b=(1, 2))),                # bias not 1-D
+    (propagate, _propagate_inputs(h=(3,))),            # h not 2-D
+    (propagate, _propagate_inputs(dst=(1, 1))),        # src/dst lengths
+    (propagate, _propagate_inputs(w=(2,))),            # one weight per edge
+    (propagate, _propagate_inputs(w=(3, 1))),          # weights not 1-D
+    (propagate, _propagate_inputs(src=(0, 3, 1))),     # src out of range
+    (propagate, _propagate_inputs(dst=(1, -1, 0))),    # negative dst
+])
+def test_linear_and_propagate_reject_bad_shapes(op, args):
+    with pytest.raises(InvalidShapeError, match=op.__name__):
+        op(*args)
+
+
 def _add_at(idx, values, rows):
     out = np.zeros((rows,) + values.shape[1:])
     np.add.at(out, idx, values)
@@ -413,6 +456,117 @@ def test_scatters_of_real_training_steps_match_add_at(mutag_dir, monkeypatch):
                                      state.sample_root.split(f"nodebatch{k}"))
         train_step(batch, state, config)
     assert calls[0] - mutag_calls >= 20
+
+
+def _unfused(op, args, relu=False):
+    """The tape expression a fused op stands for."""
+    if op is linear:
+        x, w, b = args
+        y = x @ w + b
+        return y.relu() if relu else y
+    h, src, dst, w = args
+    return segment_sum(h.gather_rows(src) * w.reshape(-1, 1), dst, len(h.data))
+
+
+def _check_fused_against_unfused(op, args, upstream, relu=False):
+    """Value and every input gradient of ``op`` on fresh leaves holding
+    ``args`` equal, bit for bit, those of the unfused expression; a leaf
+    needs a gradient where its input in ``args`` does."""
+    def leaves():
+        return [Tensor(a.data, requires_grad=a.requires_grad)
+                if isinstance(a, Tensor) else a for a in args]
+
+    fused_in, unfused_in = leaves(), leaves()
+    fused = op(*fused_in, **({"relu": relu} if op is linear else {}))
+    unfused = _unfused(op, unfused_in, relu)
+    assert fused.data.tobytes() == unfused.data.tobytes()
+    if not fused.requires_grad:
+        return
+    (fused * Tensor(upstream)).sum().backward()
+    (unfused * Tensor(upstream)).sum().backward()
+    for a, b in zip(fused_in, unfused_in):
+        if isinstance(a, Tensor) and a.requires_grad:
+            assert a.grad.tobytes() == b.grad.tobytes()
+
+
+def _fused_cases():
+    stream = RngStream(37, "fused")
+    for k in range(24):
+        s = stream.split(f"case{k}")
+        rows = [0, 1, 2, 7][k % 4] if k < 8 else int(s.integers(1, 9))
+        d_in, d_out = int(s.integers(1, 5)), int(s.integers(1, 5))
+        needs = s.uniform(3) < 0.5
+        x = Tensor(s.uniform((rows, d_in)) - 0.5, requires_grad=needs[0])
+        w = Tensor(s.uniform((d_in, d_out)) - 0.5, requires_grad=True)
+        b = Tensor(s.uniform((d_out,)) - 0.5, requires_grad=needs[1])
+        yield linear, (x, w, b), bool(k % 2), s.uniform((rows, d_out)) - 0.5
+        # edges: none, self-loops only, or repeated pairs; zero weights
+        nodes = max(rows, 1)
+        edges = [0, nodes, int(s.integers(1, 30))][k % 3]
+        src = s.integers(0, nodes, size=edges).astype(np.int64)
+        dst = src.copy() if k % 3 == 1 else \
+            s.integers(0, nodes, size=edges).astype(np.int64)
+        weights = s.uniform(edges) - 0.5
+        weights[s.uniform(edges) < 0.2] = 0.0
+        h = Tensor(s.uniform((nodes, d_in)) - 0.5, requires_grad=needs[2])
+        ew = Tensor(weights, requires_grad=bool(k % 2) or not needs[2])
+        yield propagate, (h, src, dst, ew), False, s.uniform((nodes, d_in)) - 0.5
+
+
+def test_fused_ops_match_the_unfused_tape_bit_for_bit():
+    cases = list(_fused_cases())
+    props = [args for op, args, _, _ in cases if op is propagate]
+    assert any(not len(src) for _, src, _, _ in props)
+    assert any(len(src) and (src == dst).all() for _, src, dst, _ in props)
+    assert any(len(np.unique(dst)) < len(dst) for _, _, dst, _ in props)
+    assert any((w.data == 0.0).any() for *_, w in props)
+    assert {(h.requires_grad, w.requires_grad) for h, *_, w in props} == \
+        {(True, True), (True, False), (False, True)}
+    assert any(len(x.data) == 1 for op, (x, *_), _, _ in cases if op is linear)
+    for op, args, relu, upstream in cases:
+        _check_fused_against_unfused(op, args, upstream, relu)
+
+
+def test_fused_ops_of_real_training_steps_match_the_unfused_tape(
+        mutag_dir, monkeypatch):
+    """Every ``linear`` and ``propagate`` call of a MUTAG GRU step and a
+    node-synth GCN step gives the value and gradients of the unfused tape
+    expression, bit for bit, on the call's own arrays."""
+    from graphaug import encoders
+    from graphaug.graphs import Graph, batch_graphs, make_node_task_batch
+    from graphaug.trainer import TrainConfig, init_state, train_step
+    from graphaug.tudataset import parse_tudataset
+
+    calls = {linear: 0, propagate: 0}
+    stream = RngStream(41, "upstream")
+
+    def checked(op):
+        def call(*args, **kwargs):
+            out = op(*args, **kwargs)
+            upstream = stream.split(str(sum(calls.values()))).uniform(
+                out.shape) - 0.5
+            _check_fused_against_unfused(op, args, upstream, **kwargs)
+            calls[op] += 1
+            return out
+        return call
+
+    monkeypatch.setattr(encoders, "linear", checked(linear))
+    monkeypatch.setattr(encoders, "propagate", checked(propagate))
+    ds = parse_tudataset(mutag_dir)
+    config = TrainConfig(seed=5)
+    train_step(batch_graphs(ds.graphs[:32]),
+               init_state(config, ds.feature_dim), config)
+    assert calls[linear] >= 20 and calls[propagate] >= 6, calls
+    graph_calls = dict(calls)
+
+    a = _load_node_synth()
+    g = Graph(len(a.labels), a.edges, a.features, np.ones(len(a.edges)))
+    config = TrainConfig(task="node", policy_kind="random", seed=5)
+    state = init_state(config, a.features.shape[1])
+    batch = make_node_task_batch(g, config.node_batch_subgraphs, config.hops,
+                                 state.sample_root.split("nodebatch0"))
+    train_step(batch, state, config)
+    assert calls[propagate] - graph_calls[propagate] >= 6, calls
 
 
 def test_broadcasting_gradients():

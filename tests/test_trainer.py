@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,9 +374,11 @@ def test_step_and_embed_leave_no_reference_cycles(mutag_dir):
 
 
 def test_graph_step_tensor_count_bounded(mutag_dir, monkeypatch):
-    """The heads build a fixed tape per view and the GRU policy is one tape
-    node: a GRU-policy step on 32 MUTAG graphs creates at most 240 tensors
-    (about 200; the per-graph heads made ~3,080 and the unrolled GRU ~1,080)."""
+    """The heads build a fixed tape per view, the GRU policy is one tape node
+    and a dense layer or a message pass is one node: a GRU-policy step on 32
+    MUTAG graphs creates at most 160 tensors (127-143; 200-217 with a node
+    per matmul, bias add, ReLU, gather and scatter, ~3,080 with per-graph
+    heads and ~1,080 with the unrolled GRU)."""
     ds = parse_tudataset(mutag_dir)
     config = TrainConfig(batch_size=32, seed=5)
     state = init_state(config, ds.feature_dim)
@@ -393,8 +396,38 @@ def test_graph_step_tensor_count_bounded(mutag_dir, monkeypatch):
         created[0] = 0
         res = train_step(batch, state, config)
         kinds.update((res.decision.i, res.decision.j))
-        assert created[0] <= 240, (res.decision, created[0])
+        assert created[0] <= 160, (res.decision, created[0])
     assert len(kinds - {AugmentationKind.IDENTITY}) >= 2, kinds
+
+
+def test_graph_step_tape_bytes_bounded(mutag_dir, monkeypatch):
+    """Each fused op keeps only what its backward reads: when a GRU-policy
+    step on 32 MUTAG graphs enters ``backward``, at most 7.5 MiB more is
+    live than when the step began (3.7-6.7 MiB; 8.0-14.6 MiB when every
+    matmul, bias add, ReLU, gather and product kept its own array)."""
+    ds = parse_tudataset(mutag_dir)
+    config = TrainConfig(batch_size=32, seed=5)
+    state = init_state(config, ds.feature_dim)
+    batch = batch_graphs(ds.graphs[:32])
+    live = []
+    backward = Tensor.backward
+
+    def measured_backward(tensor):
+        live.append(tracemalloc.get_traced_memory()[0])
+        backward(tensor)
+
+    monkeypatch.setattr(Tensor, "backward", measured_backward)
+    tracemalloc.start()
+    try:
+        for _ in range(8):
+            live.clear()
+            start = tracemalloc.get_traced_memory()[0]
+            res = train_step(batch, state, config)
+            assert len(live) == 1
+            tape = (live[0] - start) / 2 ** 20
+            assert tape <= 7.5, (res.decision, f"{tape:.2f} MiB")
+    finally:
+        tracemalloc.stop()
 
 
 def _saved_checkpoint(tmp_path, epochs=1):
