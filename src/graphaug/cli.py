@@ -255,14 +255,13 @@ def cmd_inspect(args) -> int:
     out = _out_dir(resolved, f"{dataset.name.lower()}-inspect")
     kinds = active_kinds(config.task)
     kind = AugmentationKind(args.head)
-    if kind not in kinds and kind != AugmentationKind.IDENTITY:
+    if kind not in kinds:
         raise ConfigError(f"head {args.head!r} is not active for task "
                           f"{config.task!r}")
     n = min(args.num_graphs, len(dataset.graphs))
     batch = batch_graphs(dataset.graphs[:n])
     # detached parameters: nothing walks the tape of a dump
-    enc = encode(batch, state.omega.detached(),
-                 config.aug_encoder(state.input_dim))
+    enc = encode(batch, state.omega.detached())
     decision = decide(enc.graph_vector, config.policy_kind,
                       RngStream(resolved["seed"], "inspect-policy"),
                       state.policy.detached(), kinds)

@@ -11,35 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidShapeError
 from .graphs import GraphBatch
 from .rng import RngStream
 from .tensor import (
     ParameterSet, Tensor, linear, propagate, segment_sum, xavier_init,
     zeros_param,
 )
-
-
-@dataclass
-class EncoderConfig:
-    input_dim: int
-    hidden_dim: int
-    num_layers: int = 2
-    layer_kind: str = "gin"          # "gin" | "gcn"
-    dropout: float = 0.0
-    readout: str = "sum"             # "sum" | "mean"
-
-    def __post_init__(self):
-        if self.num_layers < 1:
-            raise InvalidShapeError("num_layers must be >= 1")
-        if self.input_dim < 1 or self.hidden_dim < 1:
-            raise InvalidShapeError("dims must be >= 1")
-        if not (0.0 <= self.dropout < 1.0):
-            raise InvalidShapeError("dropout must be in [0, 1)")
-        if self.layer_kind not in ("gin", "gcn"):
-            raise ValueError(f"unknown layer kind {self.layer_kind!r}")
-        if self.readout not in ("sum", "mean"):
-            raise ValueError(f"unknown readout {self.readout!r}")
 
 
 @dataclass
@@ -76,20 +53,22 @@ def mlp(x: Tensor, *weights: Tensor) -> Tensor:
     return x
 
 
-def init_encoder_params(cfg: EncoderConfig, seed: int) -> ParameterSet:
+def init_encoder_params(layer_kind: str, dims: list[int],
+                        seed: int) -> ParameterSet:
+    """A ``layer_kind`` ("gin" or "gcn") stack through ``dims``, the input
+    width then one width per layer, and both projection heads at the last
+    width. ``encode`` reads the stack back from these names."""
     params = ParameterSet()
-    d_in, d = cfg.input_dim, cfg.hidden_dim
-    for layer in range(cfg.num_layers):
+    for layer, (d_in, d) in enumerate(zip(dims[:-1], dims[1:])):
         base = f"layer{layer}"
         # GIN's MLP is two dense layers (w1, b1, w2, b2); GCN's is one (w, b)
-        suffixes = ("1", "2") if cfg.layer_kind == "gin" else ("",)
+        suffixes = ("1", "2") if layer_kind == "gin" else ("",)
         for suffix, fan_in in zip(suffixes, (d_in, d)):
             w = f"{base}/w{suffix}"
             params.add(w, xavier_init((fan_in, d), param_seed(seed, w)))
             params.add(f"{base}/b{suffix}", zeros_param((d,)))
-        d_in = d
     for head in ("proj_node", "proj_graph"):
-        init_mlp(params, head, [d] * 4, seed)
+        init_mlp(params, head, [dims[-1]] * 4, seed)
     return params
 
 
@@ -103,7 +82,9 @@ def gcn_layer(h: Tensor, src: np.ndarray, dst: np.ndarray, edge_w: Tensor,
               w: Tensor, b: Tensor) -> Tensor:
     """Symmetric-normalized propagation with implicit unit self-loops.
 
-    h' = ReLU(D^-1/2 (A_w + I) D^-1/2 h W), with edge weights inside A_w.
+    h' = ReLU(D^-1/2 (A_w + I) D^-1/2 (h W + b)), with edge weights inside
+    A_w. The bias is added before propagation, so each node's bias is
+    scaled by its row sum of the normalized adjacency.
     """
     num_nodes = h.shape[0]
     hw = mlp(h, w, b)
@@ -120,23 +101,29 @@ def _dropout(h: Tensor, p: float, stream: RngStream) -> Tensor:
     return h * Tensor(mask)
 
 
-def encode(batch: GraphBatch, params: ParameterSet, cfg: EncoderConfig,
-           stream: RngStream | None = None) -> Encodings:
+def encode(batch: GraphBatch, params: ParameterSet,
+           stream: RngStream | None = None, dropout: float = 0.0) -> Encodings:
     """Run the stacked layers, read out per graph, and project both levels.
 
-    Dropout runs between layers exactly when ``stream`` is given, as in
-    training; without one the encoder is deterministic."""
+    The stack is ``layer0``, ``layer1``, ... of ``params``: a layer of four
+    tensors is GIN, read out by sum; one of two is GCN, read out by mean.
+    Dropout at ``dropout`` runs between layers exactly when ``stream`` is
+    given, as in training; without one the encoder is deterministic."""
+    layers = []
+    while weights := params.under(f"layer{len(layers)}"):
+        layers.append(weights)
+    gin = len(layers[0]) == 4
+    layer_fn = gin_layer if gin else gcn_layer
     src, dst = batch.edges[:, 0], batch.edges[:, 1]
     h = batch.features
     edge_w = batch.edge_weights
-    layer_fn = gin_layer if cfg.layer_kind == "gin" else gcn_layer
-    for layer in range(cfg.num_layers):
-        h = layer_fn(h, src, dst, edge_w, *params.under(f"layer{layer}"))
-        if (stream is not None and cfg.dropout > 0.0
-                and layer < cfg.num_layers - 1):
-            h = _dropout(h, cfg.dropout, stream.split(f"dropout{layer}"))
+    for layer, weights in enumerate(layers):
+        h = layer_fn(h, src, dst, edge_w, *weights)
+        if (stream is not None and dropout > 0.0
+                and layer < len(layers) - 1):
+            h = _dropout(h, dropout, stream.split(f"dropout{layer}"))
     pooled = segment_sum(h, batch.node_to_graph, batch.num_graphs)
-    if cfg.readout == "mean":
+    if not gin:
         counts = batch.node_counts.astype(float).reshape(-1, 1)
         pooled = pooled * Tensor(1.0 / counts)
     node_out = mlp(h, *params.under("proj_node"))

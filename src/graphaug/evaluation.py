@@ -84,13 +84,12 @@ def embed_dataset(dataset, state, config) -> EmbeddingTable:
     original node of the first graph, via BFS neighborhoods centered on each
     node in turn (the center's row is written back).
     """
-    enc_cfg = config.base_encoder(dataset.feature_dim)
     theta = state.theta.detached()             # nothing walks an embed's tape
     if config.task == "graph":
         vecs = []
         for start in range(0, len(dataset.graphs), EMBED_CHUNK):
             part = dataset.graphs[start:start + EMBED_CHUNK]
-            enc = encode(batch_graphs(part), theta, enc_cfg)
+            enc = encode(batch_graphs(part), theta)
             vecs.append(enc.graph_vector.data)
         vectors = np.concatenate(vecs, axis=0)
         labels = dataset.labels()
@@ -103,7 +102,7 @@ def embed_dataset(dataset, state, config) -> EmbeddingTable:
     for start in range(0, g.num_nodes, EMBED_CHUNK):
         centers = np.arange(start, min(start + EMBED_CHUNK, g.num_nodes))
         batch = khop_bfs(g, centers, config.hops)
-        enc = encode(batch, theta, enc_cfg)
+        enc = encode(batch, theta)
         vectors[centers] = enc.node_matrix.data[batch.node_offsets
                                                 + batch.centers]
     labels = np.asarray(dataset.node_labels[0], dtype=np.int64)

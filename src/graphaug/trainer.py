@@ -15,8 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .encoders import EncoderConfig, Encodings, encode, param_seed, \
-    init_encoder_params
+from .encoders import Encodings, encode, param_seed, init_encoder_params
 from .errors import CheckpointError, DatasetError, TrainingDivergedError
 from .graphs import GraphBatch, batch_graphs, make_node_task_batch
 from .heads import apply_augmentation, init_head_params
@@ -101,17 +100,6 @@ class TrainConfig:
         if self.estimator == "nt_xent" and self.nt_xent_temperature <= 0:
             raise ValueError("nt_xent temperature must be positive")
 
-    def aug_encoder(self, input_dim: int) -> EncoderConfig:
-        return EncoderConfig(input_dim, self.hidden_dim, self.num_layers,
-                             "gin", self.dropout, "sum")
-
-    def base_encoder(self, input_dim: int) -> EncoderConfig:
-        if self.task == "node":
-            return EncoderConfig(input_dim, self.hidden_dim, 2, "gcn",
-                                 self.dropout, "mean")
-        return EncoderConfig(input_dim, self.hidden_dim, self.num_layers,
-                             "gin", self.dropout, "sum")
-
 
 @dataclass
 class TrainState:
@@ -142,9 +130,14 @@ class StepResult:
 
 def init_state(config: TrainConfig, input_dim: int) -> TrainState:
     kinds = active_kinds(config.task)
-    omega = init_encoder_params(config.aug_encoder(input_dim),
+    d = config.hidden_dim
+    gin_dims = [input_dim] + [d] * config.num_layers
+    omega = init_encoder_params("gin", gin_dims,
                                 param_seed(config.seed, "omega"))
-    theta = init_encoder_params(config.base_encoder(input_dim),
+    # θ is a GIN stack like ω, except on the node task: DGI's two-layer GCN
+    theta_kind, theta_dims = (("gcn", [input_dim, d, d])
+                              if config.task == "node" else ("gin", gin_dims))
+    theta = init_encoder_params(theta_kind, theta_dims,
                                 param_seed(config.seed, "theta"))
     disc = init_discriminator_params(config.discriminator, config.hidden_dim,
                                      param_seed(config.seed, "disc"))
@@ -181,8 +174,8 @@ def train_step(batch: GraphBatch, state: TrainState,
     kinds = active_kinds(config.task)
     step_stream = state.sample_root.split(f"step{state.step}")
 
-    enc_w = encode(batch, state.omega, config.aug_encoder(state.input_dim),
-                   stream=step_stream.split("dropout/omega"))
+    enc_w = encode(batch, state.omega, step_stream.split("dropout/omega"),
+                   config.dropout)
     decision = decide(enc_w.graph_vector, config.policy_kind,
                       step_stream.split("policy"), state.policy, kinds)
 
@@ -194,10 +187,10 @@ def train_step(batch: GraphBatch, state: TrainState,
                  for k in range(batch.num_graphs)])
             for view, kind in (("i", decision.i), ("j", decision.j))}
     batch_i, batch_j = outs["i"].graph, outs["j"].graph
-    enc_i = encode(batch_i, state.theta, config.base_encoder(state.input_dim),
-                   stream=step_stream.split("dropout/i"))
-    enc_j = encode(batch_j, state.theta, config.base_encoder(state.input_dim),
-                   stream=step_stream.split("dropout/j"))
+    enc_i = encode(batch_i, state.theta, step_stream.split("dropout/i"),
+                   config.dropout)
+    enc_j = encode(batch_j, state.theta, step_stream.split("dropout/j"),
+                   config.dropout)
     scaled_i = scale_by_policy(enc_i.graph_vector, decision.p_i)
     scaled_j = scale_by_policy(enc_j.graph_vector, decision.p_j)
     loss = batch_loss(Encodings(enc_i.node_matrix, scaled_i),

@@ -182,7 +182,7 @@ def test_criterion_1_gradient_oracle():
 
     def full_loss():
         step_stream = RngStream(101, "e-step")
-        enc_w = encode(batch, state.omega, config.aug_encoder(d_x))
+        enc_w = encode(batch, state.omega)
         decision = decide(enc_w.graph_vector, "gru",
                           step_stream.split("policy"), state.policy, kinds)
         views_i, views_j = [], []
@@ -198,8 +198,8 @@ def test_criterion_1_gradient_oracle():
                                 step_stream.split(f"g{k}/{view}"))
                 acc.append(out.graph.graph(0))
         bi, bj = batch_graphs(views_i), batch_graphs(views_j)
-        enc_i = encode(bi, state.theta, config.base_encoder(d_x))
-        enc_j = encode(bj, state.theta, config.base_encoder(d_x))
+        enc_i = encode(bi, state.theta)
+        enc_j = encode(bj, state.theta)
         return batch_loss(
             Encodings(enc_i.node_matrix,
                       scale_by_policy(enc_i.graph_vector, decision.p_i)),
@@ -211,7 +211,7 @@ def test_criterion_1_gradient_oracle():
     # the chosen seeds must sample two forward-sensitive heads (the hard
     # feature mask is gradient-only by construction); verify, then check
     probe_stream = RngStream(101, "e-step")
-    enc_w = encode(batch, state.omega, config.aug_encoder(d_x))
+    enc_w = encode(batch, state.omega)
     dec = decide(enc_w.graph_vector, "gru", probe_stream.split("policy"),
                  state.policy, kinds)
     assert AugmentationKind.FEATURE_MASK not in (dec.i, dec.j), \

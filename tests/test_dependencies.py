@@ -224,11 +224,7 @@ def test_guard_flags_a_field_only_written(tmp_path):
 # field names, each with the reason. TrainConfig is the one schema of a
 # run's settings; a class that repeats its fields is a second one to keep in
 # step with it.
-SECOND_SCHEMAS_BY_DESIGN = {
-    "EncoderConfig": "one encoder's settings: TrainConfig.aug_encoder and "
-                     "base_encoder build one per role, and the node task's "
-                     "GCN is fixed at 2 layers",
-}
+SECOND_SCHEMAS_BY_DESIGN = {}
 
 
 def second_schemas(paths, schema="TrainConfig") -> dict:

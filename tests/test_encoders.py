@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from graphaug.encoders import (
-    EncoderConfig, encode, gcn_layer, gin_layer, init_encoder_params,
-    init_mlp, mlp, param_seed,
+    encode, gcn_layer, gin_layer, init_encoder_params, init_mlp, mlp,
+    param_seed,
 )
 from graphaug.graphs import Graph, batch_graphs
 from graphaug.rng import RngStream
@@ -165,39 +165,45 @@ def toy_graph(seed, n=4, d=3):
 
 def test_identical_graphs_identical_vectors():
     g = toy_graph(0)
-    cfg = EncoderConfig(input_dim=3, hidden_dim=8, num_layers=2)
-    params = init_encoder_params(cfg, seed=5)
-    enc = encode(batch_graphs([g, g]), params, cfg)
+    params = init_encoder_params("gin", [3, 8, 8], seed=5)
+    enc = encode(batch_graphs([g, g]), params)
     assert np.allclose(enc.graph_vector.data[0], enc.graph_vector.data[1])
 
 
 def test_zero_features_zero_bias_gives_zero():
     g = Graph(1, np.zeros((0, 2), dtype=int), np.zeros((1, 3)), np.zeros(0))
-    cfg = EncoderConfig(input_dim=3, hidden_dim=4, num_layers=1)
-    params = init_encoder_params(cfg, seed=1)
-    enc = encode(batch_graphs([g]), params, cfg)
+    params = init_encoder_params("gin", [3, 4], seed=1)
+    enc = encode(batch_graphs([g]), params)
     assert np.allclose(enc.node_matrix.data, 0.0)
     assert np.allclose(enc.graph_vector.data, 0.0)
 
 
-def test_readout_equals_recomputed_column_sums():
-    g = toy_graph(7)
-    cfg = EncoderConfig(input_dim=3, hidden_dim=6, num_layers=2)
-    params = init_encoder_params(cfg, seed=9)
-    batch = batch_graphs([g])
-    # recompute the pre-projection node matrix independently
-    from graphaug.encoders import gin_layer as gl
-    h = Tensor(g.features.data)
-    edges = batch.edges
-    for layer in range(2):
-        base = f"layer{layer}"
-        h = gl(h, edges[:, 0], edges[:, 1], Tensor(np.ones(len(edges))),
-               params[f"{base}/w1"], params[f"{base}/b1"],
-               params[f"{base}/w2"], params[f"{base}/b2"])
-    pooled = h.data.sum(axis=0, keepdims=True)
-    expect = mlp(Tensor(pooled), *[params[f"proj_graph/{k}{i}"]
-                                    for i in range(3) for k in "wb"]).data
-    enc = encode(batch, params, cfg)
+LAYER_WEIGHTS = {"gin": ("w1", "b1", "w2", "b2"), "gcn": ("w", "b")}
+
+
+@pytest.mark.parametrize("kind,num_layers",
+                         [("gin", 1), ("gin", 2), ("gin", 3), ("gcn", 2)])
+def test_readout_equals_recomputed_pool_per_layer_kind(kind, num_layers):
+    """Every layer runs, then GIN reads out each graph's column sums and GCN
+    its column means."""
+    graphs = [toy_graph(7), toy_graph(8, n=6)]
+    params = init_encoder_params(kind, [3] + [6] * num_layers, seed=9)
+    layer_fn = gin_layer if kind == "gin" else gcn_layer
+    pooled = []
+    for g in graphs:
+        # recompute each graph's pre-projection node matrix on its own
+        h = Tensor(g.features.data)
+        for layer in range(num_layers):
+            h = layer_fn(h, g.edges[:, 0], g.edges[:, 1],
+                         Tensor(np.ones(g.num_edges)),
+                         *[params[f"layer{layer}/{k}"]
+                           for k in LAYER_WEIGHTS[kind]])
+        pool = h.data.sum if kind == "gin" else h.data.mean
+        pooled.append(pool(axis=0))
+    expect = mlp(Tensor(np.stack(pooled)), *[params[f"proj_graph/{k}{i}"]
+                                              for i in range(3)
+                                              for k in "wb"]).data
+    enc = encode(batch_graphs(graphs), params)
     assert np.allclose(enc.graph_vector.data, expect)
 
 
@@ -207,10 +213,9 @@ def test_node_permutation_equivariance():
     inv = np.argsort(perm)
     g_perm = Graph(5, np.stack([inv[g.edges[:, 0]], inv[g.edges[:, 1]]], axis=1),
                    g.features.data[perm], g.edge_weights.data)
-    cfg = EncoderConfig(input_dim=3, hidden_dim=8, num_layers=2)
-    params = init_encoder_params(cfg, seed=21)
-    enc = encode(batch_graphs([g]), params, cfg)
-    enc_p = encode(batch_graphs([g_perm]), params, cfg)
+    params = init_encoder_params("gin", [3, 8, 8], seed=21)
+    enc = encode(batch_graphs([g]), params)
+    enc_p = encode(batch_graphs([g_perm]), params)
     assert np.allclose(enc_p.node_matrix.data, enc.node_matrix.data[perm])
     assert np.allclose(enc_p.graph_vector.data, enc.graph_vector.data, atol=1e-9)
 
@@ -218,8 +223,7 @@ def test_node_permutation_equivariance():
 def test_unit_weights_match_unweighted():
     # all-ones weights reproduce a layer written without the weight channel
     g = toy_graph(2)
-    cfg = EncoderConfig(input_dim=3, hidden_dim=4, num_layers=1)
-    params = init_encoder_params(cfg, seed=3)
+    params = init_encoder_params("gin", [3, 4], seed=3)
     batch = batch_graphs([g])
     edges = batch.edges
     h = Tensor(g.features.data)
@@ -239,15 +243,14 @@ def test_unit_weights_match_unweighted():
 
 def test_gradient_through_edge_weights():
     g = toy_graph(5)
-    cfg = EncoderConfig(input_dim=3, hidden_dim=4, num_layers=2)
-    params = init_encoder_params(cfg, seed=17)
+    params = init_encoder_params("gin", [3, 4, 4], seed=17)
     batch = batch_graphs([g])
     edges = batch.edges
     w0 = np.full(len(edges), 0.8)
 
     def loss_fn(wt):
         g2 = Graph(g.num_nodes, g.edges, g.features.data, wt)
-        enc = encode(batch_graphs([g2]), params, cfg)
+        enc = encode(batch_graphs([g2]), params)
         return (enc.graph_vector * enc.graph_vector).sum()
 
     wt = Tensor(w0, requires_grad=True)
@@ -259,15 +262,13 @@ def test_gradient_through_edge_weights():
 
 def test_gcn_gradient_through_edge_weights():
     g = toy_graph(6)
-    cfg = EncoderConfig(input_dim=3, hidden_dim=4, num_layers=2, layer_kind="gcn",
-                        readout="mean")
-    params = init_encoder_params(cfg, seed=19)
+    params = init_encoder_params("gcn", [3, 4, 4], seed=19)
     edges = batch_graphs([g]).edges
     w0 = np.full(len(edges), 1.2)
 
     def loss_fn(wt):
         g2 = Graph(g.num_nodes, g.edges, g.features.data, wt)
-        enc = encode(batch_graphs([g2]), params, cfg)
+        enc = encode(batch_graphs([g2]), params)
         return enc.graph_vector.sum()
 
     wt = Tensor(w0, requires_grad=True)
@@ -278,12 +279,11 @@ def test_gcn_gradient_through_edge_weights():
 
 def test_dropout_training_only():
     g = toy_graph(1)
-    cfg = EncoderConfig(input_dim=3, hidden_dim=8, num_layers=3, dropout=0.5)
-    params = init_encoder_params(cfg, seed=2)
+    params = init_encoder_params("gin", [3, 8, 8, 8], seed=2)
     batch = batch_graphs([g])
-    e1 = encode(batch, params, cfg)                         # inference path
-    e2 = encode(batch, params, cfg)
+    e1 = encode(batch, params, dropout=0.5)                 # inference path
+    e2 = encode(batch, params, dropout=0.5)
     assert np.array_equal(e1.graph_vector.data, e2.graph_vector.data)
-    t1 = encode(batch, params, cfg, stream=RngStream(0, "d"))   # dropout
-    t2 = encode(batch, params, cfg, stream=RngStream(1, "d"))
+    t1 = encode(batch, params, RngStream(0, "d"), 0.5)      # dropout
+    t2 = encode(batch, params, RngStream(1, "d"), 0.5)
     assert not np.allclose(t1.graph_vector.data, t2.graph_vector.data)

@@ -3,8 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from graphaug.encoders import EncoderConfig, Encodings, encode, \
-    init_encoder_params, mlp
+from graphaug.encoders import Encodings, encode, init_encoder_params, mlp
 from graphaug.graphs import Graph, GraphBatch, batch_graphs
 from graphaug.heads import (
     HeadOutput, _sample_negatives, apply_augmentation, edge_perturbation_head,
@@ -356,8 +355,7 @@ def test_each_head_gets_contrastive_loss_gradient():
     from graphaug.encoders import Encodings
 
     graphs = [make_graph(42, n=6, p=0.5), make_graph(43, n=6, p=0.5)]
-    cfg = EncoderConfig(input_dim=3, hidden_dim=D_H, num_layers=1)
-    enc_params = init_encoder_params(cfg, seed=31)
+    enc_params = init_encoder_params("gin", [3, D_H], seed=31)
     head_p = head_set(D_H, 3, 23)
     for kind in (AugmentationKind.NODE_DROP, AugmentationKind.EDGE_PERTURB,
                  AugmentationKind.SUBGRAPH, AugmentationKind.FEATURE_MASK):
@@ -371,8 +369,8 @@ def test_each_head_gets_contrastive_loss_gradient():
            RngStream(3, f"flow-{kind.value}-{k}{view}"))
                 acc.append(out.graph.graph(0))
         bi, bj = batch_graphs(views_i), batch_graphs(views_j)
-        enc_i = encode(bi, enc_params, cfg)
-        enc_j = encode(bj, enc_params, cfg)
+        enc_i = encode(bi, enc_params)
+        enc_j = encode(bj, enc_params)
         loss = batch_loss(Encodings(enc_i.node_matrix, enc_i.graph_vector),
                           Encodings(enc_j.node_matrix, enc_j.graph_vector),
                           bi.node_to_graph, bj.node_to_graph,
@@ -726,8 +724,8 @@ def _ref_train_step(graphs, state, config):
     kinds = active_kinds(config.task)
     step_stream = state.sample_root.split(f"step{state.step}")
     batch = batch_graphs(graphs)
-    enc_w = encode(batch, state.omega, config.aug_encoder(state.input_dim),
-                   stream=step_stream.split("dropout/omega"))
+    enc_w = encode(batch, state.omega, step_stream.split("dropout/omega"),
+                   config.dropout)
     decision = decide(enc_w.graph_vector, config.policy_kind,
                       step_stream.split("policy"), state.policy, kinds)
     views = {"i": [], "j": []}
@@ -742,10 +740,10 @@ def _ref_train_step(graphs, state, config):
                 config.hops, config.head_temperature,
                 step_stream.split(f"g{k}/{view}")).graph)
     batch_i, batch_j = batch_graphs(views["i"]), batch_graphs(views["j"])
-    enc_i = encode(batch_i, state.theta, config.base_encoder(state.input_dim),
-                   stream=step_stream.split("dropout/i"))
-    enc_j = encode(batch_j, state.theta, config.base_encoder(state.input_dim),
-                   stream=step_stream.split("dropout/j"))
+    enc_i = encode(batch_i, state.theta, step_stream.split("dropout/i"),
+                   config.dropout)
+    enc_j = encode(batch_j, state.theta, step_stream.split("dropout/j"),
+                   config.dropout)
     loss = batch_loss(
         Encodings(enc_i.node_matrix,
                   scale_by_policy(enc_i.graph_vector, decision.p_i)),

@@ -267,7 +267,7 @@ def test_gradients_flow_through_loss():
 def test_jsd_loss_gradient_on_fixed_four_node_graph():
     # the finite-difference oracle applied to the loss itself, on the path
     # beside a triangle (a graph's negatives are the other graph's nodes)
-    from graphaug.encoders import EncoderConfig, encode, init_encoder_params
+    from graphaug.encoders import encode, init_encoder_params
     from graphaug.graphs import Graph, batch_graphs
     from graphaug.tensor import finite_diff_grad
 
@@ -276,8 +276,7 @@ def test_jsd_loss_gradient_on_fixed_four_node_graph():
     tri = np.array([(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)])
     h = Graph(3, tri, RngStream(8, "j4-tri").uniform((3, 3)), np.ones(6))
     batch = batch_graphs([g, h])
-    cfg = EncoderConfig(input_dim=3, hidden_dim=4, num_layers=1)
-    params = init_encoder_params(cfg, seed=77)
+    params = init_encoder_params("gin", [3, 4], seed=77)
     # evaluate at a generic point (zero-init biases sit on ReLU kinks)
     jit = RngStream(9, "j4-jit")
     for name, t in params.items():
@@ -287,7 +286,7 @@ def test_jsd_loss_gradient_on_fixed_four_node_graph():
 
     def loss_fn(flat):
         params[name].data = flat.data.reshape(shape)
-        enc = encode(batch, params, cfg)
+        enc = encode(batch, params)
         return batch_loss(enc, enc, batch.node_to_graph, batch.node_to_graph,
                           TrainConfig())
 

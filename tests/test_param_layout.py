@@ -31,6 +31,9 @@ CONFIGS = {
                               discriminator="mlp"),
     "node/random/bilinear": dict(task="node", policy_kind="random",
                                  discriminator="bilinear"),
+    # ω follows num_layers; θ on the node task is a two-layer GCN regardless
+    "node/deepset/cosine/3-layer": dict(task="node", policy_kind="deepset",
+                                        discriminator="cosine", num_layers=3),
 }
 
 
