@@ -268,11 +268,10 @@ def cmd_inspect(args) -> int:
     dist = {k.value: float(p) for k, p in zip(decision.kinds,
                                               decision.dist.data)}
     print("policy distribution:", json.dumps(dist))
-    stream = RngStream(resolved["seed"], "inspect")
     views = apply_augmentation(kind, batch, enc.node_matrix, enc.graph_vector,
                                state.heads.detached(), config.keep_ratio,
                                config.hops, config.head_temperature,
-                               [stream.split(f"g{k}") for k in range(n)]).graph
+                               RngStream(resolved["seed"], "inspect")).graph
     out.mkdir(parents=True, exist_ok=True)
     for k in range(n):
         aug = views.graph(k)

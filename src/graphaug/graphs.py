@@ -27,8 +27,7 @@ class GraphBatch:
     nodes from ``node_offsets[k]``, and edges are grouped by graph in graph
     order. A batch cut from a source graph keeps each node's id there in
     ``orig_ids`` and each k-hop subgraph's local center in ``centers``;
-    otherwise both are ``None``. The subgraph head reads the ``orig_ids`` of
-    its ``khop_bfs`` cut to weight the kept edges.
+    otherwise both are ``None``.
     """
     edges: np.ndarray               # (E, 2) int64, global ids
     features: Tensor                # (N, d_x)

@@ -9,8 +9,10 @@ A head takes a whole ``GraphBatch`` with its node encodings ``h_v`` (N, d)
 and graph encodings ``h_g`` (B, d), and returns the augmented view as a
 ``GraphBatch``. The tape work (MLP, softmax, gathers) runs once over the
 union, so a view costs the same number of tape nodes whatever the batch
-size. Only the hard draws run per graph, in numpy, each from that graph's
-own stream ``streams[k]``: a graph's draw does not depend on its batch.
+size. So do the hard draws: each is one numpy draw for the whole batch from
+the view's one stream, and graph ``k`` takes its slice (its nodes' rows or
+its own pairs); with Philox, counter-based, slices of one draw are as
+independent as separate streams (Salmon et al., SC 2011).
 """
 from __future__ import annotations
 
@@ -61,56 +63,56 @@ def _node_distribution(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
     return segment_softmax(logits.reshape(batch.num_nodes), batch.node_offsets)
 
 
-def _induced_view(batch: GraphBatch, kept: np.ndarray, p: Tensor) -> GraphBatch:
-    """The sub-batch on the ascending global node ids ``kept`` (at least one
-    per graph) with every edge between kept nodes, weighted
-    w_ij = p(v_i) + p(v_j). ``orig_ids`` are the kept nodes' ids in their
-    input graph."""
-    remap = np.full(batch.num_nodes, -1, dtype=np.int64)
-    remap[kept] = np.arange(len(kept))       # -1 marks a dropped node
-    old = batch.edges[(remap[batch.edges] >= 0).all(axis=1)]
-    owner = batch.node_to_graph[kept]
-    weights = p.gather_rows(old[:, 0]) + p.gather_rows(old[:, 1])
-    return GraphBatch(remap[old], batch.features.gather_rows(kept), weights,
-                      np.bincount(owner, minlength=batch.num_graphs),
-                      orig_ids=kept - batch.node_offsets[owner])
-
-
 def node_dropping_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
                        params: ParameterSet, keep_ratio: float,
-                       streams: list) -> HeadOutput:
+                       stream: RngStream) -> HeadOutput:
     """Keep the top ceil(keep_ratio * |V|) nodes of each graph's learned
-    node distribution (Gumbel-Top-K) and induce the edges."""
+    node distribution (Gumbel-Top-K) and every edge between kept nodes,
+    weighted w_ij = p(v_i) + p(v_j). ``orig_ids`` are the kept nodes' ids
+    in their input graph."""
     if not (0.0 < keep_ratio <= 1.0):
         raise ValueError("keep_ratio must be in (0, 1]")
     p = _node_distribution(batch, h_v, h_g, params.under("node_drop/mlp"))
-    kept = []
-    for k, (n0, n) in enumerate(zip(batch.node_offsets.tolist(),
-                                    batch.node_counts.tolist())):
-        count = max(1, int(np.ceil(keep_ratio * n)))
-        kept.append(n0 + gumbel_top_k(p.data[n0:n0 + n], count, streams[k]))
-    view = _induced_view(batch, np.concatenate(kept), p)
+    counts = np.maximum(1, np.ceil(keep_ratio * batch.node_counts)).astype(int)
+    kept = gumbel_top_k(p.data, counts, batch.node_offsets, stream)
+    remap = np.full(batch.num_nodes, -1, dtype=np.int64)
+    remap[kept] = np.arange(len(kept))       # -1 marks a dropped node
+    old = batch.edges[(remap[batch.edges] >= 0).all(axis=1)]
+    weights = p.gather_rows(old[:, 0]) + p.gather_rows(old[:, 1])
+    local = kept - np.repeat(batch.node_offsets, counts)
+    view = GraphBatch(remap[old], batch.features.gather_rows(kept), weights,
+                      counts, orig_ids=local)
     return HeadOutput(view, {"node_probs": p})
 
 
-def _sample_negatives(pairs: np.ndarray, num_nodes: int,
+def _sample_negatives(pairs: np.ndarray, batch: GraphBatch,
                       stream: RngStream) -> np.ndarray:
-    """Up to ``len(pairs)`` distinct node pairs (u < v) that are neither
-    self-loops nor in ``pairs``: the first such pairs, in draw order, of
-    ``10 * len(pairs)`` uniform draws taken at once."""
-    m = len(pairs)
-    draws = stream.integers(0, num_nodes, size=(10 * m, 2))
-    lo, hi = draws.min(axis=1), draws.max(axis=1)
-    keys = lo * num_nodes + hi
-    free = (lo != hi) & ~np.isin(keys, pairs[:, 0] * num_nodes + pairs[:, 1])
-    _, first = np.unique(keys, return_index=True)
-    first = np.sort(first[free[first]])[:m]
+    """For each graph of ``batch`` with m of the distinct node pairs
+    ``pairs`` (u < v, global ids, grouped by graph): up to m distinct pairs
+    of its nodes that are neither self-loops nor in ``pairs``, the first
+    such pairs in draw order of its 10 m uniform draws. One ``integers``
+    call draws every graph's pairs, each row below its graph's node count."""
+    m = np.bincount(batch.node_to_graph[pairs[:, 0]],
+                    minlength=batch.num_graphs)
+    owner = np.repeat(np.arange(batch.num_graphs), 10 * m)
+    draws = batch.node_offsets[owner, None] + stream.integers(
+        0, batch.node_counts[owner, None], size=(len(owner), 2))
+    n = batch.num_nodes
+    lo, hi = np.minimum(*draws.T), np.maximum(*draws.T)
+    keys, first = np.unique(lo * n + hi, return_index=True)
+    free = (lo[first] != hi[first]) & ~np.isin(
+        keys, pairs[:, 0] * n + pairs[:, 1], assume_unique=True)
+    first = np.sort(first[free])
+    # each graph keeps its first m in draw order
+    graph = owner[first]
+    rank = np.arange(len(first)) - np.searchsorted(graph, graph)
+    first = first[rank < m[graph]]
     return np.stack([lo[first], hi[first]], axis=1)
 
 
 def edge_perturbation_head(batch: GraphBatch, h_v: Tensor,
                            params: ParameterSet, temperature: float,
-                           streams: list) -> HeadOutput:
+                           stream: RngStream) -> HeadOutput:
     """Score existing and sampled non-edges, keep each by a relaxed Bernoulli,
     and use the predicted probability as the kept edge's weight.
 
@@ -118,28 +120,18 @@ def edge_perturbation_head(batch: GraphBatch, h_v: Tensor,
     one decision and one weight; all nodes stay, features untouched. A graph
     without edges comes out unchanged and draws nothing.
     """
-    lo = batch.edges.min(axis=1)
-    hi = batch.edges.max(axis=1)
-    _, first = np.unique(lo * batch.num_nodes + hi, return_index=True)
-    first.sort()                 # each graph's pairs in first-seen edge order
-    positives = np.stack([lo[first], hi[first]], axis=1)
-    n_pos = np.bincount(batch.node_to_graph[positives[:, 0]],
-                        minlength=batch.num_graphs)
-    ends = np.cumsum(n_pos)
-    # per graph: its positives, then its negatives, then their keep noise
-    pairs, indicator, noise = [], [], []
-    for k in np.flatnonzero(n_pos).tolist():
-        n0 = batch.node_offsets[k]
-        pos = positives[ends[k] - n_pos[k]:ends[k]]
-        neg = n0 + _sample_negatives(pos - n0, int(batch.node_counts[k]),
-                                     streams[k].split("negatives"))
-        pairs += [pos, neg]
-        indicator += [np.ones(len(pos)), np.zeros(len(neg))]
-        noise.append(streams[k].split("keep").logistic(len(pos) + len(neg)))
-    if not pairs:
+    unordered = np.sort(batch.edges, axis=1)
+    _, first = np.unique(unordered[:, 0] * batch.num_nodes + unordered[:, 1],
+                         return_index=True)
+    if not first.size:
         return identity_augmentation(batch)
-    pairs, indicator = np.concatenate(pairs), np.concatenate(indicator)
-    noise = np.concatenate(noise)
+    positives = unordered[np.sort(first)]     # in first-seen edge order
+    pairs = np.concatenate([positives, _sample_negatives(
+        positives, batch, stream.split("negatives"))])
+    # per graph: its positives, then its negatives
+    order = np.argsort(batch.node_to_graph[pairs[:, 0]], kind="stable")
+    pairs, indicator = pairs[order], (order < len(positives)).astype(float)
+    noise = stream.split("keep").logistic(len(pairs))
 
     h_e = h_v.gather_rows(pairs[:, 0]) + h_v.gather_rows(pairs[:, 1])
     z = concat([h_e, Tensor(indicator.reshape(-1, 1))], axis=1)
@@ -159,28 +151,25 @@ def edge_perturbation_head(batch: GraphBatch, h_v: Tensor,
 
 def subgraph_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
                   params: ParameterSet, hops: int,
-                  streams: list) -> HeadOutput:
+                  stream: RngStream) -> HeadOutput:
     """Sample a center per graph from its learned node distribution (the
     hard draw of a Gumbel-Softmax) and cut its k-hop BFS neighborhood with
-    ``khop_bfs``; kept edges weighted p(v_i) + p(v_j)."""
+    ``khop_bfs``, whose gather carries each edge's weight p(v_i) + p(v_j)."""
     if hops < 1:
         raise ValueError("hops must be >= 1")
     p = _node_distribution(batch, h_v, h_g, params.under("subgraph/mlp"))
-    log_p = np.log(np.maximum(p.data, 1e-30))
-    centers = np.array([
-        n0 + gumbel_softmax(log_p[n0:n0 + n], streams[k].split("center"))
-        for k, (n0, n) in enumerate(zip(batch.node_offsets.tolist(),
-                                        batch.node_counts.tolist()))],
-        dtype=np.int64)
-    view = khop_bfs(batch, centers, hops)
-    ends = view.orig_ids[view.edges]
-    view.edge_weights = p.gather_rows(ends[:, 0]) + p.gather_rows(ends[:, 1])
+    centers = gumbel_softmax(np.log(np.maximum(p.data, 1e-30)),
+                             batch.node_offsets, stream)
+    ends = batch.edges
+    weighted = replace(batch, edge_weights=p.gather_rows(ends[:, 0])
+                       + p.gather_rows(ends[:, 1]))
+    view = khop_bfs(weighted, centers, hops)
     view.orig_ids = view.orig_ids - batch.node_offsets[view.node_to_graph]
     return HeadOutput(view, {"node_probs": p})
 
 
 def feature_masking_head(batch: GraphBatch, h_v: Tensor, params: ParameterSet,
-                         temperature: float, streams: list,
+                         temperature: float, stream: RngStream,
                          mask_mode: str = "hard") -> HeadOutput:
     """Project features with a linear layer and apply a sampled binary mask
     per node and dimension; topology unchanged, unit edge weights.
@@ -191,10 +180,8 @@ def feature_masking_head(batch: GraphBatch, h_v: Tensor, params: ParameterSet,
     """
     projected = mlp(batch.features, *params.under("feature_mask/lin"))
     mask_logits = mlp(h_v, *params.under("feature_mask/mlp"))
-    d = mask_logits.shape[1]
-    noise = np.concatenate([s.split("mask").logistic((n, d)) for s, n
-                            in zip(streams, batch.node_counts.tolist())])
-    sample = relaxed_bernoulli(mask_logits, temperature, noise)
+    sample = relaxed_bernoulli(mask_logits, temperature,
+                               stream.logistic(mask_logits.shape))
     mask = sample.soft if mask_mode == "soft" else sample.st
     view = replace(batch, features=projected * mask,
                    edge_weights=np.ones(batch.num_edges))
@@ -210,19 +197,17 @@ def identity_augmentation(batch: GraphBatch) -> HeadOutput:
 def apply_augmentation(kind: AugmentationKind, batch: GraphBatch, h_v: Tensor,
                        h_g: Tensor, params: ParameterSet, keep_ratio: float,
                        hops: int, temperature: float,
-                       streams: list) -> HeadOutput:
-    """One view of the whole batch; ``streams[k]`` drives graph ``k``.
-    ``params`` holds the heads' parameters, each head's as ``{kind}/...``."""
+                       stream: RngStream) -> HeadOutput:
+    """One view of the whole batch, every draw from ``stream``. ``params``
+    holds the heads' parameters, each head's as ``{kind}/...``."""
     if kind == AugmentationKind.NODE_DROP:
-        return node_dropping_head(batch, h_v, h_g, params, keep_ratio,
-                                  streams)
+        return node_dropping_head(batch, h_v, h_g, params, keep_ratio, stream)
     if kind == AugmentationKind.EDGE_PERTURB:
-        return edge_perturbation_head(batch, h_v, params, temperature,
-                                      streams)
+        return edge_perturbation_head(batch, h_v, params, temperature, stream)
     if kind == AugmentationKind.SUBGRAPH:
-        return subgraph_head(batch, h_v, h_g, params, hops, streams)
+        return subgraph_head(batch, h_v, h_g, params, hops, stream)
     if kind == AugmentationKind.FEATURE_MASK:
-        return feature_masking_head(batch, h_v, params, temperature, streams)
+        return feature_masking_head(batch, h_v, params, temperature, stream)
     if kind == AugmentationKind.IDENTITY:
         return identity_augmentation(batch)
     raise ValueError(f"unknown augmentation {kind!r}")

@@ -125,8 +125,8 @@ def decide(batch_reps: Tensor, policy_kind: str, stream: RngStream,
     reach the policy through ``p_i`` and ``p_j`` only."""
     dist = policy_distribution(batch_reps, policy_kind, params, len(kinds))
     log_dist = np.log(np.maximum(dist.data, 1e-30))
-    idx_i = gumbel_softmax(log_dist, stream.split("i"))
-    idx_j = gumbel_softmax(log_dist, stream.split("j"))
+    (idx_i,) = gumbel_softmax(log_dist, [0], stream.split("i"))
+    (idx_j,) = gumbel_softmax(log_dist, [0], stream.split("j"))
     p_i = dist.gather_rows([idx_i]).reshape(())
     p_j = dist.gather_rows([idx_j]).reshape(())
     return PolicyDecision(dist=dist, kinds=tuple(kinds),

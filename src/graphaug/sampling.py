@@ -20,33 +20,45 @@ class RelaxedSample:
     st: Tensor                       # straight-through combination
 
 
-def gumbel_softmax(logits: np.ndarray, stream: RngStream) -> int:
-    """The hard draw of a Gumbel-Softmax: the argmax of (logits + Gumbel
-    noise), which is an exact draw from softmax(logits)."""
+def gumbel_softmax(logits: np.ndarray, offsets,
+                   stream: RngStream) -> np.ndarray:
+    """The hard draw of a Gumbel-Softmax in each segment of ``logits``
+    (segments start at ``offsets``, as graphs at ``node_offsets``): the
+    argmax of (logits + Gumbel noise) within it, an exact draw from the
+    segment's softmax. One noise draw serves all segments. Returns each
+    segment's pick as an index into ``logits``."""
     if not np.isfinite(logits).all():
         raise ValueError("logits must be finite")
-    return int(np.argmax(logits + stream.gumbel(logits.shape)))
+    starts = np.asarray(offsets, dtype=np.int64)
+    seg = np.repeat(np.arange(len(starts)),
+                    np.diff(starts, append=len(logits)))
+    keys = logits + stream.gumbel(logits.shape)
+    return np.lexsort((-keys, seg))[starts]
 
 
-def gumbel_top_k(p: np.ndarray, k: int, stream: RngStream) -> np.ndarray:
-    """Sample k distinct items ~ the normalized probabilities ``p``, without
-    replacement, by taking the top-k Gumbel-perturbed log-probabilities.
-
-    Returns the selected indices in ascending order. The draw is a hard
-    decision and builds no tape.
-    """
+def gumbel_top_k(p: np.ndarray, k, offsets, stream: RngStream) -> np.ndarray:
+    """Sample ``k[s]`` distinct items (or ``k`` for every segment) of each
+    segment ``s`` of ``p`` (segments as in ``gumbel_softmax``) without
+    replacement, ~ the segment's normalized probabilities, as its top-k
+    Gumbel-perturbed log-probabilities. One noise draw serves all segments.
+    Returns the indices into ``p``, ascending."""
     if p.ndim != 1:
         raise ValueError("gumbel_top_k expects a 1-D probability vector")
-    n = len(p)
-    if not (1 <= k <= n):
-        raise ValueError(f"k={k} out of range for {n} items")
-    if (p < 0).any() or p.sum() <= 0:
-        raise ValueError("probabilities must be nonnegative with positive sum")
-    noise = stream.gumbel(n)
+    starts = np.asarray(offsets, dtype=np.int64)
+    counts = np.diff(starts, append=len(p))
+    k = np.broadcast_to(np.asarray(k, dtype=np.int64), counts.shape)
+    if not ((1 <= k) & (k <= counts)).all():
+        raise ValueError(f"k={k} out of range for segments of {counts} items")
+    if (p < 0).any() or (np.add.reduceat(p, starts) <= 0).any():
+        raise ValueError("probabilities must be nonnegative with positive "
+                         "sum in every segment")
     with np.errstate(divide="ignore"):
-        keys = np.where(p > 0, np.log(np.maximum(p, 1e-300)) + noise, -np.inf)
-    order = np.argsort(-keys, kind="stable")
-    return np.sort(order[:k]).astype(np.int64)
+        keys = np.where(p > 0, np.log(np.maximum(p, 1e-300))
+                        + stream.gumbel(len(p)), -np.inf)
+    # each segment's items, best first
+    order = np.lexsort((-keys, np.repeat(np.arange(len(starts)), counts)))
+    rank = np.arange(len(p)) - np.repeat(starts, counts)
+    return np.sort(order[rank < np.repeat(k, counts)])
 
 
 def relaxed_bernoulli(logits, temperature: float,
@@ -55,8 +67,8 @@ def relaxed_bernoulli(logits, temperature: float,
 
     hard[i] = 1 iff logit[i] + noise[i] > 0, an exact Bernoulli draw with
     p = sigmoid(logit) when ``noise`` is standard logistic (e.g.
-    ``stream.logistic(shape)``). The caller draws it, so a batch can
-    concatenate one draw per graph.
+    ``stream.logistic(shape)``), which the caller draws for the whole
+    batch.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")

@@ -2,11 +2,11 @@
 
 Per step: encode the batch with the augmentation encoder, let the policy pick
 the two view augmentations, apply each sampled head to the whole batch (one
-random stream per graph and view), encode both
-views with the shared base encoder, scale the graph vectors by the policy
-probabilities, and minimize the two-view contrastive loss. Policy and head
-parameters update every step; a coin flip decides whether the base or the
-augmentation encoder joins them.
+random stream per view, each graph drawing its slice of the view's draws),
+encode both views with the shared base encoder, scale the graph vectors by
+the policy probabilities, and minimize the two-view contrastive loss. Policy
+and head parameters update every step; a coin flip decides whether the base
+or the augmentation encoder joins them.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from .tensor import ParameterSet
 from . import container
 
 GROUPS = ("omega", "policy", "heads", "theta")
+STREAM_LAYOUT = "per-view"      # older checkpoints drew "per-graph"
 
 
 @dataclass
@@ -182,9 +183,7 @@ def train_step(batch: GraphBatch, state: TrainState,
     outs = {view: apply_augmentation(
                 kind, batch, enc_w.node_matrix, enc_w.graph_vector,
                 state.heads, config.keep_ratio, config.hops,
-                config.head_temperature,
-                [step_stream.split(f"g{k}/{view}")
-                 for k in range(batch.num_graphs)])
+                config.head_temperature, step_stream.split(view))
             for view, kind in (("i", decision.i), ("j", decision.j))}
     batch_i, batch_j = outs["i"].graph, outs["j"].graph
     enc_i = encode(batch_i, state.theta, step_stream.split("dropout/i"),
@@ -318,6 +317,7 @@ def save_checkpoint(state: TrainState, config: TrainConfig, path) -> None:
                     tensors[f"adam/{gname}/{moment}/{name}"] = buffers[name]
     meta = {
         "kind": "train-state",
+        "stream_layout": STREAM_LAYOUT,
         "config": asdict(config),
         "input_dim": state.input_dim,
         "epoch": state.epoch,
@@ -350,11 +350,12 @@ def load_checkpoint(path) -> tuple[TrainState, TrainConfig]:
     meta, tensors = container.read_container(path)
     if meta.get("kind") != "train-state":
         raise CheckpointError(f"{path} is not a training checkpoint")
+    layout = meta.get("stream_layout", "per-graph")
+    if layout != STREAM_LAYOUT:
+        raise CheckpointError(f"{path}: checkpoint stream_layout is {layout!r}"
+                              f"; this version draws {STREAM_LAYOUT!r}")
     try:
-        stored = dict(meta["config"])
-        # it tempered only a discarded relaxation and changed no result
-        stored.pop("policy_temperature", None)
-        config = TrainConfig(**stored)
+        config = TrainConfig(**meta["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid training config: {exc}") \
             from exc

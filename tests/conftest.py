@@ -3,7 +3,6 @@ import pytest
 
 from graphaug.heads import init_head_params
 from graphaug.policy import AugmentationKind
-from graphaug.rng import RngStream
 from graphaug.tensor import ParameterSet, Tensor, finite_diff_grad
 
 
@@ -31,13 +30,11 @@ def one_graph(head, *args, **kwargs):
     """Call a batched head (or ``apply_augmentation``) on a single graph.
 
     A graph is already a batch of one; a 1-D graph encoding goes in as a
-    (1, d) row and the stream as ``[stream]``. The view comes back as the
-    head made it, a one-graph ``GraphBatch`` that carries its provenance
-    (``orig_ids``, ``centers``), with the head's soft parameters.
+    (1, d) row. The view comes back as the head made it, a one-graph
+    ``GraphBatch`` that carries its provenance (``orig_ids``, ``centers``),
+    with the head's soft parameters.
     """
     def wrap(a):
-        if isinstance(a, RngStream):
-            return [a]
         if isinstance(a, Tensor) and a.ndim == 1:
             return a.reshape(1, -1)
         return a

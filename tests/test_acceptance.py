@@ -181,23 +181,16 @@ def test_criterion_1_gradient_oracle():
                                       .uniform(t.data.shape) - 0.5)
 
     def full_loss():
+        # each view is one head call on the batch: graph k takes its slice
+        # of the view's draws, as in train_step
         step_stream = RngStream(101, "e-step")
         enc_w = encode(batch, state.omega)
         decision = decide(enc_w.graph_vector, "gru",
                           step_stream.split("policy"), state.policy, kinds)
-        views_i, views_j = [], []
-        for k, gk in enumerate(graphs):
-            n0 = int(batch.node_offsets[k])
-            n1 = n0 + gk.num_nodes
-            h_vk = enc_w.node_matrix.slice_axis(0, n0, n1)
-            h_gk = enc_w.graph_vector.slice_axis(0, k, k + 1).reshape(d_h)
-            for view, kind, acc in (("i", decision.i, views_i),
-                                    ("j", decision.j, views_j)):
-                out = one_graph(apply_augmentation, kind, gk, h_vk, h_gk,
-                                state.heads, 0.7, 2, 1.0,
-                                step_stream.split(f"g{k}/{view}"))
-                acc.append(out.graph.graph(0))
-        bi, bj = batch_graphs(views_i), batch_graphs(views_j)
+        bi, bj = (apply_augmentation(kind, batch, enc_w.node_matrix,
+                                     enc_w.graph_vector, state.heads, 0.7, 2,
+                                     1.0, step_stream.split(view)).graph
+                  for view, kind in (("i", decision.i), ("j", decision.j)))
         enc_i = encode(bi, state.theta)
         enc_j = encode(bj, state.theta)
         return batch_loss(
@@ -234,10 +227,11 @@ def test_criterion_1_gradient_oracle():
 def test_criterion_2_sampling_oracles():
     draws = 100_000
     logits = np.array([0.8, -0.4, 0.1, -1.0, 0.5, 0.0, -0.2, 1.2])
-    stream = RngStream(42, "acc-cat")
-    counts = np.zeros(len(logits))
-    for _ in range(draws):
-        counts[gumbel_softmax(logits, stream)] += 1
+    # one call over ``draws`` copies, a segment each
+    starts = np.arange(draws) * len(logits)
+    picks = gumbel_softmax(np.tile(logits, draws), starts,
+                           RngStream(42, "acc-cat")) - starts
+    counts = np.bincount(picks, minlength=len(logits))
     expect = np.exp(logits - logits.max())
     expect /= expect.sum()
     tv_cat = 0.5 * np.abs(counts / draws - expect).sum()
@@ -250,12 +244,11 @@ def test_criterion_2_sampling_oracles():
         p = norm[perm[0]] * norm[perm[1]] / (1.0 - norm[perm[0]])
         key = tuple(sorted(perm))
         exact[key] = exact.get(key, 0.0) + p
-    stream = RngStream(43, "acc-topk")
-    got = {}
-    for _ in range(draws):
-        idx = gumbel_top_k(probs, 2, stream)
-        key = tuple(idx.tolist())
-        got[key] = got.get(key, 0) + 1
+    starts = np.arange(draws) * len(probs)
+    idx = (gumbel_top_k(np.tile(probs, draws), 2, starts,
+                        RngStream(43, "acc-topk")) % len(probs)).reshape(-1, 2)
+    keys, counts = np.unique(idx, axis=0, return_counts=True)
+    got = {tuple(k): c for k, c in zip(keys.tolist(), counts.tolist())}
     tv_topk = 0.5 * sum(abs(got.get(k, 0) / draws - v) for k, v in exact.items())
     assert tv_topk <= 0.01, f"top-k TV {tv_topk:.4f}"
     report(2, f"categorical TV {tv_cat:.4f}, top-k TV {tv_topk:.4f} "

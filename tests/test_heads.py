@@ -15,7 +15,7 @@ from graphaug.optim import adam_step, clip_by_global_norm
 from graphaug.policy import AugmentationKind, active_kinds, decide, \
     scale_by_policy
 from graphaug.rng import RngStream
-from graphaug.sampling import gumbel_softmax, gumbel_top_k, relaxed_bernoulli
+from graphaug.sampling import relaxed_bernoulli
 from graphaug.tensor import Tensor, concat, finite_diff_grad
 from graphaug.trainer import GROUPS, TrainConfig, init_state, train_step
 
@@ -383,10 +383,13 @@ def test_each_head_gets_contrastive_loss_gradient():
 # -- batched heads vs the per-graph reference ---------------------------------------
 #
 # The heads below are the per-graph implementations the batched heads replaced,
-# kept as the reference: one graph, its slice of the encodings and its stream.
-# A batched view must reproduce every hard decision exactly and every soft
-# value, and every head-parameter gradient, to within rounding (the batched
-# softmax reduces per segment in another order).
+# kept as the reference: one graph, its slice of the encodings and its slice
+# of the view's draws. ``_view_draws`` makes a view's draws as the batched
+# heads lay them out (one numpy draw per view for the whole batch) and cuts
+# them per graph; the reference heads decide from their slice alone. A batched
+# view must reproduce every hard decision exactly and every soft value, and
+# every head-parameter gradient, to within rounding (the batched softmax
+# reduces per segment in another order).
 
 TOL = 1e-12
 
@@ -413,10 +416,14 @@ def _ref_induced_edge_weights(edges_old, p):
     return p.gather_rows(edges_old[:, 0]) + p.gather_rows(edges_old[:, 1])
 
 
-def _ref_node_drop(g, h_v, h_g, params, keep_ratio, stream):
+def _ref_node_drop(g, h_v, h_g, params, keep_ratio, gumbel):
+    """Gumbel-Top-K on the graph's slice ``gumbel`` of the view's noise."""
     p = _ref_node_distribution(h_v, h_g, params)
     k = max(1, int(np.ceil(keep_ratio * g.num_nodes)))
-    kept = gumbel_top_k(p.data, k, stream)
+    with np.errstate(divide="ignore"):
+        keys = np.where(p.data > 0,
+                        np.log(np.maximum(p.data, 1e-300)) + gumbel, -np.inf)
+    kept = np.sort(np.argsort(-keys, kind="stable")[:k])
     remap = np.full(g.num_nodes, -1, dtype=np.int64)
     remap[kept] = np.arange(len(kept))
     if g.num_edges:
@@ -431,16 +438,27 @@ def _ref_node_drop(g, h_v, h_g, params, keep_ratio, stream):
     return RefOutput(out, {"node_probs": p}, orig_ids=kept)
 
 
-def _ref_sample_negatives(pairs, num_nodes, stream):
+def _ref_pairs(g):
+    """The graph's unordered edges (u < v), in first-seen edge order."""
+    pairs = []
+    seen = set()
+    for a, b in g.edges:
+        key = (min(int(a), int(b)), max(int(a), int(b)))
+        if key not in seen:
+            seen.add(key)
+            pairs.append(key)
+    return pairs
+
+
+def _ref_sample_negatives(pairs, draws):
     """Up to ``len(pairs)`` new distinct (u < v) non-loop pairs, by rejection
-    from two scalar draws per attempt, at most 10 attempts per pair."""
+    over the node pairs ``draws``, taken in order (10 per pair)."""
     seen = set(pairs)
     negatives = []
-    attempts = 0
-    while len(negatives) < len(pairs) and attempts < 10 * len(pairs):
-        attempts += 1
-        u = int(stream.integers(0, num_nodes))
-        v = int(stream.integers(0, num_nodes))
+    for u, v in draws:
+        if len(negatives) == len(pairs):
+            break
+        u, v = int(u), int(v)
         if u == v:
             continue
         key = (min(u, v), max(u, v))
@@ -469,12 +487,17 @@ def _negative_sampling_cases(count):
 
 
 def test_batched_negatives_match_the_rejection_loop():
+    """On a one-graph batch the batched draw keeps every bit of a rejection
+    loop that draws two scalars per attempt."""
     cases = list(_negative_sampling_cases(1000))
     free = 0
     for pairs, n, seed in cases:
-        want = _ref_sample_negatives(
-            pairs, n, RngStream(seed, "negatives"))
-        got = _sample_negatives(np.array(pairs, dtype=np.int64), n,
+        s = RngStream(seed, "negatives")
+        scalars = ((s.integers(0, n), s.integers(0, n))
+                   for _ in range(10 * len(pairs)))
+        want = _ref_sample_negatives(pairs, scalars)
+        g = Graph(n, np.zeros((0, 2)), np.zeros((n, 1)), np.zeros(0))
+        got = _sample_negatives(np.array(pairs, dtype=np.int64), g,
                                 RngStream(seed, "negatives"))
         assert got.dtype == np.int64 and got.shape == (len(want), 2)
         assert got.tolist() == [list(p) for p in want], (pairs, n)
@@ -484,17 +507,59 @@ def test_batched_negatives_match_the_rejection_loop():
     assert free > len(cases) // 2
 
 
-def _ref_edge_perturb(g, h_v, params, temperature, stream):
-    pairs = []
-    seen = set()
-    for a, b in g.edges:
-        key = (min(int(a), int(b)), max(int(a), int(b)))
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
+def test_batched_negatives_are_uniform_over_each_graphs_non_edges():
+    """One draw for 8,000 copies of five graphs: every negative is a
+    distinct non-loop non-edge of its own graph, a graph with m pairs gets
+    at most m, and each graph's non-edges come up equally often (TV to
+    uniform within 0.01, as criterion 2 bounds the samplers)."""
+    templates = [                        # (nodes, pairs u < v)
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        (6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]),
+        (3, [(0, 1), (1, 2)]),           # one non-edge for m = 2
+        (2, []),                         # no pairs, no draws
+        (3, [(0, 1), (0, 2), (1, 2)]),   # complete: no non-edge
+    ]
+    copies = 8_000
+    sizes = np.array([n for n, _ in templates])
+    m = np.array([len(pairs) for _, pairs in templates])
+    block = np.concatenate([np.array(pairs, dtype=np.int64).reshape(-1, 2) + n0
+                            for (_, pairs), n0 in
+                            zip(templates, np.cumsum(sizes) - sizes)])
+    pairs = (block[None] + sizes.sum() * np.arange(copies)[:, None, None]
+             ).reshape(-1, 2)
+    counts = np.tile(sizes, copies)
+    batch = GraphBatch(pairs, np.zeros((counts.sum(), 1)),
+                       np.ones(len(pairs)), counts)
+    neg = _sample_negatives(pairs, batch, RngStream(7, "uniform-negatives"))
+
+    owner = batch.node_to_graph[neg[:, 0]]
+    assert np.array_equal(owner, batch.node_to_graph[neg[:, 1]])
+    assert (neg[:, 0] < neg[:, 1]).all()
+    keys = neg[:, 0] * batch.num_nodes + neg[:, 1]
+    assert len(np.unique(keys)) == len(keys)
+    assert not np.isin(keys, pairs[:, 0] * batch.num_nodes + pairs[:, 1]).any()
+    per_graph = np.bincount(owner, minlength=batch.num_graphs)
+    assert (per_graph <= np.tile(m, copies)).all()
+    local = neg - batch.node_offsets[owner, None]
+    for t, (n, tpairs) in enumerate(templates):
+        lo, hi = np.triu_indices(n, 1)
+        non_edges = sorted(set(lo * n + hi) - {u * n + v for u, v in tpairs})
+        mine = local[owner % len(templates) == t]
+        assert len(mine) >= 0.99 * copies * min(len(tpairs), len(non_edges))
+        if not len(mine):
+            continue
+        freq = np.bincount(mine[:, 0] * n + mine[:, 1],
+                           minlength=n * n)[non_edges] / len(mine)
+        tv = 0.5 * np.abs(freq - 1.0 / len(non_edges)).sum()
+        assert tv <= 0.01, (n, tpairs, tv)
+
+
+def _ref_edge_perturb(g, h_v, params, temperature, draws):
+    """Edge perturbation on the graph's negatives and keep noise, its
+    slices of the view's draws."""
+    pairs = _ref_pairs(g)
     n_pos = len(pairs)
-    negatives = _ref_sample_negatives(pairs, g.num_nodes,
-                                      stream.split("negatives"))
+    negatives, keep_noise = draws
     all_pairs = pairs + negatives
     arr = np.array(all_pairs, dtype=np.int64)
     indicator = np.concatenate([np.ones(n_pos), np.zeros(len(negatives))])
@@ -503,8 +568,7 @@ def _ref_edge_perturb(g, h_v, params, temperature, stream):
     logits = mlp(z, params["mlp/w0"], params["mlp/b0"],
                  params["mlp/w1"], params["mlp/b1"]).reshape(len(all_pairs))
     probs = logits.sigmoid()
-    keep = relaxed_bernoulli(logits, temperature,
-                             stream.split("keep").logistic(logits.shape))
+    keep = relaxed_bernoulli(logits, temperature, keep_noise)
     directed, weight_src = [], []
     for idx in np.flatnonzero(keep.hard > 0.5):
         u, v = all_pairs[idx]
@@ -520,10 +584,11 @@ def _ref_edge_perturb(g, h_v, params, temperature, stream):
     return RefOutput(out, {"edge_probs": probs, "keep_soft": keep.soft})
 
 
-def _ref_subgraph(g, h_v, h_g, params, hops, stream):
+def _ref_subgraph(g, h_v, h_g, params, hops, gumbel):
+    """The Gumbel-max center on the graph's slice ``gumbel`` of the view's
+    noise, then a reference BFS cut."""
     p = _ref_node_distribution(h_v, h_g, params)
-    center = gumbel_softmax(np.log(np.maximum(p.data, 1e-30)),
-                            stream.split("center"))
+    center = int(np.argmax(np.log(np.maximum(p.data, 1e-30)) + gumbel))
     sub, kept, local_center = khop_bfs_reference(g, center, hops)
     edges_old = kept[sub.edges] if len(sub.edges) else sub.edges
     weights = (_ref_induced_edge_weights(edges_old, p)
@@ -533,34 +598,65 @@ def _ref_subgraph(g, h_v, h_g, params, hops, stream):
                      center=local_center)
 
 
-def _ref_feature_mask(g, h_v, params, temperature, stream):
+def _ref_feature_mask(g, h_v, params, temperature, logistic):
     x = Tensor(g.features.data)
     projected = x @ params["lin/w"] + params["lin/b"]
     mask_logits = mlp(h_v, params["mlp/w0"], params["mlp/b0"],
                       params["mlp/w1"], params["mlp/b1"])
-    sample = relaxed_bernoulli(
-        mask_logits, temperature,
-        stream.split("mask").logistic(mask_logits.shape))
+    sample = relaxed_bernoulli(mask_logits, temperature, logistic)
     out = Graph(g.num_nodes, g.edges.copy(), projected * sample.st,
                 np.ones(g.num_edges))
     return RefOutput(out, {"mask_probs": mask_logits.sigmoid(),
                            "mask_soft": sample.soft})
 
 
+def _view_draws(kind, graphs, stream, d_x):
+    """Each graph's slice of the draws one view of head ``kind`` makes from
+    ``stream`` on the batch of ``graphs``: one Gumbel (node drop, subgraph)
+    or (N, d_x) logistic (feature mask) draw over the batch's nodes, cut by
+    graph; for edge perturbation, one ``integers`` call for every graph's 10
+    candidate pairs per unordered edge, each below its graph's node count,
+    then one logistic draw over all pairs, positives then negatives per
+    graph. Edge perturbation gets each graph's negatives, picked from its
+    candidates by the rejection loop, and its keep noise."""
+    def cut(draw, counts):
+        return np.split(draw, np.cumsum(counts)[:-1])
+
+    sizes = [g.num_nodes for g in graphs]
+    if kind in (AugmentationKind.NODE_DROP, AugmentationKind.SUBGRAPH):
+        return cut(stream.gumbel(sum(sizes)), sizes)
+    if kind == AugmentationKind.FEATURE_MASK:
+        return cut(stream.logistic((sum(sizes), d_x)), sizes)
+    if kind != AugmentationKind.EDGE_PERTURB or not any(
+            g.num_edges for g in graphs):
+        return [None] * len(graphs)
+    positives = [_ref_pairs(g) for g in graphs]
+    tries = [10 * len(pairs) for pairs in positives]
+    highs = np.repeat(sizes, tries).reshape(-1, 1)
+    candidates = stream.split("negatives").integers(0, highs,
+                                                    size=(len(highs), 2))
+    negatives = [_ref_sample_negatives(pairs, c) for pairs, c
+                 in zip(positives, cut(candidates, tries))]
+    counts = [len(p) + len(n) for p, n in zip(positives, negatives)]
+    keep = cut(stream.split("keep").logistic(sum(counts)), counts)
+    return list(zip(negatives, keep))
+
+
 def _ref_apply(kind, g, h_v, h_g, params, keep_ratio, hops, temperature,
-               stream):
-    """One graph through the reference heads, which read head ``kind``'s
-    parameters by their names below ``{kind}/``; an edgeless graph takes
-    the identity under edge perturbation."""
+               draws):
+    """One graph through the reference heads, on its slice ``draws`` of the
+    view's draws; they read head ``kind``'s parameters by their names below
+    ``{kind}/``. An edgeless graph takes the identity under edge
+    perturbation."""
     params = {n.split("/", 1)[1]: params[n] for n in head_names(params, kind)}
     if kind == AugmentationKind.NODE_DROP:
-        return _ref_node_drop(g, h_v, h_g, params, keep_ratio, stream)
+        return _ref_node_drop(g, h_v, h_g, params, keep_ratio, draws)
     if kind == AugmentationKind.EDGE_PERTURB and g.num_edges:
-        return _ref_edge_perturb(g, h_v, params, temperature, stream)
+        return _ref_edge_perturb(g, h_v, params, temperature, draws)
     if kind == AugmentationKind.SUBGRAPH:
-        return _ref_subgraph(g, h_v, h_g, params, hops, stream)
+        return _ref_subgraph(g, h_v, h_g, params, hops, draws)
     if kind == AugmentationKind.FEATURE_MASK:
-        return _ref_feature_mask(g, h_v, params, temperature, stream)
+        return _ref_feature_mask(g, h_v, params, temperature, draws)
     out = Graph(g.num_nodes, g.edges.copy(), g.features.data.copy(),
                 np.ones(g.num_edges))
     return RefOutput(out, {})
@@ -619,25 +715,25 @@ def _check_against_reference(graphs, kind, seed, d_h=5):
     enc = RngStream(seed, "oracle-enc")
     h_v = Tensor(enc.uniform((batch.num_nodes, d_h)) - 0.5)
     h_g = Tensor(enc.uniform((batch.num_graphs, d_h)) - 0.5)
-    root = RngStream(seed, f"oracle-{kind.value}")
 
-    def stream(k):              # a fresh one per side: node drop draws from it
-        return root.split(f"g{k}")
+    def stream():               # a fresh one per side
+        return RngStream(seed, f"oracle-{kind.value}")
 
     params.zero_grads()
     out = apply_augmentation(kind, batch, h_v, h_g, params, 0.6, 2, 0.7,
-                             [stream(k) for k in range(len(graphs))])
+                             stream())
     views = [out.graph.graph(k) for k in range(len(graphs))]
     _view_scalar(views).backward()
     got_grads = _grads(params)
 
     params.zero_grads()
+    draws = _view_draws(kind, graphs, stream(), d_x)
     refs = []
     for k, (g, n0) in enumerate(zip(graphs, batch.node_offsets)):
         h_vk = Tensor(h_v.data[n0:n0 + g.num_nodes])
         h_gk = Tensor(h_g.data[k])
         refs.append(_ref_apply(kind, g, h_vk, h_gk, params, 0.6, 2, 0.7,
-                               stream(k)))
+                               draws[k]))
     _view_scalar([r.graph for r in refs]).backward()
     want_grads = _grads(params)
 
@@ -709,16 +805,16 @@ def test_tape_size_per_view_independent_of_batch_size(kind, mutag_dir):
         enc = RngStream(count, "tape-enc")
         h_v = Tensor(enc.uniform((batch.num_nodes, d_h)), requires_grad=True)
         h_g = Tensor(enc.uniform((count, d_h)), requires_grad=True)
-        streams = [RngStream(count, f"tape-{k}") for k in range(count)]
         out = apply_augmentation(kind, batch, h_v, h_g, params, 0.75, 2, 1.0,
-                                 streams)
+                                 RngStream(count, "tape"))
         sizes.append(_tape_size(out.graph))
     assert sizes[0] == sizes[1] == sizes[2], sizes
     assert (sizes[0] == 0) == (kind == AugmentationKind.IDENTITY)
 
 
 def _ref_train_step(graphs, state, config):
-    """``train_step`` as it ran with the per-graph reference heads."""
+    """``train_step`` with the per-graph reference heads, each graph on its
+    slice of its view's draws."""
     for gname in GROUPS:
         state.group(gname).zero_grads()
     kinds = active_kinds(config.task)
@@ -728,17 +824,20 @@ def _ref_train_step(graphs, state, config):
                    config.dropout)
     decision = decide(enc_w.graph_vector, config.policy_kind,
                       step_stream.split("policy"), state.policy, kinds)
+    view_kinds = {"i": decision.i, "j": decision.j}
+    draws = {view: _view_draws(kind, graphs, step_stream.split(view),
+                               batch.features.shape[1])
+             for view, kind in view_kinds.items()}
     views = {"i": [], "j": []}
     for k, g in enumerate(graphs):
         n0 = int(batch.node_offsets[k])
         h_vk = enc_w.node_matrix.slice_axis(0, n0, n0 + g.num_nodes)
         h_gk = enc_w.graph_vector.slice_axis(0, k, k + 1).reshape(
             enc_w.graph_vector.shape[1])
-        for view, kind in (("i", decision.i), ("j", decision.j)):
+        for view, kind in view_kinds.items():
             views[view].append(_ref_apply(
                 kind, g, h_vk, h_gk, state.heads, config.keep_ratio,
-                config.hops, config.head_temperature,
-                step_stream.split(f"g{k}/{view}")).graph)
+                config.hops, config.head_temperature, draws[view][k]).graph)
     batch_i, batch_j = batch_graphs(views["i"]), batch_graphs(views["j"])
     enc_i = encode(batch_i, state.theta, step_stream.split("dropout/i"),
                    config.dropout)

@@ -9,11 +9,35 @@ from conftest import rel_err
 
 
 def categorical_frequencies(logits, draws, seed):
-    stream = RngStream(seed, "cat-freq")
-    counts = np.zeros(len(logits))
-    for _ in range(draws):
-        counts[gumbel_softmax(logits, stream)] += 1
-    return counts / draws
+    """Pick frequencies of ``draws`` draws, taken as one call over as many
+    copies of ``logits``, one segment each."""
+    n = len(logits)
+    picks = gumbel_softmax(np.tile(logits, draws), np.arange(draws) * n,
+                           RngStream(seed, "cat-freq"))
+    return np.bincount(picks - np.arange(draws) * n, minlength=n) / draws
+
+
+def topk_subset_frequencies(segments, ks, draws, seed):
+    """Per input segment, the frequency of each chosen subset (a bit mask
+    of local indices) over ``draws`` copies of all ``segments``, drawn by
+    one ``gumbel_top_k`` call."""
+    sizes = np.array([len(p) for p in segments])
+    starts = np.cumsum(np.tile(sizes, draws)) - np.tile(sizes, draws)
+    chosen = gumbel_top_k(np.tile(np.concatenate(segments), draws),
+                          np.tile(ks, draws), starts,
+                          RngStream(seed, "topk-freq"))
+    seg = np.searchsorted(starts, chosen, side="right") - 1
+    masks = np.bincount(seg, 2.0 ** (chosen - starts[seg]),
+                        minlength=len(starts)).astype(np.int64)
+    freqs = []
+    for t in range(len(segments)):
+        keys, counts = np.unique(masks[t::len(segments)], return_counts=True)
+        freqs.append(dict(zip(keys.tolist(), (counts / draws).tolist())))
+    return freqs
+
+
+def subset_mask(indices):
+    return sum(1 << int(i) for i in indices)
 
 
 def softmax_np(x):
@@ -41,10 +65,8 @@ def topk_subset_probs_bruteforce(p, k):
 # -- gumbel softmax -----------------------------------------------------------
 
 def test_extreme_logits_pick_first():
-    stream = RngStream(1, "extreme")
-    hits = sum(gumbel_softmax(np.array([30.0, -30.0]), stream) == 0
-               for _ in range(10_000))
-    assert hits / 10_000 >= 0.999
+    assert categorical_frequencies(np.array([30.0, -30.0]), 10_000,
+                                   seed=1)[0] >= 0.999
 
 
 def test_uniform_logits_frequencies():
@@ -63,57 +85,95 @@ def test_temperature_contract():
     with pytest.raises(ValueError):
         relaxed_bernoulli(np.zeros(3), 0.0, RngStream(0, "t").logistic(3))
     with pytest.raises(ValueError):
-        gumbel_softmax(np.array([np.inf, 0.0]), RngStream(0, "t"))
+        gumbel_softmax(np.array([np.inf, 0.0]), [0], RngStream(0, "t"))
 
 
 def test_categorical_draw_is_an_index_and_builds_no_tape(made_tensors):
     logits = np.array([0.2, -0.4, 0.9])
-    idx = gumbel_softmax(logits, RngStream(7, "st"))
-    assert type(idx) is int and 0 <= idx < 3
+    idx = gumbel_softmax(logits, [0], RngStream(7, "st"))
+    assert idx.dtype == np.int64 and idx.shape == (1,) and 0 <= idx[0] < 3
     # the Gumbel-max draw: the argmax of the logits plus the stream's noise
-    assert idx == np.argmax(logits + RngStream(7, "st").gumbel(3))
-    gumbel_top_k(np.array([0.5, 0.3, 0.2]), 2, RngStream(5, "tape"))
+    assert idx[0] == np.argmax(logits + RngStream(7, "st").gumbel(3))
+    gumbel_top_k(np.array([0.5, 0.3, 0.2]), 2, [0], RngStream(5, "tape"))
     assert not made_tensors
+
+
+def test_segment_draws_are_slices_of_one_draw():
+    """Segment s picks the argmax of its slice of one noise draw over all
+    items; ties go to the lower index."""
+    logits = np.array([0.3, 0.3, -1.0, 2.0, 0.5, 0.5, 0.5, 0.0])
+    offsets = [0, 3, 4, 7]
+    picks = gumbel_softmax(logits, offsets, RngStream(3, "slices"))
+    keys = logits + RngStream(3, "slices").gumbel(len(logits))
+    bounds = offsets + [len(logits)]
+    assert picks.tolist() == [a + int(np.argmax(keys[a:b]))
+                              for a, b in zip(bounds, bounds[1:])]
+    tied = gumbel_softmax(np.zeros(4), [0, 2], RngStream(3, "ties"))
+    assert np.isin(tied, [0, 1, 2, 3]).all() and tied[0] < 2 <= tied[1]
+
+
+def test_centers_match_each_segments_softmax_tv():
+    """Centers drawn for 100,000 copies of a batch of three graphs' node
+    logits, one call: each graph's pick frequencies against its own
+    softmax, TV within 0.01 as in criterion 2."""
+    graphs = [np.array([0.0]), np.array([1.0, -0.5, 0.2]),
+              np.array([0.8, -0.4, 0.1, -1.0, 0.5, 0.0, -0.2, 1.2])]
+    sizes = np.array([len(g) for g in graphs])
+    draws = 100_000
+    starts = np.cumsum(np.tile(sizes, draws)) - np.tile(sizes, draws)
+    picks = gumbel_softmax(np.tile(np.concatenate(graphs), draws), starts,
+                           RngStream(44, "centers")) - starts
+    for t, logits in enumerate(graphs):
+        freqs = np.bincount(picks[t::len(graphs)],
+                            minlength=len(logits)) / draws
+        tv = 0.5 * np.abs(freqs - softmax_np(logits)).sum()
+        assert tv <= 0.01, (t, tv)
 
 
 # -- gumbel top-k ---------------------------------------------------------------
 
 def test_topk_full_selection():
-    idx = gumbel_top_k(np.array([0.2, 0.5, 0.3]), 3, RngStream(0, "tk"))
+    idx = gumbel_top_k(np.array([0.2, 0.5, 0.3]), 3, [0], RngStream(0, "tk"))
     assert idx.tolist() == [0, 1, 2]
 
 
 def test_topk_zero_probs_excluded():
-    stream = RngStream(1, "tk0")
-    for _ in range(200):
-        idx = gumbel_top_k(np.array([1.0, 0.0, 0.0]), 1, stream)
-        assert idx.tolist() == [0]
+    p = np.tile([1.0, 0.0, 0.0], 200)
+    idx = gumbel_top_k(p, 1, np.arange(0, 600, 3), RngStream(1, "tk0"))
+    assert idx.tolist() == list(range(0, 600, 3))
 
 
 def test_topk_matches_plackett_luce_enumeration():
-    p = np.array([0.5, 0.3, 0.2])
-    expect = topk_subset_probs_bruteforce(p, 2)
-    stream = RngStream(4, "tkpl")
-    counts = {}
-    draws = 100_000
-    for _ in range(draws):
-        idx = gumbel_top_k(p, 2, stream)
-        key = tuple(idx.tolist())
-        counts[key] = counts.get(key, 0) + 1
-    tv = 0.5 * sum(abs(counts.get(k, 0) / draws - v)
-                   for k, v in expect.items())
-    assert tv <= 0.01
+    """One segment, then a batch of five with a count each (one of them
+    with a zero probability), 100,000 draws in one call per input."""
+    inputs = [
+        ([np.array([0.5, 0.3, 0.2])], [2]),
+        ([np.array([0.5, 0.3, 0.2]), np.array([0.6, 0.4]),
+          np.array([0.1, 0.2, 0.3, 0.4]), np.array([1.0]),
+          np.array([0.25, 0.0, 0.75])], [2, 1, 3, 1, 2]),
+    ]
+    for seed, (segments, ks) in enumerate(inputs):
+        freqs = topk_subset_frequencies(segments, ks, 100_000, seed)
+        for p, k, got in zip(segments, ks, freqs):
+            expect = {subset_mask(s): v for s, v in
+                      topk_subset_probs_bruteforce(p, k).items() if v > 0}
+            assert set(got) <= set(expect), (p, k, got)
+            tv = 0.5 * sum(abs(got.get(m, 0.0) - v)
+                           for m, v in expect.items())
+            assert tv <= 0.01, (p, k, tv)
 
 
 def test_topk_k_out_of_range():
     with pytest.raises(ValueError):
-        gumbel_top_k(np.array([0.5, 0.5]), 3, RngStream(0, "bad"))
+        gumbel_top_k(np.array([0.5, 0.5]), 3, [0], RngStream(0, "bad"))
     with pytest.raises(ValueError):
-        gumbel_top_k(np.array([0.5, 0.5]), 0, RngStream(0, "bad"))
+        gumbel_top_k(np.array([0.5, 0.5]), 0, [0], RngStream(0, "bad"))
+    with pytest.raises(ValueError):
+        gumbel_top_k(np.full(4, 0.25), [1, 3], [0, 2], RngStream(0, "bad"))
 
 
 def test_topk_returns_indices_only():
-    idx = gumbel_top_k(np.array([0.5, 0.3, 0.2]), 2, RngStream(5, "tape"))
+    idx = gumbel_top_k(np.array([0.5, 0.3, 0.2]), 2, [0], RngStream(5, "tape"))
     assert isinstance(idx, np.ndarray) and idx.dtype == np.int64
     assert idx.tolist() == sorted(idx.tolist()) and len(set(idx.tolist())) == 2
 

@@ -292,6 +292,8 @@ def test_checkpoint_missing_parameter_rejected(tmp_path):
 @pytest.mark.parametrize("extra,match", [
     ({"not_a_field": 1}, "not_a_field"),
     ({"policy_kind": "bogus"}, "policy_kind"),
+    # removed before stream_layout existed, so no loadable checkpoint has it
+    ({"policy_temperature": 0.05}, "policy_temperature"),
 ])
 def test_checkpoint_bad_config_is_checkpoint_error(tmp_path, extra, match):
     from graphaug import container
@@ -440,23 +442,10 @@ def _saved_checkpoint(tmp_path, epochs=1):
     return path, container.read_container(path)
 
 
-def test_checkpoint_with_policy_temperature_still_loads(tmp_path):
-    """Checkpoints written before the setting was removed store it."""
-    from graphaug import container
-    path, (meta, tensors) = _saved_checkpoint(tmp_path)
-    want, config = load_checkpoint(path)
-    meta["config"]["policy_temperature"] = 0.05
-    container.write_container(path, meta, tensors)
-    loaded, config2 = load_checkpoint(path)
-    assert config2 == config
-    for gname in ("omega", "policy", "heads", "theta"):
-        for name, t in loaded.group(gname).items():
-            assert np.array_equal(t.data, want.group(gname)[name].data)
-
-
 @pytest.mark.parametrize("keys", [
     ("adam_steps",), ("adam_steps", "heads"), ("streams",),
     ("streams", "coin"), ("input_dim",), ("epoch",), ("stale",),
+    ("stream_layout",),
 ], ids="/".join)
 def test_checkpoint_missing_meta_key_rejected(tmp_path, keys):
     from graphaug import container
@@ -476,6 +465,7 @@ def test_checkpoint_missing_meta_key_rejected(tmp_path, keys):
     (("stale",), None), (("adam_steps", "heads"), "2"),
     (("adam_steps", "theta"), False), (("best_loss",), "0.5"),
     (("best_loss",), float("nan")), (("best_loss",), None),
+    (("stream_layout",), "per-graph"),
 ], ids=lambda v: "/".join(v) if isinstance(v, tuple) else repr(v))
 def test_checkpoint_bad_meta_type_rejected(tmp_path, keys, value):
     from graphaug import container
