@@ -9,7 +9,7 @@ keep the gradient channel to the head that produced them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,14 +35,12 @@ class GraphBatch:
     node_counts: np.ndarray         # (B,)
     orig_ids: np.ndarray | None = None
     centers: np.ndarray | None = None
-    _csr: tuple | None = field(default=None, init=False, repr=False,
-                               compare=False)
 
     def __post_init__(self):
         self.features = Tensor._lift(self.features)
         self.edge_weights = Tensor._lift(self.edge_weights)
 
-    # built on first use: the one-graph batches of a dataset never need them
+    # built on first use, then cached: few batches need all of them
     @cached_property
     def node_offsets(self) -> np.ndarray:                     # (B,)
         return np.concatenate([[0], np.cumsum(self.node_counts)[:-1]]) \
@@ -65,23 +63,22 @@ class GraphBatch:
     def num_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Out-neighbour adjacency ``(indptr, indices, edge_ids)``, built on
-        first use and cached, so batches that never run a BFS do not pay for
-        the sort. Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]``, targets
-        in edge order, and ``edge_ids`` over the same range holds those
-        edges' rows in ``edges``."""
-        if self._csr is None:
-            src = self.edges[:, 0]
-            order = np.argsort(src, kind="stable")
-            indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-            np.cumsum(np.bincount(src, minlength=self.num_nodes),
-                      out=indptr[1:])
-            self._csr = indptr, self.edges[order, 1], order
-        return self._csr
+        """Out-neighbour adjacency ``(indptr, indices, edge_ids)``. Row ``u``
+        is ``indices[indptr[u]:indptr[u + 1]]``, targets in edge order, and
+        ``edge_ids`` over the same range holds those edges' rows in
+        ``edges``."""
+        src = self.edges[:, 0]
+        order = np.argsort(src, kind="stable")
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.num_nodes), out=indptr[1:])
+        return indptr, self.edges[order, 1], order
 
     def graph(self, k: int) -> GraphBatch:
         """Graph ``k`` as a batch of one, with local node ids."""
+        if not 0 <= k < self.num_graphs:
+            raise IndexError(f"graph {k} of a batch of {self.num_graphs}")
         n0 = int(self.node_offsets[k])
         n1 = n0 + int(self.node_counts[k])
         e0, e1 = np.searchsorted(self.node_to_graph[self.edges[:, 0]],
@@ -175,7 +172,7 @@ def khop_bfs(g: GraphBatch, centers, hops: int) -> GraphBatch:
     if hops < 0:
         raise ValueError("hop count must be >= 0")
     n, count = g.num_nodes, len(centers)
-    indptr, indices, edge_ids = g.csr()
+    indptr, indices, edge_ids = g.csr
     keys = khop_nodes(indptr, indices, centers, hops)
     owner, nodes = np.divmod(keys, n)
     # every out-edge of a reached node, kept when its target is reached from

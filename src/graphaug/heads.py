@@ -153,17 +153,16 @@ def subgraph_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
                   params: ParameterSet, hops: int,
                   stream: RngStream) -> HeadOutput:
     """Sample a center per graph from its learned node distribution (the
-    hard draw of a Gumbel-Softmax) and cut its k-hop BFS neighborhood with
-    ``khop_bfs``, whose gather carries each edge's weight p(v_i) + p(v_j)."""
+    hard draw of a Gumbel-Softmax), cut its k-hop BFS neighborhood with
+    ``khop_bfs``, then weight each kept edge w_ij = p(v_i) + p(v_j)."""
     if hops < 1:
         raise ValueError("hops must be >= 1")
     p = _node_distribution(batch, h_v, h_g, params.under("subgraph/mlp"))
     centers = gumbel_softmax(np.log(np.maximum(p.data, 1e-30)),
                              batch.node_offsets, stream)
-    ends = batch.edges
-    weighted = replace(batch, edge_weights=p.gather_rows(ends[:, 0])
-                       + p.gather_rows(ends[:, 1]))
-    view = khop_bfs(weighted, centers, hops)
+    view = khop_bfs(batch, centers, hops)
+    ends = view.orig_ids[view.edges]
+    view.edge_weights = p.gather_rows(ends[:, 0]) + p.gather_rows(ends[:, 1])
     view.orig_ids = view.orig_ids - batch.node_offsets[view.node_to_graph]
     return HeadOutput(view, {"node_probs": p})
 

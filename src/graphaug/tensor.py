@@ -92,7 +92,7 @@ class Tensor:
         return self.data.ndim
 
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
+        return float(self.data.item())      # raises unless one element
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)

@@ -1,12 +1,12 @@
 """End-to-end training loop.
 
-Per step: encode the batch with the augmentation encoder, let the policy pick
-the two view augmentations, apply each sampled head to the whole batch (one
-random stream per view, each graph drawing its slice of the view's draws),
-encode both views with the shared base encoder, scale the graph vectors by
-the policy probabilities, and minimize the two-view contrastive loss. Policy
-and head parameters update every step; a coin flip decides whether the base
-or the augmentation encoder joins them.
+Per step, ``step_loss`` encodes the batch with the augmentation encoder, lets
+the policy pick the two view augmentations, applies each sampled head to the
+whole batch (one random stream per view, each graph drawing its slice of the
+view's draws), encodes both views with the shared base encoder and scales the
+graph vectors by the policy probabilities into the two-view contrastive loss,
+which ``train_step`` minimizes. Policy and head parameters update every step;
+a coin flip decides whether the base or the augmentation encoder joins them.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .optim import AdamState, adam_step, clip_by_global_norm
 from .policy import POLICY_KINDS, AugmentationKind, PolicyDecision, \
     active_kinds, decide, init_policy_params, scale_by_policy
 from .rng import RngStream
-from .tensor import ParameterSet
+from .tensor import ParameterSet, Tensor
 from . import container
 
 GROUPS = ("omega", "policy", "heads", "theta")
@@ -168,17 +168,15 @@ def _head_stats(out) -> dict:
     return stats
 
 
-def train_step(batch: GraphBatch, state: TrainState,
-               config: TrainConfig) -> StepResult:
-    for g in GROUPS:
-        state.group(g).zero_grads()
-    kinds = active_kinds(config.task)
-    step_stream = state.sample_root.split(f"step{state.step}")
-
+def step_loss(batch: GraphBatch, state: TrainState, config: TrainConfig,
+              step_stream: RngStream) -> tuple[Tensor, PolicyDecision, dict]:
+    """The step's forward: (loss, decision, each view's head output). Reads
+    only ``state``'s parameter groups; draws only from ``step_stream``."""
     enc_w = encode(batch, state.omega, step_stream.split("dropout/omega"),
                    config.dropout)
     decision = decide(enc_w.graph_vector, config.policy_kind,
-                      step_stream.split("policy"), state.policy, kinds)
+                      step_stream.split("policy"), state.policy,
+                      active_kinds(config.task))
 
     outs = {view: apply_augmentation(
                 kind, batch, enc_w.node_matrix, enc_w.graph_vector,
@@ -196,7 +194,15 @@ def train_step(batch: GraphBatch, state: TrainState,
                       Encodings(enc_j.node_matrix, scaled_j),
                       batch_i.node_to_graph, batch_j.node_to_graph,
                       config, state.theta)
+    return loss, decision, outs
 
+
+def train_step(batch: GraphBatch, state: TrainState,
+               config: TrainConfig) -> StepResult:
+    for g in GROUPS:
+        state.group(g).zero_grads()
+    loss, decision, outs = step_loss(
+        batch, state, config, state.sample_root.split(f"step{state.step}"))
     if not np.isfinite(loss.data).all():
         head_stats = {view: _head_stats(out) for view, out in outs.items()}
         raise TrainingDivergedError(

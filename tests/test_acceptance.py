@@ -10,20 +10,20 @@ import time
 import numpy as np
 import pytest
 
-from graphaug.encoders import Encodings, encode, gin_layer
+from graphaug.encoders import Encodings, gin_layer
 from graphaug.evaluation import embed_dataset, linear_probe_graph, \
     linear_probe_node
 from graphaug.graphs import Graph, batch_graphs
 from graphaug.heads import apply_augmentation, feature_masking_head
 from graphaug.objective import batch_loss, estimate_mi, \
     init_discriminator_params, pairwise_scores
-from graphaug.policy import AugmentationKind, active_kinds, decide, \
-    deepset_policy, gru_policy, init_policy_params, policy_distribution, \
-    scale_by_policy
+from graphaug.policy import AugmentationKind, active_kinds, \
+    deepset_policy, gru_policy, init_policy_params, policy_distribution
 from graphaug.rng import RngStream
 from graphaug.sampling import gumbel_softmax, gumbel_top_k
 from graphaug.tensor import ParameterSet, Tensor
-from graphaug.trainer import TrainConfig, init_state, train, train_step
+from graphaug.trainer import TrainConfig, init_state, step_loss, train, \
+    train_step
 from graphaug.tudataset import dataset_stats, parse_tudataset
 
 from conftest import head_names, head_set, one_graph, rel_err
@@ -164,13 +164,13 @@ def test_criterion_1_gradient_oracle():
 
         _grad_check_params(mi_loss, ps)
 
-    # (e) the full training loss on a 3-graph batch, all parameter groups
+    # (e) the trainer's own forward on a 3-graph batch, all parameter groups
     config = TrainConfig(hidden_dim=d_h, num_layers=1, batch_size=3,
-                         policy_kind="gru", seed=5, dropout=0.0)
+                         policy_kind="gru", seed=5, dropout=0.0,
+                         keep_ratio=0.7, hops=2, head_temperature=1.0)
     graphs = [rand_graph(20 + k, 5 + k, d_x=d_x) for k in range(3)]
     batch = batch_graphs(graphs)
     state = init_state(config, d_x)
-    kinds = active_kinds("graph")
     # jitter every parameter so no ReLU pre-activation sits exactly on its
     # kink (zero-init biases put half the projection rows there, where a
     # finite difference is one-sided and meaningless)
@@ -181,32 +181,11 @@ def test_criterion_1_gradient_oracle():
                                       .uniform(t.data.shape) - 0.5)
 
     def full_loss():
-        # each view is one head call on the batch: graph k takes its slice
-        # of the view's draws, as in train_step
-        step_stream = RngStream(101, "e-step")
-        enc_w = encode(batch, state.omega)
-        decision = decide(enc_w.graph_vector, "gru",
-                          step_stream.split("policy"), state.policy, kinds)
-        bi, bj = (apply_augmentation(kind, batch, enc_w.node_matrix,
-                                     enc_w.graph_vector, state.heads, 0.7, 2,
-                                     1.0, step_stream.split(view)).graph
-                  for view, kind in (("i", decision.i), ("j", decision.j)))
-        enc_i = encode(bi, state.theta)
-        enc_j = encode(bj, state.theta)
-        return batch_loss(
-            Encodings(enc_i.node_matrix,
-                      scale_by_policy(enc_i.graph_vector, decision.p_i)),
-            Encodings(enc_j.node_matrix,
-                      scale_by_policy(enc_j.graph_vector, decision.p_j)),
-            bi.node_to_graph, bj.node_to_graph, config,
-            state.theta)
+        return step_loss(batch, state, config, RngStream(101, "e-step"))[0]
 
     # the chosen seeds must sample two forward-sensitive heads (the hard
     # feature mask is gradient-only by construction); verify, then check
-    probe_stream = RngStream(101, "e-step")
-    enc_w = encode(batch, state.omega)
-    dec = decide(enc_w.graph_vector, "gru", probe_stream.split("policy"),
-                 state.policy, kinds)
+    _, dec, _ = step_loss(batch, state, config, RngStream(101, "e-step"))
     assert AugmentationKind.FEATURE_MASK not in (dec.i, dec.j), \
         "pick a seed whose sampled pair avoids the hard feature mask"
 

@@ -205,7 +205,7 @@ def test_khop_matches_reference_without_edges():
 
 def test_csr_rows_are_out_neighbours_in_edge_order():
     g = messy_digraph(12, 40, RngStream(3, "csr"))
-    indptr, indices, edge_ids = g.csr()
+    indptr, indices, edge_ids = g.csr
     assert indptr[0] == 0 and indptr[-1] == g.num_edges
     for u in range(g.num_nodes):
         row = slice(indptr[u], indptr[u + 1])
@@ -216,23 +216,22 @@ def test_csr_rows_are_out_neighbours_in_edge_order():
 
 def test_csr_built_lazily_and_cached():
     g = messy_digraph(10, 20, RngStream(4, "csr-lazy"))
-    assert g._csr is None                      # construction does not build it
-    assert not {"node_offsets", "node_to_graph"} & set(vars(g))
+    # construction builds none of the derived arrays
+    assert not {"csr", "node_offsets", "node_to_graph"} & set(vars(g))
     khop_bfs(g, [0], 2)
-    cached = g._csr
-    assert cached is not None
+    cached = vars(g)["csr"]
     khop_bfs(g, [1, 3], 2)
-    assert g._csr is cached
-    assert all(a is b for a, b in zip(g.csr(), cached))
+    assert g.csr is cached
+    assert all(a is b for a, b in zip(g.csr, cached))
 
 
 def test_replaced_edges_get_their_own_adjacency():
     g = path_graph(4)
-    whole = g.csr()
+    whole = g.csr
     view = replace(g, edges=g.edges[:2], edge_weights=np.ones(2))
-    assert view._csr is None                   # the cache does not carry over
-    assert view.csr()[0].tolist() == [0, 1, 2, 2, 2]
-    assert g.csr() is whole
+    assert "csr" not in vars(view)             # the cache does not carry over
+    assert view.csr[0].tolist() == [0, 1, 2, 2, 2]
+    assert g.csr is whole
     assert khop_bfs(view, [0], 3).orig_ids.tolist() == [0, 1]
     assert khop_bfs(g, [0], 3).orig_ids.tolist() == [0, 1, 2, 3]
 
@@ -297,6 +296,13 @@ def test_graph_k_rebuilds_every_input_graph():
                               (sub.features.data, g.features.data),
                               (sub.edge_weights.data, g.edge_weights.data)]:
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_graph_k_out_of_range_raises():
+    b = batch_graphs([path_graph(2), path_graph(3)])
+    for k in (-1, 2):
+        with pytest.raises(IndexError, match=f"graph {k} of a batch of 2"):
+            b.graph(k)
 
 
 def test_batch_empty_list_rejected():

@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -243,6 +244,26 @@ def test_subgraph_connected_and_contains_center():
         reach = bfs_reachable(sub.edges.tolist(), sub.num_nodes,
                               sub.centers[0])
         assert reach == set(range(sub.num_nodes))
+
+
+def test_subgraph_views_of_one_batch_share_its_csr(monkeypatch):
+    built = []
+    build = GraphBatch.csr.func
+
+    def counting_build(batch):
+        built.append(batch)
+        return build(batch)
+
+    csr = cached_property(counting_build)
+    csr.__set_name__(GraphBatch, "csr")
+    monkeypatch.setattr(GraphBatch, "csr", csr)
+    batch = batch_graphs([make_graph(30 + k, n=6, p=0.4) for k in range(3)])
+    h_v = Tensor(RngStream(31, "sg-csr").uniform((batch.num_nodes, D_H)))
+    h_g = Tensor(RngStream(32, "sg-csr").uniform((3, D_H)))
+    params = head_params(AugmentationKind.SUBGRAPH)
+    for view in ("i", "j"):
+        subgraph_head(batch, h_v, h_g, params, 2, RngStream(33, view))
+    assert len(built) == 1 and built[0] is batch
 
 
 # -- feature masking ----------------------------------------------------------------

@@ -50,6 +50,13 @@ def test_backward_rejects_nan_loss():
         (x * 1.0).backward()
 
 
+def test_item_needs_exactly_one_element():
+    assert Tensor(np.array([[2.5]])).item() == 2.5
+    for data in (np.zeros(0), np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="size 1"):
+            Tensor(data).item()
+
+
 def test_grad_accumulates_across_uses():
     x = Tensor(2.0, requires_grad=True)
     (x * x + x).backward()   # d/dx = 2x + 1 = 5

@@ -12,8 +12,8 @@ from graphaug.policy import AugmentationKind
 from graphaug.rng import RngStream
 from graphaug.tensor import Tensor
 from graphaug.trainer import (
-    TrainConfig, init_state, load_checkpoint, save_checkpoint, train,
-    train_step,
+    GROUPS, TrainConfig, init_state, load_checkpoint, save_checkpoint,
+    step_loss, train, train_step,
 )
 from graphaug.tudataset import Dataset, parse_tudataset
 
@@ -95,6 +95,39 @@ def test_policy_and_sampled_heads_update_every_step():
     for kind in AugmentationKind:     # the identity has no parameters
         own = {n: before_heads[n] for n in head_names(state.heads, kind)}
         assert changed(own, after) == (kind in sampled), kind
+
+
+def copies(arrays):
+    return {k: v.copy() for k, v in arrays.items()}
+
+
+def test_step_loss_is_the_forward_of_train_step():
+    ds = synthetic_dataset()
+    config = small_config(dropout=0.3)      # every encoder draws its masks
+    state = init_state(config, ds.feature_dim)
+    batch = batch_graphs(ds.graphs[:4])
+    streams = ("sample_root", "shuffle_stream", "coin_stream")
+    for _ in range(3):
+        params = {g: snapshot(state.group(g)) for g in GROUPS}
+        adam = {g: (a.step, copies(a.m), copies(a.v))
+                for g, a in state.adam.items()}
+        rng = [getattr(state, s).get_state() for s in streams]
+        step = state.step
+        loss, decision, _ = step_loss(
+            batch, state, config, state.sample_root.split(f"step{step}"))
+        assert state.step == step
+        assert [getattr(state, s).get_state() for s in streams] == rng
+        for g in GROUPS:
+            assert not changed(params[g], snapshot(state.group(g)))
+            a = state.adam[g]
+            step_count, m, v = adam[g]
+            assert a.step == step_count and a.m.keys() == m.keys()
+            assert not changed(m, a.m) and not changed(v, a.v)
+        res = train_step(batch, state, config)
+        assert res.loss == loss.item()
+        assert (res.decision.i, res.decision.j) == (decision.i, decision.j)
+        assert res.decision.p_i.data.tobytes() == decision.p_i.data.tobytes()
+        assert res.decision.p_j.data.tobytes() == decision.p_j.data.tobytes()
 
 
 def test_fixed_seed_reproduces_loss_exactly():
