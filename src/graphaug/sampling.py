@@ -26,14 +26,16 @@ def gumbel_softmax(logits: np.ndarray, offsets,
     (segments start at ``offsets``, as graphs at ``node_offsets``): the
     argmax of (logits + Gumbel noise) within it, an exact draw from the
     segment's softmax. One noise draw serves all segments. Returns each
-    segment's pick as an index into ``logits``."""
+    segment's pick as an index into ``logits``: the first of its maxima, so
+    a tie goes to the lowest index."""
     if not np.isfinite(logits).all():
         raise ValueError("logits must be finite")
     starts = np.asarray(offsets, dtype=np.int64)
-    seg = np.repeat(np.arange(len(starts)),
-                    np.diff(starts, append=len(logits)))
     keys = logits + stream.gumbel(logits.shape)
-    return np.lexsort((-keys, seg))[starts]
+    counts = np.concatenate((starts[1:], [len(keys)])) - starts
+    best = np.repeat(np.maximum.reduceat(keys, starts), counts)
+    hits = np.flatnonzero(keys == best)
+    return hits[np.searchsorted(hits, starts)]
 
 
 def gumbel_top_k(p: np.ndarray, k, offsets, stream: RngStream) -> np.ndarray:

@@ -6,11 +6,12 @@ different on every step. Every op computes its result, builds its backward
 closure and hands both to ``Tensor._result``, the one place that decides to
 record: only a result with a parent that needs a gradient keeps them. A
 closure gets its output node as an argument rather than capturing it, so a
-tape holds no reference cycle and is freed by reference counting as soon as
-the loss is dropped. Gradients accumulate additively into a leaf's ``grad``;
-zeroing between steps is the caller's job. An interior node's ``grad`` is
-dropped once it has been passed to its parents, so a backward sweep holds
-only the gradients still in flight.
+tape holds no reference cycle and is freed by reference counting. Gradients
+accumulate additively into a leaf's ``grad``; zeroing between steps is the
+caller's job. ``backward`` consumes the tape: once a node's closure has run,
+the node drops its gradient, its parents and its closure, so the sweep frees
+each node as soon as nothing else holds it and keeps only the gradients
+still in flight.
 """
 from __future__ import annotations
 
@@ -278,7 +279,10 @@ class Tensor:
     # -- backward pass ----------------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode sweep from this scalar; gradients accumulate."""
+        """Reverse-mode sweep from this scalar; gradients accumulate.
+
+        The sweep consumes the tape: each node drops its parents and closure
+        once its closure has run, so a second backward through it raises."""
         if self.data.size != 1:
             raise InvalidShapeError("backward() expects a scalar loss")
         if not np.isfinite(self.data).all():
@@ -299,10 +303,19 @@ class Tensor:
                 if id(p) not in visited and p.requires_grad:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
-        for node in reversed(topo):
+        while topo:                 # popped: the list holds no swept node
+            node = topo.pop()
             if node._backprop is not None and node.grad is not None:
                 node._backprop(node)
                 node.grad = None
+                node._parents = ()
+                node._backprop = _spent
+
+
+def _spent(o: Tensor) -> None:
+    """The closure of a node whose backward has already run."""
+    raise RuntimeError(f"backward reached a tape node of shape {o.shape} "
+                       f"that an earlier backward consumed")
 
 
 # -- free functions ---------------------------------------------------------------
@@ -449,10 +462,11 @@ def gru_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
         h = (1 - z) * n + z * h
 
     The backward is backprop through time over the gates kept from the
-    forward. Each row is its own matmul in both directions, and the
-    expressions follow the order of the same GRU written with one tape op
-    per step: one GEMM over all rows rounds differently, and this way the
-    result and the gradients keep every bit of the unrolled form.
+    forward, and computes ``x``'s gradient only when ``x`` needs one. Each
+    row is its own matmul in both directions, and the expressions follow the
+    order of the same GRU written with one tape op per step: one GEMM over
+    all rows rounds differently, and this way the result and the gradients
+    keep every bit of the unrolled form.
     """
     x, wx, wh, b = (Tensor._lift(t) for t in (x, wx, wh, b))
     d = wh.data.shape[0]
@@ -487,7 +501,8 @@ def gru_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
             dar = dan * gh_n * r * (1.0 - r)
             dgx = np.concatenate([daz, dar, dan], axis=1)
             dgh = np.concatenate([daz, dar, dan * r], axis=1)
-            dx[t] = (dgx @ wxd.T)[0]
+            if x.requires_grad:
+                dx[t] = (dgx @ wxd.T)[0]
             dwx += xd[[t]].T @ dgx
             dwh += h_prev.T @ dgh
             db += dgx[0]

@@ -6,12 +6,13 @@ whole batch (one random stream per view, each graph drawing its slice of the
 view's draws), encodes both views with the shared base encoder and scales the
 graph vectors by the policy probabilities into the two-view contrastive loss,
 which ``train_step`` minimizes. Policy and head parameters update every step;
-a coin flip decides whether the base or the augmentation encoder joins them.
+a coin flip, drawn before the forward, decides whether the base or the
+augmentation encoder joins them, and the other encoder runs detached.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -125,7 +126,7 @@ class TrainState:
 @dataclass
 class StepResult:
     loss: float
-    decision: PolicyDecision
+    decision: PolicyDecision     # off the tape
     coin: bool                   # True: base encoder updated this step
 
 
@@ -199,11 +200,20 @@ def step_loss(batch: GraphBatch, state: TrainState, config: TrainConfig,
 
 def train_step(batch: GraphBatch, state: TrainState,
                config: TrainConfig) -> StepResult:
+    """One update. The coin picks the encoder to update before the forward,
+    and the step runs on the other encoder's detached parameters, so the
+    tape records only what the update reads. The returned decision is off
+    the tape. A non-finite loss raises with ``state`` as it was."""
     for g in GROUPS:
         state.group(g).zero_grads()
+    coin_before = state.coin_stream.get_state()
+    coin = state.coin_stream.bernoulli(config.alternation_prob)
+    idle = "omega" if coin else "theta"
     loss, decision, outs = step_loss(
-        batch, state, config, state.sample_root.split(f"step{state.step}"))
+        batch, replace(state, **{idle: state.group(idle).detached()}), config,
+        state.sample_root.split(f"step{state.step}"))
     if not np.isfinite(loss.data).all():
+        state.coin_stream = RngStream.from_state(coin_before)
         head_stats = {view: _head_stats(out) for view, out in outs.items()}
         raise TrainingDivergedError(
             f"non-finite loss at step {state.step}: "
@@ -212,7 +222,6 @@ def train_step(batch: GraphBatch, state: TrainState,
             f"head_stats={head_stats}")
     loss.backward()
 
-    coin = state.coin_stream.bernoulli(config.alternation_prob)
     update_groups = ["policy", "heads", "theta" if coin else "omega"]
     # scales the leaves' own gradients in place
     clip_by_global_norm([t.grad for g in update_groups
@@ -221,6 +230,9 @@ def train_step(batch: GraphBatch, state: TrainState,
     for gname in update_groups:
         adam_step(state.group(gname), state.adam[gname], config.learning_rate)
     state.step += 1
+    # off the tape, so a result kept by the caller holds no step's nodes
+    decision = replace(decision, dist=decision.dist.detach(),
+                       p_i=decision.p_i.detach(), p_j=decision.p_j.detach())
     return StepResult(loss.item(), decision, coin)
 
 

@@ -112,6 +112,45 @@ def test_segment_draws_are_slices_of_one_draw():
     assert np.isin(tied, [0, 1, 2, 3]).all() and tied[0] < 2 <= tied[1]
 
 
+class _FixedNoise:
+    """A stream whose Gumbel draw is the given array."""
+
+    def __init__(self, noise):
+        self.noise = np.asarray(noise, dtype=float)
+
+    def gumbel(self, shape):
+        assert self.noise.shape == tuple(np.atleast_1d(shape))
+        return self.noise
+
+
+def _lexsort_picks(keys, starts):
+    """Each segment's pick as a stable sort by (segment, -key) took it."""
+    seg = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(keys)))
+    return np.lexsort((-keys, seg))[starts]
+
+
+def test_segment_picks_match_the_stable_lexsort():
+    """The first maximum of each segment, ties to the lowest index, as a
+    stable lexsort by (segment, -key) picks it: on random keys, on keys
+    with forced ties (a few integer values) and on the stream's own noise."""
+    rng = np.random.default_rng(17)
+    for case in range(300):
+        sizes = rng.integers(1, 9, rng.integers(1, 12))
+        starts = np.cumsum(sizes) - sizes
+        n = int(sizes.sum())
+        keys = (rng.integers(-2, 2, n).astype(float) if case % 2
+                else rng.normal(size=n))
+        picks = gumbel_softmax(keys, starts, _FixedNoise(np.zeros(n)))
+        assert picks.tolist() == _lexsort_picks(keys, starts).tolist()
+        logits = rng.normal(size=n)
+        picks = gumbel_softmax(logits, starts, RngStream(case, "lex"))
+        keys = logits + RngStream(case, "lex").gumbel(n)
+        assert picks.tolist() == _lexsort_picks(keys, starts).tolist()
+    # every key tied: each segment takes its first item
+    assert gumbel_softmax(np.ones(6), [0, 1, 4], _FixedNoise(np.zeros(6))
+                          ).tolist() == [0, 1, 4]
+
+
 def test_centers_match_each_segments_softmax_tv():
     """Centers drawn for 100,000 copies of a batch of three graphs' node
     logits, one call: each graph's pick frequencies against its own

@@ -108,6 +108,12 @@ OPS = [
         Tensor(_rand((2, 6), label="gru_wh")),
         Tensor(_rand((6,), label="gru_b"))) * Tensor(_rand((1, 2), label="gru_w"))
     ).sum(), False),
+    # a constant input sequence: the weights need a gradient, x does not
+    ("gru_sequence_const_x", lambda t: (gru_sequence(
+        Tensor(_rand((5, 2), label="gruc_x")), t.reshape(2, 6),
+        Tensor(_rand((2, 6), label="gruc_wh")),
+        Tensor(_rand((6,), label="gruc_b"))) * Tensor(_rand((1, 2), label="gruc_w"))
+    ).sum(), False),
     ("concat", lambda t: (concat([Tensor(_rand((3, 2), label="cat")), t],
                                  axis=1) * Tensor(_rand((3, 6), label="cat_w"))
                           ).sum(), False),
@@ -153,24 +159,38 @@ def _tape_nodes(root):
 
 @pytest.mark.parametrize("name,f,positive", OPS)
 def test_tape_freed_by_refcount_after_backward(name, f, positive):
-    """Dropping the loss frees the whole tape without the cyclic collector.
+    """``backward`` consumes the tape: every closure is gone when it returns,
+    with the loss still held and without the cyclic collector.
 
     ``Tensor`` has ``__slots__`` and no weakref slot, so the test watches each
     node's backward closure, which only that node holds: the closure dies
-    exactly when its node does.
+    exactly when its node lets go of it.
     """
     lo, hi = (0.5, 2.0) if positive else (-2.0, 2.0)
     x = Tensor(_rand((3, 4), lo, hi, label=name), requires_grad=True)
     gc.disable()
     try:
         loss = f(x)
-        loss.backward()
         refs = [weakref.ref(t._backprop) for t in _tape_nodes(loss)]
         assert len(refs) >= 2                  # the loss and an intermediate
-        del loss
+        loss.backward()
         assert all(r() is None for r in refs)
+        assert loss._parents == ()
     finally:
         gc.enable()
+
+
+def test_second_backward_through_a_spent_node_raises():
+    x = Tensor(_rand((3, 4), label="spent"), requires_grad=True)
+    y = x.sigmoid()
+    loss = (y * 2.0).sum()
+    loss.backward()
+    first = x.grad.copy()
+    with pytest.raises(RuntimeError, match="earlier backward consumed"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="earlier backward consumed"):
+        (y * 3.0).sum().backward()
+    assert np.array_equal(x.grad, first)        # nothing reached the leaf
 
 
 def _reachable(root):
@@ -240,8 +260,8 @@ def test_backward_frees_interior_grads_and_keeps_leaf_grads():
     w0 = _rand((4, 3), label="free_w")
     w = Tensor(w0, requires_grad=True)
     loss = f(w)
-    loss.backward()
     interior = _tape_nodes(loss)
+    loss.backward()
     assert len(interior) >= 5
     assert all(t.grad is None for t in interior)
     assert rel_err(w.grad, finite_diff_grad(f, Tensor(w0)).data) <= 1e-6
