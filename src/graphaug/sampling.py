@@ -47,7 +47,7 @@ def gumbel_top_k(p: np.ndarray, k, offsets, stream: RngStream) -> np.ndarray:
     if p.ndim != 1:
         raise ValueError("gumbel_top_k expects a 1-D probability vector")
     starts = np.asarray(offsets, dtype=np.int64)
-    counts = np.diff(starts, append=len(p))
+    counts = np.concatenate((starts[1:], [len(p)])) - starts
     k = np.broadcast_to(np.asarray(k, dtype=np.int64), counts.shape)
     if not ((1 <= k) & (k <= counts)).all():
         raise ValueError(f"k={k} out of range for segments of {counts} items")

@@ -6,12 +6,17 @@ different on every step. Every op computes its result, builds its backward
 closure and hands both to ``Tensor._result``, the one place that decides to
 record: only a result with a parent that needs a gradient keeps them. A
 closure gets its output node as an argument rather than capturing it, so a
-tape holds no reference cycle and is freed by reference counting. Gradients
-accumulate additively into a leaf's ``grad``; zeroing between steps is the
-caller's job. ``backward`` consumes the tape: once a node's closure has run,
-the node drops its gradient, its parents and its closure, so the sweep frees
-each node as soon as nothing else holds it and keeps only the gradients
-still in flight.
+tape holds no reference cycle and is freed by reference counting.
+
+A closure returns one gradient per parent, in ``_parents`` order, each
+shaped like its parent or like a broadcast of it; ``None`` skips a parent
+that needs no gradient. ``Tensor.backward`` is the one place that sums a
+gradient down to its parent's shape and adds it into the parent's ``grad``,
+parent by parent in that order. Gradients accumulate additively into a
+leaf's ``grad``; zeroing between steps is the caller's job. ``backward``
+consumes the tape: once a node's closure has run, the node drops its
+gradient, its parents and its closure, so the sweep frees each node as soon
+as nothing else holds it and keeps only the gradients still in flight.
 """
 from __future__ import annotations
 
@@ -50,7 +55,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple = ()
-        self._backprop: Callable[[Tensor], None] | None = None
+        self._backprop: Callable[[Tensor], tuple] | None = None
 
     # -- construction helpers ----------------------------------------------
 
@@ -60,9 +65,13 @@ class Tensor:
 
     @staticmethod
     def _result(data, parents: Sequence["Tensor"],
-                backprop: Callable[["Tensor"], None]) -> "Tensor":
+                backprop: Callable[["Tensor"], tuple]) -> "Tensor":
         """The one place an op is recorded: ``out`` keeps its parents and
-        ``backprop`` only when a parent needs a gradient."""
+        ``backprop`` only when a parent needs a gradient.
+
+        ``backprop(out)`` returns one gradient per parent, in ``parents``
+        order, or ``None`` for a parent it skips; ``backward`` unbroadcasts
+        each to its parent's shape and accumulates it."""
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -71,12 +80,12 @@ class Tensor:
         return out
 
     def _accum(self, g: np.ndarray) -> None:
-        if self.requires_grad:
-            if self.grad is None:
-                # one C-ordered allocation, whatever the layout of ``g``
-                self.grad = np.add(g, 0.0, out=np.empty(self.data.shape))
-            else:
-                self.grad += g
+        if self.grad is None:
+            # a copy, since ``g`` may be shared or a view, and one C-ordered
+            # allocation whatever its layout
+            self.grad = np.add(g, 0.0, out=np.empty(self.data.shape))
+        else:
+            self.grad += g
 
     # -- basic introspection -------------------------------------------------
 
@@ -105,17 +114,14 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         a, b = self, Tensor._lift(other)
-
-        def backprop(o):
-            a._accum(_unbroadcast(o.grad, a.data.shape))
-            b._accum(_unbroadcast(o.grad, b.data.shape))
-        return Tensor._result(a.data + b.data, (a, b), backprop)
+        return Tensor._result(a.data + b.data, (a, b),
+                              lambda o: (o.grad, o.grad))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
         a = self
-        return Tensor._result(-a.data, (a,), lambda o: a._accum(-o.grad))
+        return Tensor._result(-a.data, (a,), lambda o: (-o.grad,))
 
     def __sub__(self, other) -> "Tensor":
         return self + (-Tensor._lift(other))
@@ -125,22 +131,17 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         a, b = self, Tensor._lift(other)
-
-        def backprop(o):
-            a._accum(_unbroadcast(o.grad * b.data, a.data.shape))
-            b._accum(_unbroadcast(o.grad * a.data, b.data.shape))
-        return Tensor._result(a.data * b.data, (a, b), backprop)
+        return Tensor._result(a.data * b.data, (a, b),
+                              lambda o: (o.grad * b.data, o.grad * a.data))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         a, b = self, Tensor._lift(other)
-
-        def backprop(o):
-            a._accum(_unbroadcast(o.grad / b.data, a.data.shape))
-            b._accum(_unbroadcast(-o.grad * a.data / (b.data * b.data),
-                                  b.data.shape))
-        return Tensor._result(a.data / b.data, (a, b), backprop)
+        return Tensor._result(
+            a.data / b.data, (a, b),
+            lambda o: (o.grad / b.data,
+                       -o.grad * a.data / (b.data * b.data)))
 
     def __rtruediv__(self, other) -> "Tensor":
         return Tensor._lift(other) / self
@@ -151,17 +152,14 @@ class Tensor:
         a, c = self, float(exponent)
         return Tensor._result(
             a.data ** c, (a,),
-            lambda o: a._accum(o.grad * c * a.data ** (c - 1.0)))
+            lambda o: (o.grad * c * a.data ** (c - 1.0),))
 
     def __matmul__(self, other) -> "Tensor":
         a, b = self, Tensor._lift(other)
         if a.ndim != 2 or b.ndim != 2:
             raise InvalidShapeError("matmul expects 2-D operands")
-
-        def backprop(o):
-            a._accum(o.grad @ b.data.T)
-            b._accum(a.data.T @ o.grad)
-        return Tensor._result(a.data @ b.data, (a, b), backprop)
+        return Tensor._result(a.data @ b.data, (a, b),
+                              lambda o: (o.grad @ b.data.T, a.data.T @ o.grad))
 
     # -- reductions -------------------------------------------------------------
 
@@ -173,7 +171,7 @@ class Tensor:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             # ``_accum`` copies a first gradient and ``+=`` reads a view
-            a._accum(np.broadcast_to(g, a.data.shape))
+            return (np.broadcast_to(g, a.data.shape),)
         return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,),
                               backprop)
 
@@ -186,14 +184,14 @@ class Tensor:
     def relu(self) -> "Tensor":
         a = self
         return Tensor._result(np.maximum(a.data, 0.0), (a,),
-                              lambda o: a._accum(o.grad * (a.data > 0.0)))
+                              lambda o: (o.grad * (a.data > 0.0),))
 
     def sigmoid(self) -> "Tensor":
         a = self
         with np.errstate(over="ignore"):     # exp(-x) = inf gives s = 0
             s = 1.0 / (1.0 + np.exp(-a.data))
         return Tensor._result(s, (a,),
-                              lambda o: a._accum(o.grad * s * (1.0 - s)))
+                              lambda o: (o.grad * s * (1.0 - s),))
 
     def softplus(self) -> "Tensor":
         a = self
@@ -201,29 +199,29 @@ class Tensor:
         def backprop(o):
             with np.errstate(over="ignore"):
                 sig = 1.0 / (1.0 + np.exp(-a.data))
-            a._accum(o.grad * sig)
+            return (o.grad * sig,)
         return Tensor._result(np.logaddexp(0.0, a.data), (a,), backprop)
 
     def exp(self) -> "Tensor":
         a = self
         e = np.exp(a.data)
-        return Tensor._result(e, (a,), lambda o: a._accum(o.grad * e))
+        return Tensor._result(e, (a,), lambda o: (o.grad * e,))
 
     def log(self) -> "Tensor":
         a = self
         return Tensor._result(np.log(a.data), (a,),
-                              lambda o: a._accum(o.grad / a.data))
+                              lambda o: (o.grad / a.data,))
 
     def sqrt(self) -> "Tensor":
         a = self
         r = np.sqrt(a.data)
-        return Tensor._result(r, (a,), lambda o: a._accum(o.grad * 0.5 / r))
+        return Tensor._result(r, (a,), lambda o: (o.grad * 0.5 / r,))
 
     def clip_min(self, lo: float) -> "Tensor":
         """max(x, lo); gradient passes only where x > lo."""
         a = self
         return Tensor._result(np.maximum(a.data, lo), (a,),
-                              lambda o: a._accum(o.grad * (a.data > lo)))
+                              lambda o: (o.grad * (a.data > lo),))
 
     # -- shape ops -----------------------------------------------------------------
 
@@ -232,14 +230,13 @@ class Tensor:
             shape = tuple(shape[0])
         a = self
         return Tensor._result(a.data.reshape(shape), (a,),
-                              lambda o: a._accum(o.grad.reshape(a.data.shape)))
+                              lambda o: (o.grad.reshape(a.data.shape),))
 
     def transpose(self) -> "Tensor":
         if self.ndim != 2:
             raise InvalidShapeError("transpose expects a 2-D tensor")
         a = self
-        return Tensor._result(a.data.T.copy(), (a,),
-                              lambda o: a._accum(o.grad.T))
+        return Tensor._result(a.data.T.copy(), (a,), lambda o: (o.grad.T,))
 
     def gather_rows(self, idx) -> "Tensor":
         """Select rows (axis 0) by non-negative integer index; repeats
@@ -248,7 +245,7 @@ class Tensor:
         idx = np.asarray(idx, dtype=np.int64)
         return Tensor._result(
             a.data[idx], (a,),
-            lambda o: a._accum(_scatter_rows(idx, o.grad, a.data.shape[0])))
+            lambda o: (_scatter_rows(idx, o.grad, a.data.shape[0]),))
 
     def slice_axis(self, axis: int, start: int, stop: int) -> "Tensor":
         a = self
@@ -259,7 +256,7 @@ class Tensor:
         def backprop(o):
             g = np.zeros(a.data.shape)
             g[sl] = o.grad
-            a._accum(g)
+            return (g,)
         return Tensor._result(a.data[sl].copy(), (a,), backprop)
 
     # -- composites ----------------------------------------------------------------
@@ -302,17 +299,21 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited and p.requires_grad:
                     stack.append((p, False))
-        self._accum(np.ones_like(self.data))
+        if self.requires_grad:
+            self._accum(np.ones_like(self.data))
         while topo:                 # popped: the list holds no swept node
             node = topo.pop()
             if node._backprop is not None and node.grad is not None:
-                node._backprop(node)
+                for p, g in zip(node._parents, node._backprop(node),
+                                strict=True):
+                    if g is not None and p.requires_grad:
+                        p._accum(_unbroadcast(g, p.data.shape))
                 node.grad = None
                 node._parents = ()
                 node._backprop = _spent
 
 
-def _spent(o: Tensor) -> None:
+def _spent(o: Tensor) -> tuple:
     """The closure of a node whose backward has already run."""
     raise RuntimeError(f"backward reached a tape node of shape {o.shape} "
                        f"that an earlier backward consumed")
@@ -329,10 +330,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
 
     def backprop(o):
-        sizes = [t.data.shape[axis] for t in tensors]
-        bounds = np.cumsum(sizes)[:-1]
-        for t, piece in zip(tensors, np.split(o.grad, bounds, axis=axis)):
-            t._accum(piece)
+        bounds = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+        return np.split(o.grad, bounds, axis=axis)
     return Tensor._result(data, tensors, backprop)
 
 
@@ -362,7 +361,7 @@ def segment_sum(t: Tensor, segment_ids, num_segments: int) -> Tensor:
     t = Tensor._lift(t)
     seg = np.asarray(segment_ids, dtype=np.int64)
     return Tensor._result(_scatter_rows(seg, t.data, num_segments), (t,),
-                          lambda o: t._accum(o.grad[seg]))
+                          lambda o: (o.grad[seg],))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -386,12 +385,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
     def backprop(o):
         g = o.grad * (o.data > 0.0) if relu else o.grad
-        if x.requires_grad:
-            x._accum(g @ w.data.T)
-        if w.requires_grad:
-            w._accum(x.data.T @ g)
-        if b.requires_grad:
-            b._accum(g.sum(axis=0))
+        return (g @ w.data.T if x.requires_grad else None,
+                x.data.T @ g if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
     return Tensor._result(out, (x, w, b), backprop)
 
 
@@ -419,10 +415,9 @@ def propagate(h: Tensor, src, dst, w: Tensor) -> Tensor:
 
     def backprop(o):
         g = o.grad[dst]
-        if h.requires_grad:
-            h._accum(_scatter_rows(src, g * weight, rows))
-        if w.requires_grad:
-            w._accum((g * h.data[src]).sum(axis=1))
+        return (_scatter_rows(src, g * weight, rows) if h.requires_grad
+                else None,
+                (g * h.data[src]).sum(axis=1) if w.requires_grad else None)
     return Tensor._result(out, (h, w), backprop)
 
 
@@ -436,7 +431,7 @@ def segment_softmax(x: Tensor, offsets) -> Tensor:
     """
     x = Tensor._lift(x)
     starts = np.asarray(offsets, dtype=np.int64)
-    counts = np.diff(np.append(starts, x.data.size))
+    counts = np.concatenate((starts[1:], [x.data.size])) - starts
     if x.ndim != 1 or not starts.size or starts[0] != 0 or (counts < 1).any():
         raise InvalidShapeError("segment_softmax needs a 1-D tensor and "
                                 "ascending offsets from 0 to non-empty segments")
@@ -446,7 +441,7 @@ def segment_softmax(x: Tensor, offsets) -> Tensor:
 
     def backprop(o):
         gp = o.grad * p
-        x._accum(gp - p * np.repeat(np.add.reduceat(gp, starts), counts))
+        return (gp - p * np.repeat(np.add.reduceat(gp, starts), counts),)
     return Tensor._result(p, (x,), backprop)
 
 
@@ -491,8 +486,9 @@ def gru_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
             h = (1.0 - z) * n + z * h
 
     def backprop(o):
-        dx, dwx = np.zeros(xd.shape), np.zeros(wxd.shape)
-        dwh, db = np.zeros(whd.shape), np.zeros(b.data.shape)
+        dx = np.zeros(xd.shape) if x.requires_grad else None
+        dwx, dwh = np.zeros(wxd.shape), np.zeros(whd.shape)
+        db = np.zeros(b.data.shape)
         dh = o.grad
         for t in range(len(saved) - 1, -1, -1):
             z, r, n, gh_n, h_prev = saved[t]
@@ -501,16 +497,13 @@ def gru_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
             dar = dan * gh_n * r * (1.0 - r)
             dgx = np.concatenate([daz, dar, dan], axis=1)
             dgh = np.concatenate([daz, dar, dan * r], axis=1)
-            if x.requires_grad:
+            if dx is not None:
                 dx[t] = (dgx @ wxd.T)[0]
             dwx += xd[[t]].T @ dgx
             dwh += h_prev.T @ dgh
             db += dgx[0]
             dh = dh * z + dgh @ whd.T
-        x._accum(dx)
-        wx._accum(dwx)
-        wh._accum(dwh)
-        b._accum(db)
+        return dx, dwx, dwh, db
     return Tensor._result(h, (x, wx, wh, b), backprop)
 
 

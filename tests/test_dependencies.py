@@ -400,3 +400,62 @@ def test_guard_sees_every_matrix_product(tmp_path):
     assert unplanned(sites, {"mod.py:layer", "mod.py:f"}) == \
         ["mod.py:<module>", "mod.py:inner"]
     assert unplanned(sites, {"mod.py"}) == []
+
+
+# Lookups of the tape's accumulation helpers outside ``Tensor.backward``, as
+# "file:Class.function", each with the reason. A backward closure returns its
+# parents' gradients; only ``Tensor.backward`` sums each down to its parent's
+# shape and adds it into the parent's ``grad``.
+ACCUMULATION_BY_DESIGN = {}
+ACCUMULATORS = {"_accum", "_unbroadcast"}
+BACKWARD = "tensor.py:Tensor.backward"
+
+
+def accumulation_sites(paths) -> set:
+    """"file:qualified.name" of the innermost class or def around every
+    lookup of a name in ``ACCUMULATORS``, as a bare name or an attribute; a
+    lambda counts as its enclosing def, ``<module>`` outside any."""
+    sites = set()
+
+    def visit(node, scope, name):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if getattr(node, "id", getattr(node, "attr", None)) in ACCUMULATORS \
+                and isinstance(node, (ast.Name, ast.Attribute)):
+            sites.add(f"{name}:{'.'.join(scope) or '<module>'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, name)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(), str(path)), (), path.name)
+    return sites
+
+
+def test_only_backward_accumulates_gradients():
+    sites = accumulation_sites(sorted(SRC.glob("*.py"))
+                               + sorted((ROOT / "tests").glob("*.py")))
+    assert BACKWARD in sites
+    stale = sorted(set(ACCUMULATION_BY_DESIGN) - sites)
+    assert not stale, f"exception no longer needed: {stale}"
+    extra = sorted(sites - set(ACCUMULATION_BY_DESIGN) - {BACKWARD})
+    assert not extra, f"{sorted(ACCUMULATORS)} outside {BACKWARD}: {extra}"
+
+
+def test_guard_flags_accumulation_outside_backward(tmp_path):
+    module = tmp_path / "tensor.py"
+    module.write_text(
+        "class Tensor:\n"
+        "    def _accum(self, g):\n        self.grad = g\n\n"
+        "    def backward(self):\n"
+        "        self._accum(_unbroadcast(self.grad, ()))\n\n"
+        "    def __add__(self, other):\n"
+        "        def backprop(o):\n            self._accum(o.grad)\n"
+        "        return lambda o: other._accum(o.grad)\n\n"
+        "def concat(ts):\n    add = _unbroadcast\n    return add(ts, ())\n\n"
+        "class Other:\n    def backward(self):\n        self._accum(1)\n\n"
+        "def _unbroadcast(g, shape):\n    return g\n")
+    assert accumulation_sites([module]) == {
+        BACKWARD, "tensor.py:Tensor.__add__.backprop",
+        "tensor.py:Tensor.__add__", "tensor.py:concat",
+        "tensor.py:Other.backward"}

@@ -193,6 +193,23 @@ def test_second_backward_through_a_spent_node_raises():
     assert np.array_equal(x.grad, first)        # nothing reached the leaf
 
 
+@pytest.mark.parametrize("grads", [lambda o: (o.grad,),
+                                   lambda o: (o.grad, o.grad, o.grad)],
+                         ids=["too_few", "too_many"])
+def test_a_closure_returns_one_gradient_per_parent(grads):
+    """``backward`` pairs a closure's gradients with the node's parents
+    strictly: a gradient missing or left over raises instead of being
+    dropped. ``None`` skips a parent."""
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ValueError, match="zip"):
+        Tensor._result(a.data + b.data, (a, b), grads).sum().backward()
+    skip = Tensor(np.ones(3), requires_grad=True)
+    Tensor._result(a.data + skip.data, (a, skip),
+                   lambda o: (o.grad, None)).sum().backward()
+    assert skip.grad is None
+
+
 def _reachable(root):
     """Every node reachable from ``root`` through ``_parents``."""
     nodes, stack, seen = [], [root], set()
