@@ -164,8 +164,14 @@ def cmd_train(args) -> int:
         return 0
     dataset = _load_dataset(resolved, config.task)
     out = _out_dir(resolved, f"{dataset.name.lower()}-train")
-    print(f"training on {dataset.name}: {len(dataset.graphs)} graphs, "
-          f"d_x={dataset.feature_dim}, task={config.task}")
+    if config.task == "node":       # the node task reads only graph 0
+        g = dataset.graphs[0]
+        size = (f"graph 0 of {len(dataset.graphs)} ({g.num_nodes} nodes, "
+                f"{g.num_edges} edges)")
+    else:
+        size = f"{len(dataset.graphs)} graphs"
+    print(f"training on {dataset.name}: {size}, d_x={dataset.feature_dim}, "
+          f"task={config.task}")
     state, metrics, freqs = train(dataset, config)
     # a run that fails leaves no directory behind
     out.mkdir(parents=True, exist_ok=True)
@@ -265,8 +271,7 @@ def cmd_inspect(args) -> int:
     decision = decide(enc.graph_vector, config.policy_kind,
                       RngStream(resolved["seed"], "inspect-policy"),
                       state.policy.detached(), kinds)
-    dist = {k.value: float(p) for k, p in zip(decision.kinds,
-                                              decision.dist.data)}
+    dist = {k.value: float(p) for k, p in zip(kinds, decision.dist.data)}
     print("policy distribution:", json.dumps(dist))
     views = apply_augmentation(kind, batch, enc.node_matrix, enc.graph_vector,
                                state.heads.detached(), config.keep_ratio,

@@ -93,7 +93,7 @@ def gcn_layer(h: Tensor, src: np.ndarray, dst: np.ndarray, edge_w: Tensor,
     norm = dinv.gather_rows(src) * dinv.gather_rows(dst) * edge_w
     agg = propagate(hw, src, dst, norm)
     self_term = hw * (dinv * dinv).reshape(-1, 1)
-    return (agg + self_term).relu()
+    return (agg + self_term).clip_min(0.0)
 
 
 def _dropout(h: Tensor, p: float, stream: RngStream) -> Tensor:

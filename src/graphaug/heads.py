@@ -32,7 +32,7 @@ from .tensor import ParameterSet, Tensor, concat, segment_softmax, \
 @dataclass
 class HeadOutput:
     graph: GraphBatch
-    soft_params: dict = field(default_factory=dict)    # tensors kept on the tape
+    soft_params: dict = field(default_factory=dict)    # probs and soft samples
 
 
 def init_head_params(params: ParameterSet, kind: AugmentationKind,
@@ -113,8 +113,9 @@ def _sample_negatives(pairs: np.ndarray, batch: GraphBatch,
 def edge_perturbation_head(batch: GraphBatch, h_v: Tensor,
                            params: ParameterSet, temperature: float,
                            stream: RngStream) -> HeadOutput:
-    """Score existing and sampled non-edges, keep each by a relaxed Bernoulli,
-    and use the predicted probability as the kept edge's weight.
+    """Score existing and sampled non-edges, keep each by a hard Bernoulli
+    draw on the scores' values, off the tape, and weight each kept edge by
+    its predicted probability, the head's one gradient path.
 
     Works on unordered pairs so both orientations of an undirected edge share
     one decision and one weight; all nodes stay, features untouched. A graph
@@ -137,8 +138,8 @@ def edge_perturbation_head(batch: GraphBatch, h_v: Tensor,
     z = concat([h_e, Tensor(indicator.reshape(-1, 1))], axis=1)
     logits = mlp(z, *params.under("edge_perturb/mlp")).reshape(len(pairs))
     probs = logits.sigmoid()
-    keep = relaxed_bernoulli(logits, temperature, noise)
-    kept = np.flatnonzero(keep.hard > 0.5)
+    keep = relaxed_bernoulli(logits.detach(), temperature, noise)
+    kept = np.flatnonzero(keep.data > 0.5)
     # each kept pair as (u, v) then (v, u), the reverse skipped for loops
     directed = np.stack([pairs[kept], pairs[kept, ::-1]], axis=1).reshape(-1, 2)
     both = np.ones(len(directed), dtype=bool)
@@ -146,7 +147,7 @@ def edge_perturbation_head(batch: GraphBatch, h_v: Tensor,
     edges = directed[both]
     weights = probs.gather_rows(np.repeat(kept, 2)[both])
     view = replace(batch, edges=edges, edge_weights=weights)
-    return HeadOutput(view, {"edge_probs": probs, "keep_soft": keep.soft})
+    return HeadOutput(view, {"edge_probs": probs, "keep_soft": keep})
 
 
 def subgraph_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
@@ -179,13 +180,16 @@ def feature_masking_head(batch: GraphBatch, h_v: Tensor, params: ParameterSet,
     """
     projected = mlp(batch.features, *params.under("feature_mask/lin"))
     mask_logits = mlp(h_v, *params.under("feature_mask/mlp"))
-    sample = relaxed_bernoulli(mask_logits, temperature,
-                               stream.logistic(mask_logits.shape))
-    mask = sample.soft if mask_mode == "soft" else sample.st
+    soft = relaxed_bernoulli(mask_logits, temperature,
+                             stream.logistic(mask_logits.shape))
+    # straight-through: the forward value is the hard draw, the gradient
+    # the relaxed one
+    hard = (soft.data > 0.5).astype(float)
+    mask = soft if mask_mode == "soft" else Tensor(hard) + soft - soft.detach()
     view = replace(batch, features=projected * mask,
                    edge_weights=np.ones(batch.num_edges))
-    return HeadOutput(view, {"mask_probs": mask_logits.sigmoid(),
-                             "mask_soft": sample.soft})
+    return HeadOutput(view, {"mask_probs": mask_logits.detach().sigmoid(),
+                             "mask_soft": soft})
 
 
 def identity_augmentation(batch: GraphBatch) -> HeadOutput:

@@ -59,8 +59,7 @@ def active_kinds(task: str) -> tuple:
 
 @dataclass
 class PolicyDecision:
-    dist: Tensor                    # (|active|,) probabilities, on the tape
-    kinds: tuple                    # the active kinds, in dist order
+    dist: Tensor                    # over decide's kinds, on the tape
     i: AugmentationKind
     j: AugmentationKind
     p_i: Tensor                     # scalar tensors: dist entries of i and j
@@ -129,8 +128,8 @@ def decide(batch_reps: Tensor, policy_kind: str, stream: RngStream,
     (idx_j,) = gumbel_softmax(log_dist, [0], stream.split("j"))
     p_i = dist.gather_rows([idx_i]).reshape(())
     p_j = dist.gather_rows([idx_j]).reshape(())
-    return PolicyDecision(dist=dist, kinds=tuple(kinds),
-                          i=kinds[idx_i], j=kinds[idx_j], p_i=p_i, p_j=p_j)
+    return PolicyDecision(dist=dist, i=kinds[idx_i], j=kinds[idx_j],
+                          p_i=p_i, p_j=p_j)
 
 
 def scale_by_policy(graph_vectors: Tensor, p: Tensor) -> Tensor:

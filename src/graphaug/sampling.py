@@ -1,23 +1,15 @@
 """Discrete sampling. The categorical (Gumbel-max) and Gumbel-Top-K draws
 are hard decisions on plain arrays and build no tape. The relaxed Bernoulli
-keeps its soft sample on the tape and uses the straight-through estimator:
-the forward value is the hard sample, the gradient is the relaxed one.
+returns its soft sample, on the tape when its logits are; its hard draw is
+the soft sample above 1/2, and a caller that wants the straight-through
+estimator builds it from the two.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import RngStream
 from .tensor import Tensor
-
-
-@dataclass
-class RelaxedSample:
-    soft: Tensor                     # relaxed sample, on the tape
-    hard: np.ndarray                 # binary
-    st: Tensor                       # straight-through combination
 
 
 def gumbel_softmax(logits: np.ndarray, offsets,
@@ -64,20 +56,18 @@ def gumbel_top_k(p: np.ndarray, k, offsets, stream: RngStream) -> np.ndarray:
 
 
 def relaxed_bernoulli(logits, temperature: float,
-                      noise: np.ndarray) -> RelaxedSample:
-    """Elementwise Bernoulli with logistic-noise relaxation.
+                      noise: np.ndarray) -> Tensor:
+    """Elementwise Bernoulli with logistic-noise relaxation: the soft sample
+    sigmoid((logit + noise) / temperature).
 
-    hard[i] = 1 iff logit[i] + noise[i] > 0, an exact Bernoulli draw with
-    p = sigmoid(logit) when ``noise`` is standard logistic (e.g.
-    ``stream.logistic(shape)``), which the caller draws for the whole
-    batch.
+    The hard draw ``soft.data > 0.5`` is 1 iff logit[i] + noise[i] > 0, an
+    exact Bernoulli draw with p = sigmoid(logit) when ``noise`` is standard
+    logistic (e.g. ``stream.logistic(shape)``), which the caller draws for
+    the whole batch.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     logits = Tensor._lift(logits)
     if noise.shape != logits.shape:
         raise ValueError(f"noise shape {noise.shape} != logits {logits.shape}")
-    soft = ((logits + Tensor(noise)) * (1.0 / temperature)).sigmoid()
-    hard = (soft.data > 0.5).astype(float)
-    st = Tensor(hard) + soft - soft.detach()
-    return RelaxedSample(soft=soft, hard=hard, st=st)
+    return ((logits + Tensor(noise)) * (1.0 / temperature)).sigmoid()

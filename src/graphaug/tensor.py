@@ -181,11 +181,6 @@ class Tensor:
 
     # -- elementwise nonlinearities ----------------------------------------------
 
-    def relu(self) -> "Tensor":
-        a = self
-        return Tensor._result(np.maximum(a.data, 0.0), (a,),
-                              lambda o: (o.grad * (a.data > 0.0),))
-
     def sigmoid(self) -> "Tensor":
         a = self
         with np.errstate(over="ignore"):     # exp(-x) = inf gives s = 0
@@ -369,8 +364,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
     The bias add and the ReLU run in place on the fresh product, so the
     node holds only its output, whose sign is the ReLU mask. The backward
-    is what the matmul, add and relu nodes compute, for the inputs that
-    need a gradient.
+    is what the matmul, add and ``clip_min(0.0)`` nodes compute, for the
+    inputs that need a gradient.
     """
     x, w, b = (Tensor._lift(t) for t in (x, w, b))
     if (x.ndim != 2 or w.ndim != 2 or w.data.shape[0] != x.data.shape[1]

@@ -11,6 +11,7 @@ from graphaug.cli import main
 from graphaug.errors import TrainingDivergedError
 from graphaug.rng import RngStream
 from graphaug.trainer import TrainConfig
+from graphaug.tudataset import parse_tudataset
 
 
 def write_synthetic_tudataset(root: Path, name="SYN", num_graphs=10):
@@ -66,6 +67,19 @@ def test_train_writes_artifacts(dataset_dir, tmp_path, capsys):
         assert (out / artifact).exists(), artifact
     header = (out / "metrics.csv").read_text().splitlines()[0]
     assert header == "epoch,step,loss,aug_i,aug_j,p_i,p_j,coin"
+
+
+def test_train_names_what_it_trains_on(dataset_dir, tmp_path, capsys):
+    """The node task trains on the dataset's first graph alone, and the
+    first line says so with that graph's size."""
+    g = parse_tudataset(dataset_dir).graphs[0]
+    for task, size in (("graph", "10 graphs"),
+                       ("node", f"graph 0 of 10 ({g.num_nodes} nodes, "
+                                f"{g.num_edges} edges)")):
+        assert run_cli("train", "--dataset", str(dataset_dir), "--task", task,
+                       "--out", str(tmp_path / task), "--epochs", "0") == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith(f"training on SYN: {size}, d_x="), first
 
 
 def test_train_determinism_byte_identical(dataset_dir, tmp_path):

@@ -294,6 +294,23 @@ def test_feature_mask_all_zeros():
     assert np.allclose(out.graph.features.data, 0.0)
 
 
+def test_feature_mask_forward_is_the_hard_mask():
+    """The straight-through mask's forward value is the hard draw: each
+    projected feature is kept (to rounding) where its soft sample is above
+    1/2 and zeroed elsewhere."""
+    g = make_graph(14)
+    h_v, _ = encodings_for(g, 14)
+    params = head_params(AugmentationKind.FEATURE_MASK)
+    out = one_graph(feature_masking_head, g, h_v, params, 1.0,
+                    RngStream(9, "bst"))
+    w, b = params.under("feature_mask/lin")
+    lin = g.features.data @ w.data + b.data
+    keep = out.soft_params["mask_soft"].data > 0.5
+    assert keep.any() and not keep.all()
+    assert np.allclose(out.graph.features.data, np.where(keep, lin, 0.0),
+                       rtol=1e-15, atol=0.0)
+
+
 def test_feature_mask_preserves_structure():
     g = make_graph(12)
     h_v, _ = encodings_for(g, 12)
@@ -589,9 +606,9 @@ def _ref_edge_perturb(g, h_v, params, temperature, draws):
     logits = mlp(z, params["mlp/w0"], params["mlp/b0"],
                  params["mlp/w1"], params["mlp/b1"]).reshape(len(all_pairs))
     probs = logits.sigmoid()
-    keep = relaxed_bernoulli(logits, temperature, keep_noise)
+    keep_soft = relaxed_bernoulli(logits, temperature, keep_noise)
     directed, weight_src = [], []
-    for idx in np.flatnonzero(keep.hard > 0.5):
+    for idx in np.flatnonzero(keep_soft.data > 0.5):
         u, v = all_pairs[idx]
         directed.append((u, v))
         weight_src.append(idx)
@@ -602,7 +619,7 @@ def _ref_edge_perturb(g, h_v, params, temperature, draws):
     weights = (probs.gather_rows(np.array(weight_src, dtype=np.int64))
                if weight_src else Tensor(np.zeros(0)))
     out = Graph(g.num_nodes, edges, g.features.data.copy(), weights)
-    return RefOutput(out, {"edge_probs": probs, "keep_soft": keep.soft})
+    return RefOutput(out, {"edge_probs": probs, "keep_soft": keep_soft})
 
 
 def _ref_subgraph(g, h_v, h_g, params, hops, gumbel):
@@ -624,11 +641,13 @@ def _ref_feature_mask(g, h_v, params, temperature, logistic):
     projected = x @ params["lin/w"] + params["lin/b"]
     mask_logits = mlp(h_v, params["mlp/w0"], params["mlp/b0"],
                       params["mlp/w1"], params["mlp/b1"])
-    sample = relaxed_bernoulli(mask_logits, temperature, logistic)
-    out = Graph(g.num_nodes, g.edges.copy(), projected * sample.st,
+    soft = relaxed_bernoulli(mask_logits, temperature, logistic)
+    hard = (soft.data > 0.5).astype(float)
+    st = Tensor(hard) + soft - soft.detach()
+    out = Graph(g.num_nodes, g.edges.copy(), projected * st,
                 np.ones(g.num_edges))
     return RefOutput(out, {"mask_probs": mask_logits.sigmoid(),
-                           "mask_soft": sample.soft})
+                           "mask_soft": soft})
 
 
 def _view_draws(kind, graphs, stream, d_x):
@@ -802,18 +821,19 @@ def test_batched_heads_match_reference_on_mutag(kind, mutag_dir):
             assert out.soft_params
 
 
-def _tape_size(view):
-    """Tape nodes (with a backward closure) reachable from a view's edge
-    weights and features."""
-    seen, stack, count = set(), [view.edge_weights, view.features], 0
+def _tape_nodes(view):
+    """The ids of the tape nodes (with a backward closure) reachable from a
+    view's edge weights and features."""
+    seen, stack, nodes = set(), [view.edge_weights, view.features], set()
     while stack:
         t = stack.pop()
         if id(t) in seen:
             continue
         seen.add(id(t))
-        count += t._backprop is not None
+        if t._backprop is not None:
+            nodes.add(id(t))
         stack.extend(t._parents)
-    return count
+    return nodes
 
 
 @pytest.mark.parametrize("kind", list(AugmentationKind))
@@ -828,9 +848,30 @@ def test_tape_size_per_view_independent_of_batch_size(kind, mutag_dir):
         h_g = Tensor(enc.uniform((count, d_h)), requires_grad=True)
         out = apply_augmentation(kind, batch, h_v, h_g, params, 0.75, 2, 1.0,
                                  RngStream(count, "tape"))
-        sizes.append(_tape_size(out.graph))
+        sizes.append(len(_tape_nodes(out.graph)))
     assert sizes[0] == sizes[1] == sizes[2], sizes
     assert (sizes[0] == 0) == (kind == AugmentationKind.IDENTITY)
+
+
+@pytest.mark.parametrize("kind", list(AugmentationKind))
+def test_head_records_only_what_its_view_reads(kind, made_tensors):
+    """With the encodings and the heads' parameters needing gradients, every
+    tape node recorded inside ``apply_augmentation`` is an ancestor of the
+    view's edge weights or features: the hard draws and the diagnostics in
+    ``soft_params`` that no backward reaches stay off the tape."""
+    graphs = messy_batch_graphs(3)
+    params = head_set(D_H, graphs[0].features.shape[1], 3)
+    batch = batch_graphs(graphs)
+    enc = RngStream(3, "recording-enc")
+    h_v = Tensor(enc.uniform((batch.num_nodes, D_H)) - 0.5, requires_grad=True)
+    h_g = Tensor(enc.uniform((batch.num_graphs, D_H)) - 0.5,
+                 requires_grad=True)
+    made_tensors.clear()
+    out = apply_augmentation(kind, batch, h_v, h_g, params, 0.6, 2, 0.7,
+                             RngStream(3, f"recording-{kind.value}"))
+    recorded = {id(t) for t in made_tensors if t._backprop is not None}
+    unreached = recorded - _tape_nodes(out.graph)
+    assert not unreached, f"{len(unreached)} of {len(recorded)} unreached"
 
 
 def _ref_train_step(graphs, state, config):

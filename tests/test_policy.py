@@ -151,16 +151,17 @@ def decide_with_dist(dist_values, stream):
     (i,) = gumbel_softmax(log_dist, [0], stream.split("i"))
     (j,) = gumbel_softmax(log_dist, [0], stream.split("j"))
     kinds = GRAPH_TASK_KINDS
-    return PolicyDecision(dist, kinds, kinds[i], kinds[j],
+    return PolicyDecision(dist, kinds[i], kinds[j],
                           dist.gather_rows([i]).reshape(()),
                           dist.gather_rows([j]).reshape(()))
 
 
 def test_decide_returns_consistent_probs():
     params = init_policy_params("gru", 8, 5, seed=6)
-    dec = decide(reps(), "gru", RngStream(0, "d"), params)
-    i_idx = dec.kinds.index(dec.i)
-    j_idx = dec.kinds.index(dec.j)
+    kinds = GRAPH_TASK_KINDS
+    dec = decide(reps(), "gru", RngStream(0, "d"), params, kinds)
+    i_idx = kinds.index(dec.i)
+    j_idx = kinds.index(dec.j)
     assert dec.p_i.item() == dec.dist.data[i_idx]
     assert dec.p_j.item() == dec.dist.data[j_idx]
     assert abs(dec.dist.data.sum() - 1.0) < 1e-9
