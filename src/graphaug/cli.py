@@ -286,6 +286,10 @@ def cmd_inspect(args) -> int:
         lines += [f"{int(a)} {int(b)} {w[e]:.6f}"
                   for e, (a, b) in enumerate(aug.edges)]
         (out / f"graph{k}.edges").write_text("\n".join(lines) + "\n")
+        x = aug.features.data + 0.0         # a dropped -0.0 prints as 0
+        np.savetxt(out / f"graph{k}.features", x, fmt="%.17g",
+                   header=f"graph {k}: {x.shape[0]} nodes, {x.shape[1]} "
+                          f"features, one row per node")
     (out / "policy_distribution.json").write_text(json.dumps(dist, indent=2))
     print(f"wrote {n} augmented graphs to {out}")
     return 0

@@ -125,6 +125,15 @@ def batch_graphs(graphs: list) -> GraphBatch:
                       np.concatenate([g.node_counts for g in graphs]))
 
 
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array, by a sort and a neighbour mask: the same
+    result, an order of magnitude faster on integer keys under numpy 2.4."""
+    a = np.sort(a)
+    keep = np.ones(a.shape, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _row_positions(indptr: np.ndarray,
                    rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions in the CSR arrays of every entry of ``rows``, row after row,
@@ -148,7 +157,8 @@ def khop_nodes(indptr: np.ndarray, indices: np.ndarray, centers: np.ndarray,
     for _ in range(hops):
         nodes = frontier % n
         pos, counts = _row_positions(indptr, nodes)
-        reached = np.unique(np.repeat(frontier - nodes, counts) + indices[pos])
+        reached = sorted_unique(np.repeat(frontier - nodes, counts)
+                                + indices[pos])
         at = np.minimum(np.searchsorted(keys, reached), len(keys) - 1)
         frontier = reached[keys[at] != reached]
         if not frontier.size:

@@ -182,10 +182,11 @@ def feature_masking_head(batch: GraphBatch, h_v: Tensor, params: ParameterSet,
     mask_logits = mlp(h_v, *params.under("feature_mask/mlp"))
     soft = relaxed_bernoulli(mask_logits, temperature,
                              stream.logistic(mask_logits.shape))
-    # straight-through: the forward value is the hard draw, the gradient
-    # the relaxed one
+    # straight-through: the forward value is the hard draw (plus an exact
+    # 0), the gradient the relaxed one
     hard = (soft.data > 0.5).astype(float)
-    mask = soft if mask_mode == "soft" else Tensor(hard) + soft - soft.detach()
+    mask = (soft if mask_mode == "soft"
+            else Tensor(hard) + (soft - soft.detach()))
     view = replace(batch, features=projected * mask,
                    edge_weights=np.ones(batch.num_edges))
     return HeadOutput(view, {"mask_probs": mask_logits.detach().sigmoid(),

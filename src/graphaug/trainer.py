@@ -128,6 +128,7 @@ class StepResult:
     loss: float
     decision: PolicyDecision     # off the tape
     coin: bool                   # True: base encoder updated this step
+    grad_norm: float             # global norm of the update's grads, pre-clip
 
 
 def init_state(config: TrainConfig, input_dim: int) -> TrainState:
@@ -224,16 +225,16 @@ def train_step(batch: GraphBatch, state: TrainState,
 
     update_groups = ["policy", "heads", "theta" if coin else "omega"]
     # scales the leaves' own gradients in place
-    clip_by_global_norm([t.grad for g in update_groups
-                         for t in state.group(g).tensors()
-                         if t.grad is not None], config.clip_norm)
+    grad_norm = clip_by_global_norm([t.grad for g in update_groups
+                                     for t in state.group(g).tensors()
+                                     if t.grad is not None], config.clip_norm)
     for gname in update_groups:
         adam_step(state.group(gname), state.adam[gname], config.learning_rate)
     state.step += 1
     # off the tape, so a result kept by the caller holds no step's nodes
     decision = replace(decision, dist=decision.dist.detach(),
                        p_i=decision.p_i.detach(), p_j=decision.p_j.detach())
-    return StepResult(loss.item(), decision, coin)
+    return StepResult(loss.item(), decision, coin, grad_norm)
 
 
 def _graph_batches(dataset, config: TrainConfig, state: TrainState):
@@ -269,7 +270,8 @@ def _patience_spent(state: TrainState, loss: float, patience: int) -> bool:
 def train(dataset, config: TrainConfig, state: TrainState | None = None):
     """Run the loop; returns (state, metrics rows, frequency rows).
 
-    Metrics rows: epoch, step, loss, aug_i, aug_j, p_i, p_j, coin.
+    Metrics rows: epoch, step, loss, aug_i, aug_j, p_i, p_j, coin, and the
+    update's pre-clip gradient norm, grad_norm.
     Frequency rows: per-epoch normalized selection counts over all kinds.
     """
     if config.task == "graph" and len(dataset.graphs) < 2:
@@ -300,7 +302,7 @@ def train(dataset, config: TrainConfig, state: TrainState | None = None):
                 "epoch": epoch, "step": state.step - 1, "loss": res.loss,
                 "aug_i": res.decision.i.value, "aug_j": res.decision.j.value,
                 "p_i": res.decision.p_i.item(), "p_j": res.decision.p_j.item(),
-                "coin": int(res.coin),
+                "coin": int(res.coin), "grad_norm": res.grad_norm,
             })
             if config.patience_unit == "step" and _patience_spent(
                     state, res.loss, config.early_stop_patience):

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError
-from .graphs import Graph
+from .graphs import Graph, sorted_unique
 
 log = logging.getLogger(__name__)
 
@@ -105,7 +105,8 @@ def _features(num_nodes: int, edges: np.ndarray, node_labels, attrs):
     capped degree one-hot of the distinct undirected edges plus a constant
     channel."""
     if node_labels is None and attrs is None:
-        pairs = np.unique(edges.min(axis=1) * num_nodes + edges.max(axis=1))
+        pairs = sorted_unique(edges.min(axis=1) * num_nodes
+                              + edges.max(axis=1))
         lo, hi = pairs // num_nodes, pairs % num_nodes
         deg = np.bincount(np.concatenate((lo, hi[lo != hi])),
                           minlength=num_nodes)
@@ -134,7 +135,7 @@ def parse_tudataset(directory, task: str = "graph") -> Dataset:
         raise DatasetError(f"missing mandatory file {adj_path.name}")
     indicator_path = directory / f"{prefix}_graph_indicator.txt"
     indicator = _read_table(indicator_path, 1, np.int64)[:, 0] - 1
-    ids = np.unique(indicator)
+    ids = sorted_unique(indicator)
     if not len(ids) or ids[0] != 0 or ids[-1] != len(ids) - 1:
         raise DatasetError(
             f"{indicator_path.name}: graph ids must run 1..G with every id "
@@ -188,15 +189,15 @@ def parse_tudataset(directory, task: str = "graph") -> Dataset:
     position = np.argsort(order)
     graph_of = indicator[order]
     starts = np.searchsorted(graph_of, np.arange(num_graphs))
-    # Directed edges as packed position keys: np.unique collapses repeats,
+    # Directed edges as packed position keys: sorted_unique collapses repeats,
     # and over both orientations gives the edges sorted by (src, dst), so
     # graph by graph.
     src, dst = position[edges_global.T]
     keys = src * num_nodes_total + dst
-    duplicates = len(keys) - len(np.unique(keys))
+    duplicates = len(keys) - len(sorted_unique(keys))
     if duplicates:
         log.warning("collapsed %d duplicate parallel edges", duplicates)
-    keys = np.unique(np.concatenate((keys, dst * num_nodes_total + src)))
+    keys = sorted_unique(np.concatenate((keys, dst * num_nodes_total + src)))
     src, dst = keys // num_nodes_total, keys % num_nodes_total
     edge_graph = graph_of[src]
     edges = np.split(np.stack((src, dst), axis=1) - starts[edge_graph, None],

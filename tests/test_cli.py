@@ -4,13 +4,14 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphaug import cli, container, evaluation
 from graphaug.cli import main
 from graphaug.errors import TrainingDivergedError
 from graphaug.rng import RngStream
-from graphaug.trainer import TrainConfig
+from graphaug.trainer import TrainConfig, load_checkpoint
 from graphaug.tudataset import parse_tudataset
 
 
@@ -561,6 +562,34 @@ def test_inspect_identity_dumps_inputs(dataset_dir, tmp_path, capsys):
     dump = (out / "graph0.edges").read_text().splitlines()
     weights = [float(line.split()[2]) for line in dump[2:]]
     assert all(w == 1.0 for w in weights)
+
+
+def test_inspect_dumps_each_views_features(dataset_dir, tmp_path):
+    """The identity view's features are the dataset's; the feature-mask
+    view's are the projected features, each kept exactly or dropped to an
+    exact 0."""
+    ck = trained_checkpoint(dataset_dir, tmp_path)
+    graphs = parse_tudataset(dataset_dir).graphs[:3]
+    w, b = load_checkpoint(ck)[0].heads.under("feature_mask/lin")
+    dropped = []
+    for head in ("identity", "feature_mask"):
+        out = tmp_path / f"ins-{head}"
+        assert run_cli("inspect", "--checkpoint", str(ck), "--dataset",
+                       str(dataset_dir), "--out", str(out), "--head", head,
+                       "--num-graphs", "3") == 0
+        for k, g in enumerate(graphs):
+            got = np.loadtxt(out / f"graph{k}.features", ndmin=2)
+            x = g.features.data
+            if head == "identity":
+                assert np.array_equal(got, x)
+                continue
+            lin = x @ w.data + b.data
+            assert got.shape == lin.shape and (lin != 0.0).all()
+            zero = got == 0.0
+            assert np.array_equal(got[~zero], lin[~zero])
+            dropped.append(zero)
+    dropped = np.concatenate(dropped)
+    assert dropped.any() and not dropped.all()
 
 
 def test_inspect_subgraph_connected(dataset_dir, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from graphaug.errors import InvalidShapeError
 from graphaug.graphs import (
     Graph, GraphBatch, batch_graphs, khop_bfs, make_node_task_batch,
+    sorted_unique,
 )
 from graphaug.rng import RngStream
 from graphaug.tensor import Tensor
@@ -48,6 +49,22 @@ def bfs_distances(g: GraphBatch, src: int) -> np.ndarray:
 
 
 # -- khop_bfs ---------------------------------------------------------------
+
+@pytest.mark.parametrize("values", [
+    [], [7], [3, 3, 3], [5, -2, 5, 0, -2, 9, 0, 0],
+    *(RngStream(seed, "unique").integers(-high, high, size=size)
+      for seed, high, size in ((0, 4, 2), (1, 40, 50), (2, 10 ** 7, 7442))),
+], ids=["empty", "single", "repeated", "mixed", "rand2", "rand50",
+        "rand7442"])
+def test_sorted_unique_is_np_unique(values):
+    a = np.asarray(values, dtype=np.int64)
+    before = a.copy()
+    got = sorted_unique(a)
+    want = np.unique(a)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(a, before)            # not sorted in place
+
 
 def test_khop_on_path():
     g = path_graph(5)

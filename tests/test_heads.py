@@ -296,9 +296,10 @@ def test_feature_mask_all_zeros():
 
 def test_feature_mask_forward_is_the_hard_mask():
     """The straight-through mask's forward value is the hard draw: each
-    projected feature is kept (to rounding) where its soft sample is above
-    1/2 and zeroed elsewhere."""
-    g = make_graph(14)
+    projected feature is kept exactly where its soft sample is above 1/2
+    and zeroed elsewhere. Forty nodes give about 60 kept entries, where
+    ``hard + soft - soft`` would scale about a quarter by 1 - 2^-53."""
+    g = make_graph(14, n=40)
     h_v, _ = encodings_for(g, 14)
     params = head_params(AugmentationKind.FEATURE_MASK)
     out = one_graph(feature_masking_head, g, h_v, params, 1.0,
@@ -307,8 +308,7 @@ def test_feature_mask_forward_is_the_hard_mask():
     lin = g.features.data @ w.data + b.data
     keep = out.soft_params["mask_soft"].data > 0.5
     assert keep.any() and not keep.all()
-    assert np.allclose(out.graph.features.data, np.where(keep, lin, 0.0),
-                       rtol=1e-15, atol=0.0)
+    assert np.array_equal(out.graph.features.data, np.where(keep, lin, 0.0))
 
 
 def test_feature_mask_preserves_structure():
@@ -643,7 +643,7 @@ def _ref_feature_mask(g, h_v, params, temperature, logistic):
                       params["mlp/w1"], params["mlp/b1"])
     soft = relaxed_bernoulli(mask_logits, temperature, logistic)
     hard = (soft.data > 0.5).astype(float)
-    st = Tensor(hard) + soft - soft.detach()
+    st = Tensor(hard) + (soft - soft.detach())
     out = Graph(g.num_nodes, g.edges.copy(), projected * st,
                 np.ones(g.num_edges))
     return RefOutput(out, {"mask_probs": mask_logits.sigmoid(),

@@ -249,7 +249,7 @@ def test_first_gradient_is_c_contiguous():
 
 def test_gate_exponentials_do_not_warn():
     """Saturated sigmoids, softplus slopes and GRU gates are exactly 0 or 1,
-    without an overflow warning."""
+    without an overflow warning, and the GRU's gradients stay finite."""
     big = np.array([[-1e3, 1e3, -800.0, 800.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -259,11 +259,13 @@ def test_gate_exponentials_do_not_warn():
         assert np.array_equal(s.data, [[0.0, 1.0, 0.0, 1.0]])
         assert np.array_equal(x.grad, [[0.0, 1.0, 0.0, 1.0]])
         inputs = _gru_inputs(3, d_in=4)
-        h = gru_sequence(Tensor(np.repeat(big, 3, axis=0)),
-                         *(Tensor(inputs[k] * 1e3, requires_grad=True)
-                           for k in GRU_ARGS[1:]))
+        args = [Tensor(np.repeat(big, 3, axis=0), requires_grad=True)]
+        args += [Tensor(inputs[k] * 1e3, requires_grad=True)
+                 for k in GRU_ARGS[1:]]
+        h = gru_sequence(*args)
         h.sum().backward()
     assert np.isfinite(h.data).all()
+    assert all(np.isfinite(t.grad).all() for t in args)
 
 
 def test_backward_frees_interior_grads_and_keeps_leaf_grads():

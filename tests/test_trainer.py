@@ -578,6 +578,45 @@ def test_detached_idle_group_keeps_every_bit(mutag_dir, policy_kind):
     assert coins == {True, False}
 
 
+def _update_grad_norm(state, coin):
+    """The global norm of the gradients the step's update groups hold."""
+    return math.sqrt(sum(
+        float((t.grad * t.grad).sum())
+        for g in ("policy", "heads", "theta" if coin else "omega")
+        for t in state.group(g).tensors() if t.grad is not None))
+
+
+def test_step_grad_norm_is_the_update_groups_norm_when_nothing_clips():
+    ds = synthetic_dataset()
+    config = small_config(clip_norm=1e12)
+    state = init_state(config, ds.feature_dim)
+    batch = batch_graphs(ds.graphs[:4])
+    for _ in range(4):
+        res = train_step(batch, state, config)
+        assert res.grad_norm > 0.0
+        assert res.grad_norm == pytest.approx(
+            _update_grad_norm(state, res.coin), rel=1e-12)
+
+
+def test_step_grad_norm_is_taken_before_the_clip():
+    ds = synthetic_dataset()
+    config = small_config(clip_norm=1e-3)
+    state = init_state(config, ds.feature_dim)
+    batch = batch_graphs(ds.graphs[:4])
+    for _ in range(4):
+        res = train_step(batch, state, config)
+        assert res.grad_norm > config.clip_norm
+        assert _update_grad_norm(state, res.coin) == pytest.approx(
+            config.clip_norm, rel=1e-12)
+
+
+def test_train_rows_carry_each_steps_grad_norm():
+    _, metrics, _ = train(synthetic_dataset(), small_config(clip_norm=1e-3))
+    assert metrics
+    assert all(np.isfinite(m["grad_norm"]) and m["grad_norm"] > 1e-3
+               for m in metrics)
+
+
 def _saved_checkpoint(tmp_path, epochs=1):
     from graphaug import container
     ds = synthetic_dataset()
