@@ -237,7 +237,10 @@ def cmd_embed(args) -> int:
     resolved = resolve_config(args)
     state, config, dataset = _load_model(args, resolved)
     out = _out_dir(resolved, f"{dataset.name.lower()}-embed")
-    table = embed_dataset(dataset, state, config)
+    try:
+        table = embed_dataset(dataset, state, config)
+    except ValueError as exc:     # e.g. an encoder that overflows
+        raise GraphAugError(f"cannot embed {dataset.name}: {exc}") from exc
     rows = [[i, table.labels[i]] + [repr(v) for v in table.vectors[i]]
             for i in range(len(table.vectors))]
     out.mkdir(parents=True, exist_ok=True)
@@ -266,17 +269,21 @@ def cmd_inspect(args) -> int:
                           f"{config.task!r}")
     n = min(args.num_graphs, len(dataset.graphs))
     batch = batch_graphs(dataset.graphs[:n])
-    # detached parameters: nothing walks the tape of a dump
-    enc = encode(batch, state.omega.detached())
-    decision = decide(enc.graph_vector, config.policy_kind,
-                      RngStream(resolved["seed"], "inspect-policy"),
-                      state.policy.detached(), kinds)
+    try:
+        # detached parameters: nothing walks the tape of a dump
+        enc = encode(batch, state.omega.detached())
+        decision = decide(enc.graph_vector, config.policy_kind,
+                          RngStream(resolved["seed"], "inspect-policy"),
+                          state.policy.detached(), kinds)
+        views = apply_augmentation(
+            kind, batch, enc.node_matrix, enc.graph_vector,
+            state.heads.detached(), config.keep_ratio, config.hops,
+            config.head_temperature,
+            RngStream(resolved["seed"], "inspect")).graph
+    except ValueError as exc:     # e.g. an encoder that overflows
+        raise GraphAugError(f"cannot inspect {dataset.name}: {exc}") from exc
     dist = {k.value: float(p) for k, p in zip(kinds, decision.dist.data)}
     print("policy distribution:", json.dumps(dist))
-    views = apply_augmentation(kind, batch, enc.node_matrix, enc.graph_vector,
-                               state.heads.detached(), config.keep_ratio,
-                               config.hops, config.head_temperature,
-                               RngStream(resolved["seed"], "inspect")).graph
     out.mkdir(parents=True, exist_ok=True)
     for k in range(n):
         aug = views.graph(k)

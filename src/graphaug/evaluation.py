@@ -17,6 +17,7 @@ import numpy as np
 
 from .encoders import encode
 from .errors import DatasetError, TrainingDivergedError
+# perfbench/spans.py wraps khop_bfs here; --trace 1 fails on entry without it
 from .graphs import batch_graphs, khop_bfs
 from .optim import AdamState, adam_step
 from .rng import RngStream
@@ -25,7 +26,7 @@ from .tensor import ParameterSet, Tensor
 LAMBDA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 PROBE_EPOCHS = 300
 PROBE_LR = 1e-2
-EMBED_CHUNK = 64                 # graphs or node neighborhoods per encode
+EMBED_CHUNK = 64                 # graphs per encode
 STACK_LIMIT = 1 << 15            # logits per stacked fit (256 KiB of float64)
 STACK_COLUMNS = ("phase", "splits", "rows", "penalties", "seconds")
 
@@ -80,9 +81,9 @@ def _report(accs: list, l2s: list, stacks: list, seed: int,
 def embed_dataset(dataset, state, config) -> EmbeddingTable:
     """Frozen base-encoder embeddings (dropout off).
 
-    Graph task: one graph vector per graph. Node task: one node vector per
-    original node of the first graph, via BFS neighborhoods centered on each
-    node in turn (the center's row is written back).
+    Graph task: one graph vector per graph, ``EMBED_CHUNK`` graphs per
+    encode. Node task: the node rows of one encode of the whole first graph,
+    as DGI and MVGRL embed for their transductive probes.
     """
     theta = state.theta.detached()             # nothing walks an embed's tape
     if config.task == "graph":
@@ -97,14 +98,7 @@ def embed_dataset(dataset, state, config) -> EmbeddingTable:
     if dataset.node_labels is None:
         raise DatasetError(f"{dataset.name} has no node labels, which the "
                            "node task needs as probe targets")
-    g = dataset.graphs[0]
-    vectors = np.zeros((g.num_nodes, config.hidden_dim))
-    for start in range(0, g.num_nodes, EMBED_CHUNK):
-        centers = np.arange(start, min(start + EMBED_CHUNK, g.num_nodes))
-        batch = khop_bfs(g, centers, config.hops)
-        enc = encode(batch, theta)
-        vectors[centers] = enc.node_matrix.data[batch.node_offsets
-                                                + batch.centers]
+    vectors = encode(dataset.graphs[0], theta).node_matrix.data
     labels = np.asarray(dataset.node_labels[0], dtype=np.int64)
     return EmbeddingTable(vectors, labels)
 

@@ -26,15 +26,13 @@ class GraphBatch:
     Node ids are global. Graph ``k`` owns ``node_counts[k]`` consecutive
     nodes from ``node_offsets[k]``, and edges are grouped by graph in graph
     order. A batch cut from a source graph keeps each node's id there in
-    ``orig_ids`` and each k-hop subgraph's local center in ``centers``;
-    otherwise both are ``None``.
+    ``orig_ids``; otherwise it is ``None``.
     """
     edges: np.ndarray               # (E, 2) int64, global ids
     features: Tensor                # (N, d_x)
     edge_weights: Tensor            # (E,)
     node_counts: np.ndarray         # (B,)
     orig_ids: np.ndarray | None = None
-    centers: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = Tensor._lift(self.features)
@@ -109,7 +107,7 @@ def Graph(num_nodes: int, edges, features, edge_weights) -> GraphBatch:
 
 def batch_graphs(graphs: list) -> GraphBatch:
     """Pack batches into one disjoint union, graph after graph; feature dims
-    must agree. The inputs' ``orig_ids`` and ``centers`` do not carry over."""
+    must agree. The inputs' ``orig_ids`` do not carry over."""
     if not graphs:
         raise InvalidShapeError("cannot batch an empty graph list")
     d = graphs[0].features.shape[1]
@@ -173,15 +171,15 @@ def khop_bfs(g: GraphBatch, centers, hops: int) -> GraphBatch:
 
     ``g`` may hold many graphs; a BFS never leaves its center's graph.
     Subgraph ``k`` keeps its nodes in ascending order and its edges in
-    ``g.edges`` order; ``orig_ids`` are the nodes' (global) ids in ``g`` and
-    ``centers`` the centers' local ids.
+    ``g.edges`` order; ``orig_ids`` are the nodes' (global) ids in ``g``,
+    so each center is among its subgraph's ``orig_ids``.
     """
     centers = np.asarray(centers, dtype=np.int64).reshape(-1)
     if not centers.size or centers.min() < 0 or centers.max() >= g.num_nodes:
         raise ValueError(f"need one or more centers in [0, {g.num_nodes})")
     if hops < 0:
         raise ValueError("hop count must be >= 0")
-    n, count = g.num_nodes, len(centers)
+    n = g.num_nodes
     indptr, indices, edge_ids = g.csr
     keys = khop_nodes(indptr, indices, centers, hops)
     owner, nodes = np.divmod(keys, n)
@@ -194,21 +192,16 @@ def khop_bfs(g: GraphBatch, centers, hops: int) -> GraphBatch:
     kept = np.flatnonzero(keys[dst] == target)
     kept = kept[np.lexsort((edge_ids[pos[kept]], owner[rows[kept]]))]
     src, eids = rows[kept], edge_ids[pos[kept]]
-    batch = GraphBatch(np.stack([src, dst[kept]], axis=1),
-                       g.features.gather_rows(nodes),
-                       g.edge_weights.gather_rows(eids),
-                       np.bincount(owner, minlength=count), orig_ids=nodes)
-    batch.centers = (np.searchsorted(keys, np.arange(count) * n + centers)
-                     - batch.node_offsets)
-    return batch
+    return GraphBatch(np.stack([src, dst[kept]], axis=1),
+                      g.features.gather_rows(nodes),
+                      g.edge_weights.gather_rows(eids),
+                      np.bincount(owner, minlength=len(centers)),
+                      orig_ids=nodes)
 
 
 def make_node_task_batch(g: GraphBatch, num_subgraphs: int, hops: int,
                          stream: RngStream) -> GraphBatch:
-    """Emulate a graph batch by BFS subgraphs around random centers.
-
-    The batch records each subgraph's center and node ids in ``g``, so node
-    embeddings can be written back to the original node ids.
-    """
+    """Emulate a graph batch by BFS subgraphs around random centers, for
+    training; the batch records its nodes' ids in ``g`` in ``orig_ids``."""
     centers = stream.integers(0, g.num_nodes, size=num_subgraphs)
     return khop_bfs(g, centers, hops)

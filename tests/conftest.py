@@ -31,8 +31,8 @@ def one_graph(head, *args, **kwargs):
 
     A graph is already a batch of one; a 1-D graph encoding goes in as a
     (1, d) row. The view comes back as the head made it, a one-graph
-    ``GraphBatch`` that carries its provenance (``orig_ids``, ``centers``),
-    with the head's soft parameters.
+    ``GraphBatch`` that carries its provenance (``orig_ids``, each node's id
+    in the input), with the head's soft parameters.
     """
     def wrap(a):
         if isinstance(a, Tensor) and a.ndim == 1:

@@ -444,6 +444,30 @@ def test_non_finite_checkpoint_fails_cleanly(dataset_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the overflow
+@pytest.mark.parametrize("command, group, reason", [
+    ("embed", "theta", "embeddings contain non-finite values"),
+    ("inspect", "omega", "logits must be finite")], ids=["embed", "inspect"])
+def test_overflowing_encoder_fails_cleanly(dataset_dir, tmp_path, capsys,
+                                           command, group, reason):
+    """A checkpoint that loads but whose encoder overflows is one error
+    line, as it is for probe, and leaves no output directory."""
+    meta, tensors = container.read_container(
+        trained_checkpoint(dataset_dir, tmp_path))
+    for key in tensors:
+        if key.startswith(f"params/{group}/"):
+            tensors[key] = tensors[key] * 1e120
+    big = tmp_path / "big.bin"
+    container.write_container(big, meta, tensors)
+    out = tmp_path / "big-out"
+    code = run_cli(command, "--checkpoint", str(big), "--dataset",
+                   str(dataset_dir), "--out", str(out),
+                   *(["--head", "identity"] if command == "inspect" else []))
+    assert code == 1
+    assert one_error_line(capsys) == f"error: cannot {command} SYN: {reason}\n"
+    assert not out.exists()
+
+
 def one_error_line(capsys, prefix="error:"):
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1, err

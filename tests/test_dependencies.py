@@ -279,6 +279,9 @@ DEAD_SITES_BY_DESIGN = {
         "graphs.py builds node-task batches with khop_bfs; the trainer and "
         "evaluation sites time every batch_graphs call, and dropping this "
         "site is benchmark upkeep (ROADMAP item 9)",
+    ("graphaug.evaluation", "khop_bfs"):
+        "the node-task embed is one encode of the whole graph and cuts no "
+        "ego-nets; dropping this site is benchmark upkeep (ROADMAP item 9)",
 }
 
 

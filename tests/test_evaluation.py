@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from graphaug import evaluation
+from graphaug.encoders import encode
 from graphaug.errors import DatasetError, TrainingDivergedError
 from graphaug.evaluation import (
     LAMBDA_GRID, PROBE_EPOCHS, PROBE_LR, EmbeddingTable, embed_dataset,
     linear_probe_graph, linear_probe_node,
 )
-from graphaug.graphs import Graph
+from graphaug.graphs import Graph, khop_bfs
 from graphaug.optim import AdamState, adam_step
 from graphaug.rng import RngStream
 from graphaug.tensor import ParameterSet, Tensor, finite_diff_grad
 from graphaug.trainer import TrainConfig, init_state
 from graphaug.tudataset import Dataset, parse_tudataset
+
+from planted_partition import planted_partition
 
 
 def separable_table(n=60, d=4, seed=0, spread=0.05):
@@ -163,8 +166,45 @@ def test_embed_node_task_writeback():
     table = embed_dataset(ds, state, config)
     assert table.vectors.shape == (n, 6)
     assert np.array_equal(table.labels, node_labels)
-    # every row written (path graph: all centers reachable)
     assert not np.allclose(table.vectors, 0.0)
+
+
+def test_node_embed_is_the_center_row_of_ego_nets_that_hold_every_degree():
+    """Oracle: a GCN row reads the degrees of nodes up to one hop past its
+    receptive field, so the full-graph row of node v is the center row of
+    v's ego-net of num_layers + 1 hops, encoded alone."""
+    dataset = planted_partition(0)
+    config = TrainConfig(hidden_dim=16, num_layers=2, task="node", seed=0,
+                         epochs=0)
+    state = init_state(config, dataset.feature_dim)
+    table = embed_dataset(dataset, state, config)
+    g, theta = dataset.graphs[0], state.theta.detached()
+    want = np.empty_like(table.vectors)
+    for v in range(g.num_nodes):
+        ego = khop_bfs(g, [v], config.num_layers + 1)
+        row = np.searchsorted(ego.orig_ids, v)
+        want[v] = encode(ego, theta).node_matrix.data[row]
+    assert np.allclose(table.vectors, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("task, calls", [("node", 1), ("graph", 3)])
+def test_embed_encodes_once_per_chunk(task, calls, monkeypatch):
+    """The node task is one encode of the whole graph; the graph task is
+    ceil(G / EMBED_CHUNK) encodes (7 graphs in chunks of 3 here)."""
+    ds = graph_dataset(num=7) if task == "graph" else path_node_dataset()
+    config = TrainConfig(hidden_dim=6, num_layers=2, task=task, seed=2,
+                         epochs=0)
+    seen = []
+
+    def spy(batch, params):
+        seen.append(batch.num_graphs)
+        return encode(batch, params)
+
+    monkeypatch.setattr(evaluation, "EMBED_CHUNK", 3)
+    monkeypatch.setattr(evaluation, "encode", spy)
+    embed_dataset(ds, init_state(config, ds.feature_dim), config)
+    assert len(seen) == calls
+    assert sum(seen) == len(ds.graphs)
 
 
 @pytest.mark.parametrize("task", ["graph", "node"])

@@ -72,7 +72,7 @@ def test_khop_on_path():
     sub = b.graph(0)
     assert sub.num_nodes == 3
     assert b.orig_ids.tolist() == [1, 2, 3]
-    assert b.centers.tolist() == [1]
+    assert 2 in b.orig_ids
     undirected = {tuple(sorted(e)) for e in sub.edges.tolist()}
     assert undirected == {(0, 1), (1, 2)}
     assert np.array_equal(sub.features.data, g.features.data[[1, 2, 3]])
@@ -83,7 +83,6 @@ def test_khop_zero_hops():
     b = khop_bfs(g, [1], 0)
     assert b.num_nodes == 1 and b.num_edges == 0
     assert b.orig_ids.tolist() == [1]
-    assert b.centers.tolist() == [0]
 
 
 def test_khop_triangle_whole():
@@ -92,7 +91,7 @@ def test_khop_triangle_whole():
     b = khop_bfs(g, [0, 1, 2], 1)
     assert b.node_counts.tolist() == [3, 3, 3]
     assert [b.graph(k).num_edges for k in range(3)] == [6, 6, 6]
-    assert b.centers.tolist() == [0, 1, 2]
+    assert all(k in b.orig_ids[b.node_to_graph == k] for k in range(3))
 
 
 def test_khop_center_out_of_range():
@@ -120,7 +119,7 @@ def test_khop_is_exact_induced_subgraph(n, hops, seed):
     dist = bfs_distances(g, center)
     expect_nodes = sorted(int(v) for v in np.flatnonzero((dist >= 0) & (dist <= hops)))
     assert batch.orig_ids.tolist() == expect_nodes
-    assert batch.orig_ids[batch.centers[0]] == center
+    assert center in batch.orig_ids
     # induced: edge in output iff both endpoints kept and edge in input
     kept = set(expect_nodes)
     expect_edges = {(a, b) for a, b in map(tuple, g.edges.tolist())
@@ -132,8 +131,8 @@ def test_khop_is_exact_induced_subgraph(n, hops, seed):
 
 def khop_bfs_reference(g: GraphBatch, center: int, hops: int):
     """One center's k-hop subgraph by a BFS over Python adjacency lists: the
-    induced ``Graph`` on the kept nodes in ascending order, the kept ids in
-    ``g`` and the center's local id. The oracle for bit-identical output."""
+    induced ``Graph`` on the kept nodes in ascending order and the kept ids
+    in ``g``. The oracle for bit-identical output."""
     adj = [[] for _ in range(g.num_nodes)]
     for s, d in g.edges:
         adj[int(s)].append(int(d))
@@ -161,8 +160,7 @@ def khop_bfs_reference(g: GraphBatch, center: int, hops: int):
         new_edges = np.zeros((0, 2), dtype=np.int64)
     feats = g.features.gather_rows(kept)
     weights = g.edge_weights.gather_rows(np.flatnonzero(mask))
-    return (Graph(len(kept), new_edges, feats, weights), kept,
-            int(remap[center]))
+    return Graph(len(kept), new_edges, feats, weights), kept
 
 
 def messy_digraph(n, num_edges, stream, tensors=False):
@@ -187,11 +185,10 @@ def assert_matches_reference(g: GraphBatch, centers, hops: int):
     included."""
     got = khop_bfs(g, centers, hops)
     refs = [khop_bfs_reference(g, int(c), hops) for c in centers]
-    want = batch_graphs([sub for sub, _, _ in refs])
-    want_ids = np.concatenate([kept for _, kept, _ in refs])
-    want_centers = np.array([c for _, _, c in refs], dtype=np.int64)
+    want = batch_graphs([sub for sub, _ in refs])
+    want_ids = np.concatenate([kept for _, kept in refs])
     for a, b in [(got.edges, want.edges), (got.node_counts, want.node_counts),
-                 (got.orig_ids, want_ids), (got.centers, want_centers),
+                 (got.orig_ids, want_ids),
                  (got.features.data, want.features.data),
                  (got.edge_weights.data, want.edge_weights.data)]:
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -269,7 +266,6 @@ def test_khop_on_a_batch_matches_each_graph():
         want = batch_graphs(alone)
         for a, b in [(got.edges, want.edges),
                      (got.node_counts, want.node_counts),
-                     (got.centers, np.concatenate([w.centers for w in alone])),
                      (got.orig_ids - batch.node_offsets[got.node_to_graph],
                       np.concatenate([w.orig_ids for w in alone])),
                      (got.features.data, want.features.data),
@@ -392,14 +388,16 @@ def test_node_batch_covers_and_centers():
     b = make_node_task_batch(g, 4, hops=2, stream=RngStream(1, "nb2"))
     assert b.num_graphs == 4
     assert len(b.node_to_graph) == b.num_nodes
-    assert b.centers is not None
-    assert np.all((0 <= b.centers) & (b.centers < b.node_counts))
+    # the same draw of centers: each is among its subgraph's ids in g
+    centers = RngStream(1, "nb2").integers(0, g.num_nodes, size=4)
+    assert all(c in b.orig_ids[b.node_to_graph == k]
+               for k, c in enumerate(centers))
 
 
 def test_node_batch_deterministic():
     g = random_graph(30, 0.2, RngStream(2, "det"))
     b1 = make_node_task_batch(g, 5, 1, RngStream(9, "s"))
     b2 = make_node_task_batch(g, 5, 1, RngStream(9, "s"))
-    centers1 = b1.orig_ids[b1.node_offsets + b1.centers]
-    centers2 = b2.orig_ids[b2.node_offsets + b2.centers]
-    assert np.array_equal(centers1, centers2)
+    assert np.array_equal(b1.node_counts, b2.node_counts)
+    assert np.array_equal(b1.orig_ids, b2.orig_ids)
+    assert np.array_equal(b1.edges, b2.edges)
