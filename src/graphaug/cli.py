@@ -214,7 +214,9 @@ def cmd_probe(args) -> int:
         if config.task == "node" and dataset.node_labels is not None:
             # the split before the embed, which rejects a missing label file
             node_probe_split(dataset.node_labels[0], args.train_frac)
-        table = embed_dataset(dataset, state, config)
+        # an overflow warns nothing here; the table rejects its rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = embed_dataset(dataset, state, config)
         if config.task == "graph":
             report = linear_probe_graph(table, folds=args.folds,
                                         runs=args.runs, seed=args.probe_seed)
@@ -238,7 +240,9 @@ def cmd_embed(args) -> int:
     state, config, dataset = _load_model(args, resolved)
     out = _out_dir(resolved, f"{dataset.name.lower()}-embed")
     try:
-        table = embed_dataset(dataset, state, config)
+        # an overflow warns nothing here; the table rejects its rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = embed_dataset(dataset, state, config)
     except ValueError as exc:     # e.g. an encoder that overflows
         raise GraphAugError(f"cannot embed {dataset.name}: {exc}") from exc
     rows = [[i, table.labels[i]] + [repr(v) for v in table.vectors[i]]
@@ -271,15 +275,17 @@ def cmd_inspect(args) -> int:
     batch = batch_graphs(dataset.graphs[:n])
     try:
         # detached parameters: nothing walks the tape of a dump
-        enc = encode(batch, state.omega.detached())
-        decision = decide(enc.graph_vector, config.policy_kind,
-                          RngStream(resolved["seed"], "inspect-policy"),
-                          state.policy.detached(), kinds)
-        views = apply_augmentation(
-            kind, batch, enc.node_matrix, enc.graph_vector,
-            state.heads.detached(), config.keep_ratio, config.hops,
-            config.head_temperature,
-            RngStream(resolved["seed"], "inspect")).graph
+        with np.errstate(over="ignore", invalid="ignore"):
+            enc = encode(batch, state.omega.detached())
+            # kinds unused: the draw's finite-logits check fails an overflow
+            decision = decide(enc.graph_vector,
+                              RngStream(resolved["seed"], "inspect-policy"),
+                              state.policy.detached(), kinds)
+            views = apply_augmentation(
+                kind, batch, enc.node_matrix, enc.graph_vector,
+                state.heads.detached(), config.keep_ratio, config.hops,
+                config.head_temperature,
+                RngStream(resolved["seed"], "inspect")).graph
     except ValueError as exc:     # e.g. an encoder that overflows
         raise GraphAugError(f"cannot inspect {dataset.name}: {exc}") from exc
     dist = {k.value: float(p) for k, p in zip(kinds, decision.dist.data)}

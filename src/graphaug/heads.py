@@ -111,11 +111,12 @@ def _sample_negatives(pairs: np.ndarray, batch: GraphBatch,
 
 
 def edge_perturbation_head(batch: GraphBatch, h_v: Tensor,
-                           params: ParameterSet, temperature: float,
+                           params: ParameterSet,
                            stream: RngStream) -> HeadOutput:
-    """Score existing and sampled non-edges, keep each by a hard Bernoulli
-    draw on the scores' values, off the tape, and weight each kept edge by
-    its predicted probability, the head's one gradient path.
+    """Score existing and sampled non-edges, keep each iff logit + noise > 0
+    under standard logistic noise, an exact Bernoulli(sigmoid(logit)) draw
+    off the tape, and weight each kept edge by its predicted probability,
+    the head's one gradient path.
 
     Works on unordered pairs so both orientations of an undirected edge share
     one decision and one weight; all nodes stay, features untouched. A graph
@@ -138,8 +139,7 @@ def edge_perturbation_head(batch: GraphBatch, h_v: Tensor,
     z = concat([h_e, Tensor(indicator.reshape(-1, 1))], axis=1)
     logits = mlp(z, *params.under("edge_perturb/mlp")).reshape(len(pairs))
     probs = logits.sigmoid()
-    keep = relaxed_bernoulli(logits.detach(), temperature, noise)
-    kept = np.flatnonzero(keep.data > 0.5)
+    kept = np.flatnonzero(logits.data + noise > 0)
     # each kept pair as (u, v) then (v, u), the reverse skipped for loops
     directed = np.stack([pairs[kept], pairs[kept, ::-1]], axis=1).reshape(-1, 2)
     both = np.ones(len(directed), dtype=bool)
@@ -147,7 +147,7 @@ def edge_perturbation_head(batch: GraphBatch, h_v: Tensor,
     edges = directed[both]
     weights = probs.gather_rows(np.repeat(kept, 2)[both])
     view = replace(batch, edges=edges, edge_weights=weights)
-    return HeadOutput(view, {"edge_probs": probs, "keep_soft": keep})
+    return HeadOutput(view, {"edge_probs": probs})
 
 
 def subgraph_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
@@ -189,8 +189,7 @@ def feature_masking_head(batch: GraphBatch, h_v: Tensor, params: ParameterSet,
             else Tensor(hard) + (soft - soft.detach()))
     view = replace(batch, features=projected * mask,
                    edge_weights=np.ones(batch.num_edges))
-    return HeadOutput(view, {"mask_probs": mask_logits.detach().sigmoid(),
-                             "mask_soft": soft})
+    return HeadOutput(view, {"mask_soft": soft})
 
 
 def identity_augmentation(batch: GraphBatch) -> HeadOutput:
@@ -202,12 +201,12 @@ def apply_augmentation(kind: AugmentationKind, batch: GraphBatch, h_v: Tensor,
                        h_g: Tensor, params: ParameterSet, keep_ratio: float,
                        hops: int, temperature: float,
                        stream: RngStream) -> HeadOutput:
-    """One view of the whole batch, every draw from ``stream``. ``params``
-    holds the heads' parameters, each head's as ``{kind}/...``."""
+    """One view of the whole batch, every draw from ``stream``; ``params``
+    holds each head's as ``{kind}/...``, ``temperature`` the feature mask's."""
     if kind == AugmentationKind.NODE_DROP:
         return node_dropping_head(batch, h_v, h_g, params, keep_ratio, stream)
     if kind == AugmentationKind.EDGE_PERTURB:
-        return edge_perturbation_head(batch, h_v, params, temperature, stream)
+        return edge_perturbation_head(batch, h_v, params, stream)
     if kind == AugmentationKind.SUBGRAPH:
         return subgraph_head(batch, h_v, h_g, params, hops, stream)
     if kind == AugmentationKind.FEATURE_MASK:

@@ -1,9 +1,11 @@
 """Batch-conditioned categorical policy over the augmentation set.
 
 Three instantiations: a GRU over norm-sorted batch representations, a deep
-set, and a uniform (random) baseline. The sampled probabilities feed a
-multiplicative skip-connection on the graph vectors so the policy receives
-gradients despite the discrete choice.
+set, and a uniform (random) baseline, told apart by their parameters as
+``encode`` tells GIN from GCN: a set holding ``gru/...`` runs the GRU, any
+other non-empty set the deep set, an empty set the uniform policy. The
+sampled probabilities feed a multiplicative skip-connection on the graph
+vectors so the policy receives gradients despite the discrete choice.
 """
 from __future__ import annotations
 
@@ -105,24 +107,21 @@ def deepset_policy(batch_reps: Tensor, params: ParameterSet) -> Tensor:
     return out.reshape(out.shape[1]).softmax()
 
 
-def policy_distribution(batch_reps: Tensor, policy_kind: str,
-                        params: ParameterSet, num_kinds: int) -> Tensor:
-    if policy_kind == "gru":
+def policy_distribution(batch_reps: Tensor, params: ParameterSet,
+                        num_kinds: int) -> Tensor:
+    if params.under("gru"):
         return gru_policy(batch_reps, params)
-    if policy_kind == "deepset":
+    if len(params):
         return deepset_policy(batch_reps, params)
-    if policy_kind == "random":
-        return Tensor(np.full(num_kinds, 1.0 / num_kinds))
-    raise ValueError(f"unknown policy kind {policy_kind!r}")
+    return Tensor(np.full(num_kinds, 1.0 / num_kinds))
 
 
-def decide(batch_reps: Tensor, policy_kind: str, stream: RngStream,
-           params: ParameterSet,
-           kinds: tuple = GRAPH_TASK_KINDS) -> PolicyDecision:
-    """Build the distribution and sample the two view augmentations
-    independently (repeats allowed). The draws build no tape: gradients
-    reach the policy through ``p_i`` and ``p_j`` only."""
-    dist = policy_distribution(batch_reps, policy_kind, params, len(kinds))
+def decide(batch_reps: Tensor, stream: RngStream, params: ParameterSet,
+           kinds: tuple) -> PolicyDecision:
+    """Sample the two view augmentations independently (repeats allowed)
+    from the distribution of the policy ``params`` holds over ``kinds``. The
+    draws build no tape: gradients reach the policy via ``p_i``, ``p_j``."""
+    dist = policy_distribution(batch_reps, params, len(kinds))
     log_dist = np.log(np.maximum(dist.data, 1e-30))
     (idx_i,) = gumbel_softmax(log_dist, [0], stream.split("i"))
     (idx_j,) = gumbel_softmax(log_dist, [0], stream.split("j"))

@@ -1,8 +1,8 @@
 """Discrete sampling. The categorical (Gumbel-max) and Gumbel-Top-K draws
 are hard decisions on plain arrays and build no tape. The relaxed Bernoulli
-returns its soft sample, on the tape when its logits are; its hard draw is
-the soft sample above 1/2, and a caller that wants the straight-through
-estimator builds it from the two.
+returns its soft sample, on the tape when its logits are; its one caller,
+the feature mask, builds the straight-through estimator from it and its hard
+draw, logit + logistic noise > 0, which is the edge head's keep rule.
 """
 from __future__ import annotations
 

@@ -41,7 +41,7 @@ class TrainConfig:
     hidden_dim: int = 32
     num_layers: int = 2
     policy_kind: str = "gru"             # one of POLICY_KINDS
-    head_temperature: float = 1.0
+    head_temperature: float = 1.0        # relaxes the feature mask alone
     keep_ratio: float = 0.75
     hops: int = 2
     dropout: float = 0.0
@@ -163,22 +163,14 @@ def init_state(config: TrainConfig, input_dim: int) -> TrainState:
     )
 
 
-def _head_stats(out) -> dict:
-    stats = {}
-    for key, tensor in out.soft_params.items():
-        stats[key] = (float(tensor.data.min()), float(tensor.data.max()))
-    return stats
-
-
 def step_loss(batch: GraphBatch, state: TrainState, config: TrainConfig,
               step_stream: RngStream) -> tuple[Tensor, PolicyDecision, dict]:
     """The step's forward: (loss, decision, each view's head output). Reads
     only ``state``'s parameter groups; draws only from ``step_stream``."""
     enc_w = encode(batch, state.omega, step_stream.split("dropout/omega"),
                    config.dropout)
-    decision = decide(enc_w.graph_vector, config.policy_kind,
-                      step_stream.split("policy"), state.policy,
-                      active_kinds(config.task))
+    decision = decide(enc_w.graph_vector, step_stream.split("policy"),
+                      state.policy, active_kinds(config.task))
 
     outs = {view: apply_augmentation(
                 kind, batch, enc_w.node_matrix, enc_w.graph_vector,
@@ -215,7 +207,9 @@ def train_step(batch: GraphBatch, state: TrainState,
         state.sample_root.split(f"step{state.step}"))
     if not np.isfinite(loss.data).all():
         state.coin_stream = RngStream.from_state(coin_before)
-        head_stats = {view: _head_stats(out) for view, out in outs.items()}
+        head_stats = {view: {key: (float(t.data.min()), float(t.data.max()))
+                             for key, t in out.soft_params.items()}
+                      for view, out in outs.items()}
         raise TrainingDivergedError(
             f"non-finite loss at step {state.step}: "
             f"i={decision.i.value} j={decision.j.value} "

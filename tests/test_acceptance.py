@@ -419,8 +419,8 @@ def test_criterion_7_policy_behavior():
     x = Tensor(RngStream(70, "acc-pol").uniform((6, d_h)) - 0.5)
     perm = RngStream(71, "acc-pol").permutation(6)
 
-    uniform = policy_distribution(x, "random",
-                                  init_policy_params("random", d_h, 5, 0), 5)
+    uniform = policy_distribution(x, init_policy_params("random", d_h, 5, 0),
+                                  5)
     assert np.array_equal(uniform.data, np.full(5, 0.2))
 
     gru_p = init_policy_params("gru", d_h, 5, 1)

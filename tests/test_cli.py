@@ -444,14 +444,16 @@ def test_non_finite_checkpoint_fails_cleanly(dataset_dir, tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the overflow
 @pytest.mark.parametrize("command, group, reason", [
+    ("probe", "theta", "embeddings contain non-finite values"),
     ("embed", "theta", "embeddings contain non-finite values"),
-    ("inspect", "omega", "logits must be finite")], ids=["embed", "inspect"])
+    ("inspect", "omega", "logits must be finite")],
+    ids=["probe", "embed", "inspect"])
 def test_overflowing_encoder_fails_cleanly(dataset_dir, tmp_path, capsys,
                                            command, group, reason):
     """A checkpoint that loads but whose encoder overflows is one error
-    line, as it is for probe, and leaves no output directory."""
+    line and no warning, and leaves no output directory; the suite's
+    warnings-as-errors filter fails the test on any numpy warning."""
     meta, tensors = container.read_container(
         trained_checkpoint(dataset_dir, tmp_path))
     for key in tensors:

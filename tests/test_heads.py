@@ -131,7 +131,7 @@ def test_edge_perturb_extreme_probs():
     w1.data = np.zeros_like(w1.data)
     w1.data[0, 0] = 200.0
     b1.data = np.array([-100.0])
-    out = one_graph(edge_perturbation_head, g, h_v, params, 1.0,
+    out = one_graph(edge_perturbation_head, g, h_v, params,
                     RngStream(4, "ep"))
     assert undirected_set(out.graph.edges) == undirected_set(g.edges)
     assert np.allclose(out.graph.edge_weights.data, 1.0, atol=1e-20)
@@ -145,7 +145,7 @@ def test_edge_perturb_complete_graph_no_negatives():
     h_v, _ = encodings_for(g, 6)
     out = one_graph(edge_perturbation_head, g, h_v,
                     head_params(AugmentationKind.EDGE_PERTURB, d_x=n),
-                    1.0, RngStream(5, "ep"))
+                    RngStream(5, "ep"))
     assert undirected_set(out.graph.edges) <= undirected_set(g.edges)
 
 
@@ -154,7 +154,7 @@ def test_edge_perturb_keeps_nodes_and_features():
     h_v, _ = encodings_for(g, 7)
     out = one_graph(edge_perturbation_head, g, h_v,
                     head_params(AugmentationKind.EDGE_PERTURB),
-                    1.0, RngStream(6, "ep"))
+                    RngStream(6, "ep"))
     assert out.graph.num_nodes == g.num_nodes
     assert np.array_equal(out.graph.features.data, g.features.data)
 
@@ -168,7 +168,7 @@ def test_edge_perturb_gradient_to_head():
 
     def loss_fn(w_flat):
         w0.data = w_flat.data.reshape(w0_shape)
-        out = one_graph(edge_perturbation_head, g, h_v, params, 1.0,
+        out = one_graph(edge_perturbation_head, g, h_v, params,
                         RngStream(77, "fixed"))
         if out.graph.num_edges == 0:
             return Tensor(0.0)
@@ -593,7 +593,7 @@ def test_batched_negatives_are_uniform_over_each_graphs_non_edges():
         assert tv <= 0.01, (n, tpairs, tv)
 
 
-def _ref_edge_perturb(g, h_v, params, temperature, draws):
+def _ref_edge_perturb(g, h_v, params, draws):
     """Edge perturbation on the graph's negatives and keep noise, its
     slices of the view's draws."""
     pairs = _ref_pairs(g)
@@ -607,9 +607,8 @@ def _ref_edge_perturb(g, h_v, params, temperature, draws):
     logits = mlp(z, params["mlp/w0"], params["mlp/b0"],
                  params["mlp/w1"], params["mlp/b1"]).reshape(len(all_pairs))
     probs = logits.sigmoid()
-    keep_soft = relaxed_bernoulli(logits, temperature, keep_noise)
     directed, weight_src = [], []
-    for idx in np.flatnonzero(keep_soft.data > 0.5):
+    for idx in np.flatnonzero(logits.data + keep_noise > 0):
         u, v = all_pairs[idx]
         directed.append((u, v))
         weight_src.append(idx)
@@ -620,7 +619,7 @@ def _ref_edge_perturb(g, h_v, params, temperature, draws):
     weights = (probs.gather_rows(np.array(weight_src, dtype=np.int64))
                if weight_src else Tensor(np.zeros(0)))
     out = Graph(g.num_nodes, edges, g.features.data.copy(), weights)
-    return RefOutput(out, {"edge_probs": probs, "keep_soft": keep_soft})
+    return RefOutput(out, {"edge_probs": probs})
 
 
 def _ref_subgraph(g, h_v, h_g, params, hops, gumbel):
@@ -646,8 +645,7 @@ def _ref_feature_mask(g, h_v, params, temperature, logistic):
     st = Tensor(hard) + (soft - soft.detach())
     out = Graph(g.num_nodes, g.edges.copy(), projected * st,
                 np.ones(g.num_edges))
-    return RefOutput(out, {"mask_probs": mask_logits.sigmoid(),
-                           "mask_soft": soft})
+    return RefOutput(out, {"mask_soft": soft})
 
 
 def _view_draws(kind, graphs, stream, d_x):
@@ -692,7 +690,7 @@ def _ref_apply(kind, g, h_v, h_g, params, keep_ratio, hops, temperature,
     if kind == AugmentationKind.NODE_DROP:
         return _ref_node_drop(g, h_v, h_g, params, keep_ratio, draws)
     if kind == AugmentationKind.EDGE_PERTURB and g.num_edges:
-        return _ref_edge_perturb(g, h_v, params, temperature, draws)
+        return _ref_edge_perturb(g, h_v, params, draws)
     if kind == AugmentationKind.SUBGRAPH:
         return _ref_subgraph(g, h_v, h_g, params, hops, draws)
     if kind == AugmentationKind.FEATURE_MASK:
@@ -793,7 +791,7 @@ def _check_against_reference(graphs, kind, seed, d_h=5):
     for key, soft in out.soft_params.items():
         parts = [r.soft_params[key].data for r in refs if key in r.soft_params]
         _close(soft.data, np.concatenate(parts))
-        if key in ("keep_soft", "mask_soft"):      # the hard draws
+        if key == "mask_soft":                     # the hard draw
             assert np.array_equal(soft.data > 0.5,
                                   np.concatenate(parts) > 0.5)
     if not out.soft_params:
@@ -816,6 +814,27 @@ def test_batched_heads_match_reference_on_mutag(kind, mutag_dir):
             mutag_batch_graphs(mutag_dir, 32, start), kind, start)
         if kind != AugmentationKind.IDENTITY:
             assert out.soft_params
+
+
+def test_edge_perturb_view_ignores_the_temperature(mutag_dir):
+    """The keep draw is the sign of logit + noise, so with one stream the
+    view is the same bits at any ``head_temperature``."""
+    batch = batch_graphs(mutag_batch_graphs(mutag_dir, 32))
+    params = head_set(D_H, batch.features.shape[1], 4)
+    enc = RngStream(4, "temperature-enc")
+    h_v = Tensor(enc.uniform((batch.num_nodes, D_H)) - 0.5)
+    h_g = Tensor(enc.uniform((batch.num_graphs, D_H)) - 0.5)
+    views = [apply_augmentation(AugmentationKind.EDGE_PERTURB, batch, h_v,
+                                h_g, params, 0.75, 2, temperature,
+                                RngStream(4, "temperature")).graph
+             for temperature in (0.05, 1.0, 20.0)]
+    assert 0 < views[0].num_edges
+    for view in views[1:]:
+        assert np.array_equal(view.edges, views[0].edges)
+        assert np.array_equal(view.edge_weights.data,
+                              views[0].edge_weights.data)
+        assert np.array_equal(view.features.data, views[0].features.data)
+        assert np.array_equal(view.node_counts, views[0].node_counts)
 
 
 def _tape_nodes(view):
@@ -881,8 +900,8 @@ def _ref_train_step(graphs, state, config):
     batch = batch_graphs(graphs)
     enc_w = encode(batch, state.omega, step_stream.split("dropout/omega"),
                    config.dropout)
-    decision = decide(enc_w.graph_vector, config.policy_kind,
-                      step_stream.split("policy"), state.policy, kinds)
+    decision = decide(enc_w.graph_vector, step_stream.split("policy"),
+                      state.policy, kinds)
     view_kinds = {"i": decision.i, "j": decision.j}
     draws = {view: _view_draws(kind, graphs, step_stream.split(view),
                                batch.features.shape[1])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graphaug.policy import (
-    AugmentationKind, GRAPH_TASK_KINDS, active_kinds, decide,
+    AugmentationKind, GRAPH_TASK_KINDS, POLICY_KINDS, active_kinds, decide,
     deepset_policy, gru_policy, init_policy_params, policy_distribution,
     scale_by_policy,
 )
@@ -130,8 +130,30 @@ def test_deepset_duplicated_batch_differs():
 
 
 def test_random_policy_uniform():
-    dist = policy_distribution(reps(), "random", init_policy_params("random", 8, 5, 0), 5)
+    dist = policy_distribution(reps(), init_policy_params("random", 8, 5, 0), 5)
     assert np.array_equal(dist.data, np.full(5, 0.2))
+
+
+@pytest.mark.parametrize("task", ["graph", "node"])
+@pytest.mark.parametrize("policy_kind", POLICY_KINDS)
+def test_policy_runs_the_kind_its_parameters_hold(policy_kind, task):
+    """A set from ``init_policy_params`` names its policy: ``gru/...`` the
+    GRU, any other non-empty set the deep set, an empty set the uniform
+    one. Both entry points reproduce it bit for bit."""
+    kinds = active_kinds(task)
+    params = init_policy_params(policy_kind, 8, len(kinds), seed=3)
+    x = reps(4)
+    if policy_kind == "random":
+        want = np.full(len(kinds), 1.0 / len(kinds))
+    else:
+        policy = gru_policy if policy_kind == "gru" else deepset_policy
+        want = policy(x, params).data
+    assert np.array_equal(policy_distribution(x, params, len(kinds)).data,
+                          want)
+    dec = decide(x, RngStream(3, "kind"), params, kinds)
+    assert np.array_equal(dec.dist.data, want)
+    assert dec.p_i.item() == want[kinds.index(dec.i)]
+    assert dec.p_j.item() == want[kinds.index(dec.j)]
 
 
 def test_node_task_active_set():
@@ -169,7 +191,7 @@ def decide_with_dist(dist_values, stream):
 def test_decide_returns_consistent_probs():
     params = init_policy_params("gru", 8, 5, seed=6)
     kinds = GRAPH_TASK_KINDS
-    dec = decide(reps(), "gru", RngStream(0, "d"), params, kinds)
+    dec = decide(reps(), RngStream(0, "d"), params, kinds)
     i_idx = kinds.index(dec.i)
     j_idx = kinds.index(dec.j)
     assert dec.p_i.item() == dec.dist.data[i_idx]
@@ -182,7 +204,7 @@ def test_random_policy_decide_builds_at_most_five_tensors(made_tensors):
     p_j: the draws themselves build nothing."""
     x, params = reps(), init_policy_params("random", 8, 5, 0)
     made_tensors.clear()
-    dec = decide(x, "random", RngStream(4, "count"), params)
+    dec = decide(x, RngStream(4, "count"), params, GRAPH_TASK_KINDS)
     assert len(made_tensors) <= 5, len(made_tensors)
     assert dec.p_i.item() == dec.p_j.item() == 0.2
 
