@@ -181,14 +181,12 @@ def cmd_train(args) -> int:
         "# outputs are byte-identical only at the same BLAS thread count: "
         + " ".join(threads.split()) + "\n" + _format_config(resolved))
     save_checkpoint(state, config, out / "checkpoint.bin")
-    _write_csv(out / "metrics.csv",
-               ["epoch", "step", "loss", "aug_i", "aug_j", "p_i", "p_j", "coin"],
-               [[m["epoch"], m["step"], repr(m["loss"]), m["aug_i"], m["aug_j"],
-                 repr(m["p_i"]), repr(m["p_j"]), m["coin"]] for m in metrics])
-    _write_csv(out / "aug_frequencies.csv",
-               ["epoch"] + [k.value for k in AugmentationKind],
-               [[r["epoch"]] + [repr(r[k.value]) for k in AugmentationKind]
-                for r in freqs])
+    columns = ("epoch", "step", "loss", "aug_i", "aug_j", "p_i", "p_j", "coin")
+    _write_csv(out / "metrics.csv", columns,
+               [[m[c] for c in columns] for m in metrics])
+    columns = ("epoch", *(k.value for k in AugmentationKind))
+    _write_csv(out / "aug_frequencies.csv", columns,
+               [[r[c] for c in columns] for r in freqs])
     by_epoch = {}
     for m in metrics:
         by_epoch.setdefault(m["epoch"], []).append(m["loss"])
@@ -228,7 +226,9 @@ def cmd_probe(args) -> int:
         raise GraphAugError(f"cannot probe {dataset.name}: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     (out / "probe_report.json").write_text(report.to_json())
-    _write_csv(out / "probe_report.csv", [], report.to_csv_rows())
+    _write_csv(out / "probe_report.csv", ("run", "accuracy"),
+               [*enumerate(report.accuracies), ("mean", report.mean),
+                ("std", report.std)])
     _write_csv(out / "probe_stacks.csv", STACK_COLUMNS, report.stacks)
     print(f"{report.protocol}: accuracy {report.mean:.4f} +/- {report.std:.4f}")
     print(f"reports written to {out}")
@@ -245,13 +245,12 @@ def cmd_embed(args) -> int:
             table = embed_dataset(dataset, state, config)
     except ValueError as exc:     # e.g. an encoder that overflows
         raise GraphAugError(f"cannot embed {dataset.name}: {exc}") from exc
-    rows = [[i, table.labels[i]] + [repr(v) for v in table.vectors[i]]
-            for i in range(len(table.vectors))]
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "embeddings.csv",
                ["id", "label"] + [f"dim{j}" for j in range(table.vectors.shape[1])],
-               rows)
-    print(f"wrote {len(rows)} embeddings to {out / 'embeddings.csv'}")
+               [[i, label, *vec] for i, (label, vec)
+                in enumerate(zip(table.labels, table.vectors))])
+    print(f"wrote {len(table.vectors)} embeddings to {out / 'embeddings.csv'}")
     return 0
 
 
@@ -293,12 +292,10 @@ def cmd_inspect(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for k in range(n):
         aug = views.graph(k)
-        w = aug.edge_weights.data
-        lines = [f"# graph {k}: {aug.num_nodes} nodes, {aug.num_edges} edges",
-                 "# src dst weight"]
-        lines += [f"{int(a)} {int(b)} {w[e]:.6f}"
-                  for e, (a, b) in enumerate(aug.edges)]
-        (out / f"graph{k}.edges").write_text("\n".join(lines) + "\n")
+        np.savetxt(out / f"graph{k}.edges",
+                   np.column_stack((aug.edges, aug.edge_weights.data)),
+                   fmt="%d %d %.6f", header=f"graph {k}: {aug.num_nodes} "
+                   f"nodes, {aug.num_edges} edges\nsrc dst weight")
         x = aug.features.data + 0.0         # a dropped -0.0 prints as 0
         np.savetxt(out / f"graph{k}.features", x, fmt="%.17g",
                    header=f"graph {k}: {x.shape[0]} nodes, {x.shape[1]} "

@@ -26,7 +26,10 @@ from .tensor import ParameterSet, Tensor
 LAMBDA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 PROBE_EPOCHS = 300
 PROBE_LR = 1e-2
-EMBED_CHUNK = 64                 # graphs per encode
+# graphs per encode. One encode of all 188 MUTAG graphs gives the same bits
+# but ran slower: 5.6-5.9 ms against 4.6-5.2 ms (best of 30, one BLAS
+# thread, 2-core x86_64)
+EMBED_CHUNK = 64
 STACK_LIMIT = 1 << 15            # logits per stacked fit (256 KiB of float64)
 STACK_COLUMNS = ("phase", "splits", "rows", "penalties", "seconds")
 
@@ -59,13 +62,6 @@ class ProbeReport:
             "mean_accuracy": self.mean, "std_accuracy": self.std,
             "accuracies": self.accuracies, "l2": self.l2,
         }, indent=2)
-
-    def to_csv_rows(self) -> list:
-        rows = [("run", "accuracy")]
-        rows += [(i, a) for i, a in enumerate(self.accuracies)]
-        rows.append(("mean", self.mean))
-        rows.append(("std", self.std))
-        return rows
 
 
 def _report(accs: list, l2s: list, stacks: list, seed: int,

@@ -1,6 +1,7 @@
 """Adam with bias correction, updating the parameters that hold a gradient."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,13 +54,19 @@ def adam_step(params: ParameterSet, state: AdamState, lr: float) -> None:
 
 def clip_by_global_norm(grads: list, max_norm: float) -> float:
     """Scale the gradient arrays in place if their joint norm exceeds
-    ``max_norm``. Returns the pre-clip global norm.
+    ``max_norm``. Returns the pre-clip global norm, which is not finite
+    only when a gradient is not (or the norm exceeds the float range);
+    such gradients are left as they are.
     """
     total = 0.0
-    for g in grads:
-        total += float((g * g).sum())
+    with np.errstate(over="ignore"):      # the squares of a huge gradient
+        for g in grads:
+            total += float((g * g).sum())
     norm = total ** 0.5
-    if norm > max_norm and norm > 0.0:
+    if not math.isfinite(norm) and all(np.isfinite(g).all() for g in grads):
+        big = max(float(np.abs(g).max(initial=0.0)) for g in grads)
+        norm = big * sum(float(((g / big) ** 2).sum()) for g in grads) ** 0.5
+    if norm > max_norm and 0.0 < norm < math.inf:
         scale = max_norm / norm
         for g in grads:
             g *= scale

@@ -12,7 +12,7 @@ augmentation encoder joins them, and the other encoder runs detached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
@@ -58,8 +58,16 @@ class TrainConfig:
 
     def __post_init__(self):
         """The one validator for config values, whatever their source."""
-        if self.epochs < 0 or self.batch_size < 1 or self.num_layers < 1:
-            raise ValueError("epochs/batch_size/num_layers out of range")
+        for f in fields(self):
+            # exact types, as a checkpoint's JSON holds them: no bool for an
+            # int, and no numpy scalar
+            allowed = (int, float) if type(f.default) is float \
+                else (type(f.default),)
+            value = getattr(self, f.name)
+            if type(value) not in allowed:
+                raise TypeError(f"{f.name} must be of type "
+                                f"{' or '.join(t.__name__ for t in allowed)}; "
+                                f"got {value!r}")
         for name, valid in (("policy_kind", POLICY_KINDS),
                             ("patience_unit", ("epoch", "step")),
                             ("task", ("graph", "node")),
@@ -75,9 +83,11 @@ class TrainConfig:
             raise ValueError(f"{name} must be >= 2 on the {self.task} task, "
                              f"since a batch of one graph has no negatives; "
                              f"got {getattr(self, name)}")
-        for name in ("hidden_dim", "early_stop_patience"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1; "
+        for name, least in (("epochs", 0), ("batch_size", 1),
+                            ("num_layers", 1), ("hidden_dim", 1),
+                            ("early_stop_patience", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}; "
                                  f"got {getattr(self, name)}")
         # a node-task neighborhood may be its center alone; the graph task's
         # subgraph head needs at least one hop
@@ -196,7 +206,8 @@ def train_step(batch: GraphBatch, state: TrainState,
     """One update. The coin picks the encoder to update before the forward,
     and the step runs on the other encoder's detached parameters, so the
     tape records only what the update reads. The returned decision is off
-    the tape. A non-finite loss raises with ``state`` as it was."""
+    the tape. A non-finite loss or gradient raises with ``state`` as it
+    was."""
     for g in GROUPS:
         state.group(g).zero_grads()
     coin_before = state.coin_stream.get_state()
@@ -222,6 +233,11 @@ def train_step(batch: GraphBatch, state: TrainState,
     grad_norm = clip_by_global_norm([t.grad for g in update_groups
                                      for t in state.group(g).tensors()
                                      if t.grad is not None], config.clip_norm)
+    if not math.isfinite(grad_norm):
+        state.coin_stream = RngStream.from_state(coin_before)
+        raise TrainingDivergedError(
+            f"non-finite gradient at step {state.step}: global norm "
+            f"{grad_norm} (i={decision.i.value} j={decision.j.value})")
     for gname in update_groups:
         adam_step(state.group(gname), state.adam[gname], config.learning_rate)
     state.step += 1

@@ -410,6 +410,70 @@ def test_embed_writes_rows(dataset_dir, tmp_path):
     assert lines[0].startswith("id,label,dim0")
 
 
+@pytest.mark.parametrize("task", ["graph", "node"])
+def test_embeddings_csv_cells_read_back_as_the_embedding(dataset_dir,
+                                                         tmp_path, task):
+    """Each value cell is a plain decimal that float() reads back to the
+    exact bits embed_dataset gives."""
+    ck = tmp_path / "trained" / "checkpoint.bin"
+    assert run_cli("train", "--dataset", str(dataset_dir), "--task", task,
+                   "--out", str(ck.parent), *TRAIN_ARGS) == 0
+    out = tmp_path / "emb"
+    assert run_cli("embed", "--checkpoint", str(ck), "--dataset",
+                   str(dataset_dir), "--out", str(out)) == 0
+    state, config = load_checkpoint(ck)
+    table = evaluation.embed_dataset(parse_tudataset(dataset_dir, task),
+                                     state, config)
+    with open(out / "embeddings.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    dims = table.vectors.shape[1]
+    assert header == ["id", "label", *(f"dim{j}" for j in range(dims))]
+    assert len(rows) == len(table.vectors)
+    for i, row in enumerate(rows):
+        assert row[:2] == [str(i), str(table.labels[i])]
+        got = np.array([float(cell) for cell in row[2:]])
+        assert got.tobytes() == table.vectors[i].tobytes(), row
+
+
+def test_probe_report_csv_has_a_header_row(dataset_dir, tmp_path):
+    """probe_report.csv opens with its header, and csv.DictReader reads the
+    accuracies, mean and std of probe_report.json."""
+    ck = trained_checkpoint(dataset_dir, tmp_path)
+    out = tmp_path / "probe"
+    assert run_cli("probe", "--checkpoint", str(ck), "--dataset",
+                   str(dataset_dir), "--out", str(out), "--folds", "3",
+                   "--runs", "2") == 0
+    report = json.loads((out / "probe_report.json").read_text())
+    text = (out / "probe_report.csv").read_text()
+    assert text.splitlines()[0] == "run,accuracy"
+    with open(out / "probe_report.csv", newline="") as f:
+        rows = [(row["run"], float(row["accuracy"]))
+                for row in csv.DictReader(f)]
+    assert rows == [*((str(i), a) for i, a in enumerate(report["accuracies"])),
+                    ("mean", report["mean_accuracy"]),
+                    ("std", report["std_accuracy"])]
+
+
+@pytest.mark.parametrize("field,value", [("hidden_dim", 8.0),
+                                         ("batch_size", 4.5),
+                                         ("num_layers", True)])
+def test_checkpoint_config_of_the_wrong_type_is_one_error_line(
+        dataset_dir, tmp_path, capsys, field, value):
+    meta, tensors = container.read_container(
+        trained_checkpoint(dataset_dir, tmp_path))
+    meta["config"][field] = value
+    bad = tmp_path / "bad-type.bin"
+    container.write_container(bad, meta, tensors)
+    out = tmp_path / "x"
+    code = run_cli("probe", "--checkpoint", str(bad), "--dataset",
+                   str(dataset_dir), "--out", str(out))
+    assert code == 1
+    assert one_error_line(capsys).endswith(
+        f"invalid training config: {field} must be of type int; "
+        f"got {value!r}\n")
+    assert not out.exists()
+
+
 def test_failed_embed_leaves_no_output_dir(dataset_dir, tmp_path,
                                            monkeypatch):
     ck = trained_checkpoint(dataset_dir, tmp_path)

@@ -64,6 +64,26 @@ def test_clip_by_global_norm():
     assert small[0][0] == 0.1
 
 
+
+def test_clip_by_global_norm_of_gradients_whose_squares_overflow():
+    """Squares that overflow do not zero the gradients: the norm is taken
+    relative to the largest entry, and the clip still scales to max_norm."""
+    grads = [np.full(4, 1e200), np.array([3.0])]
+    norm = clip_by_global_norm(grads, 5.0)
+    assert norm == pytest.approx(2e200, rel=1e-12)
+    assert np.all(grads[0] == pytest.approx(2.5, rel=1e-12))
+    scaled = sum(float((g * g).sum()) for g in grads) ** 0.5
+    assert scaled == pytest.approx(5.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_clip_by_global_norm_leaves_non_finite_gradients(bad):
+    grads = [np.array([bad, 1.0]), np.array([2.0])]
+    norm = clip_by_global_norm(grads, 1.0)
+    assert not np.isfinite(norm)
+    assert np.array_equal(grads[0], [bad, 1.0], equal_nan=True)
+    assert grads[1][0] == 2.0
+
 # -- rng streams -------------------------------------------------------------
 
 def test_stream_determinism_and_split_independence():

@@ -1,0 +1,148 @@
+"""Inputs that are rejected, grouped by where they come from. A CLI case
+exits with its documented code (2 for a config error, 1 otherwise) and one
+stderr line that names the fault; a library case raises its exception."""
+import numpy as np
+import pytest
+
+from graphaug import container
+from graphaug.errors import DatasetError, InvalidShapeError
+from graphaug.evaluation import EmbeddingTable, linear_probe_graph, \
+    linear_probe_node
+from graphaug.graphs import Graph
+from graphaug.tudataset import parse_tudataset
+
+from test_cli import one_error_line, run_cli, trained_checkpoint, \
+    write_synthetic_tudataset
+
+
+def assert_rejected(capsys, argv, code, message):
+    assert run_cli(*argv) == code
+    err = one_error_line(capsys, "config error:" if code == 2 else "error:")
+    assert message in err, err
+
+
+def ini(text):
+    def argv(tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        return ["train", "--config", str(path)]
+    return argv
+
+
+@pytest.mark.parametrize("argv,message", [
+    (lambda tmp_path: ["train", "--config", str(tmp_path / "missing.cfg")],
+     "config file not found: "),
+    (ini("[bogus]\nepochs = 1\n"), "unknown config section [bogus]"),
+    (ini("[train]\nepochs = ten\n"), "train.epochs: cannot parse 'ten' as int"),
+    (ini("[train]\nkeep_ratio = most\n"),
+     "train.keep_ratio: cannot parse 'most' as float"),
+    (lambda tmp_path: ["train", "--dataset", str(tmp_path / "missing")],
+     "data.dataset: directory not found: "),
+], ids=["missing-file", "unknown-section", "unparseable-int",
+        "unparseable-float", "missing-dataset"])
+def test_ini_and_path_rejections(tmp_path, capsys, argv, message):
+    assert_rejected(capsys, argv(tmp_path), 2, message)
+
+
+def node_count(d):
+    return len((d / "SYN_graph_indicator.txt").read_text().split())
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("SYN_graph_labels.txt", lambda d: "0, 1\n" * 10,
+     "SYN_graph_labels.txt: 2 fields on a line, expected 1"),
+    ("SYN_node_attributes.txt", lambda d: "0.5\n" * (node_count(d) - 1),
+     "SYN_node_attributes.txt row count != node count"),
+    ("SYN_A.txt",       # node 1 is in graph 1, the last node in graph 10
+     lambda d: (d / "SYN_A.txt").read_text() + f"1, {node_count(d)}\n",
+     "crosses graphs 1 and 10"),
+], ids=["field-count", "attribute-rows", "cross-graph-edge"])
+def test_dataset_file_rejections(tmp_path, capsys, name, text, message):
+    d = write_synthetic_tudataset(tmp_path)
+    (d / name).write_text(text(d))
+    assert_rejected(capsys, ["stats", "--dataset", str(d)], 1, message)
+
+
+def corrupt_header(path):
+    path.write_bytes(container.MAGIC + (1).to_bytes(4, "little")
+                     + (2).to_bytes(8, "little") + b"{x")
+
+
+def trailing_bytes(path):
+    path.write_bytes(path.read_bytes() + b"\0\0")
+
+
+def not_a_training_checkpoint(path):
+    container.write_container(path, {"kind": "probe"}, {})
+
+
+@pytest.mark.parametrize("command", ["probe", "embed", "inspect"])
+@pytest.mark.parametrize("edit,message", [
+    (corrupt_header, "has a corrupt header"),
+    (trailing_bytes, "has 2 trailing bytes"),
+    (not_a_training_checkpoint, "is not a training checkpoint"),
+], ids=["corrupt-header", "trailing-bytes", "not-training"])
+def test_checkpoint_rejections(tmp_path, capsys, command, edit, message):
+    d = write_synthetic_tudataset(tmp_path)
+    ck = trained_checkpoint(d, tmp_path)
+    edit(ck)
+    out = tmp_path / "never"
+    assert_rejected(capsys, [command, "--checkpoint", str(ck), "--dataset",
+                             str(d), "--out", str(out),
+                             *(["--head", "identity"]
+                               if command == "inspect" else [])],
+                    1, message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--epochs", "-1"], "epochs must be >= 0; got -1"),
+    (["--task", "node", "--batch-size", "0"], "batch_size must be >= 1; got 0"),
+    (["--num-layers", "0"], "num_layers must be >= 1; got 0"),
+    (["--alternation-prob", "1.5"], "alternation_prob must be in [0, 1]"),
+    (["--keep-ratio", "0"], "keep_ratio must be in (0, 1]"),
+    (["--head-temperature", "0"], "head_temperature must be positive"),
+], ids=["epochs", "batch-size", "num-layers", "alternation-prob",
+        "keep-ratio", "head-temperature"])
+def test_config_value_rejections(tmp_path, capsys, flags, message):
+    d = write_synthetic_tudataset(tmp_path)
+    out = tmp_path / "never"
+    assert_rejected(capsys, ["train", "--dataset", str(d), "--out", str(out),
+                             *flags], 2, message)
+    assert not out.exists()
+
+
+def two_class_table():
+    return EmbeddingTable(np.arange(12.0).reshape(6, 2),
+                          np.array([0, 1, 0, 1, 0, 1]))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda tmp_path: Graph(0, np.zeros((0, 2)), np.zeros((0, 3)),
+                            np.zeros(0)),
+     InvalidShapeError, "at least one node"),
+    (lambda tmp_path: Graph(2, [[0, 2]], np.zeros((2, 3)), np.ones(1)),
+     InvalidShapeError, "edge endpoint out of node range"),
+    (lambda tmp_path: Graph(2, [[0, 1]], np.zeros(2), np.ones(1)),
+     InvalidShapeError, r"features must be a \(num_nodes, d_x\) matrix"),
+    (lambda tmp_path: Graph(2, [[0, 1]], np.zeros((3, 3)), np.ones(1)),
+     InvalidShapeError, "feature row count != num_nodes"),
+    (lambda tmp_path: Graph(2, [[0, 1]], np.zeros((2, 3)), np.ones(2)),
+     InvalidShapeError, "edge_weights length != edge count"),
+    (lambda tmp_path: parse_tudataset(tmp_path / "missing"),
+     DatasetError, "dataset directory not found"),
+    (lambda tmp_path: EmbeddingTable(np.zeros((3, 2)), np.zeros(2)),
+     ValueError, "labels do not cover the embeddings"),
+    (lambda tmp_path: linear_probe_graph(two_class_table(), folds=1),
+     ValueError, "need folds >= 2 and runs >= 1, got folds=1 and runs=5"),
+    (lambda tmp_path: linear_probe_graph(two_class_table(), runs=0),
+     ValueError, "need folds >= 2 and runs >= 1, got folds=10 and runs=0"),
+    (lambda tmp_path: linear_probe_node(two_class_table(), runs=0),
+     ValueError, "need runs >= 1, got 0"),
+], ids=["graph-no-nodes", "graph-edge-range", "graph-feature-ndim",
+        "graph-feature-rows", "graph-edge-weights", "dataset-directory",
+        "table-labels", "probe-graph-folds", "probe-graph-runs",
+        "probe-node-runs"])
+def test_library_argument_rejections(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)

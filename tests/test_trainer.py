@@ -329,6 +329,41 @@ def test_nan_loss_aborts_with_diagnostics():
         assert not changed(m, a.m) and not changed(v, a.v)
 
 
+def test_non_finite_gradient_aborts_with_the_state_as_it_was(monkeypatch):
+    """A step whose gradient is not finite raises before Adam runs, with
+    the parameters, Adam state, step count and streams as they were."""
+    from graphaug import trainer
+    from graphaug.errors import TrainingDivergedError
+    ds = synthetic_dataset()
+    config = small_config()
+    state = init_state(config, ds.feature_dim)
+    batch = batch_graphs(ds.graphs[:4])
+    for _ in range(3):
+        train_step(batch, state, config)
+    clip = trainer.clip_by_global_norm
+
+    def infinite_clip(grads, max_norm):
+        grads[0][...] = np.inf
+        return clip(grads, max_norm)
+    monkeypatch.setattr(trainer, "clip_by_global_norm", infinite_clip)
+    streams = ("sample_root", "shuffle_stream", "coin_stream")
+    params = {g: snapshot(state.group(g)) for g in GROUPS}
+    adam = {g: (a.step, copies(a.m), copies(a.v))
+            for g, a in state.adam.items()}
+    rng = [getattr(state, s).get_state() for s in streams]
+    with pytest.raises(TrainingDivergedError,
+                       match="non-finite gradient at step 3"):
+        train_step(batch, state, config)
+    assert state.step == 3
+    assert [getattr(state, s).get_state() for s in streams] == rng
+    for g in GROUPS:
+        assert not changed(params[g], snapshot(state.group(g)))
+        step_count, m, v = adam[g]
+        a = state.adam[g]
+        assert a.step == step_count and a.m.keys() == m.keys()
+        assert not changed(m, a.m) and not changed(v, a.v)
+
+
 def test_checkpoint_missing_parameter_rejected(tmp_path):
     from graphaug import container
     ds = synthetic_dataset()
@@ -390,6 +425,24 @@ def test_checkpoint_bad_config_is_checkpoint_error(tmp_path, extra, match):
 def test_config_rejects_invalid_values(overrides, match):
     with pytest.raises(ValueError, match=match):
         small_config(**overrides)
+
+
+@pytest.mark.parametrize("overrides,match", [
+    (dict(hidden_dim=32.0), "hidden_dim must be of type int; got 32.0"),
+    (dict(batch_size=32.5), "batch_size must be of type int; got 32.5"),
+    (dict(num_layers=True), "num_layers must be of type int; got True"),
+    (dict(seed=np.int64(3)), "seed must be of type int"),
+    (dict(learning_rate="0.1"), "learning_rate must be of type int or float"),
+    (dict(dropout=False), "dropout must be of type int or float"),
+    (dict(task=None), "task must be of type str"),
+])
+def test_config_rejects_values_of_the_wrong_type(overrides, match):
+    with pytest.raises(TypeError, match=match):
+        small_config(**overrides)
+
+
+def test_config_takes_an_int_for_a_float_field():
+    assert small_config(learning_rate=1, clip_norm=5).clip_norm == 5
 
 
 def test_singleton_batches_allowed_on_node_task():
