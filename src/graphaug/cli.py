@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +55,19 @@ _FIELDS = {_INI_KEY.get(f.name, f.name): f for f in fields(TrainConfig)}
 
 
 def _parse_config_file(path) -> dict:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        raise ConfigError(f"config file not found: {path}") from None
+    try:
+        parser.read_string(data.decode("utf-8"), source=str(path))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}, line {line}: not UTF-8 at byte "
+                          f"{exc.start}") from None
+    except configparser.Error as exc:  # e.g. a repeated key, a line without =
+        raise ConfigError(" ".join(str(exc).split())) from None
     values = {}
     for section in parser.sections():
         if section not in SECTIONS:
@@ -318,33 +328,36 @@ def cmd_stats(args) -> int:
 # -- argument plumbing ---------------------------------------------------------------
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
+def _add_config_flags(p: argparse.ArgumentParser,
+                      keys=_FIELDS.keys() | {"dataset", "out_dir"}):
+    """--config, and a flag for each INI key the command reads."""
     p.add_argument("--config", help="INI config file")
-    p.add_argument("--dataset", help="TUDataset-convention directory")
-    p.add_argument("--out", dest="out_dir", metavar="OUT",
-                   help="output directory")
-    for section, keys in SECTIONS.items():
-        for key in filter(_FIELDS.__contains__, keys):
-            default = _FIELDS[key].default
-            p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           type=type(default),
-                           help=f"{section}.{key}, default {default}")
+    for section, section_keys in SECTIONS.items():
+        for key in filter(keys.__contains__, section_keys):
+            default = _FIELDS[key].default if key in _FIELDS else None
+            flag = "out" if key == "out_dir" else key.replace("_", "-")
+            p.add_argument("--" + flag, dest=key,
+                           type=str if default is None else type(default),
+                           help=f"{section}.{key}" if default is None
+                           else f"{section}.{key}, default {default}")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphaug",
         description="Learned graph augmentations for contrastive learning")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(  # exact flags: stats --out is not --out-json
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p_train = sub.add_parser("train", help="train a model")
-    _add_config_flags(p_train)
+    _add_config_flags(p_train)  # every INI key
     p_train.add_argument("--print-config", action="store_true",
                          help="print the resolved config and exit")
     p_train.set_defaults(func=cmd_train)
 
     p_probe = sub.add_parser("probe", help="linear-probe a checkpoint")
-    _add_config_flags(p_probe)
+    _add_config_flags(p_probe, ("dataset", "out_dir"))
     p_probe.add_argument("--checkpoint", required=True)
     p_probe.add_argument("--folds", type=int, default=10)
     p_probe.add_argument("--runs", type=int, default=5)
@@ -355,13 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.set_defaults(func=cmd_probe)
 
     p_embed = sub.add_parser("embed", help="write embeddings for a dataset")
-    _add_config_flags(p_embed)
+    _add_config_flags(p_embed, ("dataset", "out_dir"))
     p_embed.add_argument("--checkpoint", required=True)
     p_embed.set_defaults(func=cmd_embed)
 
     p_inspect = sub.add_parser("inspect",
                                help="dump augmented graphs from a head")
-    _add_config_flags(p_inspect)
+    _add_config_flags(p_inspect, ("dataset", "out_dir", "seed"))
     p_inspect.add_argument("--checkpoint", required=True)
     p_inspect.add_argument("--head", required=True)
     p_inspect.add_argument("--num-graphs", dest="num_graphs", type=int,
@@ -369,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.set_defaults(func=cmd_inspect)
 
     p_stats = sub.add_parser("stats", help="print dataset statistics")
-    _add_config_flags(p_stats)
+    _add_config_flags(p_stats, ("dataset", "task"))
     p_stats.add_argument("--out-json", dest="out_json")
     p_stats.set_defaults(func=cmd_stats)
     return parser

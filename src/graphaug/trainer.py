@@ -101,16 +101,19 @@ class TrainConfig:
             raise ValueError("alternation_prob must be in [0, 1]")
         if not (0.0 < self.keep_ratio <= 1.0):
             raise ValueError("keep_ratio must be in (0, 1]")
-        if self.head_temperature <= 0:
-            raise ValueError("head_temperature must be positive")
+        if not 0.0 < self.head_temperature < math.inf:
+            raise ValueError(f"head_temperature must be positive and finite; "
+                             f"got {self.head_temperature}")
         if not 0.0 <= self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and >= 0; "
                              f"got {self.learning_rate}")
         if not 0.0 < self.clip_norm < math.inf:
             raise ValueError(f"clip_norm must be finite and > 0; "
                              f"got {self.clip_norm}")
-        if self.estimator == "nt_xent" and self.nt_xent_temperature <= 0:
-            raise ValueError("nt_xent temperature must be positive")
+        if self.estimator == "nt_xent" \
+                and not 0.0 < self.nt_xent_temperature < math.inf:
+            raise ValueError(f"nt_xent temperature must be positive and "
+                             f"finite; got {self.nt_xent_temperature}")
 
 
 @dataclass

@@ -17,10 +17,10 @@ orientation.
 A file that breaks a rule raises ``DatasetError`` naming it. Field counts:
 two per line in DS_A.txt, one in the indicator and label files, the same on
 every attribute line; ids and labels are integers, and attributes are
-finite (no NaN or inf). Row counts: one label line per graph, one
-node-label and attribute line per node (blank lines do not count). Graph
-ids are 1-based and contiguous, 1..G with every id used. Edge endpoints are
-node ids 1..N in one graph.
+finite (no NaN or inf); every file is UTF-8 text. Row counts: one label
+line per graph, one node-label and attribute line per node (blank lines do
+not count). Graph ids are 1-based and contiguous, 1..G with every id used.
+Edge endpoints are node ids 1..N in one graph.
 """
 from __future__ import annotations
 
@@ -77,7 +77,12 @@ def _find_prefix(directory: Path) -> str:
 def _read_table(path: Path, columns: int | None, dtype) -> np.ndarray:
     """The non-blank lines of a comma-separated file as a ``(lines,
     columns)`` array; ``columns=None`` asks only for equal lines."""
-    text = re.sub(r"(?m)^[ \t]+$", "", path.read_text())   # blank lines
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(
+            f"{path.name}: not UTF-8 at byte {exc.start}") from None
+    text = re.sub(r"(?m)^[ \t]+$", "", text)   # blank lines
     if not text.strip():
         return np.zeros((0, columns or 0), dtype=dtype)
     try:

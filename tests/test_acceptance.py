@@ -6,10 +6,12 @@ lines as they complete.
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from graphaug import trainer
 from graphaug.encoders import Encodings, gin_layer
 from graphaug.evaluation import embed_dataset, linear_probe_graph, \
     linear_probe_node
@@ -387,16 +389,53 @@ def test_node_training_teaches_the_encoder(policy, seed, untrained_node_probe):
     trained = linear_probe_node(table, runs=5, seed=seed).mean
     elapsed = time.time() - start
     gap = trained - untrained_node_probe(seed)
-    losses = np.array([m["loss"] for m in metrics])
-    first = losses[:LOSS_WINDOW].mean()
-    last = losses[-LOSS_WINDOW:].mean()
+    first, last = loss_ends(metrics)
     assert gap >= PROBE_GAP_MARGIN, f"probe gap {gap:+.4f}"
     assert first - last >= LOSS_DROP_MARGIN, f"loss {first:.4f} -> {last:.4f}"
     print(f"[criterion 5+] PASS: node task, {policy} seed {seed}: probe "
           f"{trained:.4f}, {gap:+.4f} on untrained (margin "
           f"{PROBE_GAP_MARGIN}); loss {first:.3f} -> {last:.3f} over "
-          f"{len(losses)} steps (drop margin {LOSS_DROP_MARGIN}) in "
+          f"{len(metrics)} steps (drop margin {LOSS_DROP_MARGIN}) in "
           f"{elapsed:.1f}s")
+
+
+def loss_ends(metrics):
+    """The mean loss of the first and of the last LOSS_WINDOW steps."""
+    losses = np.array([m["loss"] for m in metrics])
+    return losses[:LOSS_WINDOW].mean(), losses[-LOSS_WINDOW:].mean()
+
+
+def zero_learning_rate(config, monkeypatch):
+    return replace(config, learning_rate=0.0)
+
+
+def negated_gradient(config, monkeypatch):
+    clip = trainer.clip_by_global_norm
+
+    def ascend(grads, max_norm):
+        for g in grads:
+            g *= -1.0
+        return clip(grads, max_norm)
+    monkeypatch.setattr(trainer, "clip_by_global_norm", ascend)
+    return config
+
+
+@pytest.mark.parametrize("fault", [zero_learning_rate, negated_gradient],
+                         ids=["learning-rate-0", "negated-gradient"])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("policy", ["gru", "random"])
+def test_loss_drop_check_fails_on_planted_learning_faults(policy, seed, fault,
+                                                          monkeypatch):
+    """A register of learning faults: on the node task, the loss-drop
+    check of test_node_training_teaches_the_encoder fails when the encoder
+    does not learn."""
+    dataset = planted_partition(seed)
+    config = fault(_node_config(policy, seed), monkeypatch)
+    _, metrics, _ = train(dataset, config)
+    first, last = loss_ends(metrics)
+    assert first - last < LOSS_DROP_MARGIN, f"loss {first:.4f} -> {last:.4f}"
+    print(f"[criterion 5+] PASS: {fault.__name__} fails the loss-drop check "
+          f"({policy} seed {seed}): loss {first:.3f} -> {last:.3f}")
 
 
 def test_mutag_last_epoch_loss_against_chance(mutag_training):

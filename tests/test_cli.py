@@ -235,6 +235,73 @@ def test_every_field_has_one_ini_key_and_one_flag(tmp_path):
                     assert getattr(config, other) == expect, (argv, other)
 
 
+def test_each_command_takes_only_the_options_it_reads():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: {s for a in p._actions for s in a.option_strings}
+               - {"-h", "--help"} for name, p in sub.choices.items()}
+    field_flags = {"--" + cli._INI_KEY.get(f.name, f.name).replace("_", "-")
+                   for f in fields(TrainConfig)}
+    read = {"--config", "--dataset", "--out"}
+    assert options == {
+        "train": read | field_flags | {"--print-config"},
+        "probe": read | {"--checkpoint", "--folds", "--runs", "--runs-node",
+                         "--train-frac", "--probe-seed"},
+        "embed": read | {"--checkpoint"},
+        "inspect": read | {"--seed", "--checkpoint", "--head", "--num-graphs"},
+        "stats": {"--config", "--dataset", "--task", "--out-json"},
+    }
+    assert sum(map(len, options.values())) == 48
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--task", "node"],
+    ["probe", "--hidden-dim", "7"],
+    ["inspect", "--head", "identity", "--epochs", "3"],
+    ["stats", "--out", "x"],
+], ids=["embed-task", "probe-hidden-dim", "inspect-epochs", "stats-out"])
+def test_a_flag_the_command_does_not_read_exits_2(dataset_dir, tmp_path,
+                                                  capsys, monkeypatch, argv):
+    ck = trained_checkpoint(dataset_dir, tmp_path)
+    out = tmp_path / "never"
+    monkeypatch.chdir(tmp_path)           # where stats --out x would write
+    command, *rest = argv
+    where = ["--dataset", str(dataset_dir)] + (
+        [] if command == "stats"
+        else ["--checkpoint", str(ck), "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *where, *rest)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(rest[-2:]) \
+        in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "x").exists()
+
+
+def test_every_command_reads_a_train_config_file(dataset_dir, tmp_path,
+                                                  capsys):
+    """A config file may hold keys its command does not read."""
+    ck = trained_checkpoint(dataset_dir, tmp_path)
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "mutag.cfg"
+    for cfg in (shipped, ck.parent / "config_resolved.cfg"):
+        data = ["--config", str(cfg), "--dataset", str(dataset_dir)]
+        assert run_cli("stats", *data) == 0
+        assert run_cli("train", *data, "--print-config") == 0
+        for command, extra in (("probe", ["--folds", "2", "--runs", "1"]),
+                               ("embed", []),
+                               ("inspect", ["--head", "identity"])):
+            out = tmp_path / f"{cfg.stem}-{command}"
+            assert run_cli(command, *data, "--checkpoint", str(ck),
+                           "--out", str(out), *extra) == 0, command
+            assert out.is_dir()
+
+
+def test_a_percent_sign_in_a_config_value_is_literal(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[data]\ndataset = data/100%\n")
+    assert run_cli("train", "--config", str(cfg), "--print-config") == 0
+    assert "dataset = data/100%\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("overrides", [
     [],
     ["--" + cli._INI_KEY.get(k, k).replace("_", "-") + "=" + str(v)

@@ -4,7 +4,7 @@ stderr line that names the fault; a library case raises its exception."""
 import numpy as np
 import pytest
 
-from graphaug import container
+from graphaug import cli, container
 from graphaug.errors import DatasetError, InvalidShapeError
 from graphaug.evaluation import EmbeddingTable, linear_probe_graph, \
     linear_probe_node
@@ -24,7 +24,7 @@ def assert_rejected(capsys, argv, code, message):
 def ini(text):
     def argv(tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         return ["train", "--config", str(path)]
     return argv
 
@@ -38,8 +38,19 @@ def ini(text):
      "train.keep_ratio: cannot parse 'most' as float"),
     (lambda tmp_path: ["train", "--dataset", str(tmp_path / "missing")],
      "data.dataset: directory not found: "),
+    (ini("[train]\nepochs = 1\nepochs = 2\n"),
+     "run.cfg' [line 3]: option 'epochs' in section 'train' already exists"),
+    (ini("[train]\nepochs = 1\n[train]\nseed = 2\n"),
+     "run.cfg' [line 3]: section 'train' already exists"),
+    (ini("epochs = 1\n[train]\n"),
+     "run.cfg', line: 1 'epochs = 1"),
+    (ini("[train]\nepochs = 1\nseed\n"), "run.cfg' [line 3]: 'seed\\n'"),
+    (ini(b"[train]\nepochs = 1\nseed = 2\xff\n"),
+     "run.cfg, line 3: not UTF-8 at byte 27"),
 ], ids=["missing-file", "unknown-section", "unparseable-int",
-        "unparseable-float", "missing-dataset"])
+        "unparseable-float", "missing-dataset", "repeated-key",
+        "repeated-section", "key-before-section", "key-without-value",
+        "not-utf8"])
 def test_ini_and_path_rejections(tmp_path, capsys, argv, message):
     assert_rejected(capsys, argv(tmp_path), 2, message)
 
@@ -56,10 +67,16 @@ def node_count(d):
     ("SYN_A.txt",       # node 1 is in graph 1, the last node in graph 10
      lambda d: (d / "SYN_A.txt").read_text() + f"1, {node_count(d)}\n",
      "crosses graphs 1 and 10"),
-], ids=["field-count", "attribute-rows", "cross-graph-edge"])
+    ("SYN_A.txt", lambda d: b"1, 2\n\xff\n" + (d / "SYN_A.txt").read_bytes(),
+     "SYN_A.txt: not UTF-8 at byte 5"),
+    ("SYN_graph_labels.txt", lambda d: b"0\n1\n\xff\n",
+     "SYN_graph_labels.txt: not UTF-8 at byte 4"),
+], ids=["field-count", "attribute-rows", "cross-graph-edge", "edges-not-utf8",
+        "labels-not-utf8"])
 def test_dataset_file_rejections(tmp_path, capsys, name, text, message):
     d = write_synthetic_tudataset(tmp_path)
-    (d / name).write_text(text(d))
+    data = text(d)
+    (d / name).write_bytes(data if isinstance(data, bytes) else data.encode())
     assert_rejected(capsys, ["stats", "--dataset", str(d)], 1, message)
 
 
@@ -102,14 +119,30 @@ def test_checkpoint_rejections(tmp_path, capsys, command, edit, message):
     (["--alternation-prob", "1.5"], "alternation_prob must be in [0, 1]"),
     (["--keep-ratio", "0"], "keep_ratio must be in (0, 1]"),
     (["--head-temperature", "0"], "head_temperature must be positive"),
+    (["--head-temperature", "nan"],
+     "head_temperature must be positive and finite; got nan"),
+    (["--head-temperature", "inf"],
+     "head_temperature must be positive and finite; got inf"),
+    (["--estimator", "nt_xent", "--nt-xent-temperature", "nan"],
+     "nt_xent temperature must be positive and finite; got nan"),
+    (["--estimator", "nt_xent", "--nt-xent-temperature", "inf"],
+     "nt_xent temperature must be positive and finite; got inf"),
 ], ids=["epochs", "batch-size", "num-layers", "alternation-prob",
-        "keep-ratio", "head-temperature"])
-def test_config_value_rejections(tmp_path, capsys, flags, message):
+        "keep-ratio", "head-temperature", "head-temperature-nan",
+        "head-temperature-inf", "nt-xent-temperature-nan",
+        "nt-xent-temperature-inf"])
+def test_config_value_rejections(tmp_path, capsys, monkeypatch, flags,
+                                 message):
     d = write_synthetic_tudataset(tmp_path)
+    monkeypatch.setattr(cli, "parse_tudataset", dataset_must_not_be_read)
     out = tmp_path / "never"
     assert_rejected(capsys, ["train", "--dataset", str(d), "--out", str(out),
                              *flags], 2, message)
     assert not out.exists()
+
+
+def dataset_must_not_be_read(*args, **kwargs):
+    raise AssertionError("read the dataset before checking the config")
 
 
 def two_class_table():
