@@ -50,6 +50,9 @@ SECTIONS = {
     "output": ("out_dir",),
 }
 _INI_KEY = {"policy_kind": "policy"}     # the one field with another key
+# probe options (flag dests) by the checkpoint's task, with their defaults
+PROBE_OPTIONS = {"graph": {"folds": 10, "runs": 5},
+                 "node": {"runs_node": 20, "train_frac": 0.1}}
 # INI key (also the flag's dest) -> TrainConfig field
 _FIELDS = {_INI_KEY.get(f.name, f.name): f for f in fields(TrainConfig)}
 
@@ -201,7 +204,7 @@ def cmd_train(args) -> int:
     for m in metrics:
         by_epoch.setdefault(m["epoch"], []).append(m["loss"])
     for epoch in sorted(by_epoch):
-        print(f"epoch {epoch}: mean loss {np.mean(by_epoch[epoch]):.4f}")
+        print(f"epoch {epoch}: mean loss {np.mean(by_epoch[epoch]):.5g}")
     print(f"artifacts written to {out}")
     return 0
 
@@ -209,10 +212,20 @@ def cmd_train(args) -> int:
 def cmd_probe(args) -> int:
     resolved = resolve_config(args)
     state, config, dataset = _load_model(args, resolved)
+    other = next(task for task in PROBE_OPTIONS if task != config.task)
+    stray = [f"--{dest.replace('_', '-')}" for dest in PROBE_OPTIONS[other]
+             if getattr(args, dest) is not None]
+    if stray:                     # before paying for the embed
+        raise ConfigError(f"{' and '.join(stray)}: {other}-task options, "
+                          f"but {args.checkpoint} holds a {config.task}-task "
+                          "model")
+    opts = {dest: default if getattr(args, dest) is None
+            else getattr(args, dest)
+            for dest, default in PROBE_OPTIONS[config.task].items()}
     out = _out_dir(resolved, f"{dataset.name.lower()}-probe")
-    counts = ({"folds": (args.folds, 2), "runs": (args.runs, 1)}
+    counts = ({"folds": (opts["folds"], 2), "runs": (opts["runs"], 1)}
               if config.task == "graph" else
-              {"runs-node": (args.runs_node, 1)})
+              {"runs-node": (opts["runs_node"], 1)})
     low = [f"--{flag} >= {least}, got {value}"
            for flag, (value, least) in counts.items() if value < least]
     if low:                       # before paying for the embed
@@ -221,16 +234,17 @@ def cmd_probe(args) -> int:
     try:
         if config.task == "node" and dataset.node_labels is not None:
             # the split before the embed, which rejects a missing label file
-            node_probe_split(dataset.node_labels[0], args.train_frac)
+            node_probe_split(dataset.node_labels[0], opts["train_frac"])
         # an overflow warns nothing here; the table rejects its rows
         with np.errstate(over="ignore", invalid="ignore"):
             table = embed_dataset(dataset, state, config)
         if config.task == "graph":
-            report = linear_probe_graph(table, folds=args.folds,
-                                        runs=args.runs, seed=args.probe_seed)
+            report = linear_probe_graph(table, folds=opts["folds"],
+                                        runs=opts["runs"],
+                                        seed=args.probe_seed)
         else:
-            report = linear_probe_node(table, runs=args.runs_node,
-                                       train_frac=args.train_frac,
+            report = linear_probe_node(table, runs=opts["runs_node"],
+                                       train_frac=opts["train_frac"],
                                        seed=args.probe_seed)
     except ValueError as exc:     # inputs the probe cannot use
         raise GraphAugError(f"cannot probe {dataset.name}: {exc}") from exc
@@ -359,11 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = sub.add_parser("probe", help="linear-probe a checkpoint")
     _add_config_flags(p_probe, ("dataset", "out_dir"))
     p_probe.add_argument("--checkpoint", required=True)
-    p_probe.add_argument("--folds", type=int, default=10)
-    p_probe.add_argument("--runs", type=int, default=5)
-    p_probe.add_argument("--runs-node", dest="runs_node", type=int, default=20)
-    p_probe.add_argument("--train-frac", dest="train_frac", type=float,
-                         default=0.1)
+    for task, options in PROBE_OPTIONS.items():
+        for dest, default in options.items():
+            p_probe.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                                 type=type(default), help=f"{task}-task "
+                                 f"checkpoints only, default {default}")
     p_probe.add_argument("--probe-seed", dest="probe_seed", type=int, default=0)
     p_probe.set_defaults(func=cmd_probe)
 

@@ -2,10 +2,10 @@
 
 Graph protocol: stratified 10-fold cross-validation, repeated over fold
 seeds. Node protocol: repeated random splits. The classifier is multinomial
-logistic regression trained full-batch with Adam on a closed-form numpy
-gradient (no autodiff tape); the L2 penalty is picked per training split by
-inner 3-fold cross-validation over a log grid. Fits with the same number of
-training rows are solved as stacks: first the inner fits, then the refits.
+logistic regression fit to its penalised optimum by Newton's method (no
+autodiff tape); the L2 penalty is picked per training split by inner 3-fold
+cross-validation over a log grid. Fits with the same number of training
+rows are solved as stacks: first the inner fits, then the refits.
 """
 from __future__ import annotations
 
@@ -17,21 +17,21 @@ import numpy as np
 
 from .encoders import encode
 from .errors import DatasetError, TrainingDivergedError
-# perfbench/spans.py wraps khop_bfs here; --trace 1 fails on entry without it
+# perfbench/spans.py wraps khop_bfs and adam_step here; --trace 1 needs them
 from .graphs import batch_graphs, khop_bfs
-from .optim import AdamState, adam_step
+from .optim import adam_step
 from .rng import RngStream
-from .tensor import ParameterSet, Tensor
 
 LAMBDA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
-PROBE_EPOCHS = 300
-PROBE_LR = 1e-2
+NEWTON_TOL = 1e-8                # bound on a fit's gap to its optimum, nats
+NEWTON_MAX_STEPS = 50            # per penalty; a fit that needs more raises
 # graphs per encode. One encode of all 188 MUTAG graphs gives the same bits
 # but ran slower: 5.6-5.9 ms against 4.6-5.2 ms (best of 30, one BLAS
 # thread, 2-core x86_64)
 EMBED_CHUNK = 64
 STACK_LIMIT = 1 << 15            # logits per stacked fit (256 KiB of float64)
-STACK_COLUMNS = ("phase", "splits", "rows", "penalties", "seconds")
+STACK_COLUMNS = ("phase", "splits", "rows", "penalties", "iterations",
+                 "seconds")
 
 
 @dataclass
@@ -109,76 +109,75 @@ def _standardize(train_x, *others):
     return tuple((x - mu) / sd for x in (train_x,) + others)
 
 
-def _logreg_work(x: np.ndarray, k: int, num_classes: int) -> dict:
-    """Arrays a stack's objective reuses at every step: ``xt``, x
-    transposed to a C-contiguous (S, 1, d, n) (the product on a strided
-    view ran about three times slower; on the copy it keeps its bits), and
-    buffers for the (S, K, C, n) logits, exp and residual, the (S, K, C, d)
-    product ``resid @ x`` and the two gradients."""
-    s, n, d = x.shape
-    return {"xt": np.ascontiguousarray(x.transpose(0, 2, 1)[:, None]),
-            "logits": np.empty((s, k, num_classes, n)),
-            "e": np.empty((s, k, num_classes, n)),
-            "resid": np.empty((s, k, num_classes, n)),
-            "xr": np.empty((s, k, num_classes, d)),
-            "grad_w": np.empty((s, k, d, num_classes)),
-            "grad_b": np.empty((s, k, num_classes))}
-
-
-def _logreg_objective(x, onehot, w, b, l2s, work) -> tuple:
-    """Penalized softmax cross-entropy of S splits x K models and its gradient.
-
-    ``x`` is (S, n, d), ``onehot`` is class-major (S, C, n), ``w`` is
-    (S, K, d, C), ``b`` is (S, K, C) and ``l2s`` is (S, K). Returns the
-    per-model losses (S, K) and the gradients w.r.t. ``w`` and ``b``:
-    ``x.T @ (softmax - onehot) / n + (l2 / n) w`` and its column sums.
-    Logits are laid out (S, K, C, n): each (s, k) item is a lone model's
-    2-D product (C, d) @ (d, n), which keeps its bits (a product over
-    stacked rows would not), and class reductions run on contiguous rows.
-    ``work`` is ``_logreg_work(x, K, C)``; the returned gradients live in
-    it, so the next call overwrites them.
-    """
-    n = x.shape[1]
-    logits, e, resid = work["logits"], work["e"], work["resid"]
-    np.matmul(w.transpose(0, 1, 3, 2), work["xt"], out=logits)
-    logits += b[..., None]
-    m = logits.max(axis=2, keepdims=True)
-    np.subtract(logits, m, out=e)
-    np.exp(e, out=e)
-    s = e.sum(axis=2, keepdims=True)
-    onehot = onehot[:, None]
-    np.multiply(logits, onehot, out=resid)
-    ce = np.log(s[:, :, 0]) + m[:, :, 0] - resid.sum(axis=2)
-    pen = l2s / n
-    loss = ce.mean(axis=2) + (w * w).sum(axis=(2, 3)) * (pen / 2.0)
-    np.divide(e, s, out=resid)
-    resid -= onehot
-    resid /= n
-    grad_w = np.multiply(pen[..., None, None], w, out=work["grad_w"])
-    grad_w += np.matmul(resid, x[:, None], out=work["xr"]).transpose(0, 1, 3, 2)
-    return loss, grad_w, resid.sum(axis=3, out=work["grad_b"])
+def _cross_entropy(x1, xr, onehot, u, basis) -> tuple:
+    """Unpenalised softmax cross-entropy (S,) of models u (S, (C-1)(d+1)),
+    weights and bias ``basis @ u`` as (C-1, d+1), on inputs x1 (S, d+1, n)
+    ending in ones (xr = x1 transposed), and its gradient and Hessian in u.
+    The class curvature sums p_c p_e (q_c - q_e)(q_c - q_e)^T over pairs
+    c < e, terms that no saturated probability cancels."""
+    (s, d1, n), c1 = x1.shape, len(basis) - 1
+    logits = (basis @ u.reshape(s, c1, d1)) @ x1   # 2-D products keep bits
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    z = e.sum(axis=1)
+    p = e / z[:, None]
+    ci, ei = np.triu_indices(c1 + 1, 1)
+    diff = basis[ci] - basis[ei]
+    gram = ((p[:, ci] * p[:, ei])[:, :, None] * x1[:, None]) @ xr[:, None]
+    hess = (np.einsum("pa,pb->abp", diff, diff).reshape(c1 * c1, -1)
+            @ gram.reshape(s, len(ci), -1) / n).reshape(
+        s, c1, c1, d1, d1).transpose(0, 1, 3, 2, 4).reshape(s, c1 * d1, -1)
+    return ((np.log(z) + m[:, 0] - (logits * onehot).sum(axis=1)).mean(axis=1),
+            ((basis.T @ (p - onehot)) @ xr / n).reshape(s, -1), hess)
 
 
 def _fit_logreg_stack(x: np.ndarray, y: np.ndarray, num_classes: int,
-                      l2s) -> tuple[np.ndarray, np.ndarray]:
-    """Full-batch Adam fits of one model per split and penalty: x (S, n, d),
-    y (S, n) and l2s (S, K) give weights (S, K, d, C) and biases (S, K, C).
-    Adam is elementwise, so slice (s, k) is the fit of a lone model."""
-    l2s = np.asarray(l2s, dtype=np.float64)
-    params = ParameterSet()
-    w = params.add("w", Tensor(np.zeros(l2s.shape + (x.shape[2], num_classes))))
-    b = params.add("b", Tensor(np.zeros(l2s.shape + (num_classes,))))
-    onehot = np.ascontiguousarray(np.eye(num_classes)[:, y].swapaxes(0, 1))
-    work = _logreg_work(x, l2s.shape[1], num_classes)
-    adam = AdamState()
-    for _ in range(PROBE_EPOCHS):
-        loss, w.grad, b.grad = _logreg_objective(x, onehot, w.data, b.data,
-                                                 l2s, work)
-        if not np.isfinite(loss).all():
-            raise TrainingDivergedError(
-                f"probe loss is not finite at step {adam.step}")
-        adam_step(params, adam, PROBE_LR)
-    return w.data, b.data
+                      l2s: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Fits of one model per split and penalty: x (S, n, d), y (S, n) and
+    l2s (S, K) give weights (S, K, d, C), biases (S, K, C) and the most
+    Newton steps a split took. Newton's method with backtracking (Boyd and
+    Vandenberghe, Convex Optimization, 9.5) runs in the classes' sum-zero
+    subspace, which holds the optimum and keeps the Hessian regular. A split
+    fits its penalties from the largest down, each from the one before, and
+    stops, on its own line search, once half its squared Newton decrement
+    (its gap to the optimum) is below NEWTON_TOL: so slice (s, :) is the fit
+    of split s alone."""
+    xr = np.concatenate([x, np.ones(x.shape[:2] + (1,))], axis=2)
+    x1 = np.ascontiguousarray(xr.transpose(0, 2, 1))
+    onehot = np.ascontiguousarray(np.eye(num_classes)[y].transpose(0, 2, 1))
+    r, j = np.arange(num_classes)[:, None], np.arange(1, num_classes)
+    basis = ((r < j) - j * (r == j)) / np.sqrt(j * j + j)   # Helmert's
+    ridge = np.tile(np.arange(xr.shape[2]) < x.shape[2], num_classes - 1)
+    u, steps, s = np.zeros((len(x), len(ridge))), 0, np.arange(len(x))
+    fits = np.empty(l2s.shape + u.shape[1:])
+    ce = _cross_entropy(x1, xr, onehot, u, basis)   # reused across penalties
+    for k in np.argsort(-l2s, axis=1, kind="stable").T:
+        pen = l2s[s, k][:, None] / x.shape[1] * ridge    # weights, not bias
+        for _ in range(NEWTON_MAX_STEPS):
+            loss, grad = ce[0] + (pen * u * u).sum(axis=1) / 2, ce[1] + pen * u
+            hess = ce[2].copy()
+            hess.reshape(len(u), -1)[:, ::len(ridge) + 1] += pen   # diagonal
+            step = np.linalg.solve(hess, -grad[..., None])[..., 0]
+            dec = -(grad * step).sum(axis=1)
+            if not (np.isfinite(loss).all() and np.isfinite(dec).all()):
+                raise TrainingDivergedError("probe fit is not finite")
+            if not (going := dec > 2.0 * NEWTON_TOL).any():
+                break
+            t = going * 1.0
+            while True:   # halve a step until it gains 1/4 of its prediction
+                trial = u + t[:, None] * step
+                terms = _cross_entropy(x1, xr, onehot, trial, basis)
+                new = terms[0] + (pen * trial * trial).sum(axis=1) / 2
+                if (ok := new <= loss - 0.25 * t * dec).all():
+                    break
+                t = np.where(ok, t, t / 2.0)
+            u, ce, steps = trial, terms, steps + going
+        else:
+            raise TrainingDivergedError(f"probe fit not within {NEWTON_TOL:g} "
+                                        f"in {NEWTON_MAX_STEPS} Newton steps")
+        fits[s, k] = u
+    wb = basis @ fits.reshape(l2s.shape + (num_classes - 1, -1))
+    return wb[..., :-1].transpose(0, 1, 3, 2), wb[..., -1], int(np.max(steps))
 
 
 def _fit_groups(x, y, num_classes, problems, phase, stacks) -> list:
@@ -200,10 +199,10 @@ def _fit_groups(x, y, num_classes, problems, phase, stacks) -> list:
                 xs[s], x_test = _standardize(x[train], x[test])
                 tests.append((x_test, y[test]))
             start = time.perf_counter()
-            w, b = _fit_logreg_stack(
+            w, b, steps = _fit_logreg_stack(
                 xs, y[np.stack([problems[i][0] for i in stack])], num_classes,
-                [problems[i][2] for i in stack])
-            stacks.append((phase, len(stack), n, k,
+                np.array([problems[i][2] for i in stack]))
+            stacks.append((phase, len(stack), n, k, steps,
                            time.perf_counter() - start))
             for s, (x_test, y_test) in enumerate(tests):
                 pred = np.argmax(x_test @ w[s] + b[s][:, None, :], axis=2)

@@ -13,12 +13,16 @@ move with the BLAS thread count and the numpy build. Only a change that
 moves results on purpose regenerates the file, and lists the old and new
 values where it records the change. To regenerate::
 
-    PYTHONPATH=src python tests/golden_trajectory.py
+    PYTHONPATH=src python tests/golden_trajectory.py [SECTION ...]
+
+Named sections (``mutag``, ``probe``, ``node``) replace only those and keep
+the others' recorded bits; with none, every section is recorded again.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -117,5 +121,8 @@ def load() -> dict:
 
 
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(json.dumps(record(), indent=1) + "\n")
+    golden = record()
+    if sys.argv[1:]:
+        golden = {**load(), **{name: golden[name] for name in sys.argv[1:]}}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {GOLDEN_PATH}")

@@ -364,6 +364,9 @@ def test_probe_graph_protocol(dataset_dir, tmp_path, capsys):
     assert list(stacks[0]) == list(evaluation.STACK_COLUMNS)
     assert {row["phase"] for row in stacks} == {"inner", "refit"}
     assert all(float(row["seconds"]) > 0.0 for row in stacks)
+    # Newton steps; on these embeddings every penalty takes one or more
+    assert all(int(row["iterations"]) >= int(row["penalties"])
+               for row in stacks)
     # every split refits once after at most 3 inner fits
     refits = sum(int(r["splits"]) for r in stacks if r["phase"] == "refit")
     inner = sum(int(r["splits"]) for r in stacks if r["phase"] == "inner")
@@ -412,6 +415,36 @@ def test_probe_rejects_unusable_counts(dataset_dir, tmp_path, capsys, flags,
     err = capsys.readouterr().err
     assert err.startswith("error: cannot probe")
     assert flags[0].lstrip("-") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task,flags", [
+    ("graph", ["--train-frac", "5.0", "--runs-node", "0"]),
+    ("graph", ["--runs-node", "20"]),
+    ("node", ["--folds", "2"]),
+    ("node", ["--runs", "1", "--train-frac", "0.5"]),
+], ids=["graph-train-frac-runs-node", "graph-runs-node", "node-folds",
+        "node-runs"])
+def test_probe_rejects_the_other_tasks_options(dataset_dir, tmp_path, capsys,
+                                               monkeypatch, task, flags):
+    """--folds and --runs are graph-task options and --runs-node and
+    --train-frac node-task ones; the other task's option is a config
+    error that names it, before the embed."""
+    if task == "graph":
+        data_dir, ck = dataset_dir, trained_checkpoint(dataset_dir, tmp_path)
+    else:
+        data_dir = write_single_graph_dataset(tmp_path)
+        ck = train_node_task(data_dir, tmp_path / "node-run")
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "embed_dataset", embed_must_not_run)
+    out = tmp_path / "probe"
+    assert run_cli("probe", "--checkpoint", str(ck), "--dataset",
+                   str(data_dir), "--out", str(out), *flags) == 2
+    err = one_error_line(capsys, "config error:")
+    other = [f for f in flags if f.startswith("--") and
+             (f in ("--folds", "--runs")) == (task == "node")]
+    assert other and all(f in err for f in other), err
+    assert f"holds a {task}-task model" in err
     assert not out.exists()
 
 
@@ -964,6 +997,27 @@ def test_node_probe_one_based_labels_match_zero_based(tmp_path, capsys):
                        "--runs-node", "3", "--train-frac", "0.5") == 0
         reports.append((probe_out / "probe_report.json").read_text())
     assert reports[0] == reports[1]
+
+
+def test_epoch_lines_stay_short_for_huge_losses(dataset_dir, tmp_path,
+                                               capsys):
+    """A tiny NT-Xent temperature makes losses of order 1e305; each epoch
+    line prints its mean in five significant digits."""
+    out = tmp_path / "hot"
+    assert run_cli("train", "--dataset", str(dataset_dir), "--out", str(out),
+                   *TRAIN_ARGS, "--estimator", "nt_xent",
+                   "--nt-xent-temperature", "1e-305") == 0
+    with open(out / "metrics.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("epoch ")]
+    assert len(lines) == 2
+    for epoch, line in enumerate(lines):
+        mean = np.mean([float(r["loss"]) for r in rows
+                        if int(r["epoch"]) == epoch])
+        assert 1e300 < mean < np.inf
+        assert line == f"epoch {epoch}: mean loss {mean:.5g}"
+        assert len(line) < 40, line
 
 
 def test_shipped_mutag_config_parses(capsys):

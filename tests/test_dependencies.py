@@ -282,6 +282,9 @@ DEAD_SITES_BY_DESIGN = {
     ("graphaug.evaluation", "khop_bfs"):
         "the node-task embed is one encode of the whole graph and cuts no "
         "ego-nets; dropping this site is benchmark upkeep (ROADMAP item 9)",
+    ("graphaug.evaluation", "adam_step"):
+        "the probe fits by Newton's method and takes no Adam step; dropping "
+        "this site is benchmark upkeep (ROADMAP item 9)",
 }
 
 

@@ -3,15 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from graphaug import evaluation
+from graphaug import evaluation, optim
 from graphaug.encoders import encode
 from graphaug.errors import DatasetError, TrainingDivergedError
 from graphaug.evaluation import (
-    LAMBDA_GRID, PROBE_EPOCHS, PROBE_LR, EmbeddingTable, embed_dataset,
-    linear_probe_graph, linear_probe_node,
+    LAMBDA_GRID, EmbeddingTable, embed_dataset, linear_probe_graph,
+    linear_probe_node,
 )
 from graphaug.graphs import Graph, khop_bfs
-from graphaug.optim import AdamState, adam_step
 from graphaug.rng import RngStream
 from graphaug.tensor import ParameterSet, Tensor, finite_diff_grad
 from graphaug.trainer import TrainConfig, init_state
@@ -251,27 +250,89 @@ def test_node_probe_twenty_runs_protocol():
     assert report.mean >= 0.9
 
 
-# -- the closed-form logistic-regression fit ----------------------------------------
+# -- the Newton logistic-regression fit --------------------------------------------
+
+def helmert(num_classes):
+    """(C, C-1) orthonormal basis of the vectors whose entries sum to zero."""
+    q = np.zeros((num_classes, num_classes - 1))
+    for j in range(1, num_classes):
+        q[:j, j - 1] = 1.0
+        q[j, j - 1] = -j
+        q[:, j - 1] /= np.sqrt(j * (j + 1))
+    return q
+
+
+def objective_inputs(x, y, num_classes):
+    """``_cross_entropy``'s inputs for splits x (S, n, d), y (S, n)."""
+    xr = np.concatenate([x, np.ones(x.shape[:2] + (1,))], axis=2)
+    onehot = np.eye(num_classes)[y].transpose(0, 2, 1)
+    return (np.ascontiguousarray(xr.transpose(0, 2, 1)), xr,
+            np.ascontiguousarray(onehot))
+
+
+def decrements(x, y, num_classes, w, b, l2s):
+    """Half the squared Newton decrement of each fit w (S, K, d, C), b (S, K,
+    C), the objective's estimate of its gap to the optimum."""
+    x1, xr, onehot = objective_inputs(x, y, num_classes)
+    q = helmert(num_classes)
+    u = q.T @ np.concatenate([w, b[:, :, None]], axis=2).transpose(0, 1, 3, 2)
+    u = u.reshape(l2s.shape + (-1,))
+    ridge = np.tile(np.arange(x.shape[2] + 1) < x.shape[2], num_classes - 1)
+    gaps = np.empty(l2s.shape)
+    for k in range(l2s.shape[1]):
+        ce, grad, hess = evaluation._cross_entropy(x1, xr, onehot, u[:, k], q)
+        pen = l2s[:, k][:, None] / x.shape[1] * ridge
+        grad = grad + pen * u[:, k]
+        hess = hess + pen[:, :, None] * np.eye(len(ridge))
+        gaps[:, k] = (grad * np.linalg.solve(hess, grad[..., None])[..., 0]
+                      ).sum(axis=1) / 2.0
+    return gaps
+
 
 def _fit_logreg_tape(x, y, num_classes, l2):
-    """Reference: the same fit with the loss differentiated on the tape."""
+    """Reference: the probe's Newton method on all (d + 1) x C parameters,
+    with the loss and its gradient differentiated on the tape, the softmax
+    Hessian written out and the minimum-norm step, since the biases' common
+    shift is flat. Newton's method is affine-invariant, so these are the
+    steps and decrements of the fit in the sum-zero subspace."""
     n, d = x.shape
     params = ParameterSet()
     w = params.add("w", Tensor(np.zeros((d, num_classes))))
     b = params.add("b", Tensor(np.zeros(num_classes)))
     onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), y] = 1.0
-    xt = Tensor(x)
-    oh = Tensor(onehot)
-    adam = AdamState()
-    for _ in range(PROBE_EPOCHS):
+    xb = np.concatenate([x, np.ones((n, 1))], axis=1)
+    pen = np.repeat(np.arange(d + 1) < d, num_classes) * (l2 / n)
+
+    def loss_and_grad(wb):
+        w.data, b.data = wb[:d], wb[d]
         params.zero_grads()
-        logits = xt @ w + b
-        ce = (logits.logsumexp(axis=1) - (logits * oh).sum(axis=1)).mean()
-        loss = ce + (w * w).sum() * (l2 / (2.0 * n))
+        logits = Tensor(x) @ w + b
+        loss = (logits.logsumexp(axis=1)
+                - (logits * Tensor(onehot)).sum(axis=1)).mean() \
+            + (w * w).sum() * (l2 / (2.0 * n))
         loss.backward()
-        adam_step(params, adam, PROBE_LR)
-    return w.data.copy(), b.data.copy()
+        return loss.item(), np.concatenate([w.grad, b.grad[None]]), logits.data
+
+    wb = np.zeros((d + 1, num_classes))
+    loss, grad, logits = loss_and_grad(wb)
+    for _ in range(evaluation.NEWTON_MAX_STEPS):
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        cov = p[:, :, None] * (np.eye(num_classes) - p[:, None, :])
+        hess = np.einsum("ij,ik,ice->jcke", xb, xb, cov).reshape(
+            len(pen), len(pen)) / n + np.diag(pen)
+        step = -np.linalg.lstsq(hess, grad.ravel(), rcond=None)[0].reshape(
+            wb.shape)
+        dec = -(grad * step).sum()
+        if dec <= 2.0 * evaluation.NEWTON_TOL:
+            return wb[:d], wb[d]
+        t = 1.0
+        while (trial := loss_and_grad(wb + t * step))[0] > \
+                loss - 0.25 * t * dec:
+            t /= 2.0
+        wb, (loss, grad, logits) = wb + t * step, trial
+    raise AssertionError("the tape reference did not converge")
 
 
 def logreg_problem(num_classes, n=30, d=4, seed=0):
@@ -289,32 +350,54 @@ def stacked_problems(num_classes, seeds, **kwargs):
             np.stack([y for _, y in problems]))
 
 
-@pytest.mark.parametrize("num_classes", [2, 3])
+def objective_per_model(x, y, num_classes, w, b, l2):
+    """The penalised softmax cross-entropy of one model w (d, C), b (C)."""
+    logits = x @ w + b
+    m = logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(logits - m).sum(axis=1)) + m[:, 0]
+    return (lse - logits[np.arange(len(y)), y]).mean() \
+        + (w * w).sum() * l2 / (2.0 * len(y))
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 7])
 def test_logreg_gradient_matches_finite_differences(num_classes):
-    x, y = stacked_problems(num_classes, (0, 5), n=12, d=3)
-    onehot = np.eye(num_classes)[y].transpose(0, 2, 1)
-    stream = RngStream(1, "fd")
-    w0 = stream.uniform((2, 2, 3, num_classes)) - 0.5
-    b0 = stream.uniform((2, 2, num_classes)) - 0.5
-    l2s = np.array([[0.3, 5.0], [1.0, 0.01]])
-    work = evaluation._logreg_work(x, 2, num_classes)
-    _, grad_w, grad_b = evaluation._logreg_objective(x, onehot, w0, b0, l2s,
-                                                     work)
-    # the probes get their own buffers, which the gradients above live in
-    fd_work = evaluation._logreg_work(x, 2, num_classes)
-    fd_w = finite_diff_grad(lambda t: evaluation._logreg_objective(
-        x, onehot, t.data, b0, l2s, fd_work)[0].sum(), Tensor(w0)).data
-    fd_b = finite_diff_grad(lambda t: evaluation._logreg_objective(
-        x, onehot, w0, t.data, l2s, fd_work)[0].sum(), Tensor(b0)).data
-    assert np.allclose(grad_w, fd_w, rtol=1e-6, atol=1e-8)
-    assert np.allclose(grad_b, fd_b, rtol=1e-6, atol=1e-8)
+    """``_cross_entropy``'s loss is the cross-entropy of the mapped model
+    W = (Q u)^T, its gradient the finite differences of that loss through
+    the map, and its Hessian the finite differences of its gradient."""
+    x, y = stacked_problems(num_classes, (0, 5), n=12 + 2 * num_classes, d=3)
+    x1, xr, onehot = objective_inputs(x, y, num_classes)
+    q = helmert(num_classes)
+    u0 = RngStream(1, "fd").uniform((2, (num_classes - 1) * 4)) - 0.5
+    loss, grad, hess = evaluation._cross_entropy(x1, xr, onehot, u0, q)
+    for s in range(2):
+        def mapped(u):
+            wb = (q @ u.data.reshape(num_classes - 1, 4)).T
+            return objective_per_model(x[s], y[s], num_classes, wb[:-1],
+                                       wb[-1], 0.0)
+
+        def grad_entry(k):
+            def g(u):
+                us = u0.copy()
+                us[s] = u.data
+                return evaluation._cross_entropy(x1, xr, onehot, us,
+                                                 q)[1][s, k]
+            return g
+
+        flat = Tensor(u0[s])
+        assert abs(loss[s] - mapped(flat)) <= 1e-12
+        fd_grad = finite_diff_grad(mapped, flat).data
+        assert np.allclose(grad[s], fd_grad, rtol=1e-6, atol=1e-8)
+        fd_hess = np.stack([finite_diff_grad(grad_entry(k), flat).data
+                            for k in range(len(flat.data))])
+        assert np.allclose(hess[s], fd_hess, rtol=1e-6, atol=1e-8)
 
 
 @pytest.mark.parametrize("l2", [1e-3, 1.0, 1e3])
 def test_stacked_fit_matches_tape_reference(l2):
     x, y = logreg_problem(3)
     w_ref, b_ref = _fit_logreg_tape(x, y, 3, l2)
-    w, b = evaluation._fit_logreg_stack(x[None], y[None], 3, [[l2]])
+    w, b, _ = evaluation._fit_logreg_stack(x[None], y[None], 3,
+                                           np.array([[l2]]))
     assert w.shape == (1, 1, 4, 3) and b.shape == (1, 1, 3)
     assert np.max(np.abs(w[0, 0] - w_ref)) <= 1e-9
     assert np.max(np.abs(b[0, 0] - b_ref)) <= 1e-9
@@ -323,14 +406,13 @@ def test_stacked_fit_matches_tape_reference(l2):
 def test_stack_slices_match_single_fits():
     x, y = stacked_problems(3, (4, 6))
     l2s = np.array([LAMBDA_GRID, LAMBDA_GRID[::-1]])
-    w, b = evaluation._fit_logreg_stack(x, y, 3, l2s)
+    w, b, _ = evaluation._fit_logreg_stack(x, y, 3, l2s)
     assert w.shape == (2, len(LAMBDA_GRID), 4, 3)
     for s in range(2):
-        for k in range(len(LAMBDA_GRID)):
-            w1, b1 = evaluation._fit_logreg_stack(x[s:s + 1], y[s:s + 1], 3,
-                                                  l2s[s:s + 1, k:k + 1])
-            assert np.max(np.abs(w[s, k] - w1[0, 0])) <= 1e-12
-            assert np.max(np.abs(b[s, k] - b1[0, 0])) <= 1e-12
+        w1, b1, _ = evaluation._fit_logreg_stack(x[s:s + 1], y[s:s + 1], 3,
+                                                 l2s[s:s + 1])
+        assert np.max(np.abs(w[s] - w1[0])) <= 1e-12
+        assert np.max(np.abs(b[s] - b1[0])) <= 1e-12
 
 
 def test_nonfinite_probe_loss_raises():
@@ -338,41 +420,128 @@ def test_nonfinite_probe_loss_raises():
     x, y = stacked_problems(2, (0, 0))
     x[1, 3, 1] = np.nan
     with pytest.raises(TrainingDivergedError):
-        evaluation._fit_logreg_stack(x, y, 2, [LAMBDA_GRID] * 2)
+        evaluation._fit_logreg_stack(x, y, 2, np.array([LAMBDA_GRID] * 2))
+
+
+def test_a_fit_that_does_not_converge_raises(monkeypatch):
+    x, y = stacked_problems(3, (0,))
+    monkeypatch.setattr(evaluation, "NEWTON_MAX_STEPS", 2)
+    with pytest.raises(TrainingDivergedError, match="in 2 Newton steps"):
+        evaluation._fit_logreg_stack(x, y, 3, np.array([LAMBDA_GRID]))
+
+
+def test_line_search_shortens_an_overshooting_step(monkeypatch):
+    """Full Newton steps need no shortening on the problems here, so the
+    backtracking is checked on steps made 8 times too long: halving brings
+    each back to a decrease, and every fit still reaches its optimum."""
+    x, y = stacked_problems(3, (4, 6))
+    l2s = np.array([LAMBDA_GRID] * 2)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: 8.0 * solve(a, b))
+    w, b, _ = evaluation._fit_logreg_stack(x, y, 3, l2s)
+    monkeypatch.undo()
+    assert (decrements(x, y, 3, w, b, l2s) <= evaluation.NEWTON_TOL).all()
+
+
+def separable_split(n=40, d=32, num_classes=7, seed=1):
+    """More columns than the classes need: every labelling separates."""
+    stream = RngStream(seed, "separable-split")
+    y = np.arange(n) % num_classes
+    return evaluation._standardize(stream.uniform((n, d)))[0], y
+
+
+@pytest.mark.parametrize("case", ["separable_table", "separable_split",
+                                  "mutag-sized"])
+def test_every_fit_stops_within_its_tolerance(case):
+    """At every penalty of the grid the fit is within NEWTON_TOL of its
+    optimum, also where the classes separate and the probabilities
+    saturate at the bottom of the grid; the weights lie in the classes'
+    sum-zero subspace."""
+    if case == "separable_table":
+        table = separable_table()
+        x = evaluation._standardize(table.vectors)[0][None]
+        y, num_classes = table.labels[None], 2
+    elif case == "separable_split":
+        x, y = separable_split()
+        x, y, num_classes = x[None], y[None], 7
+    else:
+        x, y = stacked_problems(2, (0, 1, 2), n=112, d=32)
+        num_classes = 2
+    l2s = np.array([LAMBDA_GRID] * len(x))
+    w, b, steps = evaluation._fit_logreg_stack(x, y, num_classes, l2s)
+    assert 0 < steps < evaluation.NEWTON_MAX_STEPS * len(LAMBDA_GRID)
+    gaps = decrements(x, y, num_classes, w, b, l2s)
+    assert (gaps <= evaluation.NEWTON_TOL).all(), gaps
+    assert np.max(np.abs(w.sum(axis=3))) <= 1e-9
+    assert np.max(np.abs(b.sum(axis=2))) <= 1e-9
+    if case == "separable_split":             # saturated at lambda = 1e-3
+        logits = x[0] @ w[0, 0] + b[0, 0]
+        assert (np.argmax(logits, axis=1) == y[0]).all()
+
+
+@pytest.mark.parametrize("probe,kwargs", [
+    (linear_probe_graph, {"folds": 5, "runs": 2}),
+    (linear_probe_node, {"runs": 3, "train_frac": 0.5}),
+], ids=["graph", "node"])
+def test_probe_fits_reach_their_optimum_on_gapped_labels(probe, kwargs,
+                                                         monkeypatch):
+    """Every fit of a probe, inner and refit, is within NEWTON_TOL of its
+    optimum: the golden table with labels 1, 3, 5 (24 training rows in the
+    graph probe's inner splits)."""
+    table = golden_table()
+    gapped = EmbeddingTable(table.vectors, table.labels * 2 + 1)
+    fit, rows = evaluation._fit_logreg_stack, []
+
+    def checked(x, y, num_classes, l2s):
+        w, b, steps = fit(x, y, num_classes, l2s)
+        rows.append(x.shape[1])
+        assert (decrements(x, y, num_classes, w, b, l2s)
+                <= evaluation.NEWTON_TOL).all()
+        return w, b, steps
+
+    monkeypatch.setattr(evaluation, "_fit_logreg_stack", checked)
+    probe(gapped, seed=3, **kwargs)
+    assert rows and (probe is linear_probe_node or 24 in rows)
 
 
 # -- the per-split reference: one fit per split, the probe before grouping ----------
 
-def _objective_per_split(x, onehot, w, b, l2s):
-    """One split: x (n, d), onehot (C, n), w (K, d, C), b (K, C), l2s (K,)."""
-    n = len(x)
-    logits = w.transpose(0, 2, 1) @ x.T + b[:, :, None]
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    s = e.sum(axis=1, keepdims=True)
-    ce = np.log(s[:, 0]) + m[:, 0] - (logits * onehot).sum(axis=1)
-    pen = l2s / n
-    loss = ce.mean(axis=1) + (w * w).sum(axis=(1, 2)) * (pen / 2.0)
-    resid = (e / s - onehot) / n
-    grad_w = (resid @ x).transpose(0, 2, 1) + pen[:, None, None] * w
-    return loss, grad_w, resid.sum(axis=2)
-
-
 def fit_per_split(x, y, num_classes, l2s):
-    """Weights (K, d, C) and biases (K, C) of one split's fits."""
-    l2s = np.asarray(l2s, dtype=np.float64)
-    params = ParameterSet()
-    w = params.add("w", Tensor(np.zeros((len(l2s), x.shape[1], num_classes))))
-    b = params.add("b", Tensor(np.zeros((len(l2s), num_classes))))
-    onehot = np.eye(num_classes)[:, y]
-    adam = AdamState()
-    for _ in range(PROBE_EPOCHS):
-        loss, grad_w, grad_b = _objective_per_split(x, onehot, w.data, b.data,
-                                                    l2s)
-        assert np.isfinite(loss).all()
-        w.grad, b.grad = grad_w, grad_b
-        adam_step(params, adam, PROBE_LR)
-    return w.data, b.data
+    """Weights (K, d, C) and biases (K, C) of one split's fits: Newton's
+    method with backtracking on ``_cross_entropy`` for that split alone plus
+    the penalty, its penalties from the largest down, each from the fit
+    before."""
+    x1, xr, onehot = objective_inputs(x[None], y[None], num_classes)
+    q = helmert(num_classes)
+    ridge = np.tile(np.arange(x.shape[1] + 1) < x.shape[1], num_classes - 1)
+    u = np.zeros((1, len(ridge)))
+    fits = np.empty((len(l2s), len(ridge)))
+    ce = evaluation._cross_entropy(x1, xr, onehot, u, q)
+    for k in np.argsort(-np.asarray(l2s), kind="stable"):
+        pen = np.array([[l2s[k]]]) / len(x) * ridge
+        for _ in range(evaluation.NEWTON_MAX_STEPS):
+            loss = ce[0] + (pen * u * u).sum(axis=1) / 2
+            grad = ce[1] + pen * u
+            hess = ce[2] + pen[:, :, None] * np.eye(len(ridge))
+            step = np.linalg.solve(hess, -grad[..., None])[..., 0]
+            dec = -(grad * step).sum(axis=1)[0]
+            assert np.isfinite(dec)
+            if dec <= 2.0 * evaluation.NEWTON_TOL:
+                break
+            t = 1.0
+            while True:
+                trial = u + t * step
+                terms = evaluation._cross_entropy(x1, xr, onehot, trial, q)
+                if terms[0][0] + (pen * trial * trial).sum(axis=1)[0] / 2 \
+                        <= loss[0] - 0.25 * t * dec:
+                    break
+                t /= 2.0
+            u, ce = trial, terms
+        else:
+            raise AssertionError("the reference fit did not converge")
+        fits[k] = u[0]
+    wb = (q @ fits.reshape(len(l2s), num_classes - 1, -1)).transpose(0, 2, 1)
+    return wb[:, :-1], wb[:, -1]
 
 
 def fit_and_score_per_split(x_train, y_train, x_test, y_test, num_classes, l2s,
@@ -458,7 +627,7 @@ def test_group_fit_is_bit_identical_to_per_split_fits(num_classes, penalties):
     y = np.stack([y_all[r] for r in rows])
     l2s = (np.array([LAMBDA_GRID] * 3) if penalties == "grid"
            else np.array([[1e-3], [1.0], [1e2]]))
-    w, b = evaluation._fit_logreg_stack(x, y, num_classes, l2s)
+    w, b, _ = evaluation._fit_logreg_stack(x, y, num_classes, l2s)
     for s in range(3):
         w1, b1 = fit_per_split(x[s], y[s], num_classes, l2s[s])
         assert np.array_equal(w[s], w1) and np.array_equal(b[s], b1)
@@ -484,36 +653,33 @@ def test_grouped_node_probe_matches_per_split_reference():
 @pytest.mark.parametrize("num_classes", [2, 3, 7])
 @pytest.mark.parametrize("k", [1, 7])
 def test_buffered_objective_is_bit_identical_per_split(num_classes, k):
-    # 3 x 7 x 7 x 112 logits are 129 KiB, past the 128 KiB mark
+    """The stacked cross-entropy of 3 splits at k points each (3k models, as
+    many as a stack of 3 x k inner fits) gives each model the bits of that
+    model's cross-entropy alone: loss, gradient and Hessian."""
     n = 112 if num_classes == 7 and k == 7 else 30
     x_all, y_all = logreg_problem(num_classes, n=n + 20, d=9, seed=num_classes)
     stream = RngStream(k, "objective")
     rows = [np.sort(stream.permutation(n + 20)[:n]) for _ in range(3)]
     x = np.stack([evaluation._standardize(x_all[r])[0] for r in rows])
-    onehot = np.eye(num_classes)[:, np.stack([y_all[r] for r in rows])]
-    onehot = np.ascontiguousarray(onehot.swapaxes(0, 1))
-    l2s = np.stack([np.roll(LAMBDA_GRID, 2 * s)[:k] for s in range(3)])
-    work = evaluation._logreg_work(x, k, num_classes)
-    if num_classes == 7 and k == 7:
-        assert work["logits"].nbytes > 128 * 1024
-    for step in range(3):              # the same buffers, refilled each call
-        w = stream.uniform((3, k, 9, num_classes)) - 0.5
-        b = stream.uniform((3, k, num_classes)) - 0.5
-        loss, grad_w, grad_b = evaluation._logreg_objective(x, onehot, w, b,
-                                                            l2s, work)
-        for s in range(3):
-            want = _objective_per_split(x[s], onehot[s], w[s], b[s], l2s[s])
-            assert np.array_equal(loss[s], want[0])
-            assert np.array_equal(grad_w[s], want[1])
-            assert np.array_equal(grad_b[s], want[2])
+    x, y = x.repeat(k, axis=0), np.stack([y_all[r] for r in rows]).repeat(k, 0)
+    x1, xr, onehot = objective_inputs(x, y, num_classes)
+    q = helmert(num_classes)
+    for _ in range(3):
+        u = stream.uniform((3 * k, (num_classes - 1) * 10)) - 0.5
+        got = evaluation._cross_entropy(x1, xr, onehot, u, q)
+        for i in range(3 * k):
+            want = evaluation._cross_entropy(x1[i:i + 1], xr[i:i + 1],
+                                             onehot[i:i + 1], u[i:i + 1], q)
+            assert all(np.array_equal(g[i], w[0]) for g, w in zip(got, want))
 
 
 def test_stack_fits_share_no_buffers():
     xa, ya = stacked_problems(3, (1, 2))
     xb, yb = stacked_problems(3, (3, 4, 5), n=24)
-    first = evaluation._fit_logreg_stack(xa, ya, 3, [LAMBDA_GRID] * 2)
-    evaluation._fit_logreg_stack(xb, yb, 3, [LAMBDA_GRID] * 3)
-    again = evaluation._fit_logreg_stack(xa, ya, 3, [LAMBDA_GRID] * 2)
+    grid = np.array([LAMBDA_GRID] * 3)
+    first = evaluation._fit_logreg_stack(xa, ya, 3, grid[:2])
+    evaluation._fit_logreg_stack(xb, yb, 3, grid)
+    again = evaluation._fit_logreg_stack(xa, ya, 3, grid[:2])
     assert all(np.array_equal(f, a) for f, a in zip(first, again))
 
 
@@ -524,9 +690,12 @@ def test_stack_fits_share_no_buffers():
 def test_report_records_each_stacked_fit(probe, kwargs, fits):
     report = probe(golden_table(), **kwargs)
     assert sum(row[1] for row in report.stacks) == fits
-    for phase, splits, rows, penalties, seconds in report.stacks:
+    for phase, splits, rows, penalties, iterations, seconds in report.stacks:
         assert phase in ("inner", "refit") and seconds > 0.0
         assert penalties == (len(LAMBDA_GRID) if phase == "inner" else 1)
+        # here every penalty moves its fit: one Newton step or more each
+        assert penalties <= iterations \
+            < evaluation.NEWTON_MAX_STEPS * penalties
     assert sum(row[1] for row in report.stacks if row[0] == "refit") \
         == len(report.accuracies)
     assert probe(golden_table(), **kwargs).to_json() == report.to_json()
@@ -553,19 +722,21 @@ def test_stack_limit_splits_stacks_and_keeps_results(monkeypatch):
 
 def test_mutag_probe_makes_one_stack_per_training_row_count(mutag_table,
                                                             monkeypatch):
-    steps = []
+    """One stack per training-row count, and no Adam step or tape backward:
+    the probe's fits are Newton's method on closed-form derivatives."""
+    def forbidden(*args):
+        raise AssertionError("the probe ran an Adam step or a tape backward")
 
-    def counted(*args):
-        steps.append(1)
-        adam_step(*args)
-
-    monkeypatch.setattr(evaluation, "adam_step", counted)
+    for owner in (evaluation, optim):
+        monkeypatch.setattr(owner, "adam_step", forbidden)
+    monkeypatch.setattr(Tensor, "backward", forbidden)
     report = linear_probe_graph(mutag_table, folds=10, runs=1, seed=5)
+    monkeypatch.undo()
     rows = []
     accs, l2s = probe_graph_per_split(mutag_table, 10, 1, 5, rows)
     assert report.accuracies == accs and report.l2 == l2s
     assert len(rows) == 40                    # per-split fits: 10 x (3 + 1)
-    assert len(steps) == PROBE_EPOCHS * len(set(rows)) == 2100
+    assert len(report.stacks) == len(set(rows)) == 7
 
 
 def golden_table(n=45, d=4, seed=11):
@@ -578,14 +749,14 @@ def golden_table(n=45, d=4, seed=11):
 
 
 def test_probe_golden_fold_accuracies():
-    # recorded with the tape-based fit; the closed-form fit must agree
+    # recorded with the Newton fit, each fit at its penalised optimum
     report = linear_probe_graph(golden_table(), folds=5, runs=2, seed=3)
-    assert report.accuracies == [k / 9 for k in (6, 7, 7, 8, 6, 8, 5, 8, 7, 5)]
-    assert report.l2 == [1e-3, 1e-3, 1e-3, 1e-3, 1e2, 1.0, 1e-3, 1e3, 1e-3,
+    assert report.accuracies == [k / 9 for k in (6, 7, 8, 8, 6, 8, 4, 9, 7, 5)]
+    assert report.l2 == [1e-2, 1e-1, 1e-3, 1e-2, 1e2, 1.0, 1e-1, 1e-3, 1e-1,
                          1e-1]
     report = linear_probe_node(golden_table(), runs=3, train_frac=0.5, seed=2)
-    assert report.accuracies == [12 / 23, 15 / 23, 16 / 23]
-    assert report.l2 == [1e1, 1e1, 1e-3]
+    assert report.accuracies == [12 / 23, 18 / 23, 17 / 23]
+    assert report.l2 == [1e1, 1e-3, 1e-1]
 
 
 def test_report_records_chosen_penalty_per_fold():
