@@ -300,7 +300,7 @@ def cmd_inspect(args) -> int:
         # detached parameters: nothing walks the tape of a dump
         with np.errstate(over="ignore", invalid="ignore"):
             enc = encode(batch, state.omega.detached())
-            # kinds unused: the draw's finite-logits check fails an overflow
+            # kinds unused: the draw's check of probabilities fails an overflow
             decision = decide(enc.graph_vector,
                               RngStream(resolved["seed"], "inspect-policy"),
                               state.policy.detached(), kinds)

@@ -159,8 +159,7 @@ def subgraph_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
     if hops < 1:
         raise ValueError("hops must be >= 1")
     p = _node_distribution(batch, h_v, h_g, params.under("subgraph/mlp"))
-    centers = gumbel_softmax(np.log(np.maximum(p.data, 1e-30)),
-                             batch.node_offsets, stream)
+    centers = gumbel_softmax(p.data, batch.node_offsets, stream)
     view = khop_bfs(batch, centers, hops)
     ends = view.orig_ids[view.edges]
     view.edge_weights = p.gather_rows(ends[:, 0]) + p.gather_rows(ends[:, 1])

@@ -122,9 +122,8 @@ def decide(batch_reps: Tensor, stream: RngStream, params: ParameterSet,
     from the distribution of the policy ``params`` holds over ``kinds``. The
     draws build no tape: gradients reach the policy via ``p_i``, ``p_j``."""
     dist = policy_distribution(batch_reps, params, len(kinds))
-    log_dist = np.log(np.maximum(dist.data, 1e-30))
-    (idx_i,) = gumbel_softmax(log_dist, [0], stream.split("i"))
-    (idx_j,) = gumbel_softmax(log_dist, [0], stream.split("j"))
+    (idx_i,) = gumbel_softmax(dist.data, [0], stream.split("i"))
+    (idx_j,) = gumbel_softmax(dist.data, [0], stream.split("j"))
     p_i = dist.gather_rows([idx_i]).reshape(())
     p_j = dist.gather_rows([idx_j]).reshape(())
     return PolicyDecision(dist=dist, i=kinds[idx_i], j=kinds[idx_j],

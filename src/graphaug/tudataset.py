@@ -44,7 +44,7 @@ DEGREE_CAP = 64
 class Dataset:
     name: str
     graphs: list                       # one-graph GraphBatches
-    num_classes: int
+    num_classes: int                   # classes of the task's labels
     feature_dim: int
     node_labels: list | None = None    # per-graph int arrays, when files had them
     graph_labels: np.ndarray | None = None     # (G,) class ids, likewise
@@ -127,7 +127,7 @@ def _features(num_nodes: int, edges: np.ndarray, node_labels, attrs):
 
 def parse_tudataset(directory, task: str = "graph") -> Dataset:
     """The dataset for ``task``: "graph" or "node", which decides whether
-    node labels are features."""
+    node labels are features or the classes that ``num_classes`` counts."""
     if task not in ("graph", "node"):
         raise ValueError(f"unknown task {task!r}")
     directory = Path(directory)
@@ -165,6 +165,9 @@ def parse_tudataset(directory, task: str = "graph") -> Dataset:
     node_labels_path = directory / f"{prefix}_node_labels.txt"
     node_labels = (_read_column(node_labels_path, num_nodes_total, "nodes")
                    if node_labels_path.exists() else None)
+    if task == "node":      # the node labels are the classes
+        num_classes = 0 if node_labels is None else len(
+            sorted_unique(node_labels))
     attr_path = directory / f"{prefix}_node_attributes.txt"
     attrs = None
     if attr_path.exists():

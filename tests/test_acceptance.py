@@ -208,13 +208,13 @@ def test_criterion_1_gradient_oracle():
 def test_criterion_2_sampling_oracles():
     draws = 100_000
     logits = np.array([0.8, -0.4, 0.1, -1.0, 0.5, 0.0, -0.2, 1.2])
-    # one call over ``draws`` copies, a segment each
-    starts = np.arange(draws) * len(logits)
-    picks = gumbel_softmax(np.tile(logits, draws), starts,
-                           RngStream(42, "acc-cat")) - starts
-    counts = np.bincount(picks, minlength=len(logits))
     expect = np.exp(logits - logits.max())
     expect /= expect.sum()
+    # one call over ``draws`` copies, a segment each
+    starts = np.arange(draws) * len(logits)
+    picks = gumbel_softmax(np.tile(expect, draws), starts,
+                           RngStream(42, "acc-cat")) - starts
+    counts = np.bincount(picks, minlength=len(logits))
     tv_cat = 0.5 * np.abs(counts / draws - expect).sum()
     assert tv_cat <= 0.01, f"categorical TV {tv_cat:.4f}"
 

@@ -611,7 +611,8 @@ def test_non_finite_checkpoint_fails_cleanly(dataset_dir, tmp_path, capsys,
 @pytest.mark.parametrize("command, group, reason", [
     ("probe", "theta", "embeddings contain non-finite values"),
     ("embed", "theta", "embeddings contain non-finite values"),
-    ("inspect", "omega", "logits must be finite")],
+    ("inspect", "omega", "probabilities must be finite and nonnegative "
+     "with positive sum in every segment")],
     ids=["probe", "embed", "inspect"])
 def test_overflowing_encoder_fails_cleanly(dataset_dir, tmp_path, capsys,
                                            command, group, reason):
@@ -854,6 +855,26 @@ def test_stats_output(dataset_dir, capsys, tmp_path):
     stats = json.loads(out_json.read_text())
     assert stats["graphs"] == 10
     assert stats["classes"] == 2
+
+
+def node_task_classes(data_dir, out_json):
+    assert run_cli("stats", "--dataset", str(data_dir), "--task", "node",
+                   "--out-json", str(out_json)) == 0
+    return json.loads(out_json.read_text())["classes"]
+
+
+def test_node_task_stats_count_node_classes(dataset_dir, tmp_path):
+    """On the node task the classes are the distinct node labels, with or
+    without a graph-label file, and 0 without a node-label file."""
+    out_json = tmp_path / "stats.json"
+    assert node_task_classes(dataset_dir, out_json) == 3    # SYN: 0, 1, 2
+    one = write_single_graph_dataset(tmp_path, n=24)
+    (one / "ONE_graph_labels.txt").unlink()
+    (one / "ONE_node_labels.txt").write_text(
+        "\n".join(str(i % 3 + 4) for i in range(24)) + "\n")
+    assert node_task_classes(one, out_json) == 3
+    (one / "ONE_node_labels.txt").unlink()
+    assert node_task_classes(one, out_json) == 0
 
 
 def test_out_root_env(dataset_dir, tmp_path, monkeypatch):

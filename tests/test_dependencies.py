@@ -1,5 +1,7 @@
 import ast
 import importlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -322,6 +324,25 @@ def test_benchmark_trace_sites_resolve():
     assert not stale, f"exception no longer needed: {stale}"
     extra = sorted(dead - set(DEAD_SITES_BY_DESIGN))
     assert not extra, f"perfbench/spans.py wraps sites nothing calls: {extra}"
+
+
+@pytest.mark.parametrize("workload", ["mutag-train", "mutag-probe",
+                                      "node-synth"])
+def test_benchmark_traced_pass_runs(workload):
+    """One traced pass of each benchmark workload, as its per-layer figures
+    are taken: it exits 0 with every check correct and no operation failed.
+    The workloads read more of the program than the trace sites (the
+    Dataset constructor, HeadOutput, AdamState, a patched train_step)."""
+    if workload.startswith("mutag") and \
+            not (ROOT / "data" / "MUTAG" / "MUTAG_A.txt").is_file():
+        pytest.skip("MUTAG dataset files not present under data/MUTAG")
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
 
 
 def test_guard_sees_only_lookups_a_site_intercepts(tmp_path):

@@ -179,9 +179,8 @@ def decide_with_dist(dist_values, stream):
     from graphaug.sampling import gumbel_softmax
     from graphaug.policy import PolicyDecision
     dist = Tensor(np.asarray(dist_values))
-    log_dist = np.log(np.maximum(dist.data, 1e-30))
-    (i,) = gumbel_softmax(log_dist, [0], stream.split("i"))
-    (j,) = gumbel_softmax(log_dist, [0], stream.split("j"))
+    (i,) = gumbel_softmax(dist.data, [0], stream.split("i"))
+    (j,) = gumbel_softmax(dist.data, [0], stream.split("j"))
     kinds = GRAPH_TASK_KINDS
     return PolicyDecision(dist, kinds[i], kinds[j],
                           dist.gather_rows([i]).reshape(()),

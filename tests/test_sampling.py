@@ -8,11 +8,11 @@ from graphaug.tensor import Tensor, finite_diff_grad
 from conftest import rel_err
 
 
-def categorical_frequencies(logits, draws, seed):
+def categorical_frequencies(p, draws, seed):
     """Pick frequencies of ``draws`` draws, taken as one call over as many
-    copies of ``logits``, one segment each."""
-    n = len(logits)
-    picks = gumbel_softmax(np.tile(logits, draws), np.arange(draws) * n,
+    copies of the probabilities ``p``, one segment each."""
+    n = len(p)
+    picks = gumbel_softmax(np.tile(p, draws), np.arange(draws) * n,
                            RngStream(seed, "cat-freq"))
     return np.bincount(picks - np.arange(draws) * n, minlength=n) / draws
 
@@ -65,19 +65,19 @@ def topk_subset_probs_bruteforce(p, k):
 # -- gumbel softmax -----------------------------------------------------------
 
 def test_extreme_logits_pick_first():
-    assert categorical_frequencies(np.array([30.0, -30.0]), 10_000,
-                                   seed=1)[0] >= 0.999
+    p = softmax_np(np.array([30.0, -30.0]))
+    assert categorical_frequencies(p, 10_000, seed=1)[0] >= 0.999
 
 
 def test_uniform_logits_frequencies():
-    freqs = categorical_frequencies(np.zeros(5), 100_000, seed=2)
+    freqs = categorical_frequencies(np.full(5, 0.2), 100_000, seed=2)
     assert np.all(np.abs(freqs - 0.2) <= 0.02)
 
 
 def test_frequencies_match_softmax_tv():
-    logits = np.array([0.5, -0.3, 1.1, 0.0, -1.2, 0.7, 0.2, -0.5])
-    freqs = categorical_frequencies(logits, 100_000, seed=3)
-    tv = 0.5 * np.abs(freqs - softmax_np(logits)).sum()
+    p = softmax_np(np.array([0.5, -0.3, 1.1, 0.0, -1.2, 0.7, 0.2, -0.5]))
+    freqs = categorical_frequencies(p, 100_000, seed=3)
+    tv = 0.5 * np.abs(freqs - p).sum()
     assert tv <= 0.01
 
 
@@ -88,12 +88,29 @@ def test_temperature_contract():
         gumbel_softmax(np.array([np.inf, 0.0]), [0], RngStream(0, "t"))
 
 
+def top_1(p, offsets, stream):
+    return gumbel_top_k(p, 1, offsets, stream)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("draw", [gumbel_softmax, top_1],
+                         ids=["gumbel_softmax", "gumbel_top_k"])
+def test_non_finite_probabilities_are_rejected(draw, bad):
+    """A NaN or infinite probability fails the draw, alone in its segment
+    or beside valid ones, whichever entry point takes it."""
+    for p, offsets in (([bad, bad], [0]), ([0.5, 0.5, bad, 0.25], [0, 2])):
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            draw(np.array(p), offsets, RngStream(0, "bad"))
+
+
 def test_categorical_draw_is_an_index_and_builds_no_tape(made_tensors):
-    logits = np.array([0.2, -0.4, 0.9])
-    idx = gumbel_softmax(logits, [0], RngStream(7, "st"))
+    p = softmax_np(np.array([0.2, -0.4, 0.9]))
+    idx = gumbel_softmax(p, [0], RngStream(7, "st"))
     assert idx.dtype == np.int64 and idx.shape == (1,) and 0 <= idx[0] < 3
-    # the Gumbel-max draw: the argmax of the logits plus the stream's noise
-    assert idx[0] == np.argmax(logits + RngStream(7, "st").gumbel(3))
+    # the Gumbel-max draw: the argmax of the log-probabilities plus the
+    # stream's noise
+    assert idx[0] == np.argmax(np.log(p) + RngStream(7, "st").gumbel(3))
     gumbel_top_k(np.array([0.5, 0.3, 0.2]), 2, [0], RngStream(5, "tape"))
     assert not made_tensors
 
@@ -101,14 +118,14 @@ def test_categorical_draw_is_an_index_and_builds_no_tape(made_tensors):
 def test_segment_draws_are_slices_of_one_draw():
     """Segment s picks the argmax of its slice of one noise draw over all
     items; ties go to the lower index."""
-    logits = np.array([0.3, 0.3, -1.0, 2.0, 0.5, 0.5, 0.5, 0.0])
+    p = np.exp(np.array([0.3, 0.3, -1.0, 2.0, 0.5, 0.5, 0.5, 0.0]))
     offsets = [0, 3, 4, 7]
-    picks = gumbel_softmax(logits, offsets, RngStream(3, "slices"))
-    keys = logits + RngStream(3, "slices").gumbel(len(logits))
-    bounds = offsets + [len(logits)]
+    picks = gumbel_softmax(p, offsets, RngStream(3, "slices"))
+    keys = np.log(p) + RngStream(3, "slices").gumbel(len(p))
+    bounds = offsets + [len(p)]
     assert picks.tolist() == [a + int(np.argmax(keys[a:b]))
                               for a, b in zip(bounds, bounds[1:])]
-    tied = gumbel_softmax(np.zeros(4), [0, 2], RngStream(3, "ties"))
+    tied = gumbel_softmax(np.ones(4), [0, 2], RngStream(3, "ties"))
     assert np.isin(tied, [0, 1, 2, 3]).all() and tied[0] < 2 <= tied[1]
 
 
@@ -132,19 +149,20 @@ def _lexsort_picks(keys, starts):
 def test_segment_picks_match_the_stable_lexsort():
     """The first maximum of each segment, ties to the lowest index, as a
     stable lexsort by (segment, -key) picks it: on random keys, on keys
-    with forced ties (a few integer values) and on the stream's own noise."""
+    with forced ties (a few integer values) and on the stream's own noise.
+    The keys are log-probabilities, so the draws take their exponentials."""
     rng = np.random.default_rng(17)
     for case in range(300):
         sizes = rng.integers(1, 9, rng.integers(1, 12))
         starts = np.cumsum(sizes) - sizes
         n = int(sizes.sum())
-        keys = (rng.integers(-2, 2, n).astype(float) if case % 2
-                else rng.normal(size=n))
-        picks = gumbel_softmax(keys, starts, _FixedNoise(np.zeros(n)))
-        assert picks.tolist() == _lexsort_picks(keys, starts).tolist()
-        logits = rng.normal(size=n)
-        picks = gumbel_softmax(logits, starts, RngStream(case, "lex"))
-        keys = logits + RngStream(case, "lex").gumbel(n)
+        p = np.exp(rng.integers(-2, 2, n).astype(float) if case % 2
+                   else rng.normal(size=n))
+        picks = gumbel_softmax(p, starts, _FixedNoise(np.zeros(n)))
+        assert picks.tolist() == _lexsort_picks(np.log(p), starts).tolist()
+        p = np.exp(rng.normal(size=n))
+        picks = gumbel_softmax(p, starts, RngStream(case, "lex"))
+        keys = np.log(p) + RngStream(case, "lex").gumbel(n)
         assert picks.tolist() == _lexsort_picks(keys, starts).tolist()
     # every key tied: each segment takes its first item
     assert gumbel_softmax(np.ones(6), [0, 1, 4], _FixedNoise(np.zeros(6))
@@ -153,20 +171,71 @@ def test_segment_picks_match_the_stable_lexsort():
 
 def test_centers_match_each_segments_softmax_tv():
     """Centers drawn for 100,000 copies of a batch of three graphs' node
-    logits, one call: each graph's pick frequencies against its own
+    probabilities, one call: each graph's pick frequencies against its own
     softmax, TV within 0.01 as in criterion 2."""
-    graphs = [np.array([0.0]), np.array([1.0, -0.5, 0.2]),
-              np.array([0.8, -0.4, 0.1, -1.0, 0.5, 0.0, -0.2, 1.2])]
+    graphs = [softmax_np(logits) for logits in (
+        np.array([0.0]), np.array([1.0, -0.5, 0.2]),
+        np.array([0.8, -0.4, 0.1, -1.0, 0.5, 0.0, -0.2, 1.2]))]
     sizes = np.array([len(g) for g in graphs])
     draws = 100_000
     starts = np.cumsum(np.tile(sizes, draws)) - np.tile(sizes, draws)
     picks = gumbel_softmax(np.tile(np.concatenate(graphs), draws), starts,
                            RngStream(44, "centers")) - starts
-    for t, logits in enumerate(graphs):
-        freqs = np.bincount(picks[t::len(graphs)],
-                            minlength=len(logits)) / draws
-        tv = 0.5 * np.abs(freqs - softmax_np(logits)).sum()
+    for t, p in enumerate(graphs):
+        freqs = np.bincount(picks[t::len(graphs)], minlength=len(p)) / draws
+        tv = 0.5 * np.abs(freqs - p).sum()
         assert tv <= 0.01, (t, tv)
+
+
+def _logit_argmax_draw(logits, offsets, stream):
+    """The categorical draw as it was written before it became
+    ``gumbel_top_k``'s top 1: the first maximum of (logits + Gumbel noise)
+    in each segment, fed log-probabilities clamped at 1e-30."""
+    if not np.isfinite(logits).all():
+        raise ValueError("logits must be finite")
+    starts = np.asarray(offsets, dtype=np.int64)
+    keys = logits + stream.gumbel(logits.shape)
+    counts = np.concatenate((starts[1:], [len(keys)])) - starts
+    best = np.repeat(np.maximum.reduceat(keys, starts), counts)
+    hits = np.flatnonzero(keys == best)
+    return hits[np.searchsorted(hits, starts)]
+
+
+def _segment_probabilities(rng, sizes):
+    """Each segment's softmax of scaled normal logits, then, per segment,
+    one of: as is, a few exact ties (probabilities quantized to a few
+    levels), zeros and underflows (p < 1e-30) beside at least one positive
+    item."""
+    out = []
+    for n in sizes:
+        p = softmax_np(rng.normal(scale=rng.choice([0.1, 1.0, 5.0]), size=n))
+        form = rng.integers(4)
+        if form == 1:
+            p = rng.integers(1, 4, n).astype(float)
+        elif form >= 2 and n > 1:
+            dead = rng.random(n) < 0.5
+            dead[rng.integers(n)] = False
+            p[dead] = 0.0 if form == 2 else 1e-40
+        out.append(p / p.sum())
+    return np.concatenate(out)
+
+
+def test_draw_matches_the_logit_argmax_draw():
+    """``gumbel_softmax`` on probabilities picks what the argmax over
+    clamped log-probabilities picked, noise for noise: on one-item
+    segments, batches of up to 63 items a segment with ties, zeros and
+    underflows, and a single five-kind policy segment."""
+    rng = np.random.default_rng(36)
+    layouts = [np.ones(40, dtype=int), [5]]
+    layouts += [rng.integers(1, 64, rng.integers(1, 33)) for _ in range(200)]
+    for case, sizes in enumerate(layouts):
+        starts = np.cumsum(sizes) - sizes
+        p = _segment_probabilities(rng, sizes)
+        picks = gumbel_softmax(p, starts, RngStream(case, "equiv"))
+        ref = _logit_argmax_draw(np.log(np.maximum(p, 1e-30)), starts,
+                                 RngStream(case, "equiv"))
+        assert picks.tolist() == ref.tolist(), case
+        assert (p[picks] > 0).all()
 
 
 # -- gumbel top-k ---------------------------------------------------------------
