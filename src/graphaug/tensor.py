@@ -4,9 +4,20 @@ The tape is rebuilt on every forward pass (closures captured per op), which is
 what the sampled-augmentation training loop needs: the computation graph is
 different on every step. Every op computes its result, builds its backward
 closure and hands both to ``Tensor._result``, the one place that decides to
-record: only a result with a parent that needs a gradient keeps them. A
-closure gets its output node as an argument rather than capturing it, so a
-tape holds no reference cycle and is freed by reference counting.
+record: only a result with a parent that needs a gradient gets a tape node.
+
+The tape is kept apart from the arrays. A node (``_Node``) holds its
+result's shape, its gradient while the sweep carries one, its parents' tape
+entries and the closure, but not the result's array: the ``Tensor`` the
+caller holds owns that, so an intermediate's array is freed as soon as the
+caller drops it, unless a backward reads it. A parent's entry is its node,
+a leaf that needs a gradient itself (its ``grad`` is where the sweep adds),
+or ``_CONSTANT``. A closure captures only the arrays, shapes, indices and
+flags its backward reads: an add nothing, ``gather_rows`` its indices and
+row count, a shape op its input's shape, a product one operand only when
+the other needs a gradient. It gets its output node as an argument and
+captures no tensor or node, so a tape holds no reference cycle and is freed
+by reference counting.
 
 A closure returns one gradient per parent, in ``_parents`` order, each
 shaped like its parent or like a broadcast of it; ``None`` skips a parent
@@ -40,22 +51,51 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+class _Node:
+    """A recorded result's place on the tape, without its array: its shape,
+    its gradient while the sweep carries one, its parents' tape entries and
+    its backward closure."""
+
+    __slots__ = ("shape", "requires_grad", "grad", "_parents", "_backprop")
+
+    def __init__(self, shape: tuple, parents: tuple, backprop):
+        self.shape = shape
+        self.requires_grad = True
+        self.grad: np.ndarray | None = None
+        self._parents = parents
+        self._backprop = backprop
+
+
+# the tape entry of a parent that needs no gradient
+_CONSTANT = _Node((), (), None)
+_CONSTANT.requires_grad = False
+
+
+def _accum(entry, g: np.ndarray) -> None:
+    """Add ``g`` into a tape entry's (a node's or a leaf's) ``grad``."""
+    if entry.grad is None:
+        # a copy, since ``g`` may be shared or a view, and one C-ordered
+        # allocation whatever its layout
+        entry.grad = np.add(g, 0.0, out=np.empty(entry.shape))
+    else:
+        entry.grad += g
+
+
 class Tensor:
-    """A float64 array plus tape bookkeeping.
+    """A float64 array, and its tape node when it is a recorded result.
 
     ``requires_grad`` marks leaves to optimize; any result touching such a
-    tensor records its parents and a backward closure. Data arrays are never
-    mutated in place by ops.
+    tensor gets a tape node (``_node``) with its parents' entries and a
+    backward closure. Data arrays are never mutated in place by ops.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backprop")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple = ()
-        self._backprop: Callable[[Tensor], tuple] | None = None
+        self._node: _Node | None = None
 
     # -- construction helpers ----------------------------------------------
 
@@ -65,27 +105,34 @@ class Tensor:
 
     @staticmethod
     def _result(data, parents: Sequence["Tensor"],
-                backprop: Callable[["Tensor"], tuple]) -> "Tensor":
-        """The one place an op is recorded: ``out`` keeps its parents and
-        ``backprop`` only when a parent needs a gradient.
+                backprop: Callable[[_Node], tuple]) -> "Tensor":
+        """The one place an op is recorded: ``out`` gets a tape node with its
+        parents' entries and ``backprop`` only when a parent needs a
+        gradient.
 
-        ``backprop(out)`` returns one gradient per parent, in ``parents``
+        ``backprop(node)`` returns one gradient per parent, in ``parents``
         order, or ``None`` for a parent it skips; ``backward`` unbroadcasts
         each to its parent's shape and accumulates it."""
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backprop = backprop
+            out._node = _Node(out.data.shape,
+                              tuple(p._entry() for p in parents), backprop)
         return out
 
-    def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # a copy, since ``g`` may be shared or a view, and one C-ordered
-            # allocation whatever its layout
-            self.grad = np.add(g, 0.0, out=np.empty(self.data.shape))
-        else:
-            self.grad += g
+    def _entry(self):
+        """What a tape node keeps for this parent: never its array."""
+        if self._node is not None:
+            return self._node
+        return self if self.requires_grad else _CONSTANT
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backprop(self):
+        return None if self._node is None else self._node._backprop
 
     # -- basic introspection -------------------------------------------------
 
@@ -131,17 +178,24 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         a, b = self, Tensor._lift(other)
-        return Tensor._result(a.data * b.data, (a, b),
-                              lambda o: (o.grad * b.data, o.grad * a.data))
+        # each operand only for the other's gradient
+        ad = a.data if b.requires_grad else None
+        bd = b.data if a.requires_grad else None
+        return Tensor._result(
+            a.data * b.data, (a, b),
+            lambda o: (None if bd is None else o.grad * bd,
+                       None if ad is None else o.grad * ad))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         a, b = self, Tensor._lift(other)
+        need_a, bd = a.requires_grad, b.data
+        ad = a.data if b.requires_grad else None
         return Tensor._result(
-            a.data / b.data, (a, b),
-            lambda o: (o.grad / b.data,
-                       -o.grad * a.data / (b.data * b.data)))
+            a.data / bd, (a, b),
+            lambda o: (o.grad / bd if need_a else None,
+                       None if ad is None else -o.grad * ad / (bd * bd)))
 
     def __rtruediv__(self, other) -> "Tensor":
         return Tensor._lift(other) / self
@@ -149,31 +203,35 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        a, c = self, float(exponent)
+        ad, c = self.data, float(exponent)
         return Tensor._result(
-            a.data ** c, (a,),
-            lambda o: (o.grad * c * a.data ** (c - 1.0),))
+            ad ** c, (self,),
+            lambda o: (o.grad * c * ad ** (c - 1.0),))
 
     def __matmul__(self, other) -> "Tensor":
         a, b = self, Tensor._lift(other)
         if a.ndim != 2 or b.ndim != 2:
             raise InvalidShapeError("matmul expects 2-D operands")
-        return Tensor._result(a.data @ b.data, (a, b),
-                              lambda o: (o.grad @ b.data.T, a.data.T @ o.grad))
+        ad = a.data if b.requires_grad else None
+        bd = b.data if a.requires_grad else None
+        return Tensor._result(
+            a.data @ b.data, (a, b),
+            lambda o: (None if bd is None else o.grad @ bd.T,
+                       None if ad is None else ad.T @ o.grad))
 
     # -- reductions -------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
+        shape = self.data.shape
 
         def backprop(o):
             g = o.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             # ``_accum`` copies a first gradient and ``+=`` reads a view
-            return (np.broadcast_to(g, a.data.shape),)
-        return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,),
-                              backprop)
+            return (np.broadcast_to(g, shape),)
+        return Tensor._result(self.data.sum(axis=axis, keepdims=keepdims),
+                              (self,), backprop)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -189,13 +247,13 @@ class Tensor:
                               lambda o: (o.grad * s * (1.0 - s),))
 
     def softplus(self) -> "Tensor":
-        a = self
+        ad = self.data
 
         def backprop(o):
             with np.errstate(over="ignore"):
-                sig = 1.0 / (1.0 + np.exp(-a.data))
+                sig = 1.0 / (1.0 + np.exp(-ad))
             return (o.grad * sig,)
-        return Tensor._result(np.logaddexp(0.0, a.data), (a,), backprop)
+        return Tensor._result(np.logaddexp(0.0, ad), (self,), backprop)
 
     def exp(self) -> "Tensor":
         a = self
@@ -203,9 +261,8 @@ class Tensor:
         return Tensor._result(e, (a,), lambda o: (o.grad * e,))
 
     def log(self) -> "Tensor":
-        a = self
-        return Tensor._result(np.log(a.data), (a,),
-                              lambda o: (o.grad / a.data,))
+        ad = self.data
+        return Tensor._result(np.log(ad), (self,), lambda o: (o.grad / ad,))
 
     def sqrt(self) -> "Tensor":
         a = self
@@ -214,18 +271,18 @@ class Tensor:
 
     def clip_min(self, lo: float) -> "Tensor":
         """max(x, lo); gradient passes only where x > lo."""
-        a = self
-        return Tensor._result(np.maximum(a.data, lo), (a,),
-                              lambda o: (o.grad * (a.data > lo),))
+        ad = self.data
+        return Tensor._result(np.maximum(ad, lo), (self,),
+                              lambda o: (o.grad * (ad > lo),))
 
     # -- shape ops -----------------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        return Tensor._result(a.data.reshape(shape), (a,),
-                              lambda o: (o.grad.reshape(a.data.shape),))
+        old = self.data.shape
+        return Tensor._result(self.data.reshape(shape), (self,),
+                              lambda o: (o.grad.reshape(old),))
 
     def transpose(self) -> "Tensor":
         if self.ndim != 2:
@@ -236,23 +293,22 @@ class Tensor:
     def gather_rows(self, idx) -> "Tensor":
         """Select rows (axis 0) by non-negative integer index; repeats
         allowed."""
-        a = self
         idx = np.asarray(idx, dtype=np.int64)
-        return Tensor._result(
-            a.data[idx], (a,),
-            lambda o: (_scatter_rows(idx, o.grad, a.data.shape[0]),))
+        rows = self.data.shape[0]
+        return Tensor._result(self.data[idx], (self,),
+                              lambda o: (_scatter_rows(idx, o.grad, rows),))
 
     def slice_axis(self, axis: int, start: int, stop: int) -> "Tensor":
-        a = self
-        sl = [slice(None)] * a.ndim
+        shape = self.data.shape
+        sl = [slice(None)] * self.ndim
         sl[axis] = slice(start, stop)
         sl = tuple(sl)
 
         def backprop(o):
-            g = np.zeros(a.data.shape)
+            g = np.zeros(shape)
             g[sl] = o.grad
             return (g,)
-        return Tensor._result(a.data[sl].copy(), (a,), backprop)
+        return Tensor._result(self.data[sl].copy(), (self,), backprop)
 
     # -- composites ----------------------------------------------------------------
 
@@ -279,9 +335,10 @@ class Tensor:
             raise InvalidShapeError("backward() expects a scalar loss")
         if not np.isfinite(self.data).all():
             raise TrainingDivergedError("loss is not finite")
-        topo: list[Tensor] = []
+        root = self._entry()
+        topo: list = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -294,21 +351,21 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited and p.requires_grad:
                     stack.append((p, False))
-        if self.requires_grad:
-            self._accum(np.ones_like(self.data))
+        if root.requires_grad:
+            _accum(root, np.ones(root.shape))
         while topo:                 # popped: the list holds no swept node
             node = topo.pop()
             if node._backprop is not None and node.grad is not None:
                 for p, g in zip(node._parents, node._backprop(node),
                                 strict=True):
                     if g is not None and p.requires_grad:
-                        p._accum(_unbroadcast(g, p.data.shape))
+                        _accum(p, _unbroadcast(g, p.shape))
                 node.grad = None
                 node._parents = ()
                 node._backprop = _spent
 
 
-def _spent(o: Tensor) -> tuple:
+def _spent(o: _Node) -> tuple:
     """The closure of a node whose backward has already run."""
     raise RuntimeError(f"backward reached a tape node of shape {o.shape} "
                        f"that an earlier backward consumed")
@@ -323,10 +380,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise InvalidShapeError("concat of an empty list")
     data = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.data.shape[axis] for t in tensors]
 
     def backprop(o):
-        bounds = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-        return np.split(o.grad, bounds, axis=axis)
+        return np.split(o.grad, np.cumsum(sizes)[:-1], axis=axis)
     return Tensor._result(data, tensors, backprop)
 
 
@@ -362,10 +419,12 @@ def segment_sum(t: Tensor, segment_ids, num_segments: int) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """The dense layer ``x @ w + b``, then ``relu`` if asked, as one tape node.
 
-    The bias add and the ReLU run in place on the fresh product, so the
-    node holds only its output, whose sign is the ReLU mask. The backward
-    is what the matmul, add and ``clip_min(0.0)`` nodes compute, for the
-    inputs that need a gradient.
+    The bias add and the ReLU run in place on the fresh product, so with
+    ``relu`` the node keeps its output, whose sign is the ReLU mask, and
+    without it no array of its own. The backward is what the matmul, add
+    and ``clip_min(0.0)`` nodes compute, for the inputs that need a
+    gradient: it keeps ``w`` only for ``x``'s gradient and ``x`` only for
+    ``w``'s.
     """
     x, w, b = (Tensor._lift(t) for t in (x, w, b))
     if (x.ndim != 2 or w.ndim != 2 or w.data.shape[0] != x.data.shape[1]
@@ -378,11 +437,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     if relu:
         np.maximum(out, 0.0, out=out)
 
+    act = out if relu else None
+    wd = w.data if x.requires_grad else None
+    xd = x.data if w.requires_grad else None
+    need_b = b.requires_grad
+
     def backprop(o):
-        g = o.grad * (o.data > 0.0) if relu else o.grad
-        return (g @ w.data.T if x.requires_grad else None,
-                x.data.T @ g if w.requires_grad else None,
-                g.sum(axis=0) if b.requires_grad else None)
+        g = o.grad if act is None else o.grad * (act > 0.0)
+        return (None if wd is None else g @ wd.T,
+                None if xd is None else xd.T @ g,
+                g.sum(axis=0) if need_b else None)
     return Tensor._result(out, (x, w, b), backprop)
 
 
@@ -390,9 +454,10 @@ def propagate(h: Tensor, src, dst, w: Tensor) -> Tensor:
     """Message pass ``out[v] = sum over edges k into v of w[k] h[src[k]]``.
 
     One tape node for ``segment_sum(h.gather_rows(src) * w.reshape(-1, 1),
-    dst, len(h))``, with its bits. It keeps no per-edge message: the
-    backward gathers the rows of ``h`` again, and only when ``w`` needs a
-    gradient.
+    dst, len(h))``, with its bits. It keeps neither its output nor a
+    per-edge message: the backward gathers the rows of ``h`` again, so it
+    keeps ``h`` only when ``w`` needs a gradient, and ``w`` only when ``h``
+    does.
     """
     h, w = Tensor._lift(h), Tensor._lift(w)
     src = np.asarray(src, dtype=np.int64)
@@ -405,14 +470,16 @@ def propagate(h: Tensor, src, dst, w: Tensor) -> Tensor:
             f"propagate got h {h.shape}, src {src.shape}, dst {dst.shape} and "
             f"w {w.shape}; wants h (n, d) and src, dst, w (E,) with indices "
             f"in [0, n)")
-    rows, weight = len(h.data), w.data.reshape(-1, 1)
-    out = _scatter_rows(dst, h.data[src] * weight, rows)
+    rows = len(h.data)
+    out = _scatter_rows(dst, h.data[src] * w.data.reshape(-1, 1), rows)
+    weight = w.data.reshape(-1, 1) if h.requires_grad else None
+    hd = h.data if w.requires_grad else None
 
     def backprop(o):
         g = o.grad[dst]
-        return (_scatter_rows(src, g * weight, rows) if h.requires_grad
-                else None,
-                (g * h.data[src]).sum(axis=1) if w.requires_grad else None)
+        return (None if weight is None else _scatter_rows(src, g * weight,
+                                                          rows),
+                None if hd is None else (g * hd[src]).sum(axis=1))
     return Tensor._result(out, (h, w), backprop)
 
 
@@ -484,6 +551,11 @@ def gru_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
             n[t] = np.tanh(gx_n[t] + r[t] * gh_n[t])
             hs[t + 1] = n[t] + z[t] * (hs[t] - n[t])
 
+    # x only for wx's gradient and wx only for x's
+    xd = xd if wx.requires_grad else None
+    wxd = wx.data if x.requires_grad else None
+    need_wh, need_b = wh.requires_grad, b.requires_grad
+
     def backprop(o):
         h_prev = hs[:-1]
         dn = (1.0 - z) * (1.0 - n * n)      # dh_t / d(n's pre-activation)
@@ -501,10 +573,10 @@ def gru_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
             dh = dh * z[t] + dgh[t] @ wh_t
         dgx = dgh.copy()                    # the same, but n's is not times r
         dgx[:, 2 * d:] = dh_rows * dn
-        return (dgx @ wx.data.T if x.requires_grad else None,
-                xd.T @ dgx if wx.requires_grad else None,
-                h_prev.T @ dgh if wh.requires_grad else None,
-                dgx.sum(axis=0) if b.requires_grad else None)
+        return (None if wxd is None else dgx @ wxd.T,
+                None if xd is None else xd.T @ dgx,
+                h_prev.T @ dgh if need_wh else None,
+                dgx.sum(axis=0) if need_b else None)
     return Tensor._result(hs[-1:], (x, wx, wh, b), backprop)
 
 

@@ -840,7 +840,8 @@ def test_edge_perturb_view_ignores_the_temperature(mutag_dir):
 def _tape_nodes(view):
     """The ids of the tape nodes (with a backward closure) reachable from a
     view's edge weights and features."""
-    seen, stack, nodes = set(), [view.edge_weights, view.features], set()
+    seen, nodes = set(), set()
+    stack = [view.edge_weights._entry(), view.features._entry()]
     while stack:
         t = stack.pop()
         if id(t) in seen:
@@ -885,7 +886,7 @@ def test_head_records_only_what_its_view_reads(kind, made_tensors):
     made_tensors.clear()
     out = apply_augmentation(kind, batch, h_v, h_g, params, 0.6, 2, 0.7,
                              RngStream(3, f"recording-{kind.value}"))
-    recorded = {id(t) for t in made_tensors if t._backprop is not None}
+    recorded = {id(t._node) for t in made_tensors if t._node is not None}
     unreached = recorded - _tape_nodes(out.graph)
     assert not unreached, f"{len(unreached)} of {len(recorded)} unreached"
 

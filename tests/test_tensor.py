@@ -234,6 +234,123 @@ def test_only_a_result_that_needs_a_gradient_is_recorded(name, f, positive):
         assert bool(t._parents) == (t._backprop is not None)
 
 
+def _needs_grad(shape, label):
+    return Tensor(_rand(shape, 0.5, 2.0, label=label), requires_grad=True)
+
+
+# Each ``OPS`` entry's op alone, on inputs that all need a gradient, and
+# whether its own backward reads its result's array.
+RESULTS = {
+    "add": (lambda t: t + _needs_grad((3, 4), "free_add"), False),
+    "sub": (lambda t: _needs_grad((3, 4), "free_sub") - t, False),
+    "mul": (lambda t: t * _needs_grad((3, 4), "free_mul"), False),
+    "div": (lambda t: _needs_grad((3, 4), "free_div") / t, False),
+    "pow": (lambda t: t ** 3.0, False),
+    "matmul": (lambda t: t @ _needs_grad((4, 2), "free_mm"), False),
+    "sigmoid": (lambda t: t.sigmoid(), True),
+    "softplus": (lambda t: t.softplus(), False),
+    "exp": (lambda t: t.exp(), True),
+    "log": (lambda t: t.log(), False),
+    "sqrt": (lambda t: t.sqrt(), True),
+    "mean": (lambda t: t.mean(axis=1), False),
+    "sum_axis": (lambda t: t.sum(axis=0), False),
+    "softmax": (lambda t: t.softmax(axis=1), False),
+    "logsumexp": (lambda t: t.logsumexp(axis=1), False),
+    "reshape": (lambda t: t.reshape(12), False),
+    "transpose": (lambda t: t.transpose(), False),
+    "gather": (lambda t: t.gather_rows([0, 2, 2, 1]), False),
+    "slice": (lambda t: t.slice_axis(1, 1, 3), False),
+    "clip_min": (lambda t: t.clip_min(1.0), False),
+    "segment_softmax": (lambda t: segment_softmax(t.reshape(12), [0, 1, 5, 6]),
+                        True),
+    # the backward reads the states before the last one; the result is a
+    # view of the last
+    "gru_sequence": (lambda t: gru_sequence(
+        t, _needs_grad((4, 6), "free_gru_wx"), _needs_grad((2, 6), "free_gru_wh"),
+        _needs_grad((6,), "free_gru_b")), False),
+    "gru_sequence_const_x": (lambda t: gru_sequence(
+        _needs_grad((5, 2), "free_gruc_x"), t.reshape(2, 6),
+        _needs_grad((2, 6), "free_gruc_wh"), _needs_grad((6,), "free_gruc_b")),
+        False),
+    "concat": (lambda t: concat([_needs_grad((3, 2), "free_cat"), t], axis=1),
+               False),
+    "segment_sum": (lambda t: segment_sum(t, [2, 0, 2], 4), False),
+    "linear": (lambda t: linear(t, _needs_grad((4, 2), "free_lin_w"),
+                                _needs_grad((2,), "free_lin_b")), False),
+    # the output's sign is the ReLU mask
+    "linear_relu": (lambda t: linear(_needs_grad((5, 3), "free_linr_x"), t,
+                                     _needs_grad((4,), "free_linr_b"),
+                                     relu=True), True),
+    "propagate": (lambda t: propagate(t, PROP_SRC[:5], PROP_DST[:5],
+                                      _needs_grad((5,), "free_prop_w")), False),
+    "propagate_w": (lambda t: propagate(t, PROP_SRC, PROP_DST, t.reshape(12)),
+                    False),
+}
+
+
+def test_every_op_has_a_freeing_case():
+    assert set(RESULTS) == {name for name, _, _ in OPS}
+
+
+def _loss_and_result_ref(name, t):
+    """The loss ``sum(op(t) * w)`` for a constant ``w``, which keeps nothing
+    of the op's result, and a weak reference to that result's array; the
+    caller holds no reference to the result itself."""
+    y = RESULTS[name][0](t)
+    loss = (y * Tensor(_rand(y.shape, label="free_w"))).sum()
+    return loss, weakref.ref(y.data)
+
+
+@pytest.mark.parametrize("name", sorted(RESULTS))
+def test_a_result_array_lives_only_while_a_backward_reads_it(name):
+    """Once the caller drops an op's result, its array is freed while the
+    loss and its tape are alive, unless the op's own backward reads it: the
+    tape keeps nodes, not arrays."""
+    x = _rand((3, 4), 0.5, 2.0, label="free_" + name)
+    t = Tensor(x, requires_grad=True)
+    gc.disable()
+    try:
+        loss, ref = _loss_and_result_ref(name, t)
+        assert (ref() is not None) == RESULTS[name][1]
+        loss.backward()
+    finally:
+        gc.enable()
+    numeric = finite_diff_grad(lambda u: _loss_and_result_ref(name, u)[0],
+                               Tensor(x))
+    assert rel_err(t.grad, numeric.data) <= 1e-3
+
+
+# (name, product of an operand ``a`` and a partner of ``shape``)
+PRODUCTS = [
+    ("mul", lambda a, b: a * b, (3, 4)),
+    ("div", lambda a, b: a / b, (3, 4)),
+    ("matmul", lambda a, b: a @ b, (4, 2)),
+    ("linear", lambda a, b: linear(a, b, Tensor(np.zeros(2))), (4, 2)),
+    ("propagate", lambda a, b: propagate(a, PROP_SRC, PROP_DST, b), (12,)),
+    ("gru_sequence", lambda a, b: gru_sequence(
+        a, b, Tensor(_rand((2, 6), label="keep_gru_wh")),
+        Tensor(_rand((6,), label="keep_gru_b"))), (4, 6)),
+]
+
+
+@pytest.mark.parametrize("partner_needs_grad", [False, True])
+@pytest.mark.parametrize("name,product,shape", PRODUCTS,
+                         ids=[p[0] for p in PRODUCTS])
+def test_a_product_keeps_an_operand_only_for_its_partners_gradient(
+        name, product, shape, partner_needs_grad):
+    """An operand that needs a gradient is kept only when its partner needs
+    one too, since only the partner's gradient reads it."""
+    x = Tensor(_rand((3, 4), label="keep_" + name), requires_grad=True)
+    b = Tensor(_rand(shape, 0.5, 2.0, label="keep_b_" + name),
+               requires_grad=partner_needs_grad)
+    a = x * 2.0                     # an array only the product could keep
+    ref = weakref.ref(a.data)
+    out = product(a, b)
+    del a
+    assert out.requires_grad
+    assert (ref() is not None) == partner_needs_grad
+
+
 def test_first_gradient_is_c_contiguous():
     """A leaf's first gradient is a fresh C-ordered array, even when the
     piece handed to it is a transposed or strided view."""
