@@ -331,8 +331,8 @@ def cmd_inspect(args) -> int:
 
 def cmd_stats(args) -> int:
     resolved = resolve_config(args)
-    dataset = _load_dataset(resolved, _train_config(resolved).task)
-    stats = dataset_stats(dataset)
+    task = _train_config(resolved).task
+    stats = dataset_stats(_load_dataset(resolved, task), task)
     print(json.dumps(stats, indent=2))
     if args.out_json:
         Path(args.out_json).write_text(json.dumps(stats, indent=2))

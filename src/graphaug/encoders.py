@@ -91,9 +91,10 @@ def gcn_layer(h: Tensor, src: np.ndarray, dst: np.ndarray, edge_w: Tensor,
     deg = segment_sum(edge_w, dst, num_nodes) + 1.0           # (V,)
     dinv = deg ** -0.5
     norm = dinv.gather_rows(src) * dinv.gather_rows(dst) * edge_w
-    agg = propagate(hw, src, dst, norm)
-    self_term = hw * (dinv * dinv).reshape(-1, 1)
-    return (agg + self_term).clip_min(0.0)
+    # one expression: without a tape, the propagated and self-loop terms
+    # are freed as soon as they are summed
+    return (propagate(hw, src, dst, norm)
+            + hw * (dinv * dinv).reshape(-1, 1)).clip_min(0.0)
 
 
 def _dropout(h: Tensor, p: float, stream: RngStream) -> Tensor:

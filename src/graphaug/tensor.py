@@ -19,6 +19,14 @@ the other needs a gradient. It gets its output node as an argument and
 captures no tensor or node, so a tape holds no reference cycle and is freed
 by reference counting.
 
+Message passing (``propagate``) builds no per-edge array of more than
+``PROPAGATE_BLOCK_VALUES`` (2^16) values in its forward: a larger graph is
+summed in consecutive destination ranges, each over its own edges in
+ascending edge order, so every output value receives the same additions in
+the same order and keeps the one-block sum's bits. Picking each range's
+edges is one pass over all edges, fine at a few blocks; a PubMed-sized
+graph would want one stable sort by destination instead.
+
 A closure returns one gradient per parent, in ``_parents`` order, each
 shaped like its parent or like a broadcast of it; ``None`` skips a parent
 that needs no gradient. ``Tensor.backward`` is the one place that sums a
@@ -387,6 +395,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._result(data, tensors, backprop)
 
 
+# The most message values (edges times width) a ``propagate`` forward builds
+# at once, so each per-edge array it makes, messages or their int64 keys,
+# stays at 512 KiB; a training step on MUTAG or a node-task subgraph batch
+# stays below it and sums in one block.
+PROPAGATE_BLOCK_VALUES = 1 << 16
+
+
 def _scatter_rows(idx: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
     """``out[idx[k]] += values[k]`` into ``rows`` zero rows, as ``np.add.at``.
 
@@ -450,6 +465,39 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     return Tensor._result(out, (x, w, b), backprop)
 
 
+def _propagate_blocks(dst: np.ndarray, rows: int, edges_per_block: int):
+    """Consecutive destination ranges ``(lo, hi)`` that cover ``rows``, each
+    taking as many rows as fit ``edges_per_block`` in-edges; a destination
+    with more in-edges than that takes a range of its own."""
+    # ends[v] is the number of edges into destinations below v
+    ends = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=rows))))
+    lo = 0
+    while lo < rows:
+        hi = int(np.searchsorted(ends, ends[lo] + edges_per_block,
+                                 side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _propagate_sum(hd: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                   wd: np.ndarray) -> np.ndarray:
+    """``propagate``'s forward on checked arrays: one ``_scatter_rows``
+    over every edge, or above ``PROPAGATE_BLOCK_VALUES`` one per range of
+    ``_propagate_blocks``, over that range's edges in ascending edge order
+    into its rows."""
+    rows, inner = hd.shape
+    if len(src) * inner <= PROPAGATE_BLOCK_VALUES:
+        return _scatter_rows(dst, hd[src] * wd.reshape(-1, 1), rows)
+    out = np.empty(hd.shape)
+    for lo, hi in _propagate_blocks(dst, rows,
+                                    PROPAGATE_BLOCK_VALUES // inner):
+        k = np.flatnonzero((dst >= lo) & (dst < hi))
+        out[lo:hi] = _scatter_rows(dst[k] - lo,
+                                   hd[src[k]] * wd[k].reshape(-1, 1), hi - lo)
+    return out
+
+
 def propagate(h: Tensor, src, dst, w: Tensor) -> Tensor:
     """Message pass ``out[v] = sum over edges k into v of w[k] h[src[k]]``.
 
@@ -458,6 +506,17 @@ def propagate(h: Tensor, src, dst, w: Tensor) -> Tensor:
     per-edge message: the backward gathers the rows of ``h`` again, so it
     keeps ``h`` only when ``w`` needs a gradient, and ``w`` only when ``h``
     does.
+
+    Above ``PROPAGATE_BLOCK_VALUES`` message values (2^16) the forward
+    sums consecutive destination ranges one at a time, each with in-edges
+    that fit the limit (a destination with more takes a range alone), so it
+    builds no per-edge array of all edges at once. Each range takes its
+    edges in ascending edge order, so every output value gets the same
+    additions in the same order from 0 as the one-block sum, and keeps its
+    bits. Picking a range's edges costs one pass over all edges, cheap at a
+    few blocks (6 on a 2,708-node, 10,500-edge graph at width 32); a
+    PubMed-sized graph would want one stable sort by destination instead.
+    The backward stays one block, since training steps stay below the limit.
     """
     h, w = Tensor._lift(h), Tensor._lift(w)
     src = np.asarray(src, dtype=np.int64)
@@ -471,7 +530,7 @@ def propagate(h: Tensor, src, dst, w: Tensor) -> Tensor:
             f"w {w.shape}; wants h (n, d) and src, dst, w (E,) with indices "
             f"in [0, n)")
     rows = len(h.data)
-    out = _scatter_rows(dst, h.data[src] * w.data.reshape(-1, 1), rows)
+    out = _propagate_sum(h.data, src, dst, w.data)
     weight = w.data.reshape(-1, 1) if h.requires_grad else None
     hd = h.data if w.requires_grad else None
 

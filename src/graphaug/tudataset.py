@@ -127,7 +127,8 @@ def _features(num_nodes: int, edges: np.ndarray, node_labels, attrs):
 
 def parse_tudataset(directory, task: str = "graph") -> Dataset:
     """The dataset for ``task``: "graph" or "node", which decides whether
-    node labels are features or the classes that ``num_classes`` counts."""
+    node labels are features or the classes that ``num_classes`` counts
+    (on the node task, those of graph 0, the one graph it reads)."""
     if task not in ("graph", "node"):
         raise ValueError(f"unknown task {task!r}")
     directory = Path(directory)
@@ -165,9 +166,9 @@ def parse_tudataset(directory, task: str = "graph") -> Dataset:
     node_labels_path = directory / f"{prefix}_node_labels.txt"
     node_labels = (_read_column(node_labels_path, num_nodes_total, "nodes")
                    if node_labels_path.exists() else None)
-    if task == "node":      # the node labels are the classes
+    if task == "node":      # graph 0's node labels are the classes
         num_classes = 0 if node_labels is None else len(
-            sorted_unique(node_labels))
+            sorted_unique(node_labels[indicator == 0]))
     attr_path = directory / f"{prefix}_node_attributes.txt"
     attrs = None
     if attr_path.exists():
@@ -220,15 +221,17 @@ def parse_tudataset(directory, task: str = "graph") -> Dataset:
                    graph_labels=graph_labels)
 
 
-def dataset_stats(ds: Dataset) -> dict:
-    """Summary statistics in the shape of the usual benchmark tables."""
-    n_nodes = [g.num_nodes for g in ds.graphs]
+def dataset_stats(ds: Dataset, task: str = "graph") -> dict:
+    """Summary statistics in the shape of the usual benchmark tables; on the
+    node task, of graph 0 alone, the one graph that task reads."""
+    graphs = ds.graphs[:1] if task == "node" else ds.graphs
+    n_nodes = [g.num_nodes for g in graphs]
     # a self-loop is one directed edge, any other undirected edge two
     n_edges = [(g.num_edges + int((g.edges[:, 0] == g.edges[:, 1]).sum())) / 2
-               for g in ds.graphs]
+               for g in graphs]
     return {
         "name": ds.name,
-        "graphs": len(ds.graphs),
+        "graphs": len(graphs),
         "classes": ds.num_classes,
         "feature_dim": ds.feature_dim,
         "mean_nodes": float(np.mean(n_nodes)),

@@ -3,7 +3,9 @@
 The generator of ``perfbench/synth.py`` at a smaller size: 600 nodes in 7
 classes, 1,200 undirected edges, 80% of them drawn inside a class, a random
 tree inside each class, and 64 Gaussian features whose means depend on the
-class. Node labels go to the probe only, never into the features.
+class. Node labels go to the probe only, never into the features. At 2,708
+nodes and 5,250 undirected edges it gives ``perfbench/synth.py``'s graph of
+the same seed.
 """
 import numpy as np
 
@@ -18,10 +20,12 @@ INTRA_CLASS_SHARE = 0.8
 CLASS_SIGNAL = 0.5
 
 
-def planted_partition(seed: int) -> Dataset:
-    """A one-graph node-task ``Dataset``; same seed, same arrays."""
-    rng = np.random.default_rng([seed, NUM_NODES])
-    labels = rng.integers(0, NUM_CLASSES, NUM_NODES)
+def planted_partition(seed: int, num_nodes: int = NUM_NODES,
+                       num_undirected_edges: int = NUM_UNDIRECTED_EDGES
+                       ) -> Dataset:
+    """A one-graph node-task ``Dataset``; same seed and size, same arrays."""
+    rng = np.random.default_rng([seed, num_nodes])
+    labels = rng.integers(0, NUM_CLASSES, num_nodes)
     members = [np.flatnonzero(labels == c) for c in range(NUM_CLASSES)]
     keys = set()
     for nodes in members:                    # random tree per class
@@ -29,13 +33,13 @@ def planted_partition(seed: int) -> Dataset:
         for i in range(1, len(order)):
             u, v = int(order[i]), int(order[rng.integers(0, i)])
             keys.add((min(u, v), max(u, v)))
-    while len(keys) < NUM_UNDIRECTED_EDGES:
-        u = int(rng.integers(0, NUM_NODES))
+    while len(keys) < num_undirected_edges:
+        u = int(rng.integers(0, num_nodes))
         if rng.random() < INTRA_CLASS_SHARE:
             cls = members[labels[u]]
             v = int(cls[rng.integers(0, len(cls))])
         else:
-            v = int(rng.integers(0, NUM_NODES))
+            v = int(rng.integers(0, num_nodes))
         if u != v:
             keys.add((min(u, v), max(u, v)))
     pairs = np.array(sorted(keys), dtype=np.int64)
@@ -43,7 +47,7 @@ def planted_partition(seed: int) -> Dataset:
     edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     means = rng.normal(0.0, 1.0, (NUM_CLASSES, FEATURE_DIM))
     features = CLASS_SIGNAL * means[labels] \
-        + rng.normal(0.0, 1.0, (NUM_NODES, FEATURE_DIM))
-    g = Graph(NUM_NODES, edges, features, np.ones(len(edges)))
+        + rng.normal(0.0, 1.0, (num_nodes, FEATURE_DIM))
+    g = Graph(num_nodes, edges, features, np.ones(len(edges)))
     return Dataset(f"planted-{seed}", [g], NUM_CLASSES, FEATURE_DIM,
                    node_labels=[labels.astype(np.int64)])

@@ -857,24 +857,34 @@ def test_stats_output(dataset_dir, capsys, tmp_path):
     assert stats["classes"] == 2
 
 
-def node_task_classes(data_dir, out_json):
+def node_task_stats(data_dir, out_json):
     assert run_cli("stats", "--dataset", str(data_dir), "--task", "node",
                    "--out-json", str(out_json)) == 0
-    return json.loads(out_json.read_text())["classes"]
+    return json.loads(out_json.read_text())
 
 
 def test_node_task_stats_count_node_classes(dataset_dir, tmp_path):
-    """On the node task the classes are the distinct node labels, with or
-    without a graph-label file, and 0 without a node-label file."""
+    """On the node task the stats describe graph 0 alone, the one graph the
+    task trains, embeds and probes: its size, and as classes its distinct
+    node labels, with or without a graph-label file, and 0 without a
+    node-label file."""
     out_json = tmp_path / "stats.json"
-    assert node_task_classes(dataset_dir, out_json) == 3    # SYN: 0, 1, 2
+    n0 = parse_tudataset(dataset_dir).graphs[0].num_nodes
+    stats = node_task_stats(dataset_dir, out_json)
+    assert (stats["graphs"], stats["classes"], stats["mean_nodes"]) == \
+        (1, 3, n0)                                # SYN graph 0: 0, 1, 2
+    labels_path = dataset_dir / "SYN_node_labels.txt"
+    labels = labels_path.read_text().split()
+    labels[:n0] = ["5"] * n0            # graph 0 one class, the rest three
+    labels_path.write_text("\n".join(labels) + "\n")
+    assert node_task_stats(dataset_dir, out_json)["classes"] == 1
     one = write_single_graph_dataset(tmp_path, n=24)
     (one / "ONE_graph_labels.txt").unlink()
     (one / "ONE_node_labels.txt").write_text(
         "\n".join(str(i % 3 + 4) for i in range(24)) + "\n")
-    assert node_task_classes(one, out_json) == 3
+    assert node_task_stats(one, out_json)["classes"] == 3
     (one / "ONE_node_labels.txt").unlink()
-    assert node_task_classes(one, out_json) == 0
+    assert node_task_stats(one, out_json)["classes"] == 0
 
 
 def test_out_root_env(dataset_dir, tmp_path, monkeypatch):

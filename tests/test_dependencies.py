@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -343,6 +344,23 @@ def test_benchmark_traced_pass_runs(workload):
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+
+
+def test_benchmark_untraced_pass_runs():
+    """The untraced run, whose end-to-end figures the benchmark compares: on
+    node-synth it exits 0 with every check correct and no operation failed,
+    and reports set-up time, pass time and peak RSS as finite positive
+    numbers."""
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "node-synth",
+         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
+    for name in ("setup_s", "run_s", "peak_rss_mb"):
+        value = result["metrics"][name]["value"]
+        assert math.isfinite(value) and value > 0, (name, result)
 
 
 def test_guard_sees_only_lookups_a_site_intercepts(tmp_path):

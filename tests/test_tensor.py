@@ -689,6 +689,93 @@ def test_fused_ops_match_the_unfused_tape_bit_for_bit():
         _check_fused_against_unfused(op, args, upstream, relu)
 
 
+def _blocked_propagate_cases():
+    """Seeded graphs in four shapes: no edges; unsorted random edges with
+    repeats and one destination left isolated; self-loops among random
+    edges; and a hub that takes half the edges. Odd cases spread ``h``
+    over magnitudes from 1e-150 to 1e150, where the summation order shows."""
+    stream = RngStream(43, "blocked")
+    for k in range(32):
+        s = stream.split(f"case{k}")
+        nodes, d = int(s.integers(2, 12)), int(s.integers(1, 4))
+        edges = 0 if k % 4 == 0 else int(s.integers(8, 60))
+        src = s.integers(0, nodes, size=edges).astype(np.int64)
+        dst = s.integers(0, nodes, size=edges).astype(np.int64)
+        if k % 4 == 1:
+            isolated = int(s.integers(0, nodes))
+            dst[dst == isolated] = (isolated + 1) % nodes
+        elif k % 4 == 2:
+            dst[::3] = src[::3]
+        elif k % 4 == 3:
+            dst[::2] = int(s.integers(0, nodes))
+        h = s.uniform((nodes, d)) - 0.5
+        if k % 2:
+            h *= 10.0 ** s.integers(-150, 151, size=(nodes, d))
+        w = s.uniform(edges) - 0.5
+        w[s.uniform(edges) < 0.2] = 0.0
+        yield h, src, dst, w
+
+
+def test_blocked_propagate_matches_the_one_block_sum_bit_for_bit(monkeypatch):
+    """With the limit lowered to 8 values, ``propagate`` sums consecutive
+    destination ranges, each at most 8 values of in-edges unless one
+    destination alone has more; its value, and its gradients against the
+    unfused tape, keep the bits of the one-block sum."""
+    cases = list(_blocked_propagate_cases())
+    one_block = [propagate(Tensor(h), src, dst, Tensor(w)).data
+                 for h, src, dst, w in cases]
+    monkeypatch.setattr(tensor, "PROPAGATE_BLOCK_VALUES", 8)
+    seen = set()
+    for (h, src, dst, w), want in zip(cases, one_block):
+        rows, d = h.shape
+        counts = np.bincount(dst, minlength=rows)
+        blocks = list(tensor._propagate_blocks(dst, rows, 8 // d))
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == rows
+        for lo, hi in blocks:
+            assert counts[lo:hi].sum() * d <= 8 or hi == lo + 1
+        got = propagate(Tensor(h), src, dst, Tensor(w)).data
+        assert got.tobytes() == want.tobytes()
+        seen.update({"empty": not len(src),
+                     "blocks": len(blocks) > 1,
+                     "hub": (counts * d > 8).any(),
+                     "isolated": len(src) and (counts == 0).any(),
+                     "self-loop": (src == dst).any(),
+                     "repeat": len(np.unique(src * rows + dst)) < len(src),
+                     "unsorted": (np.diff(dst) < 0).any()}.items())
+        upstream = RngStream(47, "blocked").uniform(h.shape) - 0.5
+        _check_fused_against_unfused(
+            propagate, (Tensor(h, requires_grad=True), src, dst,
+                        Tensor(w, requires_grad=True)), upstream)
+    assert {name for name, shown in seen if shown} == {
+        "empty", "blocks", "hub", "isolated", "self-loop", "repeat",
+        "unsorted"}
+
+
+@pytest.mark.parametrize("name,f,positive",
+                         [op for op in OPS if op[0].startswith("propagate")])
+def test_a_recorded_blocked_propagate_backprops_and_frees(
+        name, f, positive, monkeypatch):
+    """The ``OPS`` propagate cases (20 and 48 message values) with the limit
+    lowered to 8 values sum in blocks, and their gradients, tape freeing,
+    recording and result freeing are what the one-block tests check."""
+    blocks = []
+    split = tensor._propagate_blocks
+
+    def counted(*args):
+        ranges = list(split(*args))
+        blocks.append(len(ranges))
+        return ranges
+
+    monkeypatch.setattr(tensor, "PROPAGATE_BLOCK_VALUES", 8)
+    monkeypatch.setattr(tensor, "_propagate_blocks", counted)
+    test_op_gradients_match_finite_differences(name, f, positive)
+    test_tape_freed_by_refcount_after_backward(name, f, positive)
+    test_only_a_result_that_needs_a_gradient_is_recorded(name, f, positive)
+    test_a_result_array_lives_only_while_a_backward_reads_it(name)
+    assert blocks and min(blocks) > 1
+
+
 def test_fused_ops_of_real_training_steps_match_the_unfused_tape(
         mutag_dir, monkeypatch):
     """Every ``linear`` and ``propagate`` call of a MUTAG GRU step and a

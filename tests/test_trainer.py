@@ -590,6 +590,28 @@ def test_graph_step_peak_bytes_bounded(mutag_dir):
         tracemalloc.stop()
 
 
+def test_node_embed_peak_bytes_bounded():
+    """``propagate`` sums a large graph in destination-range blocks and a
+    GCN layer frees its propagated and self-loop terms once they are
+    summed: embedding every node of a 2,708-node, 10,500-edge planted
+    partition with a 2-layer GCN of width 32 peaks at most 5.3 MiB above
+    what was live before (3.43 MiB; 7.24 MiB when each propagate built all
+    336,000 message values and their keys at once)."""
+    dataset = planted_partition(0, num_nodes=2708, num_undirected_edges=5250)
+    config = TrainConfig(task="node", policy_kind="random", hidden_dim=32,
+                         num_layers=2, seed=5)
+    state = init_state(config, dataset.feature_dim)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = embed_dataset(dataset, state, config)
+        peak = (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert table.vectors.shape == (2708, 32)
+    assert peak <= 5.3, f"{peak:.2f} MiB"
+
+
 def test_idle_group_gets_no_gradient_and_the_decision_is_off_the_tape():
     ds = synthetic_dataset()
     config = small_config(policy_kind="gru")
