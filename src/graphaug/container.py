@@ -87,6 +87,9 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{path} has a malformed tensor descriptor "
                                   f"{desc!r}: {exc!r}") from None
+        if type(name) is not str or name in tensors:
+            raise CheckpointError(f"{path} has a malformed tensor name "
+                                  f"{name!r}: names are distinct strings")
         if not all(isinstance(n, int) and n >= 0 for n in shape):
             raise CheckpointError(f"{path} has a malformed shape "
                                   f"{list(shape)} for {name!r}")

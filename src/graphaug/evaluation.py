@@ -25,11 +25,7 @@ from .rng import RngStream
 LAMBDA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 NEWTON_TOL = 1e-8                # bound on a fit's gap to its optimum, nats
 NEWTON_MAX_STEPS = 50            # per penalty; a fit that needs more raises
-# graphs per encode. One encode of all 188 MUTAG graphs gives the same bits
-# but ran slower: 5.6-5.9 ms against 4.6-5.2 ms (best of 30, one BLAS
-# thread, 2-core x86_64)
-EMBED_CHUNK = 64
-STACK_LIMIT = 1 << 15            # logits per stacked fit (256 KiB of float64)
+STACK_LIMIT = 1 << 15            # logits per stacked fit; bounds its memory
 STACK_COLUMNS = ("phase", "splits", "rows", "penalties", "iterations",
                  "seconds")
 
@@ -77,15 +73,16 @@ def _report(accs: list, l2s: list, stacks: list, seed: int,
 def embed_dataset(dataset, state, config) -> EmbeddingTable:
     """Frozen base-encoder embeddings (dropout off).
 
-    Graph task: one graph vector per graph, ``EMBED_CHUNK`` graphs per
-    encode. Node task: the node rows of one encode of the whole first graph,
-    as DGI and MVGRL embed for their transductive probes.
+    Graph task: one graph vector per graph, ``config.batch_size`` graphs
+    per encode, as a training step (on MUTAG within one propagate block).
+    Node task: the node rows of one encode of the whole first graph, as
+    DGI and MVGRL embed for their transductive probes.
     """
     theta = state.theta.detached()             # nothing walks an embed's tape
     if config.task == "graph":
         vecs = []
-        for start in range(0, len(dataset.graphs), EMBED_CHUNK):
-            part = dataset.graphs[start:start + EMBED_CHUNK]
+        for start in range(0, len(dataset.graphs), config.batch_size):
+            part = dataset.graphs[start:start + config.batch_size]
             enc = encode(batch_graphs(part), theta)
             vecs.append(enc.graph_vector.data)
         vectors = np.concatenate(vecs, axis=0)
@@ -183,8 +180,9 @@ def _fit_logreg_stack(x: np.ndarray, y: np.ndarray, num_classes: int,
 def _fit_groups(x, y, num_classes, problems, phase, stacks) -> list:
     """Test accuracies (K,) of each ``(train_rows, test_rows, l2s)`` fit.
     Fits with the same number of training rows are stacked, at most
-    STACK_LIMIT logits a stack (larger ones ran slower from cache misses);
-    each split is standardized on its own. Appends a STACK_COLUMNS row per
+    STACK_LIMIT logits a stack, which bounds the memory of the (stack,
+    class pairs, d + 1, n) product in ``_cross_entropy``, not time; each
+    split is standardized on its own. Appends a STACK_COLUMNS row per
     stack to ``stacks``."""
     groups = {}
     for i, (train, _, l2s) in enumerate(problems):

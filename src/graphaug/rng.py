@@ -80,14 +80,38 @@ class RngStream:
 
     @classmethod
     def from_state(cls, d: dict) -> "RngStream":
-        stream = cls(name=d["name"], _key=bytes.fromhex(d["key"]))
+        """Rebuild a ``get_state`` dict; a field of the wrong type or out of
+        its range raises ``ValueError`` naming the field."""
+        def whole(field, value, end):
+            if type(value) is not int or not 0 <= value < end:
+                raise ValueError(f"stream {field}: {value!r} is not an int "
+                                 f"in [0, {end})")
+            return value
+
+        def words(field):
+            if type(d[field]) is not list or len(d[field]) != 4:
+                raise ValueError(f"stream {field} must be a list of 4 ints; "
+                                 f"got {d[field]!r}")
+            return np.array([whole(field, x, 1 << 64) for x in d[field]],
+                            dtype=np.uint64)
+
+        if type(d["name"]) is not str:
+            raise ValueError(f"stream name must be a string; got {d['name']!r}")
+        try:
+            key = bytes.fromhex(d["key"])
+        except (TypeError, ValueError):
+            key = b""
+        if len(key) != 16:
+            raise ValueError(f"stream key must be 16 bytes of hex; "
+                             f"got {d['key']!r}")
+        stream = cls(name=d["name"], _key=key)
         bitgen = stream._generator().bit_generator
         s = bitgen.state
-        s["state"]["counter"] = np.array(d["counter"], dtype=np.uint64)
-        s["buffer"] = np.array(d["buffer"], dtype=np.uint64)
-        s["buffer_pos"] = d["buffer_pos"]
-        s["has_uint32"] = d["has_uint32"]
-        s["uinteger"] = d["uinteger"]
+        s["state"]["counter"] = words("counter")
+        s["buffer"] = words("buffer")
+        s["buffer_pos"] = whole("buffer_pos", d["buffer_pos"], 5)
+        s["has_uint32"] = whole("has_uint32", d["has_uint32"], 2)
+        s["uinteger"] = whole("uinteger", d["uinteger"], 1 << 32)
         bitgen.state = s
         return stream
 

@@ -172,17 +172,12 @@ class Tensor:
         return Tensor._result(a.data + b.data, (a, b),
                               lambda o: (o.grad, o.grad))
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Tensor":
         a = self
         return Tensor._result(-a.data, (a,), lambda o: (-o.grad,))
 
     def __sub__(self, other) -> "Tensor":
         return self + (-Tensor._lift(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor._lift(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
         a, b = self, Tensor._lift(other)
@@ -194,8 +189,6 @@ class Tensor:
             lambda o: (None if bd is None else o.grad * bd,
                        None if ad is None else o.grad * ad))
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other) -> "Tensor":
         a, b = self, Tensor._lift(other)
         need_a, bd = a.requires_grad, b.data
@@ -204,9 +197,6 @@ class Tensor:
             a.data / bd, (a, b),
             lambda o: (o.grad / bd if need_a else None,
                        None if ad is None else -o.grad * ad / (bd * bd)))
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor._lift(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from graphaug import evaluation, optim
+from graphaug import evaluation, optim, tensor
 from graphaug.encoders import encode
 from graphaug.errors import DatasetError, TrainingDivergedError
 from graphaug.evaluation import (
@@ -17,6 +17,7 @@ from graphaug.trainer import TrainConfig, init_state
 from graphaug.tudataset import Dataset, parse_tudataset
 
 from planted_partition import planted_partition
+from test_tensor import _load_node_synth
 
 
 def separable_table(n=60, d=4, seed=0, spread=0.05):
@@ -189,21 +190,53 @@ def test_node_embed_is_the_center_row_of_ego_nets_that_hold_every_degree():
 @pytest.mark.parametrize("task, calls", [("node", 1), ("graph", 3)])
 def test_embed_encodes_once_per_chunk(task, calls, monkeypatch):
     """The node task is one encode of the whole graph; the graph task is
-    ceil(G / EMBED_CHUNK) encodes (7 graphs in chunks of 3 here)."""
+    ceil(G / batch_size) encodes (7 graphs in batches of 3 here)."""
     ds = graph_dataset(num=7) if task == "graph" else path_node_dataset()
     config = TrainConfig(hidden_dim=6, num_layers=2, task=task, seed=2,
-                         epochs=0)
+                         epochs=0, batch_size=3)
     seen = []
 
     def spy(batch, params):
         seen.append(batch.num_graphs)
         return encode(batch, params)
 
-    monkeypatch.setattr(evaluation, "EMBED_CHUNK", 3)
     monkeypatch.setattr(evaluation, "encode", spy)
     embed_dataset(ds, init_state(config, ds.feature_dim), config)
     assert len(seen) == calls
     assert sum(seen) == len(ds.graphs)
+
+
+@pytest.mark.parametrize("overrides, blocked", [({}, False),
+                                               ({"batch_size": 64}, True)],
+                         ids=["default", "batch-64"])
+def test_mutag_embed_stays_in_one_propagate_block(mutag_dir, monkeypatch,
+                                                  overrides, blocked):
+    """At the default config every MUTAG embed batch fits in
+    ``PROPAGATE_BLOCK_VALUES``; 64-graph batches do not."""
+    calls = []
+    blocks = tensor._propagate_blocks
+
+    def spy(*args):
+        calls.append(args)
+        return blocks(*args)
+
+    monkeypatch.setattr(tensor, "_propagate_blocks", spy)
+    ds = parse_tudataset(mutag_dir)
+    config = TrainConfig(**overrides)
+    embed_dataset(ds, init_state(config, ds.feature_dim), config)
+    assert bool(calls) == blocked
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_planted_partition_at_cora_size_is_the_node_synth_graph(seed):
+    """One generator: at 2,708 nodes and 5,250 undirected edges the test
+    graph is ``perfbench/synth.py``'s graph of the same seed."""
+    want = _load_node_synth(seed)
+    ds = planted_partition(seed, 2708, 5250)
+    g = ds.graphs[0]
+    assert np.array_equal(g.edges, want.edges)
+    assert g.features.data.tobytes() == want.features.tobytes()
+    assert np.array_equal(ds.node_labels[0], want.labels)
 
 
 @pytest.mark.parametrize("task", ["graph", "node"])

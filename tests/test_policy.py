@@ -66,7 +66,7 @@ def unrolled_gru_policy(batch_reps, params):
         nn = _tanh(gx.slice_axis(1, 2 * d, 3 * d)
                    + r * gh.slice_axis(1, 2 * d, 3 * d)
                    + b.slice_axis(0, 2 * d, 3 * d))
-        h = (1.0 - z) * nn + z * h
+        h = (Tensor(1.0) - z) * nn + z * h
     logits = h @ params["out/w"] + params["out/b"]
     return logits.reshape(logits.shape[1]).softmax()
 

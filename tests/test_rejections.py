@@ -1,14 +1,19 @@
 """Inputs that are rejected, grouped by where they come from. A CLI case
 exits with its documented code (2 for a config error, 1 otherwise) and one
 stderr line that names the fault; a library case raises its exception."""
+import json
+import math
+import shutil
+
 import numpy as np
 import pytest
 
 from graphaug import cli, container
-from graphaug.errors import DatasetError, InvalidShapeError
+from graphaug.errors import CheckpointError, DatasetError, InvalidShapeError
 from graphaug.evaluation import EmbeddingTable, linear_probe_graph, \
     linear_probe_node
 from graphaug.graphs import Graph
+from graphaug.trainer import load_checkpoint
 from graphaug.tudataset import parse_tudataset
 
 from test_cli import one_error_line, run_cli, trained_checkpoint, \
@@ -109,6 +114,76 @@ def test_checkpoint_rejections(tmp_path, capsys, command, edit, message):
                              *(["--head", "identity"]
                                if command == "inspect" else [])],
                     1, message)
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def pristine_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pristine")
+    d = write_synthetic_tudataset(root)
+    return d, trained_checkpoint(d, root)
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to a container's JSON header in place; the bytes it
+    returns, if any, are appended to the payloads."""
+    raw = path.read_bytes()
+    size = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + size])
+    extra = edit(header) or b""
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
+                     + raw[16 + size:] + extra)
+
+
+def coin_field(field, value):
+    def edit(header):
+        coin = header["meta"]["streams"]["coin"]
+        coin[field] = value(coin[field]) if callable(value) else value
+    return edit
+
+
+def extra_tensor(rename):
+    """Append a zero-filled copy of the last tensor, named ``rename(name)``."""
+    def edit(header):
+        last = header["tensors"][-1]
+        header["tensors"].append(dict(last, name=rename(last["name"])))
+        return bytes(8 * math.prod(last["shape"]))
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (coin_field("counter", [-1, 0, 0, 0]), "stream counter: -1 is not an int"),
+    (coin_field("uinteger", -1), "stream uinteger: -1 is not an int"),
+    (coin_field("counter", [0, 0]), "stream counter must be a list of 4"),
+    (coin_field("buffer_pos", -5), "stream buffer_pos: -5 is not an int"),
+    (coin_field("buffer_pos", 9), "stream buffer_pos: 9 is not an int"),
+    (coin_field("has_uint32", 7), "stream has_uint32: 7 is not an int"),
+    (coin_field("buffer", lambda b: [float(x) for x in b]), "stream buffer: "),
+    (coin_field("key", "ab"), "stream key must be 16 bytes of hex"),
+    (extra_tensor(lambda name: [name]), "malformed tensor name ['"),
+    (extra_tensor(lambda name: 7), "malformed tensor name 7"),
+    (extra_tensor(lambda name: name), "malformed tensor name 'adam/"),
+], ids=["counter-negative", "uinteger-negative", "counter-short",
+        "buffer-pos-negative", "buffer-pos-large", "has-uint32",
+        "buffer-float", "key-one-byte", "name-list", "name-int",
+        "name-repeated"])
+def test_malformed_checkpoint_rejected(pristine_checkpoint, tmp_path, capsys,
+                                       edit, message):
+    """Neither a traceback nor a silent load: ``load_checkpoint`` raises
+    ``CheckpointError`` and ``embed`` exits 1 with one ``error:`` line."""
+    d, pristine = pristine_checkpoint
+    ck = tmp_path / "checkpoint.bin"
+    shutil.copyfile(pristine, ck)
+    rewrite_header(ck, edit)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(ck)
+    assert message in str(info.value), info.value
+    out = tmp_path / "never"
+    assert run_cli("embed", "--checkpoint", str(ck), "--dataset", str(d),
+                   "--out", str(out)) == 1
+    err = one_error_line(capsys)
+    assert message in err and "Traceback" not in err, err
     assert not out.exists()
 
 

@@ -572,7 +572,7 @@ def test_scatter_rows_matches_add_at_bit_for_bit():
         assert got.tobytes() == want.tobytes(), (idx, values)
 
 
-def _load_node_synth():
+def _load_node_synth(seed=5):
     """The node-synth workload's seeded Cora-shaped graph."""
     import importlib.util
     from pathlib import Path
@@ -580,7 +580,7 @@ def _load_node_synth():
     spec = importlib.util.spec_from_file_location("perfbench_synth", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.generate(5)
+    return module.generate(seed)
 
 
 def test_scatters_of_real_training_steps_match_add_at(mutag_dir, monkeypatch):
