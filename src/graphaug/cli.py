@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import fields
 from functools import partial
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .evaluation import STACK_COLUMNS, embed_dataset, linear_probe_graph, \
 from .heads import apply_augmentation
 from .policy import AugmentationKind, active_kinds, decide
 from .rng import RngStream
-from .graphs import batch_graphs
+from .graphs import batch_graphs, make_node_task_batch
 from .trainer import TrainConfig, load_checkpoint, save_checkpoint, \
     train
 from .tudataset import dataset_stats, parse_tudataset
@@ -50,11 +51,21 @@ SECTIONS = {
     "output": ("out_dir",),
 }
 _INI_KEY = {"policy_kind": "policy"}     # the one field with another key
-# probe options (flag dests) by the checkpoint's task, with their defaults
-PROBE_OPTIONS = {"graph": {"folds": 10, "runs": 5},
-                 "node": {"runs_node": 20, "train_frac": 0.1}}
 # INI key (also the flag's dest) -> TrainConfig field
 _FIELDS = {_INI_KEY.get(f.name, f.name): f for f in fields(TrainConfig)}
+# probe options by the checkpoint's task: flag dest -> the parameter of the
+# task's probe that it sets, whose default and type are the flag's
+PROBE_OPTIONS = {"graph": (linear_probe_graph, {"folds": "folds",
+                                                "runs": "runs"}),
+                 "node": (linear_probe_node, {"runs_node": "runs",
+                                              "train_frac": "train_frac"})}
+
+
+def _probe_defaults(task: str) -> dict:
+    """Flag dest -> default of ``task``'s probe options."""
+    probe, params = PROBE_OPTIONS[task]
+    defaults = signature(probe).parameters
+    return {dest: defaults[name].default for dest, name in params.items()}
 
 
 def _parse_config_file(path) -> dict:
@@ -213,7 +224,7 @@ def cmd_probe(args) -> int:
     resolved = resolve_config(args)
     state, config, dataset = _load_model(args, resolved)
     other = next(task for task in PROBE_OPTIONS if task != config.task)
-    stray = [f"--{dest.replace('_', '-')}" for dest in PROBE_OPTIONS[other]
+    stray = [f"--{dest.replace('_', '-')}" for dest in _probe_defaults(other)
              if getattr(args, dest) is not None]
     if stray:                     # before paying for the embed
         raise ConfigError(f"{' and '.join(stray)}: {other}-task options, "
@@ -221,7 +232,7 @@ def cmd_probe(args) -> int:
                           "model")
     opts = {dest: default if getattr(args, dest) is None
             else getattr(args, dest)
-            for dest, default in PROBE_OPTIONS[config.task].items()}
+            for dest, default in _probe_defaults(config.task).items()}
     out = _out_dir(resolved, f"{dataset.name.lower()}-probe")
     counts = ({"folds": (opts["folds"], 2), "runs": (opts["runs"], 1)}
               if config.task == "graph" else
@@ -294,8 +305,14 @@ def cmd_inspect(args) -> int:
     if kind not in kinds:
         raise ConfigError(f"head {args.head!r} is not active for task "
                           f"{config.task!r}")
-    n = min(args.num_graphs, len(dataset.graphs))
-    batch = batch_graphs(dataset.graphs[:n])
+    if config.task == "node":     # ego-nets of graph 0, as training cuts
+        n = args.num_graphs
+        batch = make_node_task_batch(
+            dataset.graphs[0], n, config.hops,
+            RngStream(resolved["seed"], "inspect-batch"))
+    else:
+        n = min(args.num_graphs, len(dataset.graphs))
+        batch = batch_graphs(dataset.graphs[:n])
     try:
         # detached parameters: nothing walks the tape of a dump
         with np.errstate(over="ignore", invalid="ignore"):
@@ -373,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = sub.add_parser("probe", help="linear-probe a checkpoint")
     _add_config_flags(p_probe, ("dataset", "out_dir"))
     p_probe.add_argument("--checkpoint", required=True)
-    for task, options in PROBE_OPTIONS.items():
-        for dest, default in options.items():
+    for task in PROBE_OPTIONS:
+        for dest, default in _probe_defaults(task).items():
             p_probe.add_argument("--" + dest.replace("_", "-"), dest=dest,
                                  type=type(default), help=f"{task}-task "
                                  f"checkpoints only, default {default}")

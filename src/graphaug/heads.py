@@ -168,15 +168,10 @@ def subgraph_head(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
 
 
 def feature_masking_head(batch: GraphBatch, h_v: Tensor, params: ParameterSet,
-                         temperature: float, stream: RngStream,
-                         mask_mode: str = "hard") -> HeadOutput:
+                         temperature: float, stream: RngStream) -> HeadOutput:
     """Project features with a linear layer and apply a sampled binary mask
-    per node and dimension; topology unchanged, unit edge weights.
-
-    ``mask_mode="soft"`` multiplies by the relaxed mask instead of the
-    straight-through one, the fully differentiable path used by gradient
-    oracles.
-    """
+    per node and dimension; topology unchanged, unit edge weights. The
+    relaxed sample behind the mask comes back as ``mask_soft``."""
     projected = mlp(batch.features, *params.under("feature_mask/lin"))
     mask_logits = mlp(h_v, *params.under("feature_mask/mlp"))
     soft = relaxed_bernoulli(mask_logits, temperature,
@@ -184,8 +179,7 @@ def feature_masking_head(batch: GraphBatch, h_v: Tensor, params: ParameterSet,
     # straight-through: the forward value is the hard draw (plus an exact
     # 0), the gradient the relaxed one
     hard = (soft.data > 0.5).astype(float)
-    mask = (soft if mask_mode == "soft"
-            else Tensor(hard) + (soft - soft.detach()))
+    mask = Tensor(hard) + (soft - soft.detach())
     view = replace(batch, features=projected * mask,
                    edge_weights=np.ones(batch.num_edges))
     return HeadOutput(view, {"mask_soft": soft})

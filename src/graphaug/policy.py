@@ -9,7 +9,6 @@ vectors so the policy receives gradients despite the discrete choice.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -128,14 +127,3 @@ def decide(batch_reps: Tensor, stream: RngStream, params: ParameterSet,
     p_j = dist.gather_rows([idx_j]).reshape(())
     return PolicyDecision(dist=dist, i=kinds[idx_i], j=kinds[idx_j],
                           p_i=p_i, p_j=p_j)
-
-
-def scale_by_policy(graph_vectors: Tensor, p: Tensor) -> Tensor:
-    """Multiply graph vectors by a sampled-augmentation probability.
-
-    This is the skip-connection that routes loss gradients into the policy.
-    """
-    if float(np.min(np.abs(p.data))) == 0.0:
-        warnings.warn("scaling by p=0 zeroes the representation",
-                      RuntimeWarning, stacklevel=2)
-    return graph_vectors * p

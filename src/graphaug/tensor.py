@@ -231,9 +231,8 @@ class Tensor:
         return Tensor._result(self.data.sum(axis=axis, keepdims=keepdims),
                               (self,), backprop)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self) -> "Tensor":
+        return self.sum() * (1.0 / self.data.size)
 
     # -- elementwise nonlinearities ----------------------------------------------
 
@@ -310,10 +309,10 @@ class Tensor:
 
     # -- composites ----------------------------------------------------------------
 
-    def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self - Tensor(self.data.max(axis=axis, keepdims=True))
+    def softmax(self) -> "Tensor":
+        shifted = self - Tensor(self.data.max(axis=-1, keepdims=True))
         e = shifted.exp()
-        return e / e.sum(axis=axis, keepdims=True)
+        return e / e.sum(axis=-1, keepdims=True)
 
     def logsumexp(self, axis: int = -1) -> "Tensor":
         m = self.data.max(axis=axis, keepdims=True)

@@ -24,7 +24,7 @@ from .objective import DISCRIMINATORS, ESTIMATORS, batch_loss, \
     init_discriminator_params
 from .optim import AdamState, adam_step, clip_by_global_norm
 from .policy import POLICY_KINDS, AugmentationKind, PolicyDecision, \
-    active_kinds, decide, init_policy_params, scale_by_policy
+    active_kinds, decide, init_policy_params
 from .rng import RngStream
 from .tensor import ParameterSet, Tensor
 from . import container
@@ -195,10 +195,11 @@ def step_loss(batch: GraphBatch, state: TrainState, config: TrainConfig,
                    config.dropout)
     enc_j = encode(batch_j, state.theta, step_stream.split("dropout/j"),
                    config.dropout)
-    scaled_i = scale_by_policy(enc_i.graph_vector, decision.p_i)
-    scaled_j = scale_by_policy(enc_j.graph_vector, decision.p_j)
-    loss = batch_loss(Encodings(enc_i.node_matrix, scaled_i),
-                      Encodings(enc_j.node_matrix, scaled_j),
+    # the skip connection: p routes the loss's gradient into the policy
+    loss = batch_loss(Encodings(enc_i.node_matrix,
+                                enc_i.graph_vector * decision.p_i),
+                      Encodings(enc_j.node_matrix,
+                                enc_j.graph_vector * decision.p_j),
                       batch_i.node_to_graph, batch_j.node_to_graph,
                       config, state.theta)
     return loss, decision, outs

@@ -16,7 +16,7 @@ from graphaug.encoders import Encodings, gin_layer
 from graphaug.evaluation import embed_dataset, linear_probe_graph, \
     linear_probe_node
 from graphaug.graphs import Graph, batch_graphs
-from graphaug.heads import apply_augmentation, feature_masking_head
+from graphaug.heads import apply_augmentation
 from graphaug.objective import batch_loss, estimate_mi, \
     init_discriminator_params, pairwise_scores
 from graphaug.policy import AugmentationKind, active_kinds, \
@@ -111,29 +111,33 @@ def test_criterion_1_gradient_oracle():
 
     _grad_check_params(gin_loss, mlp)
 
-    # (b) each head's soft path
+    # (b) each head's soft path: the edge weights of the three structural
+    # heads; the feature mask's view for its projection, which the hard
+    # mask does not move with, and its relaxed sample for its mask MLP
     head_params = head_set(d_h, d_x, 5)
     h_v = Tensor(RngStream(6, "b").uniform((g.num_nodes, d_h)) - 0.5)
     h_g = Tensor(RngStream(7, "b").uniform(d_h) - 0.5)
 
-    def head_loss(kind):
+    def head_loss(kind, read=lambda out: out.graph.edge_weights):
         def fn():
-            stream = RngStream(17, f"b-{kind.value}")
-            if kind == AugmentationKind.FEATURE_MASK:
-                out = one_graph(feature_masking_head, g, h_v,
-                                head_params, 1.0, stream,
-                                mask_mode="soft")
-                return (out.graph.features * out.graph.features).sum()
             out = one_graph(apply_augmentation, kind, g, h_v, h_g,
-                            head_params, 0.7, 2, 1.0, stream)
-            w = out.graph.edge_weights
+                            head_params, 0.7, 2, 1.0,
+                            RngStream(17, f"b-{kind.value}"))
+            w = read(out)
             return (w * w).sum()
         return fn
 
     for kind in (AugmentationKind.NODE_DROP, AugmentationKind.EDGE_PERTURB,
-                 AugmentationKind.SUBGRAPH, AugmentationKind.FEATURE_MASK):
+                 AugmentationKind.SUBGRAPH):
         _grad_check_params(head_loss(kind), head_params,
                            head_names(head_params, kind))
+    mask = AugmentationKind.FEATURE_MASK
+    lin = ["feature_mask/lin/w", "feature_mask/lin/b"]
+    _grad_check_params(head_loss(mask, lambda out: out.graph.features),
+                       head_params, lin)
+    _grad_check_params(
+        head_loss(mask, lambda out: out.soft_params["mask_soft"]),
+        head_params, sorted(set(head_names(head_params, mask)) - set(lin)))
 
     # (c) each discriminator
     nodes0 = RngStream(8, "c").uniform((4, d_h)) - 0.5

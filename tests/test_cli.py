@@ -1,6 +1,8 @@
 import argparse
 import csv
+import itertools
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from graphaug import cli, container, evaluation
 from graphaug.cli import main
 from graphaug.errors import TrainingDivergedError
+from graphaug.graphs import make_node_task_batch
 from graphaug.rng import RngStream
 from graphaug.trainer import TrainConfig, load_checkpoint
 from graphaug.tudataset import parse_tudataset
@@ -235,16 +238,23 @@ def test_every_field_has_one_ini_key_and_one_flag(tmp_path):
                     assert getattr(config, other) == expect, (argv, other)
 
 
-def test_each_command_takes_only_the_options_it_reads():
+def command_options() -> dict:
+    """Command -> the options ``build_parser`` gives it, without --help."""
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    options = {name: {s for a in p._actions for s in a.option_strings}
-               - {"-h", "--help"} for name, p in sub.choices.items()}
-    field_flags = {"--" + cli._INI_KEY.get(f.name, f.name).replace("_", "-")
-                   for f in fields(TrainConfig)}
+    return {name: {s for a in p._actions for s in a.option_strings}
+            - {"-h", "--help"} for name, p in sub.choices.items()}
+
+
+FIELD_FLAGS = {"--" + cli._INI_KEY.get(f.name, f.name).replace("_", "-")
+               for f in fields(TrainConfig)}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    options = command_options()
     read = {"--config", "--dataset", "--out"}
     assert options == {
-        "train": read | field_flags | {"--print-config"},
+        "train": read | FIELD_FLAGS | {"--print-config"},
         "probe": read | {"--checkpoint", "--folds", "--runs", "--runs-node",
                          "--train-frac", "--probe-seed"},
         "embed": read | {"--checkpoint"},
@@ -252,6 +262,28 @@ def test_each_command_takes_only_the_options_it_reads():
         "stats": {"--config", "--dataset", "--task", "--out-json"},
     }
     assert sum(map(len, options.values())) == 48
+
+
+def readme_cli_table() -> dict:
+    """Command -> the options its row of the README's command/options table
+    names; the train row's "one flag per `TrainConfig` field" stands for
+    those fields' flags."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md") \
+        .read_text().splitlines()
+    start = lines.index("| command | options |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda row: row.startswith("|"),
+                                    lines[start:]):
+        _, command, options, _ = line.split("|")
+        flags = set(re.findall(r"`(--[a-z-]+)`", options))
+        if "one flag per `TrainConfig` field" in options:
+            flags |= FIELD_FLAGS
+        table[command.strip().strip("`")] = flags
+    return table
+
+
+def test_readme_cli_table_lists_each_commands_options():
+    assert readme_cli_table() == command_options()
 
 
 @pytest.mark.parametrize("argv", [
@@ -781,6 +813,33 @@ def test_inspect_dumps_each_views_features(dataset_dir, tmp_path):
             dropped.append(zero)
     dropped = np.concatenate(dropped)
     assert dropped.any() and not dropped.all()
+
+
+def test_node_task_inspect_dumps_the_ego_nets_training_reads(dataset_dir,
+                                                              tmp_path):
+    """On a node-task checkpoint, inspect cuts ``--num-graphs`` ego-nets of
+    ``hops`` hops from graph 0, as training cuts its batches, with centers
+    from the ``inspect-batch`` stream of ``--seed``; it does not dump whole
+    graphs 1, 2, ..., which the node task never reads."""
+    run = tmp_path / "node-run"
+    assert run_cli("train", "--dataset", str(dataset_dir), "--task", "node",
+                   "--out", str(run), "--epochs", "1", "--hidden-dim", "8",
+                   "--num-layers", "1", "--hops", "1",
+                   "--node-batch-subgraphs", "2", "--seed", "3") == 0
+    out = tmp_path / "ins-node"
+    assert run_cli("inspect", "--checkpoint", str(run / "checkpoint.bin"),
+                   "--dataset", str(dataset_dir), "--out", str(out),
+                   "--head", "identity", "--num-graphs", "3",
+                   "--seed", "4") == 0
+    g = parse_tudataset(dataset_dir, "node").graphs[0]
+    want = make_node_task_batch(g, 3, 1, RngStream(4, "inspect-batch"))
+    for k in range(3):
+        view = want.graph(k)
+        edges = np.loadtxt(out / f"graph{k}.edges", ndmin=2)
+        assert np.array_equal(edges[:, :2], view.edges)
+        assert np.array_equal(np.loadtxt(out / f"graph{k}.features", ndmin=2),
+                              view.features.data)
+    assert not (out / "graph3.edges").exists()
 
 
 def test_inspect_subgraph_connected(dataset_dir, tmp_path):

@@ -104,6 +104,119 @@ def test_guard_flags_a_function_only_a_docstring_names(tmp_path):
                                             "orphan": "mod.py"}
 
 
+# Defaulted parameters of functions in src/ that no call in src/ or
+# perfbench/ passes, as "file:qualified.name.parameter", each with the reason
+# it stays. A parameter only tests set is a setting the program never turns.
+UNSET_BY_DESIGN = {
+    "cli.py:main.argv": "the tests run the CLI in process with their own "
+                        "arguments; the console script reads sys.argv",
+    "trainer.py:train.state": "resumes a run from a loaded state; "
+                              "perfbench's mutag-train passes it through "
+                              "Ledger.call, which the guard cannot follow",
+}
+
+
+def defaulted_parameters(paths, skip=()) -> dict:
+    """"file:qualified.name.parameter" -> (callee, index, name) for every
+    parameter with a default of a def (at any depth) not named in ``skip``.
+    A call of ``callee`` by name sets it: a class call for its
+    ``__init__``. ``index`` is its place among a call's positional
+    arguments (a method's first parameter, its receiver, is none of them),
+    None for a keyword-only one."""
+    found = {}
+
+    def visit(node, scope, name, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + (child.name,), name, True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qual = scope + (child.name,)
+                visit(child, qual, name, False)
+                if child.name in skip:
+                    continue
+                callee = (scope[-1] if in_class and child.name == "__init__"
+                          else child.name)
+                a = child.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for i, p in enumerate(positional[first:], first):
+                    found[f"{name}:{'.'.join(qual)}.{p.arg}"] = (
+                        callee, i - in_class, p.arg)
+                for p, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        found[f"{name}:{'.'.join(qual)}.{p.arg}"] = (
+                            callee, None, p.arg)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(), str(path)), (), path.name, False)
+    return found
+
+
+def _sets(call: ast.Call, index, name) -> bool:
+    """Whether ``call`` may pass the parameter: a positional argument at
+    its place or a ``*args`` anywhere, its keyword or a ``**kwargs``."""
+    if index is not None and (
+            index < len(call.args)
+            or any(isinstance(arg, ast.Starred) for arg in call.args)):
+        return True
+    return any(k.arg in (None, name) for k in call.keywords)
+
+
+def unset_parameters(defining, calling, skip=()) -> set:
+    """The defaulted parameters of the defs in ``defining`` that no call in
+    ``calling`` passes. Calls match by name (``f(...)`` and ``x.f(...)``
+    both call every def named f), so the check is a lower bound: numpy's
+    ``x.mean(axis=1)`` sets every ``mean``'s ``axis``."""
+    calls = {}
+    for path in calling:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id",
+                                 getattr(node.func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+    return {param for param, (callee, index, name)
+            in defaulted_parameters(defining, skip).items()
+            if not any(_sets(call, index, name)
+                       for call in calls.get(callee, ()))}
+
+
+def test_src_parameters_have_a_caller_that_sets_them():
+    src = sorted(SRC.glob("*.py"))
+    unset = unset_parameters(src, src + sorted((ROOT / "perfbench")
+                                               .glob("*.py")),
+                             skip=UNCALLED_BY_DESIGN)
+    stale = sorted(set(UNSET_BY_DESIGN) - unset)
+    assert not stale, f"exception no longer needed: {stale}"
+    extra = sorted(unset - set(UNSET_BY_DESIGN))
+    assert not extra, f"defaulted parameters no caller sets: {extra}"
+
+
+def test_guard_flags_a_parameter_only_a_test_sets(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return a + b + c + d + e\n\n"
+        "def g(x, /, y=0):\n    return x + y\n\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, unit='m'):\n"
+        "        self.size = size\n\n"
+        "    def scaled(self, by=2.0, tag=None):\n"
+        "        return self.size * by\n\n"
+        "    def spread(self, *args, **kw):\n"
+        "        return (f(*args), g(1), Box(3).scaled(2.0))\n\n"
+        "def h(n=0, m=0):\n"
+        "    return f(0, 1, e=5, **{'d': n}), Box(unit='s'), h(m=1)\n")
+    test = tmp_path / "test_mod.py"
+    test.write_text("from mod import Box, g, h\n\n"
+                    "def test_box():\n"
+                    "    assert g(1, y=2) == 3 and Box().scaled(tag='t')\n"
+                    "    assert h(n=1)\n")
+    only_tests = {"mod.py:g.y", "mod.py:Box.scaled.tag", "mod.py:h.n"}
+    assert unset_parameters([module], [module]) == only_tests
+    assert unset_parameters([module], [module, test]) == set()
+    assert unset_parameters([module], [module], skip={"h"}) == \
+        only_tests - {"mod.py:h.n"}
+
+
 # Parameters of functions in src/ that the function never reads, as
 # "file:function.parameter", each with the reason it stays. A parameter no
 # body reads is a setting that changes no result.

@@ -13,8 +13,7 @@ from graphaug.heads import (
 )
 from graphaug.objective import batch_loss
 from graphaug.optim import adam_step, clip_by_global_norm
-from graphaug.policy import AugmentationKind, active_kinds, decide, \
-    scale_by_policy
+from graphaug.policy import AugmentationKind, active_kinds, decide
 from graphaug.rng import RngStream
 from graphaug.sampling import relaxed_bernoulli
 from graphaug.tensor import Tensor, concat, finite_diff_grad
@@ -322,6 +321,9 @@ def test_feature_mask_preserves_structure():
 
 
 def test_feature_mask_soft_mode_gradient():
+    """The relaxed sample the head returns in ``mask_soft``, the path its
+    straight-through mask takes backward, differentiates as its finite
+    differences do."""
     g = make_graph(13, n=4)
     h_v, _ = encodings_for(g, 13)
     params = head_params(AugmentationKind.FEATURE_MASK)
@@ -331,8 +333,8 @@ def test_feature_mask_soft_mode_gradient():
     def loss_fn(w_flat):
         w1.data = w_flat.data.reshape(shape)
         out = one_graph(feature_masking_head, g, h_v, params, 1.0,
-                        RngStream(55, "fixed"), mask_mode="soft")
-        return (out.graph.features ** 2.0).sum()
+                        RngStream(55, "fixed"))
+        return (out.soft_params["mask_soft"] ** 2.0).sum()
 
     flat0 = w1.data.reshape(-1).copy()
     loss_fn(Tensor(flat0)).backward()
@@ -923,10 +925,8 @@ def _ref_train_step(graphs, state, config):
     enc_j = encode(batch_j, state.theta, step_stream.split("dropout/j"),
                    config.dropout)
     loss = batch_loss(
-        Encodings(enc_i.node_matrix,
-                  scale_by_policy(enc_i.graph_vector, decision.p_i)),
-        Encodings(enc_j.node_matrix,
-                  scale_by_policy(enc_j.graph_vector, decision.p_j)),
+        Encodings(enc_i.node_matrix, enc_i.graph_vector * decision.p_i),
+        Encodings(enc_j.node_matrix, enc_j.graph_vector * decision.p_j),
         batch_i.node_to_graph, batch_j.node_to_graph, config,
         state.theta)
     loss.backward()

@@ -4,7 +4,6 @@ import pytest
 from graphaug.policy import (
     AugmentationKind, GRAPH_TASK_KINDS, POLICY_KINDS, active_kinds, decide,
     deepset_policy, gru_policy, init_policy_params, policy_distribution,
-    scale_by_policy,
 )
 from graphaug.rng import RngStream
 from graphaug.tensor import Tensor, finite_diff_grad
@@ -208,15 +207,20 @@ def test_random_policy_decide_builds_at_most_five_tensors(made_tensors):
     assert dec.p_i.item() == dec.p_j.item() == 0.2
 
 
-def test_scale_by_policy_identity_and_half():
-    h = Tensor(np.array([[2.0, -4.0]]))
-    assert np.array_equal(scale_by_policy(h, Tensor(1.0)).data, h.data)
-    assert np.array_equal(scale_by_policy(h, Tensor(0.5)).data, [[1.0, -2.0]])
-
-
-def test_scale_by_zero_warns():
-    with pytest.warns(RuntimeWarning):
-        scale_by_policy(Tensor(np.ones((1, 2))), Tensor(0.0))
+def test_decide_never_draws_a_kind_whose_probability_underflows():
+    """A deep-set policy whose last bias holds -1e4 for one kind gives that
+    kind a probability of exactly 0; no draw picks it, so ``p_i`` and
+    ``p_j``, which scale the graph vectors, are never 0."""
+    kinds = GRAPH_TASK_KINDS
+    params = init_policy_params("deepset", 8, len(kinds), seed=4)
+    params["post/b1"].data[2] = -1e4
+    x = reps(5)
+    assert deepset_policy(x, params).data[2] == 0.0
+    stream = RngStream(12, "underflow")
+    for trial in range(2000):
+        dec = decide(x, stream.split(str(trial)), params, kinds)
+        assert kinds[2] not in (dec.i, dec.j)
+        assert dec.p_i.item() > 0.0 and dec.p_j.item() > 0.0
 
 
 def test_policy_gradient_via_scaling():
@@ -229,12 +233,12 @@ def test_policy_gradient_via_scaling():
         params["out/w"].data = w_flat.data.reshape(6, 5)
         dist = gru_policy(x, params)
         p = dist.gather_rows([2]).reshape(())
-        return (scale_by_policy(h_g, p) ** 2.0).sum()
+        return ((h_g * p) ** 2.0).sum()
 
     w0 = params["out/w"].data.copy()
     dist = gru_policy(x, params)
     p = dist.gather_rows([2]).reshape(())
-    loss = (scale_by_policy(h_g, p) ** 2.0).sum()
+    loss = ((h_g * p) ** 2.0).sum()
     loss.backward()
     analytic = params["out/w"].grad.copy()
     fd = finite_diff_grad(loss_fn_param, Tensor(w0.reshape(-1))).data.reshape(6, 5)
