@@ -41,8 +41,11 @@ def init_head_params(params: ParameterSet, kind: AugmentationKind,
     the identity has none."""
     name = f"{kind.value}/mlp"
     if kind in (AugmentationKind.NODE_DROP, AugmentationKind.SUBGRAPH):
-        init_mlp(params, name, [2 * hidden_dim, hidden_dim, 1], seed,
+        # no last bias: the per-graph softmax ignores a shift of every logit
+        init_mlp(params, name, [2 * hidden_dim, hidden_dim], seed,
                  label=kind.value)
+        params.add(f"{name}/w1", xavier_init(
+            (hidden_dim, 1), param_seed(seed, f"{kind.value}/w1")))
     elif kind == AugmentationKind.EDGE_PERTURB:
         init_mlp(params, name, [hidden_dim + 1, hidden_dim, 1], seed,
                  label="edge")
@@ -54,12 +57,15 @@ def init_head_params(params: ParameterSet, kind: AugmentationKind,
                  label="fm")
 
 
+_NO_BIAS = Tensor(np.zeros(1))
+
+
 def _node_distribution(batch: GraphBatch, h_v: Tensor, h_g: Tensor,
                        weights: list) -> Tensor:
     """Per-graph softmax over nodes of MLP([H_v || h_G]) with the dense
-    ``weights`` of one of the two heads that share it."""
+    ``weights`` (w0, b0, w1) of one of the two heads that share it."""
     z = concat([h_v, h_g.gather_rows(batch.node_to_graph)], axis=1)
-    logits = mlp(z, *weights)
+    logits = mlp(z, *weights, _NO_BIAS)
     return segment_softmax(logits.reshape(batch.num_nodes), batch.node_offsets)
 
 

@@ -1,11 +1,10 @@
 """Batch-conditioned categorical policy over the augmentation set.
 
-Three instantiations: a GRU over norm-sorted batch representations, a deep
-set, and a uniform (random) baseline, told apart by their parameters as
-``encode`` tells GIN from GCN: a set holding ``gru/...`` runs the GRU, any
-other non-empty set the deep set, an empty set the uniform policy. The
-sampled probabilities feed a multiplicative skip-connection on the graph
-vectors so the policy receives gradients despite the discrete choice.
+Two instantiations, a GRU over norm-sorted batch representations and a
+uniform (random) baseline, told apart by their parameters as ``encode``
+tells GIN from GCN: a non-empty set runs the GRU, an empty set the uniform
+policy. The sampled probabilities feed a multiplicative skip-connection on
+the graph vectors so the policy gets gradients despite the discrete choice.
 """
 from __future__ import annotations
 
@@ -14,14 +13,14 @@ from enum import Enum
 
 import numpy as np
 
-from .encoders import init_mlp, mlp, param_seed
+from .encoders import mlp, param_seed
 from .rng import RngStream
 from .sampling import gumbel_softmax
 from .tensor import ParameterSet, Tensor, gru_sequence, xavier_init, \
     zeros_param
 
 
-POLICY_KINDS = ("gru", "deepset", "random")
+POLICY_KINDS = ("gru", "random")
 
 
 class AugmentationKind(str, Enum):
@@ -79,9 +78,6 @@ def init_policy_params(policy_kind: str, hidden_dim: int, num_kinds: int,
         params.add("out/w", xavier_init((hidden_dim, num_kinds),
                                         param_seed(seed, "out/w")))
         params.add("out/b", zeros_param((num_kinds,)))
-    elif policy_kind == "deepset":
-        init_mlp(params, "pre", [hidden_dim] * 3, seed)
-        init_mlp(params, "post", [hidden_dim, hidden_dim, num_kinds], seed)
     elif policy_kind != "random":
         raise ValueError(f"unknown policy kind {policy_kind!r}")
     return params
@@ -99,19 +95,10 @@ def gru_policy(batch_reps: Tensor, params: ParameterSet) -> Tensor:
     return logits.reshape(logits.shape[1]).softmax()
 
 
-def deepset_policy(batch_reps: Tensor, params: ParameterSet) -> Tensor:
-    """Per-row MLP, sum pooling, post MLP, softmax."""
-    phi = mlp(batch_reps, *params.under("pre"))
-    out = mlp(phi.sum(axis=0, keepdims=True), *params.under("post"))
-    return out.reshape(out.shape[1]).softmax()
-
-
 def policy_distribution(batch_reps: Tensor, params: ParameterSet,
                         num_kinds: int) -> Tensor:
-    if params.under("gru"):
-        return gru_policy(batch_reps, params)
     if len(params):
-        return deepset_policy(batch_reps, params)
+        return gru_policy(batch_reps, params)
     return Tensor(np.full(num_kinds, 1.0 / num_kinds))
 
 

@@ -77,6 +77,11 @@ class TrainConfig:
             if value not in valid:
                 raise ValueError(f"{name} must be one of {', '.join(valid)}; "
                                  f"got {value!r}")
+        if self.discriminator == "cosine" and self.policy_kind != "random":
+            raise ValueError(f"discriminator cosine needs policy_kind random: "
+                             f"it divides the policy's p back out of the "
+                             f"graph vectors, so a learned policy gets no "
+                             f"gradient; got {self.policy_kind!r}")
         # the graphs of one batch are each other's negatives
         name = "batch_size" if self.task == "graph" else "node_batch_subgraphs"
         if getattr(self, name) < 2:

@@ -19,8 +19,8 @@ from graphaug.graphs import Graph, batch_graphs
 from graphaug.heads import apply_augmentation
 from graphaug.objective import batch_loss, estimate_mi, \
     init_discriminator_params, pairwise_scores
-from graphaug.policy import AugmentationKind, active_kinds, \
-    deepset_policy, gru_policy, init_policy_params, policy_distribution
+from graphaug.policy import AugmentationKind, active_kinds, gru_policy, \
+    init_policy_params, policy_distribution
 from graphaug.rng import RngStream
 from graphaug.sampling import gumbel_softmax, gumbel_top_k
 from graphaug.tensor import ParameterSet, Tensor
@@ -470,16 +470,11 @@ def test_criterion_7_policy_behavior():
     assert np.array_equal(gru_policy(x, gru_p).data,
                           gru_policy(x.gather_rows(perm), gru_p).data)
 
-    ds_p = init_policy_params("deepset", d_h, 5, 2)
-    assert np.allclose(deepset_policy(x, ds_p).data,
-                       deepset_policy(x.gather_rows(perm), ds_p).data,
-                       atol=1e-9)
-
     node_kinds = active_kinds("node")
     assert len(node_kinds) == 4
     assert AugmentationKind.SUBGRAPH not in node_kinds
-    report(7, "random exact-uniform; GRU exact and DeepSet 1e-9 "
-              "permutation-invariant; node task has 4 kinds")
+    report(7, "random exact-uniform; GRU exact permutation-invariant; "
+              "node task has 4 kinds")
 
 
 # ---------------------------------------------------------------------------

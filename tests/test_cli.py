@@ -186,6 +186,22 @@ def test_singleton_node_batches_rejected(dataset_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cosine_with_a_learned_policy_rejected(dataset_dir, tmp_path, capsys):
+    """cosine normalises the policy's p out of the graph vectors, so it runs
+    with the uniform policy alone."""
+    out = tmp_path / "cos"
+    code = run_cli("train", "--dataset", str(dataset_dir), "--out", str(out),
+                   "--discriminator", "cosine", *TRAIN_ARGS)
+    assert code == 2
+    err = one_error_line(capsys, "config error:")
+    assert "cosine needs policy_kind random" in err
+    assert not out.exists()
+    assert run_cli("train", "--dataset", str(dataset_dir), "--out", str(out),
+                   "--discriminator", "cosine", "--policy", "random",
+                   *TRAIN_ARGS) == 0
+    assert (out / "checkpoint.bin").exists()
+
+
 def test_one_graph_dataset_fails_cleanly(tmp_path, capsys):
     data = write_synthetic_tudataset(tmp_path, "ONE", num_graphs=1)
     out = tmp_path / "g1"
@@ -204,7 +220,7 @@ NON_DEFAULT = {
     "num_layers": 3, "policy_kind": "random", "head_temperature": 0.5,
     "keep_ratio": 0.5, "hops": 1, "dropout": 0.25,
     "seed": 11, "early_stop_patience": 7, "patience_unit": "step",
-    "alternation_prob": 0.25, "estimator": "nce", "discriminator": "cosine",
+    "alternation_prob": 0.25, "estimator": "nce", "discriminator": "bilinear",
     "nt_xent_temperature": 0.25, "task": "node", "node_batch_subgraphs": 4,
     "clip_norm": 1.5,
 }
@@ -606,6 +622,27 @@ def test_checkpoint_config_of_the_wrong_type_is_one_error_line(
     assert not out.exists()
 
 
+def test_checkpoint_with_the_dropped_head_biases_is_one_error_line(
+        dataset_dir, tmp_path, capsys):
+    """A checkpoint from before the node-drop and subgraph heads lost their
+    last bias holds ``{kind}/mlp/b1`` and its moments; probe names them on
+    one line and writes nothing."""
+    meta, tensors = container.read_container(
+        trained_checkpoint(dataset_dir, tmp_path))
+    for kind in ("node_drop", "subgraph"):
+        for prefix in ("params/heads", "adam/heads/m", "adam/heads/v"):
+            tensors[f"{prefix}/{kind}/mlp/b1"] = np.zeros(1)
+    old = tmp_path / "old.bin"
+    container.write_container(old, meta, tensors)
+    out = tmp_path / "x"
+    code = run_cli("probe", "--checkpoint", str(old), "--dataset",
+                   str(dataset_dir), "--out", str(out))
+    assert code == 1
+    err = one_error_line(capsys)
+    assert "match no parameter" in err and "node_drop/mlp/b1" in err
+    assert not out.exists()
+
+
 def test_failed_embed_leaves_no_output_dir(dataset_dir, tmp_path,
                                            monkeypatch):
     ck = trained_checkpoint(dataset_dir, tmp_path)
@@ -984,7 +1021,7 @@ def test_node_task_cli_roundtrip(tmp_path, capsys):
                    "--out", str(out), "--epochs", "1", "--hidden-dim", "8",
                    "--num-layers", "1", "--hops", "1",
                    "--node-batch-subgraphs", "4", "--seed", "3",
-                   "--policy", "deepset")
+                   "--policy", "gru")
     assert code == 0
     probe_out = tmp_path / "node-probe"
     code = run_cli("probe", "--checkpoint", str(out / "checkpoint.bin"),

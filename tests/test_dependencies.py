@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -705,3 +706,117 @@ def test_guard_sees_a_captured_tensor_or_node():
     where = "test_guard_sees_a_captured_tensor_or_node.<locals>.<lambda>"
     assert [captured_tape_objects(t) for t in kept] == [
         [f"{where}: Tensor"], [f"{where}: _Node"], [f"{where}: Tensor"]]
+
+
+# Parameter tensors that get no gradient under some configurations, as
+# "group/name" -> ((estimator, discriminator) pairs, why), on either task.
+# Every other tensor of every group must learn under every configuration.
+NO_GRADIENT_BY_DESIGN = {
+    "theta/proj_node/b2": (
+        {(e, d) for e in ("nce", "nt_xent") for d in ("dot", "bilinear")},
+        "the node projection's last bias adds b.g (or bWg) to every score of "
+        "graph vector g's row, and nce and nt_xent are a softmax over that "
+        "row"),
+    "theta/disc/b1": (
+        {(e, "mlp") for e in ("nce", "nt_xent", "dv")},
+        "the MLP discriminator's last bias shifts every score alike, and "
+        "nce, nt_xent and dv ignore a shift of all scores"),
+}
+GRADIENT_FLOOR = 1e-12
+
+
+def guard_configs() -> list:
+    """Every estimator x discriminator x task; cosine runs the uniform
+    policy, the one it accepts. At width 16 (seed 1) ω's large graph vectors
+    fix the node-drop head's ReLU pattern within each graph, so its ``b0``
+    reads 0 as a per-graph shift; width 32 does not."""
+    from graphaug.objective import DISCRIMINATORS, ESTIMATORS
+    from graphaug.trainer import TrainConfig
+
+    return [TrainConfig(estimator=e, discriminator=d, task=task,
+                        hidden_dim=32, seed=1,
+                        policy_kind="random" if d == "cosine" else "gru")
+            for e in ESTIMATORS for d in DISCRIMINATORS
+            for task in ("graph", "node")]
+
+
+def guard_batch(dataset, config):
+    from graphaug.graphs import batch_graphs, make_node_task_batch
+    from graphaug.rng import RngStream
+
+    if config.task == "graph":
+        return batch_graphs(dataset.graphs[:8])
+    return make_node_task_batch(dataset.graphs[0], 4, config.hops,
+                                RngStream(config.seed, "guard-batch"))
+
+
+def unreached_tensors(state, config, batch) -> set:
+    """"group/name" of every tensor of ``state`` whose |grad| stays at or
+    below ``GRADIENT_FLOOR`` in each of a few forwards of ``step_loss``,
+    with every group on the tape. The forwards force their kind pairs, so
+    each kind is drawn by construction, and keep the policy's real ``p_i``
+    and ``p_j``."""
+    from graphaug import trainer
+    from graphaug.policy import PolicyDecision, active_kinds, \
+        policy_distribution
+    from graphaug.rng import RngStream
+
+    kinds = active_kinds(config.task)
+    pairs = [(kinds[k], kinds[(k + 1) % len(kinds)])
+             for k in range(0, len(kinds), 2)]
+    dead = {f"{g}/{name}" for g in trainer.GROUPS
+            for name in state.group(g).names()}
+    for step, pair in enumerate(pairs):
+        def forced(reps, stream, params, kinds):
+            dist = policy_distribution(reps, params, len(kinds))
+            return PolicyDecision(dist, *pair, *(
+                dist.gather_rows([kinds.index(k)]).reshape(()) for k in pair))
+
+        for g in trainer.GROUPS:
+            state.group(g).zero_grads()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trainer, "decide", forced)
+            loss, _, _ = trainer.step_loss(batch, state, config,
+                                           RngStream(step, "guard"))
+        loss.backward()
+        dead -= {f"{g}/{name}" for g in trainer.GROUPS
+                 for name, t in state.group(g).items() if t.grad is not None
+                 and np.abs(t.grad).max() > GRADIENT_FLOOR}
+    return dead
+
+
+def test_every_parameter_gets_a_gradient(mutag_dir):
+    """Under every estimator x discriminator x task, each tensor of every
+    group gets a gradient but the registry's, and each entry still names a
+    tensor that gets none. One seed, 8 MUTAG graphs or 4 node-task
+    neighborhoods of MUTAG's first graph."""
+    from graphaug.trainer import init_state
+    from graphaug.tudataset import parse_tudataset
+
+    datasets = {task: parse_tudataset(mutag_dir, task)
+                for task in ("graph", "node")}
+    unexpected, stale = [], []
+    for config in guard_configs():
+        ds = datasets[config.task]
+        dead = unreached_tensors(init_state(config, ds.feature_dim), config,
+                                 guard_batch(ds, config))
+        allowed = {name for name, (where, _) in NO_GRADIENT_BY_DESIGN.items()
+                   if (config.estimator, config.discriminator) in where}
+        label = f"{config.task}/{config.estimator}/{config.discriminator}"
+        unexpected += [f"{label}: {name}" for name in sorted(dead - allowed)]
+        stale += [f"{label}: {name}" for name in sorted(allowed - dead)]
+    assert not unexpected, f"no gradient reaches: {unexpected}"
+    assert not stale, f"exception no longer needed: {stale}"
+
+
+def test_guard_flags_a_parameter_nothing_reads(mutag_dir):
+    from graphaug.tensor import zeros_param
+    from graphaug.trainer import init_state
+    from graphaug.tudataset import parse_tudataset
+
+    config = guard_configs()[0]
+    ds = parse_tudataset(mutag_dir)
+    state = init_state(config, ds.feature_dim)
+    state.heads.add("node_drop/unread", zeros_param((3,)))
+    assert unreached_tensors(state, config, guard_batch(ds, config)) == \
+        {"heads/node_drop/unread"}

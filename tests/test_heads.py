@@ -448,9 +448,8 @@ def _ref_node_distribution(h_v, h_g, params):
     n = h_v.shape[0]
     tiled = Tensor(np.ones((n, 1))) @ h_g.reshape(1, h_g.size)
     z = concat([h_v, tiled], axis=1)
-    logits = mlp(z, params["mlp/w0"], params["mlp/b0"],
-                 params["mlp/w1"], params["mlp/b1"])
-    return logits.reshape(n).softmax()
+    hidden = mlp(z, params["mlp/w0"], params["mlp/b0"]).clip_min(0.0)
+    return (hidden @ params["mlp/w1"]).reshape(n).softmax()
 
 
 def _ref_induced_edge_weights(edges_old, p):

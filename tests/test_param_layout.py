@@ -20,6 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graphaug.objective import DISCRIMINATORS
+from graphaug.policy import POLICY_KINDS
 from graphaug.trainer import GROUPS, TrainConfig, init_state
 
 LAYOUT_PATH = Path(__file__).resolve().parent / "param_layout.json"
@@ -27,13 +29,13 @@ INPUT_DIM = 7
 CONFIGS = {
     "graph/gru/dot": dict(task="graph", policy_kind="gru",
                           discriminator="dot"),
-    "graph/deepset/mlp": dict(task="graph", policy_kind="deepset",
-                              discriminator="mlp"),
+    "graph/gru/mlp": dict(task="graph", policy_kind="gru",
+                          discriminator="mlp"),
     "node/random/bilinear": dict(task="node", policy_kind="random",
                                  discriminator="bilinear"),
     # ω follows num_layers; θ on the node task is a two-layer GCN regardless
-    "node/deepset/cosine/3-layer": dict(task="node", policy_kind="deepset",
-                                        discriminator="cosine", num_layers=3),
+    "node/random/cosine/3-layer": dict(task="node", policy_kind="random",
+                                       discriminator="cosine", num_layers=3),
 }
 
 
@@ -54,6 +56,13 @@ def layout(config: TrainConfig) -> dict:
 def record() -> dict:
     return {key: layout(TrainConfig(seed=7, **kw))
             for key, kw in CONFIGS.items()}
+
+
+def test_configs_cover_every_policy_discriminator_and_task():
+    for field, values in (("policy_kind", POLICY_KINDS),
+                          ("discriminator", DISCRIMINATORS),
+                          ("task", ("graph", "node"))):
+        assert {kw[field] for kw in CONFIGS.values()} == set(values), field
 
 
 @pytest.mark.parametrize("key", sorted(CONFIGS))

@@ -3,7 +3,7 @@ import pytest
 
 from graphaug.policy import (
     AugmentationKind, GRAPH_TASK_KINDS, POLICY_KINDS, active_kinds, decide,
-    deepset_policy, gru_policy, init_policy_params, policy_distribution,
+    gru_policy, init_policy_params, policy_distribution,
 )
 from graphaug.rng import RngStream
 from graphaug.tensor import Tensor, finite_diff_grad
@@ -103,31 +103,6 @@ def test_gru_policy_keeps_every_bit_of_the_unrolled_gru(n):
         _assert_close_to_scale(g, want_grads[name], name)
 
 
-def test_deepset_distribution_sums_to_one():
-    params = init_policy_params("deepset", 8, 5, seed=3)
-    dist = deepset_policy(reps(), params)
-    assert abs(dist.data.sum() - 1.0) < 1e-9
-
-
-def test_deepset_permutation_invariance():
-    params = init_policy_params("deepset", 8, 5, seed=4)
-    x = reps(5)
-    perm = RngStream(10, "p").permutation(6)
-    d1 = deepset_policy(x, params)
-    d2 = deepset_policy(x.gather_rows(perm), params)
-    assert np.allclose(d1.data, d2.data, atol=1e-12)
-
-
-def test_deepset_duplicated_batch_differs():
-    # sum pooling doubles the pooled vector; output generally changes
-    params = init_policy_params("deepset", 8, 5, seed=5)
-    x = reps(6)
-    doubled = Tensor(np.concatenate([x.data, x.data], axis=0))
-    d1 = deepset_policy(x, params)
-    d2 = deepset_policy(doubled, params)
-    assert not np.allclose(d1.data, d2.data)
-
-
 def test_random_policy_uniform():
     dist = policy_distribution(reps(), init_policy_params("random", 8, 5, 0), 5)
     assert np.array_equal(dist.data, np.full(5, 0.2))
@@ -136,17 +111,16 @@ def test_random_policy_uniform():
 @pytest.mark.parametrize("task", ["graph", "node"])
 @pytest.mark.parametrize("policy_kind", POLICY_KINDS)
 def test_policy_runs_the_kind_its_parameters_hold(policy_kind, task):
-    """A set from ``init_policy_params`` names its policy: ``gru/...`` the
-    GRU, any other non-empty set the deep set, an empty set the uniform
-    one. Both entry points reproduce it bit for bit."""
+    """A set from ``init_policy_params`` names its policy: a non-empty set
+    the GRU, an empty set the uniform one. Both entry points reproduce it
+    bit for bit."""
     kinds = active_kinds(task)
     params = init_policy_params(policy_kind, 8, len(kinds), seed=3)
     x = reps(4)
     if policy_kind == "random":
         want = np.full(len(kinds), 1.0 / len(kinds))
     else:
-        policy = gru_policy if policy_kind == "gru" else deepset_policy
-        want = policy(x, params).data
+        want = gru_policy(x, params).data
     assert np.array_equal(policy_distribution(x, params, len(kinds)).data,
                           want)
     dec = decide(x, RngStream(3, "kind"), params, kinds)
@@ -208,14 +182,14 @@ def test_random_policy_decide_builds_at_most_five_tensors(made_tensors):
 
 
 def test_decide_never_draws_a_kind_whose_probability_underflows():
-    """A deep-set policy whose last bias holds -1e4 for one kind gives that
+    """A GRU policy whose output bias holds -1e4 for one kind gives that
     kind a probability of exactly 0; no draw picks it, so ``p_i`` and
     ``p_j``, which scale the graph vectors, are never 0."""
     kinds = GRAPH_TASK_KINDS
-    params = init_policy_params("deepset", 8, len(kinds), seed=4)
-    params["post/b1"].data[2] = -1e4
+    params = init_policy_params("gru", 8, len(kinds), seed=4)
+    params["out/b"].data[2] = -1e4
     x = reps(5)
-    assert deepset_policy(x, params).data[2] == 0.0
+    assert gru_policy(x, params).data[2] == 0.0
     stream = RngStream(12, "underflow")
     for trial in range(2000):
         dec = decide(x, stream.split(str(trial)), params, kinds)

@@ -182,7 +182,7 @@ def test_node_task_runs_and_excludes_subgraph():
     g = Graph(n, np.array(edges), stream.uniform((n, 5)), np.ones(len(edges)))
     ds = Dataset("NODE", [g], 0, 5)
     config = small_config(task="node", epochs=1, node_batch_subgraphs=6,
-                          hops=2, policy_kind="deepset")
+                          hops=2)
     state, metrics, freqs = train(ds, config)
     assert metrics, "node task produced no steps"
     assert all(m["aug_i"] != "subgraph" and m["aug_j"] != "subgraph"
@@ -385,6 +385,9 @@ def test_checkpoint_missing_parameter_rejected(tmp_path):
     ({"policy_kind": "bogus"}, "policy_kind"),
     # removed before stream_layout existed, so no loadable checkpoint has it
     ({"policy_temperature": 0.05}, "policy_temperature"),
+    # the deep-set policy is gone, and cosine trains no learned policy
+    ({"policy_kind": "deepset"}, "policy_kind"),
+    ({"discriminator": "cosine"}, "policy_kind random"),
 ])
 def test_checkpoint_bad_config_is_checkpoint_error(tmp_path, extra, match):
     from graphaug import container
@@ -422,6 +425,7 @@ def test_checkpoint_bad_config_is_checkpoint_error(tmp_path, extra, match):
     (dict(clip_norm=float("inf")), "clip_norm"),
     (dict(early_stop_patience=0), "early_stop_patience"),
     (dict(early_stop_patience=-3), "early_stop_patience"),
+    (dict(discriminator="cosine"), "cosine needs policy_kind random"),
 ])
 def test_config_rejects_invalid_values(overrides, match):
     with pytest.raises(ValueError, match=match):
@@ -649,7 +653,7 @@ def _full_tape_step(batch, state, config):
     return loss.item(), coin
 
 
-@pytest.mark.parametrize("policy_kind", ["gru", "deepset"])
+@pytest.mark.parametrize("policy_kind", ["gru", "random"])
 def test_detached_idle_group_keeps_every_bit(mutag_dir, policy_kind):
     """Dropping the idle encoder's nodes leaves every other node's place in
     the sweep, so each updated leaf accumulates the same sums in the same
