@@ -22,8 +22,8 @@ import numpy as np
 
 from .encoders import encode
 from .errors import ConfigError, GraphAugError
-from .evaluation import STACK_COLUMNS, embed_dataset, linear_probe_graph, \
-    linear_probe_node, node_probe_split
+from .evaluation import STACK_COLUMNS, embed_dataset, graph_probe_splits, \
+    linear_probe_graph, linear_probe_node, node_probe_splits
 from .heads import apply_augmentation
 from .policy import AugmentationKind, active_kinds, decide
 from .rng import RngStream
@@ -53,19 +53,17 @@ SECTIONS = {
 _INI_KEY = {"policy_kind": "policy"}     # the one field with another key
 # INI key (also the flag's dest) -> TrainConfig field
 _FIELDS = {_INI_KEY.get(f.name, f.name): f for f in fields(TrainConfig)}
-# probe options by the checkpoint's task: flag dest -> the parameter of the
-# task's probe that it sets, whose default and type are the flag's
-PROBE_OPTIONS = {"graph": (linear_probe_graph, {"folds": "folds",
-                                                "runs": "runs"}),
-                 "node": (linear_probe_node, {"runs_node": "runs",
-                                              "train_frac": "train_frac"})}
+# checkpoint task -> its probe, whose options (each parameter but the table
+# and the seed) give the flags, and its split step, which checks its inputs
+PROBES = {"graph": (linear_probe_graph, graph_probe_splits),
+          "node": (linear_probe_node, node_probe_splits)}
 
 
 def _probe_defaults(task: str) -> dict:
-    """Flag dest -> default of ``task``'s probe options."""
-    probe, params = PROBE_OPTIONS[task]
-    defaults = signature(probe).parameters
-    return {dest: defaults[name].default for dest, name in params.items()}
+    """Option -> default of ``task``'s probe."""
+    params = signature(PROBES[task][0]).parameters
+    return {name: p.default for name, p in params.items()
+            if name not in ("table", "seed")}
 
 
 def _parse_config_file(path) -> dict:
@@ -223,40 +221,26 @@ def cmd_train(args) -> int:
 def cmd_probe(args) -> int:
     resolved = resolve_config(args)
     state, config, dataset = _load_model(args, resolved)
-    other = next(task for task in PROBE_OPTIONS if task != config.task)
-    stray = [f"--{dest.replace('_', '-')}" for dest in _probe_defaults(other)
-             if getattr(args, dest) is not None]
+    task, seed = config.task, args.probe_seed
+    defaults = _probe_defaults(task)
+    other = next(t for t in PROBES if t != task)
+    stray = [f"--{name.replace('_', '-')}" for name in _probe_defaults(other)
+             if name not in defaults and getattr(args, name) is not None]
     if stray:                     # before paying for the embed
         raise ConfigError(f"{' and '.join(stray)}: {other}-task options, "
-                          f"but {args.checkpoint} holds a {config.task}-task "
-                          "model")
-    opts = {dest: default if getattr(args, dest) is None
-            else getattr(args, dest)
-            for dest, default in _probe_defaults(config.task).items()}
+                          f"but {args.checkpoint} holds a {task}-task model")
+    opts = {name: default if getattr(args, name) is None
+            else getattr(args, name) for name, default in defaults.items()}
     out = _out_dir(resolved, f"{dataset.name.lower()}-probe")
-    counts = ({"folds": (opts["folds"], 2), "runs": (opts["runs"], 1)}
-              if config.task == "graph" else
-              {"runs-node": (opts["runs_node"], 1)})
-    low = [f"--{flag} >= {least}, got {value}"
-           for flag, (value, least) in counts.items() if value < least]
-    if low:                       # before paying for the embed
-        raise GraphAugError(f"cannot probe {dataset.name}: need "
-                            + " and ".join(low))
     try:
-        if config.task == "node" and dataset.node_labels is not None:
-            # the split before the embed, which rejects a missing label file
-            node_probe_split(dataset.node_labels[0], opts["train_frac"])
+        # the split step checks the probe's inputs before the embed
+        PROBES[task][1](dataset.labels(task), **opts, seed=seed)
         # an overflow warns nothing here; the table rejects its rows
         with np.errstate(over="ignore", invalid="ignore"):
             table = embed_dataset(dataset, state, config)
-        if config.task == "graph":
-            report = linear_probe_graph(table, folds=opts["folds"],
-                                        runs=opts["runs"],
-                                        seed=args.probe_seed)
-        else:
-            report = linear_probe_node(table, runs=opts["runs_node"],
-                                       train_frac=opts["train_frac"],
-                                       seed=args.probe_seed)
+        report = (linear_probe_graph(table, **opts, seed=seed)
+                  if task == "graph" else
+                  linear_probe_node(table, **opts, seed=seed))
     except ValueError as exc:     # inputs the probe cannot use
         raise GraphAugError(f"cannot probe {dataset.name}: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
@@ -390,11 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = sub.add_parser("probe", help="linear-probe a checkpoint")
     _add_config_flags(p_probe, ("dataset", "out_dir"))
     p_probe.add_argument("--checkpoint", required=True)
-    for task in PROBE_OPTIONS:
-        for dest, default in _probe_defaults(task).items():
-            p_probe.add_argument("--" + dest.replace("_", "-"), dest=dest,
-                                 type=type(default), help=f"{task}-task "
-                                 f"checkpoints only, default {default}")
+    defaults = {task: _probe_defaults(task) for task in PROBES}
+    for name in dict.fromkeys(n for d in defaults.values() for n in d):
+        by_task = {task: d[name] for task, d in defaults.items() if name in d}
+        only = " only" if len(by_task) == 1 else ""
+        text = ", ".join(f"{d} ({t} task{only})" for t, d in by_task.items())
+        p_probe.add_argument("--" + name.replace("_", "-"), dest=name,
+                             type=type(next(iter(by_task.values()))),
+                             help=f"default {text}")
     p_probe.add_argument("--probe-seed", dest="probe_seed", type=int, default=0)
     p_probe.set_defaults(func=cmd_probe)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import encode
-from .errors import DatasetError, TrainingDivergedError
+from .errors import TrainingDivergedError
 # perfbench/spans.py wraps khop_bfs and adam_step here; --trace 1 needs them
 from .graphs import batch_graphs, khop_bfs
 from .optim import adam_step
@@ -86,14 +86,9 @@ def embed_dataset(dataset, state, config) -> EmbeddingTable:
             enc = encode(batch_graphs(part), theta)
             vecs.append(enc.graph_vector.data)
         vectors = np.concatenate(vecs, axis=0)
-        labels = dataset.labels()
-        return EmbeddingTable(vectors, labels)
-    if dataset.node_labels is None:
-        raise DatasetError(f"{dataset.name} has no node labels, which the "
-                           "node task needs as probe targets")
-    vectors = encode(dataset.graphs[0], theta).node_matrix.data
-    labels = np.asarray(dataset.node_labels[0], dtype=np.int64)
-    return EmbeddingTable(vectors, labels)
+    else:
+        vectors = encode(dataset.graphs[0], theta).node_matrix.data
+    return EmbeddingTable(vectors, dataset.labels(config.task))
 
 
 # -- logistic regression ----------------------------------------------------------
@@ -245,25 +240,28 @@ def _probe_splits(x, y, num_classes, splits) -> tuple[list, list, list]:
 
 
 def _class_indices(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    """Map labels onto 0..C-1 in sorted order; unlabeled (-1) is an error."""
+    """Map labels onto 0..C-1 in sorted order; unlabeled (-1) items and
+    fewer than two classes are errors."""
     labels = np.asarray(labels)
     if (labels < 0).any():
         raise ValueError("probe labels must be non-negative "
                          "(unlabeled items carry -1)")
     classes, y = np.unique(labels, return_inverse=True)
+    if len(classes) < 2:
+        raise ValueError("probe needs at least two classes")
     return y, len(classes)
 
 
-def linear_probe_graph(table: EmbeddingTable, folds: int = 10, runs: int = 5,
-                       seed: int = 0) -> ProbeReport:
-    """Stratified k-fold probe, repeated with different fold seeds."""
+def graph_probe_splits(labels: np.ndarray, folds: int, runs: int,
+                       seed: int) -> tuple:
+    """Class indices, class count and ``(train_rows, test_rows, stream)``
+    splits of a stratified ``folds``-fold probe repeated with ``runs`` fold
+    seeds; a ValueError names the first input it cannot probe."""
     if folds < 2 or runs < 1:
         raise ValueError(f"need folds >= 2 and runs >= 1, got folds={folds} "
                          f"and runs={runs}")
-    y, num_classes = _class_indices(table.labels)
-    if num_classes < 2:
-        raise ValueError("probe needs at least two classes")
-    classes, counts = np.unique(table.labels, return_counts=True)
+    y, num_classes = _class_indices(labels)
+    classes, counts = np.unique(labels, return_counts=True)
     rare = classes[counts < 2]                   # inner folds may have one
     if len(rare):
         raise ValueError(f"class {rare[0]} has fewer than 2 items; cannot "
@@ -277,12 +275,23 @@ def linear_probe_graph(table: EmbeddingTable, folds: int = 10, runs: int = 5,
             if len(test):
                 splits.append((np.flatnonzero(assignment != f), test,
                                stream.split(f"l2-{f}")))
-    return _report(*_probe_splits(table.vectors, y, num_classes, splits),
-                   seed, f"{folds}-fold x {runs} runs")
+    return y, num_classes, splits
 
 
-def node_probe_split(labels: np.ndarray, train_frac: float) -> tuple:
-    """Class indices, class count and train size of a node-probe split."""
+def linear_probe_graph(table: EmbeddingTable, folds: int = 10, runs: int = 5,
+                       seed: int = 0) -> ProbeReport:
+    """Stratified k-fold probe, repeated with different fold seeds."""
+    splits = graph_probe_splits(table.labels, folds, runs, seed)
+    return _report(*_probe_splits(table.vectors, *splits), seed,
+                   f"{folds}-fold x {runs} runs")
+
+
+def node_probe_splits(labels: np.ndarray, runs: int, train_frac: float,
+                      seed: int) -> tuple:
+    """As ``graph_probe_splits``, for ``runs`` random splits that each
+    train on ``train_frac`` of the items."""
+    if runs < 1:
+        raise ValueError(f"need runs >= 1, got {runs}")
     if not (0.0 < train_frac < 1.0):
         raise ValueError("train_frac must be in (0, 1)")
     y, num_classes = _class_indices(labels)
@@ -290,15 +299,6 @@ def node_probe_split(labels: np.ndarray, train_frac: float) -> tuple:
     if n_train >= len(y):
         raise ValueError(f"a train split of {n_train} of {len(y)} nodes "
                          "leaves no test node")
-    return y, num_classes, n_train
-
-
-def linear_probe_node(table: EmbeddingTable, runs: int = 20,
-                      train_frac: float = 0.1, seed: int = 0) -> ProbeReport:
-    """Random-split probe over ``runs`` different splits."""
-    if runs < 1:
-        raise ValueError(f"need runs >= 1, got {runs}")
-    y, num_classes, n_train = node_probe_split(table.labels, train_frac)
     splits = []
     for run in range(runs):
         stream = RngStream(seed + run, "probe-splits")
@@ -307,5 +307,12 @@ def linear_probe_node(table: EmbeddingTable, runs: int = 20,
             # re-draw once with a derived stream; then accept the split
             order = stream.split("retry").permutation(len(y))
         splits.append((order[:n_train], order[n_train:], stream.split("l2")))
-    return _report(*_probe_splits(table.vectors, y, num_classes, splits),
-                   seed, f"{runs} random splits @ {train_frac}")
+    return y, num_classes, splits
+
+
+def linear_probe_node(table: EmbeddingTable, runs: int = 20,
+                      train_frac: float = 0.1, seed: int = 0) -> ProbeReport:
+    """Random-split probe over ``runs`` different splits."""
+    splits = node_probe_splits(table.labels, runs, train_frac, seed)
+    return _report(*_probe_splits(table.vectors, *splits), seed,
+                   f"{runs} random splits @ {train_frac}")

@@ -59,11 +59,16 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.graphs)
 
-    def labels(self) -> np.ndarray:
-        """Graph labels; an unlabeled dataset maps every graph to -1."""
-        if self.graph_labels is None:
-            return np.full(len(self.graphs), -1, dtype=np.int64)
-        return np.asarray(self.graph_labels, dtype=np.int64)
+    def labels(self, task: str) -> np.ndarray:
+        """The task's probe targets: one label per graph, or on the node
+        task one per node of graph 0, the one graph that task reads. Items
+        without a label file get -1."""
+        labels, n = self.graph_labels, len(self.graphs)
+        if task == "node":
+            labels, n = self.node_labels, self.graphs[0].num_nodes
+            labels = None if labels is None else labels[0]
+        return (np.full(n, -1, dtype=np.int64) if labels is None
+                else np.asarray(labels, dtype=np.int64))
 
 
 def _find_prefix(directory: Path) -> str:

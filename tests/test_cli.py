@@ -1,5 +1,6 @@
 import argparse
 import csv
+import inspect
 import itertools
 import json
 import re
@@ -271,13 +272,13 @@ def test_each_command_takes_only_the_options_it_reads():
     read = {"--config", "--dataset", "--out"}
     assert options == {
         "train": read | FIELD_FLAGS | {"--print-config"},
-        "probe": read | {"--checkpoint", "--folds", "--runs", "--runs-node",
-                         "--train-frac", "--probe-seed"},
+        "probe": read | {"--checkpoint", "--folds", "--runs", "--train-frac",
+                         "--probe-seed"},
         "embed": read | {"--checkpoint"},
         "inspect": read | {"--seed", "--checkpoint", "--head", "--num-graphs"},
         "stats": {"--config", "--dataset", "--task", "--out-json"},
     }
-    assert sum(map(len, options.values())) == 48
+    assert sum(map(len, options.values())) == 47
 
 
 def readme_cli_table() -> dict:
@@ -307,7 +308,9 @@ def test_readme_cli_table_lists_each_commands_options():
     ["probe", "--hidden-dim", "7"],
     ["inspect", "--head", "identity", "--epochs", "3"],
     ["stats", "--out", "x"],
-], ids=["embed-task", "probe-hidden-dim", "inspect-epochs", "stats-out"])
+    ["probe", "--runs-node", "3"],
+], ids=["embed-task", "probe-hidden-dim", "inspect-epochs", "stats-out",
+        "probe-runs-node"])
 def test_a_flag_the_command_does_not_read_exits_2(dataset_dir, tmp_path,
                                                   capsys, monkeypatch, argv):
     ck = trained_checkpoint(dataset_dir, tmp_path)
@@ -460,24 +463,21 @@ def test_probe_rejects_unusable_counts(dataset_dir, tmp_path, capsys, flags,
     code = run_cli("probe", "--checkpoint", str(ck), "--dataset",
                    str(dataset_dir), "--out", str(out), *flags)
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot probe")
+    err = one_error_line(capsys, "error: cannot probe")
     assert flags[0].lstrip("-") in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("task,flags", [
-    ("graph", ["--train-frac", "5.0", "--runs-node", "0"]),
-    ("graph", ["--runs-node", "20"]),
+    ("graph", ["--train-frac", "5.0", "--runs", "0"]),
     ("node", ["--folds", "2"]),
-    ("node", ["--runs", "1", "--train-frac", "0.5"]),
-], ids=["graph-train-frac-runs-node", "graph-runs-node", "node-folds",
-        "node-runs"])
+    ("node", ["--folds", "2", "--runs", "1", "--train-frac", "0.5"]),
+], ids=["graph-train-frac", "node-folds", "node-folds-runs"])
 def test_probe_rejects_the_other_tasks_options(dataset_dir, tmp_path, capsys,
                                                monkeypatch, task, flags):
-    """--folds and --runs are graph-task options and --runs-node and
-    --train-frac node-task ones; the other task's option is a config
-    error that names it, before the embed."""
+    """--folds is a graph-task option and --train-frac a node-task one, and
+    --runs serves both; the other task's option is a config error that
+    names it alone, before the embed and before any value check."""
     if task == "graph":
         data_dir, ck = dataset_dir, trained_checkpoint(dataset_dir, tmp_path)
     else:
@@ -489,9 +489,9 @@ def test_probe_rejects_the_other_tasks_options(dataset_dir, tmp_path, capsys,
     assert run_cli("probe", "--checkpoint", str(ck), "--dataset",
                    str(data_dir), "--out", str(out), *flags) == 2
     err = one_error_line(capsys, "config error:")
-    other = [f for f in flags if f.startswith("--") and
-             (f in ("--folds", "--runs")) == (task == "node")]
-    assert other and all(f in err for f in other), err
+    other = "--folds" if task == "node" else "--train-frac"
+    assert err.startswith(f"config error: {other}: "), err
+    assert "--runs" not in err
     assert f"holds a {task}-task model" in err
     assert not out.exists()
 
@@ -527,6 +527,34 @@ def test_probe_unlabeled_graphs_fails_cleanly(dataset_dir, tmp_path, capsys):
     assert code == 1
     assert "non-negative" in capsys.readouterr().err
     assert not (tmp_path / "p4").exists()
+    assert run_cli("embed", "--checkpoint", str(ck), "--dataset",
+                   str(dataset_dir), "--out", str(tmp_path / "e4")) == 0
+    with open(tmp_path / "e4" / "embeddings.csv", newline="") as f:
+        assert [row["label"] for row in csv.DictReader(f)] == ["-1"] * 10
+
+
+def test_probe_help_names_each_tasks_defaults(capsys):
+    """Each probe option's help names its default on each task that takes
+    it, read from the probes' signatures."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("probe", "--help")
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    helps = dict(re.findall(r"(--[a-z-]+) [A-Z_]+ (default [^-]*?)(?= --|$)",
+                            text))
+    tasks = {}
+    for task, probe in (("graph", evaluation.linear_probe_graph),
+                        ("node", evaluation.linear_probe_node)):
+        for name, p in inspect.signature(probe).parameters.items():
+            if name not in ("table", "seed"):
+                tasks.setdefault("--" + name.replace("_", "-"), {})[task] = \
+                    p.default
+    assert set(helps) == set(tasks) == {"--folds", "--runs", "--train-frac"}
+    for flag, defaults in tasks.items():
+        only = " only" if len(defaults) == 1 else ""
+        for task, default in defaults.items():
+            assert f"{default} ({task} task{only})" in helps[flag], helps
+    assert helps["--runs"] == "default 5 (graph task), 20 (node task)"
 
 
 @pytest.mark.parametrize("command", ["probe", "embed", "inspect"])
@@ -1026,7 +1054,7 @@ def test_node_task_cli_roundtrip(tmp_path, capsys):
     probe_out = tmp_path / "node-probe"
     code = run_cli("probe", "--checkpoint", str(out / "checkpoint.bin"),
                    "--dataset", str(data_dir), "--out", str(probe_out),
-                   "--runs-node", "3", "--train-frac", "0.5")
+                   "--runs", "3", "--train-frac", "0.5")
     assert code == 0
     report = json.loads((probe_out / "probe_report.json").read_text())
     assert len(report["accuracies"]) == 3
@@ -1044,10 +1072,10 @@ def test_node_probe_rejects_zero_runs(tmp_path, capsys, monkeypatch):
     probe_out = tmp_path / "node-probe"
     code = run_cli("probe", "--checkpoint", str(out / "checkpoint.bin"),
                    "--dataset", str(data_dir), "--out", str(probe_out),
-                   "--runs-node", "0")
+                   "--runs", "0")
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot probe") and "runs" in err
+    err = one_error_line(capsys, "error: cannot probe")
+    assert "runs" in err
     assert not probe_out.exists()
 
 
@@ -1074,19 +1102,70 @@ def test_inspect_head_inactive_for_the_task(tmp_path, capsys):
 
 def test_node_task_without_node_labels_fails_before_embedding(
         tmp_path, capsys, monkeypatch):
+    """Without node labels the node probe fails before the embed, and
+    embed writes -1 for each node of graph 0, as it does for unlabeled
+    graphs on the graph task."""
     data_dir = write_single_graph_dataset(tmp_path)
     (data_dir / "ONE_node_labels.txt").unlink()
     checkpoint = train_node_task(data_dir, tmp_path / "node-run")
+    out = tmp_path / "node-embed"
+    assert run_cli("embed", "--checkpoint", str(checkpoint), "--dataset",
+                   str(data_dir), "--out", str(out)) == 0
+    with open(out / "embeddings.csv", newline="") as f:
+        assert [row["label"] for row in csv.DictReader(f)] == ["-1"] * 24
+    capsys.readouterr()
     monkeypatch.setattr(evaluation, "encode", embed_must_not_run)
-    for command in ("embed", "probe"):
-        capsys.readouterr()
-        out = tmp_path / f"node-{command}"
-        code = run_cli(command, "--checkpoint", str(checkpoint),
-                       "--dataset", str(data_dir), "--out", str(out))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ONE has no node labels"), err
-        assert not out.exists()
+    out = tmp_path / "node-probe"
+    assert run_cli("probe", "--checkpoint", str(checkpoint), "--dataset",
+                   str(data_dir), "--out", str(out)) == 1
+    err = one_error_line(capsys)
+    assert err.startswith("error: cannot probe ONE:") and "unlabeled" in err
+    assert not out.exists()
+
+
+def write_labels(path, labels):
+    path.write_text("".join(f"{c}\n" for c in labels))
+
+
+# id -> (task, a change to the label files, what the error says); the
+# node task's missing label file and the option values have tests above
+# and below
+PROBE_LABEL_FAULTS = {
+    "graph-unlabeled": ("graph", lambda d: (d / "SYN_graph_labels.txt")
+                        .unlink(), "unlabeled items carry -1"),
+    "graph-class-of-one": ("graph", lambda d: write_labels(
+        d / "SYN_graph_labels.txt", [k % 2 for k in range(9)] + [2]),
+        "class 2 has fewer than 2 items"),
+    "graph-one-class": ("graph", lambda d: write_labels(
+        d / "SYN_graph_labels.txt", [1] * 10),
+        "probe needs at least two classes"),
+    "node-one-class": ("node", lambda d: write_labels(
+        d / "ONE_node_labels.txt", [4] * 24),
+        "probe needs at least two classes"),
+}
+
+
+@pytest.mark.parametrize("fault", PROBE_LABEL_FAULTS)
+def test_probe_label_faults_fail_before_embedding(dataset_dir, tmp_path,
+                                                  capsys, monkeypatch, fault):
+    """Labels the probe cannot use exit 1 on one line, with neither an
+    embed nor an output directory."""
+    task, change, reason = PROBE_LABEL_FAULTS[fault]
+    if task == "graph":
+        data_dir, ck = dataset_dir, trained_checkpoint(dataset_dir, tmp_path)
+    else:
+        data_dir = write_single_graph_dataset(tmp_path)
+        ck = train_node_task(data_dir, tmp_path / "node-run")
+    change(data_dir)
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "embed_dataset", embed_must_not_run)
+    out = tmp_path / "probe"
+    assert run_cli("probe", "--checkpoint", str(ck), "--dataset",
+                   str(data_dir), "--out", str(out)) == 1
+    err = one_error_line(capsys)
+    assert err.startswith(f"error: cannot probe {data_dir.name}: ")
+    assert reason in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("frac, reason", [
@@ -1100,10 +1179,10 @@ def test_node_probe_without_test_nodes_fails_cleanly(tmp_path, capsys,
     probe_out = tmp_path / "node-probe"
     code = run_cli("probe", "--checkpoint", str(checkpoint),
                    "--dataset", str(data_dir), "--out", str(probe_out),
-                   "--runs-node", "2", "--train-frac", frac)
+                   "--runs", "2", "--train-frac", frac)
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot probe ONE") and reason in err, err
+    err = one_error_line(capsys, "error: cannot probe ONE")
+    assert reason in err, err
     assert not probe_out.exists()
 
 
@@ -1121,7 +1200,7 @@ def test_node_probe_one_based_labels_match_zero_based(tmp_path, capsys):
         probe_out = tmp_path / f"probe-{data_dir.parent.name}"
         assert run_cli("probe", "--checkpoint", str(out / "checkpoint.bin"),
                        "--dataset", str(data_dir), "--out", str(probe_out),
-                       "--runs-node", "3", "--train-frac", "0.5") == 0
+                       "--runs", "3", "--train-frac", "0.5") == 0
         reports.append((probe_out / "probe_report.json").read_text())
     assert reports[0] == reports[1]
 
@@ -1213,7 +1292,7 @@ def test_node_labels_do_not_leak_into_node_task_features(tmp_path, capsys):
     probe_out = tmp_path / "leak-probe"
     assert run_cli("probe", "--checkpoint", str(out / "checkpoint.bin"),
                    "--dataset", str(data_dir), "--out", str(probe_out),
-                   "--runs-node", "5", "--train-frac", "0.5") == 0
+                   "--runs", "5", "--train-frac", "0.5") == 0
     report = json.loads((probe_out / "probe_report.json").read_text())
     # an untrained encoder can only read the labels if they are features
     assert report["mean_accuracy"] < 0.7, report["mean_accuracy"]

@@ -5,7 +5,7 @@ import pytest
 
 from graphaug import evaluation, optim, tensor
 from graphaug.encoders import encode
-from graphaug.errors import DatasetError, TrainingDivergedError
+from graphaug.errors import TrainingDivergedError
 from graphaug.evaluation import (
     LAMBDA_GRID, EmbeddingTable, embed_dataset, linear_probe_graph,
     linear_probe_node,
@@ -131,7 +131,7 @@ def test_embed_rows_and_determinism():
     t2 = embed_dataset(ds, state, config)
     assert t1.vectors.shape == (len(ds.graphs), 8)
     assert np.array_equal(t1.vectors, t2.vectors)
-    assert np.array_equal(t1.labels, ds.labels())
+    assert np.array_equal(t1.labels, ds.labels("graph"))
 
 
 def test_embed_zero_features_zero_encoder():
@@ -257,17 +257,16 @@ def test_embed_records_no_tape(task, made_tensors, monkeypatch):
     assert np.array_equal(table.vectors, taped.vectors)
 
 
-def test_embed_node_task_without_labels_fails_before_embedding(monkeypatch):
+@pytest.mark.parametrize("task", ["graph", "node"])
+def test_embed_gives_unlabeled_items_minus_one(task):
+    """Without a label file each embedded item, a graph or a node of graph
+    0, is labeled -1, which the probes reject."""
     g = Graph(3, np.array([(0, 1), (1, 0)]), np.ones((3, 2)), np.ones(2))
-    config = TrainConfig(hidden_dim=4, num_layers=1, task="node", seed=0,
+    config = TrainConfig(hidden_dim=4, num_layers=1, task=task, seed=0,
                          epochs=0)
-
-    def must_not_encode(*args, **kwargs):
-        raise AssertionError("embedded before checking the node labels")
-
-    monkeypatch.setattr(evaluation, "encode", must_not_encode)
-    with pytest.raises(DatasetError, match="no node labels"):
-        embed_dataset(Dataset("NT", [g], 2, 2), init_state(config, 2), config)
+    table = embed_dataset(Dataset("NT", [g, g], 0, 2), init_state(config, 2),
+                          config)
+    assert table.labels.tolist() == [-1] * (2 if task == "graph" else 3)
 
 
 def test_node_probe_without_test_nodes_rejected():
@@ -622,8 +621,8 @@ def probe_graph_per_split(table, folds, runs, seed, rows):
 
 def probe_node_per_split(table, runs, train_frac, seed, rows):
     x = table.vectors
-    y, num_classes, n_train = evaluation.node_probe_split(table.labels,
-                                                          train_frac)
+    y, num_classes = evaluation._class_indices(table.labels)
+    n_train = max(num_classes, int(round(train_frac * len(y))))
     accs, l2s = [], []
     for run in range(runs):
         stream = RngStream(seed + run, "probe-splits")
@@ -825,6 +824,14 @@ def test_probe_labels_need_not_start_at_zero(table, relabel):
                           (linear_probe_node, {"runs": 2, "train_frac": 0.5})):
         assert (probe(moved, seed=1, **kwargs).to_json()
                 == probe(table, seed=1, **kwargs).to_json())
+
+
+@pytest.mark.parametrize("probe", [linear_probe_graph, linear_probe_node])
+def test_one_class_rejected(probe):
+    """Both probes need two classes; the node probe failed inside numpy."""
+    table = separable_table(n=20, seed=2)
+    with pytest.raises(ValueError, match="probe needs at least two classes"):
+        probe(EmbeddingTable(table.vectors, np.full(20, 3)), seed=0)
 
 
 @pytest.mark.parametrize("probe", [linear_probe_graph, linear_probe_node])

@@ -159,7 +159,8 @@ def test_mutag_golden(mutag_dir):
     assert stats["feature_dim"] == 7
     assert abs(stats["mean_nodes"] - 17.93) <= 0.01
     assert abs(stats["mean_edges_undirected"] - 19.79) <= 0.01
-    assert set(ds.labels().tolist()) == {0, 1}
+    assert set(ds.labels("graph").tolist()) == {0, 1}
+    assert np.array_equal(ds.labels("node"), ds.node_labels[0])
 
 
 def test_unlabeled_dataset_labels_sentinel(tmp_path):
@@ -167,7 +168,8 @@ def test_unlabeled_dataset_labels_sentinel(tmp_path):
     ds = parse_tudataset(d)
     assert ds.num_classes == 0
     assert ds.graph_labels is None
-    assert ds.labels().tolist() == [-1]
+    assert ds.labels("graph").tolist() == [-1]
+    assert ds.labels("node").tolist() == [-1, -1]     # graph 0's two nodes
 
 
 # -- malformed files -------------------------------------------------------------
@@ -400,7 +402,8 @@ def assert_same_dataset(ds, ref):
             assert (a.dtype, a.shape) == (b.dtype, b.shape)
             assert a.tobytes() == b.tobytes()
     assert (ds.graph_labels is None) == (ref.graph_labels is None)
-    assert np.array_equal(ds.labels(), ref.labels())
+    for task in ("graph", "node"):
+        assert np.array_equal(ds.labels(task), ref.labels(task))
     assert (ds.node_labels is None) == (ref.node_labels is None)
     for a, b in zip(ds.node_labels or [], ref.node_labels or []):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
