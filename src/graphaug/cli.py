@@ -186,14 +186,9 @@ def cmd_train(args) -> int:
         return 0
     dataset = _load_dataset(resolved, config.task)
     out = _out_dir(resolved, f"{dataset.name.lower()}-train")
-    if config.task == "node":       # the node task reads only graph 0
-        g = dataset.graphs[0]
-        size = (f"graph 0 of {len(dataset.graphs)} ({g.num_nodes} nodes, "
-                f"{g.num_edges} edges)")
-    else:
-        size = f"{len(dataset.graphs)} graphs"
-    print(f"training on {dataset.name}: {size}, d_x={dataset.feature_dim}, "
-          f"task={config.task}")
+    print(f"training on {dataset.name}: graphs={len(dataset)}, nodes="
+          f"{sum(g.num_nodes for g in dataset.graphs)}, "
+          f"d_x={dataset.feature_dim}, task={config.task}")
     state, metrics, freqs = train(dataset, config)
     # a run that fails leaves no directory behind
     out.mkdir(parents=True, exist_ok=True)
@@ -289,7 +284,7 @@ def cmd_inspect(args) -> int:
     if kind not in kinds:
         raise ConfigError(f"head {args.head!r} is not active for task "
                           f"{config.task!r}")
-    if config.task == "node":     # ego-nets of graph 0, as training cuts
+    if config.task == "node":     # ego-nets, as training cuts them
         n = args.num_graphs
         batch = make_node_task_batch(
             dataset.graphs[0], n, config.hops,
@@ -332,8 +327,8 @@ def cmd_inspect(args) -> int:
 
 def cmd_stats(args) -> int:
     resolved = resolve_config(args)
-    task = _train_config(resolved).task
-    stats = dataset_stats(_load_dataset(resolved, task), task)
+    stats = dataset_stats(_load_dataset(resolved,
+                                        _train_config(resolved).task))
     print(json.dumps(stats, indent=2))
     if args.out_json:
         Path(args.out_json).write_text(json.dumps(stats, indent=2))

@@ -3,8 +3,7 @@
 Layout: magic ``GAPC``, uint32 version, uint64 header length, JSON header
 (``meta`` dict plus ordered tensor descriptors with name/shape/dtype), then
 the raw little-endian payloads concatenated in header order. Training
-checkpoints are written in it; float arrays are stored as float64 and
-integer arrays as int64.
+checkpoints are written in it; every array is stored as float64.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from .errors import CheckpointError
 
 MAGIC = b"GAPC"
 VERSION = 1
-_DTYPES = {"f8": "<f8", "i8": "<i8"}
+_DTYPES = {"f8": "<f8"}
 
 
 def write_container(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
@@ -28,14 +27,10 @@ def write_container(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
     payloads = []
     for name, arr in tensors.items():
         arr = np.asarray(arr)
-        if arr.dtype.kind == "f":
-            code, arr = "f8", arr.astype("<f8")
-        elif arr.dtype.kind in "iub":
-            code, arr = "i8", arr.astype("<i8")
-        else:
+        if arr.dtype.kind != "f":
             raise CheckpointError(f"unsupported dtype {arr.dtype} for {name!r}")
-        descriptors.append({"name": name, "shape": list(arr.shape), "dtype": code})
-        payloads.append(arr.tobytes(order="C"))
+        descriptors.append({"name": name, "shape": list(arr.shape), "dtype": "f8"})
+        payloads.append(arr.astype("<f8").tobytes(order="C"))
     header = json.dumps({"meta": meta, "tensors": descriptors},
                         sort_keys=True).encode()
     # write beside the target, then rename over it: a crash mid-write leaves

@@ -8,8 +8,9 @@ Expected files (``DS`` is the dataset prefix, inferred from the directory):
   DS_node_attributes.txt comma-separated float vector per node (optional)
 
 For the graph task, node labels are one-hot encoded into X (after any
-attribute columns). For the node task they are the probe target, so X leaves
-them out. Without attributes or label columns in X, nodes get a synthesized
+attribute columns). The node task reads graph 0 alone, so its dataset holds
+that one graph, and its node labels are the probe target that X leaves
+out. Without attributes or label columns in X, nodes get a synthesized
 degree one-hot (capped at 64) plus a constant channel. Repeated directed
 edges collapse (with a warning), and every edge gains its reverse
 orientation.
@@ -46,8 +47,8 @@ class Dataset:
     graphs: list                       # one-graph GraphBatches
     num_classes: int                   # classes of the task's labels
     feature_dim: int
-    node_labels: list | None = None    # per-graph int arrays, when files had them
-    graph_labels: np.ndarray | None = None     # (G,) class ids, likewise
+    node_labels: list | None = None    # node task: [graph 0's int labels]
+    graph_labels: np.ndarray | None = None     # graph task: (G,) class ids
 
     def __post_init__(self):
         for k, g in enumerate(self.graphs):
@@ -61,7 +62,7 @@ class Dataset:
 
     def labels(self, task: str) -> np.ndarray:
         """The task's probe targets: one label per graph, or on the node
-        task one per node of graph 0, the one graph that task reads. Items
+        task one per node of graph 0, the node task's one graph. Items
         without a label file get -1."""
         labels, n = self.graph_labels, len(self.graphs)
         if task == "node":
@@ -131,9 +132,10 @@ def _features(num_nodes: int, edges: np.ndarray, node_labels, attrs):
 
 
 def parse_tudataset(directory, task: str = "graph") -> Dataset:
-    """The dataset for ``task``: "graph" or "node", which decides whether
-    node labels are features or the classes that ``num_classes`` counts
-    (on the node task, those of graph 0, the one graph it reads)."""
+    """The dataset for ``task``: "graph" or "node". Every file and graph is
+    checked on both tasks. The graph task gets every graph and the graph
+    labels, with node labels as features; the node task gets graph 0 alone,
+    and its node labels as the classes that ``num_classes`` counts."""
     if task not in ("graph", "node"):
         raise ValueError(f"unknown task {task!r}")
     directory = Path(directory)
@@ -171,9 +173,6 @@ def parse_tudataset(directory, task: str = "graph") -> Dataset:
     node_labels_path = directory / f"{prefix}_node_labels.txt"
     node_labels = (_read_column(node_labels_path, num_nodes_total, "nodes")
                    if node_labels_path.exists() else None)
-    if task == "node":      # graph 0's node labels are the classes
-        num_classes = 0 if node_labels is None else len(
-            sorted_unique(node_labels[indicator == 0]))
     attr_path = directory / f"{prefix}_node_attributes.txt"
     attrs = None
     if attr_path.exists():
@@ -219,24 +218,27 @@ def parse_tudataset(directory, task: str = "graph") -> Dataset:
     feats = np.split(features[order], starts[1:])
     graphs = [Graph(len(x), e, x, np.ones(len(e)))
               for e, x in zip(edges, feats)]
-    return Dataset(name=prefix, graphs=graphs, num_classes=num_classes,
-                   feature_dim=features.shape[1],
-                   node_labels=None if node_labels is None
-                   else np.split(node_labels[order], starts[1:]),
-                   graph_labels=graph_labels)
+    if task == "graph":
+        return Dataset(prefix, graphs, num_classes, features.shape[1],
+                       graph_labels=graph_labels)
+    # the node task reads graph 0 alone; its node labels are the classes
+    labels = (None if node_labels is None
+              else node_labels[order[:graphs[0].num_nodes]])
+    return Dataset(prefix, graphs[:1],
+                   0 if labels is None else len(sorted_unique(labels)),
+                   features.shape[1],
+                   node_labels=None if labels is None else [labels])
 
 
-def dataset_stats(ds: Dataset, task: str = "graph") -> dict:
-    """Summary statistics in the shape of the usual benchmark tables; on the
-    node task, of graph 0 alone, the one graph that task reads."""
-    graphs = ds.graphs[:1] if task == "node" else ds.graphs
-    n_nodes = [g.num_nodes for g in graphs]
+def dataset_stats(ds: Dataset) -> dict:
+    """Summary statistics in the shape of the usual benchmark tables."""
+    n_nodes = [g.num_nodes for g in ds.graphs]
     # a self-loop is one directed edge, any other undirected edge two
     n_edges = [(g.num_edges + int((g.edges[:, 0] == g.edges[:, 1]).sum())) / 2
-               for g in graphs]
+               for g in ds.graphs]
     return {
         "name": ds.name,
-        "graphs": len(graphs),
+        "graphs": len(ds),
         "classes": ds.num_classes,
         "feature_dim": ds.feature_dim,
         "mean_nodes": float(np.mean(n_nodes)),

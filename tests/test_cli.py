@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import re
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -75,16 +76,18 @@ def test_train_writes_artifacts(dataset_dir, tmp_path, capsys):
 
 
 def test_train_names_what_it_trains_on(dataset_dir, tmp_path, capsys):
-    """The node task trains on the dataset's first graph alone, and the
-    first line says so with that graph's size."""
-    g = parse_tudataset(dataset_dir).graphs[0]
-    for task, size in (("graph", "10 graphs"),
-                       ("node", f"graph 0 of 10 ({g.num_nodes} nodes, "
-                                f"{g.num_edges} edges)")):
+    """The first line gives, in one format on both tasks, the size of the
+    dataset the task trains on: every graph, or graph 0 alone on the node
+    task."""
+    graphs = parse_tudataset(dataset_dir).graphs
+    for task, size in (("graph", (10, sum(g.num_nodes for g in graphs))),
+                       ("node", (1, graphs[0].num_nodes))):
+        d_x = parse_tudataset(dataset_dir, task).feature_dim
         assert run_cli("train", "--dataset", str(dataset_dir), "--task", task,
                        "--out", str(tmp_path / task), "--epochs", "0") == 0
         first = capsys.readouterr().out.splitlines()[0]
-        assert first.startswith(f"training on SYN: {size}, d_x="), first
+        assert first == (f"training on SYN: graphs={size[0]}, nodes={size[1]}, "
+                         f"d_x={d_x}, task={task}"), first
 
 
 def test_train_determinism_byte_identical(dataset_dir, tmp_path):
@@ -668,6 +671,26 @@ def test_checkpoint_with_the_dropped_head_biases_is_one_error_line(
     assert code == 1
     err = one_error_line(capsys)
     assert "match no parameter" in err and "node_drop/mlp/b1" in err
+    assert not out.exists()
+
+
+def test_integer_tensor_in_checkpoint_is_one_error_line(dataset_dir,
+                                                        tmp_path, capsys):
+    """The container stores float64 alone: a descriptor with the int64 code
+    it once wrote is malformed, and embed says so on one line."""
+    raw = trained_checkpoint(dataset_dir, tmp_path).read_bytes()
+    (length,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + length])
+    header["tensors"][0]["dtype"] = "i8"         # same 8 bytes an item
+    text = json.dumps(header, sort_keys=True).encode()
+    bad = tmp_path / "i8.bin"
+    bad.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text
+                    + raw[16 + length:])
+    out = tmp_path / "x"
+    assert run_cli("embed", "--checkpoint", str(bad), "--dataset",
+                   str(dataset_dir), "--out", str(out)) == 1
+    err = one_error_line(capsys)
+    assert "has a malformed tensor descriptor" in err and "'i8'" in err, err
     assert not out.exists()
 
 

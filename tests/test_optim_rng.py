@@ -147,7 +147,6 @@ def test_container_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "c.bin"
     tensors = {
         "w": RngStream(0).uniform((3, 4)),
-        "idx": np.arange(5, dtype=np.int64),
         "scalar": np.array(3.25),
     }
     meta = {"kind": "test", "nested": {"seed": 9}}
@@ -156,7 +155,17 @@ def test_container_roundtrip_bit_exact(tmp_path):
     assert meta2 == meta
     for k in tensors:
         assert np.array_equal(loaded[k], tensors[k])
-        assert loaded[k].dtype == (np.int64 if k == "idx" else np.float64)
+        assert loaded[k].dtype == np.float64
+
+
+def test_container_rejects_an_integer_array(tmp_path):
+    """Checkpoints hold float64 alone, so the container stores nothing
+    else."""
+    path = tmp_path / "c.bin"
+    with pytest.raises(CheckpointError,
+                       match="unsupported dtype int64 for 'idx'"):
+        write_container(path, {}, {"idx": np.arange(5, dtype=np.int64)})
+    assert not path.exists()
 
 
 def test_container_write_failure_keeps_previous_file(tmp_path, monkeypatch):
@@ -244,6 +253,8 @@ def test_container_rejects_wrong_version(tmp_path):
     [{"meta": {}}],                                         # not an object
     {"meta": {}, "tensors": [{"name": "w", "shape": [-2],
                               "dtype": "f8"}]},             # negative size
+    {"meta": {}, "tensors": [{"name": "w", "shape": [2],
+                              "dtype": "i8"}]},             # int64: float64 only
 ])
 def test_container_rejects_malformed_header(tmp_path, header):
     path = tmp_path / "c.bin"

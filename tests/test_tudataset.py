@@ -81,8 +81,9 @@ def test_node_labels_one_hot(tmp_path):
     assert ds.graph_labels.tolist() == [0, 1]
     assert np.array_equal(ds.graphs[0].features.data,
                           [[1.0, 0.0], [0.0, 1.0]])
-    assert ds.node_labels is not None
-    assert ds.node_labels[1].tolist() == [2, 0]
+    assert ds.node_labels is None       # features only, on the graph task
+    assert [a.tolist() for a in parse_tudataset(d, "node").node_labels] == \
+        [[0, 2]]                        # graph 0's, on the node task
 
 
 def test_attributes_concatenated_before_onehot(tmp_path):
@@ -160,7 +161,7 @@ def test_mutag_golden(mutag_dir):
     assert abs(stats["mean_nodes"] - 17.93) <= 0.01
     assert abs(stats["mean_edges_undirected"] - 19.79) <= 0.01
     assert set(ds.labels("graph").tolist()) == {0, 1}
-    assert np.array_equal(ds.labels("node"), ds.node_labels[0])
+    assert ds.node_labels is None
 
 
 def test_unlabeled_dataset_labels_sentinel(tmp_path):
@@ -402,11 +403,8 @@ def assert_same_dataset(ds, ref):
             assert (a.dtype, a.shape) == (b.dtype, b.shape)
             assert a.tobytes() == b.tobytes()
     assert (ds.graph_labels is None) == (ref.graph_labels is None)
-    for task in ("graph", "node"):
-        assert np.array_equal(ds.labels(task), ref.labels(task))
-    assert (ds.node_labels is None) == (ref.node_labels is None)
-    for a, b in zip(ds.node_labels or [], ref.node_labels or []):
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert np.array_equal(ds.labels("graph"), ref.labels("graph"))
+    assert ds.node_labels is None       # one-hot columns of X instead
 
 
 def duplicates_logged(caplog):
@@ -439,6 +437,66 @@ def test_random_datasets_match_reference(tmp_path, caplog):
             g.features.data[:, DEGREE_CAP].any() for g in ds.graphs))
         kinds["empty"] += sum(g.num_edges for g in ds.graphs) == 0
     assert min(kinds.values()) >= 3, kinds
+
+
+def assert_node_task_is_graph_0(d):
+    """The node-task parse of ``d`` holds graph 0 of the graph-task parse
+    alone, with graph 0's rows of the node-labels file as its labels."""
+    node, whole = parse_tudataset(d, "node"), parse_tudataset(d)
+    assert len(node) == 1 and node.graph_labels is None
+    g, g0 = node.graphs[0], whole.graphs[0]
+    assert g.num_nodes == g0.num_nodes
+    assert (g.edges.dtype, g.edges.shape, g.edges.tobytes()) == \
+        (g0.edges.dtype, g0.edges.shape, g0.edges.tobytes())
+    labels_path = d / f"{node.name}_node_labels.txt"
+    if not labels_path.exists():
+        assert node.node_labels is None and node.num_classes == 0
+        return
+    indicator = _read_int_lines(d / f"{node.name}_graph_indicator.txt")
+    want = _read_int_lines(labels_path)[indicator == 1]
+    assert [(a.dtype, a.tolist()) for a in node.node_labels] == \
+        [(np.int64, want.tolist())]
+    assert node.num_classes == len(set(want.tolist()))
+
+
+def test_node_task_is_graph_0_of_mutag(mutag_dir):
+    assert_node_task_is_graph_0(mutag_dir)
+    assert len(parse_tudataset(mutag_dir, "node").node_labels[0]) == 17
+
+
+def test_node_task_is_graph_0_of_random_datasets(tmp_path):
+    labelled = 0
+    for seed in range(300):
+        d = write_random_dataset(tmp_path, seed)
+        try:
+            assert_node_task_is_graph_0(d)
+        except AssertionError as exc:
+            raise AssertionError(f"seed {seed}") from exc
+        labelled += (d / "RND_node_labels.txt").exists()
+    assert 30 <= labelled <= 270, labelled
+
+
+# faults in a graph after graph 0, on a valid three-graph dataset
+LATER_GRAPH_FAULTS = [pytest.param(*case, id=case_id) for case_id, *case in [
+    ("edge-across-graphs-2-and-3", "A", "1, 2\n3, 4\n4, 5\n5, 6\n",
+     r"^edge \(4,5\) crosses graphs 2 and 3$"),
+    ("attribute-nan-in-last-graph", "node_attributes",
+     "0\n1\n2\n3\n4\nnan\n",
+     r"TOY_node_attributes\.txt: node 6 has the non-finite value nan$"),
+]]
+
+
+@pytest.mark.parametrize("file, text, message", LATER_GRAPH_FAULTS)
+def test_node_task_checks_every_graph(tmp_path, file, text, message):
+    """The node task keeps graph 0 alone, but a fault in a later graph
+    raises the graph task's error."""
+    d = write_dataset(tmp_path, edges=((1, 2), (3, 4), (5, 6)),
+                      indicator=(1, 1, 2, 2, 3, 3), graph_labels=(0, 1, 0),
+                      node_labels=(0, 1, 1, 0, 0, 1))
+    (d / f"TOY_{file}.txt").write_text(text)
+    for task in ("graph", "node"):
+        with pytest.raises(DatasetError, match=message):
+            parse_tudataset(d, task)
 
 
 def test_fractional_ids_and_empty_indicator_rejected(tmp_path):
